@@ -32,10 +32,7 @@ FAMILIES = ("eigen", "katz", "pagerank", "affine")
 PHI_CHOICES = ("identity", "exp", "exp_neg", "abs")
 
 GAP_TOL = 1e-8
-EIGEN_TOL = 1e-10
-EIGEN_MAX_ITER = 10_000
 NEGATIVE_RHO_TOL = 1e-12
-_EIGEN_SEED = 0xE16E
 
 
 @dataclass
@@ -120,24 +117,31 @@ def pagerank_kernel(g):
     return scaled.T
 
 
+def _iteration_map(map_, g):
+    """(M, b) with f(A, x) = M x + b for the iterated families."""
+    if map_.family == "katz":
+        return map_.alpha * g.weights.T, 1.0
+    if map_.family == "pagerank":
+        kernel = pagerank_kernel(g)
+        kernel *= map_.alpha
+        return kernel, (1.0 - map_.alpha) / g.n
+    if map_.family == "affine":
+        if map_.affine_M.shape[0] != g.n:
+            raise ParameterError("affine map size does not match the graph")
+        return map_.affine_M, map_.affine_b
+    raise ParameterError(
+        "the eigen family has no standalone iteration map; use solve() or "
+        "eigencentrality()"
+    )
+
+
 def apply_map(map_, g, x):
     """One application of f(A, x) for the given family."""
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise ParameterError("feature vector length must equal the node count")
-    if map_.family == "katz":
-        return map_.alpha * (g.weights.T @ x) + 1.0
-    if map_.family == "pagerank":
-        kernel = pagerank_kernel(g)
-        return map_.alpha * (kernel @ x) + (1.0 - map_.alpha) / g.n
-    if map_.family == "affine":
-        if map_.affine_M.shape[0] != g.n:
-            raise ParameterError("affine map size does not match the graph")
-        return map_.affine_M @ x + map_.affine_b
-    raise ParameterError(
-        "the eigen family has no standalone iteration map; use solve() or "
-        "eigencentrality()"
-    )
+    m, b = _iteration_map(map_, g)
+    return m @ x + b
 
 
 def _check_katz_bound(g, alpha):
@@ -200,11 +204,12 @@ def solve(g, map_, cfg=None):
             raise ParameterError("initial vector length must equal the node count")
     else:
         x = np.ones(g.n)
+    m, b = _iteration_map(map_, g)
     contraction = 0.0
     prev_residual = None
     residual = math.inf
     for iteration in range(1, cfg.max_iterations + 1):
-        fx = apply_map(map_, g, x)
+        fx = m @ x + b
         residual = vector_norm(fx - x, p)
         if prev_residual is not None and prev_residual > 0.0:
             contraction = max(contraction, residual / prev_residual)
@@ -279,6 +284,8 @@ class EigenResult:
     entrywise non-negative within 1e-12, and None otherwise; callers with a
     mixed-sign eigenvector pick a Normalizer themselves.  ``gap`` is the
     distance from the selected eigenvalue to the rest of the spectrum.
+    ``iterations`` is always 0: the pair comes from a direct LAPACK
+    eigendecomposition, not from an iteration.
     """
 
     vector: np.ndarray
@@ -289,121 +296,40 @@ class EigenResult:
     residual: float
 
 
-def _shifted_power_iteration(mat, target, rng, tol=EIGEN_TOL, max_iter=EIGEN_MAX_ITER):
-    """Power iteration on ``mat`` converging to the eigenvector whose
-    eigenvalue is ``target`` (assumed strictly dominant in modulus)."""
-    n = mat.shape[0]
-    x = rng.standard_normal(n)
-    x /= math.sqrt(x @ x)
-    scale = max(abs(target), 1e-300)
-    for iteration in range(1, max_iter + 1):
-        y = mat @ x
-        residual = vector_norm(y - target * x, 2)
-        if residual <= tol * scale:
-            return x, iteration, residual
-        ny = math.sqrt(float(y @ y))
-        if ny == 0.0:
-            x = rng.standard_normal(n)
-            x /= math.sqrt(x @ x)
-            continue
-        x = y / ny
-    raise NonConvergenceError(
-        f"eigenvector iteration did not converge in {max_iter} iterations",
-        last_iterate=x,
-        residual=residual,
-    )
-
-
-def _rayleigh_power_iteration(mat, rng, tol=EIGEN_TOL, max_iter=EIGEN_MAX_ITER):
-    """Power iteration with Rayleigh estimates for a symmetric matrix with
-    non-negative spectrum; returns (eigenvalue, vector, iterations, residual)."""
-    n = mat.shape[0]
-    x = rng.standard_normal(n)
-    x /= math.sqrt(x @ x)
-    for iteration in range(1, max_iter + 1):
-        y = mat @ x
-        lam = float(x @ y)
-        residual = vector_norm(y - lam * x, 2)
-        if residual <= tol * max(abs(lam), 1e-300):
-            return lam, x, iteration, residual
-        ny = math.sqrt(float(y @ y))
-        if ny == 0.0:
-            x = rng.standard_normal(n)
-            x /= math.sqrt(x @ x)
-            continue
-        x = y / ny
-    raise NonConvergenceError(
-        f"eigenvalue iteration did not converge in {max_iter} iterations",
-        last_iterate=x,
-        residual=residual,
-    )
-
-
-def _deflated_second_value(mat, lam1, v1, rng, tol=EIGEN_TOL, max_iter=EIGEN_MAX_ITER):
-    """Largest eigenvalue of mat - lam1 v1 v1.T for symmetric mat with
-    non-negative spectrum: the second-largest eigenvalue of mat."""
-    n = mat.shape[0]
-    x = rng.standard_normal(n)
-    x -= (v1 @ x) * v1
-    nx = math.sqrt(float(x @ x))
-    if nx == 0.0:
-        return 0.0
-    x /= nx
-    mu = 0.0
-    for _ in range(1, max_iter + 1):
-        y = mat @ x - lam1 * (v1 @ x) * v1
-        mu = float(x @ y)
-        residual = vector_norm(y - mu * x, 2)
-        if residual <= tol * max(abs(mu), 1.0) * 1e2 or residual <= 1e-12:
-            return mu
-        ny = math.sqrt(float(y @ y))
-        if ny == 0.0:
-            return 0.0
-        y -= (v1 @ y) * v1
-        ny = math.sqrt(float(y @ y))
-        if ny == 0.0:
-            return 0.0
-        x = y / ny
-    return mu
-
-
 def eigencentrality(g, which="largest"):
     """Eigenvector centrality with an explicit simplicity check.
+
+    The whole spectrum of A.T comes from one LAPACK eigendecomposition:
+    ``numpy.linalg.eigh`` for a symmetric graph, ``numpy.linalg.eig``
+    otherwise.  Eigenvalues are ranked by descending real part.
 
     Parameters
     ----------
     g : Graph
     which : "largest" or int
-        "largest" targets the dominant eigenvalue of A.T by power
-        iteration on the shifted matrix A.T + s I with s the largest
-        absolute column sum of A.  The shift leaves eigenvectors unchanged
-        and makes the dominant eigenvalue strictly dominant in modulus for
-        non-negative weights; the unshifted iteration oscillates on
-        bipartite graphs and directed cycles, whose extreme eigenvalues
-        share a modulus.  An integer k selects the k-th largest eigenvalue
-        (0-based, algebraic order) through a full symmetric
-        eigendecomposition; that route requires a symmetric graph with at
-        most 2000 nodes.
+        "largest" selects the eigenvalue with the largest real part.  An
+        integer k selects the k-th largest eigenvalue (0-based, algebraic
+        order); that route requires a symmetric graph with at most 2000
+        nodes.
 
     Returns
     -------
     EigenResult
         ``value`` is the selected eigenvalue, ``gap`` its distance to the
         rest of the spectrum, ``residual`` the fixed-point residual
-        ||(1/lambda) A.T v - v||_2.
+        ||(1/lambda) A.T v - v||_2, and ``iterations`` 0.
 
     Raises
     ------
     SimplicityError
         If the gap falls below 1e-8 (the defining equation assumes a
-        simple eigenvalue), or if the dominant eigenvalue is complex.
+        simple eigenvalue), or if the selected eigenvalue is complex.
     ParameterError
         Zero selected eigenvalue, invalid ``which``, or a non-symmetric
         graph on the index route.
     """
     w = g.weights
     n = g.n
-    rng = np.random.default_rng(_EIGEN_SEED)
     if isinstance(which, (int, np.integer)) and not isinstance(which, bool):
         if not g.symmetric:
             raise ParameterError("eigenvalue selection by index requires a symmetric graph")
@@ -411,75 +337,43 @@ def eigencentrality(g, which="largest"):
             raise ParameterError("full eigendecomposition is limited to n <= 2000")
         if not 0 <= which < n:
             raise ParameterError(f"eigenvalue index must lie in [0, {n})")
-        evals, evecs = np.linalg.eigh(w)
-        order = np.argsort(evals)[::-1]
-        lam = float(evals[order[which]])
-        gap = _spectrum_gap(evals[order], which)
-        if gap < GAP_TOL:
-            raise SimplicityError(
-                f"selected eigenvalue is not simple (gap {gap:.3e} < {GAP_TOL})"
-            )
-        if abs(lam) < 1e-12:
-            raise ParameterError("selected eigenvalue is zero; the centrality equation is undefined")
-        v = np.array(evecs[:, order[which]])
-        iterations = 0
+        k, role = int(which), "selected"
     elif which == "largest":
         if not w.any():
             raise ParameterError(
                 "the zero matrix has leading eigenvalue zero; eigencentrality is undefined"
             )
-        s = float(np.abs(w).sum(axis=0).max())
-        shifted = w.T + s * np.eye(n)
-        if g.symmetric:
-            mu1, v, iterations, _ = _rayleigh_power_iteration(shifted, rng)
-            lam = mu1 - s
-            if n == 1:
-                gap = math.inf
-            else:
-                mu2 = _deflated_second_value(shifted, mu1, v, rng)
-                gap = mu1 - mu2
-            if gap < GAP_TOL:
-                raise SimplicityError(
-                    f"leading eigenvalue is not simple (gap {gap:.3e} < {GAP_TOL})"
-                )
-        else:
-            evs = np.linalg.eigvals(w)
-            i1 = int(np.argmax(evs.real))
-            lam_c = evs[i1]
-            if n == 1:
-                gap = math.inf
-            else:
-                others = np.delete(evs, i1)
-                gap = float(np.min(np.abs(lam_c - others)))
-            if abs(lam_c.imag) > GAP_TOL * max(1.0, abs(lam_c)):
-                raise SimplicityError(
-                    "the dominant eigenvalue is complex; no simple real leading eigenvalue"
-                )
-            if gap < GAP_TOL:
-                raise SimplicityError(
-                    f"leading eigenvalue is not simple (gap {gap:.3e} < {GAP_TOL})"
-                )
-            lam = float(lam_c.real)
-            v, iterations, _ = _shifted_power_iteration(shifted, lam + s, rng)
-        if abs(lam) < 1e-12:
-            raise ParameterError("leading eigenvalue is zero; the centrality equation is undefined")
+        k, role = 0, "leading"
     else:
         raise ParameterError(f"which must be 'largest' or an integer index, got {which!r}")
+    if g.symmetric:
+        evals, evecs = np.linalg.eigh(w)
+    else:
+        evals, evecs = np.linalg.eig(w.T)
+    order = np.argsort(-evals.real, kind="stable")
+    lam_c = evals[order[k]]
+    others = np.delete(evals, order[k])
+    gap = float(np.min(np.abs(others - lam_c))) if others.size else math.inf
+    if abs(lam_c.imag) > GAP_TOL * max(1.0, abs(lam_c)):
+        raise SimplicityError(
+            "the dominant eigenvalue is complex; no simple real leading eigenvalue"
+        )
+    if gap < GAP_TOL:
+        raise SimplicityError(
+            f"{role} eigenvalue is not simple (gap {gap:.3e} < {GAP_TOL})"
+        )
+    lam = float(lam_c.real)
+    if abs(lam) < 1e-12:
+        raise ParameterError(f"{role} eigenvalue is zero; the centrality equation is undefined")
+    v = evecs[:, order[k]].real
     v = v / vector_norm(v, 2)
     if float(v.sum()) < 0.0:
         v = -v
     rho = np.abs(v) if float(np.min(v)) >= -NEGATIVE_RHO_TOL else None
     residual = vector_norm(w.T @ v - lam * v, 2) / abs(lam)
     return EigenResult(
-        vector=v, value=lam, gap=float(gap), rho=rho,
-        iterations=iterations, residual=float(residual),
+        vector=v, value=lam, gap=gap, rho=rho, iterations=0, residual=float(residual),
     )
-
-
-def _spectrum_gap(sorted_desc, k):
-    lam = sorted_desc[k]
-    diffs = [abs(lam - sorted_desc[j]) for j in range(len(sorted_desc)) if j != k]
-    return float(min(diffs)) if diffs else math.inf
 
 
 @dataclass(frozen=True)

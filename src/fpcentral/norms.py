@@ -6,6 +6,12 @@ of the absolute submatrix sum ``|sum_{i in S, j in T} a_ij|``.  The exact
 computation enumerates all 2^n row subsets; for each S the optimal T is
 read off the signs of the column sums over S, so the total cost is
 O(2^n * n^2) done in vectorized chunks.
+
+``operator_norm(m, 2)`` is a power iteration on ``m.T @ m``, which is
+cheaper than a dense SVD on the large graphs it serves.  The exact
+permutation sweep instead takes the 2-norms of its whole stack of small
+candidate differences from one stacked LAPACK SVD
+(``numpy.linalg.norm(d, 2, axis=(1, 2))``), exact to rounding.
 """
 
 import itertools
@@ -257,49 +263,6 @@ def _matrix_distance(d, norm):
     return operator_norm(d, 2)
 
 
-def _batched_sigma(mats, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
-    """Largest singular values of a stack of square matrices, by the same
-    power-iteration scheme as operator_norm(m, 2)."""
-    m, n, _ = mats.shape
-    rng = np.random.default_rng(_START_SEED)
-    x0 = rng.standard_normal(n)
-    x0 /= math.sqrt(x0 @ x0)
-    x = np.broadcast_to(x0, (m, n)).copy()
-    sigma_prev = np.full(m, -1.0)
-    for _ in range(max_iter):
-        ax = np.einsum("kij,kj->ki", mats, x)
-        sigma = np.sqrt(np.einsum("ki,ki->k", ax, ax))
-        if np.all(np.abs(sigma - sigma_prev) <= tol * np.maximum(sigma, 1e-300)):
-            return sigma
-        z = np.einsum("kji,kj->ki", mats, ax)
-        nz = np.sqrt(np.einsum("ki,ki->k", z, z))
-        dead = nz == 0.0
-        if np.any(dead):
-            nonzero_mat = mats.reshape(m, -1).any(axis=1)
-            revive = dead & nonzero_mat
-            settle = dead & ~nonzero_mat
-            sigma_prev = sigma.copy()
-            if np.any(revive):
-                # the iterate fell into the null space of a nonzero matrix;
-                # restart those rows along fresh deterministic directions
-                fresh = rng.standard_normal((int(revive.sum()), n))
-                fresh /= np.sqrt(np.einsum("ki,ki->k", fresh, fresh))[:, None]
-                z[revive] = fresh
-                nz[revive] = 1.0
-                sigma_prev[revive] = -1.0
-            if np.any(settle):
-                # all-zero matrix: sigma 0 is exact, keep the iterate
-                z[settle] = x[settle]
-                nz[settle] = 1.0
-        else:
-            sigma_prev = sigma
-        x = z / nz[:, None]
-    raise NumericalError(
-        f"batched singular-value iteration did not converge in {max_iter} iterations",
-        last_iterate=x,
-    )
-
-
 def _batched_cut(mats):
     """Exact cut norms of a stack of square matrices (values only)."""
     _, n, _ = mats.shape
@@ -313,6 +276,8 @@ def _batched_cut(mats):
 
 
 def _chunk_values(a_w, b_w, perm_block, norm):
+    """``norm(A^pi - B)`` for every permutation pi in ``perm_block``; the
+    2-norm is the largest singular value from a stacked LAPACK SVD."""
     inv = np.argsort(perm_block, axis=1)
     d = a_w[inv[:, :, None], inv[:, None, :]] - b_w
     if norm == "1":
@@ -320,7 +285,7 @@ def _chunk_values(a_w, b_w, perm_block, norm):
     if norm == "inf":
         return np.abs(d).sum(axis=2).max(axis=1)
     if norm == "2":
-        return _batched_sigma(d)
+        return np.linalg.norm(d, 2, axis=(1, 2))
     return _batched_cut(d)
 
 
@@ -336,6 +301,9 @@ def min_permuted_distance(a, b, norm, mode="exact", jobs=1):
     mode : {"exact", "greedy"}
         "exact" enumerates all n! permutations (n <= 8) and returns the
         true minimum together with its lexicographically first minimizer.
+        The sweep takes the 2-norm of every candidate from a stacked
+        LAPACK SVD; the minimizer's value is then reported by
+        ``operator_norm``.
         "greedy" pairs nodes by sorted degree sequence (ties by node index)
         and reports that single permutation's distance, an upper bound on
         the infimum; such results carry certified=False.

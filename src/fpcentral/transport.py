@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import NumericalError, ParameterError, SizeLimitError
 from .limits import MAX_LP_ORACLE_N, MAX_PERM_EXACT_N, MAX_PLAN_N, exact_limit
@@ -202,6 +201,10 @@ def transport_lp_oracle(src, dst, cost_matrix):
         a_eq[i, i * n : (i + 1) * n] = 1.0
         a_eq[n + i, i::n] = 1.0
     b_eq = np.concatenate([src, dst])
+    # only this oracle needs scipy.optimize, which would otherwise be most
+    # of the import time of every fpc call
+    from scipy.optimize import linprog
+
     res = linprog(cost_matrix.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise NumericalError(f"transport LP failed: {res.message}")

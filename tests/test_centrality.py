@@ -240,6 +240,19 @@ class TestEigencentrality:
             assert res.value == pytest.approx(float(vals[-1]), abs=1e-8)
             assert grassmann_distance(res.vector, vecs[:, -1]) <= 1e-6
 
+    def test_matches_dense_eigensolver_on_seeded_directed(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            w = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+            g = Graph(w)
+            assert not g.symmetric
+            res = eigencentrality(g)
+            vals, vecs = np.linalg.eig(w.T)
+            top = int(np.argmax(vals.real))
+            assert res.value == pytest.approx(float(vals[top].real), abs=1e-8)
+            assert grassmann_distance(res.vector, vecs[:, top].real) <= 1e-6
+
     def test_directed_cycle_has_real_dominant_eigenvalue(self):
         res = eigencentrality(_directed_3_cycle())
         assert res.value == pytest.approx(1.0, abs=1e-9)

@@ -1,11 +1,17 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpcentral
 from fpcentral.cli import main
+
+from test_norms import SWEEP_LIMIT_PAIR
 
 K3_EDGES = "0 1 1\n1 0 1\n1 2 1\n2 1 1\n2 0 1\n0 2 1\n"
 
@@ -190,6 +196,19 @@ class TestCompare:
             assert code == 0
             assert payload["holds"] is True
 
+    def test_prop6_katz_at_the_exact_permutation_limit(self, capsys, tmp_path):
+        paths = []
+        for name, w in zip("ab", SWEEP_LIMIT_PAIR):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"weights": w.tolist()}))
+            paths.append(str(path))
+        code, payload, _ = run_json(
+            capsys, "compare", *paths, "--family", "katz", "--alpha", "0.1",
+            "--bound", "prop6",
+        )
+        assert code == 0
+        assert payload["holds"] is True
+
     def test_csv_row(self, capsys, k3):
         code, out, _ = run(
             capsys, "compare", k3, k3, "--family", "katz", "--alpha", "0.2", "--csv"
@@ -336,6 +355,14 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        src = str(Path(fpcentral.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import fpcentral.cli, sys; assert 'scipy.optimize' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_script_is_installed(self):
         exe = shutil.which("fpc")

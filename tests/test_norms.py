@@ -22,6 +22,31 @@ from oracles import (
     random_binary_symmetric,
 )
 
+# An 8-node pair at the exact permutation limit; 1427 of its 8! candidate
+# differences have a repeated largest singular value.
+SWEEP_LIMIT_PAIR = (
+    np.array([
+        [0, 0, 0, 0, 1, 1, 0, 0],
+        [0, 0, 1, 1, 0, 1, 0, 0],
+        [0, 1, 0, 0, 1, 1, 1, 0],
+        [0, 1, 0, 0, 1, 0, 1, 1],
+        [1, 0, 1, 1, 0, 1, 0, 0],
+        [1, 1, 1, 0, 1, 0, 0, 0],
+        [0, 0, 1, 1, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0, 0],
+    ], dtype=float),
+    np.array([
+        [0, 0, 0, 0, 1, 1, 0, 0],
+        [0, 0, 1, 1, 0, 1, 0, 0],
+        [0, 1, 0, 0, 1, 1, 1, 1],
+        [0, 1, 0, 0, 1, 0, 1, 1],
+        [1, 0, 1, 1, 0, 1, 1, 0],
+        [1, 1, 1, 0, 1, 0, 0, 0],
+        [0, 0, 1, 1, 1, 0, 0, 0],
+        [0, 0, 1, 1, 0, 0, 0, 0],
+    ], dtype=float),
+)
+
 
 class TestVectorNorm:
     def test_examples(self):
@@ -177,14 +202,15 @@ class TestMinPermutedDistance:
 
     def test_exact_matches_factorial_brute_force(self):
         rng = np.random.default_rng(6)
-        a = Graph(random_binary_symmetric(rng, 5, 0.5))
-        b = Graph(random_binary_symmetric(rng, 5, 0.5))
-        for norm in (2, "cut"):
-            res = min_permuted_distance(a, b, norm)
-            assert res.value == pytest.approx(
-                min_permuted_distance_brute(a.weights, b.weights, norm), abs=1e-9
-            )
-            assert res.certified and res.mode == "exact"
+        small = (random_binary_symmetric(rng, 5, 0.5), random_binary_symmetric(rng, 5, 0.5))
+        for pair, norms in ((small, (2, "cut")), (SWEEP_LIMIT_PAIR, (2,))):
+            a, b = Graph(pair[0]), Graph(pair[1])
+            for norm in norms:
+                res = min_permuted_distance(a, b, norm)
+                assert res.value == pytest.approx(
+                    min_permuted_distance_brute(a.weights, b.weights, norm), abs=1e-9
+                )
+                assert res.certified and res.mode == "exact"
 
     def test_greedy_upper_bounds_exact(self):
         rng = np.random.default_rng(7)
