@@ -33,6 +33,7 @@ PHI_CHOICES = ("identity", "exp", "exp_neg", "abs")
 
 GAP_TOL = 1e-8
 NEGATIVE_RHO_TOL = 1e-12
+SOLVE_RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -236,6 +237,26 @@ def solve(g, map_, cfg=None):
     )
 
 
+def _solve_direct(lhs, rhs, label):
+    """One guarded LAPACK solve of lhs x = rhs.
+
+    Raises NumericalError on a singular system, on non-finite output, or
+    when the backward error ||lhs x - rhs||_inf exceeds 1e-10 times
+    ||lhs||_inf ||x||_inf + ||rhs||_inf.
+    """
+    try:
+        x = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{label} system is singular: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise NumericalError(f"{label} solve produced non-finite values")
+    residual = vector_norm(lhs @ x - rhs, math.inf)
+    scale = operator_norm(lhs, math.inf) * vector_norm(x, math.inf) + vector_norm(rhs, math.inf)
+    if residual > SOLVE_RESIDUAL_TOL * scale:
+        raise NumericalError(f"{label} solve residual {residual:.3e} exceeds its bound")
+    return x
+
+
 def katz_closed_form(g, alpha):
     """Direct solve of (I - alpha A.T) rho = 1.
 
@@ -245,14 +266,7 @@ def katz_closed_form(g, alpha):
     if alpha is None or not alpha > 0.0:
         raise ParameterError("alpha must be positive")
     _check_katz_bound(g, alpha)
-    lhs = np.eye(g.n) - alpha * g.weights.T
-    try:
-        rho = np.linalg.solve(lhs, np.ones(g.n))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"katz system is singular: {exc}") from exc
-    if not np.all(np.isfinite(rho)):
-        raise NumericalError("katz solve produced non-finite values")
-    return rho
+    return _solve_direct(np.eye(g.n) - alpha * g.weights.T, np.ones(g.n), "katz")
 
 
 def pagerank_closed_form(g, alpha):
@@ -264,15 +278,8 @@ def pagerank_closed_form(g, alpha):
     """
     if alpha is None or not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie in (0, 1)")
-    kernel = pagerank_kernel(g)
-    lhs = np.eye(g.n) - alpha * kernel
-    try:
-        rho = np.linalg.solve(lhs, np.full(g.n, (1.0 - alpha) / g.n))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"pagerank system is singular: {exc}") from exc
-    if not np.all(np.isfinite(rho)):
-        raise NumericalError("pagerank solve produced non-finite values")
-    return rho
+    lhs = np.eye(g.n) - alpha * pagerank_kernel(g)
+    return _solve_direct(lhs, np.full(g.n, (1.0 - alpha) / g.n), "pagerank")
 
 
 @dataclass

@@ -3,10 +3,13 @@
 A step graphon is a symmetric bounded kernel that is constant on the k x k
 cells of the uniform partition; the induced integral operator is
 (A v)(x) = int_0^1 A(x, y) v(y) dy, which on a matched partition is the
-matrix action (1/k) values @ v.  A finite symmetric graph lifts to the
-k = n step graphon with the same weight matrix; under that lift spectra
-scale by 1/n, cut norms by 1/n^2, and centralities are related blockwise
-(density values are n times the finite probability masses).
+matrix action (1/k) values @ v.  So a graphon is computed as its scaled
+lift, the finite graph values/k, whose operator norms, spectrum and fixed
+points are the graphon's: Katz densities are the finite Katz centralities
+of that graph and PageRank densities k times its finite PageRank.
+Conversely a finite symmetric graph lifts to the k = n step graphon with
+the same weight matrix; under that lift spectra scale by 1/n, cut norms by
+1/n^2, and graphon PageRank is n times the finite PageRank.
 """
 
 import math
@@ -15,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .centrality import eigencentrality, katz_closed_form, pagerank_closed_form, pagerank_kernel
+from .errors import ParameterError
 from .graphs import Graph, Permutation
 from .norms import cut_norm_exact, min_permuted_distance, operator_norm
 
@@ -128,14 +132,10 @@ def apply(w, v):
     return StepFunction(w.values @ v.values / w.k)
 
 
-def _solve_blocks(lhs, rhs, label):
-    try:
-        out = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{label} block system is singular: {exc}") from exc
-    if not np.all(np.isfinite(out)):
-        raise NumericalError(f"{label} block solve produced non-finite values")
-    return out
+def _lift_graph(w):
+    """The finite graph values/k, whose matrix action is the graphon
+    operator on block values."""
+    return Graph(w.values / w.k)
 
 
 def graphon_degree(w):
@@ -145,12 +145,9 @@ def graphon_degree(w):
 
 def graphon_pagerank_kernel(w):
     """Block values of the kernel A o D^{-1} (zero where the degree is
-    zero); the induced operator divides by k like any step kernel."""
-    d = graphon_degree(w)
-    kernel = np.zeros_like(w.values)
-    nz = d != 0.0
-    kernel[:, nz] = w.values[:, nz] / d[nz]
-    return kernel
+    zero): k times the finite PageRank kernel of the values.  The induced
+    operator divides by k like any step kernel."""
+    return w.k * pagerank_kernel(Graph(w.values))
 
 
 def graphon_pagerank(w, alpha):
@@ -158,52 +155,22 @@ def graphon_pagerank(w, alpha):
 
     Solves rho = alpha (A o D^{-1}) rho + (1 - alpha) 1 where D(y) is the
     degree function int A(x, y) dx and kernel columns with zero degree are
-    zero.  Solved directly on the block system and cross-checked against
-    fixed-point iteration; with positive degrees everywhere the result is
-    a probability density (non-negative, unit integral).
+    zero.  The density is k times the finite PageRank of the lift values/k,
+    from one guarded direct solve; with positive degrees everywhere it is a
+    probability density (non-negative, unit integral).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must lie in (0, 1)")
     vals = w.values
     if np.min(vals) < 0.0 or np.max(vals) > 1.0:
         raise ParameterError("graphon pagerank requires values in [0, 1]")
-    k = w.k
-    kernel = graphon_pagerank_kernel(w)
-    lhs = np.eye(k) - (alpha / k) * kernel
-    rho = _solve_blocks(lhs, np.full(k, 1.0 - alpha), "pagerank")
-    # fixed-point cross-check; the map contracts by alpha in the 1-norm,
-    # so the budget is sized from the contraction factor
-    budget = min(5_000_000, max(10_000, int(math.log(1e-14) / math.log(alpha)) + 10))
-    iterate = np.ones(k)
-    agreed = False
-    for _ in range(budget):
-        iterate = (alpha / k) * (kernel @ iterate) + (1.0 - alpha)
-        if float(np.max(np.abs(iterate - rho))) <= 1e-10:
-            agreed = True
-            break
-    if not agreed:
-        raise NumericalError(
-            "direct and iterative graphon pagerank solutions disagree",
-        )
-    return StepFunction(rho)
+    return StepFunction(w.k * pagerank_closed_form(_lift_graph(w), alpha))
 
 
 def graphon_katz(w, alpha):
-    """Katz density of a graphon: the solution of (I - alpha A) rho = 1 on
-    the block system, requiring alpha below the reciprocal of the leading
-    eigenvalue (estimated by the same power iteration as the operator
-    norm)."""
-    if alpha is None or not alpha > 0.0:
-        raise ParameterError("alpha must be positive")
-    lam = graphon_op_norm(w)
-    if alpha * lam >= 1.0:
-        raise ParameterError(
-            f"katz requires alpha < 1/lambda_1 = "
-            f"{1.0 / lam if lam > 0 else math.inf:.6g}, got alpha={alpha}"
-        )
-    k = w.k
-    lhs = np.eye(k) - (alpha / k) * w.values
-    return StepFunction(_solve_blocks(lhs, np.ones(k), "katz"))
+    """Katz density of a graphon: the solution of (I - alpha A) rho = 1,
+    which is the finite Katz centrality of the lift values/k.  It requires
+    alpha below the reciprocal of the graphon operator norm; alpha itself
+    may exceed 1 when the values are small."""
+    return StepFunction(katz_closed_form(_lift_graph(w), alpha))
 
 
 def graphon_eigencentrality(w):
@@ -215,9 +182,7 @@ def graphon_eigencentrality(w):
     spectrum is exactly the graphon operator's; the simplicity gap check
     applies to that spectrum.
     """
-    from .centrality import eigencentrality
-
-    res = eigencentrality(Graph(w.values / w.k), "largest")
+    res = eigencentrality(_lift_graph(w), "largest")
     rho = StepFunction(res.vector * math.sqrt(w.k))
     return rho, res.value
 

@@ -21,11 +21,12 @@ import numpy as np
 from .errors import InputFormatError, ParameterError
 from .graphon import StepGraphon
 from .graphs import Graph
+from .limits import MAX_DENSE_N
 
 
 def parse_edge_list(text):
     """Build a Graph from edge-list text; node count is one past the
-    largest index mentioned."""
+    largest index mentioned, at most MAX_DENSE_N = 5000."""
     entries = {}
     max_index = -1
 
@@ -76,6 +77,10 @@ def parse_edge_list(text):
     if max_index < 0:
         raise InputFormatError("edge list declares no nodes")
     n = max_index + 1
+    if n > MAX_DENSE_N:
+        raise InputFormatError(
+            f"edge list declares {n} nodes; dense graphs are limited to n <= {MAX_DENSE_N}"
+        )
     weights = np.zeros((n, n))
     for (i, j), weight in entries.items():
         weights[i, j] = weight

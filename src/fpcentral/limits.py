@@ -14,6 +14,9 @@ MAX_PERM_EXACT_N = 8
 MAX_AUTOMORPHISM_N = 9
 MAX_LP_ORACLE_N = 16
 MAX_PLAN_N = 64
+# node count of an edge-list graph; not an exact search, so FPC_MAX_EXACT_N
+# does not lower it
+MAX_DENSE_N = 5000
 
 _ENV_VAR = "FPC_MAX_EXACT_N"
 

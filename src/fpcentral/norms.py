@@ -254,13 +254,7 @@ def _canon_matrix_norm(norm):
 
 
 def _matrix_distance(d, norm):
-    if norm == "cut":
-        return cut_norm_exact(d).value
-    if norm == "1":
-        return operator_norm(d, 1)
-    if norm == "inf":
-        return operator_norm(d, math.inf)
-    return operator_norm(d, 2)
+    return cut_norm_exact(d).value if norm == "cut" else operator_norm(d, norm)
 
 
 def _batched_cut(mats):
@@ -302,8 +296,7 @@ def min_permuted_distance(a, b, norm, mode="exact", jobs=1):
         "exact" enumerates all n! permutations (n <= 8) and returns the
         true minimum together with its lexicographically first minimizer.
         The sweep takes the 2-norm of every candidate from a stacked
-        LAPACK SVD; the minimizer's value is then reported by
-        ``operator_norm``.
+        LAPACK SVD and reports the minimum it found.
         "greedy" pairs nodes by sorted degree sequence (ties by node index)
         and reports that single permutation's distance, an upper bound on
         the infimum; such results carry certified=False.
@@ -358,8 +351,7 @@ def min_permuted_distance(a, b, norm, mode="exact", jobs=1):
         if val < best_val:
             best_val = val
             best_perm = block[k]
-    p = Permutation(best_perm)
-    value = _matrix_distance(permute(a, p).weights - b.weights, norm)
     return PermutedDistanceResult(
-        value=value, permutation=p, certified=True, mode=mode, norm=norm
+        value=best_val, permutation=Permutation(best_perm), certified=True,
+        mode=mode, norm=norm,
     )

@@ -8,12 +8,26 @@ the Lipschitz constant of the output map g,
 
 Variants swap the right-hand side for a minimum over relabelings
 (Wasserstein form), or for sqrt(8 * cut-distance) on symmetric matrices
-with entries in [-1, 1], and the same shapes hold for step graphons with
-the scaled operator and cut norms.  A certificate records both sides,
-the constants actually used, a content digest of the inputs, and whether
-every ingredient was computed exactly (``certified``); heuristic or
-sampled ingredients clear the flag but never weaken ``holds``, which
-always compares the two sides as computed.
+with entries in [-1, 1].  A certificate records both sides, the constants
+actually used, a content digest of the inputs, and whether every
+ingredient was computed exactly (``certified``); heuristic or sampled
+ingredients clear the flag but never weaken ``holds``, which always
+compares the two sides as computed.
+
+All seven certificates run through one body, ``_certify``, on a pair of
+inputs as the finite code sees them.  Two adapters build that pair:
+
+* a graph enters as itself, with coordinate weight 1, solved by solve();
+* a step graphon enters as its scaled lift, the graph values/k, with
+  coordinate weight 1/k; its densities come from graphon_katz and
+  graphon_pagerank.
+
+The weight w is the measure of one coordinate, so every graphon quantity
+is the finite one on values/k: operator norms are unchanged, the
+L^p([0, 1]) norm is ||v||_{p,w} = w^(1/p) ||v||_p, the mass of a density
+is w * sum(rho), the cut distance is w times the cut norm of the lifts'
+difference, and W_p between densities is w^(1/p - 1) times W_p between
+the probability vectors w * rho / mass.
 
 Two conventions are recorded in ``notes`` wherever they apply: PageRank
 perturbations are measured on the effective kernels A^T D^{-1} (the raw
@@ -23,32 +37,26 @@ priori iterate ball, with L1 recomputed from the enlarged radius.
 """
 
 import hashlib
-import itertools
 import math
 
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .centrality import apply_map, native_norm_index, pagerank_kernel, solve
-from .errors import ParameterError, SizeLimitError
-from .graphon import (
-    StepFunction,
-    graphon_cut_distance_blocks,
-    graphon_katz,
-    graphon_op_norm,
-    graphon_pagerank,
-    graphon_pagerank_kernel,
-    integral,
-    step_lp_norm,
-)
+from .errors import ParameterError
+from .graphon import _lift_graph, graphon_katz, graphon_pagerank
 from .graphs import Graph
-from .limits import MAX_PERM_EXACT_N, exact_limit
 from .norms import min_permuted_distance, operator_norm, vector_norm
 from .transport import wasserstein
 
 HOLDS_TOL = 1e-9
 _NORM_PS = (1, 2, math.inf)
+_SUBSET_NOTE = (
+    "block relabelings are a strict subset of the measure-preserving "
+    "bijections; the right-hand side is an upper bound on the true infimum"
+)
 
 
 @dataclass(frozen=True)
@@ -147,6 +155,36 @@ def _certificate(bound, observed, certified, norm_p, consts, digest, notes):
     )
 
 
+def _l1(family, alpha, radius):
+    return alpha * radius if family == "katz" else radius
+
+
+def _analytic(g, weight, family, alpha):
+    """constants_analytic on the matrix of ``g``, whose coordinates have
+    measure ``weight``: R = ||b||_{p,weight}/(1 - L0) + 1 for the constant
+    term b, with ||1||_{2,weight} = sqrt(weight n) for katz and
+    ||b||_{1,weight} = 1 - alpha for pagerank."""
+    if family == "katz":
+        if alpha is None or not alpha > 0.0:
+            raise ParameterError("alpha must be positive")
+        l0, label = alpha * operator_norm(g.weights, 2), "alpha * ||A||_2"
+        b_norm = math.sqrt(weight * g.n)
+    elif family == "pagerank":
+        if alpha is None or not 0.0 < alpha < 1.0:
+            raise ParameterError("alpha must lie in (0, 1)")
+        l0, label = alpha * operator_norm(pagerank_kernel(g), 1), "alpha * ||M||_1"
+        b_norm = 1.0 - alpha
+    else:
+        raise ParameterError("analytic constants exist for the katz and pagerank families")
+    if l0 >= 1.0:
+        raise ParameterError(f"contraction hypothesis fails: {label} = {l0:.6g} >= 1")
+    radius = b_norm / (1.0 - l0) + 1.0
+    return LipschitzConstants(
+        L0=l0, L1=_l1(family, alpha, radius), Lg=1.0, norm_p=native_norm_index(family),
+        method="analytic", feasible_radius=radius,
+    )
+
+
 def constants_analytic(g, map_):
     """Closed-form contraction constants for the katz and pagerank maps.
 
@@ -164,29 +202,7 @@ def constants_analytic(g, map_):
             "eigencentrality has no contraction certificate (the linear map "
             "has L0 = 1); use grassmann_distance as a descriptive diff"
         )
-    if map_.family == "katz":
-        l0 = map_.alpha * operator_norm(g.weights, 2)
-        if l0 >= 1.0:
-            raise ParameterError(
-                f"contraction hypothesis fails: alpha * ||A||_2 = {l0:.6g} >= 1"
-            )
-        radius = math.sqrt(g.n) / (1.0 - l0) + 1.0
-        return LipschitzConstants(
-            L0=l0, L1=map_.alpha * radius, Lg=1.0, norm_p=2,
-            method="analytic", feasible_radius=radius,
-        )
-    if map_.family == "pagerank":
-        l0 = map_.alpha * operator_norm(pagerank_kernel(g), 1)
-        if l0 >= 1.0:
-            raise ParameterError(
-                f"contraction hypothesis fails: alpha * ||M||_1 = {l0:.6g} >= 1"
-            )
-        radius = (1.0 - map_.alpha) / (1.0 - l0) + 1.0
-        return LipschitzConstants(
-            L0=l0, L1=radius, Lg=1.0, norm_p=1,
-            method="analytic", feasible_radius=radius,
-        )
-    raise ParameterError("analytic constants exist for the katz and pagerank families")
+    return _analytic(g, 1.0, map_.family, map_.alpha)
 
 
 def _ball_point(rng, n, radius, p):
@@ -273,33 +289,157 @@ def constants_empirical(g, map_, samples, seed):
     )
 
 
-def _effective_pair(a, b, family):
-    """The matrices whose operator-norm difference measures the
-    perturbation: raw weights for katz, effective kernels for pagerank."""
-    if family == "pagerank":
-        return (
-            pagerank_kernel(a),
-            pagerank_kernel(b),
-            "perturbation measured on effective kernels A^T D^-1",
-        )
-    return a.weights, b.weights, None
+class _Pair(NamedTuple):
+    """Two inputs as the finite code sees them.
+
+    ``graphs`` carry the matrices the right-hand sides measure and
+    ``weight`` the measure of one coordinate.  ``solve`` returns the
+    (centrality, fixed-point feature) of each input in those coordinates.
+    """
+
+    graphs: tuple
+    weight: float
+    solve: Callable
+    kernel_note: str
+    mass_label: str
 
 
-def _enlarged(consts, map_, xa_norm, xb_norm):
+def _graph_pair(a, b, map_):
+    """Finite adapter: the graphs themselves, weight 1, solved by solve()."""
+    if a.n != b.n:
+        raise ParameterError("graphs must have the same number of nodes")
+
+    def solve_pair():
+        return [(res.rho, res.feature_x) for res in (solve(a, map_), solve(b, map_))]
+
+    return _Pair(
+        (a, b), 1.0, solve_pair,
+        "perturbation measured on effective kernels A^T D^-1", "centrality sums",
+    )
+
+
+def _step_pair(a, b, family, alpha):
+    """Step adapter: the lifts values/k, weight 1/k, with the graphon
+    densities as both centralities and features."""
+    if a.k != b.k:
+        raise ParameterError("graphons must have the same number of blocks")
+    density = graphon_katz if family == "katz" else graphon_pagerank
+
+    def solve_pair():
+        return [(rho, rho) for rho in (density(a, alpha).values, density(b, alpha).values)]
+
+    return _Pair(
+        (_lift_graph(a), _lift_graph(b)), 1.0 / a.k, solve_pair,
+        "perturbation measured on effective kernels A o D^-1", "density masses",
+    )
+
+
+def _norm(v, p, weight):
+    """||v||_{p,weight}: the l^p norm for weight 1, the L^p([0, 1]) norm of
+    block values for weight 1/k."""
+    return vector_norm(v, p) * weight ** (1.0 / p)
+
+
+def _enlarged(consts, family, alpha, xa_norm, xb_norm):
     """Grow the feasible ball to contain both fixed points and recompute
     the radius-dependent L1 for analytic constants."""
     needed = max(consts.feasible_radius, xa_norm + 1.0, xb_norm + 1.0)
     notes = [f"fixed-point feature norms: {xa_norm:.12g}, {xb_norm:.12g}"]
     if needed <= consts.feasible_radius:
         return consts, notes
-    l1 = consts.L1
-    if consts.method == "analytic":
-        l1 = map_.alpha * needed if map_.family == "katz" else needed
+    l1 = _l1(family, alpha, needed) if consts.method == "analytic" else consts.L1
     notes.append(
         f"feasible radius enlarged from {consts.feasible_radius:.12g} to "
         f"{needed:.12g} to contain both fixed points"
     )
     return replace(consts, L1=l1, feasible_radius=needed), notes
+
+
+def _check_cut_inputs(a, b, weight, p):
+    if not (a.symmetric and b.symmetric):
+        raise ParameterError("the cut-norm bound requires symmetric graphs")
+    if max(np.abs(a.weights).max(), np.abs(b.weights).max()) / weight > 1.0 + 1e-12:
+        raise ParameterError("the cut-norm bound requires entries in [-1, 1]")
+    if p != 2:
+        raise ParameterError("the cut-norm bound lives in the 2-norm route")
+
+
+def _certify(kind, pair, family, alpha, consts, certified, digest, mode="exact",
+             convention="permutation_cost", jobs=1, closing_notes=()):
+    """The one certificate body; ``kind`` picks the two sides.
+
+    * "theorem": ||rho_A - rho_B||_{p,w} against ||M_A - M_B||_p, with M
+      the effective matrix (the PageRank kernel, else the weights);
+    * "wasserstein": W_p of the normalized centralities against
+      min_pi ||M_A^pi - M_B||_p;
+    * "cut": the same W_p against sqrt(8 w min_pi ||A^pi - B||_cut).
+
+    The right side is scaled by L1 Lg / (1 - L0) after enlarging the
+    feasible radius to contain both fixed points.  Both Wasserstein kinds
+    normalize the centralities to unit mass w * sum(rho) unless both
+    masses are already within 1e-9 of one, folding the normalizer into g:
+    Lg grows by 1/s + R ||1||_{q,w} / s^2, s the smaller mass and q the
+    dual index.
+    """
+    if consts.L0 >= 1.0:
+        raise ParameterError(
+            "certificate refused: L0 >= 1 violates the contraction hypothesis"
+        )
+    p = consts.norm_p
+    a, b = pair.graphs
+    w = pair.weight
+    if kind == "wasserstein" and p not in (1, 2):
+        raise ParameterError("Wasserstein certificates require norm_p in {1, 2}")
+    if kind == "cut":
+        _check_cut_inputs(a, b, w, p)
+    (rho_a, x_a), (rho_b, x_b) = pair.solve()
+    consts, notes = _enlarged(consts, family, alpha, _norm(x_a, p, w), _norm(x_b, p, w))
+    lg = consts.Lg
+    if kind == "theorem":
+        observed = _norm(rho_a - rho_b, p, w)
+    else:
+        if min(float(np.min(rho_a)), float(np.min(rho_b))) < -1e-12:
+            raise ParameterError("a centrality has negative values and cannot be a density")
+        mass_a, mass_b = w * float(rho_a.sum()), w * float(rho_b.sum())
+        pmf_a, pmf_b = w * rho_a, w * rho_b
+        if abs(mass_a - 1.0) > 1e-9 or abs(mass_b - 1.0) > 1e-9:
+            s_min = min(mass_a, mass_b)
+            if s_min <= 0.0:
+                raise ParameterError(
+                    "centralities cannot be normalized: non-positive total mass"
+                )
+            dual_one = 1.0 if p == 1 else math.sqrt(w * rho_a.shape[0])
+            fold = 1.0 / s_min + consts.feasible_radius * dual_one / s_min**2
+            lg *= fold
+            notes.append(
+                f"normalizer folded into g: Lg scaled by {fold:.12g} "
+                f"({pair.mass_label} {mass_a:.12g}, {mass_b:.12g})"
+            )
+            pmf_a, pmf_b = pmf_a / mass_a, pmf_b / mass_b
+        observed = wasserstein(pmf_a, pmf_b, p, convention)[0] * w ** (1.0 / p - 1.0)
+    if kind == "cut":
+        sweep = min_permuted_distance(a, b, "cut", mode=mode, jobs=jobs).value
+        right = math.sqrt(8.0 * w * sweep)
+    else:
+        if family == "pagerank":
+            notes.append(pair.kernel_note)
+            eff_a, eff_b = pagerank_kernel(a), pagerank_kernel(b)
+        else:
+            eff_a, eff_b = a.weights, b.weights
+        if kind == "theorem":
+            right = operator_norm(eff_a - eff_b, p)
+        else:
+            right = min_permuted_distance(
+                Graph(eff_a), Graph(eff_b), p, mode=mode, jobs=jobs
+            ).value
+    if convention != "permutation_cost":
+        notes.append(
+            f"observed side uses the {convention} ground metric; the bound is "
+            "proved through the permutation_cost comparison quantity"
+        )
+    notes.extend(closing_notes)
+    bound = consts.L1 * lg / (1.0 - consts.L0) * right
+    return _certificate(bound, observed, certified, p, replace(consts, Lg=lg), digest, notes)
 
 
 def theorem1_certificate(a, b, map_, consts):
@@ -311,64 +451,14 @@ def theorem1_certificate(a, b, map_, consts):
     PageRank perturbations are measured on the effective kernels.  The
     certificate is certified iff the constants are analytic.
     """
-    if a.n != b.n:
-        raise ParameterError("graphs must have the same number of nodes")
-    if consts.L0 >= 1.0:
-        raise ParameterError(
-            "certificate refused: L0 >= 1 violates the contraction hypothesis"
-        )
-    p = consts.norm_p
-    res_a = solve(a, map_)
-    res_b = solve(b, map_)
-    consts_used, notes = _enlarged(
-        consts, map_, vector_norm(res_a.feature_x, p), vector_norm(res_b.feature_x, p)
-    )
-    eff_a, eff_b, kernel_note = _effective_pair(a, b, map_.family)
-    if kernel_note:
-        notes.append(kernel_note)
-    deviation = operator_norm(eff_a - eff_b, p)
-    bound = consts_used.L1 * consts_used.Lg / (1.0 - consts_used.L0) * deviation
-    observed = vector_norm(res_a.rho - res_b.rho, p)
     digest = _digest(
         a.weights, b.weights, map_.family, map_.alpha, "theorem1",
-        consts.method, p,
+        consts.method, consts.norm_p,
     )
-    return _certificate(
-        bound, observed, consts.method == "analytic", p, consts_used, digest, notes
+    return _certify(
+        "theorem", _graph_pair(a, b, map_), map_.family, map_.alpha, consts,
+        consts.method == "analytic", digest,
     )
-
-
-def _normalized_pair(res_a, res_b, consts, dual_one):
-    """Enforce unit-sum centralities, folding the normalizer x -> x/sum(x)
-    into g when the raw centralities are not already normalized.
-
-    The folded Lipschitz constant on the region containing both fixed
-    points is 1/s + R ||1||_q / s^2 with s the smaller of the two sums
-    and q the dual index; it multiplies the base Lg.
-    """
-    sum_a = float(res_a.rho.sum())
-    sum_b = float(res_b.rho.sum())
-    if abs(sum_a - 1.0) <= 1e-9 and abs(sum_b - 1.0) <= 1e-9:
-        return res_a.rho, res_b.rho, consts.Lg, []
-    s_min = min(sum_a, sum_b)
-    if s_min <= 0.0:
-        raise ParameterError(
-            "centralities cannot be normalized: non-positive total mass"
-        )
-    fold = 1.0 / s_min + consts.feasible_radius * dual_one / s_min**2
-    note = (
-        f"normalizer folded into g: Lg scaled by {fold:.12g} "
-        f"(centrality sums {sum_a:.12g}, {sum_b:.12g})"
-    )
-    return res_a.rho / sum_a, res_b.rho / sum_b, consts.Lg * fold, [note]
-
-
-def _dual_one_norm(p, n):
-    if p == 1:
-        return 1.0
-    if p == 2:
-        return math.sqrt(n)
-    return float(n)
 
 
 def prop6_certificate(a, b, map_, consts, perm_mode="exact",
@@ -383,46 +473,19 @@ def prop6_certificate(a, b, map_, consts, perm_mode="exact",
     comparison quantity the bound is proved through), and the constants
     are analytic.
     """
-    if a.n != b.n:
-        raise ParameterError("graphs must have the same number of nodes")
-    if consts.L0 >= 1.0:
-        raise ParameterError(
-            "certificate refused: L0 >= 1 violates the contraction hypothesis"
-        )
-    p = consts.norm_p
-    if p not in (1, 2):
-        raise ParameterError("Wasserstein certificates require norm_p in {1, 2}")
-    res_a = solve(a, map_)
-    res_b = solve(b, map_)
-    consts_used, notes = _enlarged(
-        consts, map_, vector_norm(res_a.feature_x, p), vector_norm(res_b.feature_x, p)
-    )
-    rho_a, rho_b, lg_used, fold_notes = _normalized_pair(
-        res_a, res_b, consts_used, _dual_one_norm(p, a.n)
-    )
-    notes.extend(fold_notes)
-    eff_a, eff_b, kernel_note = _effective_pair(a, b, map_.family)
-    if kernel_note:
-        notes.append(kernel_note)
-    sweep = min_permuted_distance(Graph(eff_a), Graph(eff_b), p, mode=perm_mode, jobs=jobs)
-    bound = consts_used.L1 * lg_used / (1.0 - consts_used.L0) * sweep.value
-    observed, _ = wasserstein(rho_a, rho_b, p, convention)
-    if convention != "permutation_cost":
-        notes.append(
-            f"observed side uses the {convention} ground metric; the bound is "
-            "proved through the permutation_cost comparison quantity"
-        )
-    consts_used = replace(consts_used, Lg=lg_used)
     digest = _digest(
         a.weights, b.weights, map_.family, map_.alpha, "prop6",
-        consts.method, p, perm_mode, convention,
+        consts.method, consts.norm_p, perm_mode, convention,
     )
     certified = (
         consts.method == "analytic"
         and perm_mode == "exact"
         and convention == "permutation_cost"
     )
-    return _certificate(bound, observed, certified, p, consts_used, digest, notes)
+    return _certify(
+        "wasserstein", _graph_pair(a, b, map_), map_.family, map_.alpha, consts,
+        certified, digest, mode=perm_mode, convention=convention, jobs=jobs,
+    )
 
 
 def prop7_certificate(a, b, map_, consts, convention="permutation_cost", jobs=1):
@@ -432,216 +495,38 @@ def prop7_certificate(a, b, map_, consts, convention="permutation_cost", jobs=1)
     minimizes the cut norm of the difference over relabelings (always the
     exact search, so n is capped).
     """
-    if a.n != b.n:
-        raise ParameterError("graphs must have the same number of nodes")
-    if not (a.symmetric and b.symmetric):
-        raise ParameterError("the cut-norm bound requires symmetric graphs")
-    if max(
-        float(np.max(np.abs(a.weights), initial=0.0)),
-        float(np.max(np.abs(b.weights), initial=0.0)),
-    ) > 1.0 + 1e-12:
-        raise ParameterError("the cut-norm bound requires entries in [-1, 1]")
-    if consts.norm_p != 2:
-        raise ParameterError("the cut-norm bound lives in the 2-norm route")
-    if consts.L0 >= 1.0:
-        raise ParameterError(
-            "certificate refused: L0 >= 1 violates the contraction hypothesis"
-        )
-    res_a = solve(a, map_)
-    res_b = solve(b, map_)
-    consts_used, notes = _enlarged(
-        consts, map_, vector_norm(res_a.feature_x, 2), vector_norm(res_b.feature_x, 2)
-    )
-    rho_a, rho_b, lg_used, fold_notes = _normalized_pair(
-        res_a, res_b, consts_used, _dual_one_norm(2, a.n)
-    )
-    notes.extend(fold_notes)
-    delta = min_permuted_distance(a, b, "cut", mode="exact", jobs=jobs).value
-    bound = consts_used.L1 * lg_used / (1.0 - consts_used.L0) * math.sqrt(8.0 * delta)
-    observed, _ = wasserstein(rho_a, rho_b, 2, convention)
-    if convention != "permutation_cost":
-        notes.append(
-            f"observed side uses the {convention} ground metric; the bound is "
-            "proved through the permutation_cost comparison quantity"
-        )
-    consts_used = replace(consts_used, Lg=lg_used)
     digest = _digest(
         a.weights, b.weights, map_.family, map_.alpha, "prop7",
         consts.method, convention,
     )
     certified = consts.method == "analytic" and convention == "permutation_cost"
-    return _certificate(bound, observed, certified, 2, consts_used, digest, notes)
-
-
-def _graphon_constants(w, family, alpha):
-    if family == "katz":
-        if alpha is None or not alpha > 0.0:
-            raise ParameterError("alpha must be positive")
-        l0 = alpha * graphon_op_norm(w)
-        if l0 >= 1.0:
-            raise ParameterError(
-                f"contraction hypothesis fails: alpha * lambda_1 = {l0:.6g} >= 1"
-            )
-        radius = 1.0 / (1.0 - l0) + 1.0
-        return LipschitzConstants(
-            L0=l0, L1=alpha * radius, Lg=1.0, norm_p=2,
-            method="analytic", feasible_radius=radius,
-        )
-    if family == "pagerank":
-        if alpha is None or not 0.0 < alpha < 1.0:
-            raise ParameterError("alpha must lie in (0, 1)")
-        l0 = alpha * operator_norm(graphon_pagerank_kernel(w), 1) / w.k
-        if l0 >= 1.0:
-            raise ParameterError(
-                f"contraction hypothesis fails: alpha * ||kernel||_1 = {l0:.6g} >= 1"
-            )
-        radius = (1.0 - alpha) / (1.0 - l0) + 1.0
-        return LipschitzConstants(
-            L0=l0, L1=radius, Lg=1.0, norm_p=1,
-            method="analytic", feasible_radius=radius,
-        )
-    raise ParameterError("graphon certificates exist for the katz and pagerank families")
-
-
-def _graphon_solutions(a, b, family, alpha):
-    if family == "katz":
-        return graphon_katz(a, alpha), graphon_katz(b, alpha)
-    return graphon_pagerank(a, alpha), graphon_pagerank(b, alpha)
-
-
-def _graphon_effective(w, family):
-    if family == "pagerank":
-        return graphon_pagerank_kernel(w)
-    return w.values
-
-
-def _graphon_enlarged(consts, family, alpha, xa_norm, xb_norm):
-    needed = max(consts.feasible_radius, xa_norm + 1.0, xb_norm + 1.0)
-    notes = [f"fixed-point feature norms: {xa_norm:.12g}, {xb_norm:.12g}"]
-    if needed <= consts.feasible_radius:
-        return consts, notes
-    l1 = alpha * needed if family == "katz" else needed
-    notes.append(
-        f"feasible radius enlarged from {consts.feasible_radius:.12g} to "
-        f"{needed:.12g} to contain both fixed points"
+    return _certify(
+        "cut", _graph_pair(a, b, map_), map_.family, map_.alpha, consts,
+        certified, digest, convention=convention, jobs=jobs,
     )
-    return replace(consts, L1=l1, feasible_radius=needed), notes
+
+
+def _step_certificate(kind, name, a, b, family, alpha, mode="exact"):
+    """A graphon certificate: the finite one on the lifts values/k.  Only
+    theorem2 is certified; block relabelings only bound the infimum over
+    measure-preserving bijections from above."""
+    pair = _step_pair(a, b, family, alpha)
+    consts = _analytic(pair.graphs[0], pair.weight, family, alpha)
+    theorem = kind == "theorem"
+    digest = _digest(
+        a.values, b.values, family, alpha, name, consts.norm_p if theorem else mode
+    )
+    return _certify(
+        kind, pair, family, alpha, consts, theorem, digest, mode=mode,
+        closing_notes=() if theorem else (_SUBSET_NOTE,),
+    )
 
 
 def theorem2_certificate(a, b, family, alpha):
     """Graphon analogue of theorem1_certificate: the same contraction
     bound with the scaled step-kernel operator norms and L^p([0, 1])
     distances between the block densities."""
-    if a.k != b.k:
-        raise ParameterError("graphons must have the same number of blocks")
-    consts = _graphon_constants(a, family, alpha)
-    rho_a, rho_b = _graphon_solutions(a, b, family, alpha)
-    p = consts.norm_p
-    consts_used, notes = _graphon_enlarged(
-        consts, family, alpha, step_lp_norm(rho_a, p), step_lp_norm(rho_b, p)
-    )
-    eff_a = _graphon_effective(a, family)
-    eff_b = _graphon_effective(b, family)
-    if family == "pagerank":
-        notes.append("perturbation measured on effective kernels A o D^-1")
-    deviation = operator_norm(eff_a - eff_b, p) / a.k
-    bound = consts_used.L1 * consts_used.Lg / (1.0 - consts_used.L0) * deviation
-    observed = step_lp_norm(StepFunction(rho_a.values - rho_b.values), p)
-    digest = _digest(a.values, b.values, family, alpha, "theorem2", p)
-    return _certificate(bound, observed, True, p, consts_used, digest, notes)
-
-
-def _normalized_density(rho, label):
-    if float(np.min(rho.values)) < -1e-12:
-        raise ParameterError(
-            f"{label} centrality has negative values and cannot be a density"
-        )
-    mass = integral(rho)
-    if mass <= 0.0:
-        raise ParameterError(
-            f"{label} centrality has non-positive mass and cannot be normalized"
-        )
-    return StepFunction(np.maximum(rho.values, 0.0) / mass), mass
-
-
-def _step_permutation_cost(fa, fb, p, mode):
-    """min over block relabelings of the L^p distance between two step
-    functions (exact enumeration for small k, sorted matching otherwise,
-    which the rearrangement inequality makes optimal as well)."""
-    if fa.k != fb.k:
-        raise ParameterError("step functions must share a partition")
-    if mode not in ("exact", "greedy"):
-        raise ParameterError(f"unknown mode {mode!r}")
-    k = fa.k
-    limit = exact_limit(MAX_PERM_EXACT_N)
-    if mode == "exact":
-        if k > limit:
-            raise SizeLimitError(
-                f"exact relabeling search is limited to k <= {limit}, got k={k}"
-            )
-        perms = np.array(list(itertools.permutations(range(k))), dtype=int)
-        diffs = fa.values[perms] - fb.values
-        if p == 1:
-            vals = np.abs(diffs).mean(axis=1)
-        else:
-            vals = np.sqrt((diffs * diffs).mean(axis=1))
-        return float(vals.min())
-    return step_lp_norm(
-        StepFunction(np.sort(fa.values) - np.sort(fb.values)), p
-    )
-
-
-def _graphon_wasserstein_certificate(a, b, family, alpha, mode, bound_kind):
-    if a.k != b.k:
-        raise ParameterError("graphons must have the same number of blocks")
-    consts = _graphon_constants(a, family, alpha)
-    rho_a, rho_b = _graphon_solutions(a, b, family, alpha)
-    p = consts.norm_p
-    consts_used, notes = _graphon_enlarged(
-        consts, family, alpha, step_lp_norm(rho_a, p), step_lp_norm(rho_b, p)
-    )
-    dens_a, mass_a = _normalized_density(rho_a, "first")
-    dens_b, mass_b = _normalized_density(rho_b, "second")
-    if abs(mass_a - 1.0) <= 1e-9 and abs(mass_b - 1.0) <= 1e-9:
-        lg_used = consts_used.Lg
-    else:
-        s_min = min(mass_a, mass_b)
-        fold = 1.0 / s_min + consts_used.feasible_radius / s_min**2
-        lg_used = consts_used.Lg * fold
-        notes.append(
-            f"normalizer folded into g: Lg scaled by {fold:.12g} "
-            f"(density masses {mass_a:.12g}, {mass_b:.12g})"
-        )
-    if bound_kind == "prop10":
-        if p != 2:
-            raise ParameterError("the graphon cut-norm bound lives in the L^2 route")
-        peak = max(
-            float(np.max(np.abs(a.values), initial=0.0)),
-            float(np.max(np.abs(b.values), initial=0.0)),
-        )
-        if peak > 1.0 + 1e-12:
-            raise ParameterError("the graphon cut-norm bound requires values in [-1, 1]")
-        delta = graphon_cut_distance_blocks(a, b, mode=mode).value
-        right = math.sqrt(8.0 * delta)
-    else:
-        if family == "pagerank":
-            notes.append("perturbation measured on effective kernels A o D^-1")
-        sweep = min_permuted_distance(
-            Graph(_graphon_effective(a, family)),
-            Graph(_graphon_effective(b, family)),
-            p,
-            mode=mode,
-        )
-        right = sweep.value / a.k
-    bound = consts_used.L1 * lg_used / (1.0 - consts_used.L0) * right
-    observed = _step_permutation_cost(dens_a, dens_b, p, mode)
-    notes.append(
-        "block relabelings are a strict subset of the measure-preserving "
-        "bijections; the right-hand side is an upper bound on the true infimum"
-    )
-    consts_used = replace(consts_used, Lg=lg_used)
-    digest = _digest(a.values, b.values, family, alpha, bound_kind, mode)
-    return _certificate(bound, observed, False, p, consts_used, digest, notes)
+    return _step_certificate("theorem", "theorem2", a, b, family, alpha)
 
 
 def prop9_certificate(a, b, family, alpha, mode="exact"):
@@ -650,7 +535,7 @@ def prop9_certificate(a, b, family, alpha, mode="exact"):
     Never certified: block relabelings only bound the infimum over
     measure-preserving bijections from above (the inequality direction
     keeps holds = true meaningful)."""
-    return _graphon_wasserstein_certificate(a, b, family, alpha, mode, "prop9")
+    return _step_certificate("wasserstein", "prop9", a, b, family, alpha, mode)
 
 
 def prop10_certificate(a, b, family, alpha, mode="exact"):
@@ -658,4 +543,4 @@ def prop10_certificate(a, b, family, alpha, mode="exact"):
     sqrt(8 * block cut distance) for graphons with values in [-1, 1].
     Never certified, for the same relabeling-subset reason as
     prop9_certificate."""
-    return _graphon_wasserstein_certificate(a, b, family, alpha, mode, "prop10")
+    return _step_certificate("cut", "prop10", a, b, family, alpha, mode)

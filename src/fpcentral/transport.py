@@ -17,14 +17,12 @@ A small exact linear-programming solver is included as an independent
 check on the closed forms.
 """
 
-import itertools
-
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError, SizeLimitError
-from .limits import MAX_LP_ORACLE_N, MAX_PERM_EXACT_N, MAX_PLAN_N, exact_limit
+from .limits import MAX_LP_ORACLE_N, MAX_PLAN_N, exact_limit
 from .norms import vector_norm
 
 PMF_TOL = 1e-9
@@ -108,16 +106,8 @@ def _overlap_coupling(src, dst):
 
 
 def _permutation_cost(src, dst, p):
-    n = src.shape[0]
-    limit = exact_limit(MAX_PERM_EXACT_N)
-    if n <= limit:
-        perms = np.array(list(itertools.permutations(range(n))), dtype=int)
-        diffs = src[perms] - dst
-        if p == 1:
-            vals = np.abs(diffs).sum(axis=1)
-        else:
-            vals = np.sqrt((diffs * diffs).sum(axis=1))
-        return float(vals.min())
+    """min over relabelings pi of ||src^pi - dst||_p: the sorted matching,
+    optimal for every p >= 1 by the rearrangement inequality."""
     return vector_norm(np.sort(src) - np.sort(dst), p)
 
 
@@ -137,8 +127,9 @@ def wasserstein(src, dst, p, convention):
     (value, plan)
         ``plan`` is a TransportPlan realizing the value for the two true
         metrics and None for permutation_cost, which is the minimum over
-        relabelings of ||src^pi - dst||_p (exact enumeration up to n = 8,
-        sorted matching beyond) rather than a coupling infimum.
+        relabelings of ||src^pi - dst||_p rather than a coupling infimum.
+        That minimum is the sorted matching for every n: by the
+        rearrangement inequality it is optimal for p >= 1.
 
     Raises
     ------

@@ -9,6 +9,7 @@ from fpcentral import (
     GraphGeneratorSpec,
     NonConvergenceError,
     Normalizer,
+    NumericalError,
     ParameterError,
     SimplicityError,
     SolveConfig,
@@ -17,7 +18,10 @@ from fpcentral import (
     eigencentrality,
     generate,
     grassmann_distance,
+    graphon_katz,
+    graphon_pagerank,
     katz_closed_form,
+    lift,
     normalize,
     operator_norm,
     pagerank_closed_form,
@@ -193,6 +197,23 @@ class TestClosedForms:
                 katz_closed_form(_c2(), bad)
             with pytest.raises(ParameterError):
                 pagerank_closed_form(_c2(), bad)
+
+    def test_inexact_solve_is_refused(self, monkeypatch):
+        # a solve that returns a slightly wrong vector must not pass silently
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda lhs, rhs: real_solve(lhs, rhs) * (1.0 + 1e-6)
+        )
+        g = generate(GraphGeneratorSpec("cycle", 5))
+        w = lift(g)
+        for call in (
+            lambda: katz_closed_form(g, 0.2),
+            lambda: pagerank_closed_form(g, 0.85),
+            lambda: graphon_katz(w, 0.8),
+            lambda: graphon_pagerank(w, 0.85),
+        ):
+            with pytest.raises(NumericalError):
+                call()
 
 
 class TestPagerankKernel:

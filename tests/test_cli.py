@@ -321,6 +321,13 @@ class TestNorms:
         code, _, err = run(capsys, "norms", str(path), "--norm", "cut")
         assert code == 2
 
+    def test_oversized_edge_list_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("100000\n")
+        code, _, err = run(capsys, "norms", str(path), "--norm", "2")
+        assert code == 4
+        assert "n <= 5000" in err
+
     def test_heuristic_mode_with_seed(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         rng = np.random.default_rng(60)

@@ -1,0 +1,102 @@
+"""Certificate payloads against values frozen before the certificate
+pipeline was unified (``golden_certificates.json``, see golden_cases.py).
+
+Floats agree to 1e-12 relative.  ``ABS_FLOOR`` absorbs rounding noise
+around zero, such as the observed side of a pair of relabeled graphs.
+``slack`` is compared on the scale of the two sides it is the difference
+of.  Notes print their numbers with 12 significant digits, so the words of
+each note must match exactly and its numbers to 1e-11 relative.
+
+The exact 2-norm sweeps (prop6 and prop9 with the katz family in exact
+mode) now report the minimum of the stacked SVD instead of a power
+iteration on the minimizer.  That iteration stops once two estimates
+differ by 1e-10 relative and always reads low: in these cases by up to
+4.7e-10 relative.  So there ``bound`` and ``slack`` may rise by up to
+1e-8 relative to the bound, and never fall.
+"""
+
+import json
+import math
+import re
+
+from pathlib import Path
+
+from golden_cases import cases, run_case
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_certificates.json").read_text())
+REL_TOL = 1e-12
+ABS_FLOOR = 1e-14
+NOTE_REL_TOL = 1e-11
+SWEEP_RISE = 1e-8
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+def _close(new, old, scale, rel=REL_TOL):
+    return abs(new - old) <= rel * scale + ABS_FLOOR
+
+
+def _note_mismatch(new, old):
+    if _NUMBER.sub("#", new) != _NUMBER.sub("#", old):
+        return True
+    pairs = zip(map(float, _NUMBER.findall(new)), map(float, _NUMBER.findall(old)))
+    return not all(_close(a, b, max(abs(a), abs(b)), NOTE_REL_TOL) for a, b in pairs)
+
+
+def _exact_two_norm_sweep(case_id):
+    bound, family, mode = case_id.split("/")[:3]
+    return bound in ("prop6", "prop9") and family == "katz" and mode != "greedy"
+
+
+def _mismatches(case_id, new, old):
+    if "error" in old or "error" in new:
+        return [] if new == old else [f"outcome {new} != {old}"]
+    out = [
+        f"{key}: {new[key]!r} != {old[key]!r}"
+        for key in ("inputs_digest", "holds", "certified", "norm")
+        if new[key] != old[key]
+    ]
+    if new["constants"]["method"] != old["constants"]["method"]:
+        out.append("constants.method differs")
+    sides = max(abs(old["bound"]), abs(old["observed"]))
+    floats = {
+        "bound": (new["bound"], old["bound"], abs(old["bound"])),
+        "observed": (new["observed"], old["observed"], abs(old["observed"])),
+        "slack": (new["slack"], old["slack"], sides),
+    }
+    for key in ("L0", "L1", "Lg", "R"):
+        a, b = new["constants"][key], old["constants"][key]
+        floats[f"constants.{key}"] = (a, b, max(abs(a), abs(b)))
+    for key, (a, b, scale) in floats.items():
+        if key in ("bound", "slack") and _exact_two_norm_sweep(case_id):
+            rise = a - b
+            ok = -REL_TOL * abs(old["bound"]) - ABS_FLOOR <= rise <= SWEEP_RISE * abs(
+                old["bound"]
+            ) + ABS_FLOOR
+        else:
+            ok = math.isfinite(a) and _close(a, b, scale)
+        if not ok:
+            out.append(f"{key}: {a!r} != {b!r}")
+    if len(new["notes"]) != len(old["notes"]):
+        out.append(f"notes: {new['notes']} != {old['notes']}")
+    else:
+        out.extend(
+            f"note {i}: {a!r} != {b!r}"
+            for i, (a, b) in enumerate(zip(new["notes"], old["notes"]))
+            if _note_mismatch(a, b)
+        )
+    return out
+
+
+def test_golden_cases_cover_every_certificate():
+    assert set(cases()) == set(GOLDEN)
+    bounds = {case_id.split("/")[0] for case_id in GOLDEN}
+    assert bounds == {"theorem1", "prop6", "prop7", "theorem2", "prop9", "prop10"}
+
+
+def test_certificates_match_frozen_values():
+    failures = {}
+    for case_id, thunk in cases().items():
+        found = _mismatches(case_id, run_case(thunk), GOLDEN[case_id])
+        if found:
+            failures[case_id] = found
+    assert not failures, json.dumps(failures, indent=1)

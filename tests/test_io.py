@@ -80,6 +80,15 @@ class TestEdgeList:
         with pytest.raises(InputFormatError, match="no nodes"):
             parse_edge_list("# only a comment\n")
 
+    def test_node_count_cap_refuses_before_allocating(self):
+        # one line asking for a 100000 x 100000 matrix (80 GB)
+        with pytest.raises(InputFormatError, match="n <= 5000"):
+            parse_edge_list("100000\n")
+
+    def test_exact_search_override_does_not_lower_the_node_cap(self, monkeypatch):
+        monkeypatch.setenv("FPC_MAX_EXACT_N", "3")
+        assert parse_edge_list("0 9\n").n == 10
+
 
 class TestGraphJson:
     def test_round_trip(self):
