@@ -2,10 +2,19 @@
 matrix distances.
 
 The cut norm here is the unscaled one: the maximum over index subsets S, T
-of the absolute submatrix sum ``|sum_{i in S, j in T} a_ij|``.  The exact
-computation enumerates all 2^n row subsets; for each S the optimal T is
-read off the signs of the column sums over S, so the total cost is
-O(2^n * n^2) done in vectorized chunks.
+of the absolute submatrix sum ``|sum_{i in S, j in T} a_ij|``.  For a fixed
+row subset S with column sums c, the best T takes the positive or the
+negative columns, whichever carry more mass, and
+
+    max(sum_j c_j^+, sum_j c_j^-) = (sum_j |c_j| + |sum_j c_j|) / 2.
+
+The exact computation splits the rows into a low and a high half and
+tabulates the column sums of every subset of each half once (one GEMM per
+half).  The column sums of a row subset are then one high-half entry plus
+one low-half entry, so all 2^n row subsets cost O(2^n * n), swept in blocks
+of high-half subsets sized to stay in cache.  The permutation sweep
+computes the column sums of every row subset of a whole stack of small
+candidate differences with one GEMM against the subset-indicator matrix.
 
 ``operator_norm(m, 2)`` is a power iteration on ``m.T @ m``, which is
 cheaper than a dense SVD on the large graphs it serves.  The exact
@@ -16,7 +25,6 @@ candidate differences from one stacked LAPACK SVD
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +36,10 @@ from .limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N, exact_limit
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10_000
 _START_SEED = 0x5EED
+# elements of one block of row-subset values in cut_norm_exact (256 KiB)
+_CUT_BLOCK = 1 << 15
+# candidate permutations evaluated per vectorized step of the exact sweep
+_PERM_CHUNK = 500
 
 
 def _canon_p(p):
@@ -85,17 +97,26 @@ def _power_iteration_sigma(m, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
     )
 
 
+def _square_finite(m, caller):
+    """``m`` as a float array, refused unless square with finite entries."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ParameterError(f"{caller} expects a square matrix")
+    if not np.isfinite(m).all():
+        raise ParameterError(f"{caller} expects finite entries")
+    return m
+
+
 def operator_norm(m, p):
     """Induced operator p-norm of a square matrix, p in {1, 2, inf}.
 
     p=1 is the maximum absolute column sum, p=inf the maximum absolute row
     sum.  p=2 is the largest singular value computed by power iteration on
     ``m.T @ m`` with relative tolerance 1e-10 and at most 10000 iterations.
+    Non-finite entries raise ParameterError.
     """
     p = _canon_p(p)
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ParameterError("operator_norm expects a square matrix")
+    m = _square_finite(m, "operator_norm")
     if p == 1:
         return float(np.abs(m).sum(axis=0).max())
     if p == math.inf:
@@ -114,16 +135,28 @@ class CutNormWitness:
     T: tuple
 
 
-def _lex_subset_masks(n):
-    """All subsets of {0..n-1} as bitmasks, ordered lexicographically by
-    their sorted index tuples (empty set first)."""
-    masks = np.zeros(1, dtype=np.int64)
-    for f in range(n - 1, -1, -1):
-        bit = np.int64(1) << np.int64(f)
-        masks = np.concatenate(
-            (np.zeros(1, dtype=np.int64), bit + masks, masks[1:])
-        )
-    return masks
+def _subset_bits(k):
+    """The ``(2^k, k)`` indicator matrix of all subsets of {0..k-1}: row s
+    holds the bits of s, lowest bit first."""
+    return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
+
+
+def _lex_first(masks):
+    """The lexicographically first of distinct subset bitmasks, ordering
+    subsets by their sorted index tuples (empty set first).
+
+    Each step keeps the masks whose next lowest index is smallest, so at
+    most n + 1 vector filter steps run, whatever the number of masks.
+    """
+    rest = masks
+    while True:
+        done = rest == 0
+        if done.any():
+            return int(masks[np.argmax(done)])
+        low = rest & -rest
+        keep = low == low.min()
+        masks = masks[keep]
+        rest = rest[keep] ^ low[keep]
 
 
 def _mask_to_tuple(mask, n):
@@ -148,15 +181,15 @@ def _split_by_sign(c):
 def cut_norm_exact(m):
     """Exact cut norm with a maximizing witness (S, T).
 
-    Enumerates row subsets S in lexicographic order and keeps the first
-    maximizer, so ties resolve to the lexicographically smallest S; for a
-    fixed S the two sign-optimal column sets are compared and ties resolve
-    to the lexicographically smaller T.  Limited to n <= 22 (the heuristic
-    covers larger matrices).
+    Covers all 2^n row subsets S; ties resolve to the lexicographically
+    smallest S (sorted index tuples, empty set first).  For that S the two
+    sign-optimal column sets are compared and ties resolve to the
+    lexicographically smaller T.  The value is recomputed from the witness.
+    Limited to n <= 22 (the heuristic covers larger matrices).  Non-finite
+    entries raise ParameterError; entries whose absolute sum overflows
+    raise NumericalError.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ParameterError("cut_norm_exact expects a square matrix")
+    m = _square_finite(m, "cut_norm_exact")
     n = m.shape[0]
     limit = exact_limit(MAX_CUT_EXACT_N)
     if n > limit:
@@ -164,23 +197,40 @@ def cut_norm_exact(m):
             f"exact cut norm is limited to n <= {limit}, got n={n}; "
             "use cut_norm_heuristic for a certified lower bound"
         )
-    masks = _lex_subset_masks(n)
-    shifts = np.arange(n, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        mass = float(np.abs(m).sum())
+    if not math.isfinite(mass):
+        # a partial sum could overflow and the table sweep meet inf - inf
+        raise NumericalError("cut sums of this matrix overflow float64")
+    # row mask = s_hi << h | s_lo; tables hold the column sums of every
+    # subset of each half, one column per subset
+    h = n // 2
+    lo = np.ascontiguousarray((_subset_bits(h) @ m[:h]).T)
+    hi = np.ascontiguousarray((_subset_bits(n - h) @ m[h:]).T)
+    lo_total = lo.sum(axis=0)
+    hi_total = hi.sum(axis=0)
+    width = lo.shape[1]
+    step = max(1, _CUT_BLOCK // width)
     best_val = -1.0
-    best_mask = 0
-    chunk = 65_536
-    for start in range(0, masks.shape[0], chunk):
-        mk = masks[start : start + chunk]
-        bits = ((mk[:, None] >> shifts) & 1).astype(float)
-        col = bits @ m
-        vp = np.where(col > 0, col, 0.0).sum(axis=1)
-        vm = -np.where(col < 0, col, 0.0).sum(axis=1)
-        vals = np.maximum(vp, vm)
-        k = int(np.argmax(vals))
-        if float(vals[k]) > best_val:
-            best_val = float(vals[k])
-            best_mask = int(mk[k])
-    s_tuple = _mask_to_tuple(best_mask, n)
+    ties = []
+    term = np.empty((step, width))
+    for s0 in range(0, hi.shape[1], step):
+        s1 = min(s0 + step, hi.shape[1])
+        # twice the value of every row subset of the block
+        vals = np.add(hi_total[s0:s1, None], lo_total)
+        np.abs(vals, out=vals)
+        t = term[: s1 - s0]
+        for j in range(n):
+            np.add(hi[j, s0:s1, None], lo[j], out=t)
+            np.abs(t, out=t)
+            vals += t
+        top = float(vals.max())
+        if top < best_val:
+            continue
+        if top > best_val:
+            best_val, ties = top, []
+        ties.append(np.flatnonzero(vals == top) + s0 * width)
+    s_tuple = _mask_to_tuple(_lex_first(np.concatenate(ties)), n)
     if s_tuple:
         c = m[list(s_tuple), :].sum(axis=0)
     else:
@@ -197,10 +247,9 @@ def cut_norm_heuristic(m, restarts=16, seed=0):
     S; repeat until the value stops improving, over ``restarts`` starts
     (the first start is the full row set, the rest are seeded random).  Any
     witness is feasible, so the result never exceeds the exact cut norm.
+    Non-finite entries raise ParameterError.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ParameterError("cut_norm_heuristic expects a square matrix")
+    m = _square_finite(m, "cut_norm_heuristic")
     if restarts < 1:
         raise ParameterError("restarts must be at least 1")
     n = m.shape[0]
@@ -259,14 +308,15 @@ def _matrix_distance(d, norm):
 
 def _batched_cut(mats):
     """Exact cut norms of a stack of square matrices (values only)."""
-    _, n, _ = mats.shape
-    masks = _lex_subset_masks(n)
-    shifts = np.arange(n, dtype=np.int64)
-    bits = ((masks[:, None] >> shifts) & 1).astype(float)
-    col = np.einsum("sn,knj->ksj", bits, mats)
-    vp = np.where(col > 0, col, 0.0).sum(axis=2)
-    vm = -np.where(col < 0, col, 0.0).sum(axis=2)
-    return np.maximum(vp, vm).max(axis=1)
+    k, n, _ = mats.shape
+    bits = _subset_bits(n)
+    # col[S, j, p]: column j summed over the rows in S, for matrix p
+    col = bits @ mats.transpose(1, 2, 0).reshape(n, n * k)
+    total = bits @ mats.sum(axis=2).T
+    np.abs(col, out=col)
+    vals = col.reshape(-1, n, k).sum(axis=1)
+    vals += np.abs(total)
+    return vals.max(axis=0) / 2
 
 
 def _chunk_values(a_w, b_w, perm_block, norm):
@@ -301,8 +351,10 @@ def min_permuted_distance(a, b, norm, mode="exact", jobs=1):
         and reports that single permutation's distance, an upper bound on
         the infimum; such results carry certified=False.
     jobs : int
-        Number of worker threads for the exact permutation sweep.  The
-        result does not depend on it.
+        Accepted for compatibility and validated (at least 1); it no longer
+        changes the run.  The sweep runs in the calling thread: on two cores
+        a thread pool made the n = 8 ``fpc compare --bound prop7`` call no
+        faster.
 
     Returns
     -------
@@ -332,24 +384,14 @@ def min_permuted_distance(a, b, norm, mode="exact", jobs=1):
             f"exact permutation search is limited to n <= {limit}, got n={n}"
         )
     perms = np.array(list(itertools.permutations(range(n))), dtype=int)
-    chunk = 2000
-    blocks = [perms[s : s + chunk] for s in range(0, perms.shape[0], chunk)]
-
-    def evaluate(block):
-        vals = _chunk_values(a.weights, b.weights, block, norm)
-        k = int(np.argmin(vals))
-        return float(vals[k]), k
-
-    if jobs == 1 or len(blocks) == 1:
-        results = [evaluate(block) for block in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(evaluate, blocks))
     best_val = math.inf
     best_perm = None
-    for block, (val, k) in zip(blocks, results):
-        if val < best_val:
-            best_val = val
+    for s in range(0, perms.shape[0], _PERM_CHUNK):
+        block = perms[s : s + _PERM_CHUNK]
+        vals = _chunk_values(a.weights, b.weights, block, norm)
+        k = int(np.argmin(vals))
+        if vals[k] < best_val:
+            best_val = float(vals[k])
             best_perm = block[k]
     return PermutedDistanceResult(
         value=best_val, permutation=Permutation(best_perm), certified=True,

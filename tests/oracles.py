@@ -19,6 +19,65 @@ def cut_norm_brute(m):
     return float(np.max(np.abs(box)))
 
 
+def _lex_subset_masks(n):
+    """All subsets of {0..n-1} as bitmasks, ordered lexicographically by
+    their sorted index tuples (empty set first)."""
+    masks = np.zeros(1, dtype=np.int64)
+    for f in range(n - 1, -1, -1):
+        bit = np.int64(1) << np.int64(f)
+        masks = np.concatenate(
+            (np.zeros(1, dtype=np.int64), bit + masks, masks[1:])
+        )
+    return masks
+
+
+def _split_by_sign(c):
+    """Positive-sum or negative-sum columns, whichever is larger in absolute
+    value; ties go to the lexicographically smaller set."""
+    vp = float(np.where(c > 0, c, 0.0).sum())
+    vm = float(-np.where(c < 0, c, 0.0).sum())
+    tp = tuple(np.flatnonzero(c > 0).tolist())
+    tm = tuple(np.flatnonzero(c < 0).tolist())
+    if vp > vm:
+        return vp, tp
+    if vm > vp:
+        return vm, tm
+    return vp, min(tp, tm)
+
+
+def cut_norm_rows_reference(m):
+    """Exact cut norm by enumerating all 2^n row subsets, O(2^n * n^2).
+
+    Row subsets S are visited in lexicographic order of their sorted index
+    tuples and the first maximizer is kept; T is the sign-optimal column
+    set of that S (ties to the lexicographically smaller set).  Returns
+    ``(value, S, T)`` with the value recomputed from the witness.
+    """
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    masks = _lex_subset_masks(n)
+    shifts = np.arange(n, dtype=np.int64)
+    best_val = -1.0
+    best_mask = 0
+    chunk = 65_536
+    for start in range(0, masks.shape[0], chunk):
+        mk = masks[start : start + chunk]
+        bits = ((mk[:, None] >> shifts) & 1).astype(float)
+        col = bits @ m
+        vp = np.where(col > 0, col, 0.0).sum(axis=1)
+        vm = -np.where(col < 0, col, 0.0).sum(axis=1)
+        vals = np.maximum(vp, vm)
+        k = int(np.argmax(vals))
+        if float(vals[k]) > best_val:
+            best_val = float(vals[k])
+            best_mask = int(mk[k])
+    s = tuple(i for i in range(n) if (best_mask >> i) & 1)
+    c = m[list(s), :].sum(axis=0) if s else np.zeros(n)
+    _, t = _split_by_sign(c)
+    value = abs(float(m[np.ix_(s, t)].sum())) if s and t else 0.0
+    return value, s, t
+
+
 def matrix_norm_brute(d, norm):
     d = np.asarray(d, dtype=float)
     if norm == "cut":

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fpcentral import (
     Graph,
+    NumericalError,
     ParameterError,
     Permutation,
     SizeLimitError,
@@ -15,12 +19,24 @@ from fpcentral import (
     permute,
     vector_norm,
 )
+from fpcentral.limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N
+from fpcentral.norms import _batched_cut
 
 from oracles import (
     cut_norm_brute,
+    cut_norm_rows_reference,
     min_permuted_distance_brute,
     random_binary_symmetric,
 )
+
+
+def _with_entry(value, shape=(4, 4)):
+    m = np.ones(shape)
+    m[1, 2] = value
+    return m
+
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
 
 # An 8-node pair at the exact permutation limit; 1427 of its 8! candidate
 # differences have a repeated largest singular value.
@@ -105,6 +121,12 @@ class TestOperatorNorm:
         with pytest.raises(ParameterError):
             operator_norm(np.eye(2), 1.5)
 
+    def test_non_finite_is_refused(self):
+        for bad in NON_FINITE:
+            for p in (1, 2, math.inf):
+                with pytest.raises(ParameterError):
+                    operator_norm(_with_entry(bad), p)
+
 
 class TestCutNormExact:
     def test_all_ones_2x2(self):
@@ -136,6 +158,62 @@ class TestCutNormExact:
             assert cut_norm_exact(m).value == pytest.approx(
                 cut_norm_brute(m), abs=1e-12
             )
+
+    def test_matches_row_reference_on_tied_integer_matrices(self):
+        # integer entries make every cut sum exact, so ties are exact and
+        # the witness (first S in lexicographic order, then T) must match
+        rng = np.random.default_rng(10)
+        for n in range(13):
+            for m in (
+                np.zeros((n, n)),
+                np.ones((n, n)),
+                rng.choice([-1.0, 1.0], size=(n, n)),
+                (rng.random((n, n)) < 0.5).astype(float),
+            ):
+                w = cut_norm_exact(m)
+                assert (w.value, w.S, w.T) == cut_norm_rows_reference(m)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 10).flatmap(
+            lambda n: arrays(np.int64, (n, n), elements=st.integers(-2, 2))
+        )
+    )
+    def test_witness_property_against_row_reference(self, m):
+        m = m.astype(float)
+        w = cut_norm_exact(m)
+        assert (w.value, w.S, w.T) == cut_norm_rows_reference(m)
+
+    def test_float_value_matches_row_reference_at_n20(self):
+        m = np.random.default_rng(11).uniform(-1.0, 1.0, size=(20, 20))
+        assert cut_norm_exact(m).value == pytest.approx(
+            cut_norm_rows_reference(m)[0], abs=1e-12
+        )
+
+    def test_witness_attains_value_at_the_limit(self):
+        n = MAX_CUT_EXACT_N
+        m = np.random.default_rng(12).choice([-1.0, 1.0], size=(n, n))
+        w = cut_norm_exact(m)
+        assert w.S and w.T
+        assert abs(float(m[np.ix_(list(w.S), list(w.T))].sum())) == w.value
+        assert w.value >= cut_norm_heuristic(m).value
+
+    def test_zero_matrix_at_the_limit_has_empty_witness(self):
+        w = cut_norm_exact(np.zeros((MAX_CUT_EXACT_N, MAX_CUT_EXACT_N)))
+        assert (w.value, w.S, w.T) == (0.0, (), ())
+
+    def test_non_finite_is_refused(self):
+        # one NaN used to yield value 12 from a witness that avoids it
+        for bad in NON_FINITE:
+            with pytest.raises(ParameterError):
+                cut_norm_exact(_with_entry(bad))
+
+    def test_overflowing_sums_are_refused(self):
+        m = np.zeros((4, 4))
+        m[:2, 0] = 1e308
+        m[2:, 0] = -1e308
+        with pytest.raises(NumericalError):
+            cut_norm_exact(m)
 
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
@@ -177,6 +255,30 @@ class TestCutNormHeuristic:
         # frozen observation: 16 alternating-maximization restarts recover
         # the exact optimum on 98 of these 100 seeded 8x8 draws
         assert hits == 98
+
+    def test_non_finite_is_refused(self):
+        for bad in NON_FINITE:
+            with pytest.raises(ParameterError):
+                cut_norm_heuristic(_with_entry(bad))
+
+
+class TestBatchedCut:
+    def test_stack_matches_row_reference(self):
+        rng = np.random.default_rng(13)
+        ints = np.concatenate((
+            np.zeros((1, 6, 6)),
+            np.ones((1, 6, 6)),
+            rng.integers(-2, 3, size=(30, 6, 6)).astype(float),
+        ))
+        assert _batched_cut(ints).tolist() == [
+            cut_norm_rows_reference(m)[0] for m in ints
+        ]
+        floats = rng.uniform(-1.0, 1.0, size=(30, 6, 6))
+        np.testing.assert_allclose(
+            _batched_cut(floats),
+            [cut_norm_rows_reference(m)[0] for m in floats],
+            rtol=0.0, atol=1e-12,
+        )
 
 
 class TestMinPermutedDistance:
@@ -222,6 +324,17 @@ class TestMinPermutedDistance:
                         float(np.linalg.norm(moved - b.weights, 2)), rel=1e-13
                     )
 
+    def test_cut_sweep_at_the_exact_limit(self):
+        a, b = Graph(SWEEP_LIMIT_PAIR[0]), Graph(SWEEP_LIMIT_PAIR[1])
+        assert a.n == MAX_PERM_EXACT_N
+        res = min_permuted_distance(a, b, "cut")
+        # |sum(A^pi - B)| is the same for every pi and bounds the cut norm
+        # from below, so reaching it certifies the minimum without the n!
+        # brute force
+        assert res.value == abs(float((a.weights - b.weights).sum())) == 4.0
+        moved = permute(a, res.permutation).weights
+        assert cut_norm_exact(moved - b.weights).value == res.value
+
     def test_greedy_upper_bounds_exact(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -250,6 +363,8 @@ class TestMinPermutedDistance:
         multi = min_permuted_distance(a, b, 2, jobs=2)
         assert lone.value == multi.value
         assert np.array_equal(lone.permutation.mapping, multi.permutation.mapping)
+        with pytest.raises(ParameterError):
+            min_permuted_distance(a, b, 2, jobs=0)
 
     def test_exact_size_cap(self):
         g = Graph(np.zeros((9, 9)))
