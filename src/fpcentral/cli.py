@@ -13,7 +13,6 @@ non-convergence, 4 I/O or parse error.
 
 import argparse
 import hashlib
-import json
 import sys
 
 from datetime import datetime, timezone
@@ -38,7 +37,7 @@ from .graphon import (
     integral,
     lift,
 )
-from .io import graphon_to_dict, read_graph, read_graphon
+from .io import _write_json, graphon_to_dict, read_graph, read_graphon
 from .norms import cut_norm_exact, cut_norm_heuristic, operator_norm
 from .perturbation import (
     constants_analytic,
@@ -67,17 +66,18 @@ def _manifest(command, paths, parameters):
     }
 
 
-def _emit(payload, args, csv_text=None):
-    body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    output = getattr(args, "output", None)
-    if output:
-        Path(output).write_text(body)
-        if getattr(args, "csv", False) and csv_text is not None:
-            Path(output).with_suffix(".csv").write_text(csv_text)
+def _emit(payload, args, csv_table):
+    """Write the JSON payload; with --csv, also the table that the callable
+    ``csv_table`` builds, which is not called otherwise."""
+    if args.output:
+        with open(args.output, "w") as fp:
+            _write_json(payload, fp)
+        if args.csv:
+            Path(args.output).with_suffix(".csv").write_text(csv_table())
     else:
-        sys.stdout.write(body)
-        if getattr(args, "csv", False) and csv_text is not None:
-            sys.stdout.write(csv_text)
+        _write_json(payload, sys.stdout)
+        if args.csv:
+            sys.stdout.write(csv_table())
 
 
 def _build_map(args):
@@ -119,10 +119,9 @@ def cmd_centrality(args):
             {"family": args.family, "alpha": args.alpha, "normalizer": args.normalizer},
         ),
     }
-    csv_text = "node,rho,feature_x\n" + "".join(
+    _emit(payload, args, lambda: "node,rho,feature_x\n" + "".join(
         f"{i},{float(r)!r},{float(x)!r}\n" for i, (r, x) in enumerate(zip(rho, feature))
-    )
-    _emit(payload, args, csv_text)
+    ))
     return 0
 
 
@@ -158,16 +157,16 @@ def cmd_compare(args):
             "jobs": args.jobs,
         },
     )
-    _emit(payload, args, _certificate_csv(cert))
+    _emit(payload, args, lambda: _certificate_csv(cert))
     return 0 if cert.holds else 1
 
 
 def cmd_graphon_lift(args):
     g = read_graph(args.input)
     w = lift(g)
-    payload = graphon_to_dict(w)
-    csv_text = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in w.values)
-    _emit(payload, args, csv_text)
+    _emit(graphon_to_dict(w), args, lambda: "".join(
+        ",".join(map(float.__repr__, row)) + "\n" for row in w.values.tolist()
+    ))
     return 0
 
 
@@ -200,10 +199,9 @@ def cmd_graphon_centrality(args):
             {"family": args.family, "alpha": args.alpha},
         ),
     }
-    csv_text = "block,rho\n" + "".join(
+    _emit(payload, args, lambda: "block,rho\n" + "".join(
         f"{i},{float(x)!r}\n" for i, x in enumerate(rho.values)
-    )
-    _emit(payload, args, csv_text)
+    ))
     return 0
 
 
@@ -227,7 +225,7 @@ def cmd_graphon_compare(args):
             "perm_mode": args.perm_mode,
         },
     )
-    _emit(payload, args, _certificate_csv(cert))
+    _emit(payload, args, lambda: _certificate_csv(cert))
     return 0 if cert.holds else 1
 
 
@@ -252,9 +250,18 @@ def cmd_norms(args):
         {"norm": args.norm, "mode": args.mode if args.norm == "cut" else None,
          "seed": args.seed if args.norm == "cut" else None},
     )
-    csv_text = f"kind,value\n{payload['kind']},{payload['value']!r}\n"
-    _emit(payload, args, csv_text)
+    _emit(payload, args, lambda: f"kind,value\n{payload['kind']},{payload['value']!r}\n")
     return 0
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_output_flags(sub):
@@ -302,7 +309,7 @@ def build_parser():
         "--bound", choices=("theorem1", "prop6", "prop7"), default="theorem1"
     )
     comp.add_argument("--perm-mode", choices=("exact", "greedy"), default="exact")
-    comp.add_argument("--jobs", type=int, default=1)
+    comp.add_argument("--jobs", type=_positive_int, default=1)
     _add_output_flags(comp)
     comp.set_defaults(handler=cmd_compare)
 

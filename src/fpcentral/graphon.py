@@ -20,7 +20,7 @@ import numpy as np
 
 from .centrality import eigencentrality, katz_closed_form, pagerank_closed_form, pagerank_kernel
 from .errors import ParameterError
-from .graphs import Graph, Permutation
+from .graphs import Graph, Permutation, max_asymmetry
 from .norms import cut_norm_exact, min_permuted_distance, operator_norm
 
 VALUE_MATCH_TOL = 1e-12
@@ -58,7 +58,7 @@ class StepGraphon:
             raise ParameterError("graphon needs at least one block")
         if not np.all(np.isfinite(values)):
             raise ParameterError("graphon values must be finite")
-        if np.max(np.abs(values - values.T), initial=0.0) > VALUE_MATCH_TOL:
+        if max_asymmetry(values) > VALUE_MATCH_TOL:
             raise ParameterError("graphon values must be symmetric")
         peak = float(np.max(np.abs(values), initial=0.0))
         if c is None:

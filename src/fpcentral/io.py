@@ -149,22 +149,76 @@ def read_graphon(path):
 
 
 def graph_to_dict(g):
-    return {"n": g.n, "weights": [[float(x) for x in row] for row in g.weights]}
+    return {"n": g.n, "weights": g.weights.tolist()}
 
 
 def graphon_to_dict(w):
-    return {
-        "k": w.k,
-        "c": float(w.c),
-        "values": [[float(x) for x in row] for row in w.values],
-    }
+    return {"k": w.k, "c": float(w.c), "values": w.values.tolist()}
+
+
+def _write_json(payload, fp):
+    """Write ``payload`` to the text stream ``fp`` exactly as
+    ``json.dumps(payload, indent=2, sort_keys=True) + "\n"`` spells it.
+
+    A list whose items are all finite floats is one join of their reprs, so
+    a matrix costs one join per row instead of one encoder step per entry;
+    every other value goes through the json encoder.  It is the package's
+    only JSON writer, so every command and file spells JSON the same way.
+    """
+    _write_value(payload, fp, "\n")
+    fp.write("\n")
+
+
+def _write_value(value, fp, newline):
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            fp.write("{}")
+            return
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            fp.write(f"{sep}{json.dumps(_json_key(key))}: ")
+            _write_value(item, fp, inner)
+            sep = "," + inner
+        fp.write(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            fp.write("[]")
+            return
+        try:
+            row = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # not all floats
+            row = None
+        # finite float reprs hold no "n"; json spells nan and inf differently
+        if row is not None and "n" not in row:
+            fp.write(f"[{inner}{row}{newline}]")
+            return
+        sep = "[" + inner
+        for item in value:
+            fp.write(sep)
+            _write_value(item, fp, inner)
+            sep = "," + inner
+        fp.write(newline + "]")
+    else:
+        fp.write(json.dumps(value))
+
+
+def _json_key(key):
+    """The string json.dumps makes of a dict key."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (bool, int, float)):
+        return json.dumps(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
 
 
 def write_graph(g, path):
-    Path(path).write_text(json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n")
+    with open(path, "w") as fp:
+        _write_json(graph_to_dict(g), fp)
 
 
 def write_graphon(w, path):
-    Path(path).write_text(
-        json.dumps(graphon_to_dict(w), indent=2, sort_keys=True) + "\n"
-    )
+    with open(path, "w") as fp:
+        _write_json(graphon_to_dict(w), fp)

@@ -359,6 +359,9 @@ def min_permuted_distance(a, b, norm, mode="exact", jobs=1):
     Returns
     -------
     PermutedDistanceResult
+
+    The exact sweep raises NumericalError when a candidate's distance is
+    NaN or every candidate's distance overflows to inf.
     """
     norm = _canon_matrix_norm(norm)
     if a.n != b.n:
@@ -389,10 +392,14 @@ def min_permuted_distance(a, b, norm, mode="exact", jobs=1):
     for s in range(0, perms.shape[0], _PERM_CHUNK):
         block = perms[s : s + _PERM_CHUNK]
         vals = _chunk_values(a.weights, b.weights, block, norm)
-        k = int(np.argmin(vals))
+        k = int(np.argmin(vals))  # the first NaN, if there is one
+        if math.isnan(vals[k]):
+            raise NumericalError(f"a {norm}-norm distance of the sweep is NaN")
         if vals[k] < best_val:
             best_val = float(vals[k])
             best_perm = block[k]
+    if best_perm is None:
+        raise NumericalError(f"every {norm}-norm distance of the sweep overflows")
     return PermutedDistanceResult(
         value=best_val, permutation=Permutation(best_perm), certified=True,
         mode=mode, norm=norm,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fpcentral
-from fpcentral.cli import main
+from fpcentral.cli import _emit, build_parser, main
 
 from test_norms import SWEEP_LIMIT_PAIR
 
@@ -351,7 +351,70 @@ class TestNorms:
         assert payload["value"] == 3.0
 
 
+class TestOutput:
+    def _lift_input(self, tmp_path):
+        rng = np.random.default_rng(12)
+        m = np.triu(rng.random((6, 6)), 1)
+        m[0, 1] = 1e16
+        m[2, 3] = 5e-324
+        m = m + m.T
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"weights": m.tolist()}))
+        return path, m
+
+    def test_lift_json_and_csv_bytes(self, capsys, tmp_path):
+        path, m = self._lift_input(tmp_path)
+        plain, with_csv = tmp_path / "plain.json", tmp_path / "with_csv.json"
+        assert run(capsys, "graphon", "lift", str(path), "-o", str(plain))[0] == 0
+        assert not (tmp_path / "plain.csv").exists()
+        assert run(capsys, "graphon", "lift", str(path), "-o", str(with_csv), "--csv")[0] == 0
+        body = plain.read_bytes()
+        assert with_csv.read_bytes() == body
+        expected = {"k": 6, "c": float(np.max(np.abs(m))), "values": m.tolist()}
+        assert body.decode() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        rows = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in m)
+        assert (tmp_path / "with_csv.csv").read_text() == rows
+        code, out, _ = run(capsys, "graphon", "lift", str(path), "--csv")
+        assert code == 0 and out == body.decode() + rows
+
+    def test_csv_table_is_built_only_on_request(self, capsys):
+        def refuse():
+            raise AssertionError("the CSV table was built without --csv")
+
+        _emit({"value": 1.0}, build_parser().parse_args(["norms", "m", "--norm", "1"]), refuse)
+        assert capsys.readouterr().out == '{\n  "value": 1.0\n}\n'
+
+    def test_every_command_writes_json_dumps_bytes(self, capsys, k3, tmp_path):
+        lifted = tmp_path / "k3.json"
+        assert run(capsys, "graphon", "lift", k3, "-o", str(lifted))[0] == 0
+        calls = (
+            ("centrality", k3, "--family", "pagerank", "--alpha", "0.85"),
+            ("centrality", k3, "--family", "eigen"),
+            ("compare", k3, k3, "--family", "katz", "--alpha", "0.2", "--bound", "prop7"),
+            ("graphon", "lift", k3),
+            ("graphon", "centrality", str(lifted), "--family", "katz", "--alpha", "0.5"),
+            ("graphon", "compare", str(lifted), str(lifted), "--family", "pagerank",
+             "--alpha", "0.85", "--bound", "prop9"),
+            ("norms", k3, "--norm", "cut"),
+            ("norms", k3, "--norm", "2"),
+        )
+        for argv in calls:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            # json.loads then json.dumps gives back text json.dumps wrote
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 class TestParser:
+    def test_jobs_below_one_is_a_usage_error(self, capsys, k3):
+        for bound in ("theorem1", "prop6", "prop7"):
+            for jobs in ("0", "-1", "two"):
+                with pytest.raises(SystemExit) as exc:
+                    main(["compare", k3, k3, "--family", "katz", "--alpha", "0.2",
+                          "--bound", bound, "--jobs", jobs])
+                assert exc.value.code == 2
+                assert "--jobs" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -14,8 +14,16 @@ from fpcentral import (
     permute,
     permute_vector,
 )
+from fpcentral.graphon import VALUE_MATCH_TOL, StepGraphon
+from fpcentral.graphs import SYMMETRY_TOL, max_asymmetry
+from fpcentral.limits import MAX_AUTOMORPHISM_N
 
 from oracles import automorphisms_brute
+
+
+def _full_asymmetry(w):
+    """The untiled check: one n x n difference against the transpose."""
+    return np.max(np.abs(w - w.T), initial=0.0)
 
 
 class TestGraph:
@@ -46,6 +54,44 @@ class TestGraph:
     def test_is_binary(self):
         assert Graph(np.array([[0.0, 1.0], [1.0, 0.0]])).is_binary()
         assert not Graph(np.array([[0.0, 0.5], [0.5, 0.0]])).is_binary()
+
+
+class TestMaxAsymmetry:
+    def test_equals_the_untiled_check(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 127, 128, 129, 300):
+            w = rng.standard_normal((n, n))
+            assert max_asymmetry(w) == _full_asymmetry(w)
+            assert max_asymmetry(w + w.T) == 0.0
+        assert max_asymmetry(np.zeros((0, 0))) == 0.0
+
+    def test_asymmetry_only_in_the_last_partial_tile(self):
+        rng = np.random.default_rng(14)
+        base = rng.standard_normal((300, 300))
+        base = base + base.T
+        for i, j in ((299, 290), (290, 299), (299, 0), (0, 299), (280, 260)):
+            w = base.copy()
+            w[i, j] += 0.5
+            assert max_asymmetry(w) == _full_asymmetry(w) > 0.25
+
+    def test_tolerance_flips_at_the_same_entry(self):
+        above = np.nextafter(SYMMETRY_TOL, 1.0)
+        assert SYMMETRY_TOL == VALUE_MATCH_TOL
+        for base in (0.0, 0.3):
+            for gap, symmetric in ((SYMMETRY_TOL, True), (above, False)):
+                for i, j in ((199, 150), (150, 199), (3, 190)):
+                    w = np.full((200, 200), base)
+                    w[i, j] += gap
+                    assert max_asymmetry(w) == _full_asymmetry(w)
+                    flips = bool(_full_asymmetry(w) <= SYMMETRY_TOL)
+                    if base == 0.0:
+                        assert flips is symmetric
+                    assert Graph(w).symmetric is flips
+                    if flips:
+                        StepGraphon(w)
+                    else:
+                        with pytest.raises(ParameterError, match="symmetric"):
+                            StepGraphon(w)
 
 
 class TestGenerate:
@@ -180,6 +226,15 @@ class TestAutomorphisms:
         g = generate(GraphGeneratorSpec("star", 5))
         for p in enumerate_automorphisms(g):
             assert is_automorphism(g, p)
+
+    def test_nine_cycle_at_the_limit(self):
+        n = MAX_AUTOMORPHISM_N
+        g = generate(GraphGeneratorSpec("cycle", n))
+        dihedral = {tuple((r + s * i) % n for i in range(n)) for r in range(n) for s in (1, -1)}
+        got = [tuple(p.mapping.tolist()) for p in enumerate_automorphisms(g)]
+        assert len(got) == 18
+        assert set(got) == dihedral
+        assert got == sorted(got)
 
     def test_size_cap(self):
         g = generate(GraphGeneratorSpec("cycle", 10))

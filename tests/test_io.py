@@ -1,22 +1,31 @@
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpcentral import (
+    FixedPointMap,
     Graph,
     InputFormatError,
     StepGraphon,
+    constants_analytic,
+    cut_norm_exact,
     graph_to_dict,
     graphon_to_dict,
+    lift,
     parse_edge_list,
     parse_graph_json,
     parse_graphon_json,
     read_graph,
     read_graphon,
+    theorem1_certificate,
     write_graph,
     write_graphon,
 )
+from fpcentral.io import _write_json
 
 
 class TestEdgeList:
@@ -176,3 +185,86 @@ class TestFiles:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_graph(tmp_path / "absent.txt")
+
+
+def _written(payload):
+    out = io.StringIO()
+    _write_json(payload, out)
+    return out.getvalue()
+
+
+def _dumped(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, 1e22, 1.0, -3.0, 0.1, 2.5]
+)
+_FLOATS = _EDGE_FLOATS | st.floats()
+_MATRICES = st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.lists(_FLOATS, min_size=k, max_size=k), min_size=k, max_size=k)
+)
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | st.text(max_size=6)
+_JSON_VALUES = st.recursive(
+    _SCALARS | _MATRICES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, payload):
+        assert _written(payload) == _dumped(payload)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_MATRICES)
+    def test_float_matrices_match_json_dumps(self, rows):
+        payload = {"k": len(rows), "c": 1.0, "values": rows}
+        assert _written(payload) == _dumped(payload)
+
+    def test_edge_floats_in_a_matrix(self):
+        rows = [[-0.0, 5e-324, 1e-300], [1e16, 2.0, -1e16], [float("nan"), float("inf"), 0.1]]
+        for payload in (rows, rows[:2], [[7.0]], [[]], [], {}, {"m": rows}):
+            assert _written(payload) == _dumped(payload)
+
+    def test_graph_and_graphon_payloads(self):
+        rng = np.random.default_rng(11)
+        m = rng.random((7, 7))
+        m = m + m.T
+        for payload in (graphon_to_dict(lift(Graph(m))), graph_to_dict(Graph(m)),
+                        graphon_to_dict(StepGraphon(np.array([[-0.0]])))):
+            assert _written(payload) == _dumped(payload)
+
+    def test_certificate_and_norm_payloads(self):
+        a = Graph(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+        b = Graph(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+        map_ = FixedPointMap("katz", alpha=0.2)
+        cert = theorem1_certificate(a, b, map_, constants_analytic(a, map_))
+        witness = cut_norm_exact(a.weights - b.weights)
+        for payload in (
+            cert.to_dict(),
+            {"kind": "cut", "value": witness.value,
+             "witness": {"S": list(witness.S), "T": list(witness.T)}},
+        ):
+            assert _written(payload) == _dumped(payload)
+
+    def test_unserializable_values_raise_like_json(self):
+        for payload in ({"a": object()}, [np.int64(3)], {(1, 2): 0.0}):
+            with pytest.raises(TypeError):
+                _dumped(payload)
+            with pytest.raises(TypeError):
+                _written(payload)
+
+    def test_write_graphon_matches_json_dumps(self, tmp_path):
+        w = StepGraphon(np.array([[0.5, 0.1], [0.1, 1e16]]))
+        path = tmp_path / "w.json"
+        write_graphon(w, path)
+        assert path.read_text() == _dumped(graphon_to_dict(w))
+        g = Graph(np.array([[0.0, -0.0], [5e-324, 1.0]]))
+        write_graph(g, path)
+        assert path.read_text() == _dumped(graph_to_dict(g))

@@ -335,6 +335,41 @@ class TestMinPermutedDistance:
         moved = permute(a, res.permutation).weights
         assert cut_norm_exact(moved - b.weights).value == res.value
 
+    def test_one_and_inf_sweeps_at_the_exact_limit(self):
+        rng = np.random.default_rng(15)
+        signed = (rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
+        for pair in (SWEEP_LIMIT_PAIR, signed):
+            a, b = Graph(pair[0]), Graph(pair[1])
+            assert a.n == MAX_PERM_EXACT_N
+            for norm in (1, math.inf):
+                res = min_permuted_distance(a, b, norm)
+                assert res.value == pytest.approx(
+                    min_permuted_distance_brute(a.weights, b.weights, norm), rel=1e-12
+                )
+                moved = permute(a, res.permutation).weights
+                assert res.value == operator_norm(moved - b.weights, norm)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_sweep_raises_numerical_error(self):
+        # every candidate's cut sums overflow; the sweep used to end in
+        # Permutation(None), a TypeError
+        a = np.zeros((4, 4))
+        a[:2, 1] = 1e308
+        a[2:, 1] = -1e308
+        with pytest.raises(NumericalError, match="overflows"):
+            min_permuted_distance(Graph(a), Graph(np.zeros((4, 4))), "cut")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_candidate_raises_numerical_error(self):
+        # the row sums overflow to +inf and -inf, so every candidate's cut
+        # total meets inf - inf
+        a = np.zeros((4, 4))
+        a[0, :2] = 1e308
+        a[1, :2] = -1e308
+        with pytest.raises(NumericalError, match="NaN"):
+            min_permuted_distance(Graph(a), Graph(np.zeros((4, 4))), "cut")
+
     def test_greedy_upper_bounds_exact(self):
         rng = np.random.default_rng(7)
         for _ in range(5):

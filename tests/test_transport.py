@@ -11,6 +11,8 @@ from fpcentral import (
     wasserstein,
 )
 
+from fpcentral.limits import MAX_LP_ORACLE_N
+
 from oracles import permutation_cost_brute, random_pmf, w1_grid_brute
 
 CONVENTIONS = ("grid_embedding", "discrete_metric", "permutation_cost")
@@ -173,6 +175,22 @@ class TestLpOracle:
             np.array([[0.0, 1.0], [1.0, 0.0]]),
         )
         assert fun == pytest.approx(1.0, abs=1e-12)
+
+    def test_at_the_size_limit(self):
+        n = MAX_LP_ORACLE_N
+        rng = np.random.default_rng(38)
+        src, dst = random_pmf(rng, n), random_pmf(rng, n)
+        idx = np.arange(n)
+        ground = np.abs(idx[:, None] - idx[None, :]) / n
+        for p in (1, 2):
+            value, _ = wasserstein(src, dst, p, "grid_embedding")
+            fun, plan = transport_lp_oracle(src, dst, ground ** p)
+            assert value == pytest.approx(fun ** (1.0 / p), abs=1e-9)
+            assert np.allclose(plan.gamma.sum(axis=1), src, atol=1e-9)
+            assert np.allclose(plan.gamma.sum(axis=0), dst, atol=1e-9)
+        value, _ = wasserstein(src, dst, 1, "discrete_metric")
+        fun, _ = transport_lp_oracle(src, dst, 1.0 - np.eye(n))
+        assert value == pytest.approx(fun, abs=1e-9)
 
     def test_size_cap(self):
         v = np.full(17, 1.0 / 17.0)
