@@ -13,6 +13,7 @@ makes sense.
 """
 
 import json
+import math
 
 from pathlib import Path
 
@@ -94,7 +95,7 @@ def parse_graph_json(text):
         raise InputFormatError("graph JSON requires a 'weights' key")
     try:
         graph = Graph(np.array(obj["weights"], dtype=float))
-    except (ParameterError, ValueError) as exc:
+    except (ParameterError, ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"bad 'weights' value: {exc}") from exc
     declared = obj.get("n")
     if declared is not None and declared != graph.n:
@@ -106,13 +107,19 @@ def parse_graph_json(text):
 
 def parse_graphon_json(text):
     """Build a StepGraphon from `{"k": int, "c": real, "values": [[...]]}`
-    text; c is optional and defaults to the largest absolute value."""
+    text; c is optional (null or a finite real number) and defaults to the
+    largest absolute value."""
     obj = _load_json(text)
     if "values" not in obj:
         raise InputFormatError("graphon JSON requires a 'values' key")
+    c = obj.get("c")
+    if c is not None and not _is_finite_real(c):
+        raise InputFormatError(
+            "bad 'c' value: expected null or a finite real number"
+        )
     try:
-        graphon = StepGraphon(np.array(obj["values"], dtype=float), c=obj.get("c"))
-    except (ParameterError, ValueError) as exc:
+        graphon = StepGraphon(np.array(obj["values"], dtype=float), c=c)
+    except (ParameterError, ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"bad 'values' value: {exc}") from exc
     declared = obj.get("k")
     if declared is not None and declared != graphon.k:
@@ -120,6 +127,16 @@ def parse_graphon_json(text):
             f"declared k={declared} does not match the {graphon.k}x{graphon.k} values"
         )
     return graphon
+
+
+def _is_finite_real(value):
+    """True for a JSON number that is a finite float64."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float64
+        return False
 
 
 def _load_json(text):

@@ -21,16 +21,37 @@ cheaper than a dense SVD on the large graphs it serves.  The exact
 permutation sweep instead takes the 2-norms of its whole stack of small
 candidate differences from one stacked LAPACK SVD
 (``numpy.linalg.norm(d, 2, axis=(1, 2))``), exact to rounding.
+
+The exact permutation sweep skips candidates that provably cannot beat the
+best value found so far, with two kinds of lower bound:
+
+- a floor that holds for every relabeling: the largest gap between the
+  sorted absolute column sums (1-norm) or row sums (inf-norm) of A and B,
+  ``|sum(A - B)|`` (cut norm), and ``max_i |lambda_i(A) - lambda_i(B)|``
+  over sorted eigenvalues when both matrices are symmetric (2-norm, by
+  Weyl's inequality; 0 otherwise).  The sweep stops once its best value
+  reaches the floor.
+- a prefix bound: in lexicographic order the candidates form blocks of 24
+  that share their first n - 4 images, and the difference restricted to
+  those assigned rows and columns is a principal submatrix of every
+  candidate difference of the block.  None of the four norms grows when
+  rows and columns are dropped, so the block is skipped when that bound
+  exceeds the best value by more than a 1e-12 relative margin.
+
+Both only drop candidates that compare worse under the sweep's strict
+``<``, so the value and the first minimizer stay those of the full sweep.
+With integer weights and the 1-, inf- or cut norm this holds bit for bit;
+otherwise the floors are rounded, and a sweep that stops at one can keep a
+candidate that ties the minimum to within rounding of the weights.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError, SizeLimitError
-from .graphs import Permutation, degree_vector, permute
+from .graphs import Permutation, degree_vector, max_asymmetry, permute
 from .limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N, exact_limit
 
 POWER_TOL = 1e-10
@@ -40,6 +61,11 @@ _START_SEED = 0x5EED
 _CUT_BLOCK = 1 << 15
 # candidate permutations evaluated per vectorized step of the exact sweep
 _PERM_CHUNK = 500
+# the exact sweep bounds blocks of 4! = 24 candidates that share their first
+# n - 4 images; a bound must exceed the best value by this relative margin,
+# far above the rounding of an n <= 8 distance, before its block is skipped
+_FREE_TAIL = 4
+_PRUNE_MARGIN = 1e-12
 
 
 def _canon_p(p):
@@ -286,13 +312,18 @@ def cut_norm_heuristic(m, restarts=16, seed=0):
 
 @dataclass(frozen=True)
 class PermutedDistanceResult:
-    """Distance between two graphs minimized over node relabelings."""
+    """Distance between two graphs minimized over node relabelings.
+
+    ``evaluated`` counts the candidate relabelings whose full distance was
+    computed: 1 in greedy mode, at most n! in exact mode.
+    """
 
     value: float
     permutation: Permutation
     certified: bool
     mode: str
     norm: str
+    evaluated: int
 
 
 def _canon_matrix_norm(norm):
@@ -319,11 +350,9 @@ def _batched_cut(mats):
     return vals.max(axis=0) / 2
 
 
-def _chunk_values(a_w, b_w, perm_block, norm):
-    """``norm(A^pi - B)`` for every permutation pi in ``perm_block``; the
-    2-norm is the largest singular value from a stacked LAPACK SVD."""
-    inv = np.argsort(perm_block, axis=1)
-    d = a_w[inv[:, :, None], inv[:, None, :]] - b_w
+def _stack_norms(d, norm):
+    """``norm`` of every matrix of the stack ``d``; the 2-norm is the
+    largest singular value from a stacked LAPACK SVD."""
     if norm == "1":
         return np.abs(d).sum(axis=1).max(axis=1)
     if norm == "inf":
@@ -331,6 +360,61 @@ def _chunk_values(a_w, b_w, perm_block, norm):
     if norm == "2":
         return np.linalg.norm(d, 2, axis=(1, 2))
     return _batched_cut(d)
+
+
+def _chunk_values(a_w, b_w, perm_block, norm):
+    """``norm(A^pi - B)`` for every permutation pi in ``perm_block``."""
+    inv = np.argsort(perm_block, axis=1)
+    return _stack_norms(a_w[inv[:, :, None], inv[:, None, :]] - b_w, norm)
+
+
+def _lex_permutations(n):
+    """All n! permutations of ``range(n)`` as rows, in lexicographic order
+    (the order of ``itertools.permutations``)."""
+    perms = np.zeros((1, 0), dtype=int)
+    for k in range(1, n + 1):
+        # first symbol i, then the (k-1)-permutations relabeled onto the
+        # other k - 1 symbols in increasing order, which keeps the order
+        m = perms.shape[0]
+        out = np.empty((k * m, k), dtype=int)
+        for i in range(k):
+            out[i * m : (i + 1) * m, 0] = i
+            out[i * m : (i + 1) * m, 1:] = np.delete(np.arange(k), i)[perms]
+        perms = out
+    return perms
+
+
+def _relabeling_floor(a_w, b_w, norm):
+    """A lower bound on ``norm(A^pi - B)`` that holds for every pi; 0 when
+    the bound is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if norm == "cut":
+            floor = abs(a_w.sum() - b_w.sum())
+        elif norm == "2":
+            if max_asymmetry(a_w) or max_asymmetry(b_w):
+                return 0.0
+            floor = np.abs(np.linalg.eigvalsh(a_w) - np.linalg.eigvalsh(b_w)).max()
+        else:
+            axis = 0 if norm == "1" else 1
+            floor = np.abs(
+                np.sort(np.abs(a_w).sum(axis=axis)) - np.sort(np.abs(b_w).sum(axis=axis))
+            ).max()
+    floor = float(floor)
+    return floor if math.isfinite(floor) else 0.0
+
+
+def _prefix_bounds(a_w, b_w, prefixes, norm):
+    """For each assigned prefix pi(0..d-1), ``norm`` of the principal
+    submatrix ``A[:d, :d] - B[prefix][:, prefix]``, a lower bound on the
+    distance of every candidate that extends it; 0 when not finite."""
+    d = prefixes.shape[1]
+    if d == 0:
+        return np.zeros(prefixes.shape[0])
+    sub = a_w[:d, :d] - b_w[prefixes[:, :, None], prefixes[:, None, :]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = _stack_norms(sub, norm)
+    bounds[~np.isfinite(bounds)] = 0.0
+    return bounds
 
 
 def min_permuted_distance(a, b, norm, mode="exact", jobs=1):
@@ -343,10 +427,18 @@ def min_permuted_distance(a, b, norm, mode="exact", jobs=1):
     norm : {1, 2, "inf", "cut"}
         Matrix norm used for the distance.
     mode : {"exact", "greedy"}
-        "exact" enumerates all n! permutations (n <= 8) and returns the
-        true minimum together with its lexicographically first minimizer.
-        The sweep takes the 2-norm of every candidate from a stacked
-        LAPACK SVD and reports the minimum it found.
+        "exact" searches all n! permutations (n <= 8) in lexicographic order
+        and returns the true minimum together with its lexicographically
+        first minimizer.  It takes the 2-norm of every candidate it
+        evaluates from a stacked LAPACK SVD.  It evaluates the identity
+        first and stops once the best value reaches a floor that no
+        relabeling can beat (see the module docstring).  It skips each
+        block of 24 candidates sharing their first n - 4 images whose
+        assigned principal submatrix already has a larger norm than the
+        best value, beyond a 1e-12 relative margin.  A skipped candidate
+        cannot win the strict ``<`` comparison of a full sweep, so the limit
+        and the first-minimizer rule are those of the full sweep (up to
+        rounding ties at a floor on inputs that are not integer-valued).
         "greedy" pairs nodes by sorted degree sequence (ties by node index)
         and reports that single permutation's distance, an upper bound on
         the infimum; such results carry certified=False.
@@ -360,8 +452,8 @@ def min_permuted_distance(a, b, norm, mode="exact", jobs=1):
     -------
     PermutedDistanceResult
 
-    The exact sweep raises NumericalError when a candidate's distance is
-    NaN or every candidate's distance overflows to inf.
+    The exact sweep raises NumericalError when a candidate it evaluates has
+    a NaN distance or every candidate's distance overflows to inf.
     """
     norm = _canon_matrix_norm(norm)
     if a.n != b.n:
@@ -379,28 +471,51 @@ def min_permuted_distance(a, b, norm, mode="exact", jobs=1):
         p = Permutation(mapping)
         value = _matrix_distance(permute(a, p).weights - b.weights, norm)
         return PermutedDistanceResult(
-            value=value, permutation=p, certified=False, mode=mode, norm=norm
+            value=value, permutation=p, certified=False, mode=mode, norm=norm,
+            evaluated=1,
         )
     limit = exact_limit(MAX_PERM_EXACT_N)
     if n > limit:
         raise SizeLimitError(
             f"exact permutation search is limited to n <= {limit}, got n={n}"
         )
-    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
-    best_val = math.inf
-    best_perm = None
-    for s in range(0, perms.shape[0], _PERM_CHUNK):
-        block = perms[s : s + _PERM_CHUNK]
-        vals = _chunk_values(a.weights, b.weights, block, norm)
+    a_w, b_w = a.weights, b.weights
+    perms = _lex_permutations(n)
+    best_val, best_perm, evaluated = math.inf, None, 0
+
+    def sweep(block):
+        nonlocal best_val, best_perm, evaluated
+        vals = _chunk_values(a_w, b_w, block, norm)
+        evaluated += block.shape[0]
         k = int(np.argmin(vals))  # the first NaN, if there is one
         if math.isnan(vals[k]):
             raise NumericalError(f"a {norm}-norm distance of the sweep is NaN")
         if vals[k] < best_val:
             best_val = float(vals[k])
             best_perm = block[k]
-    if best_perm is None:
+
+    floor = _relabeling_floor(a_w, b_w, norm)
+    sweep(perms[:1])  # the identity
+    # perms is a run of blocks of `size` candidates sharing their first d images
+    d = max(n - _FREE_TAIL, 0)
+    size = math.factorial(n - d)
+    blocks = perms.shape[0] // size
+    if best_val > floor:
+        bounds = _prefix_bounds(a_w, b_w, perms[::size, :d], norm)
+    start = 0
+    while best_val > floor and start < blocks:
+        live = np.flatnonzero(bounds[start:] <= best_val * (1.0 + _PRUNE_MARGIN))
+        if live.size == 0:
+            break
+        live = live[: max(1, _PERM_CHUNK // size)] + start
+        idx = (live[:, None] * size + np.arange(size)).ravel()
+        idx = idx[idx > 0]  # the identity is done
+        if idx.size:
+            sweep(perms[idx])
+        start = int(live[-1]) + 1
+    if math.isinf(best_val):
         raise NumericalError(f"every {norm}-norm distance of the sweep overflows")
     return PermutedDistanceResult(
         value=best_val, permutation=Permutation(best_perm), certified=True,
-        mode=mode, norm=norm,
+        mode=mode, norm=norm, evaluated=evaluated,
     )

@@ -101,6 +101,43 @@ def min_permuted_distance_brute(a, b, norm):
     return best
 
 
+def min_permuted_distance_lex_reference(a, b, norm):
+    """The unpruned exact relabeling sweep: all n! relabelings in
+    lexicographic order, 500 at a time, keeping the first strict minimum.
+
+    Returns ``(value, permutation)``.  The permutation maps node i of ``a``
+    to node ``permutation[i]``, so its candidate difference is
+    ``a[inv][:, inv] - b`` with ``inv`` the inverse permutation.  ``norm``
+    is 1, 2, ``np.inf`` or ``"cut"``; the cut norm takes, for every row
+    subset, the larger of the positive and the negative column mass.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = a.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
+    bits = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(float)
+    best_val, best_perm = np.inf, None
+    for start in range(0, perms.shape[0], 500):
+        block = perms[start : start + 500]
+        inv = np.argsort(block, axis=1)
+        d = a[inv[:, :, None], inv[:, None, :]] - b
+        if norm == 1:
+            vals = np.abs(d).sum(axis=1).max(axis=1)
+        elif norm == np.inf:
+            vals = np.abs(d).sum(axis=2).max(axis=1)
+        elif norm == "cut":
+            col = bits @ d
+            vp = np.maximum(col, 0.0).sum(axis=2)
+            vm = -np.minimum(col, 0.0).sum(axis=2)
+            vals = np.maximum(vp, vm).max(axis=1)
+        else:
+            vals = np.linalg.norm(d, 2, axis=(1, 2))
+        k = int(np.argmin(vals))
+        if vals[k] < best_val:
+            best_val, best_perm = float(vals[k]), block[k]
+    return best_val, tuple(best_perm.tolist())
+
+
 def automorphisms_brute(weights):
     """All relabelings p with w[p(i), p(j)] == w[i, j], by direct check."""
     w = np.asarray(weights, dtype=float)

@@ -298,6 +298,52 @@ class TestGraphonCommands:
         assert "blocks" in err
 
 
+# a JSON integer beyond float64: numpy used to raise OverflowError
+HUGE_INT = "1" + "0" * 400
+
+
+class TestMalformedJsonNumbers:
+    def run_graphon(self, capsys, tmp_path, text):
+        path = tmp_path / "w.json"
+        path.write_text(text)
+        return run(
+            capsys, "graphon", "centrality", str(path),
+            "--family", "pagerank", "--alpha", "0.85",
+        )
+
+    def test_huge_integer_weight_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"weights": [[%s]]}' % HUGE_INT)
+        code, _, err = run(capsys, "norms", str(path), "--norm", "1")
+        assert code == 4
+        assert "bad 'weights' value" in err
+
+    def test_huge_integer_graphon_value_exits_4(self, capsys, tmp_path):
+        code, _, err = self.run_graphon(capsys, tmp_path, '{"values": [[%s]]}' % HUGE_INT)
+        assert code == 4
+        assert "bad 'values' value" in err
+
+    @pytest.mark.parametrize(
+        "c", ['"x"', "[1]", "true", "1e999", HUGE_INT],
+        ids=["string", "list", "boolean", "infinite", "huge-integer"],
+    )
+    def test_graphon_bound_must_be_a_finite_real(self, capsys, tmp_path, c):
+        # a string or a list used to raise TypeError, and 1e999 was taken as
+        # c = inf
+        code, _, err = self.run_graphon(
+            capsys, tmp_path, '{"values": [[0.5]], "c": %s}' % c
+        )
+        assert code == 4
+        assert "bad 'c' value" in err
+
+    def test_null_and_integer_bounds_are_accepted(self, capsys, tmp_path):
+        for c in ("null", "1", "0.5"):
+            code, _, _ = self.run_graphon(
+                capsys, tmp_path, '{"values": [[0.5]], "c": %s}' % c
+            )
+            assert code == 0
+
+
 class TestNorms:
     def test_identity_operator_norm(self, capsys, tmp_path):
         path = tmp_path / "eye.json"

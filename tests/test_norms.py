@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,13 +20,16 @@ from fpcentral import (
     permute,
     vector_norm,
 )
+from fpcentral import norms
 from fpcentral.limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N
 from fpcentral.norms import _batched_cut
 
 from oracles import (
     cut_norm_brute,
     cut_norm_rows_reference,
+    matrix_norm_brute,
     min_permuted_distance_brute,
+    min_permuted_distance_lex_reference,
     random_binary_symmetric,
 )
 
@@ -409,3 +413,139 @@ class TestMinPermutedDistance:
     def test_size_mismatch(self):
         with pytest.raises(ParameterError):
             min_permuted_distance(Graph(np.zeros((2, 2))), Graph(np.zeros((3, 3))), 2)
+
+
+SWEEP_NORMS = (1, 2, np.inf, "cut")
+
+
+@st.composite
+def sweep_inputs(draw):
+    """Two n x n matrices, n <= 7: integer or real, symmetric or not, either
+    unrelated or the second a relabeled copy of the first with a few entries
+    redrawn."""
+    n = draw(st.integers(1, 7))
+    integer = draw(st.booleans())
+    symmetric = draw(st.booleans())
+    if integer:
+        entry = st.integers(-2, 2).map(float)
+    else:
+        entry = st.floats(-1.0, 1.0, allow_subnormal=False)
+    a = draw(arrays(np.float64, (n, n), elements=entry))
+    if draw(st.booleans()):
+        p = np.array(draw(st.permutations(range(n))))
+        b = a[np.ix_(p, p)].copy()
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            b[i, j] = draw(entry)
+    else:
+        b = draw(arrays(np.float64, (n, n), elements=entry))
+    if symmetric:
+        a, b = np.triu(a) + np.triu(a, 1).T, np.triu(b) + np.triu(b, 1).T
+    return a, b, integer, draw(st.sampled_from(SWEEP_NORMS))
+
+
+class TestPrunedSweep:
+    """The exact sweep stops at floors and skips blocks by prefix bounds; it
+    must keep the value and the first minimizer of the unpruned sweep."""
+
+    def check_against_reference(self, a, b, norm, exact):
+        res = min_permuted_distance(Graph(a), Graph(b), norm)
+        value, perm = min_permuted_distance_lex_reference(a, b, norm)
+        got = tuple(res.permutation.mapping.tolist())
+        if exact:
+            assert (res.value, got) == (value, perm)
+        else:
+            assert abs(res.value - value) <= 1e-12 * value
+            moved = permute(Graph(a), res.permutation).weights
+            attained = matrix_norm_brute(moved - b, norm)
+            assert abs(attained - res.value) <= 1e-12 * res.value
+        assert 1 <= res.evaluated <= math.factorial(a.shape[0])
+        return res
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(sweep_inputs())
+    def test_property_against_the_unpruned_sweep(self, case):
+        a, b, integer, norm = case
+        # sums of small integers are exact, so only the 2-norm rounds
+        self.check_against_reference(a, b, norm, exact=integer and norm != 2)
+
+    def test_unrelated_pairs_at_the_limit(self):
+        rng = np.random.default_rng(16)
+        n = MAX_PERM_EXACT_N
+        for norm, kind in zip(SWEEP_NORMS, ("0/1", "0/1", "+-1", "+-1")):
+            if kind == "0/1":
+                a, b = random_binary_symmetric(rng, n), random_binary_symmetric(rng, n)
+            else:
+                a, b = rng.choice([-1.0, 1.0], size=(2, n, n))
+            self.check_against_reference(a, b, norm, exact=norm != 2)
+
+    def test_evaluated_counts_on_the_limit_pair(self):
+        a, b = Graph(SWEEP_LIMIT_PAIR[0]), Graph(SWEEP_LIMIT_PAIR[1])
+        # the identity reaches the 1-, inf- and cut-norm floors; the 2-norm
+        # floor (Weyl) is 0.61 against a minimum of 1, so prefix bounds prune
+        counts = {1: 1, 2: 6240, np.inf: 1, "cut": 1}
+        for norm, count in counts.items():
+            res = min_permuted_distance(a, b, norm)
+            assert res.evaluated == count
+            assert np.array_equal(res.permutation.mapping, np.arange(8))
+        assert min_permuted_distance(a, b, 2, mode="greedy").evaluated == 1
+
+    def test_near_relabeled_pair_evaluates_few_candidates(self):
+        rng = np.random.default_rng(0)
+        w = random_binary_symmetric(rng, 8)
+        v = w.copy()
+        for i, j in ((0, 1), (2, 5)):
+            v[i, j] = v[j, i] = 1.0 - v[i, j]
+        p = rng.permutation(8)
+        v = v[np.ix_(p, p)]
+        # 1-, inf- and cut-norm distances are exact here, so their counts
+        # are too; the cut sweep stops at its floor after the first chunk
+        counts = {1: 10560, np.inf: 10560, "cut": 480}
+        for norm in SWEEP_NORMS:
+            res = self.check_against_reference(w, v, norm, exact=norm != 2)
+            assert res.evaluated < math.factorial(8) // 3
+            assert res.evaluated == counts.get(norm, res.evaluated)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_floor_and_bounds_never_prune(self):
+        # column 1 of a sums to inf, so the 1-norm floor and the bound of
+        # every prefix but (3, 4) overflow; the minimum, 1e308, is finite
+        # and not at the identity
+        a = np.zeros((6, 6))
+        a[[0, 1], 1] = 1e308
+        b = np.zeros((6, 6))
+        b[3, 4] = 1e308
+        assert norms._relabeling_floor(a, b, "1") == 0.0
+        prefixes = np.array(list(itertools.permutations(range(6), 2)))
+        bounds = norms._prefix_bounds(a, b, prefixes, "1")
+        assert bounds.tolist() == [
+            1e308 if tuple(p) == (3, 4) else 0.0 for p in prefixes
+        ]
+        res = self.check_against_reference(a, b, 1, exact=True)
+        assert res.value == 1e308
+
+    def test_two_norm_floor_needs_symmetry(self):
+        # eigvalsh reads one triangle only: it would see 0 and the
+        # symmetric 2-cycle, a floor of 1, though the swap gives distance 0
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        res = min_permuted_distance(Graph(a), Graph(a.T), 2)
+        assert (res.value, res.permutation.mapping.tolist()) == (0.0, [1, 0])
+
+    def test_candidates_in_lexicographic_order(self):
+        for n in range(1, MAX_PERM_EXACT_N + 1):
+            assert norms._lex_permutations(n).tolist() == [
+                list(p) for p in itertools.permutations(range(n))
+            ]
+
+    def test_lowered_limit_refuses_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setenv("FPC_MAX_EXACT_N", "7")
+        monkeypatch.setattr(norms, "_lex_permutations", refuse)
+        monkeypatch.setattr(norms, "_chunk_values", refuse)
+        monkeypatch.setattr(norms, "_relabeling_floor", refuse)
+        g = Graph(np.zeros((8, 8)))
+        for norm in SWEEP_NORMS:
+            with pytest.raises(SizeLimitError, match="n <= 7"):
+                min_permuted_distance(g, g, norm)
