@@ -12,6 +12,11 @@ permutation-equivariant pair (f, g).  The canonical families are
 
 For all canonical families g is the identity.  Native norms: 1-norm for
 pagerank, 2-norm otherwise.
+
+Katz and PageRank are iterated (``solve``) or solved directly (the closed
+forms).  The eigen family takes the spectrum of A.T from LAPACK without
+eigenvectors, which the simplicity checks need, and then the one selected
+eigenvector by inverse iteration.
 """
 
 import math
@@ -34,6 +39,15 @@ PHI_CHOICES = ("identity", "exp", "exp_neg", "abs")
 GAP_TOL = 1e-8
 NEGATIVE_RHO_TOL = 1e-12
 SOLVE_RESIDUAL_TOL = 1e-10
+# Inverse iteration stops once ||A.T v - lam v||_2 <= this factor times
+# sqrt(n) eps ||A.T||_inf for a unit v.  The rounding floor of that residual
+# (the eigenvalue's own error plus one matrix-vector product) grows about
+# like sqrt(n): measured 0.1 to 0.4 times sqrt(n) at n = 1000 to 4000.
+INVERSE_RESIDUAL_FACTOR = 4.0
+# A singular or non-finite shifted solve moves the shift by this many
+# eps ||A.T||_inf; at most this many solves are made.
+INVERSE_SHIFT_ULPS = 2.0
+INVERSE_MAX_SOLVES = 8
 
 
 @dataclass
@@ -291,8 +305,8 @@ class EigenResult:
     entrywise non-negative within 1e-12, and None otherwise; callers with a
     mixed-sign eigenvector pick a Normalizer themselves.  ``gap`` is the
     distance from the selected eigenvalue to the rest of the spectrum.
-    ``iterations`` is always 0: the pair comes from a direct LAPACK
-    eigendecomposition, not from an iteration.
+    ``iterations`` is the number of inverse-iteration solves that produced
+    the vector, normally 1.
     """
 
     vector: np.ndarray
@@ -303,12 +317,59 @@ class EigenResult:
     residual: float
 
 
+def _inverse_iteration(m, lam):
+    """An eigenvector of ``m`` for its simple real eigenvalue ``lam``.
+
+    Each step solves (m - sigma I) y = v with sigma = lam, from the fixed
+    start v = 1 + arange(n)/n (an all-ones start is orthogonal to many
+    eigenvectors of regular graphs), and continues from y scaled to max-abs
+    one.  It stops once the unit vector's residual ||m u - lam u||_2 is at
+    most INVERSE_RESIDUAL_FACTOR sqrt(n) eps ||m||_inf.  When sigma is an
+    exact eigenvalue the solve is singular or non-finite; sigma then moves
+    up by INVERSE_SHIFT_ULPS eps ||m||_inf and the step is repeated.
+
+    Returns ``(v, solves)``: v scaled to max-abs one, and the number of
+    solves made, failed ones included.  Raises NumericalError after
+    INVERSE_MAX_SOLVES solves.
+    """
+    n = m.shape[0]
+    with np.errstate(over="ignore"):  # an infinite norm accepts any finite solve
+        ulp = np.finfo(float).eps * float(np.max(np.sum(np.abs(m), axis=1)))
+    tol = INVERSE_RESIDUAL_FACTOR * math.sqrt(n)
+    diagonal = np.arange(n)
+    v = 1.0 + diagonal / n
+    sigma = lam
+    residual = math.inf
+    for solves in range(1, INVERSE_MAX_SOLVES + 1):
+        shifted = m.copy(order="K")
+        shifted[diagonal, diagonal] -= sigma
+        try:
+            y = np.linalg.solve(shifted, v)
+        except np.linalg.LinAlgError:
+            y = None
+        if y is None or not np.all(np.isfinite(y)):
+            sigma += INVERSE_SHIFT_ULPS * ulp
+            continue
+        v = y / np.max(np.abs(y))
+        u = v / math.sqrt(float(v @ v))
+        # in units of ulp, so that squaring cannot overflow for huge weights
+        residual = float(np.linalg.norm((m @ u - lam * u) / ulp))
+        if residual <= tol:
+            return v, solves
+    raise NumericalError(
+        f"inverse iteration for eigenvalue {lam:.6g} did not converge in "
+        f"{INVERSE_MAX_SOLVES} solves (residual {residual:.3g} eps ||A.T||_inf)"
+    )
+
+
 def eigencentrality(g, which="largest"):
     """Eigenvector centrality with an explicit simplicity check.
 
-    The whole spectrum of A.T comes from one LAPACK eigendecomposition:
-    ``numpy.linalg.eigh`` for a symmetric graph, ``numpy.linalg.eig``
-    otherwise.  Eigenvalues are ranked by descending real part.
+    The whole spectrum of A.T comes from LAPACK without eigenvectors:
+    ``numpy.linalg.eigvalsh`` for a symmetric graph,
+    ``numpy.linalg.eigvals`` otherwise.  Eigenvalues are ranked by
+    descending real part.  Once the selected eigenvalue passes every check,
+    its eigenvector comes from inverse iteration on A.T - lambda I.
 
     Parameters
     ----------
@@ -324,7 +385,8 @@ def eigencentrality(g, which="largest"):
     EigenResult
         ``value`` is the selected eigenvalue, ``gap`` its distance to the
         rest of the spectrum, ``residual`` the fixed-point residual
-        ||(1/lambda) A.T v - v||_2, and ``iterations`` 0.
+        ||(1/lambda) A.T v - v||_2, and ``iterations`` the number of
+        inverse-iteration solves.
 
     Raises
     ------
@@ -334,6 +396,8 @@ def eigencentrality(g, which="largest"):
     ParameterError
         Zero selected eigenvalue, invalid ``which``, or a non-symmetric
         graph on the index route.
+    NumericalError
+        If inverse iteration does not reach its residual bound.
     """
     w = g.weights
     n = g.n
@@ -354,9 +418,9 @@ def eigencentrality(g, which="largest"):
     else:
         raise ParameterError(f"which must be 'largest' or an integer index, got {which!r}")
     if g.symmetric:
-        evals, evecs = np.linalg.eigh(w)
+        evals = np.linalg.eigvalsh(w)
     else:
-        evals, evecs = np.linalg.eig(w.T)
+        evals = np.linalg.eigvals(w.T)
     order = np.argsort(-evals.real, kind="stable")
     lam_c = evals[order[k]]
     others = np.delete(evals, order[k])
@@ -372,14 +436,14 @@ def eigencentrality(g, which="largest"):
     lam = float(lam_c.real)
     if abs(lam) < 1e-12:
         raise ParameterError(f"{role} eigenvalue is zero; the centrality equation is undefined")
-    v = evecs[:, order[k]].real
+    v, solves = _inverse_iteration(w.T, lam)
     v = v / vector_norm(v, 2)
     if float(v.sum()) < 0.0:
         v = -v
     rho = np.abs(v) if float(np.min(v)) >= -NEGATIVE_RHO_TOL else None
     residual = vector_norm(w.T @ v - lam * v, 2) / abs(lam)
     return EigenResult(
-        vector=v, value=lam, gap=gap, rho=rho, iterations=0, residual=float(residual),
+        vector=v, value=lam, gap=gap, rho=rho, iterations=solves, residual=float(residual),
     )
 
 

@@ -13,6 +13,7 @@ the same weight matrix; under that lift spectra scale by 1/n, cut norms by
 """
 
 import math
+import numbers
 
 from dataclasses import dataclass
 
@@ -47,7 +48,9 @@ class StepGraphon:
 
     ``values[i][j]`` is the kernel value on block (i, j); ``c`` bounds the
     absolute values (c = 1 with values in [0, 1] is the classical graphon
-    space, arbitrary c covers signed kernels such as differences).
+    space, arbitrary c covers signed kernels such as differences).  ``c``
+    must be None (the largest absolute value) or a finite real number that
+    is not a bool.
     """
 
     def __init__(self, values, c=None):
@@ -63,6 +66,10 @@ class StepGraphon:
         peak = float(np.max(np.abs(values), initial=0.0))
         if c is None:
             c = peak
+        elif not _is_finite_real(c):
+            raise ParameterError(
+                f"graphon bound c must be None or a finite real number, got {c!r:.40}"
+            )
         elif peak > c + VALUE_MATCH_TOL:
             raise ParameterError(f"graphon values exceed the declared bound c={c}")
         self.values = values
@@ -71,6 +78,16 @@ class StepGraphon:
 
     def __repr__(self):
         return f"StepGraphon(k={self.k}, c={self.c})"
+
+
+def _is_finite_real(value):
+    """True for a real number, not a bool, that is a finite float64."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float64
+        return False
 
 
 def lift(g, c=None):

@@ -13,14 +13,13 @@ makes sense.
 """
 
 import json
-import math
 
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputFormatError, ParameterError
-from .graphon import StepGraphon
+from .graphon import StepGraphon, _is_finite_real
 from .graphs import Graph
 from .limits import MAX_DENSE_N
 
@@ -127,16 +126,6 @@ def parse_graphon_json(text):
             f"declared k={declared} does not match the {graphon.k}x{graphon.k} values"
         )
     return graphon
-
-
-def _is_finite_real(value):
-    """True for a JSON number that is a finite float64."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond float64
-        return False
 
 
 def _load_json(text):

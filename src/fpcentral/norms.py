@@ -57,6 +57,7 @@ from .limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N, exact_limit
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10_000
 _START_SEED = 0x5EED
+_TINY = np.finfo(float).tiny
 # elements of one block of row-subset values in cut_norm_exact (256 KiB)
 _CUT_BLOCK = 1 << 15
 # candidate permutations evaluated per vectorized step of the exact sweep
@@ -79,13 +80,26 @@ def _canon_p(p):
 
 
 def vector_norm(v, p):
-    """The p-norm of a vector for p in {1, 2, inf}."""
+    """The p-norm of a vector for p in {1, 2, inf}.
+
+    The 2-norm is sqrt(sum(v * v)).  Only when that sum overflows, or falls
+    below the normal range for a nonzero v, is it taken again over
+    v / max|v|, so that entries beyond about 1e154 or below about 1e-154
+    keep a finite norm with full precision.
+    """
     p = _canon_p(p)
     v = np.asarray(v, dtype=float)
     if p == 1:
         return float(np.sum(np.abs(v)))
     if p == 2:
-        return float(np.sqrt(np.sum(v * v)))
+        with np.errstate(over="ignore"):
+            total = float(np.sum(v * v))
+        if math.isfinite(total) and (total >= _TINY or not v.any()):
+            return math.sqrt(total)
+        peak = float(np.max(np.abs(v)))
+        if not math.isfinite(peak):  # an inf or NaN entry
+            return math.sqrt(total)
+        return peak * math.sqrt(float(np.sum((v / peak) ** 2)))
     return float(np.max(np.abs(v), initial=0.0))
 
 

@@ -172,6 +172,55 @@ def w1_grid_brute(src, dst):
     return float(np.abs(np.cumsum(src - dst)).sum() / src.shape[0])
 
 
+def eigencentrality_lapack_reference(g, which="largest"):
+    """Eigenvector centrality from one full LAPACK eigendecomposition with
+    eigenvectors: ``eigh`` for a symmetric graph, ``eig`` of A.T otherwise.
+
+    Makes the same decisions as ``fpcentral.eigencentrality`` (ranking by
+    descending real part, the complex, 1e-8 gap and zero-eigenvalue
+    checks, orientation to a non-negative sum) and raises ``ValueError``
+    with the package's message where the package refuses.  Returns
+    ``(vector, value, gap, rho)``.
+    """
+    w = g.weights
+    n = g.n
+    if isinstance(which, (int, np.integer)) and not isinstance(which, bool):
+        if not g.symmetric:
+            raise ValueError("eigenvalue selection by index requires a symmetric graph")
+        if not 0 <= which < n:
+            raise ValueError(f"eigenvalue index must lie in [0, {n})")
+        k, role = int(which), "selected"
+    else:
+        if not w.any():
+            raise ValueError(
+                "the zero matrix has leading eigenvalue zero; eigencentrality is undefined"
+            )
+        k, role = 0, "leading"
+    if g.symmetric:
+        evals, evecs = np.linalg.eigh(w)
+    else:
+        evals, evecs = np.linalg.eig(w.T)
+    order = np.argsort(-evals.real, kind="stable")
+    lam_c = evals[order[k]]
+    others = np.delete(evals, order[k])
+    gap = float(np.min(np.abs(others - lam_c))) if others.size else np.inf
+    if abs(lam_c.imag) > 1e-8 * max(1.0, abs(lam_c)):
+        raise ValueError(
+            "the dominant eigenvalue is complex; no simple real leading eigenvalue"
+        )
+    if gap < 1e-8:
+        raise ValueError(f"{role} eigenvalue is not simple")
+    lam = float(lam_c.real)
+    if abs(lam) < 1e-12:
+        raise ValueError(f"{role} eigenvalue is zero; the centrality equation is undefined")
+    v = evecs[:, order[k]].real
+    v = v / np.linalg.norm(v)
+    if float(v.sum()) < 0.0:
+        v = -v
+    rho = np.abs(v) if float(np.min(v)) >= -1e-12 else None
+    return v, lam, gap, rho
+
+
 def random_pmf(rng, n):
     v = rng.random(n) + 1e-3
     return v / v.sum()

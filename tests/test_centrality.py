@@ -30,6 +30,8 @@ from fpcentral import (
     vector_norm,
 )
 from fpcentral.centrality import native_norm_index
+from fpcentral.graphon import StepGraphon, graphon_eigencentrality
+from oracles import eigencentrality_lapack_reference
 
 
 def _c2():
@@ -328,6 +330,159 @@ class TestEigencentrality:
     def test_residual_is_small(self):
         g = generate(GraphGeneratorSpec("cycle", 5))
         assert eigencentrality(g).residual <= 1e-8
+
+
+def _seeded_eigen_graph(index):
+    """Graph ``index`` of 200: symmetric or directed, 0/1, integer or real
+    weights, n = 1..60."""
+    rng = np.random.default_rng([2401, index])
+    n = int(rng.integers(1, 61))
+    w = rng.random((n, n)) < rng.uniform(0.1, 0.9)
+    kind = index % 3
+    if kind == 1:
+        w = w * rng.integers(1, 10, (n, n))
+    elif kind == 2:
+        w = w * rng.random((n, n))
+    w = np.asarray(w, dtype=float)
+    if index % 2 == 0:
+        w = np.triu(w) + np.triu(w, 1).T
+    return Graph(w)
+
+
+def _two_blocks_near_gap():
+    """Two 4-cliques of weights a and b whose Perron values differ by about
+    1e-6, coupled by c per cross pair, so the leading eigenvector spreads
+    over both.  Returns the graph and its exact leading eigenvector: the
+    block-constant vector of the leading eigenvector of [[3a, 4c], [4c, 3b]]."""
+    a, b, c = 1.0, 1.0 + 1e-6 / 3.0, 1e-7
+    j = np.ones((4, 4)) - np.eye(4)
+    w = np.zeros((8, 8))
+    w[:4, :4] = a * j
+    w[4:, 4:] = b * j
+    w[:4, 4:] = w[4:, :4] = c
+    theta = 0.5 * math.atan2(8.0 * c, 3.0 * (a - b))
+    exact = np.repeat([math.cos(theta), math.sin(theta)], 4) / 2.0
+    return Graph(w), exact
+
+
+class TestEigenAgainstLapack:
+    """Eigenvalues without vectors plus inverse iteration against the full
+    eig/eigh decomposition: the same decisions, values to 1e-12 relative,
+    unit vectors to 1e-10 in max-abs."""
+
+    @staticmethod
+    def _assert_matches(g, which="largest", up_to_sign=False, vector_tol=1e-10):
+        vec, value, gap, rho = eigencentrality_lapack_reference(g, which)
+        res = eigencentrality(g, which)
+        assert abs(res.value - value) <= 1e-12 * max(1.0, abs(value))
+        assert res.gap == pytest.approx(gap, rel=1e-9, abs=1e-12 * max(1.0, abs(value)))
+        diff = np.max(np.abs(res.vector - vec))
+        if up_to_sign:
+            diff = min(diff, np.max(np.abs(res.vector + vec)))
+        assert diff <= vector_tol
+        assert (res.rho is None) == (rho is None)
+        assert 1 <= res.iterations <= 2
+        return res
+
+    def test_seeded_graphs(self):
+        compared = 0
+        for index in range(200):
+            g = _seeded_eigen_graph(index)
+            try:
+                eigencentrality_lapack_reference(g)
+            except ValueError as exc:
+                with pytest.raises((ParameterError, SimplicityError)) as info:
+                    eigencentrality(g)
+                assert str(info.value).startswith(str(exc))
+                continue
+            self._assert_matches(g)
+            compared += 1
+        assert compared >= 150
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_complete_graphs(self, n):
+        res = self._assert_matches(generate(GraphGeneratorSpec("complete", n)))
+        assert res.value == pytest.approx(n - 1.0, rel=1e-14)
+        if n in (4, 5):
+            # eigvalsh returns the Perron values 3 and 4 exactly, so the
+            # first shifted solve is singular and the shift moves
+            assert res.iterations == 2
+
+    def test_c4(self):
+        self._assert_matches(generate(GraphGeneratorSpec("cycle", 4)))
+
+    def test_one_node_self_loop(self):
+        res = self._assert_matches(Graph(np.array([[2.5]])))
+        assert res.vector.tolist() == [1.0]
+        assert res.value == 2.5
+
+    def test_cube_smallest_eigenvalue(self):
+        # the eigenvector for -3 alternates in sign and sums to 0, so its
+        # orientation by the sum is arbitrary
+        w = np.array([[float(bin(i ^ j).count("1") == 1) for j in range(8)] for i in range(8)])
+        res = self._assert_matches(Graph(w), which=7, up_to_sign=True)
+        assert res.value == pytest.approx(-3.0, abs=1e-13)
+        assert abs(res.vector.sum()) <= 1e-14
+
+    def test_start_is_not_orthogonal_to_the_alternating_vector(self):
+        # the eigenvector of C_8 for -2 alternates in sign: it is orthogonal
+        # to an all-ones start, which would leave its direction to rounding
+        res = self._assert_matches(
+            generate(GraphGeneratorSpec("cycle", 8)), which=7, up_to_sign=True
+        )
+        assert res.iterations == 1
+
+    def test_non_finite_solve_moves_the_shift(self, monkeypatch):
+        solve_ = np.linalg.solve
+        calls = []
+
+        def first_overflows(a, b):
+            calls.append(a[0, 0])
+            return np.full_like(b, np.inf) if len(calls) == 1 else solve_(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", first_overflows)
+        res = self._assert_matches(generate(GraphGeneratorSpec("path", 3)))
+        assert res.iterations == 2
+        assert calls[1] < calls[0]
+
+    def test_gap_near_1e_minus_6(self):
+        # rounding the eigenvalue alone moves a vector by about
+        # eps ||A|| / gap = 5e-10 here: eigh is 2.9e-10 off the exact vector
+        # and inverse iteration 1.6e-10, so both are held to 1e-9
+        g, exact = _two_blocks_near_gap()
+        res = self._assert_matches(g, vector_tol=1e-9)
+        assert 1e-6 < res.gap < 2e-6
+        assert np.max(np.abs(res.vector - exact)) <= 1e-9
+        assert min(exact[:4].min(), exact[4:].min()) > 0.1
+
+    def test_weights_scaled_by_1e6(self):
+        for index in (0, 1, 2, 3):
+            g = _seeded_eigen_graph(index)
+            self._assert_matches(Graph(g.weights * 1e6))
+
+    def test_nearly_real_complex_pair_exhausts_the_solves(self):
+        # 2 +- 1e-8 i passes the complex check (imaginary part at most
+        # 1e-8 |lambda|) and the gap check (2e-8), but no real v has
+        # A.T v = 2 v; a full decomposition returned the real part (1, 0)
+        with pytest.raises(NumericalError, match="8 solves"):
+            eigencentrality(Graph(np.array([[2.0, 1e-8], [-1e-8, 2.0]])))
+
+    def test_no_eigenvector_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("full eigendecomposition called")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        rng = np.random.default_rng(3)
+        directed = Graph(rng.random((12, 12)))
+        symmetric = generate(GraphGeneratorSpec("path", 5))
+        assert not directed.symmetric and symmetric.symmetric
+        for g in (directed, symmetric):
+            res = eigencentrality(g)
+            assert res.rho is not None and res.residual <= 1e-13
+        rho, lam = graphon_eigencentrality(StepGraphon(np.array([[0.5, 0.2], [0.2, 0.7]])))
+        assert lam == pytest.approx(float(np.linalg.eigvalsh([[0.5, 0.2], [0.2, 0.7]])[-1]) / 2)
+        assert np.all(rho.values > 0.0)
 
 
 class TestNormalize:

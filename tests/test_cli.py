@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,21 @@ class TestCentrality:
         code, payload, _ = run_json(capsys, "centrality", k3, "--family", "eigen")
         assert code == 0
         assert np.allclose(payload["rho"], [1.0 / np.sqrt(3.0)] * 3, atol=1e-8)
+        # inverse-iteration solves; a second one only when the shift is singular
+        assert payload["iterations"] in (1, 2)
+
+    def test_eigen_residual_with_huge_weights_is_finite(self, capsys, tmp_path):
+        # squaring entries near 1e200 overflowed the residual's 2-norm, which
+        # wrote "residual": Infinity, not valid JSON
+        path = tmp_path / "huge.txt"
+        path.write_text("0 1 1e200\n1 0 1e200\n1 2 1e200\n2 1 1e200\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "centrality", str(path), "--family", "eigen")
+        assert code == 0, err
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+        assert 0.0 <= payload["residual"] <= 1e-14
+        assert np.allclose(payload["rho"], [0.5, 0.5**0.5, 0.5], atol=1e-12)
 
     def test_mixed_sign_eigenvector_needs_normalizer(self, capsys, tmp_path):
         path = tmp_path / "neg.txt"

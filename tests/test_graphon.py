@@ -57,6 +57,20 @@ class TestContainers:
         w = StepGraphon(np.array([[-0.5]]))
         assert w.c == 0.5
 
+    @pytest.mark.parametrize(
+        "c", [math.inf, -math.inf, float("nan"), True, False, np.bool_(True), "x", [1.0], 10**400],
+        ids=["inf", "-inf", "nan", "true", "false", "numpy-bool", "string", "list", "huge-int"],
+    )
+    def test_step_graphon_refuses_a_bad_c(self, c):
+        # c was checked only on the JSON path: inf, nan and True were taken,
+        # and a string raised TypeError
+        with pytest.raises(ParameterError, match="finite real number"):
+            StepGraphon(np.array([[0.5]]), c=c)
+
+    def test_step_graphon_accepts_real_c(self):
+        for c in (1, 0.5, np.float64(2.0), np.int64(3)):
+            assert StepGraphon(np.array([[0.5]]), c=c).c == float(c)
+
     def test_c_defaults_to_peak(self):
         w = StepGraphon(np.array([[0.3, 0.7], [0.7, 0.1]]))
         assert w.c == 0.7

@@ -87,6 +87,27 @@ class TestVectorNorm:
         with pytest.raises(ParameterError):
             vector_norm(np.ones(3), 3)
 
+    @pytest.mark.parametrize("x", [1e200, 1e-200, 1e-160, 1e154])
+    def test_two_norm_beyond_the_squared_range(self, x):
+        # sum(v * v) overflows above about 1e154 and loses digits below
+        # about 1e-154; the 2-norm must not
+        assert vector_norm([x, x], 2) == pytest.approx(math.hypot(x, x), rel=4e-16, abs=0.0)
+        assert vector_norm([x, -2.0 * x, x], 2) == pytest.approx(
+            math.hypot(x, 2.0 * x, x), rel=4e-16, abs=0.0
+        )
+
+    def test_two_norm_keeps_its_bits_in_range(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            v = rng.standard_normal(int(rng.integers(1, 50))) * 10.0 ** rng.integers(-100, 100)
+            assert vector_norm(v, 2) == float(np.sqrt(np.sum(v * v)))
+
+    def test_two_norm_of_special_vectors(self):
+        assert vector_norm([], 2) == 0.0
+        assert vector_norm([0.0, -0.0], 2) == 0.0
+        assert vector_norm([math.inf, 1.0], 2) == math.inf
+        assert math.isnan(vector_norm([math.nan, 1e200], 2))
+
 
 class TestOperatorNorm:
     def test_identity_is_one_for_every_p(self):
