@@ -30,7 +30,7 @@ from .errors import (
     ParameterError,
     SimplicityError,
 )
-from .graphs import Graph, Permutation, degree_vector, permute, permute_vector
+from .graphs import Permutation, degree_vector, permute, permute_vector
 from .norms import operator_norm, vector_norm
 
 FAMILIES = ("eigen", "katz", "pagerank", "affine")
@@ -424,7 +424,8 @@ def eigencentrality(g, which="largest"):
     order = np.argsort(-evals.real, kind="stable")
     lam_c = evals[order[k]]
     others = np.delete(evals, order[k])
-    gap = float(np.min(np.abs(others - lam_c))) if others.size else math.inf
+    with np.errstate(over="ignore"):  # a gap that overflows is inf: simple
+        gap = float(np.min(np.abs(others - lam_c))) if others.size else math.inf
     if abs(lam_c.imag) > GAP_TOL * max(1.0, abs(lam_c)):
         raise SimplicityError(
             "the dominant eigenvalue is complex; no simple real leading eigenvalue"

@@ -140,11 +140,9 @@ def cmd_compare(args):
     if args.bound == "theorem1":
         cert = theorem1_certificate(a, b, map_, consts)
     elif args.bound == "prop6":
-        cert = prop6_certificate(
-            a, b, map_, consts, perm_mode=args.perm_mode, jobs=args.jobs
-        )
+        cert = prop6_certificate(a, b, map_, consts, perm_mode=args.perm_mode)
     else:
-        cert = prop7_certificate(a, b, map_, consts, jobs=args.jobs)
+        cert = prop7_certificate(a, b, map_, consts)
     payload = cert.to_dict()
     payload["manifest"] = _manifest(
         "compare",
@@ -309,6 +307,7 @@ def build_parser():
         "--bound", choices=("theorem1", "prop6", "prop7"), default="theorem1"
     )
     comp.add_argument("--perm-mode", choices=("exact", "greedy"), default="exact")
+    # validated and recorded in the manifest only; it changes nothing
     comp.add_argument("--jobs", type=_positive_int, default=1)
     _add_output_flags(comp)
     comp.set_defaults(handler=cmd_compare)

@@ -15,14 +15,12 @@ the same weight matrix; under that lift spectra scale by 1/n, cut norms by
 import math
 import numbers
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .centrality import eigencentrality, katz_closed_form, pagerank_closed_form, pagerank_kernel
+from .centrality import eigencentrality, katz_closed_form, pagerank_closed_form
 from .errors import ParameterError
 from .graphs import Graph, Permutation, max_asymmetry
-from .norms import cut_norm_exact, min_permuted_distance, operator_norm
+from .norms import cut_norm_exact, operator_norm
 
 VALUE_MATCH_TOL = 1e-12
 
@@ -160,13 +158,6 @@ def graphon_degree(w):
     return w.values.mean(axis=0)
 
 
-def graphon_pagerank_kernel(w):
-    """Block values of the kernel A o D^{-1} (zero where the degree is
-    zero): k times the finite PageRank kernel of the values.  The induced
-    operator divides by k like any step kernel."""
-    return w.k * pagerank_kernel(Graph(w.values))
-
-
 def graphon_pagerank(w, alpha):
     """PageRank density of a graphon with values in [0, 1].
 
@@ -228,34 +219,3 @@ def block_permute(w, p):
     out = np.empty_like(w.values)
     out[np.ix_(m, m)] = w.values
     return StepGraphon(out, c=w.c)
-
-
-@dataclass(frozen=True)
-class GraphonCutDistanceResult:
-    """Cut distance between step graphons minimized over block relabelings.
-
-    Block relabelings are a strict subset of the measure-preserving
-    bijections the cut distance infimizes over, so the value is an upper
-    bound on the true distance; ``certified_upper`` records that reading.
-    """
-
-    value: float
-    permutation: Permutation
-    certified_upper: bool
-    mode: str
-
-
-def graphon_cut_distance_blocks(a, b, mode="exact"):
-    """Upper bound on the cut distance between two step graphons on equal
-    partitions, minimizing the cut norm of the difference over block
-    relabelings (exact enumeration for k <= 8, greedy degree matching
-    beyond)."""
-    if a.k != b.k:
-        raise ParameterError("graphons must have the same number of blocks")
-    res = min_permuted_distance(Graph(a.values), Graph(b.values), "cut", mode=mode)
-    return GraphonCutDistanceResult(
-        value=res.value / a.k**2,
-        permutation=res.permutation,
-        certified_upper=True,
-        mode=res.mode,
-    )

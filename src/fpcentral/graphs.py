@@ -6,8 +6,7 @@ centralities act through the transpose ``A.T``.  Negative weights are
 allowed; symmetry is detected, not required.
 """
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -219,6 +218,22 @@ def is_automorphism(g, p):
     return bool(np.max(np.abs(permuted - g.weights), initial=0.0) <= WEIGHT_MATCH_TOL)
 
 
+def _lex_permutations(n):
+    """All n! permutations of ``range(n)`` as rows, in lexicographic order
+    (the order of ``itertools.permutations``)."""
+    perms = np.zeros((1, 0), dtype=int)
+    for k in range(1, n + 1):
+        # first symbol i, then the (k-1)-permutations relabeled onto the
+        # other k - 1 symbols in increasing order, which keeps the order
+        m = perms.shape[0]
+        out = np.empty((k * m, k), dtype=int)
+        for i in range(k):
+            out[i * m : (i + 1) * m, 0] = i
+            out[i * m : (i + 1) * m, 1:] = np.delete(np.arange(k), i)[perms]
+        perms = out
+    return perms
+
+
 def enumerate_automorphisms(g):
     """All automorphisms of ``g``, in lexicographic order of the mapping.
 
@@ -234,7 +249,7 @@ def enumerate_automorphisms(g):
     w = g.weights
     n = g.n
     binary = g.is_binary()
-    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
+    perms = _lex_permutations(n)
     keep = []
     chunk = 100_000
     for start in range(0, perms.shape[0], chunk):

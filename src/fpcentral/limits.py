@@ -12,7 +12,6 @@ from .errors import ParameterError
 MAX_CUT_EXACT_N = 22
 MAX_PERM_EXACT_N = 8
 MAX_AUTOMORPHISM_N = 9
-MAX_LP_ORACLE_N = 16
 MAX_PLAN_N = 64
 # node count of an edge-list graph; not an exact search, so FPC_MAX_EXACT_N
 # does not lower it

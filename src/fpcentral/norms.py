@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, SizeLimitError
-from .graphs import Permutation, degree_vector, max_asymmetry, permute
+from .graphs import Permutation, _lex_permutations, degree_vector, max_asymmetry, permute
 from .limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N, exact_limit
 
 POWER_TOL = 1e-10
@@ -382,22 +382,6 @@ def _chunk_values(a_w, b_w, perm_block, norm):
     return _stack_norms(a_w[inv[:, :, None], inv[:, None, :]] - b_w, norm)
 
 
-def _lex_permutations(n):
-    """All n! permutations of ``range(n)`` as rows, in lexicographic order
-    (the order of ``itertools.permutations``)."""
-    perms = np.zeros((1, 0), dtype=int)
-    for k in range(1, n + 1):
-        # first symbol i, then the (k-1)-permutations relabeled onto the
-        # other k - 1 symbols in increasing order, which keeps the order
-        m = perms.shape[0]
-        out = np.empty((k * m, k), dtype=int)
-        for i in range(k):
-            out[i * m : (i + 1) * m, 0] = i
-            out[i * m : (i + 1) * m, 1:] = np.delete(np.arange(k), i)[perms]
-        perms = out
-    return perms
-
-
 def _relabeling_floor(a_w, b_w, norm):
     """A lower bound on ``norm(A^pi - B)`` that holds for every pi; 0 when
     the bound is not finite."""
@@ -431,7 +415,7 @@ def _prefix_bounds(a_w, b_w, prefixes, norm):
     return bounds
 
 
-def min_permuted_distance(a, b, norm, mode="exact", jobs=1):
+def min_permuted_distance(a, b, norm, mode="exact"):
     """Minimize ``norm(A^pi - B)`` over node relabelings pi of the first graph.
 
     Parameters
@@ -456,11 +440,6 @@ def min_permuted_distance(a, b, norm, mode="exact", jobs=1):
         "greedy" pairs nodes by sorted degree sequence (ties by node index)
         and reports that single permutation's distance, an upper bound on
         the infimum; such results carry certified=False.
-    jobs : int
-        Accepted for compatibility and validated (at least 1); it no longer
-        changes the run.  The sweep runs in the calling thread: on two cores
-        a thread pool made the n = 8 ``fpc compare --bound prop7`` call no
-        faster.
 
     Returns
     -------
@@ -474,8 +453,6 @@ def min_permuted_distance(a, b, norm, mode="exact", jobs=1):
         raise ParameterError("graphs must have the same number of nodes")
     if mode not in ("exact", "greedy"):
         raise ParameterError(f"unknown mode {mode!r}")
-    if jobs < 1:
-        raise ParameterError("jobs must be at least 1")
     n = a.n
     if mode == "greedy":
         order_a = np.lexsort((np.arange(n), degree_vector(a)))

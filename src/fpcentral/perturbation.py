@@ -365,7 +365,7 @@ def _check_cut_inputs(a, b, weight, p):
 
 
 def _certify(kind, pair, family, alpha, consts, certified, digest, mode="exact",
-             convention="permutation_cost", jobs=1, closing_notes=()):
+             convention="permutation_cost", closing_notes=()):
     """The one certificate body; ``kind`` picks the two sides.
 
     * "theorem": ||rho_A - rho_B||_{p,w} against ||M_A - M_B||_p, with M
@@ -418,7 +418,7 @@ def _certify(kind, pair, family, alpha, consts, certified, digest, mode="exact",
             pmf_a, pmf_b = pmf_a / mass_a, pmf_b / mass_b
         observed = wasserstein(pmf_a, pmf_b, p, convention)[0] * w ** (1.0 / p - 1.0)
     if kind == "cut":
-        sweep = min_permuted_distance(a, b, "cut", mode=mode, jobs=jobs).value
+        sweep = min_permuted_distance(a, b, "cut", mode=mode).value
         right = math.sqrt(8.0 * w * sweep)
     else:
         if family == "pagerank":
@@ -429,9 +429,7 @@ def _certify(kind, pair, family, alpha, consts, certified, digest, mode="exact",
         if kind == "theorem":
             right = operator_norm(eff_a - eff_b, p)
         else:
-            right = min_permuted_distance(
-                Graph(eff_a), Graph(eff_b), p, mode=mode, jobs=jobs
-            ).value
+            right = min_permuted_distance(Graph(eff_a), Graph(eff_b), p, mode=mode).value
     if convention != "permutation_cost":
         notes.append(
             f"observed side uses the {convention} ground metric; the bound is "
@@ -462,7 +460,7 @@ def theorem1_certificate(a, b, map_, consts):
 
 
 def prop6_certificate(a, b, map_, consts, perm_mode="exact",
-                      convention="permutation_cost", jobs=1):
+                      convention="permutation_cost"):
     """Certificate for the Wasserstein variation bound
     W_p(rho_A, rho_B) <= L1 Lg / (1 - L0) min_pi ||A^pi - B||_op,p.
 
@@ -484,11 +482,11 @@ def prop6_certificate(a, b, map_, consts, perm_mode="exact",
     )
     return _certify(
         "wasserstein", _graph_pair(a, b, map_), map_.family, map_.alpha, consts,
-        certified, digest, mode=perm_mode, convention=convention, jobs=jobs,
+        certified, digest, mode=perm_mode, convention=convention,
     )
 
 
-def prop7_certificate(a, b, map_, consts, convention="permutation_cost", jobs=1):
+def prop7_certificate(a, b, map_, consts, convention="permutation_cost"):
     """Certificate for the cut-norm variation bound
     W_2(rho_A, rho_B) <= L1 Lg / (1 - L0) sqrt(8 delta_cut(A, B))
     for symmetric matrices with entries in [-1, 1], where delta_cut
@@ -502,7 +500,7 @@ def prop7_certificate(a, b, map_, consts, convention="permutation_cost", jobs=1)
     certified = consts.method == "analytic" and convention == "permutation_cost"
     return _certify(
         "cut", _graph_pair(a, b, map_), map_.family, map_.alpha, consts,
-        certified, digest, convention=convention, jobs=jobs,
+        certified, digest, convention=convention,
     )
 
 

@@ -12,9 +12,6 @@ convention rather than a silent default:
   A permutation coupling is only marginal-feasible when dst is literally a
   relabeling of src, so this is a bound surrogate used by the certificate
   route, not a true Wasserstein distance; no plan is produced.
-
-A small exact linear-programming solver is included as an independent
-check on the closed forms.
 """
 
 from dataclasses import dataclass
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, SizeLimitError
-from .limits import MAX_LP_ORACLE_N, MAX_PLAN_N, exact_limit
+from .limits import MAX_PLAN_N, exact_limit
 from .norms import vector_norm
 
 PMF_TOL = 1e-9
@@ -162,43 +159,3 @@ def wasserstein(src, dst, p, convention):
     _check_marginals(gamma, src, dst)
     cost = float((gamma * ground**p).sum())
     return cost ** (1.0 / p), TransportPlan(gamma=gamma, cost=cost)
-
-
-def transport_lp_oracle(src, dst, cost_matrix):
-    """Exact optimal transport at tiny sizes by linear programming.
-
-    Solves min <gamma, cost> over the transportation polytope with
-    marginals (src, dst) using the HiGHS simplex solver, which returns an
-    exact vertex solution at these sizes.  Independent of the closed
-    forms above; intended as their test oracle.
-
-    Returns (value, TransportPlan); the plan cost is the LP objective.
-    """
-    src = _check_pmf(src, "src")
-    dst = _check_pmf(dst, "dst")
-    if src.shape[0] != dst.shape[0]:
-        raise ParameterError("src and dst must have the same length")
-    n = src.shape[0]
-    limit = exact_limit(MAX_LP_ORACLE_N)
-    if n > limit:
-        raise SizeLimitError(f"the transport oracle is limited to n <= {limit}, got n={n}")
-    cost_matrix = np.asarray(cost_matrix, dtype=float)
-    if cost_matrix.shape != (n, n):
-        raise ParameterError("cost matrix shape must match the marginals")
-    if not np.all(np.isfinite(cost_matrix)) or float(np.min(cost_matrix)) < 0.0:
-        raise ParameterError("cost matrix must be finite and non-negative")
-    a_eq = np.zeros((2 * n, n * n))
-    for i in range(n):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-        a_eq[n + i, i::n] = 1.0
-    b_eq = np.concatenate([src, dst])
-    # only this oracle needs scipy.optimize, which would otherwise be most
-    # of the import time of every fpc call
-    from scipy.optimize import linprog
-
-    res = linprog(cost_matrix.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise NumericalError(f"transport LP failed: {res.message}")
-    gamma = res.x.reshape(n, n)
-    _check_marginals(gamma, src, dst)
-    return float(res.fun), TransportPlan(gamma=gamma, cost=float(res.fun))

@@ -1,13 +1,18 @@
 """Independent brute-force oracles.
 
-Everything here is deliberately naive: full enumeration and textbook
-formulas only, no shared code with the package under test beyond numpy.
-Derived expected values in the test files were frozen from these.
+Everything here is deliberately naive: full enumeration, textbook
+formulas and a general LP solver (scipy) only, sharing nothing with the
+package under test beyond numpy and its error and plan types.  Derived
+expected values in the test files were frozen from these.
 """
 
 import itertools
 
 import numpy as np
+
+from fpcentral import NumericalError, ParameterError, SizeLimitError, TransportPlan
+
+MAX_LP_ORACLE_N = 16
 
 
 def cut_norm_brute(m):
@@ -170,6 +175,49 @@ def w1_grid_brute(src, dst):
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
     return float(np.abs(np.cumsum(src - dst)).sum() / src.shape[0])
+
+
+def transport_lp_oracle(src, dst, cost_matrix):
+    """Exact optimal transport at tiny sizes by linear programming.
+
+    Solves min <gamma, cost> over the transportation polytope with
+    marginals (src, dst) using the HiGHS simplex solver, which returns an
+    exact vertex solution at these sizes.  Independent of the closed forms
+    of ``fpcentral.wasserstein``.
+
+    Returns (value, TransportPlan); the plan cost is the LP objective.
+    """
+    # scipy is a test dependency, imported here so that the other oracles
+    # load without it
+    from scipy.optimize import linprog
+
+    src = np.asarray(src, dtype=float)
+    dst = np.asarray(dst, dtype=float)
+    if src.ndim != 1 or src.shape != dst.shape:
+        raise ParameterError("src and dst must be vectors of the same length")
+    n = src.shape[0]
+    if n > MAX_LP_ORACLE_N:
+        raise SizeLimitError(
+            f"the transport oracle is limited to n <= {MAX_LP_ORACLE_N}, got n={n}"
+        )
+    cost_matrix = np.asarray(cost_matrix, dtype=float)
+    if cost_matrix.shape != (n, n):
+        raise ParameterError("cost matrix shape must match the marginals")
+    if not np.all(np.isfinite(cost_matrix)) or float(np.min(cost_matrix)) < 0.0:
+        raise ParameterError("cost matrix must be finite and non-negative")
+    a_eq = np.zeros((2 * n, n * n))
+    for i in range(n):
+        a_eq[i, i * n : (i + 1) * n] = 1.0
+        a_eq[n + i, i::n] = 1.0
+    b_eq = np.concatenate([src, dst])
+    res = linprog(cost_matrix.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if not res.success:
+        raise NumericalError(f"transport LP failed: {res.message}")
+    gamma = res.x.reshape(n, n)
+    err = max(np.abs(gamma.sum(axis=1) - src).max(), np.abs(gamma.sum(axis=0) - dst).max())
+    if err > 1e-9:
+        raise NumericalError(f"transport LP plan violates its marginals by {err:.3e}")
+    return float(res.fun), TransportPlan(gamma=gamma, cost=float(res.fun))
 
 
 def eigencentrality_lapack_reference(g, which="largest"):

@@ -37,12 +37,11 @@ from fpcentral import (
     prop7_certificate,
     solve,
     theorem1_certificate,
-    transport_lp_oracle,
     vector_norm,
     wasserstein,
 )
 
-from oracles import random_binary_symmetric, random_pmf
+from oracles import random_binary_symmetric, random_pmf, transport_lp_oracle
 
 
 def _elapsed_ok(t0, budget, label):

@@ -101,6 +101,18 @@ class TestCentrality:
         assert 0.0 <= payload["residual"] <= 1e-14
         assert np.allclose(payload["rho"], [0.5, 0.5**0.5, 0.5], atol=1e-12)
 
+    def test_eigen_gap_with_weights_near_the_float_limit_is_quiet(self, capsys, tmp_path):
+        # the spectral gap of these weights overflows to inf, which reads as
+        # simple and must not warn
+        path = tmp_path / "limit.txt"
+        path.write_text("0 1 1e308\n1 2 1e308\n2 0 1e308\n1 0 1e308\n0 2 1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "centrality", str(path), "--family", "eigen")
+        assert (code, err) == (0, "")
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+        assert payload["iterations"] >= 1
+
     def test_mixed_sign_eigenvector_needs_normalizer(self, capsys, tmp_path):
         path = tmp_path / "neg.txt"
         path.write_text("0 1 -1\n1 0 -1\n")
@@ -493,6 +505,33 @@ class TestParser:
         env = {**os.environ, "PYTHONPATH": src}
         code = "import fpcentral.cli, sys; assert 'scipy.optimize' not in sys.modules"
         proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        # the runtime is numpy-only: every command runs with scipy blocked
+        (tmp_path / "k3.txt").write_text(K3_EDGES)
+        (tmp_path / "a.json").write_text('{"values": [[0.6, 0.2], [0.2, 0.6]]}\n')
+        (tmp_path / "b.json").write_text('{"values": [[0.5, 0.25], [0.25, 0.6]]}\n')
+        calls = [
+            ["centrality", "k3.txt", "--family", "pagerank", "--alpha", "0.85"],
+            ["compare", "k3.txt", "k3.txt", "--family", "katz", "--alpha", "0.3",
+             "--bound", "prop7"],
+            ["graphon", "compare", "a.json", "b.json", "--family", "katz",
+             "--alpha", "0.5", "--bound", "prop10"],
+            ["norms", "k3.txt", "--norm", "cut"],
+        ]
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import fpcentral\n"
+            "from fpcentral.cli import main\n"
+            f"codes = [main(argv) for argv in {calls!r}]\n"
+            "assert codes == [0, 0, 0, 0], codes\n"
+        )
+        src = str(Path(fpcentral.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 

@@ -222,6 +222,19 @@ class TestAutomorphisms:
             got = {tuple(p.mapping) for p in enumerate_automorphisms(g)}
             assert got == set(automorphisms_brute(g.weights))
 
+    def test_same_list_in_the_same_order_as_itertools(self):
+        graphs = [
+            generate(GraphGeneratorSpec("cycle", 6)),
+            generate(GraphGeneratorSpec("complete", 4)),
+            Graph(np.zeros((5, 5))),
+        ] + [
+            generate(GraphGeneratorSpec("erdos_renyi", 6, edge_prob=0.5, seed=seed))
+            for seed in range(20, 25)
+        ]
+        for g in graphs:
+            got = [tuple(p.mapping.tolist()) for p in enumerate_automorphisms(g)]
+            assert got == automorphisms_brute(g.weights)
+
     def test_every_listed_permutation_validates(self):
         g = generate(GraphGeneratorSpec("star", 5))
         for p in enumerate_automorphisms(g):

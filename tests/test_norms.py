@@ -415,17 +415,6 @@ class TestMinPermutedDistance:
             float(np.linalg.norm(moved.weights - b.weights, 2)), abs=1e-8
         )
 
-    def test_jobs_do_not_change_the_answer(self):
-        rng = np.random.default_rng(9)
-        a = Graph(rng.random((5, 5)))
-        b = Graph(rng.random((5, 5)))
-        lone = min_permuted_distance(a, b, 2)
-        multi = min_permuted_distance(a, b, 2, jobs=2)
-        assert lone.value == multi.value
-        assert np.array_equal(lone.permutation.mapping, multi.permutation.mapping)
-        with pytest.raises(ParameterError):
-            min_permuted_distance(a, b, 2, jobs=0)
-
     def test_exact_size_cap(self):
         g = Graph(np.zeros((9, 9)))
         with pytest.raises(SizeLimitError):

@@ -7,13 +7,16 @@ from fpcentral import (
     ParameterError,
     SizeLimitError,
     TransportConvention,
-    transport_lp_oracle,
     wasserstein,
 )
 
-from fpcentral.limits import MAX_LP_ORACLE_N
-
-from oracles import permutation_cost_brute, random_pmf, w1_grid_brute
+from oracles import (
+    MAX_LP_ORACLE_N,
+    permutation_cost_brute,
+    random_pmf,
+    transport_lp_oracle,
+    w1_grid_brute,
+)
 
 CONVENTIONS = ("grid_embedding", "discrete_metric", "permutation_cost")
 
