@@ -30,7 +30,8 @@ from .errors import (
     ParameterError,
     SimplicityError,
 )
-from .graphs import Permutation, degree_vector, permute, permute_vector
+from .graphs import SYMMETRY_TOL, Permutation, degree_vector, max_asymmetry, permute
+from .graphs import permute_vector
 from .norms import operator_norm, vector_norm
 
 FAMILIES = ("eigen", "katz", "pagerank", "affine")
@@ -333,8 +334,7 @@ def _inverse_iteration(m, lam):
     INVERSE_MAX_SOLVES solves.
     """
     n = m.shape[0]
-    with np.errstate(over="ignore"):  # an infinite norm accepts any finite solve
-        ulp = np.finfo(float).eps * float(np.max(np.sum(np.abs(m), axis=1)))
+    ulp = np.finfo(float).eps * float(np.max(np.sum(np.abs(m), axis=1)))
     tol = INVERSE_RESIDUAL_FACTOR * math.sqrt(n)
     diagonal = np.arange(n)
     v = 1.0 + diagonal / n
@@ -369,7 +369,10 @@ def eigencentrality(g, which="largest"):
     ``numpy.linalg.eigvalsh`` for a symmetric graph,
     ``numpy.linalg.eigvals`` otherwise.  Eigenvalues are ranked by
     descending real part.  Once the selected eigenvalue passes every check,
-    its eigenvector comes from inverse iteration on A.T - lambda I.
+    its eigenvector comes from inverse iteration on A.T - lambda I.  All of
+    this runs on A scaled by the exact power of two that puts max |a_ij| in
+    [1, 2), so the checks below, symmetry included, do not depend on the
+    weight scale.
 
     Parameters
     ----------
@@ -383,26 +386,33 @@ def eigencentrality(g, which="largest"):
     Returns
     -------
     EigenResult
-        ``value`` is the selected eigenvalue, ``gap`` its distance to the
-        rest of the spectrum, ``residual`` the fixed-point residual
+        ``value`` is the selected eigenvalue of A, ``gap`` its distance to
+        the rest of the spectrum of A, ``residual`` the fixed-point residual
         ||(1/lambda) A.T v - v||_2, and ``iterations`` the number of
         inverse-iteration solves.
 
     Raises
     ------
     SimplicityError
-        If the gap falls below 1e-8 (the defining equation assumes a
-        simple eigenvalue), or if the selected eigenvalue is complex.
+        If the gap of the scaled matrix falls below 1e-8 (the defining
+        equation assumes a simple eigenvalue), or if the selected
+        eigenvalue is complex.
     ParameterError
-        Zero selected eigenvalue, invalid ``which``, or a non-symmetric
+        Zero selected eigenvalue (below 1e-12 scaled), invalid ``which``,
+        or a non-symmetric
         graph on the index route.
     NumericalError
         If inverse iteration does not reach its residual bound.
     """
-    w = g.weights
-    n = g.n
+    w, n = g.weights, g.n
+    peak = max(float(w.max()), -float(w.min()))
+    shift = 1 - math.frexp(peak)[1] if peak else 0
+    symmetric = g.symmetric
+    if shift:  # the 1e-12 symmetry test is absolute as well
+        w = np.ldexp(w, shift)
+        symmetric = max_asymmetry(w) <= SYMMETRY_TOL
     if isinstance(which, (int, np.integer)) and not isinstance(which, bool):
-        if not g.symmetric:
+        if not symmetric:
             raise ParameterError("eigenvalue selection by index requires a symmetric graph")
         if n > 2000:
             raise ParameterError("full eigendecomposition is limited to n <= 2000")
@@ -410,22 +420,18 @@ def eigencentrality(g, which="largest"):
             raise ParameterError(f"eigenvalue index must lie in [0, {n})")
         k, role = int(which), "selected"
     elif which == "largest":
-        if not w.any():
+        if not peak:
             raise ParameterError(
                 "the zero matrix has leading eigenvalue zero; eigencentrality is undefined"
             )
         k, role = 0, "leading"
     else:
         raise ParameterError(f"which must be 'largest' or an integer index, got {which!r}")
-    if g.symmetric:
-        evals = np.linalg.eigvalsh(w)
-    else:
-        evals = np.linalg.eigvals(w.T)
+    evals = np.linalg.eigvalsh(w) if symmetric else np.linalg.eigvals(w.T)
     order = np.argsort(-evals.real, kind="stable")
     lam_c = evals[order[k]]
     others = np.delete(evals, order[k])
-    with np.errstate(over="ignore"):  # a gap that overflows is inf: simple
-        gap = float(np.min(np.abs(others - lam_c))) if others.size else math.inf
+    gap = float(np.min(np.abs(others - lam_c))) if others.size else math.inf
     if abs(lam_c.imag) > GAP_TOL * max(1.0, abs(lam_c)):
         raise SimplicityError(
             "the dominant eigenvalue is complex; no simple real leading eigenvalue"
@@ -443,6 +449,8 @@ def eigencentrality(g, which="largest"):
         v = -v
     rho = np.abs(v) if float(np.min(v)) >= -NEGATIVE_RHO_TOL else None
     residual = vector_norm(w.T @ v - lam * v, 2) / abs(lam)
+    with np.errstate(over="ignore"):
+        lam, gap = (float(np.ldexp(x, -shift)) for x in (lam, gap))
     return EigenResult(
         vector=v, value=lam, gap=gap, rho=rho, iterations=solves, residual=float(residual),
     )

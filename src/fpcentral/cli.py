@@ -49,18 +49,32 @@ from .perturbation import (
     theorem2_certificate,
 )
 
-_NORM_KINDS = {"1": 1, "2": 2, "inf": float("inf")}
+_INPUTS = ("input", "input_a", "input_b")
+# parsed options that are not parameters of the computation
+_NOT_RECORDED = (*_INPUTS, "command", "graphon_command", "handler", "output", "csv")
+# exit code of each error class; all other exceptions propagate
+_EXIT_CODES = {
+    InputFormatError: 4, OSError: 4,
+    NonConvergenceError: 3, NumericalError: 3,
+    ParameterError: 2, SizeLimitError: 2, SimplicityError: 2,
+}
 
 
 def _file_digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _manifest(command, paths, parameters):
+def _manifest(args):
+    """The command, its inputs and every parsed option that is set, except
+    input paths, output routing, and ``--mode``/``--seed`` off the cut norm."""
+    options = vars(args)
+    skip = _NOT_RECORDED + (() if options.get("norm", "cut") == "cut" else ("mode", "seed"))
+    paths = [options[k] for k in _INPUTS if k in options]
+    command = (args.command, options.get("graphon_command"))
     return {
-        "command": command,
+        "command": " ".join(c for c in command if c),
         "inputs": [{"path": str(p), "sha256": _file_digest(p)} for p in paths],
-        "parameters": {k: v for k, v in parameters.items() if v is not None},
+        "parameters": {k: v for k, v in options.items() if k not in skip and v is not None},
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
@@ -80,30 +94,38 @@ def _emit(payload, args, csv_table):
             sys.stdout.write(csv_table())
 
 
-def _build_map(args):
-    if args.family in ("katz", "pagerank") and args.alpha is None:
+def _check_alpha(args):
+    """``--alpha`` is required for katz and pagerank and refused for eigen;
+    checked after the inputs are read, so a bad file reports first."""
+    if args.family == "eigen":
+        if args.alpha is not None:
+            raise ParameterError("--alpha does not apply to the eigen family")
+    elif args.alpha is None:
         raise ParameterError(f"--alpha is required for {args.family}")
-    return FixedPointMap(args.family, alpha=args.alpha)
 
 
-def _normalizer_name(flag):
-    return flag.replace("-", "_")
+def _emit_certificate(cert, args):
+    """Write a certificate with its manifest; exit 0 if it holds, else 1."""
+    _emit({**cert.to_dict(), "manifest": _manifest(args)}, args, lambda: (
+        "bound,observed,holds,slack,certified\n"
+        f"{cert.bound!r},{cert.observed!r},{cert.holds},{cert.slack!r},{cert.certified}\n"
+    ))
+    return 0 if cert.holds else 1
 
 
 def cmd_centrality(args):
     g = read_graph(args.input)
+    _check_alpha(args)
     if args.family == "eigen":
-        if args.alpha is not None:
-            raise ParameterError("--alpha does not apply to the eigen family")
         res = eigencentrality(g, "largest")
         feature, rho = res.vector, res.rho
         iterations, residual = res.iterations, res.residual
     else:
-        out = solve(g, _build_map(args))
+        out = solve(g, FixedPointMap(args.family, alpha=args.alpha))
         feature, rho = out.feature_x, out.rho
         iterations, residual = out.iterations, out.residual
     if args.normalizer is not None:
-        rho = normalize(feature, _normalizer_name(args.normalizer))
+        rho = normalize(feature, args.normalizer.replace("-", "_"))
     elif rho is None:
         raise ParameterError(
             "the leading eigenvector has mixed signs; pass --normalizer"
@@ -113,11 +135,7 @@ def cmd_centrality(args):
         "feature_x": [float(x) for x in feature],
         "iterations": iterations,
         "residual": residual,
-        "manifest": _manifest(
-            "centrality",
-            [args.input],
-            {"family": args.family, "alpha": args.alpha, "normalizer": args.normalizer},
-        ),
+        "manifest": _manifest(args),
     }
     _emit(payload, args, lambda: "node,rho,feature_x\n" + "".join(
         f"{i},{float(r)!r},{float(x)!r}\n" for i, (r, x) in enumerate(zip(rho, feature))
@@ -125,17 +143,11 @@ def cmd_centrality(args):
     return 0
 
 
-def _certificate_csv(cert):
-    return (
-        "bound,observed,holds,slack,certified\n"
-        f"{cert.bound!r},{cert.observed!r},{cert.holds},{cert.slack!r},{cert.certified}\n"
-    )
-
-
 def cmd_compare(args):
     a = read_graph(args.input_a)
     b = read_graph(args.input_b)
-    map_ = _build_map(args)
+    _check_alpha(args)
+    map_ = FixedPointMap(args.family, alpha=args.alpha)
     consts = constants_analytic(a, map_)
     if args.bound == "theorem1":
         cert = theorem1_certificate(a, b, map_, consts)
@@ -143,25 +155,11 @@ def cmd_compare(args):
         cert = prop6_certificate(a, b, map_, consts, perm_mode=args.perm_mode)
     else:
         cert = prop7_certificate(a, b, map_, consts)
-    payload = cert.to_dict()
-    payload["manifest"] = _manifest(
-        "compare",
-        [args.input_a, args.input_b],
-        {
-            "family": args.family,
-            "alpha": args.alpha,
-            "bound": args.bound,
-            "perm_mode": args.perm_mode,
-            "jobs": args.jobs,
-        },
-    )
-    _emit(payload, args, lambda: _certificate_csv(cert))
-    return 0 if cert.holds else 1
+    return _emit_certificate(cert, args)
 
 
 def cmd_graphon_lift(args):
-    g = read_graph(args.input)
-    w = lift(g)
+    w = lift(read_graph(args.input))
     _emit(graphon_to_dict(w), args, lambda: "".join(
         ",".join(map(float.__repr__, row)) + "\n" for row in w.values.tolist()
     ))
@@ -170,33 +168,20 @@ def cmd_graphon_lift(args):
 
 def cmd_graphon_centrality(args):
     w = read_graphon(args.input)
+    _check_alpha(args)
     if args.family == "eigen":
-        if args.alpha is not None:
-            raise ParameterError("--alpha does not apply to the eigen family")
         rho, lam = graphon_eigencentrality(w)
         extras = {"lambda": float(lam)}
     elif args.family == "katz":
-        if args.alpha is None:
-            raise ParameterError("--alpha is required for katz")
         rho = graphon_katz(w, args.alpha)
         extras = {}
     else:
-        if args.alpha is None:
-            raise ParameterError("--alpha is required for pagerank")
         rho = graphon_pagerank(w, args.alpha)
         extras = {
             "integral": integral(rho),
             "non_negative": bool(float(np.min(rho.values)) >= -1e-12),
         }
-    payload = {
-        "rho": [float(x) for x in rho.values],
-        **extras,
-        "manifest": _manifest(
-            "graphon centrality",
-            [args.input],
-            {"family": args.family, "alpha": args.alpha},
-        ),
-    }
+    payload = {"rho": [float(x) for x in rho.values], **extras, "manifest": _manifest(args)}
     _emit(payload, args, lambda: "block,rho\n" + "".join(
         f"{i},{float(x)!r}\n" for i, x in enumerate(rho.values)
     ))
@@ -206,25 +191,14 @@ def cmd_graphon_centrality(args):
 def cmd_graphon_compare(args):
     a = read_graphon(args.input_a)
     b = read_graphon(args.input_b)
+    _check_alpha(args)
     if args.bound == "theorem2":
         cert = theorem2_certificate(a, b, args.family, args.alpha)
     elif args.bound == "prop9":
         cert = prop9_certificate(a, b, args.family, args.alpha, mode=args.perm_mode)
     else:
         cert = prop10_certificate(a, b, args.family, args.alpha, mode=args.perm_mode)
-    payload = cert.to_dict()
-    payload["manifest"] = _manifest(
-        "graphon compare",
-        [args.input_a, args.input_b],
-        {
-            "family": args.family,
-            "alpha": args.alpha,
-            "bound": args.bound,
-            "perm_mode": args.perm_mode,
-        },
-    )
-    _emit(payload, args, lambda: _certificate_csv(cert))
-    return 0 if cert.holds else 1
+    return _emit_certificate(cert, args)
 
 
 def cmd_norms(args):
@@ -241,13 +215,8 @@ def cmd_norms(args):
             "witness": {"S": list(witness.S), "T": list(witness.T)},
         }
     else:
-        payload = {"kind": args.norm, "value": operator_norm(m, _NORM_KINDS[args.norm])}
-    payload["manifest"] = _manifest(
-        "norms",
-        [args.input],
-        {"norm": args.norm, "mode": args.mode if args.norm == "cut" else None,
-         "seed": args.seed if args.norm == "cut" else None},
-    )
+        payload = {"kind": args.norm, "value": operator_norm(m, args.norm)}
+    payload["manifest"] = _manifest(args)
     _emit(payload, args, lambda: f"kind,value\n{payload['kind']},{payload['value']!r}\n")
     return 0
 
@@ -277,6 +246,14 @@ def _add_family_flags(sub, families):
     sub.add_argument("--alpha", type=float, help="katz/pagerank damping parameter")
 
 
+def _add_compare_flags(sub, families, bounds):
+    sub.add_argument("input_a")
+    sub.add_argument("input_b")
+    _add_family_flags(sub, families)
+    sub.add_argument("--bound", choices=bounds, default=bounds[0])
+    sub.add_argument("--perm-mode", choices=("exact", "greedy"), default="exact")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fpc",
@@ -300,13 +277,7 @@ def build_parser():
     comp = subparsers.add_parser(
         "compare", help="perturbation-bound certificate between two graphs"
     )
-    comp.add_argument("input_a")
-    comp.add_argument("input_b")
-    _add_family_flags(comp, ("eigen", "katz", "pagerank"))
-    comp.add_argument(
-        "--bound", choices=("theorem1", "prop6", "prop7"), default="theorem1"
-    )
-    comp.add_argument("--perm-mode", choices=("exact", "greedy"), default="exact")
+    _add_compare_flags(comp, ("eigen", "katz", "pagerank"), ("theorem1", "prop6", "prop7"))
     # validated and recorded in the manifest only; it changes nothing
     comp.add_argument("--jobs", type=_positive_int, default=1)
     _add_output_flags(comp)
@@ -327,13 +298,7 @@ def build_parser():
     gcent.set_defaults(handler=cmd_graphon_centrality)
 
     gcomp = gsub.add_parser("compare", help="graphon perturbation certificate")
-    gcomp.add_argument("input_a")
-    gcomp.add_argument("input_b")
-    _add_family_flags(gcomp, ("katz", "pagerank"))
-    gcomp.add_argument(
-        "--bound", choices=("theorem2", "prop9", "prop10"), default="theorem2"
-    )
-    gcomp.add_argument("--perm-mode", choices=("exact", "greedy"), default="exact")
+    _add_compare_flags(gcomp, ("katz", "pagerank"), ("theorem2", "prop9", "prop10"))
     _add_output_flags(gcomp)
     gcomp.set_defaults(handler=cmd_graphon_compare)
 
@@ -357,18 +322,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except InputFormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (NonConvergenceError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParameterError, SizeLimitError, SimplicityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

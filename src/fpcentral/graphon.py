@@ -19,7 +19,7 @@ import numpy as np
 
 from .centrality import eigencentrality, katz_closed_form, pagerank_closed_form
 from .errors import ParameterError
-from .graphs import Graph, Permutation, max_asymmetry
+from .graphs import Graph, Permutation, permute
 from .norms import cut_norm_exact, operator_norm
 
 VALUE_MATCH_TOL = 1e-12
@@ -46,21 +46,17 @@ class StepGraphon:
 
     ``values[i][j]`` is the kernel value on block (i, j); ``c`` bounds the
     absolute values (c = 1 with values in [0, 1] is the classical graphon
-    space, arbitrary c covers signed kernels such as differences).  ``c``
-    must be None (the largest absolute value) or a finite real number that
-    is not a bool.
+    space, arbitrary c covers signed kernels such as differences).  The
+    values pass the checks of ``Graph`` (square, non-empty, finite) and must
+    be symmetric within its 1e-12.  ``c`` must be None (the largest
+    absolute value) or a finite real number that is not a bool.
     """
 
     def __init__(self, values, c=None):
-        values = np.array(values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ParameterError("graphon values must form a square matrix")
-        if values.shape[0] < 1:
-            raise ParameterError("graphon needs at least one block")
-        if not np.all(np.isfinite(values)):
-            raise ParameterError("graphon values must be finite")
-        if max_asymmetry(values) > VALUE_MATCH_TOL:
-            raise ParameterError("graphon values must be symmetric")
+        g = Graph(values)
+        if not g.symmetric:
+            raise ParameterError("the matrix is not symmetric")
+        values = g.weights
         peak = float(np.max(np.abs(values), initial=0.0))
         if c is None:
             c = peak
@@ -213,9 +209,4 @@ def block_permute(w, p):
     """Relabel the blocks of a step graphon (a measure-preserving map)."""
     if not isinstance(p, Permutation):
         p = Permutation(p)
-    if p.mapping.shape[0] != w.k:
-        raise ParameterError("permutation size must equal the block count")
-    m = p.mapping
-    out = np.empty_like(w.values)
-    out[np.ix_(m, m)] = w.values
-    return StepGraphon(out, c=w.c)
+    return StepGraphon(permute(Graph(w.values), p).weights, c=w.c)

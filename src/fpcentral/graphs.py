@@ -6,6 +6,7 @@ centralities act through the transpose ``A.T``.  Negative weights are
 allowed; symmetry is detected, not required.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,8 @@ class Graph:
     ----------
     weights : (n, n) array_like
         Entry ``(i, j)`` is the weight of the directed link from ``i`` to
-        ``j``.  Must be square with finite entries.
+        ``j``.  Must be square and non-empty with finite entries (step
+        graphon values are checked here too).
 
     Attributes
     ----------
@@ -57,12 +59,12 @@ class Graph:
 
     def __init__(self, weights):
         w = np.array(weights, dtype=float)
+        if w.size == 0:
+            raise ParameterError("the matrix is empty")
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ParameterError("weights must be a square matrix")
-        if w.shape[0] < 1:
-            raise ParameterError("a graph needs at least one node")
+            raise ParameterError("the matrix is not square")
         if not np.all(np.isfinite(w)):
-            raise ParameterError("weights must be finite")
+            raise ParameterError("the matrix has non-finite entries")
         self.weights = w
         self.n = w.shape[0]
         self.symmetric = max_asymmetry(w) <= SYMMETRY_TOL
@@ -77,10 +79,13 @@ class Graph:
 
 
 class Permutation:
-    """A bijection on ``{0, ..., n-1}`` stored as an index array."""
+    """A bijection on ``{0, ..., n-1}`` stored as an integral index array."""
 
     def __init__(self, mapping):
-        m = np.asarray(mapping, dtype=int)
+        m = np.asarray(mapping)
+        if m.dtype.kind == "f" and not np.all(np.isfinite(m) & (m == np.round(m))):
+            raise ParameterError("mapping entries must be integers")
+        m = m.astype(int, copy=False)
         if m.ndim != 1:
             raise ParameterError("mapping must be a flat index sequence")
         n = m.shape[0]
@@ -206,16 +211,9 @@ def permute_vector(v, p):
 
 
 def is_automorphism(g, p):
-    """True iff relabeling by ``p`` leaves the weight matrix unchanged.
-
-    Comparison is exact for 0/1 graphs and within 1e-12 otherwise.
-    """
-    if p.n != g.n:
-        raise ParameterError("permutation size does not match graph")
-    permuted = permute(g, p).weights
-    if g.is_binary():
-        return bool(np.array_equal(permuted, g.weights))
-    return bool(np.max(np.abs(permuted - g.weights), initial=0.0) <= WEIGHT_MATCH_TOL)
+    """True iff relabeling by ``p`` leaves the weight matrix unchanged
+    within 1e-12 (on 0/1 weights that is exact equality)."""
+    return bool(np.max(np.abs(permute(g, p).weights - g.weights)) <= WEIGHT_MATCH_TOL)
 
 
 def _lex_permutations(n):
@@ -234,11 +232,21 @@ def _lex_permutations(n):
     return perms
 
 
+def _lex_blocks(perms):
+    """``(blocks, d)``: the rows of ``perms = _lex_permutations(n)`` in
+    blocks of (n - d)! rows that share their first ``d = max(n - 4, 0)``."""
+    n = perms.shape[1]
+    d = max(n - 4, 0)
+    return perms.reshape(-1, math.factorial(n - d), n), d
+
+
 def enumerate_automorphisms(g):
     """All automorphisms of ``g``, in lexicographic order of the mapping.
 
-    Brute force over all ``n!`` candidate permutations, so the node count
-    is capped at 9 (lower if FPC_MAX_EXACT_N says so).  The identity is
+    Brute force over the ``n!`` candidate permutations, so the node count
+    is capped at 9 (lower if FPC_MAX_EXACT_N says so), skipping each block
+    of 24 that share their first n - 4 images once the principal submatrix
+    they assign differs from ``g``'s by more than 1e-12.  The identity is
     always present in the result.
     """
     limit = exact_limit(MAX_AUTOMORPHISM_N)
@@ -247,22 +255,20 @@ def enumerate_automorphisms(g):
             f"automorphism enumeration is limited to n <= {limit}, got n={g.n}"
         )
     w = g.weights
-    n = g.n
-    binary = g.is_binary()
-    perms = _lex_permutations(n)
+    blocks, d = _lex_blocks(_lex_permutations(g.n))
+    heads = blocks[:, 0, :d]
+    sub = w[heads[:, :, None], heads[:, None, :]]
+    close = np.all(np.abs(sub - w[:d, :d]) <= WEIGHT_MATCH_TOL, axis=(1, 2))
+    perms = blocks[close].reshape(-1, g.n)
     keep = []
     chunk = 100_000
     for start in range(0, perms.shape[0], chunk):
         block = perms[start : start + chunk]
         # permuted[k, i, j] = w[block[k, i], block[k, j]]
         permuted = w[block[:, :, None], block[:, None, :]]
-        if binary:
-            mask = np.all(permuted == w, axis=(1, 2))
-        else:
-            mask = np.all(np.abs(permuted - w) <= WEIGHT_MATCH_TOL, axis=(1, 2))
-        keep.append(block[mask])
-    found = np.concatenate(keep, axis=0)
-    return [Permutation(row) for row in found]
+        match = np.all(np.abs(permuted - w) <= WEIGHT_MATCH_TOL, axis=(1, 2))
+        keep.append(block[match])
+    return [Permutation(row) for row in np.concatenate(keep, axis=0)]
 
 
 def degree_vector(g):

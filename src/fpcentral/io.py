@@ -89,19 +89,7 @@ def parse_edge_list(text):
 
 def parse_graph_json(text):
     """Build a Graph from `{"n": int, "weights": [[...], ...]}` text."""
-    obj = _load_json(text)
-    if "weights" not in obj:
-        raise InputFormatError("graph JSON requires a 'weights' key")
-    try:
-        graph = Graph(np.array(obj["weights"], dtype=float))
-    except (ParameterError, ValueError, TypeError, OverflowError) as exc:
-        raise InputFormatError(f"bad 'weights' value: {exc}") from exc
-    declared = obj.get("n")
-    if declared is not None and declared != graph.n:
-        raise InputFormatError(
-            f"declared n={declared} does not match the {graph.n}x{graph.n} matrix"
-        )
-    return graph
+    return _parse_matrix(_load_json(text), "graph", Graph, "weights", "n", "matrix")
 
 
 def parse_graphon_json(text):
@@ -109,23 +97,36 @@ def parse_graphon_json(text):
     text; c is optional (null or a finite real number) and defaults to the
     largest absolute value."""
     obj = _load_json(text)
-    if "values" not in obj:
-        raise InputFormatError("graphon JSON requires a 'values' key")
-    c = obj.get("c")
-    if c is not None and not _is_finite_real(c):
-        raise InputFormatError(
-            "bad 'c' value: expected null or a finite real number"
-        )
+
+    def build(values):
+        c = obj.get("c")
+        if c is not None and not _is_finite_real(c):
+            raise InputFormatError(
+                "bad 'c' value: expected null or a finite real number"
+            )
+        return StepGraphon(values, c=c)
+
+    return _parse_matrix(obj, "graphon", build, "values", "k", "values")
+
+
+def _parse_matrix(obj, kind, build, key, size_key, noun):
+    """``build(obj[key])``, whose faults become InputFormatError; a
+    declared size ``obj[size_key]`` must be absent, null or equal to the
+    built one's."""
+    if key not in obj:
+        raise InputFormatError(f"{kind} JSON requires a {key!r} key")
     try:
-        graphon = StepGraphon(np.array(obj["values"], dtype=float), c=c)
+        built = build(obj[key])
     except (ParameterError, ValueError, TypeError, OverflowError) as exc:
-        raise InputFormatError(f"bad 'values' value: {exc}") from exc
-    declared = obj.get("k")
-    if declared is not None and declared != graphon.k:
+        raise InputFormatError(f"bad {key!r} value: {exc}") from exc
+    size, declared = getattr(built, size_key), obj.get(size_key)
+    if isinstance(declared, bool):
+        raise InputFormatError(f"bad {size_key!r} value: expected null or a number")
+    if declared is not None and declared != size:
         raise InputFormatError(
-            f"declared k={declared} does not match the {graphon.k}x{graphon.k} values"
+            f"declared {size_key}={declared} does not match the {size}x{size} {noun}"
         )
-    return graphon
+    return built
 
 
 def _load_json(text):

@@ -51,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, SizeLimitError
-from .graphs import Permutation, _lex_permutations, degree_vector, max_asymmetry, permute
+from .graphs import Permutation, _lex_blocks, _lex_permutations, degree_vector
+from .graphs import max_asymmetry, permute
 from .limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N, exact_limit
 
 POWER_TOL = 1e-10
@@ -62,10 +63,9 @@ _TINY = np.finfo(float).tiny
 _CUT_BLOCK = 1 << 15
 # candidate permutations evaluated per vectorized step of the exact sweep
 _PERM_CHUNK = 500
-# the exact sweep bounds blocks of 4! = 24 candidates that share their first
-# n - 4 images; a bound must exceed the best value by this relative margin,
-# far above the rounding of an n <= 8 distance, before its block is skipped
-_FREE_TAIL = 4
+# a bound on a block of candidates (graphs._lex_blocks) must exceed the best
+# value by this relative margin, far above the rounding of an n <= 8
+# distance, before its block is skipped
 _PRUNE_MARGIN = 1e-12
 
 
@@ -153,17 +153,27 @@ def operator_norm(m, p):
     p=1 is the maximum absolute column sum, p=inf the maximum absolute row
     sum.  p=2 is the largest singular value computed by power iteration on
     ``m.T @ m`` with relative tolerance 1e-10 and at most 10000 iterations.
-    Non-finite entries raise ParameterError.
+    A largest entry outside [2^-201, 2^200] is first scaled into [0.5, 1)
+    by an exact power of two, keeping sigma^4 within float range.  Non-finite
+    entries raise ParameterError; a norm beyond float64 raises NumericalError.
     """
     p = _canon_p(p)
     m = _square_finite(m, "operator_norm")
-    if p == 1:
-        return float(np.abs(m).sum(axis=0).max())
-    if p == math.inf:
-        return float(np.abs(m).sum(axis=1).max())
-    if not m.any():
-        return 0.0
-    return _power_iteration_sigma(m)
+    if p != 2:
+        with np.errstate(over="ignore"):
+            value = float(np.abs(m).sum(axis=0 if p == 1 else 1).max())
+    else:
+        peak = max(float(m.max()), -float(m.min()))
+        if peak == 0.0:
+            return 0.0
+        _, e = math.frexp(peak)
+        if abs(e) <= 200:
+            return _power_iteration_sigma(m)
+        with np.errstate(over="ignore"):
+            value = float(np.ldexp(_power_iteration_sigma(np.ldexp(m, -e)), e))
+    if math.isinf(value):
+        raise NumericalError(f"the {p}-norm of this matrix overflows float64")
+    return value
 
 
 @dataclass(frozen=True)
@@ -218,6 +228,14 @@ def _split_by_sign(c):
     return vp, min(tp, tm)
 
 
+def _check_cut_sums(m):
+    """Refuse ``m`` when its absolute sum, a bound on every cut sum, overflows."""
+    with np.errstate(over="ignore"):
+        mass = float(np.abs(m).sum())
+    if not math.isfinite(mass):
+        raise NumericalError("cut sums of this matrix overflow float64")
+
+
 def cut_norm_exact(m):
     """Exact cut norm with a maximizing witness (S, T).
 
@@ -237,11 +255,7 @@ def cut_norm_exact(m):
             f"exact cut norm is limited to n <= {limit}, got n={n}; "
             "use cut_norm_heuristic for a certified lower bound"
         )
-    with np.errstate(over="ignore"):
-        mass = float(np.abs(m).sum())
-    if not math.isfinite(mass):
-        # a partial sum could overflow and the table sweep meet inf - inf
-        raise NumericalError("cut sums of this matrix overflow float64")
+    _check_cut_sums(m)
     # row mask = s_hi << h | s_lo; tables hold the column sums of every
     # subset of each half, one column per subset
     h = n // 2
@@ -287,9 +301,11 @@ def cut_norm_heuristic(m, restarts=16, seed=0):
     S; repeat until the value stops improving, over ``restarts`` starts
     (the first start is the full row set, the rest are seeded random).  Any
     witness is feasible, so the result never exceeds the exact cut norm.
-    Non-finite entries raise ParameterError.
+    Non-finite entries raise ParameterError, an overflowing absolute sum
+    NumericalError.
     """
     m = _square_finite(m, "cut_norm_heuristic")
+    _check_cut_sums(m)
     if restarts < 1:
         raise ParameterError("restarts must be at least 1")
     n = m.shape[0]
@@ -311,7 +327,6 @@ def cut_norm_heuristic(m, restarts=16, seed=0):
             rsum = m[:, list(t_idx)].sum(axis=1) if t_idx else np.zeros(n)
             v2, s_idx = _split_by_sign(rsum)
             if v2 <= value + 1e-15:
-                value = max(value, v2, v1)
                 break
             value = v2
         attained = (
@@ -319,8 +334,6 @@ def cut_norm_heuristic(m, restarts=16, seed=0):
         )
         if attained > best.value:
             best = CutNormWitness(value=attained, S=s_idx, T=t_idx)
-    if best.value < 0.0:
-        best = CutNormWitness(value=0.0, S=(), T=())
     return best
 
 
@@ -471,7 +484,8 @@ def min_permuted_distance(a, b, norm, mode="exact"):
             f"exact permutation search is limited to n <= {limit}, got n={n}"
         )
     a_w, b_w = a.weights, b.weights
-    perms = _lex_permutations(n)
+    blocks, d = _lex_blocks(_lex_permutations(n))
+    size = blocks.shape[1]
     best_val, best_perm, evaluated = math.inf, None, 0
 
     def sweep(block):
@@ -486,23 +500,19 @@ def min_permuted_distance(a, b, norm, mode="exact"):
             best_perm = block[k]
 
     floor = _relabeling_floor(a_w, b_w, norm)
-    sweep(perms[:1])  # the identity
-    # perms is a run of blocks of `size` candidates sharing their first d images
-    d = max(n - _FREE_TAIL, 0)
-    size = math.factorial(n - d)
-    blocks = perms.shape[0] // size
+    sweep(blocks[0, :1])  # the identity
     if best_val > floor:
-        bounds = _prefix_bounds(a_w, b_w, perms[::size, :d], norm)
+        bounds = _prefix_bounds(a_w, b_w, blocks[:, 0, :d], norm)
     start = 0
-    while best_val > floor and start < blocks:
+    while best_val > floor and start < blocks.shape[0]:
         live = np.flatnonzero(bounds[start:] <= best_val * (1.0 + _PRUNE_MARGIN))
         if live.size == 0:
             break
         live = live[: max(1, _PERM_CHUNK // size)] + start
-        idx = (live[:, None] * size + np.arange(size)).ravel()
-        idx = idx[idx > 0]  # the identity is done
-        if idx.size:
-            sweep(perms[idx])
+        # the identity, row 0 of block 0, is done
+        candidates = blocks[live].reshape(-1, n)[1 if live[0] == 0 else 0 :]
+        if candidates.size:
+            sweep(candidates)
         start = int(live[-1]) + 1
     if math.isinf(best_val):
         raise NumericalError(f"every {norm}-norm distance of the sweep overflows")

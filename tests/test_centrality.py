@@ -331,6 +331,42 @@ class TestEigencentrality:
         g = generate(GraphGeneratorSpec("cycle", 5))
         assert eigencentrality(g).residual <= 1e-8
 
+    @pytest.mark.parametrize("weight", [1e-300, 1e-9, 1e-8, 1.0, 1e300])
+    def test_path_is_accepted_at_every_weight_scale(self, weight):
+        # the gap and zero checks are absolute; at 1e-9 and below the path
+        # used to be refused as "not simple"
+        w = generate(GraphGeneratorSpec("path", 3)).weights * weight
+        res = eigencentrality(Graph(w))
+        assert res.value == pytest.approx(math.sqrt(2.0) * weight, rel=1e-14)
+        assert res.gap == pytest.approx(math.sqrt(2.0) * weight, rel=1e-14)
+        assert np.allclose(res.vector, [0.5, math.sqrt(0.5), 0.5], atol=1e-14)
+
+    def test_power_of_two_scalings_give_the_same_bits(self):
+        rng = np.random.default_rng(40)
+        sym = rng.random((7, 7))
+        graphs = [generate(GraphGeneratorSpec("path", 3)).weights, sym + sym.T,
+                  rng.random((6, 6)) * (rng.random((6, 6)) < 0.7)]
+        for w in graphs:
+            base = eigencentrality(Graph(w))
+            for k in (-1000, -900, -300, -1, 1, 7, 300, 900):
+                res = eigencentrality(Graph(np.ldexp(w, k)))
+                assert np.array_equal(res.vector, base.vector), k
+                assert res.value == np.ldexp(base.value, k), k
+                assert res.gap == np.ldexp(base.gap, k), k
+                assert res.residual == base.residual, k
+
+    def test_zero_one_graphs_are_not_rescaled(self, monkeypatch):
+        # max |a_ij| = 1 already lies in [1, 2): no scaled copy is made
+        ldexp = np.ldexp
+
+        def scalars_only(x, k):
+            assert np.ndim(x) == 0, "a 0/1 graph was rescaled"
+            return ldexp(x, k)
+
+        monkeypatch.setattr(np, "ldexp", scalars_only)
+        res = eigencentrality(generate(GraphGeneratorSpec("cycle", 5)))
+        assert res.value == pytest.approx(2.0, abs=1e-12)
+
 
 def _seeded_eigen_graph(index):
     """Graph ``index`` of 200: symmetric or directed, 0/1, integer or real

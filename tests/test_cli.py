@@ -541,3 +541,216 @@ class TestParser:
         proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("fpc ")
+
+
+P3_EDGES = "0 1 {w}\n1 0 {w}\n1 2 {w}\n2 1 {w}\n"
+GRAPHON_2 = '{"values": [[0.5, 0.2], [0.2, 0.5]]}'
+
+
+@pytest.fixture
+def graphon2(tmp_path):
+    path = tmp_path / "w2.json"
+    path.write_text(GRAPHON_2)
+    return str(path)
+
+
+class TestAlphaRule:
+    """One rule: --alpha is required for katz and pagerank and refused for
+    eigen, with one message each, checked after the inputs are read."""
+
+    def test_eigen_with_alpha_exits_2(self, capsys, k3, graphon2):
+        for argv in (
+            ("centrality", k3),
+            ("compare", k3, k3),
+            ("graphon", "centrality", graphon2),
+        ):
+            code, out, err = run(capsys, *argv, "--family", "eigen", "--alpha", "0.5")
+            assert (code, out) == (2, ""), argv
+            assert err == "error: --alpha does not apply to the eigen family\n", argv
+
+    def test_katz_and_pagerank_without_alpha_exit_2(self, capsys, k3, graphon2):
+        for family in ("katz", "pagerank"):
+            for argv in (
+                ("centrality", k3),
+                ("compare", k3, k3),
+                ("graphon", "centrality", graphon2),
+                ("graphon", "compare", graphon2, graphon2),
+            ):
+                code, out, err = run(capsys, *argv, "--family", family)
+                assert (code, out) == (2, ""), argv
+                assert err == f"error: --alpha is required for {family}\n", argv
+
+    def test_a_bad_file_is_reported_first(self, capsys, k3, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1 x\n")
+        for argv in (
+            ("centrality", str(bad), "--family", "katz"),
+            ("compare", k3, str(bad), "--family", "eigen", "--alpha", "0.5"),
+            ("graphon", "compare", str(bad), str(bad), "--family", "pagerank"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 4, argv
+            assert "--alpha" not in err
+
+
+class TestGraphonValuesAreCheckedByGraph:
+    @pytest.mark.parametrize(
+        "values, fault",
+        [
+            ("[[0.5, 0.2, 0.1], [0.2, 0.5, 0.1]]", "is not square"),
+            ("[0.5, 0.2]", "is not square"),
+            ("[]", "is empty"),
+            ("[[]]", "is empty"),
+            ("[[0.5, NaN], [NaN, 0.5]]", "has non-finite entries"),
+            ("[[0.5, 0.2], [0.3, 0.5]]", "is not symmetric"),
+        ],
+        ids=["non-square", "vector", "empty", "empty-row", "nan", "asymmetric"],
+    )
+    def test_bad_values_exit_4_naming_the_fault(self, capsys, tmp_path, values, fault):
+        path = tmp_path / "w.json"
+        path.write_text('{"values": %s}' % values)
+        code, out, err = run(capsys, "graphon", "centrality", str(path), "--family", "eigen")
+        assert (code, out) == (4, "")
+        assert err == f"error: bad 'values' value: the matrix {fault}\n"
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("centrality", "{path}", "--family", "eigen"), '{"n": true, "weights": [[0]]}'),
+            (("graphon", "centrality", "{path}", "--family", "eigen"),
+             '{"k": true, "values": [[0.5]]}'),
+        ],
+        ids=["n", "k"],
+    )
+    def test_boolean_sizes_exit_4(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code, _, err = run(capsys, *(a.replace("{path}", str(path)) for a in argv))
+        assert code == 4
+        assert "value: expected null or a number" in err
+
+
+class TestExitCodes:
+    """One call per error class, each with its documented exit code."""
+
+    CASES = {
+        "InputFormatError": (4, "0 1 x\n", ("centrality", "{path}", "--family", "katz",
+                                            "--alpha", "0.5")),
+        "OSError": (4, None, ("centrality", "{path}", "--family", "katz", "--alpha", "0.5")),
+        "NonConvergenceError": (3, "0 1 1\n1 0 1\n", ("centrality", "{path}", "--family",
+                                                      "katz", "--alpha", "0.9999999")),
+        "NumericalError": (3, "0 1 1e308\n2 1 1e308\n1 0 1\n", ("norms", "{path}",
+                                                                "--norm", "1")),
+        "ParameterError": (2, K3_EDGES, ("centrality", "{path}", "--family", "katz")),
+        "SizeLimitError": (2, "22\n", ("norms", "{path}", "--norm", "cut")),
+        "SimplicityError": (2, "0 1\n1 0\n2 3\n3 2\n", ("centrality", "{path}",
+                                                       "--family", "eigen")),
+    }
+
+    @pytest.mark.parametrize("error", sorted(CASES))
+    def test_error_class_exit_code(self, capsys, tmp_path, error):
+        code, text, argv = self.CASES[error]
+        path = tmp_path / "input.txt"
+        if text is not None:
+            path.write_text(text)
+        got, out, err = run(capsys, *(a.replace("{path}", str(path)) for a in argv))
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_every_error_class_has_a_case(self):
+        from fpcentral import cli
+
+        assert {cls.__name__ for cls in cli._EXIT_CODES} == set(self.CASES)
+
+
+class TestManifest:
+    """The manifest records every parsed option except the input paths and
+    the output routing; --mode and --seed only for the cut norm."""
+
+    def manifest(self, capsys, tmp_path, *argv):
+        out_path = tmp_path / "out.json"
+        code, stdout, _ = run(capsys, *argv, "-o", str(out_path), "--csv")
+        assert code in (0, 1) and stdout == ""
+        return json.loads(out_path.read_text())["manifest"]
+
+    def test_parameters_of_every_command(self, capsys, k3, graphon2, tmp_path):
+        cases = [
+            (("centrality", k3, "--family", "pagerank", "--alpha", "0.85",
+              "--normalizer", "exp-neg"),
+             "centrality", [k3],
+             {"family": "pagerank", "alpha": 0.85, "normalizer": "exp-neg"}),
+            (("centrality", k3, "--family", "eigen"), "centrality", [k3], {"family": "eigen"}),
+            (("compare", k3, k3, "--family", "katz", "--alpha", "0.2", "--bound", "prop6",
+              "--perm-mode", "greedy", "--jobs", "3"),
+             "compare", [k3, k3],
+             {"family": "katz", "alpha": 0.2, "bound": "prop6", "perm_mode": "greedy",
+              "jobs": 3}),
+            (("graphon", "centrality", graphon2, "--family", "katz", "--alpha", "0.5"),
+             "graphon centrality", [graphon2], {"family": "katz", "alpha": 0.5}),
+            (("graphon", "compare", graphon2, graphon2, "--family", "pagerank",
+              "--alpha", "0.85", "--bound", "prop9"),
+             "graphon compare", [graphon2, graphon2],
+             {"family": "pagerank", "alpha": 0.85, "bound": "prop9", "perm_mode": "exact"}),
+            (("norms", k3, "--norm", "2", "--mode", "heuristic", "--seed", "5"),
+             "norms", [k3], {"norm": "2"}),
+            (("norms", k3, "--norm", "cut", "--mode", "heuristic", "--seed", "5"),
+             "norms", [k3], {"norm": "cut", "mode": "heuristic", "seed": 5}),
+        ]
+        for argv, command, paths, parameters in cases:
+            manifest = self.manifest(capsys, tmp_path, *argv)
+            assert manifest["command"] == command, argv
+            assert [entry["path"] for entry in manifest["inputs"]] == paths, argv
+            assert manifest["parameters"] == parameters, argv
+            assert manifest["tool_version"] == fpcentral.__version__
+
+
+class TestScaleFreeEigen:
+    @pytest.mark.parametrize("weight", ["1e-300", "1e-9", "1e-8", "1", "1e300"])
+    def test_path_is_accepted_at_every_weight_scale(self, capsys, tmp_path, weight):
+        # at 1e-9 and below the path used to exit 2 as "not simple"
+        path = tmp_path / "p3.txt"
+        path.write_text(P3_EDGES.format(w=weight))
+        code, payload, err = run_json(capsys, "centrality", str(path), "--family", "eigen")
+        assert (code, err) == (0, "")
+        assert np.allclose(payload["feature_x"], [0.5, np.sqrt(0.5), 0.5], atol=1e-14)
+
+    def test_power_of_two_scalings_give_the_same_feature(self, capsys, tmp_path):
+        rng = np.random.default_rng(42)
+        w = rng.random((6, 6)) * (rng.random((6, 6)) < 0.7)
+        features = []
+        for k in (-900, -20, 0, 20, 900):
+            path = tmp_path / f"g{k}.json"
+            path.write_text(json.dumps({"weights": np.ldexp(w, k).tolist()}))
+            code, payload, _ = run_json(capsys, "centrality", str(path), "--family", "eigen")
+            assert code == 0
+            features.append(payload["feature_x"])
+        assert all(f == features[0] for f in features)
+
+
+class TestNormsStayFinite:
+    REPRODUCER = "0 1 1e308\n2 1 1e308\n1 0 1\n"
+
+    def run_quiet(self, capsys, tmp_path, text, *flags):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(capsys, "norms", str(path), *flags)
+
+    def test_overflowing_sums_exit_3(self, capsys, tmp_path):
+        for flags in (("--norm", "1"), ("--norm", "cut", "--mode", "heuristic")):
+            code, out, err = self.run_quiet(capsys, tmp_path, self.REPRODUCER, *flags)
+            assert (code, out) == (3, ""), flags
+            assert "overflow" in err
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [(REPRODUCER, 2**0.5 * 1e308), ("0 1 1e200\n1 0 1e200\n", 1e200),
+         ("0 1 1e-200\n1 0 1e-200\n", 1e-200)],
+        ids=["1e308", "1e200", "1e-200"],
+    )
+    def test_two_norm_of_huge_and_tiny_entries(self, capsys, tmp_path, text, expected):
+        code, out, err = self.run_quiet(capsys, tmp_path, text, "--norm", "2")
+        assert (code, err) == (0, "")
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+        assert payload["value"] == pytest.approx(expected, rel=1e-15)

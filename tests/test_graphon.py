@@ -26,6 +26,7 @@ from fpcentral import (
     lift,
     min_permuted_distance,
     operator_norm,
+    permute,
     refine,
     resample,
     step_lp_norm,
@@ -50,6 +51,17 @@ class TestContainers:
     def test_step_graphon_requires_symmetry(self):
         with pytest.raises(ParameterError):
             StepGraphon(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    def test_step_graphon_symmetry_tolerance_is_the_graphs(self):
+        # Graph's own 1e-12 check decides
+        for gap, symmetric in ((5e-13, True), (3e-12, False)):
+            values = np.array([[0.0, 0.5], [0.5 + gap, 0.0]])
+            assert Graph(values).symmetric is symmetric
+            if symmetric:
+                StepGraphon(values)
+            else:
+                with pytest.raises(ParameterError, match="the matrix is not symmetric"):
+                    StepGraphon(values)
 
     def test_step_graphon_peak_vs_c(self):
         with pytest.raises(ParameterError):
@@ -356,3 +368,14 @@ class TestBlockPermute:
     def test_size_check(self):
         with pytest.raises(ParameterError):
             block_permute(_constant(0.5, k=2), Permutation(np.arange(3)))
+
+    def test_matches_permute_on_the_values(self):
+        rng = np.random.default_rng(30)
+        for k in (1, 3, 6):
+            w = StepGraphon(random_symmetric(rng, k, -1.0, 1.0), c=2.0)
+            mapping = rng.permutation(k)
+            for p in (Permutation(mapping), mapping.tolist()):
+                moved = block_permute(w, p)
+                expected = permute(Graph(w.values), Permutation(mapping)).weights
+                assert np.array_equal(moved.values, expected)
+                assert moved.c == 2.0 and moved.k == k

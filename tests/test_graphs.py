@@ -55,6 +55,23 @@ class TestGraph:
         assert Graph(np.array([[0.0, 1.0], [1.0, 0.0]])).is_binary()
         assert not Graph(np.array([[0.0, 0.5], [0.5, 0.0]])).is_binary()
 
+    @pytest.mark.parametrize(
+        "weights, fault",
+        [
+            (np.zeros((2, 3)), "not square"),
+            (np.zeros(3), "not square"),
+            (np.zeros((0, 0)), "empty"),
+            (np.zeros((1, 0)), "empty"),
+            ([[0.0, np.nan], [0.0, 0.0]], "non-finite"),
+            ([[np.inf]], "non-finite"),
+        ],
+    )
+    def test_messages_name_the_fault(self, weights, fault):
+        # the same messages serve graphs and step graphons
+        for build in (Graph, StepGraphon):
+            with pytest.raises(ParameterError, match=f"^the matrix (is|has) {fault}"):
+                build(weights)
+
 
 class TestMaxAsymmetry:
     def test_equals_the_untiled_check(self):
@@ -140,6 +157,19 @@ class TestPermutation:
 
     def test_identity_factory(self):
         assert np.array_equal(Permutation.identity(4).mapping, np.arange(4))
+
+    @pytest.mark.parametrize(
+        "mapping", [[0.7, 1.2], [1.0, 0.5], [0.0, np.nan], [np.inf, 0.0]]
+    )
+    def test_refuses_non_integral_entries(self, mapping):
+        # [0.7, 1.2] used to be truncated to the identity
+        with pytest.raises(ParameterError, match="integers"):
+            Permutation(mapping)
+
+    def test_accepts_integral_floats(self):
+        p = Permutation(np.array([2.0, 0.0, 1.0]))
+        assert p.mapping.tolist() == [2, 0, 1]
+        assert p.mapping.dtype.kind == "i"
 
 
 class TestPermute:
@@ -234,6 +264,39 @@ class TestAutomorphisms:
         for g in graphs:
             got = [tuple(p.mapping.tolist()) for p in enumerate_automorphisms(g)]
             assert got == automorphisms_brute(g.weights)
+
+    def test_same_list_as_brute_force_at_eight_and_nine(self):
+        graphs = [
+            generate(GraphGeneratorSpec("cycle", 8)),
+            generate(GraphGeneratorSpec("star", 8)),
+        ] + [
+            generate(GraphGeneratorSpec("erdos_renyi", n, edge_prob=0.5, seed=seed))
+            for n, seed in ((8, 30), (8, 31), (8, 32), (9, 33))
+        ]
+        for g in graphs:
+            got = [tuple(p.mapping.tolist()) for p in enumerate_automorphisms(g)]
+            assert got == automorphisms_brute(g.weights)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_weighted_entries_compare_within_1e_12(self, n):
+        # a weighted cycle with one edge nudged: 5e-13 keeps every dihedral
+        # symmetry, 2e-12 only the two that map the edge {0, 1} onto itself
+        # (the identity and i -> 1 - i)
+        dihedral = sorted(
+            tuple((r + s * i) % n for i in range(n)) for r in range(n) for s in (1, -1)
+        )
+        edge_fixing = [tuple(range(n)), tuple((1 - i) % n for i in range(n))]
+        base = 0.7 * generate(GraphGeneratorSpec("cycle", n)).weights
+        if n == 8:
+            assert automorphisms_brute(base) == dihedral
+        for nudge, kept in ((5e-13, dihedral), (2e-12, edge_fixing)):
+            w = base.copy()
+            w[0, 1] = w[1, 0] = 0.7 + nudge
+            g = Graph(w)
+            got = [tuple(p.mapping.tolist()) for p in enumerate_automorphisms(g)]
+            assert got == kept
+            for mapping in dihedral:
+                assert is_automorphism(g, Permutation(mapping)) is (mapping in kept)
 
     def test_every_listed_permutation_validates(self):
         g = generate(GraphGeneratorSpec("star", 5))

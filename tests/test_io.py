@@ -118,6 +118,13 @@ class TestGraphJson:
         with pytest.raises(InputFormatError, match="weights"):
             parse_graph_json('{"n": 2}')
 
+    @pytest.mark.parametrize("n", ["true", "false"])
+    def test_boolean_n_is_refused(self, n):
+        # true == 1 used to pass as a declared size
+        with pytest.raises(InputFormatError, match="bad 'n' value"):
+            parse_graph_json('{"n": %s, "weights": [[0]]}' % n)
+        assert parse_graph_json('{"n": 1.0, "weights": [[0]]}').n == 1
+
     def test_ragged_matrix(self):
         with pytest.raises(InputFormatError):
             parse_graph_json('{"weights": [[0, 1], [1]]}')
@@ -153,6 +160,16 @@ class TestGraphonJson:
     def test_k_mismatch(self):
         with pytest.raises(InputFormatError, match="does not match"):
             parse_graphon_json('{"k": 3, "values": [[0.5]]}')
+
+    @pytest.mark.parametrize("k", ["true", "false"])
+    def test_boolean_k_is_refused(self, k):
+        with pytest.raises(InputFormatError, match="bad 'k' value"):
+            parse_graphon_json('{"k": %s, "values": [[0.5]]}' % k)
+        assert parse_graphon_json('{"k": null, "values": [[0.5]]}').k == 1
+
+    def test_missing_values_is_reported_before_a_bad_c(self):
+        with pytest.raises(InputFormatError, match="requires a 'values' key"):
+            parse_graphon_json('{"c": "x"}')
 
 
 class TestFiles:

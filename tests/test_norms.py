@@ -152,6 +152,37 @@ class TestOperatorNorm:
                 with pytest.raises(ParameterError):
                     operator_norm(_with_entry(bad), p)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sums_raise_numerical_error(self):
+        # column 1 sums to 2e308; its 1-norm used to read inf
+        m = np.zeros((3, 3))
+        m[0, 1] = m[2, 1] = 1e308
+        m[1, 0] = 1.0
+        with pytest.raises(NumericalError, match="1-norm of this matrix overflows"):
+            operator_norm(m, 1)
+        assert operator_norm(m, math.inf) == 1e308
+        with pytest.raises(NumericalError, match="inf-norm of this matrix overflows"):
+            operator_norm(m.T, math.inf)
+        assert operator_norm(m.T, 1) == 1e308
+        with pytest.raises(NumericalError, match="2-norm of this matrix overflows"):
+            operator_norm(np.full((2, 2), 1e308), 2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e-100, 1e-300])
+    def test_two_norm_of_entries_far_from_one(self, scale):
+        # y @ y overflowed at 1e200 (inf), and z @ z underflowed to 0 at
+        # 1e-100, which restarted the iteration until its budget ran out
+        m = np.array([[0.0, scale], [scale, 0.0]])
+        assert operator_norm(m, 2) == pytest.approx(np.linalg.norm(m, 2), rel=1e-15)
+
+    def test_two_norm_commutes_with_power_of_two_scalings(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 3, 8):
+            m = rng.standard_normal((n, n))
+            base = operator_norm(m, 2)
+            for k in (-1000, -700, -201, 201, 700, 1000):
+                assert operator_norm(np.ldexp(m, k), 2) == np.ldexp(base, k)
+
 
 class TestCutNormExact:
     def test_all_ones_2x2(self):
@@ -285,6 +316,13 @@ class TestCutNormHeuristic:
         for bad in NON_FINITE:
             with pytest.raises(ParameterError):
                 cut_norm_heuristic(_with_entry(bad))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sums_raise_numerical_error(self):
+        # the witness sum used to overflow and the value read inf
+        m = np.array([[1e308, 1e308], [-1e308, -1e308]])
+        with pytest.raises(NumericalError, match="overflow"):
+            cut_norm_heuristic(m)
 
 
 class TestBatchedCut:
