@@ -30,8 +30,7 @@ from .errors import (
     ParameterError,
     SimplicityError,
 )
-from .graphs import SYMMETRY_TOL, Permutation, degree_vector, max_asymmetry, permute
-from .graphs import permute_vector
+from .graphs import Permutation, _pow2_normalize, degree_vector, permute, permute_vector
 from .norms import operator_norm, vector_norm
 
 FAMILIES = ("eigen", "katz", "pagerank", "affine")
@@ -371,8 +370,8 @@ def eigencentrality(g, which="largest"):
     descending real part.  Once the selected eigenvalue passes every check,
     its eigenvector comes from inverse iteration on A.T - lambda I.  All of
     this runs on A scaled by the exact power of two that puts max |a_ij| in
-    [1, 2), so the checks below, symmetry included, do not depend on the
-    weight scale.
+    [1, 2) (``graphs._pow2_normalize``), so the gap and zero checks below do
+    not depend on the weight scale.  The route is chosen by ``g.symmetric``.
 
     Parameters
     ----------
@@ -399,20 +398,15 @@ def eigencentrality(g, which="largest"):
         eigenvalue is complex.
     ParameterError
         Zero selected eigenvalue (below 1e-12 scaled), invalid ``which``,
-        or a non-symmetric
-        graph on the index route.
+        or a non-symmetric graph on the index route.
     NumericalError
-        If inverse iteration does not reach its residual bound.
+        If the selected eigenvalue of A exceeds float64, or inverse
+        iteration does not reach its residual bound.
     """
-    w, n = g.weights, g.n
-    peak = max(float(w.max()), -float(w.min()))
-    shift = 1 - math.frexp(peak)[1] if peak else 0
-    symmetric = g.symmetric
-    if shift:  # the 1e-12 symmetry test is absolute as well
-        w = np.ldexp(w, shift)
-        symmetric = max_asymmetry(w) <= SYMMETRY_TOL
+    w, e = _pow2_normalize(g.weights)
+    n = g.n
     if isinstance(which, (int, np.integer)) and not isinstance(which, bool):
-        if not symmetric:
+        if not g.symmetric:
             raise ParameterError("eigenvalue selection by index requires a symmetric graph")
         if n > 2000:
             raise ParameterError("full eigendecomposition is limited to n <= 2000")
@@ -420,14 +414,14 @@ def eigencentrality(g, which="largest"):
             raise ParameterError(f"eigenvalue index must lie in [0, {n})")
         k, role = int(which), "selected"
     elif which == "largest":
-        if not peak:
+        if not w.any():
             raise ParameterError(
                 "the zero matrix has leading eigenvalue zero; eigencentrality is undefined"
             )
         k, role = 0, "leading"
     else:
         raise ParameterError(f"which must be 'largest' or an integer index, got {which!r}")
-    evals = np.linalg.eigvalsh(w) if symmetric else np.linalg.eigvals(w.T)
+    evals = np.linalg.eigvalsh(w) if g.symmetric else np.linalg.eigvals(w.T)
     order = np.argsort(-evals.real, kind="stable")
     lam_c = evals[order[k]]
     others = np.delete(evals, order[k])
@@ -436,23 +430,27 @@ def eigencentrality(g, which="largest"):
         raise SimplicityError(
             "the dominant eigenvalue is complex; no simple real leading eigenvalue"
         )
+    lam = float(lam_c.real)
+    with np.errstate(over="ignore"):  # an infinite gap of A is still simple
+        value = float(np.ldexp(lam, e))
+        gap_a = float(np.ldexp(gap, e))
     if gap < GAP_TOL:
         raise SimplicityError(
-            f"{role} eigenvalue is not simple (gap {gap:.3e} < {GAP_TOL})"
+            f"{role} eigenvalue is not simple "
+            f"(gap {gap_a:.3e} < {math.ldexp(GAP_TOL, e):.3g})"
         )
-    lam = float(lam_c.real)
     if abs(lam) < 1e-12:
         raise ParameterError(f"{role} eigenvalue is zero; the centrality equation is undefined")
+    if math.isinf(value):
+        raise NumericalError(f"the {role} eigenvalue of this matrix overflows float64")
     v, solves = _inverse_iteration(w.T, lam)
     v = v / vector_norm(v, 2)
     if float(v.sum()) < 0.0:
         v = -v
     rho = np.abs(v) if float(np.min(v)) >= -NEGATIVE_RHO_TOL else None
     residual = vector_norm(w.T @ v - lam * v, 2) / abs(lam)
-    with np.errstate(over="ignore"):
-        lam, gap = (float(np.ldexp(x, -shift)) for x in (lam, gap))
     return EigenResult(
-        vector=v, value=lam, gap=gap, rho=rho, iterations=solves, residual=float(residual),
+        vector=v, value=value, gap=gap_a, rho=rho, iterations=solves, residual=float(residual),
     )
 
 

@@ -159,7 +159,8 @@ def cmd_compare(args):
 
 
 def cmd_graphon_lift(args):
-    w = lift(read_graph(args.input))
+    g = read_graph(args.input)
+    w = lift(g)
     _emit(graphon_to_dict(w), args, lambda: "".join(
         ",".join(map(float.__repr__, row)) + "\n" for row in w.values.tolist()
     ))
@@ -181,7 +182,11 @@ def cmd_graphon_centrality(args):
             "integral": integral(rho),
             "non_negative": bool(float(np.min(rho.values)) >= -1e-12),
         }
-    payload = {"rho": [float(x) for x in rho.values], **extras, "manifest": _manifest(args)}
+    payload = {
+        "rho": [float(x) for x in rho.values],
+        **extras,
+        "manifest": _manifest(args),
+    }
     _emit(payload, args, lambda: "block,rho\n" + "".join(
         f"{i},{float(x)!r}\n" for i, x in enumerate(rho.values)
     ))

@@ -37,6 +37,17 @@ def max_asymmetry(w):
     return float(np.max(peaks))
 
 
+def _pow2_normalize(m):
+    """``(m * 2^-e, e)`` for the integer ``e`` that puts the largest absolute
+    entry of a non-empty array in [1, 2); ``m`` itself and ``e = 0`` when it
+    already lies there or ``m`` is zero.  Power-of-two scaling is exact, so
+    results computed on the scaled array scale back bit for bit.
+    """
+    peak = max(float(m.max()), -float(m.min()))
+    e = math.frexp(peak)[1] - 1 if peak else 0
+    return (np.ldexp(m, -e) if e else m), e
+
+
 class Graph:
     """A dense weighted graph on the node set ``{0, ..., n-1}``.
 
@@ -161,32 +172,19 @@ def generate(spec):
     the identical matrix.
     """
     n = spec.n
-    w = np.zeros((n, n))
-    if spec.kind == "cycle":
-        for i in range(n):
-            j = (i + 1) % n
-            if i != j:
-                w[i, j] = 1.0
-                w[j, i] = 1.0
+    w = np.zeros((n, n))  # the upper triangle; mirrored below
+    if spec.kind in ("cycle", "path"):
+        w[np.arange(n - 1), np.arange(1, n)] = 1.0
+        if spec.kind == "cycle" and n > 2:
+            w[0, n - 1] = 1.0
     elif spec.kind == "complete":
-        w = np.ones((n, n)) - np.eye(n)
+        w = np.triu(np.ones((n, n)), 1)
     elif spec.kind == "star":
-        for i in range(1, n):
-            w[0, i] = 1.0
-            w[i, 0] = 1.0
-    elif spec.kind == "path":
-        for i in range(n - 1):
-            w[i, i + 1] = 1.0
-            w[i + 1, i] = 1.0
+        w[0, 1:] = 1.0
     else:  # erdos_renyi
         rng = np.random.default_rng(spec.seed)
-        upper = rng.random((n, n)) < spec.edge_prob
-        for i in range(n):
-            for j in range(i + 1, n):
-                if upper[i, j]:
-                    w[i, j] = 1.0
-                    w[j, i] = 1.0
-    return Graph(w)
+        w = np.triu(rng.random((n, n)) < spec.edge_prob, 1).astype(float)
+    return Graph(w + w.T)
 
 
 def permute(g, p):

@@ -119,7 +119,8 @@ def _parse_matrix(obj, kind, build, key, size_key, noun):
         built = build(obj[key])
     except (ParameterError, ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"bad {key!r} value: {exc}") from exc
-    size, declared = getattr(built, size_key), obj.get(size_key)
+    size = getattr(built, size_key)
+    declared = obj.get(size_key)
     if isinstance(declared, bool):
         raise InputFormatError(f"bad {size_key!r} value: expected null or a number")
     if declared is not None and declared != size:

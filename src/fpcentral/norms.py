@@ -51,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, SizeLimitError
-from .graphs import Permutation, _lex_blocks, _lex_permutations, degree_vector
-from .graphs import max_asymmetry, permute
+from .graphs import Permutation, _lex_blocks, _lex_permutations, _pow2_normalize
+from .graphs import degree_vector, max_asymmetry, permute
 from .limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N, exact_limit
 
 POWER_TOL = 1e-10
@@ -83,9 +83,10 @@ def vector_norm(v, p):
     """The p-norm of a vector for p in {1, 2, inf}.
 
     The 2-norm is sqrt(sum(v * v)).  Only when that sum overflows, or falls
-    below the normal range for a nonzero v, is it taken again over
-    v / max|v|, so that entries beyond about 1e154 or below about 1e-154
-    keep a finite norm with full precision.
+    below the normal range for a nonzero v, is it taken again over v scaled
+    by the power of two that puts max|v| in [1, 2) (``_pow2_normalize``),
+    so that entries beyond about 1e154 or below about 1e-154 keep a finite
+    norm with full precision.
     """
     p = _canon_p(p)
     v = np.asarray(v, dtype=float)
@@ -94,12 +95,10 @@ def vector_norm(v, p):
     if p == 2:
         with np.errstate(over="ignore"):
             total = float(np.sum(v * v))
-        if math.isfinite(total) and (total >= _TINY or not v.any()):
-            return math.sqrt(total)
-        peak = float(np.max(np.abs(v)))
-        if not math.isfinite(peak):  # an inf or NaN entry
-            return math.sqrt(total)
-        return peak * math.sqrt(float(np.sum((v / peak) ** 2)))
+            if math.isfinite(total) and (total >= _TINY or not v.any()):
+                return math.sqrt(total)
+            scaled, e = _pow2_normalize(v)  # inf and NaN entries stay as they are
+            return float(np.ldexp(math.sqrt(float(np.sum(scaled * scaled))), e))
     return float(np.max(np.abs(v), initial=0.0))
 
 
@@ -153,24 +152,21 @@ def operator_norm(m, p):
     p=1 is the maximum absolute column sum, p=inf the maximum absolute row
     sum.  p=2 is the largest singular value computed by power iteration on
     ``m.T @ m`` with relative tolerance 1e-10 and at most 10000 iterations.
-    A largest entry outside [2^-201, 2^200] is first scaled into [0.5, 1)
-    by an exact power of two, keeping sigma^4 within float range.  Non-finite
-    entries raise ParameterError; a norm beyond float64 raises NumericalError.
+    The iteration runs on ``m`` scaled by the exact power of two that puts
+    its largest entry in [1, 2) (``graphs._pow2_normalize``), so neither
+    sigma^4 overflows nor z @ z underflows.  Non-finite entries raise
+    ParameterError; a norm beyond float64 raises NumericalError.
     """
     p = _canon_p(p)
     m = _square_finite(m, "operator_norm")
-    if p != 2:
-        with np.errstate(over="ignore"):
+    if p == 2 and not m.any():
+        return 0.0
+    with np.errstate(over="ignore"):
+        if p != 2:
             value = float(np.abs(m).sum(axis=0 if p == 1 else 1).max())
-    else:
-        peak = max(float(m.max()), -float(m.min()))
-        if peak == 0.0:
-            return 0.0
-        _, e = math.frexp(peak)
-        if abs(e) <= 200:
-            return _power_iteration_sigma(m)
-        with np.errstate(over="ignore"):
-            value = float(np.ldexp(_power_iteration_sigma(np.ldexp(m, -e)), e))
+        else:
+            scaled, e = _pow2_normalize(m)
+            value = float(np.ldexp(_power_iteration_sigma(scaled), e))
     if math.isinf(value):
         raise NumericalError(f"the {p}-norm of this matrix overflows float64")
     return value

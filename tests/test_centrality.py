@@ -344,16 +344,44 @@ class TestEigencentrality:
     def test_power_of_two_scalings_give_the_same_bits(self):
         rng = np.random.default_rng(40)
         sym = rng.random((7, 7))
-        graphs = [generate(GraphGeneratorSpec("path", 3)).weights, sym + sym.T,
-                  rng.random((6, 6)) * (rng.random((6, 6)) < 0.7)]
-        for w in graphs:
+        every = (-1000, -900, -300, -1, 1, 7, 300, 900)
+        # Graph's 1e-12 symmetry test is absolute: below about 2^-40 this
+        # directed graph reads as symmetric, so it is scaled down less
+        cases = [(generate(GraphGeneratorSpec("path", 3)).weights, every),
+                 (sym + sym.T, every),
+                 (rng.random((6, 6)) * (rng.random((6, 6)) < 0.7), (-30, -1, 1, 7, 300, 900))]
+        for w, scalings in cases:
             base = eigencentrality(Graph(w))
-            for k in (-1000, -900, -300, -1, 1, 7, 300, 900):
+            for k in scalings:
                 res = eigencentrality(Graph(np.ldexp(w, k)))
                 assert np.array_equal(res.vector, base.vector), k
                 assert res.value == np.ldexp(base.value, k), k
                 assert res.gap == np.ldexp(base.gap, k), k
                 assert res.residual == base.residual, k
+
+    def test_not_simple_reports_the_gap_of_a(self):
+        # weights near 1000 are scaled by 2^-9: the 1e-8 gap test of the
+        # scaled matrix is a gap of 2^9 * 1e-8 = 5.12e-6 for A
+        def diagonal(gap):
+            return Graph(np.diag([1000.0, 1000.0 - gap, 1.0]))
+
+        with pytest.raises(SimplicityError, match=r"\(gap 1\.000e-06 < 5\.12e-06\)$"):
+            eigencentrality(diagonal(1e-6))
+        res = eigencentrality(diagonal(1e-5))
+        assert res.value == 1000.0
+        assert res.gap == pytest.approx(1e-5, rel=1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_eigenvalue_beyond_float64_raises(self):
+        # K_3 has leading eigenvalue 2; at weight 1e308 that is 2e308
+        w = generate(GraphGeneratorSpec("complete", 3)).weights * 1e308
+        with pytest.raises(NumericalError, match="leading eigenvalue of this matrix overflows"):
+            eigencentrality(Graph(w))
+        # at 6.5e307 the gap of A, 3 * 6.5e307, overflows but the value
+        # does not; an infinite gap still means a simple eigenvalue
+        res = eigencentrality(Graph(w * 0.65))
+        assert res.value == pytest.approx(1.3e308, rel=1e-15)
+        assert res.gap == math.inf
 
     def test_zero_one_graphs_are_not_rescaled(self, monkeypatch):
         # max |a_ij| = 1 already lies in [1, 2): no scaled copy is made

@@ -716,15 +716,30 @@ class TestScaleFreeEigen:
 
     def test_power_of_two_scalings_give_the_same_feature(self, capsys, tmp_path):
         rng = np.random.default_rng(42)
-        w = rng.random((6, 6)) * (rng.random((6, 6)) < 0.7)
-        features = []
-        for k in (-900, -20, 0, 20, 900):
-            path = tmp_path / f"g{k}.json"
-            path.write_text(json.dumps({"weights": np.ldexp(w, k).tolist()}))
-            code, payload, _ = run_json(capsys, "centrality", str(path), "--family", "eigen")
-            assert code == 0
-            features.append(payload["feature_x"])
-        assert all(f == features[0] for f in features)
+        sym = rng.random((6, 6))
+        directed = rng.random((6, 6)) * (rng.random((6, 6)) < 0.7)
+        # Graph's 1e-12 symmetry test is absolute: the directed graph reads
+        # as symmetric below about 2^-40, so it is not scaled that far down
+        for w, scalings in ((sym + sym.T, (-900, -20, 0, 20, 900)),
+                            (directed, (-20, 0, 20, 900))):
+            features = []
+            for k in scalings:
+                path = tmp_path / f"g{k}.json"
+                path.write_text(json.dumps({"weights": np.ldexp(w, k).tolist()}))
+                code, payload, _ = run_json(capsys, "centrality", str(path), "--family", "eigen")
+                assert code == 0
+                features.append(payload["feature_x"])
+            assert all(f == features[0] for f in features)
+
+    def test_an_eigenvalue_beyond_float64_exits_3(self, capsys, tmp_path):
+        # K_3 at weight 1e308 has leading eigenvalue 2e308
+        path = tmp_path / "k3.txt"
+        path.write_text("".join(f"{i} {j} 1e308\n" for i in range(3) for j in range(3) if i != j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "centrality", str(path), "--family", "eigen")
+        assert (code, out) == (3, "")
+        assert err == "error: the leading eigenvalue of this matrix overflows float64\n"
 
 
 class TestNormsStayFinite:

@@ -15,7 +15,7 @@ from fpcentral import (
     permute_vector,
 )
 from fpcentral.graphon import VALUE_MATCH_TOL, StepGraphon
-from fpcentral.graphs import SYMMETRY_TOL, max_asymmetry
+from fpcentral.graphs import SYMMETRY_TOL, _pow2_normalize, max_asymmetry
 from fpcentral.limits import MAX_AUTOMORPHISM_N
 
 from oracles import automorphisms_brute
@@ -109,6 +109,21 @@ class TestMaxAsymmetry:
                     else:
                         with pytest.raises(ParameterError, match="symmetric"):
                             StepGraphon(w)
+
+
+class TestPow2Normalize:
+    def test_scales_the_peak_into_one_two(self):
+        for peak, e in ((1000.0, 9), (-1000.0, 9), (0.75, -1), (1e-300, -997), (1e300, 996)):
+            m = np.array([[peak, 0.5 * peak], [0.0, -0.25 * peak]])
+            scaled, got = _pow2_normalize(m)
+            assert got == e
+            assert np.array_equal(np.ldexp(scaled, e), m)
+            assert 1.0 <= np.max(np.abs(scaled)) < 2.0
+
+    def test_leaves_unit_and_zero_peaks_alone(self):
+        for m in (np.eye(3), -1.5 * np.eye(3), np.zeros((2, 2))):
+            scaled, e = _pow2_normalize(m)
+            assert scaled is m and e == 0
 
 
 class TestGenerate:

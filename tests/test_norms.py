@@ -180,7 +180,7 @@ class TestOperatorNorm:
         for n in (1, 3, 8):
             m = rng.standard_normal((n, n))
             base = operator_norm(m, 2)
-            for k in (-1000, -700, -201, 201, 700, 1000):
+            for k in (-1000, -700, -201, -1, 1, 7, 201, 700, 1000):
                 assert operator_norm(np.ldexp(m, k), 2) == np.ldexp(base, k)
 
 
