@@ -4,7 +4,7 @@ A centrality here is rho = g(x) where x solves x = f(A, x) for a
 permutation-equivariant pair (f, g).  The canonical families are
 
 * ``eigen``:     x = (1/lambda_1) A.T x, the leading-eigenvector equation;
-* ``katz``:      x = alpha A.T x + 1,    requiring alpha < 1/opnorm2(A);
+* ``katz``:      x = alpha A.T x + 1,    requiring alpha ||A||_2 < 1;
 * ``pagerank``:  x = alpha A.T D^{-1} x + (1 - alpha)/n, with D the diagonal
   of row sums of A and zero kernel columns at zero out-degree nodes, so the
   result may sum to less than one (reported as is, never renormalized);
@@ -54,9 +54,9 @@ INVERSE_MAX_SOLVES = 8
 class FixedPointMap:
     """A named, parameterized fixed-point family (f, g).
 
-    ``alpha`` is required for katz and pagerank and must lie in (0, 1); the
-    katz bound alpha < 1/opnorm2(A) is checked when the map is bound to a
-    graph (in solve and the closed forms).  The affine family is
+    ``alpha`` is required for katz and pagerank and must lie in the domain
+    of ``check_contraction``; the bound L0 < 1 is checked when the map is
+    bound to a graph (in solve and the closed forms).  The affine family is
     x -> affine_M x + affine_b and ignores the graph; it exists to exercise
     the solver and the equivariance checker.
     """
@@ -70,13 +70,9 @@ class FixedPointMap:
         if self.family not in FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}")
         if self.family in ("katz", "pagerank"):
-            if self.alpha is None:
-                raise ParameterError(f"{self.family} requires alpha")
-            if not 0.0 < self.alpha < 1.0:
-                raise ParameterError("alpha must lie in (0, 1)")
-        else:
-            if self.alpha is not None:
-                raise ParameterError(f"alpha is not a {self.family} parameter")
+            check_contraction(self.family, self.alpha)
+        elif self.alpha is not None:
+            raise ParameterError(f"alpha is not a {self.family} parameter")
         if self.family == "affine":
             if self.affine_M is None or self.affine_b is None:
                 raise ParameterError("affine requires affine_M and affine_b")
@@ -125,11 +121,8 @@ class CentralityResult:
 def pagerank_kernel(g):
     """The kernel A.T D^{-1} with columns of zero out-degree nodes zeroed."""
     w = g.weights
-    d = degree_vector(g)
-    scaled = np.zeros_like(w)
-    nz = d != 0.0
-    scaled[nz] = w[nz] / d[nz, None]
-    return scaled.T
+    d = degree_vector(g)[:, None]
+    return np.divide(w, d, out=np.zeros_like(w), where=d != 0.0).T
 
 
 def _iteration_map(map_, g):
@@ -159,13 +152,23 @@ def apply_map(map_, g, x):
     return m @ x + b
 
 
-def _check_katz_bound(g, alpha):
-    op2 = operator_norm(g.weights, 2)
-    if alpha * op2 >= 1.0:
-        raise ParameterError(
-            f"katz requires alpha < 1/opnorm2(A) = {1.0 / op2 if op2 > 0 else math.inf:.6g}, "
-            f"got alpha={alpha}"
-        )
+def check_contraction(family, alpha, g=None):
+    """The one contraction rule.  Katz needs alpha > 0, PageRank 0 < alpha < 1;
+    given a graph (or a graphon's lift), returns L0 = alpha ||A||_2 (katz) or
+    alpha ||A^T D^-1||_1 (pagerank) and refuses it unless L0 < 1.
+    """
+    domain = "alpha > 0" if family == "katz" else "0 < alpha < 1"
+    if alpha is None or not (alpha > 0.0 if family == "katz" else 0.0 < alpha < 1.0):
+        raise ParameterError(f"{family} requires {domain}, got alpha={alpha}")
+    if g is None:
+        return None
+    if family == "katz":
+        l0, label = alpha * operator_norm(g.weights, 2), "alpha * ||A||_2"
+    else:
+        l0, label = alpha * operator_norm(pagerank_kernel(g), 1), "alpha * ||A^T D^-1||_1"
+    if not l0 < 1.0:
+        raise ParameterError(f"{family} requires {label} < 1, got {l0:.6g}")
+    return l0
 
 
 def solve(g, map_, cfg=None):
@@ -210,8 +213,8 @@ def solve(g, map_, cfg=None):
             residual=eig.residual,
             contraction_estimate=0.0,
         )
-    if map_.family == "katz":
-        _check_katz_bound(g, map_.alpha)
+    if map_.family in ("katz", "pagerank"):
+        check_contraction(map_.family, map_.alpha, g)
     p = native_norm_index(map_.family)
     if cfg.initial is not None:
         x = np.asarray(cfg.initial, dtype=float).copy()
@@ -274,24 +277,21 @@ def _solve_direct(lhs, rhs, label):
 def katz_closed_form(g, alpha):
     """Direct solve of (I - alpha A.T) rho = 1.
 
-    Requires 0 < alpha < 1/opnorm2(A); under that bound the system is
-    nonsingular, but the solve is guarded anyway.
+    Requires alpha > 0 and alpha ||A||_2 < 1 (``check_contraction``); under
+    that bound the system is nonsingular, but the solve is guarded anyway.
     """
-    if alpha is None or not alpha > 0.0:
-        raise ParameterError("alpha must be positive")
-    _check_katz_bound(g, alpha)
+    check_contraction("katz", alpha, g)
     return _solve_direct(np.eye(g.n) - alpha * g.weights.T, np.ones(g.n), "katz")
 
 
 def pagerank_closed_form(g, alpha):
     """Direct solve of (I - alpha A.T D^{-1}) rho = ((1 - alpha)/n) 1.
 
-    Columns of the kernel at zero out-degree nodes are zero, so mass can
-    leak and the result may sum to less than one; it is reported without
-    renormalization.
+    Requires L0 = alpha ||A^T D^-1||_1 < 1 (``check_contraction``).  Columns
+    at zero out-degree nodes are zero, so mass can leak: the result may sum
+    to less than one and is reported without renormalization.
     """
-    if alpha is None or not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must lie in (0, 1)")
+    check_contraction("pagerank", alpha, g)
     lhs = np.eye(g.n) - alpha * pagerank_kernel(g)
     return _solve_direct(lhs, np.full(g.n, (1.0 - alpha) / g.n), "pagerank")
 

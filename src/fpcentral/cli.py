@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .centrality import FixedPointMap, eigencentrality, normalize, solve
+from .centrality import NEGATIVE_RHO_TOL, FixedPointMap, eigencentrality, normalize, solve
 from .errors import (
     InputFormatError,
     NonConvergenceError,
@@ -180,7 +180,7 @@ def cmd_graphon_centrality(args):
         rho = graphon_pagerank(w, args.alpha)
         extras = {
             "integral": integral(rho),
-            "non_negative": bool(float(np.min(rho.values)) >= -1e-12),
+            "non_negative": bool(float(np.min(rho.values)) >= -NEGATIVE_RHO_TOL),
         }
     payload = {
         "rho": [float(x) for x in rho.values],

@@ -19,10 +19,8 @@ import numpy as np
 
 from .centrality import eigencentrality, katz_closed_form, pagerank_closed_form
 from .errors import ParameterError
-from .graphs import Graph, Permutation, permute
+from .graphs import Graph, Permutation, matrix_tol, permute
 from .norms import cut_norm_exact, operator_norm
-
-VALUE_MATCH_TOL = 1e-12
 
 
 class StepFunction:
@@ -47,9 +45,9 @@ class StepGraphon:
     ``values[i][j]`` is the kernel value on block (i, j); ``c`` bounds the
     absolute values (c = 1 with values in [0, 1] is the classical graphon
     space, arbitrary c covers signed kernels such as differences).  The
-    values pass the checks of ``Graph`` (square, non-empty, finite) and must
-    be symmetric within its 1e-12.  ``c`` must be None (the largest
-    absolute value) or a finite real number that is not a bool.
+    values pass the checks of ``Graph``, symmetry included.  ``c`` is None
+    (the peak |value|) or a finite real number, not a bool, that the peak
+    exceeds by at most ``graphs.matrix_tol`` of the values.
     """
 
     def __init__(self, values, c=None):
@@ -64,7 +62,7 @@ class StepGraphon:
             raise ParameterError(
                 f"graphon bound c must be None or a finite real number, got {c!r:.40}"
             )
-        elif peak > c + VALUE_MATCH_TOL:
+        elif peak > c + matrix_tol(values):
             raise ParameterError(f"graphon values exceed the declared bound c={c}")
         self.values = values
         self.k = values.shape[0]
@@ -86,8 +84,6 @@ def _is_finite_real(value):
 
 def lift(g, c=None):
     """Represent a finite symmetric graph as a step graphon with n blocks."""
-    if not g.symmetric:
-        raise ParameterError("only symmetric graphs lift to graphons")
     return StepGraphon(g.weights, c=c)
 
 

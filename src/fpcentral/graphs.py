@@ -14,8 +14,7 @@ import numpy as np
 from .errors import ParameterError, SizeLimitError
 from .limits import MAX_AUTOMORPHISM_N, exact_limit
 
-SYMMETRY_TOL = 1e-12
-WEIGHT_MATCH_TOL = 1e-12
+MATRIX_TOL = 1e-12
 _SYMMETRY_TILE = 128
 
 
@@ -37,15 +36,23 @@ def max_asymmetry(w):
     return float(np.max(peaks))
 
 
-def _pow2_normalize(m):
-    """``(m * 2^-e, e)`` for the integer ``e`` that puts the largest absolute
-    entry of a non-empty array in [1, 2); ``m`` itself and ``e = 0`` when it
-    already lies there or ``m`` is zero.  Power-of-two scaling is exact, so
-    results computed on the scaled array scale back bit for bit.
-    """
+def _pow2_exponent(m):
+    """The ``e`` that puts the peak |entry| of a non-empty array in [1, 2); 0 for zero."""
     peak = max(float(m.max()), -float(m.min()))
-    e = math.frexp(peak)[1] - 1 if peak else 0
+    return math.frexp(peak)[1] - 1 if peak else 0
+
+
+def _pow2_normalize(m):
+    """``(m * 2^-e, e)`` with ``e = _pow2_exponent(m)``, ``m`` itself for e = 0.
+    The scaling is exact, so results on the scaled array scale back bit for bit."""
+    e = _pow2_exponent(m)
     return (np.ldexp(m, -e) if e else m), e
+
+
+def matrix_tol(m):
+    """The one rule for matrix entries: they count as equal within 1e-12
+    times 2^e, ``e = _pow2_exponent(m)``, so no decision depends on scale."""
+    return math.ldexp(MATRIX_TOL, _pow2_exponent(m))
 
 
 class Graph:
@@ -65,7 +72,7 @@ class Graph:
     weights : (n, n) ndarray
         The weight matrix (a defensive copy, never aliased).
     symmetric : bool
-        True iff the matrix equals its transpose within 1e-12.
+        True iff the matrix equals its transpose within ``matrix_tol``.
     """
 
     def __init__(self, weights):
@@ -78,7 +85,7 @@ class Graph:
             raise ParameterError("the matrix has non-finite entries")
         self.weights = w
         self.n = w.shape[0]
-        self.symmetric = max_asymmetry(w) <= SYMMETRY_TOL
+        self.symmetric = max_asymmetry(w) <= matrix_tol(w)
 
     def is_binary(self):
         """True iff every weight is exactly 0 or 1."""
@@ -210,8 +217,8 @@ def permute_vector(v, p):
 
 def is_automorphism(g, p):
     """True iff relabeling by ``p`` leaves the weight matrix unchanged
-    within 1e-12 (on 0/1 weights that is exact equality)."""
-    return bool(np.max(np.abs(permute(g, p).weights - g.weights)) <= WEIGHT_MATCH_TOL)
+    within ``matrix_tol`` (on 0/1 weights that is exact equality)."""
+    return bool(np.max(np.abs(permute(g, p).weights - g.weights)) <= matrix_tol(g.weights))
 
 
 def _lex_permutations(n):
@@ -244,8 +251,8 @@ def enumerate_automorphisms(g):
     Brute force over the ``n!`` candidate permutations, so the node count
     is capped at 9 (lower if FPC_MAX_EXACT_N says so), skipping each block
     of 24 that share their first n - 4 images once the principal submatrix
-    they assign differs from ``g``'s by more than 1e-12.  The identity is
-    always present in the result.
+    they assign differs from ``g``'s by more than ``matrix_tol``.  The
+    identity is always present in the result.
     """
     limit = exact_limit(MAX_AUTOMORPHISM_N)
     if g.n > limit:
@@ -253,10 +260,11 @@ def enumerate_automorphisms(g):
             f"automorphism enumeration is limited to n <= {limit}, got n={g.n}"
         )
     w = g.weights
+    tol = matrix_tol(w)
     blocks, d = _lex_blocks(_lex_permutations(g.n))
     heads = blocks[:, 0, :d]
     sub = w[heads[:, :, None], heads[:, None, :]]
-    close = np.all(np.abs(sub - w[:d, :d]) <= WEIGHT_MATCH_TOL, axis=(1, 2))
+    close = np.all(np.abs(sub - w[:d, :d]) <= tol, axis=(1, 2))
     perms = blocks[close].reshape(-1, g.n)
     keep = []
     chunk = 100_000
@@ -264,7 +272,7 @@ def enumerate_automorphisms(g):
         block = perms[start : start + chunk]
         # permuted[k, i, j] = w[block[k, i], block[k, j]]
         permuted = w[block[:, :, None], block[:, None, :]]
-        match = np.all(np.abs(permuted - w) <= WEIGHT_MATCH_TOL, axis=(1, 2))
+        match = np.all(np.abs(permuted - w) <= tol, axis=(1, 2))
         keep.append(block[match])
     return [Permutation(row) for row in np.concatenate(keep, axis=0)]
 

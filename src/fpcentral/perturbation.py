@@ -44,12 +44,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .centrality import apply_map, native_norm_index, pagerank_kernel, solve
+from .centrality import NEGATIVE_RHO_TOL, apply_map, check_contraction, native_norm_index
+from .centrality import pagerank_kernel, solve
 from .errors import ParameterError
 from .graphon import _lift_graph, graphon_katz, graphon_pagerank
 from .graphs import Graph
 from .norms import min_permuted_distance, operator_norm, vector_norm
-from .transport import wasserstein
+from .transport import PMF_TOL, wasserstein
 
 HOLDS_TOL = 1e-9
 _NORM_PS = (1, 2, math.inf)
@@ -164,20 +165,10 @@ def _analytic(g, weight, family, alpha):
     measure ``weight``: R = ||b||_{p,weight}/(1 - L0) + 1 for the constant
     term b, with ||1||_{2,weight} = sqrt(weight n) for katz and
     ||b||_{1,weight} = 1 - alpha for pagerank."""
-    if family == "katz":
-        if alpha is None or not alpha > 0.0:
-            raise ParameterError("alpha must be positive")
-        l0, label = alpha * operator_norm(g.weights, 2), "alpha * ||A||_2"
-        b_norm = math.sqrt(weight * g.n)
-    elif family == "pagerank":
-        if alpha is None or not 0.0 < alpha < 1.0:
-            raise ParameterError("alpha must lie in (0, 1)")
-        l0, label = alpha * operator_norm(pagerank_kernel(g), 1), "alpha * ||M||_1"
-        b_norm = 1.0 - alpha
-    else:
+    if family not in ("katz", "pagerank"):
         raise ParameterError("analytic constants exist for the katz and pagerank families")
-    if l0 >= 1.0:
-        raise ParameterError(f"contraction hypothesis fails: {label} = {l0:.6g} >= 1")
+    l0 = check_contraction(family, alpha, g)
+    b_norm = math.sqrt(weight * g.n) if family == "katz" else 1.0 - alpha
     radius = b_norm / (1.0 - l0) + 1.0
     return LipschitzConstants(
         L0=l0, L1=_l1(family, alpha, radius), Lg=1.0, norm_p=native_norm_index(family),
@@ -397,11 +388,11 @@ def _certify(kind, pair, family, alpha, consts, certified, digest, mode="exact",
     if kind == "theorem":
         observed = _norm(rho_a - rho_b, p, w)
     else:
-        if min(float(np.min(rho_a)), float(np.min(rho_b))) < -1e-12:
+        if min(float(np.min(rho_a)), float(np.min(rho_b))) < -NEGATIVE_RHO_TOL:
             raise ParameterError("a centrality has negative values and cannot be a density")
         mass_a, mass_b = w * float(rho_a.sum()), w * float(rho_b.sum())
         pmf_a, pmf_b = w * rho_a, w * rho_b
-        if abs(mass_a - 1.0) > 1e-9 or abs(mass_b - 1.0) > 1e-9:
+        if abs(mass_a - 1.0) > PMF_TOL or abs(mass_b - 1.0) > PMF_TOL:
             s_min = min(mass_a, mass_b)
             if s_min <= 0.0:
                 raise ParameterError(

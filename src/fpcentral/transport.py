@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .centrality import NEGATIVE_RHO_TOL
 from .errors import NumericalError, ParameterError, SizeLimitError
 from .limits import MAX_PLAN_N, exact_limit
 from .norms import vector_norm
@@ -52,7 +53,7 @@ def _check_pmf(v, name):
         raise ParameterError(f"{name} must be a nonempty vector")
     if not np.all(np.isfinite(v)):
         raise ParameterError(f"{name} must be finite")
-    if float(np.min(v)) < -1e-12:
+    if float(np.min(v)) < -NEGATIVE_RHO_TOL:
         raise ParameterError(f"{name} has negative entries")
     if abs(float(v.sum()) - 1.0) > PMF_TOL:
         raise ParameterError(f"{name} must sum to 1 within {PMF_TOL}")

@@ -55,8 +55,13 @@ class TestFixedPointMap:
                 FixedPointMap(family)
             with pytest.raises(ParameterError):
                 FixedPointMap(family, alpha=0.0)
-            with pytest.raises(ParameterError):
-                FixedPointMap(family, alpha=1.0)
+        with pytest.raises(ParameterError):
+            FixedPointMap("pagerank", alpha=1.0)
+        # katz alpha = 1.0 is refused only once alpha ||A||_2 >= 1
+        katz = FixedPointMap("katz", alpha=1.0)
+        with pytest.raises(ParameterError, match="katz requires"):
+            solve(_c2(), katz)
+        assert np.allclose(solve(Graph(0.5 * _c2().weights), katz).rho, [2.0, 2.0])
 
     def test_alpha_forbidden_for_eigen(self):
         with pytest.raises(ParameterError):
@@ -179,6 +184,16 @@ class TestClosedForms:
         g = Graph(2.0 * np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ParameterError, match="katz requires"):
             katz_closed_form(g, 0.5)
+
+    def test_pagerank_refused_unless_l0_is_below_one(self):
+        # a signed graph whose kernel has 1-norm 3; solve used to iterate
+        # to NaN and give up after its budget
+        g = Graph(np.array([[0.0, 2.0, -1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
+        message = r"pagerank requires alpha \* \|\|A\^T D\^-1\|\|_1 < 1, got 2.55"
+        with pytest.raises(ParameterError, match=message):
+            solve(g, FixedPointMap("pagerank", alpha=0.85))
+        with pytest.raises(ParameterError, match=message):
+            pagerank_closed_form(g, 0.85)
 
     def test_pagerank_directed_3_cycle(self):
         got = pagerank_closed_form(_directed_3_cycle(), 0.85)

@@ -102,8 +102,9 @@ class TestCentrality:
         assert np.allclose(payload["rho"], [0.5, 0.5**0.5, 0.5], atol=1e-12)
 
     def test_eigen_gap_with_weights_near_the_float_limit_is_quiet(self, capsys, tmp_path):
-        # the spectral gap of these weights overflows to inf, which reads as
-        # simple and must not warn
+        # the simplicity check runs on the weights scaled by 2^-1023, where
+        # the gap is about 2.5; only the gap of A scaled back overflows to
+        # inf, which must not warn
         path = tmp_path / "limit.txt"
         path.write_text("0 1 1e308\n1 2 1e308\n2 0 1e308\n1 0 1e308\n0 2 1e308\n")
         with warnings.catch_warnings():

@@ -53,8 +53,8 @@ class TestContainers:
             StepGraphon(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_step_graphon_symmetry_tolerance_is_the_graphs(self):
-        # Graph's own 1e-12 check decides
-        for gap, symmetric in ((5e-13, True), (3e-12, False)):
+        # Graph's own rule decides: 1e-12 times 2^-1 for the peak 0.5
+        for gap, symmetric in ((2.5e-13, True), (3e-12, False)):
             values = np.array([[0.0, 0.5], [0.5 + gap, 0.0]])
             assert Graph(values).symmetric is symmetric
             if symmetric:
@@ -68,6 +68,17 @@ class TestContainers:
             StepGraphon(np.array([[2.0]]), c=1.0)
         w = StepGraphon(np.array([[-0.5]]))
         assert w.c == 0.5
+
+    def test_step_graphon_bound_is_checked_at_the_values_scale(self):
+        # the margin over c is the matrix tolerance of the values, so a tiny
+        # c is enforced: values 1e10 times the bound used to pass
+        with pytest.raises(ParameterError, match="exceed the declared bound"):
+            StepGraphon(np.array([[1e-20]]), c=1e-30)
+        for k in (-60, 0, 60):
+            peak, tol = math.ldexp(1.5, k), math.ldexp(1e-12, k)
+            StepGraphon(np.array([[peak]]), c=peak - tol / 2)
+            with pytest.raises(ParameterError, match="exceed the declared bound"):
+                StepGraphon(np.array([[peak]]), c=peak - 2 * tol)
 
     @pytest.mark.parametrize(
         "c", [math.inf, -math.inf, float("nan"), True, False, np.bool_(True), "x", [1.0], 10**400],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from fpcentral import (
     permute,
     permute_vector,
 )
-from fpcentral.graphon import VALUE_MATCH_TOL, StepGraphon
-from fpcentral.graphs import SYMMETRY_TOL, _pow2_normalize, max_asymmetry
+from fpcentral.graphon import StepGraphon
+from fpcentral.graphs import MATRIX_TOL, _pow2_normalize, matrix_tol, max_asymmetry
 from fpcentral.limits import MAX_AUTOMORPHISM_N
 
 from oracles import automorphisms_brute
@@ -92,23 +94,33 @@ class TestMaxAsymmetry:
             assert max_asymmetry(w) == _full_asymmetry(w) > 0.25
 
     def test_tolerance_flips_at_the_same_entry(self):
-        above = np.nextafter(SYMMETRY_TOL, 1.0)
-        assert SYMMETRY_TOL == VALUE_MATCH_TOL
-        for base in (0.0, 0.3):
-            for gap, symmetric in ((SYMMETRY_TOL, True), (above, False)):
-                for i, j in ((199, 150), (150, 199), (3, 190)):
-                    w = np.full((200, 200), base)
-                    w[i, j] += gap
-                    assert max_asymmetry(w) == _full_asymmetry(w)
-                    flips = bool(_full_asymmetry(w) <= SYMMETRY_TOL)
-                    if base == 0.0:
-                        assert flips is symmetric
-                    assert Graph(w).symmetric is flips
-                    if flips:
-                        StepGraphon(w)
-                    else:
-                        with pytest.raises(ParameterError, match="symmetric"):
+        # the tolerance is 1e-12 times 2^k for a peak 2^k on the diagonal,
+        # so every power-of-two scale flips at the same entries
+        for k in (-60, 0, 60):
+            peak = math.ldexp(1.0, k)
+            tol = math.ldexp(MATRIX_TOL, k)
+            above = np.nextafter(tol, math.inf)
+            for base in (0.0, 0.3 * peak):
+                for gap, symmetric in ((tol, True), (above, False)):
+                    for i, j in ((199, 150), (150, 199), (3, 190)):
+                        w = np.full((200, 200), base)
+                        w[0, 0] = peak
+                        w[i, j] += gap
+                        assert max_asymmetry(w) == _full_asymmetry(w)
+                        assert matrix_tol(w) == tol
+                        flips = bool(_full_asymmetry(w) <= tol)
+                        if base == 0.0:
+                            assert flips is symmetric
+                        assert Graph(w).symmetric is flips
+                        if flips:
                             StepGraphon(w)
+                        else:
+                            with pytest.raises(ParameterError, match="symmetric"):
+                                StepGraphon(w)
+        # a zero matrix with one 1e-12 entry is that entry's scale: asymmetric
+        w = np.zeros((200, 200))
+        w[199, 150] = MATRIX_TOL
+        assert not Graph(w).symmetric
 
 
 class TestPow2Normalize:
@@ -294,9 +306,10 @@ class TestAutomorphisms:
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_weighted_entries_compare_within_1e_12(self, n):
-        # a weighted cycle with one edge nudged: 5e-13 keeps every dihedral
-        # symmetry, 2e-12 only the two that map the edge {0, 1} onto itself
-        # (the identity and i -> 1 - i)
+        # a weighted cycle with one edge nudged, compared within 1e-12 times
+        # 2^-1 for the peak 0.7: 2.5e-13 keeps every dihedral symmetry,
+        # 7.5e-13 only the two that map the edge {0, 1} onto itself (the
+        # identity and i -> 1 - i)
         dihedral = sorted(
             tuple((r + s * i) % n for i in range(n)) for r in range(n) for s in (1, -1)
         )
@@ -304,7 +317,8 @@ class TestAutomorphisms:
         base = 0.7 * generate(GraphGeneratorSpec("cycle", n)).weights
         if n == 8:
             assert automorphisms_brute(base) == dihedral
-        for nudge, kept in ((5e-13, dihedral), (2e-12, edge_fixing)):
+        assert matrix_tol(base) == 5e-13
+        for nudge, kept in ((2.5e-13, dihedral), (7.5e-13, edge_fixing)):
             w = base.copy()
             w[0, 1] = w[1, 0] = 0.7 + nudge
             g = Graph(w)
