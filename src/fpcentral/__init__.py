@@ -6,177 +6,71 @@ fixed points ``x = f(A, x)``, mirrors them on step graphons, and checks
 how far two centrality profiles can drift when the underlying kernel is
 perturbed: each ``*_certificate`` function returns an explicit bound,
 the observed deviation, and whether the bound holds.
+
+Importing the package loads none of its modules: each public name, and
+each submodule named as an attribute (``fpcentral.norms``), is imported
+on first use (PEP 562), so a caller, the ``fpc`` command line among
+them, pays only for the modules it touches.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .centrality import (
-    CentralityResult,
-    EigenResult,
-    FixedPointMap,
-    Normalizer,
-    SolveConfig,
-    apply_map,
-    check_equivariance,
-    eigencentrality,
-    grassmann_distance,
-    katz_closed_form,
-    normalize,
-    pagerank_closed_form,
-    pagerank_kernel,
-    solve,
-)
-from .errors import (
-    FpcError,
-    InputFormatError,
-    NonConvergenceError,
-    NumericalError,
-    ParameterError,
-    SimplicityError,
-    SizeLimitError,
-)
-from .graphon import (
-    StepFunction,
-    StepGraphon,
-    apply,
-    block_permute,
-    graphon_cut_norm,
-    graphon_degree,
-    graphon_eigencentrality,
-    graphon_katz,
-    graphon_op_norm,
-    graphon_pagerank,
-    integral,
-    lift,
-    refine,
-    resample,
-    step_lp_norm,
-)
-from .graphs import (
-    Graph,
-    GraphGeneratorSpec,
-    Permutation,
-    degree_vector,
-    enumerate_automorphisms,
-    generate,
-    is_automorphism,
-    permute,
-    permute_vector,
-)
-from .io import (
-    graph_to_dict,
-    graphon_to_dict,
-    parse_edge_list,
-    parse_graph_json,
-    parse_graphon_json,
-    read_graph,
-    read_graphon,
-    write_graph,
-    write_graphon,
-)
-from .limits import exact_limit
-from .norms import (
-    CutNormWitness,
-    PermutedDistanceResult,
-    cut_norm_exact,
-    cut_norm_heuristic,
-    min_permuted_distance,
-    operator_norm,
-    vector_norm,
-)
-from .perturbation import (
-    BoundCertificate,
-    LipschitzConstants,
-    constants_analytic,
-    constants_empirical,
-    prop6_certificate,
-    prop7_certificate,
-    prop9_certificate,
-    prop10_certificate,
-    theorem1_certificate,
-    theorem2_certificate,
-)
-from .transport import (
-    TransportConvention,
-    TransportPlan,
-    wasserstein,
-)
+# home module of each public name
+_HOMES = {
+    "centrality": (
+        "CentralityResult", "EigenResult", "FixedPointMap", "Normalizer", "SolveConfig",
+        "apply_map", "check_equivariance", "eigencentrality", "grassmann_distance",
+        "katz_closed_form", "normalize", "pagerank_closed_form", "pagerank_kernel",
+        "solve",
+    ),
+    "errors": (
+        "FpcError", "InputFormatError", "NonConvergenceError", "NumericalError",
+        "ParameterError", "SimplicityError", "SizeLimitError",
+    ),
+    "graphon": (
+        "StepFunction", "StepGraphon", "apply", "block_permute", "graphon_cut_norm",
+        "graphon_degree", "graphon_eigencentrality", "graphon_katz", "graphon_op_norm",
+        "graphon_pagerank", "integral", "lift", "refine", "resample", "step_lp_norm",
+    ),
+    "graphs": (
+        "Graph", "GraphGeneratorSpec", "Permutation", "degree_vector",
+        "enumerate_automorphisms", "generate", "is_automorphism", "permute",
+        "permute_vector",
+    ),
+    "io": (
+        "graph_to_dict", "graphon_to_dict", "parse_edge_list", "parse_graph_json",
+        "parse_graphon_json", "read_graph", "read_graphon", "write_graph", "write_graphon",
+    ),
+    "limits": ("exact_limit",),
+    "norms": (
+        "CutNormWitness", "PermutedDistanceResult", "cut_norm_exact", "cut_norm_heuristic",
+        "min_permuted_distance", "operator_norm", "vector_norm",
+    ),
+    "perturbation": (
+        "BoundCertificate", "LipschitzConstants", "constants_analytic",
+        "constants_empirical", "prop6_certificate", "prop7_certificate",
+        "prop9_certificate", "prop10_certificate", "theorem1_certificate",
+        "theorem2_certificate",
+    ),
+    "transport": ("TransportConvention", "TransportPlan", "wasserstein"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "BoundCertificate",
-    "CentralityResult",
-    "CutNormWitness",
-    "EigenResult",
-    "FixedPointMap",
-    "FpcError",
-    "Graph",
-    "GraphGeneratorSpec",
-    "InputFormatError",
-    "LipschitzConstants",
-    "NonConvergenceError",
-    "Normalizer",
-    "NumericalError",
-    "ParameterError",
-    "Permutation",
-    "PermutedDistanceResult",
-    "SimplicityError",
-    "SizeLimitError",
-    "SolveConfig",
-    "StepFunction",
-    "StepGraphon",
-    "TransportConvention",
-    "TransportPlan",
-    "apply",
-    "apply_map",
-    "block_permute",
-    "check_equivariance",
-    "constants_analytic",
-    "constants_empirical",
-    "cut_norm_exact",
-    "cut_norm_heuristic",
-    "degree_vector",
-    "eigencentrality",
-    "enumerate_automorphisms",
-    "exact_limit",
-    "generate",
-    "graph_to_dict",
-    "graphon_cut_norm",
-    "graphon_degree",
-    "graphon_eigencentrality",
-    "graphon_katz",
-    "graphon_op_norm",
-    "graphon_pagerank",
-    "graphon_to_dict",
-    "grassmann_distance",
-    "integral",
-    "is_automorphism",
-    "katz_closed_form",
-    "lift",
-    "min_permuted_distance",
-    "normalize",
-    "operator_norm",
-    "pagerank_closed_form",
-    "pagerank_kernel",
-    "parse_edge_list",
-    "parse_graph_json",
-    "parse_graphon_json",
-    "permute",
-    "permute_vector",
-    "prop6_certificate",
-    "prop7_certificate",
-    "prop9_certificate",
-    "prop10_certificate",
-    "read_graph",
-    "read_graphon",
-    "refine",
-    "resample",
-    "solve",
-    "step_lp_norm",
-    "theorem1_certificate",
-    "theorem2_certificate",
-    "vector_norm",
-    "wasserstein",
-    "write_graph",
-    "write_graphon",
-]
+__all__ = ["__version__", *_HOME_OF]
+
+
+def __getattr__(name):
+    if name in _HOMES:  # a submodule, such as ``fpcentral.norms``
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,16 +12,9 @@ non-convergence, 4 I/O or parse error.
 """
 
 import argparse
-import hashlib
 import sys
 
-from datetime import datetime, timezone
-from pathlib import Path
-
-import numpy as np
-
 from . import __version__
-from .centrality import NEGATIVE_RHO_TOL, FixedPointMap, eigencentrality, normalize, solve
 from .errors import (
     InputFormatError,
     NonConvergenceError,
@@ -30,24 +23,9 @@ from .errors import (
     SimplicityError,
     SizeLimitError,
 )
-from .graphon import (
-    graphon_eigencentrality,
-    graphon_katz,
-    graphon_pagerank,
-    integral,
-    lift,
-)
-from .io import _write_json, graphon_to_dict, read_graph, read_graphon
-from .norms import cut_norm_exact, cut_norm_heuristic, operator_norm
-from .perturbation import (
-    constants_analytic,
-    prop6_certificate,
-    prop7_certificate,
-    prop9_certificate,
-    prop10_certificate,
-    theorem1_certificate,
-    theorem2_certificate,
-)
+
+# Each handler imports the layers it runs, so a command loads only the
+# modules it needs and ``--version`` loads neither numpy nor any layer.
 
 _INPUTS = ("input", "input_a", "input_b")
 # parsed options that are not parameters of the computation
@@ -61,12 +39,17 @@ _EXIT_CODES = {
 
 
 def _file_digest(path):
+    import hashlib
+    from pathlib import Path
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _manifest(args):
     """The command, its inputs and every parsed option that is set, except
     input paths, output routing, and ``--mode``/``--seed`` off the cut norm."""
+    from datetime import datetime, timezone
+
     options = vars(args)
     skip = _NOT_RECORDED + (() if options.get("norm", "cut") == "cut" else ("mode", "seed"))
     paths = [options[k] for k in _INPUTS if k in options]
@@ -83,10 +66,14 @@ def _manifest(args):
 def _emit(payload, args, csv_table):
     """Write the JSON payload; with --csv, also the table that the callable
     ``csv_table`` builds, which is not called otherwise."""
+    from .io import _write_json
+
     if args.output:
         with open(args.output, "w") as fp:
             _write_json(payload, fp)
         if args.csv:
+            from pathlib import Path
+
             Path(args.output).with_suffix(".csv").write_text(csv_table())
     else:
         _write_json(payload, sys.stdout)
@@ -114,6 +101,9 @@ def _emit_certificate(cert, args):
 
 
 def cmd_centrality(args):
+    from .centrality import FixedPointMap, eigencentrality, normalize, solve
+    from .io import read_graph
+
     g = read_graph(args.input)
     _check_alpha(args)
     if args.family == "eigen":
@@ -144,6 +134,15 @@ def cmd_centrality(args):
 
 
 def cmd_compare(args):
+    from .centrality import FixedPointMap
+    from .io import read_graph
+    from .perturbation import (
+        constants_analytic,
+        prop6_certificate,
+        prop7_certificate,
+        theorem1_certificate,
+    )
+
     a = read_graph(args.input_a)
     b = read_graph(args.input_b)
     _check_alpha(args)
@@ -159,6 +158,9 @@ def cmd_compare(args):
 
 
 def cmd_graphon_lift(args):
+    from .graphon import lift
+    from .io import graphon_to_dict, read_graph
+
     g = read_graph(args.input)
     w = lift(g)
     _emit(graphon_to_dict(w), args, lambda: "".join(
@@ -168,6 +170,12 @@ def cmd_graphon_lift(args):
 
 
 def cmd_graphon_centrality(args):
+    import numpy as np
+
+    from .centrality import NEGATIVE_RHO_TOL
+    from .graphon import graphon_eigencentrality, graphon_katz, graphon_pagerank, integral
+    from .io import read_graphon
+
     w = read_graphon(args.input)
     _check_alpha(args)
     if args.family == "eigen":
@@ -194,6 +202,9 @@ def cmd_graphon_centrality(args):
 
 
 def cmd_graphon_compare(args):
+    from .io import read_graphon
+    from .perturbation import prop9_certificate, prop10_certificate, theorem2_certificate
+
     a = read_graphon(args.input_a)
     b = read_graphon(args.input_b)
     _check_alpha(args)
@@ -207,6 +218,9 @@ def cmd_graphon_compare(args):
 
 
 def cmd_norms(args):
+    from .io import read_graph
+    from .norms import cut_norm_exact, cut_norm_heuristic, operator_norm
+
     g = read_graph(args.input)
     m = g.weights
     if args.norm == "cut":

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputFormatError, ParameterError
-from .graphon import StepGraphon, _is_finite_real
 from .graphs import Graph
 from .limits import MAX_DENSE_N
 
@@ -96,6 +95,8 @@ def parse_graphon_json(text):
     """Build a StepGraphon from `{"k": int, "c": real, "values": [[...]]}`
     text; c is optional (null or a finite real number) and defaults to the
     largest absolute value."""
+    from .graphon import StepGraphon, _is_finite_real
+
     obj = _load_json(text)
 
     def build(values):

@@ -297,13 +297,15 @@ def cut_norm_heuristic(m, restarts=16, seed=0):
     S; repeat until the value stops improving, over ``restarts`` starts
     (the first start is the full row set, the rest are seeded random).  Any
     witness is feasible, so the result never exceeds the exact cut norm.
-    Non-finite entries raise ParameterError, an overflowing absolute sum
-    NumericalError.
+    Non-finite entries and a ``seed`` that is not a non-negative integer
+    raise ParameterError, an overflowing absolute sum NumericalError.
     """
     m = _square_finite(m, "cut_norm_heuristic")
     _check_cut_sums(m)
     if restarts < 1:
         raise ParameterError("restarts must be at least 1")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     n = m.shape[0]
     rng = np.random.default_rng(seed)
     best = CutNormWitness(value=-1.0, S=(), T=())

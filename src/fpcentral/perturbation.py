@@ -47,10 +47,8 @@ import numpy as np
 from .centrality import NEGATIVE_RHO_TOL, apply_map, check_contraction, native_norm_index
 from .centrality import pagerank_kernel, solve
 from .errors import ParameterError
-from .graphon import _lift_graph, graphon_katz, graphon_pagerank
 from .graphs import Graph
 from .norms import min_permuted_distance, operator_norm, vector_norm
-from .transport import PMF_TOL, wasserstein
 
 HOLDS_TOL = 1e-9
 _NORM_PS = (1, 2, math.inf)
@@ -311,6 +309,8 @@ def _graph_pair(a, b, map_):
 def _step_pair(a, b, family, alpha):
     """Step adapter: the lifts values/k, weight 1/k, with the graphon
     densities as both centralities and features."""
+    from .graphon import _lift_graph, graphon_katz, graphon_pagerank
+
     if a.k != b.k:
         raise ParameterError("graphons must have the same number of blocks")
     density = graphon_katz if family == "katz" else graphon_pagerank
@@ -388,6 +388,8 @@ def _certify(kind, pair, family, alpha, consts, certified, digest, mode="exact",
     if kind == "theorem":
         observed = _norm(rho_a - rho_b, p, w)
     else:
+        from .transport import PMF_TOL, wasserstein
+
         if min(float(np.min(rho_a)), float(np.min(rho_b))) < -NEGATIVE_RHO_TOL:
             raise ParameterError("a centrality has negative values and cannot be a density")
         mass_a, mass_b = w * float(rho_a.sum()), w * float(rho_b.sum())

@@ -359,15 +359,13 @@ class TestEigencentrality:
     def test_power_of_two_scalings_give_the_same_bits(self):
         rng = np.random.default_rng(40)
         sym = rng.random((7, 7))
-        every = (-1000, -900, -300, -1, 1, 7, 300, 900)
-        # Graph's 1e-12 symmetry test is absolute: below about 2^-40 this
-        # directed graph reads as symmetric, so it is scaled down less
-        cases = [(generate(GraphGeneratorSpec("path", 3)).weights, every),
-                 (sym + sym.T, every),
-                 (rng.random((6, 6)) * (rng.random((6, 6)) < 0.7), (-30, -1, 1, 7, 300, 900))]
-        for w, scalings in cases:
+        # Graph's symmetry tolerance scales with the peak entry, so the
+        # directed graph stays directed at every scale
+        cases = [generate(GraphGeneratorSpec("path", 3)).weights, sym + sym.T,
+                 rng.random((6, 6)) * (rng.random((6, 6)) < 0.7)]
+        for w in cases:
             base = eigencentrality(Graph(w))
-            for k in scalings:
+            for k in (-1000, -900, -300, -1, 1, 7, 300, 900):
                 res = eigencentrality(Graph(np.ldexp(w, k)))
                 assert np.array_equal(res.vector, base.vector), k
                 assert res.value == np.ldexp(base.value, k), k

@@ -417,6 +417,13 @@ class TestNorms:
         )
         assert payload["value"] <= exact_payload["value"] + 1e-12
 
+    def test_negative_heuristic_seed_exits_2(self, capsys, k3):
+        # it used to end in a numpy ValueError traceback and exit 1
+        code, out, err = run(capsys, "norms", k3, "--norm", "cut",
+                             "--mode", "heuristic", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_one_and_inf_norms(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"weights": [[1.0, 2.0], [0.0, 1.0]]}))
@@ -542,6 +549,81 @@ class TestParser:
         proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("fpc ")
+
+
+class TestStartup:
+    """Each command loads only the modules it runs."""
+
+    def python(self, code, cwd=None):
+        """The stdout of ``code`` run in a fresh interpreter on this source."""
+        src = str(Path(fpcentral.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              cwd=cwd, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def loaded(self, tmp_path, *argv):
+        """The exit code, stdout and fpcentral modules of one command run in
+        a fresh interpreter, and whether it loaded numpy."""
+        (tmp_path / "k3.txt").write_text(K3_EDGES)
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from fpcentral.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    try:\n"
+            f"        rc = main({list(argv)!r})\n"
+            "    except SystemExit as exc:\n"
+            "        rc = exc.code\n"
+            "print(json.dumps([rc, out.getvalue(), sorted(sys.modules)]))\n"
+        )
+        rc, out, modules = json.loads(self.python(code, cwd=tmp_path))
+        layers = {m.removeprefix("fpcentral.") for m in modules if m.startswith("fpcentral.")}
+        return rc, out, layers, "numpy" in modules
+
+    def test_version_loads_neither_numpy_nor_a_layer(self, tmp_path):
+        rc, out, layers, numpy = self.loaded(tmp_path, "--version")
+        assert (rc, out) == (0, f"fpc {fpcentral.__version__}\n")
+        assert layers == {"cli", "errors"}
+        assert not numpy
+
+    @pytest.mark.parametrize("flags", [("--norm", "2"), ("--norm", "cut", "--mode", "heuristic")])
+    def test_norms_loads_no_centrality_graphon_perturbation_or_transport(
+            self, tmp_path, flags):
+        rc, _, layers, _ = self.loaded(tmp_path, "norms", "k3.txt", *flags)
+        assert rc == 0
+        assert layers == {"cli", "errors", "graphs", "io", "limits", "norms"}
+
+    @pytest.mark.parametrize("family", [("--family", "eigen"),
+                                        ("--family", "pagerank", "--alpha", "0.85")])
+    def test_centrality_loads_neither_perturbation_nor_transport(self, tmp_path, family):
+        rc, _, layers, _ = self.loaded(tmp_path, "centrality", "k3.txt", *family)
+        assert rc == 0
+        assert not layers & {"graphon", "perturbation", "transport"}
+
+    def test_theorem1_compare_loads_neither_graphon_nor_transport(self, tmp_path):
+        rc, _, layers, _ = self.loaded(tmp_path, "compare", "k3.txt", "k3.txt",
+                                       "--family", "katz", "--alpha", "0.3")
+        assert rc == 0
+        assert "perturbation" in layers
+        assert not layers & {"graphon", "transport"}
+
+    def test_every_public_name_resolves_to_its_home_object(self):
+        # before first use: dir lists every public name and no layer is loaded
+        self.python(
+            "import sys, fpcentral\n"
+            "assert set(fpcentral.__all__) <= set(dir(fpcentral))\n"
+            "assert [m for m in sys.modules if m.startswith('fpcentral.')] == []\n"
+            "assert fpcentral.norms is sys.modules['fpcentral.norms']\n"
+        )
+        for name in fpcentral.__all__:
+            if name == "__version__":
+                continue
+            obj = getattr(fpcentral, name)
+            assert obj.__module__.startswith("fpcentral."), name
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+        with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+            fpcentral.not_a_name
 
 
 P3_EDGES = "0 1 {w}\n1 0 {w}\n1 2 {w}\n2 1 {w}\n"
@@ -719,12 +801,11 @@ class TestScaleFreeEigen:
         rng = np.random.default_rng(42)
         sym = rng.random((6, 6))
         directed = rng.random((6, 6)) * (rng.random((6, 6)) < 0.7)
-        # Graph's 1e-12 symmetry test is absolute: the directed graph reads
-        # as symmetric below about 2^-40, so it is not scaled that far down
-        for w, scalings in ((sym + sym.T, (-900, -20, 0, 20, 900)),
-                            (directed, (-20, 0, 20, 900))):
+        # Graph's symmetry tolerance scales with the peak entry, so the
+        # directed graph stays directed at every scale
+        for w in (sym + sym.T, directed):
             features = []
-            for k in scalings:
+            for k in (-900, -20, 0, 20, 900):
                 path = tmp_path / f"g{k}.json"
                 path.write_text(json.dumps({"weights": np.ldexp(w, k).tolist()}))
                 code, payload, _ = run_json(capsys, "centrality", str(path), "--family", "eigen")

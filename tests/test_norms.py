@@ -296,6 +296,12 @@ class TestCutNormHeuristic:
     def test_zero_matrix(self):
         assert cut_norm_heuristic(np.zeros((4, 4))).value == 0.0
 
+    def test_seed_must_be_a_non_negative_integer(self):
+        for seed in (-1, True, 1.0, None, "3"):
+            with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+                cut_norm_heuristic(np.ones((3, 3)), seed=seed)
+        assert cut_norm_heuristic(np.ones((3, 3)), seed=np.int64(3)).value == 9.0
+
     def test_never_exceeds_exact_and_witness_consistent(self):
         rng = np.random.default_rng(4)
         hits = 0
