@@ -13,7 +13,10 @@ makes sense.
 """
 
 import json
+import math
 
+from itertools import chain, compress
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -25,40 +28,92 @@ from .limits import MAX_DENSE_N
 
 def parse_edge_list(text):
     """Build a Graph from edge-list text; node count is one past the
-    largest index mentioned, at most MAX_DENSE_N = 5000."""
-    entries = {}
+    largest index mentioned, at most MAX_DENSE_N = 5000.
+
+    Indices are read by ``int`` and weights by ``float``, so both take
+    Python's spellings (``+1``, ``1_0``, ``1e3``), and a weight must be
+    finite.  When several lines set one entry, the last one wins.  The text
+    is parsed in one vectorized pass; only when that pass meets a fault are
+    the lines walked one by one, to report the first faulty line.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    fields = list(map(str.split, lines))
+    del lines
+    try:
+        max_index, src, dst, weight = _edge_columns(fields)
+    except (ValueError, OverflowError):
+        # With no faulty line, an index beyond int64 overflowed; it is
+        # refused below as too many nodes.
+        max_index, src, dst, weight = _check_lines(fields), None, None, None
+    del fields  # the token lists go before the n x n matrix is allocated
+    if max_index < 0:
+        raise InputFormatError("edge list declares no nodes")
+    n = max_index + 1
+    if n > MAX_DENSE_N:
+        raise InputFormatError(
+            f"edge list declares {n} nodes; dense graphs are limited to n <= {MAX_DENSE_N}"
+        )
+    # np.unique keeps the first of equal entries, so the reversed lines
+    # keep the last line that sets each entry
+    flat, first = np.unique((src * n + dst)[::-1], return_index=True)
+    weights = np.zeros((n, n))
+    weights.flat[flat] = weight[::-1][first]
+    return Graph(weights)
+
+
+def _edge_columns(fields):
+    """``(largest index, i, j, w)`` of an edge list split into ``fields``,
+    one token list per line, with one array entry per edge line; raises
+    ValueError on a faulty line and OverflowError on an index beyond
+    int64."""
+    size = np.fromiter(map(len, fields), np.intp, len(fields))
+    if size.max(initial=0) > 3:
+        raise ValueError("a line has more than three fields")
+    is_edge = size >= 2
+    edges = list(compress(fields, is_edge))
+    k = len(edges)
+    tokens = chain(
+        map(itemgetter(0), edges),
+        map(itemgetter(1), edges),
+        map(itemgetter(0), compress(fields, size == 1)),
+    )
+    index = np.fromiter(map(int, tokens), np.int64)
+    if (index < 0).any():
+        raise ValueError("a node index is negative")
+    weight = np.ones(k)
+    heavy = size[is_edge] == 3
+    weight[heavy] = np.fromiter(map(float, map(itemgetter(2), compress(edges, heavy))), float)
+    if not np.isfinite(weight).all():
+        raise ValueError("a weight is not finite")
+    return int(index.max(initial=-1)), index[:k], index[k : 2 * k], weight
+
+
+def _check_lines(fields):
+    """Raise the InputFormatError of the first faulty line of an edge list
+    split into ``fields``, one token list per line; with none, return the
+    largest node index."""
     max_index = -1
-
-    def parse_index(token, lineno):
-        try:
-            value = int(token)
-        except ValueError:
-            raise InputFormatError(
-                f"line {lineno}: {token!r} is not an integer node index",
-                line=lineno,
-            ) from None
-        if value < 0:
-            raise InputFormatError(
-                f"line {lineno}: node indices must be non-negative", line=lineno
-            )
-        return value
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 1:
-            max_index = max(max_index, parse_index(parts[0], lineno))
-            continue
+    for lineno, parts in enumerate(fields, start=1):
         if len(parts) > 3:
             raise InputFormatError(
                 f"line {lineno}: expected 'i j w' with at most three fields",
                 line=lineno,
             )
-        i = parse_index(parts[0], lineno)
-        j = parse_index(parts[1], lineno)
-        weight = 1.0
+        for token in parts[:2]:
+            try:
+                index = int(token)
+            except ValueError:
+                raise InputFormatError(
+                    f"line {lineno}: {token!r} is not an integer node index",
+                    line=lineno,
+                ) from None
+            if index < 0:
+                raise InputFormatError(
+                    f"line {lineno}: node indices must be non-negative", line=lineno
+                )
+            max_index = max(max_index, index)
         if len(parts) == 3:
             try:
                 weight = float(parts[2])
@@ -67,23 +122,11 @@ def parse_edge_list(text):
                     f"line {lineno}: {parts[2]!r} is not a real weight",
                     line=lineno,
                 ) from None
-            if not np.isfinite(weight):
+            if not math.isfinite(weight):
                 raise InputFormatError(
                     f"line {lineno}: weights must be finite", line=lineno
                 )
-        entries[(i, j)] = weight
-        max_index = max(max_index, i, j)
-    if max_index < 0:
-        raise InputFormatError("edge list declares no nodes")
-    n = max_index + 1
-    if n > MAX_DENSE_N:
-        raise InputFormatError(
-            f"edge list declares {n} nodes; dense graphs are limited to n <= {MAX_DENSE_N}"
-        )
-    weights = np.zeros((n, n))
-    for (i, j), weight in entries.items():
-        weights[i, j] = weight
-    return Graph(weights)
+    return max_index
 
 
 def parse_graph_json(text):

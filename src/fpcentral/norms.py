@@ -17,7 +17,10 @@ computes the column sums of every row subset of a whole stack of small
 candidate differences with one GEMM against the subset-indicator matrix.
 
 ``operator_norm(m, 2)`` is a power iteration on ``m.T @ m``, which is
-cheaper than a dense SVD on the large graphs it serves.  The exact
+cheaper than a dense SVD on the large graphs it serves.  It runs on the
+rows and columns of ``m`` that hold a non-zero entry, so the difference of
+two graphs that differ in a few edges is iterated as a small matrix; a
+matrix with full support is iterated as it is.  The exact
 permutation sweep instead takes the 2-norms of its whole stack of small
 candidate differences from one stacked LAPACK SVD
 (``numpy.linalg.norm(d, 2, axis=(1, 2))``), exact to rounding.
@@ -105,14 +108,28 @@ def vector_norm(v, p):
 def _power_iteration_sigma(m, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
     """Largest singular value of ``m`` by power iteration on ``m.T @ m``.
 
-    Deterministic seeded random start; an all-ones start would be blind to
-    matrices whose top singular vector is orthogonal to it.  Raises
-    NumericalError carrying the last iterate if the budget is exhausted.
+    The iteration runs on the rows and columns of ``m`` that hold a
+    non-zero entry; that submatrix has the same singular values, and a
+    matrix with full support is iterated as it is.  The start is a seeded
+    random unit vector over all n columns (an all-ones start would be blind
+    to matrices whose top singular vector is orthogonal to it), restricted
+    to those columns, so the iterates are those of the whole matrix up to
+    summation order.  Raises NumericalError carrying the last iterate, zero
+    off those columns, if the budget is exhausted.
     """
     n = m.shape[1]
+    rows, cols = m.any(axis=1), m.any(axis=0)
+    full = rows.all() and cols.all()
+    if not full:
+        m = m[np.ix_(rows, cols)]
     rng = np.random.default_rng(_START_SEED)
-    x = rng.standard_normal(n)
-    x /= math.sqrt(x @ x)
+
+    def start():
+        x = rng.standard_normal(n)
+        x /= math.sqrt(x @ x)
+        return x if full else x[cols]
+
+    x = start()
     sigma_prev = -1.0
     for _ in range(max_iter):
         y = m @ x
@@ -124,15 +141,16 @@ def _power_iteration_sigma(m, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
         if nz == 0.0:
             # x fell into the null space of m.T m; restart along a fresh
             # deterministic direction
-            x = rng.standard_normal(n)
-            x /= math.sqrt(x @ x)
+            x = start()
             sigma_prev = -1.0
             continue
         x = z / nz
         sigma_prev = sigma
+    last = np.zeros(n)
+    last[cols] = x
     raise NumericalError(
         f"singular-value power iteration did not converge in {max_iter} iterations",
-        last_iterate=x,
+        last_iterate=last,
     )
 
 
@@ -151,7 +169,10 @@ def operator_norm(m, p):
 
     p=1 is the maximum absolute column sum, p=inf the maximum absolute row
     sum.  p=2 is the largest singular value computed by power iteration on
-    ``m.T @ m`` with relative tolerance 1e-10 and at most 10000 iterations.
+    ``m.T @ m`` with relative tolerance 1e-10 and at most 10000 iterations,
+    over the rows and columns of ``m`` that hold a non-zero entry (all of
+    ``m`` when it has no zero row or column; otherwise the same iterates up
+    to summation order).
     The iteration runs on ``m`` scaled by the exact power of two that puts
     its largest entry in [1, 2) (``graphs._pow2_normalize``), so neither
     sigma^4 overflows nor z @ z underflows.  Non-finite entries raise

@@ -131,7 +131,7 @@ def _digest(*parts):
         if isinstance(part, np.ndarray):
             arr = np.ascontiguousarray(part, dtype=float)
             h.update(str(arr.shape).encode())
-            h.update(arr.tobytes())
+            h.update(arr)  # the buffer itself: no copy of the matrix
         else:
             h.update(repr(part).encode())
         h.update(b"|")

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: full enumeration, textbook
 formulas and a general LP solver (scipy) only, sharing nothing with the
-package under test beyond numpy and its error and plan types.  Derived
+package under test beyond numpy, its error and plan types, ``Graph`` and
+``MAX_DENSE_N``.  Derived
 expected values in the test files were frozen from these.
 """
 
@@ -10,7 +11,15 @@ import itertools
 
 import numpy as np
 
-from fpcentral import NumericalError, ParameterError, SizeLimitError, TransportPlan
+from fpcentral import (
+    Graph,
+    InputFormatError,
+    NumericalError,
+    ParameterError,
+    SizeLimitError,
+    TransportPlan,
+)
+from fpcentral.limits import MAX_DENSE_N
 
 MAX_LP_ORACLE_N = 16
 
@@ -288,3 +297,88 @@ def random_binary_symmetric(rng, n, p=0.5):
             if upper[i, j]:
                 w[i, j] = w[j, i] = 1.0
     return w
+
+
+def parse_edge_list_reference(text):
+    """The reference for ``io.parse_edge_list``, one line at a time: a
+    Graph from edge-list text, or the InputFormatError of its first faulty
+    line."""
+    entries = {}
+    max_index = -1
+
+    def parse_index(token, lineno):
+        try:
+            value = int(token)
+        except ValueError:
+            raise InputFormatError(
+                f"line {lineno}: {token!r} is not an integer node index",
+                line=lineno,
+            ) from None
+        if value < 0:
+            raise InputFormatError(
+                f"line {lineno}: node indices must be non-negative", line=lineno
+            )
+        return value
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) == 1:
+            max_index = max(max_index, parse_index(parts[0], lineno))
+            continue
+        if len(parts) > 3:
+            raise InputFormatError(
+                f"line {lineno}: expected 'i j w' with at most three fields",
+                line=lineno,
+            )
+        i = parse_index(parts[0], lineno)
+        j = parse_index(parts[1], lineno)
+        weight = 1.0
+        if len(parts) == 3:
+            try:
+                weight = float(parts[2])
+            except ValueError:
+                raise InputFormatError(
+                    f"line {lineno}: {parts[2]!r} is not a real weight",
+                    line=lineno,
+                ) from None
+            if not np.isfinite(weight):
+                raise InputFormatError(
+                    f"line {lineno}: weights must be finite", line=lineno
+                )
+        entries[(i, j)] = weight
+        max_index = max(max_index, i, j)
+    if max_index < 0:
+        raise InputFormatError("edge list declares no nodes")
+    n = max_index + 1
+    if n > MAX_DENSE_N:
+        raise InputFormatError(
+            f"edge list declares {n} nodes; dense graphs are limited to n <= {MAX_DENSE_N}"
+        )
+    weights = np.zeros((n, n))
+    for (i, j), weight in entries.items():
+        weights[i, j] = weight
+    return Graph(weights)
+
+
+def power_iteration_sigma_reference(m, seed, tol=1e-10, max_iter=10_000):
+    """The singular-value power iteration of ``norms.operator_norm(m, 2)``
+    run on the whole of ``m``, zero rows and columns included, from the
+    same seeded start."""
+    m = np.asarray(m, dtype=float)
+    n = m.shape[1]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    x /= np.sqrt(x @ x)
+    sigma_prev = -1.0
+    for _ in range(max_iter):
+        y = m @ x
+        sigma = float(np.sqrt(y @ y))
+        if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
+            return sigma
+        z = m.T @ y
+        x = z / np.sqrt(z @ z)
+        sigma_prev = sigma
+    raise NumericalError("reference power iteration did not converge")

@@ -160,6 +160,26 @@ class TestResampleRefine:
         with pytest.raises(ParameterError):
             refine(w, 5)
 
+    def test_refine_leaves_every_centrality_unchanged(self):
+        # the same graphon written on a finer partition has the same katz,
+        # pagerank and eigen densities and the same eigenvalue
+        def assert_same(coarse, fine):
+            expected = resample(coarse, fine.k).values
+            assert np.max(np.abs(fine.values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+        rng = np.random.default_rng(20261019)
+        for _ in range(60):
+            k, m = int(rng.integers(2, 9)), int(rng.integers(2, 4))
+            u = rng.random((k, k))
+            w = StepGraphon((u + u.T) / 2.0)
+            r = refine(w, m * k)
+            alpha = 0.5 / graphon_op_norm(w)
+            assert_same(graphon_katz(w, alpha), graphon_katz(r, alpha))
+            assert_same(graphon_pagerank(w, 0.85), graphon_pagerank(r, 0.85))
+            (rho, lam), (rho_r, lam_r) = graphon_eigencentrality(w), graphon_eigencentrality(r)
+            assert_same(rho, rho_r)
+            assert lam_r == pytest.approx(lam, rel=1e-13, abs=0.0)
+
 
 class TestStepNorms:
     def test_integral_is_mean(self):

@@ -1,5 +1,7 @@
 import io
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from fpcentral import (
     write_graphon,
 )
 from fpcentral.io import _write_json
+
+from oracles import parse_edge_list_reference
 
 
 class TestEdgeList:
@@ -97,6 +101,116 @@ class TestEdgeList:
     def test_exact_search_override_does_not_lower_the_node_cap(self, monkeypatch):
         monkeypatch.setenv("FPC_MAX_EXACT_N", "3")
         assert parse_edge_list("0 9\n").n == 10
+
+    def test_an_index_beyond_int64_is_too_many_nodes(self):
+        text = "0 1\n2 99999999999999999999 1\n"
+        with pytest.raises(InputFormatError, match="declares 100000000000000000000 nodes"):
+            parse_edge_list(text)
+
+    def test_peak_memory_is_about_two_matrices(self):
+        # the n x n matrix and Graph's copy of it; the token lists are
+        # freed before the matrix is allocated
+        n = 1000
+        rng = np.random.default_rng(1000)
+        upper = np.triu(rng.random((n, n)) < 8 / (n - 1), 1)
+        rows, cols = np.nonzero(upper | upper.T)
+        text = f"{n - 1}\n" + "".join(f"{i} {j}\n" for i, j in zip(rows.tolist(), cols.tolist()))
+        del upper, rows, cols
+        tracemalloc.start()
+        try:
+            parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * n * n * 8
+
+
+def _mostly(ok, rare, odds=8):
+    """``rare`` once in ``odds`` draws, ``ok`` otherwise."""
+    return st.integers(1, odds).flatmap(lambda r: rare if r == 1 else ok)
+
+
+_INDEX_OK = st.integers(0, 12).map(str) | st.sampled_from(["+1", "1_0", "007", "-0", "\u0663"])
+_INDEX = _mostly(_INDEX_OK, st.sampled_from(
+    ["-1", "-7", "a", "1.0", "1e1", "0x1", "1__0", "5000",
+     "99999999999999999999", "-99999999999999999999"]
+), odds=16)
+_WEIGHT_OK = (
+    st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.integers(-3, 3).map(str)
+    | st.sampled_from(["+2", "1_0.5", "-0.0", "-0", "1e-320", "\u0663.5"])
+)
+_WEIGHT = _mostly(_WEIGHT_OK, st.sampled_from(
+    ["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "heavy", "0x1p3", "1,5", "1__0"]
+), odds=4)
+_LINE_BREAKS = st.sampled_from(
+    ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+_COMMENTS = st.sampled_from(["", "# note", " #0 1 2 3 4", "#", "  # -1 x"])
+
+
+def _edge_lists(index, weight, faulty_lines):
+    """Edge-list texts from lines of the given tokens: bare indices, edges
+    with and without a weight, blank and comment lines, and, when
+    ``faulty_lines``, lines of more than three fields."""
+    shape = st.one_of(
+        st.tuples(index),
+        st.tuples(index, index),
+        st.tuples(index, index, weight),
+        st.just(()),
+    )
+    if faulty_lines:
+        shape = _mostly(shape, st.lists(index | weight, min_size=4, max_size=5), odds=30)
+    line = st.tuples(
+        shape,
+        st.sampled_from([" ", "\t", "  ", " \t "]),
+        st.sampled_from(["", " ", "\t"]),
+        _COMMENTS,
+        _LINE_BREAKS,
+    ).map(lambda t: t[2] + t[1].join(t[0]) + t[2] + t[3] + t[4])
+    return st.tuples(st.lists(line, max_size=12), st.booleans()).map(
+        lambda t: "".join(t[0]) if t[1] else "".join(t[0]).rstrip("\n")
+    )
+
+
+def _outcome(parse, text):
+    """The graph's weight bytes and symmetric flag, or the error's type,
+    message and line."""
+    try:
+        g = parse(text)
+    except InputFormatError as exc:
+        return type(exc), str(exc), exc.line
+    return g.weights.shape, g.weights.tobytes(), g.symmetric
+
+
+class TestEdgeListAgainstReference:
+    """``parse_edge_list`` reads every text as the per-line reference does."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_edge_lists(_INDEX_OK, _WEIGHT_OK, faulty_lines=False))
+    def test_valid_texts(self, text):
+        assert _outcome(parse_edge_list, text) == _outcome(parse_edge_list_reference, text)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(_edge_lists(_INDEX, _WEIGHT, faulty_lines=True))
+    def test_any_texts(self, text):
+        assert _outcome(parse_edge_list, text) == _outcome(parse_edge_list_reference, text)
+
+    FAULTS = ("0 1 2 3", "a 1", "1 1.0", "-1 0", "0 1 x", "0 1 nan", "0 1 1e400",
+              "-99999999999999999999 0", "-4")
+
+    def test_the_first_faulty_line_is_named(self):
+        for first, second in itertools.permutations(self.FAULTS, 2):
+            text = f"0 1\n{first}\n2 3 0.5\n{second}\n99999999999999999999\n"
+            outcome = _outcome(parse_edge_list, text)
+            assert outcome == _outcome(parse_edge_list_reference, text)
+            assert outcome[2] == 2
+
+    def test_duplicates_keep_the_last_line(self):
+        text = "0 1 1\n1 0 3\n0 1 -0.0\n2\n1 0 2\n0 1 0.25\n"
+        g = parse_edge_list(text)
+        assert g.weights[0, 1] == 0.25 and g.weights[1, 0] == 2.0
+        assert _outcome(parse_edge_list, text) == _outcome(parse_edge_list_reference, text)
 
 
 class TestGraphJson:

@@ -30,6 +30,7 @@ from oracles import (
     matrix_norm_brute,
     min_permuted_distance_brute,
     min_permuted_distance_lex_reference,
+    power_iteration_sigma_reference,
     random_binary_symmetric,
 )
 
@@ -183,6 +184,77 @@ class TestOperatorNorm:
             for k in (-1000, -700, -201, -1, 1, 7, 201, 700, 1000):
                 assert operator_norm(np.ldexp(m, k), 2) == np.ldexp(base, k)
 
+
+
+def _padded(rng, m, n):
+    """``m`` placed at random sorted rows and columns of an n x n zero matrix."""
+    k = m.shape[0]
+    rows = np.sort(rng.choice(n, k, replace=False))
+    cols = np.sort(rng.choice(n, k, replace=False))
+    out = np.zeros((n, n))
+    out[np.ix_(rows, cols)] = m
+    return out
+
+
+class TestSupportTwoNorm:
+    """The 2-norm iterates on the non-zero rows and columns only."""
+
+    # operator_norm(m, 2).hex() of the full-support matrices of the test
+    # below, frozen before the iteration was restricted to the support
+    FULL_SUPPORT = (
+        "0x1.b20eb6eeb0240p+1", "0x1.fffffffffc873p+0",
+        "0x1.8ed33afaaaaabp+2", "0x1.236b0e67badebp+2",
+        "0x1.850803c869c47p+3", "0x1.4a19eb5406070p+4",
+        "0x1.c6ca8b55525f1p+4", "0x1.984a3d36e7d2cp+6",
+    )
+
+    def test_full_support_keeps_its_bits(self):
+        rng = np.random.default_rng(20261018)
+        values = []
+        for n in (3, 8, 40, 200):
+            values.append(operator_norm(rng.standard_normal((n, n)), 2))
+            b = (rng.random((n, n)) < 0.5).astype(float)
+            np.fill_diagonal(b, 1.0)
+            values.append(operator_norm(b, 2))
+        assert [v.hex() for v in values] == list(self.FULL_SUPPORT)
+
+    def test_zero_padding_keeps_the_full_iteration(self):
+        for seed in range(60):
+            rng = np.random.default_rng([7, seed])
+            k = int(rng.integers(1, 13))
+            m = _padded(rng, rng.standard_normal((k, k)), k + int(rng.integers(1, 25)))
+            full = power_iteration_sigma_reference(m, norms._START_SEED)
+            assert operator_norm(m, 2) == pytest.approx(full, rel=1e-15, abs=0.0)
+
+    def test_one_non_zero_row_or_column(self):
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 5, 30):
+            line = rng.standard_normal(n)
+            line[rng.random(n) < 0.3] = 0.0
+            line[int(rng.integers(n))] = 1.5
+            m = np.zeros((n, n))
+            m[int(rng.integers(n))] = line
+            expected = float(np.linalg.norm(line))
+            assert operator_norm(m, 2) == pytest.approx(expected, rel=1e-15, abs=0.0)
+            assert operator_norm(m.T, 2) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_power_of_two_scalings_with_zero_rows(self):
+        rng = np.random.default_rng(44)
+        for k, n in ((1, 3), (3, 8), (6, 20)):
+            m = _padded(rng, rng.standard_normal((k, k)), n)
+            base = operator_norm(m, 2)
+            for e in (-1000, -201, -1, 1, 201, 1000):
+                assert operator_norm(np.ldexp(m, e), 2) == np.ldexp(base, e)
+
+    def test_last_iterate_has_full_length(self):
+        rng = np.random.default_rng(45)
+        m = _padded(rng, rng.standard_normal((4, 4)), 9)
+        with pytest.raises(NumericalError) as exc:
+            norms._power_iteration_sigma(m, max_iter=2)
+        last = exc.value.last_iterate
+        assert last.shape == (9,)
+        assert not last[~m.any(axis=0)].any()
+        assert last[m.any(axis=0)].all()
 
 class TestCutNormExact:
     def test_all_ones_2x2(self):
