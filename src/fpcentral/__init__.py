@@ -21,9 +21,8 @@ __version__ = "0.1.0"
 _HOMES = {
     "centrality": (
         "CentralityResult", "EigenResult", "FixedPointMap", "Normalizer", "SolveConfig",
-        "apply_map", "check_equivariance", "eigencentrality", "grassmann_distance",
-        "katz_closed_form", "normalize", "pagerank_closed_form", "pagerank_kernel",
-        "solve",
+        "apply_map", "eigencentrality", "grassmann_distance", "katz_closed_form",
+        "normalize", "pagerank_closed_form", "pagerank_kernel", "solve",
     ),
     "errors": (
         "FpcError", "InputFormatError", "NonConvergenceError", "NumericalError",
@@ -35,9 +34,8 @@ _HOMES = {
         "graphon_pagerank", "integral", "lift", "refine", "resample", "step_lp_norm",
     ),
     "graphs": (
-        "Graph", "GraphGeneratorSpec", "Permutation", "degree_vector",
-        "enumerate_automorphisms", "generate", "is_automorphism", "permute",
-        "permute_vector",
+        "Graph", "Permutation", "degree_vector", "enumerate_automorphisms",
+        "is_automorphism", "permute", "permute_vector",
     ),
     "io": (
         "graph_to_dict", "graphon_to_dict", "parse_edge_list", "parse_graph_json",

@@ -7,11 +7,12 @@ permutation-equivariant pair (f, g).  The canonical families are
 * ``katz``:      x = alpha A.T x + 1,    requiring alpha ||A||_2 < 1;
 * ``pagerank``:  x = alpha A.T D^{-1} x + (1 - alpha)/n, with D the diagonal
   of row sums of A and zero kernel columns at zero out-degree nodes, so the
-  result may sum to less than one (reported as is, never renormalized);
-* ``affine``:    x = M x + b, a plumbing family for property tests.
+  result may sum to less than one (reported as is, never renormalized).
 
-For all canonical families g is the identity.  Native norms: 1-norm for
-pagerank, 2-norm otherwise.
+For all three g is the identity.  Native norms: 1-norm for pagerank, 2-norm
+otherwise.  Katz and PageRank act through one matrix M_A, the weights A for
+katz and the kernel A.T D^{-1} for pagerank (``_effective_matrix``); it is
+built once per solve or closed form and carries the contraction check.
 
 Katz and PageRank are iterated (``solve``) or solved directly (the closed
 forms).  The eigen family takes the spectrum of A.T from LAPACK without
@@ -30,10 +31,10 @@ from .errors import (
     ParameterError,
     SimplicityError,
 )
-from .graphs import Permutation, _pow2_normalize, degree_vector, permute, permute_vector
+from .graphs import _pow2_normalize, degree_vector
 from .norms import operator_norm, vector_norm
 
-FAMILIES = ("eigen", "katz", "pagerank", "affine")
+FAMILIES = ("eigen", "katz", "pagerank")
 PHI_CHOICES = ("identity", "exp", "exp_neg", "abs")
 
 GAP_TOL = 1e-8
@@ -54,17 +55,14 @@ INVERSE_MAX_SOLVES = 8
 class FixedPointMap:
     """A named, parameterized fixed-point family (f, g).
 
-    ``alpha`` is required for katz and pagerank and must lie in the domain
-    of ``check_contraction``; the bound L0 < 1 is checked when the map is
-    bound to a graph (in solve and the closed forms).  The affine family is
-    x -> affine_M x + affine_b and ignores the graph; it exists to exercise
-    the solver and the equivariance checker.
+    ``family`` is one of ``FAMILIES``.  ``alpha`` is required for katz and
+    pagerank, where it must lie in the domain of ``check_contraction``, and
+    refused for eigen; the bound L0 < 1 is checked when the map is bound to
+    a graph (in solve and the closed forms).
     """
 
     family: str
     alpha: float | None = None
-    affine_M: np.ndarray | None = None
-    affine_b: np.ndarray | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -73,17 +71,6 @@ class FixedPointMap:
             check_contraction(self.family, self.alpha)
         elif self.alpha is not None:
             raise ParameterError(f"alpha is not a {self.family} parameter")
-        if self.family == "affine":
-            if self.affine_M is None or self.affine_b is None:
-                raise ParameterError("affine requires affine_M and affine_b")
-            m = np.asarray(self.affine_M, dtype=float)
-            b = np.asarray(self.affine_b, dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1] or b.shape != (m.shape[0],):
-                raise ParameterError("affine_M must be square and match affine_b")
-            self.affine_M = m
-            self.affine_b = b
-        elif self.affine_M is not None or self.affine_b is not None:
-            raise ParameterError("affine_M/affine_b only apply to the affine family")
 
 
 def native_norm_index(family):
@@ -125,18 +112,18 @@ def pagerank_kernel(g):
     return np.divide(w, d, out=np.zeros_like(w), where=d != 0.0).T
 
 
-def _iteration_map(map_, g):
-    """(M, b) with f(A, x) = M x + b for the iterated families."""
+def _effective_matrix(family, g):
+    """M_A, the matrix a family acts through: the PageRank kernel
+    A^T D^-1 for pagerank, the weights A otherwise (not a copy)."""
+    return pagerank_kernel(g) if family == "pagerank" else g.weights
+
+
+def _iteration_map(map_, m):
+    """(M, b) with f(A, x) = M x + b, from the family's matrix ``m``."""
     if map_.family == "katz":
-        return map_.alpha * g.weights.T, 1.0
+        return map_.alpha * m.T, 1.0
     if map_.family == "pagerank":
-        kernel = pagerank_kernel(g)
-        kernel *= map_.alpha
-        return kernel, (1.0 - map_.alpha) / g.n
-    if map_.family == "affine":
-        if map_.affine_M.shape[0] != g.n:
-            raise ParameterError("affine map size does not match the graph")
-        return map_.affine_M, map_.affine_b
+        return map_.alpha * m, (1.0 - map_.alpha) / m.shape[0]
     raise ParameterError(
         "the eigen family has no standalone iteration map; use solve() or "
         "eigencentrality()"
@@ -148,24 +135,23 @@ def apply_map(map_, g, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise ParameterError("feature vector length must equal the node count")
-    m, b = _iteration_map(map_, g)
+    m, b = _iteration_map(map_, _effective_matrix(map_.family, g))
     return m @ x + b
 
 
-def check_contraction(family, alpha, g=None):
+def check_contraction(family, alpha, m=None):
     """The one contraction rule.  Katz needs alpha > 0, PageRank 0 < alpha < 1;
-    given a graph (or a graphon's lift), returns L0 = alpha ||A||_2 (katz) or
+    given the family's matrix ``m = _effective_matrix(family, g)`` of a graph
+    (or of a graphon's lift), returns L0 = alpha ||A||_2 (katz) or
     alpha ||A^T D^-1||_1 (pagerank) and refuses it unless L0 < 1.
     """
     domain = "alpha > 0" if family == "katz" else "0 < alpha < 1"
     if alpha is None or not (alpha > 0.0 if family == "katz" else 0.0 < alpha < 1.0):
         raise ParameterError(f"{family} requires {domain}, got alpha={alpha}")
-    if g is None:
+    if m is None:
         return None
-    if family == "katz":
-        l0, label = alpha * operator_norm(g.weights, 2), "alpha * ||A||_2"
-    else:
-        l0, label = alpha * operator_norm(pagerank_kernel(g), 1), "alpha * ||A^T D^-1||_1"
+    l0 = alpha * operator_norm(m, 2 if family == "katz" else 1)
+    label = "alpha * ||A||_2" if family == "katz" else "alpha * ||A^T D^-1||_1"
     if not l0 < 1.0:
         raise ParameterError(f"{family} requires {label} < 1, got {l0:.6g}")
     return l0
@@ -213,8 +199,8 @@ def solve(g, map_, cfg=None):
             residual=eig.residual,
             contraction_estimate=0.0,
         )
-    if map_.family in ("katz", "pagerank"):
-        check_contraction(map_.family, map_.alpha, g)
+    m = _effective_matrix(map_.family, g)
+    check_contraction(map_.family, map_.alpha, m)
     p = native_norm_index(map_.family)
     if cfg.initial is not None:
         x = np.asarray(cfg.initial, dtype=float).copy()
@@ -222,7 +208,7 @@ def solve(g, map_, cfg=None):
             raise ParameterError("initial vector length must equal the node count")
     else:
         x = np.ones(g.n)
-    m, b = _iteration_map(map_, g)
+    m, b = _iteration_map(map_, m)
     contraction = 0.0
     prev_residual = None
     residual = math.inf
@@ -280,8 +266,9 @@ def katz_closed_form(g, alpha):
     Requires alpha > 0 and alpha ||A||_2 < 1 (``check_contraction``); under
     that bound the system is nonsingular, but the solve is guarded anyway.
     """
-    check_contraction("katz", alpha, g)
-    return _solve_direct(np.eye(g.n) - alpha * g.weights.T, np.ones(g.n), "katz")
+    m = _effective_matrix("katz", g)
+    check_contraction("katz", alpha, m)
+    return _solve_direct(np.eye(g.n) - alpha * m.T, np.ones(g.n), "katz")
 
 
 def pagerank_closed_form(g, alpha):
@@ -291,8 +278,9 @@ def pagerank_closed_form(g, alpha):
     at zero out-degree nodes are zero, so mass can leak: the result may sum
     to less than one and is reported without renormalization.
     """
-    check_contraction("pagerank", alpha, g)
-    lhs = np.eye(g.n) - alpha * pagerank_kernel(g)
+    m = _effective_matrix("pagerank", g)
+    check_contraction("pagerank", alpha, m)
+    lhs = np.eye(g.n) - alpha * m
     return _solve_direct(lhs, np.full(g.n, (1.0 - alpha) / g.n), "pagerank")
 
 
@@ -505,22 +493,3 @@ def grassmann_distance(x, y):
         raise ParameterError("grassmann distance requires nonzero vectors")
     cosine = min(abs(float(x @ y)) / (nx * ny), 1.0)
     return float(math.acos(cosine))
-
-
-def check_equivariance(map_, g, trials=50, seed=0):
-    """Sample random relabelings and feature vectors and test
-    P f(A, x) = f(P A P.T, P x) within 1e-9 in the max norm.
-
-    Returns True iff the identity held for every sampled trial.
-    """
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        p = Permutation(rng.permutation(g.n))
-        x = rng.standard_normal(g.n)
-        lhs = permute_vector(apply_map(map_, g, x), p)
-        rhs = apply_map(map_, permute(g, p), permute_vector(x, p))
-        if float(np.max(np.abs(lhs - rhs), initial=0.0)) > 1e-9:
-            return False
-    return True

@@ -1,4 +1,4 @@
-"""Dense graph representation, permutations, automorphisms and generators.
+"""Dense graph representation, permutations and automorphisms.
 
 Orientation convention, fixed once for the whole package: ``weights[i, j]``
 is the weight of the link from node ``i`` to node ``j``, and the canonical
@@ -7,7 +7,6 @@ allowed; symmetry is detected, not required.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,11 +86,6 @@ class Graph:
         self.n = w.shape[0]
         self.symmetric = max_asymmetry(w) <= matrix_tol(w)
 
-    def is_binary(self):
-        """True iff every weight is exactly 0 or 1."""
-        w = self.weights
-        return bool(np.all((w == 0.0) | (w == 1.0)))
-
     def __repr__(self):
         return f"Graph(n={self.n}, symmetric={self.symmetric})"
 
@@ -137,61 +131,6 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({self.mapping.tolist()})"
-
-
-@dataclass
-class GraphGeneratorSpec:
-    """Deterministic fixture generator description.
-
-    ``edge_prob`` and ``seed`` are required for ``erdos_renyi`` and must be
-    absent for every other kind.
-    """
-
-    kind: str
-    n: int
-    edge_prob: float | None = None
-    seed: int | None = None
-
-    _KINDS = ("cycle", "complete", "star", "path", "erdos_renyi")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ParameterError(f"unknown generator kind {self.kind!r}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ParameterError("n must be a positive integer")
-        if self.kind == "erdos_renyi":
-            if self.edge_prob is None or self.seed is None:
-                raise ParameterError("erdos_renyi requires edge_prob and seed")
-            if not 0.0 <= self.edge_prob <= 1.0:
-                raise ParameterError("edge_prob must lie in [0, 1]")
-        elif self.edge_prob is not None or self.seed is not None:
-            raise ParameterError(
-                "edge_prob and seed are only valid for erdos_renyi"
-            )
-
-
-def generate(spec):
-    """Build the graph described by ``spec``.
-
-    The named families (cycle, complete, star, path) are unweighted 0/1
-    symmetric graphs with zero diagonal.  ``erdos_renyi`` is symmetric 0/1
-    with independent upper-triangle edges; the same seed always reproduces
-    the identical matrix.
-    """
-    n = spec.n
-    w = np.zeros((n, n))  # the upper triangle; mirrored below
-    if spec.kind in ("cycle", "path"):
-        w[np.arange(n - 1), np.arange(1, n)] = 1.0
-        if spec.kind == "cycle" and n > 2:
-            w[0, n - 1] = 1.0
-    elif spec.kind == "complete":
-        w = np.triu(np.ones((n, n)), 1)
-    elif spec.kind == "star":
-        w[0, 1:] = 1.0
-    else:  # erdos_renyi
-        rng = np.random.default_rng(spec.seed)
-        w = np.triu(rng.random((n, n)) < spec.edge_prob, 1).astype(float)
-    return Graph(w + w.T)
 
 
 def permute(g, p):

@@ -154,13 +154,19 @@ def parse_graphon_json(text):
 
 
 def _parse_matrix(obj, kind, build, key, size_key, noun):
-    """``build(obj[key])``, whose faults become InputFormatError; a
-    declared size ``obj[size_key]`` must be absent, null or equal to the
-    built one's."""
+    """``build(obj[key])``, whose faults become InputFormatError; a list of
+    rows may hold only JSON numbers (numpy would read " 1e3 " and true as
+    numbers), and a declared size ``obj[size_key]`` must be absent, null or
+    equal to the built one's."""
     if key not in obj:
         raise InputFormatError(f"{kind} JSON requires a {key!r} key")
+    rows = obj[key]
     try:
-        built = build(obj[key])
+        if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
+            if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+                bad = next(x for x in chain.from_iterable(rows) if type(x) not in (int, float))
+                raise ValueError(f"entries must be JSON numbers, got {json.dumps(bad):.40}")
+        built = build(rows)
     except (ParameterError, ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"bad {key!r} value: {exc}") from exc
     size = getattr(built, size_key)

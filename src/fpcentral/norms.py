@@ -110,7 +110,10 @@ def _power_iteration_sigma(m, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
 
     The iteration runs on the rows and columns of ``m`` that hold a
     non-zero entry; that submatrix has the same singular values, and a
-    matrix with full support is iterated as it is.  The start is a seeded
+    matrix with full support is iterated as it is.  Only that support is
+    checked for NaN and inf (both non-zero) and scaled by the exact power of
+    two that puts its largest entry in [1, 2) (``graphs._pow2_normalize``),
+    so neither sigma^4 overflows nor z @ z underflows.  The start is a seeded
     random unit vector over all n columns (an all-ones start would be blind
     to matrices whose top singular vector is orthogonal to it), restricted
     to those columns, so the iterates are those of the whole matrix up to
@@ -122,6 +125,10 @@ def _power_iteration_sigma(m, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
     full = rows.all() and cols.all()
     if not full:
         m = m[np.ix_(rows, cols)]
+    _refuse_non_finite(m, "operator_norm")
+    if not m.size:
+        return 0.0
+    m, e = _pow2_normalize(m)
     rng = np.random.default_rng(_START_SEED)
 
     def start():
@@ -135,7 +142,7 @@ def _power_iteration_sigma(m, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
         y = m @ x
         sigma = math.sqrt(float(y @ y))
         if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
-            return sigma
+            return float(np.ldexp(sigma, e))
         z = m.T @ y
         nz = math.sqrt(float(z @ z))
         if nz == 0.0:
@@ -154,13 +161,19 @@ def _power_iteration_sigma(m, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
     )
 
 
-def _square_finite(m, caller):
-    """``m`` as a float array, refused unless square with finite entries."""
+def _refuse_non_finite(m, caller):
+    if not np.isfinite(m).all():
+        raise ParameterError(f"{caller} expects finite entries")
+
+
+def _square_finite(m, caller, finite=True):
+    """``m`` as a float array, refused unless square and, with ``finite``,
+    unless its entries are finite."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"{caller} expects a square matrix")
-    if not np.isfinite(m).all():
-        raise ParameterError(f"{caller} expects finite entries")
+    if finite:
+        _refuse_non_finite(m, caller)
     return m
 
 
@@ -170,24 +183,17 @@ def operator_norm(m, p):
     p=1 is the maximum absolute column sum, p=inf the maximum absolute row
     sum.  p=2 is the largest singular value computed by power iteration on
     ``m.T @ m`` with relative tolerance 1e-10 and at most 10000 iterations,
-    over the rows and columns of ``m`` that hold a non-zero entry (all of
-    ``m`` when it has no zero row or column; otherwise the same iterates up
-    to summation order).
-    The iteration runs on ``m`` scaled by the exact power of two that puts
-    its largest entry in [1, 2) (``graphs._pow2_normalize``), so neither
-    sigma^4 overflows nor z @ z underflows.  Non-finite entries raise
-    ParameterError; a norm beyond float64 raises NumericalError.
+    over the rows and columns of ``m`` that hold a non-zero entry, scaled
+    by an exact power of two (``_power_iteration_sigma``).  Non-finite
+    entries raise ParameterError; a norm beyond float64 raises NumericalError.
     """
     p = _canon_p(p)
-    m = _square_finite(m, "operator_norm")
-    if p == 2 and not m.any():
-        return 0.0
+    m = _square_finite(m, "operator_norm", finite=p != 2)
     with np.errstate(over="ignore"):
         if p != 2:
             value = float(np.abs(m).sum(axis=0 if p == 1 else 1).max())
         else:
-            scaled, e = _pow2_normalize(m)
-            value = float(np.ldexp(_power_iteration_sigma(scaled), e))
+            value = _power_iteration_sigma(m)
     if math.isinf(value):
         raise NumericalError(f"the {p}-norm of this matrix overflows float64")
     return value

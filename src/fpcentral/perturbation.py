@@ -44,8 +44,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .centrality import NEGATIVE_RHO_TOL, apply_map, check_contraction, native_norm_index
-from .centrality import pagerank_kernel, solve
+from .centrality import NEGATIVE_RHO_TOL, _effective_matrix, apply_map, check_contraction
+from .centrality import native_norm_index, solve
 from .errors import ParameterError
 from .graphs import Graph
 from .norms import min_permuted_distance, operator_norm, vector_norm
@@ -165,7 +165,7 @@ def _analytic(g, weight, family, alpha):
     ||b||_{1,weight} = 1 - alpha for pagerank."""
     if family not in ("katz", "pagerank"):
         raise ParameterError("analytic constants exist for the katz and pagerank families")
-    l0 = check_contraction(family, alpha, g)
+    l0 = check_contraction(family, alpha, _effective_matrix(family, g))
     b_norm = math.sqrt(weight * g.n) if family == "katz" else 1.0 - alpha
     radius = b_norm / (1.0 - l0) + 1.0
     return LipschitzConstants(
@@ -203,20 +203,6 @@ def _ball_point(rng, n, radius, p):
     return direction * (radius * rng.random() / scale)
 
 
-def _affine_radius(map_):
-    modulus = operator_norm(map_.affine_M, 2)
-    if modulus < 1.0:
-        return vector_norm(map_.affine_b, 2) / (1.0 - modulus) + 1.0
-    try:
-        n = map_.affine_M.shape[0]
-        fixed = np.linalg.solve(np.eye(n) - map_.affine_M, map_.affine_b)
-    except np.linalg.LinAlgError as exc:
-        raise ParameterError(
-            "affine map has no usable feasible radius (I - M singular)"
-        ) from exc
-    return vector_norm(fixed, 2) + 1.0
-
-
 def constants_empirical(g, map_, samples, seed):
     """Sampled estimates of the contraction constants.
 
@@ -231,11 +217,7 @@ def constants_empirical(g, map_, samples, seed):
     if map_.family == "eigen":
         raise ParameterError("the eigen family has no iterated map to sample")
     p = native_norm_index(map_.family)
-    if map_.family == "affine":
-        radius = _affine_radius(map_)
-    else:
-        analytic = constants_analytic(g, map_)
-        radius = analytic.feasible_radius
+    radius = constants_analytic(g, map_).feasible_radius
     x_fixed = solve(g, map_).feature_x
     rng = np.random.default_rng(seed)
     n = g.n
@@ -243,21 +225,15 @@ def constants_empirical(g, map_, samples, seed):
     l1_est = 0.0
     lg_est = 0.0
     base = apply_map(map_, g, x_fixed)
+    m_g = _effective_matrix(map_.family, g)
     for _ in range(samples):
         x = _ball_point(rng, n, radius, p)
         denom = vector_norm(x - x_fixed, p)
         if denom > 1e-12:
             l0_est = max(l0_est, vector_norm(apply_map(map_, g, x) - base, p) / denom)
         perturb = rng.standard_normal((n, n))
-        if map_.family == "pagerank":
-            other = Graph(g.weights + perturb / operator_norm(perturb, 1))
-            deviation = operator_norm(
-                pagerank_kernel(g) - pagerank_kernel(other), 1
-            )
-        else:
-            perturb /= operator_norm(perturb, p)
-            other = Graph(g.weights + perturb)
-            deviation = operator_norm(g.weights - other.weights, p)
+        other = Graph(g.weights + perturb / operator_norm(perturb, p))
+        deviation = operator_norm(m_g - _effective_matrix(map_.family, other), p)
         if deviation > 1e-12:
             y = _ball_point(rng, n, radius, p)
             l1_est = max(
@@ -415,9 +391,7 @@ def _certify(kind, pair, family, alpha, consts, certified, digest, mode="exact",
     else:
         if family == "pagerank":
             notes.append(pair.kernel_note)
-            eff_a, eff_b = pagerank_kernel(a), pagerank_kernel(b)
-        else:
-            eff_a, eff_b = a.weights, b.weights
+        eff_a, eff_b = _effective_matrix(family, a), _effective_matrix(family, b)
         if kind == "theorem":
             right = operator_norm(eff_a - eff_b, p)
         else:

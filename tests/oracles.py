@@ -1,13 +1,19 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles, and the tests' fixture scaffolding.
 
 Everything here is deliberately naive: full enumeration, textbook
 formulas and a general LP solver (scipy) only, sharing nothing with the
 package under test beyond numpy, its error and plan types, ``Graph`` and
 ``MAX_DENSE_N``.  Derived
 expected values in the test files were frozen from these.
+
+The fixture generators (``GraphGeneratorSpec``, ``generate``), ``is_binary``
+and the equivariance checker at the end are test scaffolding rather than
+oracles; the checker also relabels through the package's ``permute``.
 """
 
 import itertools
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +22,11 @@ from fpcentral import (
     InputFormatError,
     NumericalError,
     ParameterError,
+    Permutation,
     SizeLimitError,
     TransportPlan,
+    permute,
+    permute_vector,
 )
 from fpcentral.limits import MAX_DENSE_N
 
@@ -382,3 +391,84 @@ def power_iteration_sigma_reference(m, seed, tol=1e-10, max_iter=10_000):
         x = z / np.sqrt(z @ z)
         sigma_prev = sigma
     raise NumericalError("reference power iteration did not converge")
+
+
+@dataclass
+class GraphGeneratorSpec:
+    """Deterministic fixture generator description.
+
+    ``edge_prob`` and ``seed`` are required for ``erdos_renyi`` and must be
+    absent for every other kind.
+    """
+
+    kind: str
+    n: int
+    edge_prob: float | None = None
+    seed: int | None = None
+
+    _KINDS = ("cycle", "complete", "star", "path", "erdos_renyi")
+
+    def __post_init__(self):
+        if self.kind not in self._KINDS:
+            raise ParameterError(f"unknown generator kind {self.kind!r}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ParameterError("n must be a positive integer")
+        if self.kind == "erdos_renyi":
+            if self.edge_prob is None or self.seed is None:
+                raise ParameterError("erdos_renyi requires edge_prob and seed")
+            if not 0.0 <= self.edge_prob <= 1.0:
+                raise ParameterError("edge_prob must lie in [0, 1]")
+        elif self.edge_prob is not None or self.seed is not None:
+            raise ParameterError(
+                "edge_prob and seed are only valid for erdos_renyi"
+            )
+
+
+def generate(spec):
+    """Build the graph described by ``spec``.
+
+    The named families (cycle, complete, star, path) are unweighted 0/1
+    symmetric graphs with zero diagonal.  ``erdos_renyi`` is symmetric 0/1
+    with independent upper-triangle edges; the same seed always reproduces
+    the identical matrix.
+    """
+    n = spec.n
+    w = np.zeros((n, n))  # the upper triangle; mirrored below
+    if spec.kind in ("cycle", "path"):
+        w[np.arange(n - 1), np.arange(1, n)] = 1.0
+        if spec.kind == "cycle" and n > 2:
+            w[0, n - 1] = 1.0
+    elif spec.kind == "complete":
+        w = np.triu(np.ones((n, n)), 1)
+    elif spec.kind == "star":
+        w[0, 1:] = 1.0
+    else:  # erdos_renyi
+        rng = np.random.default_rng(spec.seed)
+        w = np.triu(rng.random((n, n)) < spec.edge_prob, 1).astype(float)
+    return Graph(w + w.T)
+
+
+def is_binary(g):
+    """True iff every weight is exactly 0 or 1."""
+    w = g.weights
+    return bool(np.all((w == 0.0) | (w == 1.0)))
+
+
+def check_equivariance(f, g, trials=50, seed=0):
+    """Sample random relabelings and feature vectors and test
+    P f(A, x) = f(P A P.T, P x) within 1e-9 in the max norm, for a map
+    ``f(g, x)`` such as ``functools.partial(apply_map, map_)``.
+
+    Returns True iff the identity held for every sampled trial.
+    """
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        p = Permutation(rng.permutation(g.n))
+        x = rng.standard_normal(g.n)
+        lhs = permute_vector(f(g, x), p)
+        rhs = f(permute(g, p), permute_vector(x, p))
+        if float(np.max(np.abs(lhs - rhs), initial=0.0)) > 1e-9:
+            return False
+    return True

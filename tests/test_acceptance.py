@@ -6,23 +6,23 @@ import itertools
 import math
 import time
 
+from functools import partial
+
 import numpy as np
 
 from fpcentral import (
     FixedPointMap,
     Graph,
-    GraphGeneratorSpec,
     ParameterError,
     Permutation,
     SolveConfig,
     StepGraphon,
-    check_equivariance,
+    apply_map,
     constants_analytic,
     cut_norm_exact,
     cut_norm_heuristic,
     eigencentrality,
     enumerate_automorphisms,
-    generate,
     graphon_op_norm,
     graphon_cut_norm,
     graphon_pagerank,
@@ -41,7 +41,14 @@ from fpcentral import (
     wasserstein,
 )
 
-from oracles import random_binary_symmetric, random_pmf, transport_lp_oracle
+from oracles import (
+    GraphGeneratorSpec,
+    check_equivariance,
+    generate,
+    random_binary_symmetric,
+    random_pmf,
+    transport_lp_oracle,
+)
 
 
 def _elapsed_ok(t0, budget, label):
@@ -252,14 +259,15 @@ def test_c08_equivariance_property():
         n = int(rng.integers(2, 13))
         g = Graph(rng.uniform(0.05, 1.0, (n, n)))
         alpha = 0.5 / (operator_norm(g.weights, 2) + 0.1)
-        assert check_equivariance(FixedPointMap("katz", alpha=alpha), g, seed=i)
-        assert check_equivariance(FixedPointMap("pagerank", alpha=0.85), g, seed=i)
-    broken = FixedPointMap(
-        "affine", affine_M=np.eye(4) * 0.2, affine_b=np.arange(4.0)
-    )
+        for map_ in (FixedPointMap("katz", alpha=alpha), FixedPointMap("pagerank", alpha=0.85)):
+            assert check_equivariance(partial(apply_map, map_), g, seed=i)
+
+    def broken(g, x):  # a node-indexed offset
+        return 0.2 * x + np.arange(g.n, dtype=float)
+
     assert not check_equivariance(broken, generate(GraphGeneratorSpec("cycle", 4)))
     elapsed = _elapsed_ok(t0, 10.0, "c08")
-    print(f"c08 PASS: 100 family checks pass, broken affine fixture fails ({elapsed:.1f}s)")
+    print(f"c08 PASS: 100 family checks pass, broken fixture fails ({elapsed:.1f}s)")
 
 
 def test_c09_closed_form_transport_matches_lp():

@@ -1,12 +1,13 @@
 import math
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from fpcentral import (
     FixedPointMap,
     Graph,
-    GraphGeneratorSpec,
     NonConvergenceError,
     Normalizer,
     NumericalError,
@@ -14,9 +15,7 @@ from fpcentral import (
     SimplicityError,
     SolveConfig,
     apply_map,
-    check_equivariance,
     eigencentrality,
-    generate,
     grassmann_distance,
     graphon_katz,
     graphon_pagerank,
@@ -31,7 +30,12 @@ from fpcentral import (
 )
 from fpcentral.centrality import native_norm_index
 from fpcentral.graphon import StepGraphon, graphon_eigencentrality
-from oracles import eigencentrality_lapack_reference
+from oracles import (
+    GraphGeneratorSpec,
+    check_equivariance,
+    eigencentrality_lapack_reference,
+    generate,
+)
 
 
 def _c2():
@@ -67,15 +71,10 @@ class TestFixedPointMap:
         with pytest.raises(ParameterError):
             FixedPointMap("eigen", alpha=0.5)
 
-    def test_affine_requires_matching_shapes(self):
-        with pytest.raises(ParameterError):
-            FixedPointMap("affine", affine_M=np.eye(2), affine_b=np.zeros(3))
-        with pytest.raises(ParameterError):
-            FixedPointMap("affine")
-
     def test_unknown_family(self):
-        with pytest.raises(ParameterError):
-            FixedPointMap("betweenness")
+        for family in ("betweenness", "affine"):
+            with pytest.raises(ParameterError, match="unknown family"):
+                FixedPointMap(family)
 
 
 class TestApplyMap:
@@ -140,23 +139,13 @@ class TestSolve:
         res = solve(_c2(), FixedPointMap("katz", alpha=0.5))
         assert 0.0 < res.contraction_estimate <= 0.5 + 1e-9
 
-    def test_affine_fixed_point(self):
-        rng = np.random.default_rng(11)
-        m = rng.random((3, 3))
-        m *= 0.5 / np.linalg.norm(m, 2)
-        b = rng.random(3)
-        res = solve(
-            Graph(np.zeros((3, 3))), FixedPointMap("affine", affine_M=m, affine_b=b)
-        )
-        expected = np.linalg.solve(np.eye(3) - m, b)
-        assert np.allclose(res.rho, expected, atol=1e-8)
-
     def test_negative_fixed_point_suggests_normalizer(self):
-        m = FixedPointMap(
-            "affine", affine_M=0.5 * np.eye(2), affine_b=np.array([-1.0, 1.0])
-        )
+        # an in-star with weights -1: ||A||_2 = 2, so L0 = 0.9, and the
+        # center's fixed point is x_0 = 1 - 0.45 * 4 = -0.8
+        w = np.zeros((5, 5))
+        w[1:, 0] = -1.0
         with pytest.raises(ParameterError, match="[Nn]ormalizer"):
-            solve(Graph(np.zeros((2, 2))), m)
+            solve(Graph(w), FixedPointMap("katz", alpha=0.45))
 
     def test_eigen_family_dispatches(self):
         g = generate(GraphGeneratorSpec("cycle", 4))
@@ -624,17 +613,18 @@ class TestEquivariance:
         rng = np.random.default_rng(13)
         for _ in range(5):
             g = Graph(rng.random((6, 6)))
-            assert check_equivariance(FixedPointMap("katz", alpha=0.3), g)
+            map_ = FixedPointMap("katz", alpha=0.3)
+            assert check_equivariance(partial(apply_map, map_), g)
 
     def test_pagerank_is_equivariant_with_positive_out_degrees(self):
         rng = np.random.default_rng(14)
         for _ in range(5):
             g = Graph(rng.random((6, 6)) + 0.05)
-            assert check_equivariance(FixedPointMap("pagerank", alpha=0.85), g)
+            map_ = FixedPointMap("pagerank", alpha=0.85)
+            assert check_equivariance(partial(apply_map, map_), g)
 
     def test_node_indexed_offset_breaks_equivariance(self):
-        m = FixedPointMap(
-            "affine", affine_M=0.1 * np.eye(5), affine_b=np.arange(5, dtype=float)
-        )
-        g = Graph(np.zeros((5, 5)))
-        assert not check_equivariance(m, g)
+        def offset(g, x):
+            return 0.1 * x + np.arange(g.n, dtype=float)
+
+        assert not check_equivariance(offset, Graph(np.zeros((5, 5))))

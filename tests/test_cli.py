@@ -637,6 +637,64 @@ def graphon2(tmp_path):
     return str(path)
 
 
+class TestWorkCounts:
+    """How many PageRank kernels and operator norms a command builds: each
+    solve or closed form builds its kernel once and checks L0 on it."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Count the calls of ``pagerank_kernel`` and ``operator_norm``
+        through every fpcentral module that names them."""
+        import importlib
+
+        from fpcentral import centrality, norms
+
+        for layer in ("graphon", "io", "perturbation", "transport"):
+            importlib.import_module(f"fpcentral.{layer}")
+        counts = {"kernels": 0, "norms": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for key, fn in (("kernels", centrality.pagerank_kernel), ("norms", norms.operator_norm)):
+            for name, module in list(sys.modules.items()):
+                if name.startswith("fpcentral") and vars(module).get(fn.__name__) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counted(key, fn))
+        return counts
+
+    @pytest.mark.parametrize(
+        "argv, kernels, norms",
+        [
+            (("centrality", "{a}", "--family", "pagerank", "--alpha", "0.85"), 1, 1),
+            (("graphon", "centrality", "{wa}", "--family", "pagerank", "--alpha", "0.85"), 1, 2),
+            (("compare", "{a}", "{b}", "--family", "pagerank", "--alpha", "0.85"), 5, 4),
+            (("graphon", "compare", "{wa}", "{wb}", "--family", "pagerank", "--alpha", "0.85"),
+             5, 6),
+            (("compare", "{a}", "{b}", "--family", "katz", "--alpha", "0.1"), 0, 4),
+        ],
+        ids=["centrality", "graphon-centrality", "theorem1", "theorem2", "theorem1-katz"],
+    )
+    def test_each_solve_builds_its_kernel_once(
+            self, capsys, tmp_path, counts, argv, kernels, norms):
+        rng = np.random.default_rng(14)
+        a = rng.random((6, 6))
+        b = a.copy()
+        b[0, 1] = 0.0
+        paths = {}
+        for name, w, key in (("a", a, "weights"), ("b", b, "weights"),
+                             ("wa", a + a.T, "values"), ("wb", b + b.T, "values")):
+            if key == "values":
+                w = w / 2.0
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps({key: w.tolist()}))
+        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 0, err
+        assert counts == {"kernels": kernels, "norms": norms}
+
+
 class TestAlphaRule:
     """One rule: --alpha is required for katz and pagerank and refused for
     eigen, with one message each, checked after the inputs are read."""
@@ -711,6 +769,24 @@ class TestGraphonValuesAreCheckedByGraph:
         code, _, err = run(capsys, *(a.replace("{path}", str(path)) for a in argv))
         assert code == 4
         assert "value: expected null or a number" in err
+
+    @pytest.mark.parametrize(
+        "argv, text, fault",
+        [
+            (("norms", "{path}", "--norm", "1"), '{"weights": [[0, " 1e3 "], [true, 0]]}',
+             "'weights' value: entries must be JSON numbers, got \" 1e3 \""),
+            (("graphon", "centrality", "{path}", "--family", "eigen"),
+             '{"values": [[0.5, true], [true, 0.5]]}',
+             "'values' value: entries must be JSON numbers, got true"),
+        ],
+        ids=["string-weight", "boolean-value"],
+    )
+    def test_entries_that_are_not_json_numbers_exit_4(self, capsys, tmp_path, argv, text, fault):
+        # numpy reads " 1e3 " as 1000.0 and true as 1.0; both used to exit 0
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *(a.replace("{path}", str(path)) for a in argv))
+        assert (code, out, err) == (4, "", f"error: bad {fault}\n")
 
 
 class TestExitCodes:

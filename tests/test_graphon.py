@@ -6,7 +6,6 @@ import pytest
 
 from fpcentral import (
     Graph,
-    GraphGeneratorSpec,
     ParameterError,
     Permutation,
     StepFunction,
@@ -14,7 +13,6 @@ from fpcentral import (
     apply,
     block_permute,
     cut_norm_exact,
-    generate,
     graphon_cut_norm,
     graphon_degree,
     graphon_eigencentrality,
@@ -32,7 +30,13 @@ from fpcentral import (
     step_lp_norm,
 )
 
-from oracles import cut_norm_brute, random_binary_symmetric, random_symmetric
+from oracles import (
+    GraphGeneratorSpec,
+    cut_norm_brute,
+    generate,
+    random_binary_symmetric,
+    random_symmetric,
+)
 
 
 def _constant(value, k=1, c=None):

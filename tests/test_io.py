@@ -286,6 +286,34 @@ class TestGraphonJson:
             parse_graphon_json('{"c": "x"}')
 
 
+@pytest.mark.parametrize(
+    "parse, key", [(parse_graph_json, "weights"), (parse_graphon_json, "values")],
+    ids=["graph", "graphon"],
+)
+class TestMatrixEntriesAreJsonNumbers:
+    @pytest.mark.parametrize(
+        "rows, shown",
+        [
+            ('[[0, "1"], ["1", 0]]', '"1"'),
+            ('[[0.5, true], [true, 0]]', "true"),
+            ("[[true, false], [false, true]]", "true"),
+            ("[[0, null], [null, 0]]", "null"),
+        ],
+        ids=["string", "mixed-booleans", "all-booleans", "null"],
+    )
+    def test_other_entries_are_refused(self, parse, key, rows, shown):
+        with pytest.raises(InputFormatError) as exc:
+            parse('{"%s": %s}' % (key, rows))
+        assert str(exc.value) == f"bad {key!r} value: entries must be JSON numbers, got {shown}"
+
+    def test_integers_that_float64_holds_are_accepted(self, parse, key):
+        built = parse('{"%s": [[%d, 0], [0, 1]]}' % (key, 10**30))
+        matrix = built.weights if key == "weights" else built.values
+        assert matrix.tolist() == [[1e30, 0.0], [0.0, 1.0]]
+        with pytest.raises(InputFormatError, match="int too large to convert to float"):
+            parse('{"%s": [[%d]]}' % (key, 10**400))
+
+
 class TestFiles:
     def test_read_graph_sniffs_json(self, tmp_path):
         path = tmp_path / "g.json"

@@ -153,6 +153,21 @@ class TestOperatorNorm:
                 with pytest.raises(ParameterError):
                     operator_norm(_with_entry(bad), p)
 
+    def test_non_finite_among_zero_rows_is_refused_alike(self):
+        # the 2-norm checks only the non-zero rows and columns; NaN and inf
+        # are non-zero, so they land on those and meet the same message
+        for bad in NON_FINITE:
+            for i, j in ((0, 0), (2, 5), (4, 7), (8, 8)):
+                for base in (0.0, 1.5):
+                    m = np.zeros((9, 9))
+                    m[2, 5] = base
+                    m[i, j] = bad
+                    for p in (1, 2, math.inf):
+                        with pytest.raises(
+                            ParameterError, match="^operator_norm expects finite entries$"
+                        ):
+                            operator_norm(m, p)
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_sums_raise_numerical_error(self):
         # column 1 sums to 2e308; its 1-norm used to read inf
@@ -433,7 +448,7 @@ class TestMinPermutedDistance:
             assert res.certified
 
     def test_relabeled_c4_distance_zero(self):
-        from fpcentral import GraphGeneratorSpec, generate
+        from oracles import GraphGeneratorSpec, generate
 
         g = generate(GraphGeneratorSpec("cycle", 4))
         for mapping in ([1, 2, 3, 0], [2, 0, 3, 1], [3, 2, 1, 0]):
