@@ -44,7 +44,7 @@ _HOMES = {
     "limits": ("exact_limit",),
     "norms": (
         "CutNormWitness", "PermutedDistanceResult", "cut_norm_exact", "cut_norm_heuristic",
-        "min_permuted_distance", "operator_norm", "vector_norm",
+        "difference_norm", "min_permuted_distance", "operator_norm", "vector_norm",
     ),
     "perturbation": (
         "BoundCertificate", "LipschitzConstants", "constants_analytic",

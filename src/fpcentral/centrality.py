@@ -119,11 +119,17 @@ def _effective_matrix(family, g):
 
 
 def _iteration_map(map_, m):
-    """(M, b) with f(A, x) = M x + b, from the family's matrix ``m``."""
+    """f(A, .) as a function of x, from the family's matrix ``m``: x ->
+    alpha (A.T x) + 1 for katz, without forming alpha A.T, and x ->
+    (alpha M) x + (1 - alpha)/n for pagerank, whose kernel ``m`` is always
+    a fresh array and is scaled in place."""
+    alpha = map_.alpha
     if map_.family == "katz":
-        return map_.alpha * m.T, 1.0
+        return lambda x: alpha * (m.T @ x) + 1.0
     if map_.family == "pagerank":
-        return map_.alpha * m, (1.0 - map_.alpha) / m.shape[0]
+        m *= alpha
+        b = (1.0 - alpha) / m.shape[0]
+        return lambda x: m @ x + b
     raise ParameterError(
         "the eigen family has no standalone iteration map; use solve() or "
         "eigencentrality()"
@@ -135,8 +141,7 @@ def apply_map(map_, g, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise ParameterError("feature vector length must equal the node count")
-    m, b = _iteration_map(map_, _effective_matrix(map_.family, g))
-    return m @ x + b
+    return _iteration_map(map_, _effective_matrix(map_.family, g))(x)
 
 
 def check_contraction(family, alpha, m=None):
@@ -208,12 +213,12 @@ def solve(g, map_, cfg=None):
             raise ParameterError("initial vector length must equal the node count")
     else:
         x = np.ones(g.n)
-    m, b = _iteration_map(map_, m)
+    f = _iteration_map(map_, m)
     contraction = 0.0
     prev_residual = None
     residual = math.inf
     for iteration in range(1, cfg.max_iterations + 1):
-        fx = m @ x + b
+        fx = f(x)
         residual = vector_norm(fx - x, p)
         if prev_residual is not None and prev_residual > 0.0:
             contraction = max(contraction, residual / prev_residual)
@@ -260,15 +265,25 @@ def _solve_direct(lhs, rhs, label):
     return x
 
 
+def _identity_minus(m):
+    """``np.eye(n) - m`` in the array ``m`` itself, bit for bit: 0 - m_ij
+    everywhere, then 1 added on the diagonal, which is 1 - m_ii."""
+    np.subtract(0.0, m, out=m)
+    diagonal = np.arange(m.shape[0])
+    m[diagonal, diagonal] += 1.0
+    return m
+
+
 def katz_closed_form(g, alpha):
     """Direct solve of (I - alpha A.T) rho = 1.
 
     Requires alpha > 0 and alpha ||A||_2 < 1 (``check_contraction``); under
     that bound the system is nonsingular, but the solve is guarded anyway.
+    The left side is built in the one array that alpha A.T makes.
     """
     m = _effective_matrix("katz", g)
     check_contraction("katz", alpha, m)
-    return _solve_direct(np.eye(g.n) - alpha * m.T, np.ones(g.n), "katz")
+    return _solve_direct(_identity_minus(alpha * m.T), np.ones(g.n), "katz")
 
 
 def pagerank_closed_form(g, alpha):
@@ -276,12 +291,13 @@ def pagerank_closed_form(g, alpha):
 
     Requires L0 = alpha ||A^T D^-1||_1 < 1 (``check_contraction``).  Columns
     at zero out-degree nodes are zero, so mass can leak: the result may sum
-    to less than one and is reported without renormalization.
+    to less than one and is reported without renormalization.  The left
+    side is built in the kernel's own array.
     """
     m = _effective_matrix("pagerank", g)
     check_contraction("pagerank", alpha, m)
-    lhs = np.eye(g.n) - alpha * m
-    return _solve_direct(lhs, np.full(g.n, (1.0 - alpha) / g.n), "pagerank")
+    m *= alpha
+    return _solve_direct(_identity_minus(m), np.full(g.n, (1.0 - alpha) / g.n), "pagerank")
 
 
 @dataclass

@@ -39,10 +39,15 @@ _EXIT_CODES = {
 
 
 def _file_digest(path):
+    """The SHA-256 of a file, read in 1 MiB chunks so that no copy of a
+    large input is held."""
     import hashlib
-    from pathlib import Path
 
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    with open(path, "rb") as fp:
+        for chunk in iter(lambda: fp.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def _manifest(args):

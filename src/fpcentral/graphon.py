@@ -141,13 +141,24 @@ def apply(w, v):
 
 def _lift_graph(w):
     """The finite graph values/k, whose matrix action is the graphon
-    operator on block values."""
-    return Graph(w.values / w.k)
+    operator on block values; it adopts the array that values/k makes."""
+    return Graph._adopt(w.values / w.k)
 
 
 def graphon_degree(w):
     """The degree function D(y) = int A(x, y) dx as block values."""
     return w.values.mean(axis=0)
+
+
+def _density(w, g, family, alpha):
+    """The katz or pagerank density of ``w`` as block values, solved on its
+    lift ``g = _lift_graph(w)``."""
+    if family == "katz":
+        return katz_closed_form(g, alpha)
+    vals = w.values
+    if np.min(vals) < 0.0 or np.max(vals) > 1.0:
+        raise ParameterError("graphon pagerank requires values in [0, 1]")
+    return w.k * pagerank_closed_form(g, alpha)
 
 
 def graphon_pagerank(w, alpha):
@@ -159,10 +170,7 @@ def graphon_pagerank(w, alpha):
     from one guarded direct solve; with positive degrees everywhere it is a
     probability density (non-negative, unit integral).
     """
-    vals = w.values
-    if np.min(vals) < 0.0 or np.max(vals) > 1.0:
-        raise ParameterError("graphon pagerank requires values in [0, 1]")
-    return StepFunction(w.k * pagerank_closed_form(_lift_graph(w), alpha))
+    return StepFunction(_density(w, _lift_graph(w), "pagerank", alpha))
 
 
 def graphon_katz(w, alpha):
@@ -170,7 +178,7 @@ def graphon_katz(w, alpha):
     which is the finite Katz centrality of the lift values/k.  It requires
     alpha below the reciprocal of the graphon operator norm; alpha itself
     may exceed 1 when the values are small."""
-    return StepFunction(katz_closed_form(_lift_graph(w), alpha))
+    return StepFunction(_density(w, _lift_graph(w), "katz", alpha))
 
 
 def graphon_eigencentrality(w):

@@ -72,10 +72,23 @@ class Graph:
         The weight matrix (a defensive copy, never aliased).
     symmetric : bool
         True iff the matrix equals its transpose within ``matrix_tol``.
+
+    ``Graph._adopt(w)`` is the private path for a fresh float64 array that
+    no one else holds, such as a parsed edge list or a graphon's lift: it
+    runs the same checks and keeps ``w`` itself as the weights, without
+    the copy.
     """
 
     def __init__(self, weights):
-        w = np.array(weights, dtype=float)
+        self._check_and_set(np.array(weights, dtype=float))
+
+    @classmethod
+    def _adopt(cls, w):
+        g = cls.__new__(cls)
+        g._check_and_set(w)
+        return g
+
+    def _check_and_set(self, w):
         if w.size == 0:
             raise ParameterError("the matrix is empty")
         if w.ndim != 2 or w.shape[0] != w.shape[1]:

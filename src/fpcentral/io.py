@@ -60,7 +60,7 @@ def parse_edge_list(text):
     flat, first = np.unique((src * n + dst)[::-1], return_index=True)
     weights = np.zeros((n, n))
     weights.flat[flat] = weight[::-1][first]
-    return Graph(weights)
+    return Graph._adopt(weights)
 
 
 def _edge_columns(fields):
@@ -138,9 +138,11 @@ def parse_graphon_json(text):
     """Build a StepGraphon from `{"k": int, "c": real, "values": [[...]]}`
     text; c is optional (null or a finite real number) and defaults to the
     largest absolute value."""
-    from .graphon import StepGraphon, _is_finite_real
+    return _graphon_from_json(_load_json(text))
 
-    obj = _load_json(text)
+
+def _graphon_from_json(obj):
+    from .graphon import StepGraphon, _is_finite_real
 
     def build(values):
         c = obj.get("c")
@@ -202,8 +204,9 @@ def read_graph(path):
 
 
 def read_graphon(path):
-    """Read a step-graphon JSON file."""
-    return parse_graphon_json(Path(path).read_text())
+    """Read a step-graphon JSON file; its text is dropped once parsed,
+    before the values array is built."""
+    return _graphon_from_json(_load_json(Path(path).read_text()))
 
 
 def graph_to_dict(g):

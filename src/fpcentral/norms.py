@@ -20,10 +20,13 @@ candidate differences with one GEMM against the subset-indicator matrix.
 cheaper than a dense SVD on the large graphs it serves.  It runs on the
 rows and columns of ``m`` that hold a non-zero entry, so the difference of
 two graphs that differ in a few edges is iterated as a small matrix; a
-matrix with full support is iterated as it is.  The exact
-permutation sweep instead takes the 2-norms of its whole stack of small
-candidate differences from one stacked LAPACK SVD
-(``numpy.linalg.norm(d, 2, axis=(1, 2))``), exact to rounding.
+matrix with full support is iterated as it is.  ``difference_norm(a, b, p)``
+is ``operator_norm(a - b, p)`` without the n x n difference: it forms only
+that small matrix, and the 1- and inf-norms of every matrix are summed in
+tiles of whole columns or rows.  The exact permutation sweep instead takes
+the 2-norms of its whole stack of small candidate differences from one
+stacked LAPACK SVD (``numpy.linalg.norm(d, 2, axis=(1, 2))``), exact to
+rounding.
 
 The exact permutation sweep skips candidates that provably cannot beat the
 best value found so far, with two kinds of lower bound:
@@ -62,6 +65,8 @@ POWER_TOL = 1e-10
 POWER_MAX_ITER = 10_000
 _START_SEED = 0x5EED
 _TINY = np.finfo(float).tiny
+# rows or columns per tile of the operator norms' sums and supports
+_TILE = 128
 # elements of one block of row-subset values in cut_norm_exact (256 KiB)
 _CUT_BLOCK = 1 << 15
 # candidate permutations evaluated per vectorized step of the exact sweep
@@ -105,26 +110,25 @@ def vector_norm(v, p):
     return float(np.max(np.abs(v), initial=0.0))
 
 
-def _power_iteration_sigma(m, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
-    """Largest singular value of ``m`` by power iteration on ``m.T @ m``.
+def _power_iteration_sigma(m, b=None, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
+    """Largest singular value of ``m``, or of ``m - b``, by power iteration
+    on the square of that matrix.
 
-    The iteration runs on the rows and columns of ``m`` that hold a
-    non-zero entry; that submatrix has the same singular values, and a
-    matrix with full support is iterated as it is.  Only that support is
-    checked for NaN and inf (both non-zero) and scaled by the exact power of
-    two that puts its largest entry in [1, 2) (``graphs._pow2_normalize``),
-    so neither sigma^4 overflows nor z @ z underflows.  The start is a seeded
-    random unit vector over all n columns (an all-ones start would be blind
-    to matrices whose top singular vector is orthogonal to it), restricted
-    to those columns, so the iterates are those of the whole matrix up to
-    summation order.  Raises NumericalError carrying the last iterate, zero
-    off those columns, if the budget is exhausted.
+    The iteration runs on the rows and columns of the matrix that hold a
+    non-zero entry (``_support``); that submatrix has the same singular
+    values, and a matrix with full support is iterated as it is.  Only that
+    support is checked for NaN and inf (both non-zero) and scaled by the
+    exact power of two that puts its largest entry in [1, 2)
+    (``graphs._pow2_normalize``), so neither sigma^4 overflows nor z @ z
+    underflows.  The start is a seeded random unit vector over all n
+    columns (an all-ones start would be blind to matrices whose top
+    singular vector is orthogonal to it), restricted to those columns, so
+    the iterates are those of the whole matrix up to summation order.
+    Raises NumericalError carrying the last iterate, zero off those
+    columns, if the budget is exhausted.
     """
     n = m.shape[1]
-    rows, cols = m.any(axis=1), m.any(axis=0)
-    full = rows.all() and cols.all()
-    if not full:
-        m = m[np.ix_(rows, cols)]
+    m, cols = _support(m, b)
     _refuse_non_finite(m, "operator_norm")
     if not m.size:
         return 0.0
@@ -134,7 +138,7 @@ def _power_iteration_sigma(m, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
     def start():
         x = rng.standard_normal(n)
         x /= math.sqrt(x @ x)
-        return x if full else x[cols]
+        return x[cols]
 
     x = start()
     sigma_prev = -1.0
@@ -177,26 +181,104 @@ def _square_finite(m, caller, finite=True):
     return m
 
 
+def _tiles(n):
+    """Slices of ``_TILE`` consecutive lines that cover ``range(n)``.  A
+    last slice one line wide is merged into the one before it: numpy sums a
+    single contiguous line pairwise, but a wider tile line by line, and
+    only the latter gives the bits of the whole matrix's sums."""
+    cuts = [*range(0, n, _TILE), n]
+    if n > 1 and n % _TILE == 1:
+        del cuts[-2]
+    return [slice(i, j) for i, j in zip(cuts, cuts[1:])]
+
+
+def _abs_sums(a, b, axis):
+    """``np.abs(a - b).sum(axis)``, or of ``a`` when ``b`` is None, taken in
+    tiles of whole lines along the other axis, so that no n x n temporary
+    is made.  Each sum adds the same entries in the same order, so the bits
+    are those of the whole matrix.  Non-finite entries are refused as
+    ``operator_norm`` refuses them."""
+    n = a.shape[1 - axis]
+    sums = np.empty(n)
+    for s in _tiles(n):
+        index = (slice(None), s) if axis == 0 else s
+        if b is None:
+            tile = np.abs(a[index])
+        else:
+            tile = a[index] - b[index]
+            np.abs(tile, out=tile)
+        _refuse_non_finite(tile, "operator_norm")
+        sums[s] = tile.sum(axis=axis)
+        del tile  # before the next tile is made
+    return sums
+
+
+def _support(a, b=None):
+    """``(sub, cols)``: the submatrix of ``a - b`` (of ``a`` when ``b`` is
+    None) on its rows and columns that hold a non-zero entry, NaN and inf
+    included, and the boolean mask of those columns.  A matrix with full
+    support is its own submatrix.  For a difference, the masks come from
+    row tiles and only the submatrix is formed."""
+    if b is None:
+        rows, cols = a.any(axis=1), a.any(axis=0)
+        if rows.all() and cols.all():
+            return a, cols
+        return a[np.ix_(rows, cols)], cols
+    rows = np.empty(a.shape[0], dtype=bool)
+    cols = np.zeros(a.shape[1], dtype=bool)
+    for s in _tiles(a.shape[0]):
+        nonzero = (a[s] - b[s]) != 0.0
+        rows[s] = nonzero.any(axis=1)
+        cols |= nonzero.any(axis=0)
+    if rows.all() and cols.all():
+        return a - b, cols
+    ix = np.ix_(rows, cols)
+    return a[ix] - b[ix], cols
+
+
+def _operator_norm(a, b, p):
+    """The p-norm of ``a - b``, or of ``a`` when ``b`` is None; a
+    difference that overflows, or of equal infinities, is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p != 2:
+            value = float(_abs_sums(a, b, 0 if p == 1 else 1).max())
+        else:
+            value = _power_iteration_sigma(a, b)
+    if math.isinf(value):
+        raise NumericalError(f"the {p}-norm of this matrix overflows float64")
+    return value
+
+
 def operator_norm(m, p):
     """Induced operator p-norm of a square matrix, p in {1, 2, inf}.
 
     p=1 is the maximum absolute column sum, p=inf the maximum absolute row
-    sum.  p=2 is the largest singular value computed by power iteration on
+    sum, both summed in tiles of whole columns or rows (``_abs_sums``).
+    p=2 is the largest singular value computed by power iteration on
     ``m.T @ m`` with relative tolerance 1e-10 and at most 10000 iterations,
     over the rows and columns of ``m`` that hold a non-zero entry, scaled
     by an exact power of two (``_power_iteration_sigma``).  Non-finite
     entries raise ParameterError; a norm beyond float64 raises NumericalError.
     """
     p = _canon_p(p)
-    m = _square_finite(m, "operator_norm", finite=p != 2)
-    with np.errstate(over="ignore"):
-        if p != 2:
-            value = float(np.abs(m).sum(axis=0 if p == 1 else 1).max())
-        else:
-            value = _power_iteration_sigma(m)
-    if math.isinf(value):
-        raise NumericalError(f"the {p}-norm of this matrix overflows float64")
-    return value
+    return _operator_norm(_square_finite(m, "operator_norm", finite=False), None, p)
+
+
+def difference_norm(a, b, p):
+    """``operator_norm(a - b, p)`` of two square matrices of one shape, bit
+    for bit and with the same errors, without forming ``a - b``.
+
+    The 1- and inf-norms sum ``|a - b|`` in tiles.  The 2-norm finds the
+    rows and columns where the matrices differ by row tiles and iterates
+    the difference on those alone, so two graphs that differ in a few
+    edges cost a few small matrices, not an n x n one.
+    """
+    p = _canon_p(p)
+    a = _square_finite(a, "operator_norm", finite=False)
+    b = _square_finite(b, "operator_norm", finite=False)
+    if a.shape != b.shape:
+        raise ParameterError("operator_norm expects two matrices of one shape")
+    return _operator_norm(a, b, p)
 
 
 @dataclass(frozen=True)
@@ -290,11 +372,12 @@ def cut_norm_exact(m):
     step = max(1, _CUT_BLOCK // width)
     best_val = -1.0
     ties = []
-    term = np.empty((step, width))
+    # both buffers are made once, so the sweep allocates nothing per block
+    term, block = np.empty((step, width)), np.empty((step, width))
     for s0 in range(0, hi.shape[1], step):
         s1 = min(s0 + step, hi.shape[1])
         # twice the value of every row subset of the block
-        vals = np.add(hi_total[s0:s1, None], lo_total)
+        vals = np.add(hi_total[s0:s1, None], lo_total, out=block[: s1 - s0])
         np.abs(vals, out=vals)
         t = term[: s1 - s0]
         for j in range(n):

@@ -48,7 +48,7 @@ from .centrality import NEGATIVE_RHO_TOL, _effective_matrix, apply_map, check_co
 from .centrality import native_norm_index, solve
 from .errors import ParameterError
 from .graphs import Graph
-from .norms import min_permuted_distance, operator_norm, vector_norm
+from .norms import difference_norm, min_permuted_distance, operator_norm, vector_norm
 
 HOLDS_TOL = 1e-9
 _NORM_PS = (1, 2, math.inf)
@@ -284,18 +284,19 @@ def _graph_pair(a, b, map_):
 
 def _step_pair(a, b, family, alpha):
     """Step adapter: the lifts values/k, weight 1/k, with the graphon
-    densities as both centralities and features."""
-    from .graphon import _lift_graph, graphon_katz, graphon_pagerank
+    densities, solved on those lifts, as both centralities and features."""
+    from .graphon import _density, _lift_graph
 
     if a.k != b.k:
         raise ParameterError("graphons must have the same number of blocks")
-    density = graphon_katz if family == "katz" else graphon_pagerank
+    lifts = (_lift_graph(a), _lift_graph(b))
 
     def solve_pair():
-        return [(rho, rho) for rho in (density(a, alpha).values, density(b, alpha).values)]
+        densities = (_density(w, g, family, alpha) for w, g in zip((a, b), lifts))
+        return [(rho, rho) for rho in densities]
 
     return _Pair(
-        (_lift_graph(a), _lift_graph(b)), 1.0 / a.k, solve_pair,
+        lifts, 1.0 / a.k, solve_pair,
         "perturbation measured on effective kernels A o D^-1", "density masses",
     )
 
@@ -393,7 +394,7 @@ def _certify(kind, pair, family, alpha, consts, certified, digest, mode="exact",
             notes.append(pair.kernel_note)
         eff_a, eff_b = _effective_matrix(family, a), _effective_matrix(family, b)
         if kind == "theorem":
-            right = operator_norm(eff_a - eff_b, p)
+            right = difference_norm(eff_a, eff_b, p)
         else:
             right = min_permuted_distance(Graph(eff_a), Graph(eff_b), p, mode=mode).value
     if convention != "permutation_cost":

@@ -28,7 +28,7 @@ from fpcentral import (
     solve,
     vector_norm,
 )
-from fpcentral.centrality import native_norm_index
+from fpcentral.centrality import _identity_minus, native_norm_index
 from fpcentral.graphon import StepGraphon, graphon_eigencentrality
 from oracles import (
     GraphGeneratorSpec,
@@ -220,6 +220,33 @@ class TestClosedForms:
         ):
             with pytest.raises(NumericalError):
                 call()
+
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 130])
+    def test_left_side_in_place_has_the_bits_of_eye_minus(self, n):
+        rng = np.random.default_rng(n)
+        signed = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5)
+        signed[0, -1] = -0.0
+        for m in (signed, np.asfortranarray(signed), (rng.random((n, n)) < 0.3) * 1.0):
+            for alpha in (0.3, 1e-300, 7.5):
+                expected = np.eye(n) - alpha * m
+                got = _identity_minus(alpha * m)
+                # viewed as integers, so the signs of zeros count too
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_closed_forms_solve_the_same_system_as_eye_minus(self):
+        rng = np.random.default_rng(16)
+        for n, directed in ((5, False), (40, True), (130, False)):
+            w = (rng.random((n, n)) < 0.2) * 1.0
+            if not directed:
+                w = np.triu(w, 1) + np.triu(w, 1).T
+            g = Graph(w)
+            alpha = 0.5 / operator_norm(w, 2) if w.any() else 0.5
+            katz = np.linalg.solve(np.eye(n) - alpha * w.T, np.ones(n))
+            assert np.array_equal(katz_closed_form(g, alpha), katz)
+            kernel = pagerank_kernel(g)
+            pagerank = np.linalg.solve(np.eye(n) - 0.85 * kernel, np.full(n, (1.0 - 0.85) / n))
+            assert np.array_equal(pagerank_closed_form(g, 0.85), pagerank)
 
 
 class TestPagerankKernel:

@@ -643,8 +643,9 @@ class TestWorkCounts:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Count the calls of ``pagerank_kernel`` and ``operator_norm``
-        through every fpcentral module that names them."""
+        """Count the calls of ``pagerank_kernel``, and of ``operator_norm``
+        and ``difference_norm`` as norms, through every fpcentral module
+        that names them."""
         import importlib
 
         from fpcentral import centrality, norms
@@ -659,7 +660,8 @@ class TestWorkCounts:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for key, fn in (("kernels", centrality.pagerank_kernel), ("norms", norms.operator_norm)):
+        for key, fn in (("kernels", centrality.pagerank_kernel), ("norms", norms.operator_norm),
+                        ("norms", norms.difference_norm)):
             for name, module in list(sys.modules.items()):
                 if name.startswith("fpcentral") and vars(module).get(fn.__name__) is fn:
                     monkeypatch.setattr(module, fn.__name__, counted(key, fn))

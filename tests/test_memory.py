@@ -1,0 +1,80 @@
+"""Peak memory of the large-graph paths, measured by tracemalloc in units of
+one n x n float64 matrix (n^2 * 8 bytes) above the inputs, at n = 1000.
+
+The inputs are those of a benchmark compare: a 0/1 Erdos-Renyi graph of
+mean degree 8 overlaid on a ring, against a copy with one edge dropped.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fpcentral import (
+    FixedPointMap,
+    Graph,
+    StepGraphon,
+    constants_analytic,
+    operator_norm,
+    theorem1_certificate,
+    theorem2_certificate,
+)
+
+N = 1000
+
+
+def _peak(fn):
+    """The tracemalloc peak of ``fn()`` in units of n^2 * 8 bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (N * N * 8)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def pair():
+    rng = np.random.default_rng(1600)
+    order = rng.permutation(N)
+    ring = np.zeros((N, N))
+    ring[order, np.roll(order, -1)] = 1.0
+    ring = np.maximum(ring, ring.T)
+    a = np.triu(rng.random((N, N)) < 8 / (N - 1), 1) * 1.0
+    a = np.maximum(a + a.T, ring)
+    i, j = np.argwhere(np.triu(a, 1) * (ring == 0))[0]
+    b = a.copy()
+    b[i, j] = b[j, i] = 0.0
+    return Graph(a), Graph(b)
+
+
+def test_katz_theorem1_holds_no_matrix_beyond_its_inputs(pair):
+    # the iteration runs alpha (A.T x) + 1, and the right side forms only
+    # the difference on the rows and columns where the graphs differ
+    a, b = pair
+    map_ = FixedPointMap("katz", alpha=0.5 / operator_norm(a.weights, 2))
+    consts = constants_analytic(a, map_)
+    assert _peak(lambda: theorem1_certificate(a, b, map_, consts)) <= 0.25
+
+
+def test_pagerank_theorem1_holds_two_kernels(pair):
+    # each solve scales its own kernel; the right side holds both kernels
+    # and sums their difference in tiles
+    a, b = pair
+    map_ = FixedPointMap("pagerank", alpha=0.85)
+    consts = constants_analytic(a, map_)
+    assert _peak(lambda: theorem1_certificate(a, b, map_, consts)) <= 2.25
+
+
+def test_pagerank_theorem2_holds_two_lifts_and_two_kernels(pair):
+    # each graphon is lifted once; a closed form builds its left side in
+    # its kernel's own array
+    a, b = (StepGraphon(g.weights) for g in pair)
+    assert _peak(lambda: theorem2_certificate(a, b, "pagerank", 0.85)) <= 4.25
+
+
+@pytest.mark.parametrize("p", [1, math.inf])
+def test_one_and_inf_norms_sum_in_tiles(pair, p):
+    m = pair[0].weights
+    assert _peak(lambda: operator_norm(m, p)) <= 0.25

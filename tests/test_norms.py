@@ -15,6 +15,7 @@ from fpcentral import (
     SizeLimitError,
     cut_norm_exact,
     cut_norm_heuristic,
+    difference_norm,
     min_permuted_distance,
     operator_norm,
     permute,
@@ -200,6 +201,21 @@ class TestOperatorNorm:
                 assert operator_norm(np.ldexp(m, k), 2) == np.ldexp(base, k)
 
 
+    # 129 and 257 leave one line past a multiple of the 128-line tile
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 130, 257, 300])
+    def test_tiled_sums_have_the_bits_of_whole_matrix_sums(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 8, (n, n))
+        m[-1] *= 1e20  # the last row and column carry the largest sums
+        m[:, -1] *= 1e20
+        wide = rng.standard_normal((n, 2 * n))
+        for layout in (m, np.asfortranarray(m), m.T, wide[:, ::2]):
+            for p, axis in ((1, 0), (math.inf, 1)):
+                sums = np.abs(layout).sum(axis=axis)
+                assert operator_norm(layout, p) == float(sums.max()), (p, layout.flags)
+                tiled = norms._abs_sums(layout, None, axis)
+                assert np.array_equal(tiled, sums), (p, layout.flags)
+
 
 def _padded(rng, m, n):
     """``m`` placed at random sorted rows and columns of an n x n zero matrix."""
@@ -270,6 +286,63 @@ class TestSupportTwoNorm:
         assert last.shape == (9,)
         assert not last[~m.any(axis=0)].any()
         assert last[m.any(axis=0)].all()
+
+class TestDifferenceNorm:
+    """``difference_norm(a, b, p)`` is ``operator_norm(a - b, p)`` bit for
+    bit, with the same errors, without the n x n difference."""
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (ParameterError, NumericalError) as exc:
+            return type(exc), str(exc)
+
+    def _assert_alike(self, a, b):
+        for p in (1, 2, math.inf):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = self._outcome(operator_norm, a - b, p)
+            assert self._outcome(difference_norm, a, b, p) == expected, p
+
+    # 129 and 257 leave one line past a multiple of the 128-line tile
+    @pytest.mark.parametrize("n", [1, 3, 127, 129, 257])
+    def test_full_sparse_and_equal_supports(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        sparse = a.copy()
+        sparse[rng.integers(n, size=3), rng.integers(n, size=3)] += 1.0
+        for b in (rng.standard_normal((n, n)), sparse, a.copy()):
+            for e in (0, -1000, 1000):
+                for x, y in ((a, b), (np.asfortranarray(a), np.asfortranarray(b)), (a, b.T)):
+                    self._assert_alike(np.ldexp(x, e), np.ldexp(y, e))
+        assert difference_norm(a, a.copy(), 2) == 0.0
+
+    def test_non_finite_entries_meet_the_same_error(self):
+        for bad in NON_FINITE:
+            for n in (4, 130):
+                a = np.zeros((n, n))
+                a[1, 2] = 1.0
+                b = a.copy()
+                b[n - 1, 0] = bad
+                self._assert_alike(a, b)
+                self._assert_alike(b, a)
+                # equal infinities differ by NaN, as the difference does
+                self._assert_alike(b, b.copy())
+                with pytest.raises(ParameterError, match="^operator_norm expects finite entries$"):
+                    difference_norm(a, b, 2)
+
+    def test_overflowing_differences_meet_the_same_error(self):
+        a = np.full((3, 3), 1e308)
+        self._assert_alike(a, -a)
+        with pytest.raises(ParameterError, match="^operator_norm expects finite entries$"):
+            difference_norm(a, -a, 1)
+
+    def test_shapes_must_match(self):
+        with pytest.raises(ParameterError, match="one shape"):
+            difference_norm(np.zeros((2, 2)), np.zeros((3, 3)), 1)
+        with pytest.raises(ParameterError, match="square"):
+            difference_norm(np.zeros((2, 3)), np.zeros((2, 3)), 1)
+
 
 class TestCutNormExact:
     def test_all_ones_2x2(self):
