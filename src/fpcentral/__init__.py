@@ -48,7 +48,7 @@ _HOMES = {
     ),
     "perturbation": (
         "BoundCertificate", "LipschitzConstants", "constants_analytic",
-        "constants_empirical", "prop6_certificate", "prop7_certificate",
+        "prop6_certificate", "prop7_certificate",
         "prop9_certificate", "prop10_certificate", "theorem1_certificate",
         "theorem2_certificate",
     ),

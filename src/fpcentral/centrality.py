@@ -11,8 +11,12 @@ permutation-equivariant pair (f, g).  The canonical families are
 
 For all three g is the identity.  Native norms: 1-norm for pagerank, 2-norm
 otherwise.  Katz and PageRank act through one matrix M_A, the weights A for
-katz and the kernel A.T D^{-1} for pagerank (``_effective_matrix``); it is
-built once per solve or closed form and carries the contraction check.
+katz and the kernel A.T D^{-1} for pagerank.  Each input is prepared once
+(``_prepare``): the record holds M_A, its L0, and the products x -> M_A x
+and y -> M_A^T y that every iteration step takes.  When the graph holds the
+list of its non-zero entries (``graphs.ENTRY_SHARE``), the products run over
+that list, and a PageRank kernel is kept as the list alone: its entries are
+the graph's, with the IEEE division ``pagerank_kernel`` makes.
 
 Katz and PageRank are iterated (``solve``) or solved directly (the closed
 forms).  The eigen family takes the spectrum of A.T from LAPACK without
@@ -22,6 +26,7 @@ eigenvector by inverse iteration.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +36,8 @@ from .errors import (
     ParameterError,
     SimplicityError,
 )
-from .graphs import _pow2_normalize, degree_vector
-from .norms import operator_norm, vector_norm
+from .graphs import Graph, _Entries, _pow2_normalize, _sparse_entries, degree_vector
+from .norms import _operator_norm, operator_norm, vector_norm
 
 FAMILIES = ("eigen", "katz", "pagerank")
 PHI_CHOICES = ("identity", "exp", "exp_neg", "abs")
@@ -112,24 +117,94 @@ def pagerank_kernel(g):
     return np.divide(w, d, out=np.zeros_like(w), where=d != 0.0).T
 
 
-def _effective_matrix(family, g):
-    """M_A, the matrix a family acts through: the PageRank kernel
-    A^T D^-1 for pagerank, the weights A otherwise (not a copy)."""
-    return pagerank_kernel(g) if family == "pagerank" else g.weights
+def _kernel_entries(g):
+    """The entries of A^T D^-1 from the entry list of A: ``(cols, rows,
+    vals / d[rows])`` at rows of non-zero degree, the IEEE division that
+    ``pagerank_kernel`` makes; None when the graph holds no list or the
+    kernel is above the cut."""
+    e = g._entries
+    if e is None:
+        return None
+    d = degree_vector(g)
+    rows, cols, vals = e.rows, e.cols, e.vals
+    keep = d[rows] != 0.0
+    if not keep.all():
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return _sparse_entries(cols, rows, vals / d[rows], g.n)
 
 
-def _iteration_map(map_, m):
-    """f(A, .) as a function of x, from the family's matrix ``m``: x ->
-    alpha (A.T x) + 1 for katz, without forming alpha A.T, and x ->
-    (alpha M) x + (1 - alpha)/n for pagerank, whose kernel ``m`` is always
-    a fresh array and is scaled in place."""
-    alpha = map_.alpha
-    if map_.family == "katz":
-        return lambda x: alpha * (m.T @ x) + 1.0
-    if map_.family == "pagerank":
-        m *= alpha
-        b = (1.0 - alpha) / m.shape[0]
-        return lambda x: m @ x + b
+class _Prepared(NamedTuple):
+    """One input as its family's map sees it, built once (``_prepare``).
+
+    ``m`` is M_A, the weights for katz and eigen and the kernel A^T D^-1
+    for pagerank; ``entries`` its ``graphs._Entries`` below the cut, on
+    which a pagerank kernel is not formed (``m`` is None, and ``matrix()``
+    forms it); ``l0`` its contraction modulus, None for eigen.
+    """
+
+    family: str
+    alpha: float | None
+    g: Graph
+    m: np.ndarray | None
+    entries: _Entries | None
+    l0: float | None
+
+    def matrix(self):
+        """M_A as an n x n array."""
+        return pagerank_kernel(self.g) if self.m is None else self.m
+
+    def matvec(self, x):
+        """M_A x."""
+        return self.m @ x if self.entries is None else self.entries.matvec(x)
+
+    def rmatvec(self, y):
+        """M_A^T y."""
+        return self.m.T @ y if self.entries is None else self.entries.rmatvec(y)
+
+
+def _operand(family, alpha, g):
+    """The record of ``g`` without its L0: M_A and its entries."""
+    if family != "pagerank":
+        return _Prepared(family, alpha, g, g.weights, g._entries, None)
+    entries = _kernel_entries(g)
+    return _Prepared(family, alpha, g, pagerank_kernel(g) if entries is None else None, entries, None)
+
+
+def _prepare(family, alpha, g):
+    """The record of ``g`` for a family: M_A, its entries, and L0 checked
+    by the contraction rule (none for eigen)."""
+    if family == "eigen":
+        return _operand(family, alpha, g)
+    _check_domain(family, alpha)
+    prep = _operand(family, alpha, g)
+    p = native_norm_index(family)
+    return prep._replace(l0=_checked_l0(family, alpha * _operator_norm(prep.m, None, p, prep.entries)))
+
+
+def _scaled(prep, own):
+    """The record of alpha M_A: its list of entries scaled, or its dense
+    matrix, in place when the caller owns the record and uses it no more
+    (``own``), and as a copy otherwise."""
+    if prep.entries is not None:
+        return prep._replace(entries=prep.entries.scaled(prep.alpha))
+    if not own:
+        return prep._replace(m=prep.alpha * prep.m)
+    m = prep.m
+    m *= prep.alpha
+    return prep
+
+
+def _iteration_map(prep, own=False):
+    """f(A, .) as a function of x from a record: x -> alpha (A.T x) + 1 for
+    katz, without forming alpha A.T, and x -> (alpha M) x + (1 - alpha)/n
+    for pagerank, with alpha M as ``_scaled`` makes it."""
+    alpha = prep.alpha
+    if prep.family == "katz":
+        return lambda x: alpha * prep.rmatvec(x) + 1.0
+    if prep.family == "pagerank":
+        b = (1.0 - alpha) / prep.g.n
+        scaled = _scaled(prep, own)
+        return lambda x: scaled.matvec(x) + b
     raise ParameterError(
         "the eigen family has no standalone iteration map; use solve() or "
         "eigencentrality()"
@@ -141,25 +216,33 @@ def apply_map(map_, g, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise ParameterError("feature vector length must equal the node count")
-    return _iteration_map(map_, _effective_matrix(map_.family, g))(x)
+    return _iteration_map(_operand(map_.family, map_.alpha, g), own=True)(x)
 
 
-def check_contraction(family, alpha, m=None):
-    """The one contraction rule.  Katz needs alpha > 0, PageRank 0 < alpha < 1;
-    given the family's matrix ``m = _effective_matrix(family, g)`` of a graph
-    (or of a graphon's lift), returns L0 = alpha ||A||_2 (katz) or
-    alpha ||A^T D^-1||_1 (pagerank) and refuses it unless L0 < 1.
-    """
+def _check_domain(family, alpha):
     domain = "alpha > 0" if family == "katz" else "0 < alpha < 1"
     if alpha is None or not (alpha > 0.0 if family == "katz" else 0.0 < alpha < 1.0):
         raise ParameterError(f"{family} requires {domain}, got alpha={alpha}")
-    if m is None:
-        return None
-    l0 = alpha * operator_norm(m, 2 if family == "katz" else 1)
+
+
+def _checked_l0(family, l0):
     label = "alpha * ||A||_2" if family == "katz" else "alpha * ||A^T D^-1||_1"
     if not l0 < 1.0:
         raise ParameterError(f"{family} requires {label} < 1, got {l0:.6g}")
     return l0
+
+
+def check_contraction(family, alpha, m=None):
+    """The one contraction rule.  Katz needs alpha > 0, PageRank 0 < alpha < 1;
+    given the family's matrix ``m`` of a graph (or of a graphon's lift),
+    the weights for katz and the kernel for pagerank, returns
+    L0 = alpha ||A||_2 (katz) or alpha ||A^T D^-1||_1 (pagerank) and refuses
+    it unless L0 < 1.  ``_prepare`` applies the same rule to a record.
+    """
+    _check_domain(family, alpha)
+    if m is None:
+        return None
+    return _checked_l0(family, alpha * operator_norm(m, native_norm_index(family)))
 
 
 def solve(g, map_, cfg=None):
@@ -188,9 +271,19 @@ def solve(g, map_, cfg=None):
         (the caller should then normalize feature_x explicitly).
     NonConvergenceError
         Budget exhausted; carries the last iterate and residual.
+
+    Each step is one product with M_A: over the graph's list of non-zero
+    entries when it holds one (``graphs.ENTRY_SHARE``), in O(entries), and
+    a dense BLAS product otherwise.
     """
+    return _solve(_prepare(map_.family, map_.alpha, g), cfg, own=True)
+
+
+def _solve(prep, cfg=None, own=False):
+    """solve() on a record; ``own`` as in ``_scaled``."""
     cfg = cfg if cfg is not None else SolveConfig()
-    if map_.family == "eigen":
+    g = prep.g
+    if prep.family == "eigen":
         eig = eigencentrality(g, "largest")
         if eig.rho is None:
             raise ParameterError(
@@ -204,16 +297,14 @@ def solve(g, map_, cfg=None):
             residual=eig.residual,
             contraction_estimate=0.0,
         )
-    m = _effective_matrix(map_.family, g)
-    check_contraction(map_.family, map_.alpha, m)
-    p = native_norm_index(map_.family)
+    p = native_norm_index(prep.family)
     if cfg.initial is not None:
         x = np.asarray(cfg.initial, dtype=float).copy()
         if x.shape != (g.n,):
             raise ParameterError("initial vector length must equal the node count")
     else:
         x = np.ones(g.n)
-    f = _iteration_map(map_, m)
+    f = _iteration_map(prep, own)
     contraction = 0.0
     prev_residual = None
     residual = math.inf
@@ -281,9 +372,12 @@ def katz_closed_form(g, alpha):
     that bound the system is nonsingular, but the solve is guarded anyway.
     The left side is built in the one array that alpha A.T makes.
     """
-    m = _effective_matrix("katz", g)
-    check_contraction("katz", alpha, m)
-    return _solve_direct(_identity_minus(alpha * m.T), np.ones(g.n), "katz")
+    return _katz_direct(_prepare("katz", alpha, g))
+
+
+def _katz_direct(prep):
+    """katz_closed_form on a record."""
+    return _solve_direct(_identity_minus(prep.alpha * prep.m.T), np.ones(prep.g.n), "katz")
 
 
 def pagerank_closed_form(g, alpha):
@@ -292,12 +386,23 @@ def pagerank_closed_form(g, alpha):
     Requires L0 = alpha ||A^T D^-1||_1 < 1 (``check_contraction``).  Columns
     at zero out-degree nodes are zero, so mass can leak: the result may sum
     to less than one and is reported without renormalization.  The left
-    side is built in the kernel's own array.
+    side is built in the kernel's own array, or from the kernel's list of
+    entries when the graph holds one; both give the same bits.
     """
-    m = _effective_matrix("pagerank", g)
-    check_contraction("pagerank", alpha, m)
-    m *= alpha
-    return _solve_direct(_identity_minus(m), np.full(g.n, (1.0 - alpha) / g.n), "pagerank")
+    return _pagerank_direct(_prepare("pagerank", alpha, g), own=True)
+
+
+def _pagerank_direct(prep, own=False):
+    """pagerank_closed_form on a record; ``own`` as in ``_scaled``."""
+    alpha, n = prep.alpha, prep.g.n
+    scaled = _scaled(prep, own)
+    e = scaled.entries
+    if e is None:
+        lhs = scaled.m
+    else:
+        lhs = np.zeros((n, n))
+        lhs[e.rows, e.cols] = e.vals
+    return _solve_direct(_identity_minus(lhs), np.full(n, (1.0 - alpha) / n), "pagerank")
 
 
 @dataclass

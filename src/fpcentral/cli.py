@@ -141,35 +141,28 @@ def cmd_centrality(args):
 def cmd_compare(args):
     from .centrality import FixedPointMap
     from .io import read_graph
-    from .perturbation import (
-        constants_analytic,
-        prop6_certificate,
-        prop7_certificate,
-        theorem1_certificate,
-    )
+    from .perturbation import _analytic, _graph_certificate, _record
 
     a = read_graph(args.input_a)
     b = read_graph(args.input_b)
     _check_alpha(args)
     map_ = FixedPointMap(args.family, alpha=args.alpha)
-    consts = constants_analytic(a, map_)
-    if args.bound == "theorem1":
-        cert = theorem1_certificate(a, b, map_, consts)
-    elif args.bound == "prop6":
-        cert = prop6_certificate(a, b, map_, consts, perm_mode=args.perm_mode)
-    else:
-        cert = prop7_certificate(a, b, map_, consts)
+    # a's record serves the constants and the certificate alike
+    prep_a = _record(a, map_)
+    cert = _graph_certificate(
+        args.bound, a, b, map_, _analytic(prep_a, 1.0),
+        perm_mode=args.perm_mode if args.bound == "prop6" else "exact", prep_a=prep_a,
+    )
     return _emit_certificate(cert, args)
 
 
 def cmd_graphon_lift(args):
-    from .graphon import lift
-    from .io import graphon_to_dict, read_graph
+    from .graphon import StepGraphon
+    from .io import _graphon_payload, read_graph
 
-    g = read_graph(args.input)
-    w = lift(g)
-    _emit(graphon_to_dict(w), args, lambda: "".join(
-        ",".join(map(float.__repr__, row)) + "\n" for row in w.values.tolist()
+    w = StepGraphon._adopt(read_graph(args.input))  # lift() without its copy
+    _emit(_graphon_payload(w), args, lambda: "".join(
+        ",".join(map(float.__repr__, row.tolist())) + "\n" for row in w.values
     ))
     return 0
 

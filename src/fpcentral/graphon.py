@@ -17,7 +17,7 @@ import numbers
 
 import numpy as np
 
-from .centrality import eigencentrality, katz_closed_form, pagerank_closed_form
+from .centrality import _katz_direct, _pagerank_direct, _prepare, eigencentrality
 from .errors import ParameterError
 from .graphs import Graph, Permutation, matrix_tol, permute
 from .norms import cut_norm_exact, operator_norm
@@ -48,14 +48,26 @@ class StepGraphon:
     values pass the checks of ``Graph``, symmetry included.  ``c`` is None
     (the peak |value|) or a finite real number, not a bool, that the peak
     exceeds by at most ``graphs.matrix_tol`` of the values.
+
+    ``StepGraphon._adopt(g, c)`` is the private path that takes a Graph's
+    weights, and its list of entries, as the values without a copy.
     """
 
     def __init__(self, values, c=None):
-        g = Graph(values)
+        self._set(Graph(values), c)
+
+    @classmethod
+    def _adopt(cls, g, c=None):
+        w = cls.__new__(cls)
+        w._set(g, c)
+        return w
+
+    def _set(self, g, c):
         if not g.symmetric:
             raise ParameterError("the matrix is not symmetric")
         values = g.weights
-        peak = float(np.max(np.abs(values), initial=0.0))
+        # max |value| without an n x n temporary
+        peak = max(0.0, float(values.max()), -float(values.min()))
         if c is None:
             c = peak
         elif not _is_finite_real(c):
@@ -67,6 +79,7 @@ class StepGraphon:
         self.values = values
         self.k = values.shape[0]
         self.c = float(c)
+        self._entries = g._entries
 
     def __repr__(self):
         return f"StepGraphon(k={self.k}, c={self.c})"
@@ -141,8 +154,10 @@ def apply(w, v):
 
 def _lift_graph(w):
     """The finite graph values/k, whose matrix action is the graphon
-    operator on block values; it adopts the array that values/k makes."""
-    return Graph._adopt(w.values / w.k)
+    operator on block values; it adopts the array that values/k makes, and
+    the values' list of entries divided by k alike."""
+    e = w._entries
+    return Graph._adopt(w.values / w.k, None if e is None else (e.rows, e.cols, e.vals / w.k))
 
 
 def graphon_degree(w):
@@ -150,15 +165,18 @@ def graphon_degree(w):
     return w.values.mean(axis=0)
 
 
-def _density(w, g, family, alpha):
-    """The katz or pagerank density of ``w`` as block values, solved on its
-    lift ``g = _lift_graph(w)``."""
-    if family == "katz":
-        return katz_closed_form(g, alpha)
-    vals = w.values
-    if np.min(vals) < 0.0 or np.max(vals) > 1.0:
+def _check_pagerank_values(w):
+    if np.min(w.values) < 0.0 or np.max(w.values) > 1.0:
         raise ParameterError("graphon pagerank requires values in [0, 1]")
-    return w.k * pagerank_closed_form(g, alpha)
+
+
+def _density(w, prep, own=False):
+    """The katz or pagerank density of ``w`` as block values, solved on the
+    record of its lift (``centrality._prepare``); ``own`` as in
+    ``centrality._scaled``."""
+    if prep.family == "katz":
+        return _katz_direct(prep)
+    return w.k * _pagerank_direct(prep, own)
 
 
 def graphon_pagerank(w, alpha):
@@ -170,7 +188,9 @@ def graphon_pagerank(w, alpha):
     from one guarded direct solve; with positive degrees everywhere it is a
     probability density (non-negative, unit integral).
     """
-    return StepFunction(_density(w, _lift_graph(w), "pagerank", alpha))
+    g = _lift_graph(w)
+    _check_pagerank_values(w)
+    return StepFunction(_density(w, _prepare("pagerank", alpha, g), own=True))
 
 
 def graphon_katz(w, alpha):
@@ -178,7 +198,7 @@ def graphon_katz(w, alpha):
     which is the finite Katz centrality of the lift values/k.  It requires
     alpha below the reciprocal of the graphon operator norm; alpha itself
     may exceed 1 when the values are small."""
-    return StepFunction(_density(w, _lift_graph(w), "katz", alpha))
+    return StepFunction(_density(w, _prepare("katz", alpha, _lift_graph(w))))
 
 
 def graphon_eigencentrality(w):

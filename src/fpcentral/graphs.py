@@ -4,9 +4,17 @@ Orientation convention, fixed once for the whole package: ``weights[i, j]``
 is the weight of the link from node ``i`` to node ``j``, and the canonical
 centralities act through the transpose ``A.T``.  Negative weights are
 allowed; symmetry is detected, not required.
+
+A matrix with few non-zero entries is also held as the list of them
+(``_Entries``), on which a product with the matrix or its transpose costs
+O(entries) instead of O(n^2).  The list is kept when at most
+``ENTRY_SHARE`` of the matrix's non-zero rows x columns hold an entry:
+there a product over the list beats a dense BLAS product (measured
+break-even about 1/16 at n = 1000 to 2000, about 1/32 at n = 200).
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,6 +23,52 @@ from .limits import MAX_AUTOMORPHISM_N, exact_limit
 
 MATRIX_TOL = 1e-12
 _SYMMETRY_TILE = 128
+ENTRY_SHARE = 1 / 32
+
+
+class _Entries(NamedTuple):
+    """The non-zero entries ``vals`` at ``(rows, cols)`` of an n x n matrix M
+    and its products over them alone.  Each product adds a row's (or a
+    column's) terms in the order of the list; ``np.bincount`` returns
+    integers for an empty list, hence the cast."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    n: int
+
+    def matvec(self, x):
+        """M x."""
+        return np.bincount(self.rows, self.vals * x[self.cols], self.n).astype(float, copy=False)
+
+    def rmatvec(self, y):
+        """M^T y."""
+        return np.bincount(self.cols, self.vals * y[self.rows], self.n).astype(float, copy=False)
+
+    def scaled(self, factor):
+        """The entries of ``factor * M``, with the bits of that product."""
+        return self._replace(vals=self.vals * factor)
+
+
+def _sparse_entries(rows, cols, vals, n):
+    """``_Entries`` of these entries of an n x n matrix when at most
+    ``ENTRY_SHARE`` of their rows x columns hold one, None otherwise."""
+    support = np.count_nonzero(np.bincount(rows, minlength=n)) * np.count_nonzero(
+        np.bincount(cols, minlength=n)
+    )
+    return _Entries(rows, cols, vals, n) if rows.size <= ENTRY_SHARE * support else None
+
+
+def _nonzero_entries(m):
+    """``_sparse_entries`` of a square matrix's non-zero entries (NaN and
+    inf included), in row-major order: one count of them and, only when
+    that count is below the cut, one list."""
+    nonzero = np.not_equal(m, 0.0, order="C")
+    if np.count_nonzero(nonzero) > ENTRY_SHARE * m.size:
+        return None
+    rows, cols = np.divmod(np.flatnonzero(nonzero), m.shape[1])
+    del nonzero
+    return _sparse_entries(rows, cols, m[rows, cols], m.shape[0])
 
 
 def max_asymmetry(w):
@@ -73,31 +127,58 @@ class Graph:
     symmetric : bool
         True iff the matrix equals its transpose within ``matrix_tol``.
 
-    ``Graph._adopt(w)`` is the private path for a fresh float64 array that
-    no one else holds, such as a parsed edge list or a graphon's lift: it
-    runs the same checks and keeps ``w`` itself as the weights, without
-    the copy.
+    A graph also holds its non-zero entries as ``_entries`` (an
+    ``_Entries``) when they are at most ``ENTRY_SHARE`` of its non-zero rows
+    x columns, and None otherwise.  They come from one count of the
+    non-zero entries and, only below that cut, one list of them; the
+    symmetry check and the tolerance are then taken over that list.
+
+    ``Graph._adopt(w, nonzero)`` is the private path for a fresh float64
+    array that no one else holds, such as a parsed edge list or a
+    graphon's lift: it runs the same checks and keeps ``w`` itself as the
+    weights, without the copy.  ``nonzero``, when given, is a
+    ``(rows, cols, vals)`` list, row-major, that holds every non-zero entry
+    of a finite ``w`` (and maybe some zeros): the graph then takes its
+    entries, its symmetry and its tolerance from that list, and no pass
+    over the n x n matrix is made.
     """
 
     def __init__(self, weights):
         self._check_and_set(np.array(weights, dtype=float))
 
     @classmethod
-    def _adopt(cls, w):
+    def _adopt(cls, w, nonzero=None):
         g = cls.__new__(cls)
-        g._check_and_set(w)
+        g._check_and_set(w, nonzero)
         return g
 
-    def _check_and_set(self, w):
+    def _check_and_set(self, w, nonzero=None):
         if w.size == 0:
             raise ParameterError("the matrix is empty")
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ParameterError("the matrix is not square")
-        if not np.all(np.isfinite(w)):
-            raise ParameterError("the matrix has non-finite entries")
+        n = w.shape[0]
+        if nonzero is None:
+            if not np.all(np.isfinite(w)):
+                raise ParameterError("the matrix has non-finite entries")
+            listed = self._entries = _nonzero_entries(w)
+        else:
+            rows, cols, vals = nonzero
+            keep = vals != 0.0
+            if not keep.all():
+                rows, cols, vals = rows[keep], cols[keep], vals[keep]
+            listed = _Entries(rows, cols, vals, n)
+            self._entries = _sparse_entries(*listed)
+        if listed is None:
+            asymmetry, tol = max_asymmetry(w), matrix_tol(w)
+        else:
+            # exactly the tiled value: |w_ij - w_ji| is listed at (i, j) or
+            # at (j, i) whenever it is not zero
+            asymmetry = float(np.max(np.abs(listed.vals - w[listed.cols, listed.rows]), initial=0.0))
+            tol = matrix_tol(listed.vals) if listed.vals.size else MATRIX_TOL
         self.weights = w
-        self.n = w.shape[0]
-        self.symmetric = max_asymmetry(w) <= matrix_tol(w)
+        self.n = n
+        self.symmetric = asymmetry <= tol
 
     def __repr__(self):
         return f"Graph(n={self.n}, symmetric={self.symmetric})"

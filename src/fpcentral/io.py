@@ -34,7 +34,9 @@ def parse_edge_list(text):
     Python's spellings (``+1``, ``1_0``, ``1e3``), and a weight must be
     finite.  When several lines set one entry, the last one wins.  The text
     is parsed in one vectorized pass; only when that pass meets a fault are
-    the lines walked one by one, to report the first faulty line.
+    the lines walked one by one, to report the first faulty line.  The
+    graph adopts the matrix and the parsed list of its entries
+    (``Graph._adopt``), so it makes no further pass over the matrix.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -58,9 +60,11 @@ def parse_edge_list(text):
     # np.unique keeps the first of equal entries, so the reversed lines
     # keep the last line that sets each entry
     flat, first = np.unique((src * n + dst)[::-1], return_index=True)
+    vals = weight[::-1][first]
     weights = np.zeros((n, n))
-    weights.flat[flat] = weight[::-1][first]
-    return Graph._adopt(weights)
+    weights.flat[flat] = vals
+    # the sorted flat indices list every entry in row-major order
+    return Graph._adopt(weights, (*np.divmod(flat, n), vals))
 
 
 def _edge_columns(fields):
@@ -209,22 +213,33 @@ def read_graphon(path):
     return _graphon_from_json(_load_json(Path(path).read_text()))
 
 
+def _graph_payload(g):
+    return {"n": g.n, "weights": g.weights}
+
+
+def _graphon_payload(w):
+    return {"k": w.k, "c": float(w.c), "values": w.values}
+
+
 def graph_to_dict(g):
-    return {"n": g.n, "weights": g.weights.tolist()}
+    return {**_graph_payload(g), "weights": g.weights.tolist()}
 
 
 def graphon_to_dict(w):
-    return {"k": w.k, "c": float(w.c), "values": w.values.tolist()}
+    return {**_graphon_payload(w), "values": w.values.tolist()}
 
 
 def _write_json(payload, fp):
     """Write ``payload`` to the text stream ``fp`` exactly as
-    ``json.dumps(payload, indent=2, sort_keys=True) + "\n"`` spells it.
+    ``json.dumps(payload, indent=2, sort_keys=True) + "\n"`` spells it,
+    with a numpy array spelled as its ``tolist()``.
 
     A list whose items are all finite floats is one join of their reprs, so
     a matrix costs one join per row instead of one encoder step per entry;
-    every other value goes through the json encoder.  It is the package's
-    only JSON writer, so every command and file spells JSON the same way.
+    an array is spelled one row at a time, so no list of all its entries is
+    made.  Every other value goes through the json encoder.  It is the
+    package's only JSON writer, so every command and file spells JSON the
+    same way.
     """
     _write_value(payload, fp, "\n")
     fp.write("\n")
@@ -242,6 +257,9 @@ def _write_value(value, fp, newline):
             _write_value(item, fp, inner)
             sep = "," + inner
         fp.write(newline + "}")
+    elif isinstance(value, np.ndarray):
+        # a matrix is written a row at a time, as the list of its row views
+        _write_value(list(value) if value.ndim > 1 else value.tolist(), fp, newline)
     elif isinstance(value, (list, tuple)):
         if not value:
             fp.write("[]")
@@ -277,9 +295,9 @@ def _json_key(key):
 
 def write_graph(g, path):
     with open(path, "w") as fp:
-        _write_json(graph_to_dict(g), fp)
+        _write_json(_graph_payload(g), fp)
 
 
 def write_graphon(w, path):
     with open(path, "w") as fp:
-        _write_json(graphon_to_dict(w), fp)
+        _write_json(_graphon_payload(w), fp)

@@ -17,11 +17,15 @@ computes the column sums of every row subset of a whole stack of small
 candidate differences with one GEMM against the subset-indicator matrix.
 
 ``operator_norm(m, 2)`` is a power iteration on ``m.T @ m``, which is
-cheaper than a dense SVD on the large graphs it serves.  It runs on the
-rows and columns of ``m`` that hold a non-zero entry, so the difference of
-two graphs that differ in a few edges is iterated as a small matrix; a
-matrix with full support is iterated as it is.  ``difference_norm(a, b, p)``
-is ``operator_norm(a - b, p)`` without the n x n difference: it forms only
+cheaper than a dense SVD on the large graphs it serves.  A matrix whose
+non-zero entries are at most ``graphs.ENTRY_SHARE`` (1/32) of its non-zero
+rows x columns is iterated on the list of those entries, each product in
+O(entries); it forms no submatrix, and its iterates are zero off its
+non-zero rows and columns.  Any other matrix is iterated densely on the
+rows and columns that hold a non-zero entry, so the difference of two
+graphs that differ in a few edges is iterated as a small matrix, and a
+matrix with full support as it is.  ``difference_norm(a, b, p)`` is
+``operator_norm(a - b, p)`` without the n x n difference: it forms only
 that small matrix, and the 1- and inf-norms of every matrix are summed in
 tiles of whole columns or rows.  The exact permutation sweep instead takes
 the 2-norms of its whole stack of small candidate differences from one
@@ -58,7 +62,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError, SizeLimitError
 from .graphs import Permutation, _lex_blocks, _lex_permutations, _pow2_normalize
-from .graphs import degree_vector, max_asymmetry, permute
+from .graphs import _nonzero_entries, degree_vector, max_asymmetry, permute
 from .limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N, exact_limit
 
 POWER_TOL = 1e-10
@@ -110,44 +114,59 @@ def vector_norm(v, p):
     return float(np.max(np.abs(v), initial=0.0))
 
 
-def _power_iteration_sigma(m, b=None, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
+def _power_iteration_sigma(m, b=None, entries=None, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
     """Largest singular value of ``m``, or of ``m - b``, by power iteration
     on the square of that matrix.
 
-    The iteration runs on the rows and columns of the matrix that hold a
-    non-zero entry (``_support``); that submatrix has the same singular
-    values, and a matrix with full support is iterated as it is.  Only that
-    support is checked for NaN and inf (both non-zero) and scaled by the
-    exact power of two that puts its largest entry in [1, 2)
-    (``graphs._pow2_normalize``), so neither sigma^4 overflows nor z @ z
-    underflows.  The start is a seeded random unit vector over all n
-    columns (an all-ones start would be blind to matrices whose top
-    singular vector is orthogonal to it), restricted to those columns, so
-    the iterates are those of the whole matrix up to summation order.
-    Raises NumericalError carrying the last iterate, zero off those
-    columns, if the budget is exhausted.
+    Given ``entries``, the ``graphs._Entries`` of ``m``, the products run
+    over that list; otherwise the iteration runs on the rows and columns of
+    the matrix that hold a non-zero entry (``_support``), a submatrix with
+    the same singular values, and a matrix with full support is iterated
+    as it is.  Only those entries are checked for NaN and inf (both
+    non-zero) and scaled by the exact power of two that puts the largest
+    of them in [1, 2) (``graphs._pow2_normalize``), so neither sigma^4
+    overflows nor z @ z underflows.  The start is a seeded random unit
+    vector over all n columns (an all-ones start would be blind to matrices
+    whose top singular vector is orthogonal to it), zero off the columns
+    that hold an entry, so on either path the iterates are those of the
+    whole matrix up to summation order.  Raises NumericalError carrying the
+    last iterate, zero off those columns, if the budget is exhausted.
     """
-    n = m.shape[1]
-    m, cols = _support(m, b)
-    _refuse_non_finite(m, "operator_norm")
-    if not m.size:
-        return 0.0
-    m, e = _pow2_normalize(m)
+    if entries is not None:
+        n = entries.n
+        _refuse_non_finite(entries.vals, "operator_norm")
+        if not entries.vals.size:
+            return 0.0
+        vals, e = _pow2_normalize(entries.vals)
+        ops = entries._replace(vals=vals)
+        matvec, rmatvec = ops.matvec, ops.rmatvec
+        off = np.bincount(entries.cols, minlength=n) == 0
+    else:
+        n = m.shape[1]
+        m, cols = _support(m, b)
+        _refuse_non_finite(m, "operator_norm")
+        if not m.size:
+            return 0.0
+        m, e = _pow2_normalize(m)
+        matvec, rmatvec = m.__matmul__, m.T.__matmul__
     rng = np.random.default_rng(_START_SEED)
 
     def start():
         x = rng.standard_normal(n)
         x /= math.sqrt(x @ x)
-        return x[cols]
+        if entries is None:
+            return x[cols]
+        x[off] = 0.0
+        return x
 
     x = start()
     sigma_prev = -1.0
     for _ in range(max_iter):
-        y = m @ x
+        y = matvec(x)
         sigma = math.sqrt(float(y @ y))
         if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
             return float(np.ldexp(sigma, e))
-        z = m.T @ y
+        z = rmatvec(y)
         nz = math.sqrt(float(z @ z))
         if nz == 0.0:
             # x fell into the null space of m.T m; restart along a fresh
@@ -157,11 +176,13 @@ def _power_iteration_sigma(m, b=None, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
             continue
         x = z / nz
         sigma_prev = sigma
-    last = np.zeros(n)
-    last[cols] = x
+    if entries is None:
+        last = np.zeros(n)
+        last[cols] = x
+        x = last
     raise NumericalError(
         f"singular-value power iteration did not converge in {max_iter} iterations",
-        last_iterate=last,
+        last_iterate=x,
     )
 
 
@@ -236,14 +257,22 @@ def _support(a, b=None):
     return a[ix] - b[ix], cols
 
 
-def _operator_norm(a, b, p):
-    """The p-norm of ``a - b``, or of ``a`` when ``b`` is None; a
-    difference that overflows, or of equal infinities, is refused."""
+def _operator_norm(a, b, p, entries=None):
+    """The p-norm of ``a - b``, or of ``a`` when ``b`` is None, the one body
+    of every operator norm; a difference that overflows, or of equal
+    infinities, is refused.  Given ``entries``, the ``graphs._Entries`` of
+    ``a``, the norm is taken over that list (``a`` may then be None): its
+    2-norm iterates on it, and its 1- and inf-norms add each column's or
+    row's absolute entries in the list's order."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if p != 2:
+        if p == 2:
+            value = _power_iteration_sigma(a, b, entries)
+        elif entries is None:
             value = float(_abs_sums(a, b, 0 if p == 1 else 1).max())
         else:
-            value = _power_iteration_sigma(a, b)
+            _refuse_non_finite(entries.vals, "operator_norm")
+            lines = entries.cols if p == 1 else entries.rows
+            value = float(np.bincount(lines, np.abs(entries.vals), entries.n).max())
     if math.isinf(value):
         raise NumericalError(f"the {p}-norm of this matrix overflows float64")
     return value
@@ -256,12 +285,16 @@ def operator_norm(m, p):
     sum, both summed in tiles of whole columns or rows (``_abs_sums``).
     p=2 is the largest singular value computed by power iteration on
     ``m.T @ m`` with relative tolerance 1e-10 and at most 10000 iterations,
-    over the rows and columns of ``m`` that hold a non-zero entry, scaled
-    by an exact power of two (``_power_iteration_sigma``).  Non-finite
-    entries raise ParameterError; a norm beyond float64 raises NumericalError.
+    scaled by an exact power of two (``_power_iteration_sigma``).  It runs
+    over the list of ``m``'s non-zero entries when they are at most 1/32 of
+    its non-zero rows x columns (``graphs._nonzero_entries``), and
+    otherwise over the rows and columns of ``m`` that hold a non-zero
+    entry.  Non-finite entries raise ParameterError; a norm beyond float64
+    raises NumericalError.
     """
     p = _canon_p(p)
-    return _operator_norm(_square_finite(m, "operator_norm", finite=False), None, p)
+    m = _square_finite(m, "operator_norm", finite=False)
+    return _operator_norm(m, None, p, _nonzero_entries(m) if p == 2 else None)
 
 
 def difference_norm(a, b, p):

@@ -44,11 +44,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .centrality import NEGATIVE_RHO_TOL, _effective_matrix, apply_map, check_contraction
-from .centrality import native_norm_index, solve
+from .centrality import NEGATIVE_RHO_TOL, _prepare, _solve, native_norm_index
 from .errors import ParameterError
 from .graphs import Graph
-from .norms import difference_norm, min_permuted_distance, operator_norm, vector_norm
+from .norms import difference_norm, min_permuted_distance, vector_norm
 
 HOLDS_TOL = 1e-9
 _NORM_PS = (1, 2, math.inf)
@@ -158,20 +157,36 @@ def _l1(family, alpha, radius):
     return alpha * radius if family == "katz" else radius
 
 
-def _analytic(g, weight, family, alpha):
-    """constants_analytic on the matrix of ``g``, whose coordinates have
+def _analytic(prep, weight):
+    """constants_analytic on the record of an input whose coordinates have
     measure ``weight``: R = ||b||_{p,weight}/(1 - L0) + 1 for the constant
     term b, with ||1||_{2,weight} = sqrt(weight n) for katz and
     ||b||_{1,weight} = 1 - alpha for pagerank."""
-    if family not in ("katz", "pagerank"):
-        raise ParameterError("analytic constants exist for the katz and pagerank families")
-    l0 = check_contraction(family, alpha, _effective_matrix(family, g))
-    b_norm = math.sqrt(weight * g.n) if family == "katz" else 1.0 - alpha
+    family, alpha, l0 = prep.family, prep.alpha, prep.l0
+    b_norm = math.sqrt(weight * prep.g.n) if family == "katz" else 1.0 - alpha
     radius = b_norm / (1.0 - l0) + 1.0
     return LipschitzConstants(
         L0=l0, L1=_l1(family, alpha, radius), Lg=1.0, norm_p=native_norm_index(family),
         method="analytic", feasible_radius=radius,
     )
+
+
+def _analytic_record(g, family, alpha):
+    """The record whose L0 analytic constants take; refuses eigen."""
+    if family not in ("katz", "pagerank"):
+        raise ParameterError("analytic constants exist for the katz and pagerank families")
+    return _prepare(family, alpha, g)
+
+
+def _record(g, map_):
+    """The record of a graph that constants_analytic and the finite
+    certificates share."""
+    if map_.family == "eigen":
+        raise ParameterError(
+            "eigencentrality has no contraction certificate (the linear map "
+            "has L0 = 1); use grassmann_distance as a descriptive diff"
+        )
+    return _analytic_record(g, map_.family, map_.alpha)
 
 
 def constants_analytic(g, map_):
@@ -186,71 +201,7 @@ def constants_analytic(g, map_):
     modulus 1, so the route does not apply; grassmann_distance is the
     descriptive alternative.
     """
-    if map_.family == "eigen":
-        raise ParameterError(
-            "eigencentrality has no contraction certificate (the linear map "
-            "has L0 = 1); use grassmann_distance as a descriptive diff"
-        )
-    return _analytic(g, 1.0, map_.family, map_.alpha)
-
-
-def _ball_point(rng, n, radius, p):
-    direction = rng.standard_normal(n)
-    scale = vector_norm(direction, p)
-    if scale == 0.0:
-        direction = np.ones(n)
-        scale = vector_norm(direction, p)
-    return direction * (radius * rng.random() / scale)
-
-
-def constants_empirical(g, map_, samples, seed):
-    """Sampled estimates of the contraction constants.
-
-    Draws points in the feasible ball and takes ratio maxima: L0 from
-    ||f(A, x) - f(A, x_A)|| / ||x - x_A|| against the solved fixed point,
-    L1 from perturbations of unit operator norm, Lg from pairs through
-    the output map.  The estimates are lower bounds on the suprema, so
-    certificates built from them are not certified.
-    """
-    if samples < 2:
-        raise ParameterError("samples must be at least 2")
-    if map_.family == "eigen":
-        raise ParameterError("the eigen family has no iterated map to sample")
-    p = native_norm_index(map_.family)
-    radius = constants_analytic(g, map_).feasible_radius
-    x_fixed = solve(g, map_).feature_x
-    rng = np.random.default_rng(seed)
-    n = g.n
-    l0_est = 0.0
-    l1_est = 0.0
-    lg_est = 0.0
-    base = apply_map(map_, g, x_fixed)
-    m_g = _effective_matrix(map_.family, g)
-    for _ in range(samples):
-        x = _ball_point(rng, n, radius, p)
-        denom = vector_norm(x - x_fixed, p)
-        if denom > 1e-12:
-            l0_est = max(l0_est, vector_norm(apply_map(map_, g, x) - base, p) / denom)
-        perturb = rng.standard_normal((n, n))
-        other = Graph(g.weights + perturb / operator_norm(perturb, p))
-        deviation = operator_norm(m_g - _effective_matrix(map_.family, other), p)
-        if deviation > 1e-12:
-            y = _ball_point(rng, n, radius, p)
-            l1_est = max(
-                l1_est,
-                vector_norm(apply_map(map_, g, y) - apply_map(map_, other, y), p)
-                / deviation,
-            )
-        # canonical g is the identity, so its ratio on a distinct pair is 1;
-        # the pair is still drawn to keep the seeded stream
-        u = _ball_point(rng, n, radius, p)
-        v = _ball_point(rng, n, radius, p)
-        if vector_norm(u - v, p) > 1e-12:
-            lg_est = 1.0
-    return LipschitzConstants(
-        L0=l0_est, L1=l1_est, Lg=lg_est, norm_p=p,
-        method="empirical", feasible_radius=radius,
-    )
+    return _analytic(_record(g, map_), 1.0)
 
 
 class _Pair(NamedTuple):
@@ -258,7 +209,9 @@ class _Pair(NamedTuple):
 
     ``graphs`` carry the matrices the right-hand sides measure and
     ``weight`` the measure of one coordinate.  ``solve`` returns the
-    (centrality, fixed-point feature) of each input in those coordinates.
+    (centrality, fixed-point feature) of each input in those coordinates,
+    and the records (``centrality._prepare``) it solved them on, each built
+    once.
     """
 
     graphs: tuple
@@ -268,13 +221,21 @@ class _Pair(NamedTuple):
     mass_label: str
 
 
-def _graph_pair(a, b, map_):
-    """Finite adapter: the graphs themselves, weight 1, solved by solve()."""
+def _graph_pair(a, b, map_, prep_a=None):
+    """Finite adapter: the graphs themselves, weight 1, each iterated on its
+    record; ``prep_a`` is a's record when the caller has built it, and b's
+    is built when b is solved."""
     if a.n != b.n:
         raise ParameterError("graphs must have the same number of nodes")
 
     def solve_pair():
-        return [(res.rho, res.feature_x) for res in (solve(a, map_), solve(b, map_))]
+        solved, preps = [], []
+        for g, prep in ((a, prep_a), (b, None)):
+            prep = prep if prep is not None else _prepare(map_.family, map_.alpha, g)
+            res = _solve(prep)
+            solved.append((res.rho, res.feature_x))
+            preps.append(prep)
+        return solved, preps
 
     return _Pair(
         (a, b), 1.0, solve_pair,
@@ -282,18 +243,25 @@ def _graph_pair(a, b, map_):
     )
 
 
-def _step_pair(a, b, family, alpha):
+def _step_pair(a, b, lifts, prep_a):
     """Step adapter: the lifts values/k, weight 1/k, with the graphon
-    densities, solved on those lifts, as both centralities and features."""
-    from .graphon import _density, _lift_graph
+    densities, solved on the records of those lifts, as both centralities
+    and features; ``prep_a`` is the record of a's lift, and b's is built
+    when b is solved, after b's values are checked."""
+    from .graphon import _check_pagerank_values, _density
 
-    if a.k != b.k:
-        raise ParameterError("graphons must have the same number of blocks")
-    lifts = (_lift_graph(a), _lift_graph(b))
+    family, alpha = prep_a.family, prep_a.alpha
 
     def solve_pair():
-        densities = (_density(w, g, family, alpha) for w, g in zip((a, b), lifts))
-        return [(rho, rho) for rho in densities]
+        solved, preps = [], []
+        for w, g, prep in ((a, lifts[0], prep_a), (b, lifts[1], None)):
+            if family == "pagerank":
+                _check_pagerank_values(w)
+            prep = prep if prep is not None else _prepare(family, alpha, g)
+            rho = _density(w, prep)
+            solved.append((rho, rho))
+            preps.append(prep)
+        return solved, preps
 
     return _Pair(
         lifts, 1.0 / a.k, solve_pair,
@@ -359,7 +327,7 @@ def _certify(kind, pair, family, alpha, consts, certified, digest, mode="exact",
         raise ParameterError("Wasserstein certificates require norm_p in {1, 2}")
     if kind == "cut":
         _check_cut_inputs(a, b, w, p)
-    (rho_a, x_a), (rho_b, x_b) = pair.solve()
+    ((rho_a, x_a), (rho_b, x_b)), (prep_a, prep_b) = pair.solve()
     consts, notes = _enlarged(consts, family, alpha, _norm(x_a, p, w), _norm(x_b, p, w))
     lg = consts.Lg
     if kind == "theorem":
@@ -392,7 +360,7 @@ def _certify(kind, pair, family, alpha, consts, certified, digest, mode="exact",
     else:
         if family == "pagerank":
             notes.append(pair.kernel_note)
-        eff_a, eff_b = _effective_matrix(family, a), _effective_matrix(family, b)
+        eff_a, eff_b = prep_a.matrix(), prep_b.matrix()
         if kind == "theorem":
             right = difference_norm(eff_a, eff_b, p)
         else:
@@ -416,14 +384,7 @@ def theorem1_certificate(a, b, map_, consts):
     PageRank perturbations are measured on the effective kernels.  The
     certificate is certified iff the constants are analytic.
     """
-    digest = _digest(
-        a.weights, b.weights, map_.family, map_.alpha, "theorem1",
-        consts.method, consts.norm_p,
-    )
-    return _certify(
-        "theorem", _graph_pair(a, b, map_), map_.family, map_.alpha, consts,
-        consts.method == "analytic", digest,
-    )
+    return _graph_certificate("theorem1", a, b, map_, consts)
 
 
 def prop6_certificate(a, b, map_, consts, perm_mode="exact",
@@ -438,18 +399,8 @@ def prop6_certificate(a, b, map_, consts, perm_mode="exact",
     comparison quantity the bound is proved through), and the constants
     are analytic.
     """
-    digest = _digest(
-        a.weights, b.weights, map_.family, map_.alpha, "prop6",
-        consts.method, consts.norm_p, perm_mode, convention,
-    )
-    certified = (
-        consts.method == "analytic"
-        and perm_mode == "exact"
-        and convention == "permutation_cost"
-    )
-    return _certify(
-        "wasserstein", _graph_pair(a, b, map_), map_.family, map_.alpha, consts,
-        certified, digest, mode=perm_mode, convention=convention,
+    return _graph_certificate(
+        "prop6", a, b, map_, consts, perm_mode=perm_mode, convention=convention
     )
 
 
@@ -460,14 +411,30 @@ def prop7_certificate(a, b, map_, consts, convention="permutation_cost"):
     minimizes the cut norm of the difference over relabelings (always the
     exact search, so n is capped).
     """
+    return _graph_certificate("prop7", a, b, map_, consts, convention=convention)
+
+
+def _graph_certificate(bound, a, b, map_, consts, perm_mode="exact",
+                       convention="permutation_cost", prep_a=None):
+    """theorem1, prop6 or prop7 on two graphs; ``prep_a`` is a's record
+    (``_record``) when the caller has built it.  Only prop6 takes a
+    ``perm_mode``; prop7 always runs the exact search."""
+    kind, parts = {
+        "theorem1": ("theorem", (consts.norm_p,)),
+        "prop6": ("wasserstein", (consts.norm_p, perm_mode, convention)),
+        "prop7": ("cut", (convention,)),
+    }[bound]
     digest = _digest(
-        a.weights, b.weights, map_.family, map_.alpha, "prop7",
-        consts.method, convention,
+        a.weights, b.weights, map_.family, map_.alpha, bound, consts.method, *parts
     )
-    certified = consts.method == "analytic" and convention == "permutation_cost"
+    certified = (
+        consts.method == "analytic"
+        and perm_mode == "exact"
+        and convention == "permutation_cost"
+    )
     return _certify(
-        "cut", _graph_pair(a, b, map_), map_.family, map_.alpha, consts,
-        certified, digest, convention=convention,
+        kind, _graph_pair(a, b, map_, prep_a), map_.family, map_.alpha, consts,
+        certified, digest, mode=perm_mode, convention=convention,
     )
 
 
@@ -475,8 +442,14 @@ def _step_certificate(kind, name, a, b, family, alpha, mode="exact"):
     """A graphon certificate: the finite one on the lifts values/k.  Only
     theorem2 is certified; block relabelings only bound the infimum over
     measure-preserving bijections from above."""
-    pair = _step_pair(a, b, family, alpha)
-    consts = _analytic(pair.graphs[0], pair.weight, family, alpha)
+    from .graphon import _lift_graph
+
+    if a.k != b.k:
+        raise ParameterError("graphons must have the same number of blocks")
+    lifts = (_lift_graph(a), _lift_graph(b))
+    prep_a = _analytic_record(lifts[0], family, alpha)
+    pair = _step_pair(a, b, lifts, prep_a)
+    consts = _analytic(prep_a, pair.weight)
     theorem = kind == "theorem"
     digest = _digest(
         a.values, b.values, family, alpha, name, consts.norm_p if theorem else mode

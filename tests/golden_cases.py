@@ -24,7 +24,6 @@ from fpcentral import (
     Permutation,
     StepGraphon,
     constants_analytic,
-    constants_empirical,
     lift,
     permute,
     prop6_certificate,
@@ -35,7 +34,7 @@ from fpcentral import (
     theorem2_certificate,
 )
 
-from oracles import random_binary_symmetric, random_symmetric
+from oracles import constants_empirical, random_binary_symmetric, random_symmetric
 
 STEP_KS = (1, 2, 3, 5, 7, 8, 12)
 EXACT_LIMIT = 7  # exact sweeps stay at n <= 7 but for the one n = 8 case

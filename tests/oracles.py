@@ -9,6 +9,9 @@ expected values in the test files were frozen from these.
 The fixture generators (``GraphGeneratorSpec``, ``generate``), ``is_binary``
 and the equivariance checker at the end are test scaffolding rather than
 oracles; the checker also relabels through the package's ``permute``.
+``constants_empirical`` samples the contraction constants through the
+package's own maps and norms; certificates built from it are never
+certified, and only the tests and the golden cases use it.
 """
 
 import itertools
@@ -20,14 +23,22 @@ import numpy as np
 from fpcentral import (
     Graph,
     InputFormatError,
+    LipschitzConstants,
     NumericalError,
     ParameterError,
     Permutation,
     SizeLimitError,
     TransportPlan,
+    apply_map,
+    constants_analytic,
+    operator_norm,
+    pagerank_kernel,
     permute,
     permute_vector,
+    solve,
+    vector_norm,
 )
+from fpcentral.centrality import native_norm_index
 from fpcentral.limits import MAX_DENSE_N
 
 MAX_LP_ORACLE_N = 16
@@ -472,3 +483,68 @@ def check_equivariance(f, g, trials=50, seed=0):
         if float(np.max(np.abs(lhs - rhs), initial=0.0)) > 1e-9:
             return False
     return True
+
+
+def _effective_matrix(family, g):
+    """M_A, the matrix a family acts through: the PageRank kernel
+    A^T D^-1 for pagerank, the weights A otherwise."""
+    return pagerank_kernel(g) if family == "pagerank" else g.weights
+
+
+def _ball_point(rng, n, radius, p):
+    direction = rng.standard_normal(n)
+    scale = vector_norm(direction, p)
+    if scale == 0.0:
+        direction = np.ones(n)
+        scale = vector_norm(direction, p)
+    return direction * (radius * rng.random() / scale)
+
+
+def constants_empirical(g, map_, samples, seed):
+    """Sampled estimates of the contraction constants.
+
+    Draws points in the feasible ball and takes ratio maxima: L0 from
+    ||f(A, x) - f(A, x_A)|| / ||x - x_A|| against the solved fixed point,
+    L1 from perturbations of unit operator norm, Lg from pairs through
+    the output map.  The estimates are lower bounds on the suprema, so
+    certificates built from them are not certified.
+    """
+    if samples < 2:
+        raise ParameterError("samples must be at least 2")
+    if map_.family == "eigen":
+        raise ParameterError("the eigen family has no iterated map to sample")
+    p = native_norm_index(map_.family)
+    radius = constants_analytic(g, map_).feasible_radius
+    x_fixed = solve(g, map_).feature_x
+    rng = np.random.default_rng(seed)
+    n = g.n
+    l0_est = 0.0
+    l1_est = 0.0
+    lg_est = 0.0
+    base = apply_map(map_, g, x_fixed)
+    m_g = _effective_matrix(map_.family, g)
+    for _ in range(samples):
+        x = _ball_point(rng, n, radius, p)
+        denom = vector_norm(x - x_fixed, p)
+        if denom > 1e-12:
+            l0_est = max(l0_est, vector_norm(apply_map(map_, g, x) - base, p) / denom)
+        perturb = rng.standard_normal((n, n))
+        other = Graph(g.weights + perturb / operator_norm(perturb, p))
+        deviation = operator_norm(m_g - _effective_matrix(map_.family, other), p)
+        if deviation > 1e-12:
+            y = _ball_point(rng, n, radius, p)
+            l1_est = max(
+                l1_est,
+                vector_norm(apply_map(map_, g, y) - apply_map(map_, other, y), p)
+                / deviation,
+            )
+        # canonical g is the identity, so its ratio on a distinct pair is 1;
+        # the pair is still drawn to keep the seeded stream
+        u = _ball_point(rng, n, radius, p)
+        v = _ball_point(rng, n, radius, p)
+        if vector_norm(u - v, p) > 1e-12:
+            lg_est = 1.0
+    return LipschitzConstants(
+        L0=l0_est, L1=l1_est, Lg=lg_est, norm_p=p,
+        method="empirical", feasible_radius=radius,
+    )

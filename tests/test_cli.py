@@ -638,46 +638,72 @@ def graphon2(tmp_path):
 
 
 class TestWorkCounts:
-    """How many PageRank kernels and operator norms a command builds: each
-    solve or closed form builds its kernel once and checks L0 on it."""
+    """How many PageRank kernels, operator norms and lists of non-zero
+    entries a command builds: each input is prepared once, and its record
+    serves the constants, the solve and the right side."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Count the calls of ``pagerank_kernel``, and of ``operator_norm``
-        and ``difference_norm`` as norms, through every fpcentral module
+        """Count the calls of ``pagerank_kernel``; of ``norms._operator_norm``,
+        the one body of every operator norm, as norms; and of
+        ``graphs._nonzero_entries`` that list the entries, i.e. whose matrix
+        is below the count cut, as lists.  Through every fpcentral module
         that names them."""
         import importlib
 
-        from fpcentral import centrality, norms
+        from fpcentral import centrality, graphs, norms
 
         for layer in ("graphon", "io", "perturbation", "transport"):
             importlib.import_module(f"fpcentral.{layer}")
-        counts = {"kernels": 0, "norms": 0}
+        counts = {"kernels": 0, "norms": 0, "lists": 0}
 
-        def counted(key, fn):
+        def counted(key, fn, listed=lambda *args: True):
             def wrapper(*args, **kwargs):
-                counts[key] += 1
+                counts[key] += listed(*args)
                 return fn(*args, **kwargs)
             return wrapper
 
-        for key, fn in (("kernels", centrality.pagerank_kernel), ("norms", norms.operator_norm),
-                        ("norms", norms.difference_norm)):
+        def lists(m):
+            return np.count_nonzero(m) <= graphs.ENTRY_SHARE * m.size
+
+        for key, fn, listed in (("kernels", centrality.pagerank_kernel, None),
+                                ("norms", norms._operator_norm, None),
+                                ("lists", graphs._nonzero_entries, lists)):
+            wrapper = counted(key, fn) if listed is None else counted(key, fn, listed)
             for name, module in list(sys.modules.items()):
                 if name.startswith("fpcentral") and vars(module).get(fn.__name__) is fn:
-                    monkeypatch.setattr(module, fn.__name__, counted(key, fn))
+                    monkeypatch.setattr(module, fn.__name__, wrapper)
         return counts
+
+    @staticmethod
+    def _write(tmp_path, matrices, as_edges=False):
+        paths = {}
+        for name, w in matrices.items():
+            key = "values" if name.startswith("w") else "weights"
+            if as_edges and key == "weights":
+                paths[name] = tmp_path / f"{name}.txt"
+                rows, cols = np.nonzero(w)
+                paths[name].write_text(f"{w.shape[0] - 1}\n" + "".join(
+                    f"{i} {j} {float(w[i, j])!r}\n" for i, j in zip(rows.tolist(), cols.tolist())
+                ))
+            else:
+                paths[name] = tmp_path / f"{name}.json"
+                paths[name].write_text(json.dumps({key: w.tolist()}))
+        return paths
+
+    ARGV = [
+        ("centrality", "{a}", "--family", "pagerank", "--alpha", "0.85"),
+        ("graphon", "centrality", "{wa}", "--family", "pagerank", "--alpha", "0.85"),
+        ("compare", "{a}", "{b}", "--family", "pagerank", "--alpha", "0.85"),
+        ("graphon", "compare", "{wa}", "{wb}", "--family", "pagerank", "--alpha", "0.85"),
+        ("compare", "{a}", "{b}", "--family", "katz", "--alpha", "0.1"),
+    ]
+    IDS = ["centrality", "graphon-centrality", "theorem1", "theorem2", "theorem1-katz"]
 
     @pytest.mark.parametrize(
         "argv, kernels, norms",
-        [
-            (("centrality", "{a}", "--family", "pagerank", "--alpha", "0.85"), 1, 1),
-            (("graphon", "centrality", "{wa}", "--family", "pagerank", "--alpha", "0.85"), 1, 2),
-            (("compare", "{a}", "{b}", "--family", "pagerank", "--alpha", "0.85"), 5, 4),
-            (("graphon", "compare", "{wa}", "{wb}", "--family", "pagerank", "--alpha", "0.85"),
-             5, 6),
-            (("compare", "{a}", "{b}", "--family", "katz", "--alpha", "0.1"), 0, 4),
-        ],
-        ids=["centrality", "graphon-centrality", "theorem1", "theorem2", "theorem1-katz"],
+        [(argv, *expect) for argv, expect in zip(ARGV, [(1, 1), (1, 2), (2, 3), (2, 5), (0, 3)])],
+        ids=IDS,
     )
     def test_each_solve_builds_its_kernel_once(
             self, capsys, tmp_path, counts, argv, kernels, norms):
@@ -685,16 +711,43 @@ class TestWorkCounts:
         a = rng.random((6, 6))
         b = a.copy()
         b[0, 1] = 0.0
-        paths = {}
-        for name, w, key in (("a", a, "weights"), ("b", b, "weights"),
-                             ("wa", a + a.T, "values"), ("wb", b + b.T, "values")):
-            if key == "values":
-                w = w / 2.0
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(json.dumps({key: w.tolist()}))
+        paths = self._write(tmp_path, {"a": a, "b": b, "wa": (a + a.T) / 2, "wb": (b + b.T) / 2})
         code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 0, err
-        assert counts == {"kernels": kernels, "norms": norms}
+        assert counts == {"kernels": kernels, "norms": norms, "lists": 0}
+
+    @pytest.mark.parametrize("as_edges", [False, True], ids=["json", "edge-list"])
+    @pytest.mark.parametrize(
+        "argv, kernels, norms",
+        [(argv, *expect) for argv, expect in zip(ARGV, [(0, 1), (0, 2), (2, 3), (2, 5), (0, 3)])],
+        ids=IDS,
+    )
+    def test_each_sparse_input_lists_its_entries_at_most_once(
+            self, capsys, tmp_path, counts, argv, kernels, norms, as_edges):
+        # a 96-node ring with chords, mean degree about 3: every input is
+        # below the cut, so the products run over entry lists, a PageRank
+        # kernel is formed only for the theorem's right side, and an edge
+        # list hands its entries over as it is parsed
+        rng = np.random.default_rng(15)
+        n = 96
+        a = np.zeros((n, n))
+        a[np.arange(n), np.roll(np.arange(n), 1)] = 1.0
+        chords = rng.integers(n, size=(n // 2, 2))
+        a[chords[:, 0], chords[:, 1]] = rng.random(n // 2) + 0.5
+        np.fill_diagonal(a, 0.0)
+        a = np.maximum(a, a.T)
+        b = a.copy()
+        b[0, 1] = b[1, 0] = 0.0
+        paths = self._write(
+            tmp_path, {"a": a, "b": b, "wa": a / a.max(), "wb": b / a.max()}, as_edges
+        )
+        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 0, err
+        inputs = sum(arg.startswith("{") for arg in argv)
+        parsed = as_edges and "graphon" not in argv
+        assert counts == {
+            "kernels": kernels, "norms": norms, "lists": 0 if parsed else inputs,
+        }
 
 
 class TestAlphaRule:

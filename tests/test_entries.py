@@ -1,0 +1,158 @@
+"""Products, norms and solves over lists of non-zero entries.
+
+A matrix whose non-zero entries are at most ``graphs.ENTRY_SHARE`` (1/32)
+of its non-zero rows x columns is held as the list of those entries, and
+every product with it runs over that list (``graphs._Entries``); any other
+matrix keeps its dense BLAS products.  Both must give ``m @ x`` and
+``m.T @ y`` to rounding, and the 2-norm and the fixed points on both paths
+must agree.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from fpcentral import FixedPointMap, Graph, operator_norm, pagerank_kernel, solve
+from fpcentral.centrality import _operand, _prepare, _solve
+from fpcentral.graphs import ENTRY_SHARE, _Entries, _nonzero_entries
+from fpcentral.norms import _operator_norm
+
+EPS = np.finfo(float).eps
+
+
+def _matrix(rng, n, share, kind):
+    """An n x n matrix with about ``share`` of its entries non-zero: 0/1,
+    signed (+-1) or weighted (uniform in (0, 2))."""
+    mask = rng.random((n, n)) < share
+    if kind == "binary":
+        vals = np.ones((n, n))
+    elif kind == "signed":
+        vals = rng.choice([-1.0, 1.0], size=(n, n))
+    else:
+        vals = 2.0 * rng.random((n, n))
+    return np.where(mask, vals, 0.0)
+
+
+def _listed(m):
+    """The entries of ``m`` by ``np.nonzero``, at any density."""
+    rows, cols = np.nonzero(m)
+    return _Entries(rows, cols, m[rows, cols], m.shape[0])
+
+
+def _close(got, want, m, x):
+    bound = 4.0 * EPS * np.linalg.norm(m, 2) * np.linalg.norm(x)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= bound
+
+
+def _cases():
+    rng = np.random.default_rng(1700)
+    out = {}
+    for kind in ("binary", "signed", "weighted"):
+        for share, side in ((0.01, "below"), (0.2, "above")):
+            out[f"{kind}-{side}"] = _matrix(rng, 200, share, kind)
+    zero_lines = _matrix(rng, 200, 0.01, "weighted")
+    zero_lines[5] = 0.0
+    zero_lines[:, 17] = 0.0
+    out["zero-rows-and-columns"] = zero_lines
+    out["all-zero"] = np.zeros((40, 40))
+    single = np.zeros((40, 40))
+    single[3, 29] = -2.5
+    out["single-entry"] = single
+    return out
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("scale", [-1000, 0, 1000])
+@pytest.mark.parametrize("case", list(CASES))
+def test_products_match_blas(case, scale, order):
+    m = np.asarray(np.ldexp(CASES[case], scale), order=order)
+    rng = np.random.default_rng(1701)
+    x = rng.standard_normal(m.shape[0])
+    y = rng.standard_normal(m.shape[0])
+    for ops in (_listed(m), _operand("katz", None, Graph(m))):
+        _close(ops.matvec(x), m @ x, m, x)
+        _close(ops.rmatvec(y), m.T @ y, m, y)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_the_cut_is_the_share_of_the_support(case):
+    m = CASES[case]
+    entries = Graph(m)._entries
+    nonzero = np.count_nonzero(m)
+    support = np.count_nonzero(m.any(axis=1)) * np.count_nonzero(m.any(axis=0))
+    assert (entries is not None) == (nonzero <= ENTRY_SHARE * support)
+    assert "below" not in case or entries is not None
+    assert "above" not in case or entries is None
+    if entries is not None:
+        rows, cols = np.nonzero(m)
+        assert np.array_equal(entries.rows, rows) and np.array_equal(entries.cols, cols)
+        assert np.array_equal(entries.vals, m[rows, cols])
+
+
+def test_a_dense_block_in_an_empty_matrix_stays_dense():
+    # few entries overall, but all of its one block: the cut is taken on
+    # the non-zero rows x columns, not on n x n
+    m = np.zeros((400, 400))
+    m[:20, 100:120] = 1.0
+    assert _nonzero_entries(m) is None
+    assert math.isclose(operator_norm(m, 2), 20.0, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [-1000, 0, 1000])
+@pytest.mark.parametrize("case", list(CASES))
+def test_two_norm_on_entries_matches_lapack(case, scale):
+    # the list is forced at any density; above the cut operator_norm runs
+    # the dense iteration, whose iterates the list's match up to summation
+    # order, and which stops reading low by up to 3e-9 on the signed one
+    m = np.ldexp(CASES[case], scale)
+    got = _operator_norm(None, None, 2, _listed(m))
+    if "above" in case:
+        want, tol = operator_norm(m, 2), 1e-12
+    else:
+        assert got == operator_norm(m, 2)
+        want, tol = float(np.linalg.norm(m, 2)), 1e-9
+    assert abs(got - want) <= tol * want
+
+
+def test_two_norm_on_entries_refuses_non_finite():
+    from fpcentral import ParameterError
+
+    m = np.zeros((100, 100))
+    m[3, 4] = np.nan
+    with pytest.raises(ParameterError, match="finite"):
+        operator_norm(m, 2)
+
+
+def _dense(prep):
+    """The record with its entry list dropped: the dense BLAS path."""
+    return prep._replace(m=prep.matrix(), entries=None)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("family", ["katz", "pagerank"])
+def test_solve_agrees_on_both_paths(family, directed):
+    rng = np.random.default_rng(1702)
+    n = 300
+    m = _matrix(rng, n, 3 / n, "weighted")
+    m[np.arange(n), np.roll(np.arange(n), 1)] = 1.0  # no zero row
+    if not directed:
+        m = np.maximum(m, m.T)
+    g = Graph(m)
+    assert g._entries is not None
+    alpha = 0.5 / np.linalg.norm(m, 2) if family == "katz" else 0.85
+    prep = _prepare(family, alpha, g)
+    listed, dense = _solve(prep), _solve(_dense(prep))
+    assert np.max(np.abs(listed.feature_x - dense.feature_x)) <= 1e-13 * np.max(dense.feature_x)
+    assert listed.iterations == dense.iterations
+    assert solve(g, FixedPointMap(family, alpha=alpha)).feature_x.tolist() == (
+        listed.feature_x.tolist()
+    )
+    # L0 on the list and on the dense matrix
+    p = 2 if family == "katz" else 1
+    dense_l0 = alpha * operator_norm(pagerank_kernel(g) if p == 1 else m, p)
+    assert abs(prep.l0 - dense_l0) <= 1e-13 * dense_l0

@@ -420,6 +420,11 @@ class TestJsonWriter:
             with pytest.raises(TypeError):
                 _written(payload)
 
+    def test_arrays_are_spelled_as_their_lists(self):
+        for a in (np.array([[0.5, -0.0], [1e16, 5e-324]]), np.zeros((0, 3)),
+                  np.arange(3.0), np.ones((2, 1)), np.asfortranarray(np.eye(3))):
+            assert _written({"m": a, "k": [a]}) == _dumped({"m": a.tolist(), "k": [a.tolist()]})
+
     def test_write_graphon_matches_json_dumps(self, tmp_path):
         w = StepGraphon(np.array([[0.5, 0.1], [0.1, 1e16]]))
         path = tmp_path / "w.json"

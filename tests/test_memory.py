@@ -3,6 +3,9 @@ one n x n float64 matrix (n^2 * 8 bytes) above the inputs, at n = 1000.
 
 The inputs are those of a benchmark compare: a 0/1 Erdos-Renyi graph of
 mean degree 8 overlaid on a ring, against a copy with one edge dropped.
+They lie below the cut of ``graphs.ENTRY_SHARE``, so their products run
+over lists of their non-zero entries, and a PageRank kernel is formed
+densely only for a theorem's right side.
 """
 
 import math
@@ -19,6 +22,7 @@ from fpcentral import (
     operator_norm,
     theorem1_certificate,
     theorem2_certificate,
+    write_graphon,
 )
 
 N = 1000
@@ -59,8 +63,8 @@ def test_katz_theorem1_holds_no_matrix_beyond_its_inputs(pair):
 
 
 def test_pagerank_theorem1_holds_two_kernels(pair):
-    # each solve scales its own kernel; the right side holds both kernels
-    # and sums their difference in tiles
+    # each solve scales its kernel's list of entries; the right side holds
+    # both kernels and sums their difference in tiles
     a, b = pair
     map_ = FixedPointMap("pagerank", alpha=0.85)
     consts = constants_analytic(a, map_)
@@ -68,8 +72,8 @@ def test_pagerank_theorem1_holds_two_kernels(pair):
 
 
 def test_pagerank_theorem2_holds_two_lifts_and_two_kernels(pair):
-    # each graphon is lifted once; a closed form builds its left side in
-    # its kernel's own array
+    # each graphon is lifted once; a closed form builds its left side from
+    # its kernel's list of entries, and the right side holds both kernels
     a, b = (StepGraphon(g.weights) for g in pair)
     assert _peak(lambda: theorem2_certificate(a, b, "pagerank", 0.85)) <= 4.25
 
@@ -78,3 +82,17 @@ def test_pagerank_theorem2_holds_two_lifts_and_two_kernels(pair):
 def test_one_and_inf_norms_sum_in_tiles(pair, p):
     m = pair[0].weights
     assert _peak(lambda: operator_norm(m, p)) <= 0.25
+
+
+def test_two_norm_with_an_isolated_node_forms_no_submatrix(pair):
+    # node 5 has no link: the dense iteration would copy the other n - 1
+    # rows and columns, the list of entries copies nothing
+    m = pair[0].weights.copy()
+    m[5] = 0.0
+    m[:, 5] = 0.0
+    assert _peak(lambda: operator_norm(m, 2)) <= 0.25
+
+
+def test_write_graphon_spells_one_row_at_a_time(pair, tmp_path):
+    w = StepGraphon(pair[0].weights)
+    assert _peak(lambda: write_graphon(w, tmp_path / "w.json")) <= 0.25

@@ -12,7 +12,6 @@ from fpcentral import (
     StepGraphon,
     block_permute,
     constants_analytic,
-    constants_empirical,
     katz_closed_form,
     lift,
     operator_norm,
@@ -25,7 +24,13 @@ from fpcentral import (
     theorem2_certificate,
 )
 
-from oracles import GraphGeneratorSpec, generate, random_binary_symmetric, random_symmetric
+from oracles import (
+    GraphGeneratorSpec,
+    constants_empirical,
+    generate,
+    random_binary_symmetric,
+    random_symmetric,
+)
 
 
 def _c2():

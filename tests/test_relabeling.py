@@ -6,6 +6,9 @@ graphon) must give the same exit code, permute every vector output, and
 leave every other number as it was.  Each case runs ``fpc`` through
 ``cli.main`` on seeded inputs of 5 to 39 nodes (at most 8 where an exact
 relabeling sweep runs, 16 for the exact cut norm) and on their relabeling.
+One more seed, ``SPARSE``, draws 128-node inputs of mean degree 3, below
+the cut of ``graphs.ENTRY_SHARE``, so each command also runs its products
+over lists of non-zero entries.
 
 The outputs are sums taken in another order, so they agree to rounding:
 within ``TOL`` relative.  Quantities built on ``operator_norm(., 2)`` get
@@ -27,7 +30,8 @@ from test_cli import run
 
 TOL = 1e-12
 TWO_NORM_TOL = 1e-9
-SEEDS = range(6)
+SPARSE = "sparse"
+SEEDS = [*range(6), SPARSE]
 
 
 class Inputs:
@@ -35,13 +39,17 @@ class Inputs:
     permutation of each size, so every input of a case moves alike."""
 
     def __init__(self, seed):
-        rng = np.random.default_rng([20261018, seed])
-        n = int(rng.integers(5, 40))
+        sparse = seed == SPARSE
+        rng = np.random.default_rng([20261018, 6 if sparse else seed])
+        n = 128 if sparse else int(rng.integers(5, 40))
         small = min(n, 8)
         self.seed = seed
         upper = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.6), 1)
+        if sparse:  # mean degree 3; the small inputs keep the dense draw
+            dense = upper[:small, :small] + upper[:small, :small].T
+            upper = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 1.5 / (n - 1)), 1)
         self.sym = upper + upper.T
-        self.directed = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+        self.directed = rng.random((n, n)) * (rng.random((n, n)) < (3 / (n - 1) if sparse else 0.6))
         i, j = rng.integers(small, size=2)
         self.sym_b = self.sym.copy()
         self.sym_b[i, j] = self.sym_b[j, i] = self.sym[i, j] + 0.25
@@ -49,7 +57,9 @@ class Inputs:
         self.directed_b[i, j] += 0.5
         self.katz_alpha = 0.5 / np.linalg.norm(self.sym, 2)
         self.directed_alpha = 0.5 / np.linalg.norm(self.directed, 2)
-        self.small, self.small_b = self.sym[:small, :small], self.sym_b[:small, :small]
+        self.small = dense if sparse else self.sym[:small, :small]
+        self.small_b = self.small.copy()
+        self.small_b[i, j] = self.small_b[j, i] = self.small[i, j] + 0.25
         self.small_alpha = 0.5 / np.linalg.norm(self.small, 2)
         signed = rng.uniform(-1.0, 1.0, (small, small))
         self.signed = (signed + signed.T) / 2.0
@@ -61,7 +71,7 @@ class Inputs:
         self.cut_integer = rng.integers(-3, 4, (cut, cut)).astype(float)
 
     def perm(self, size):
-        return np.random.default_rng([self.seed, size]).permutation(size)
+        return np.random.default_rng([6 if self.seed == SPARSE else self.seed, size]).permutation(size)
 
     def relabel(self, w):
         """Entry (p(i), p(j)) of the output is entry (i, j) of ``w``."""
@@ -241,3 +251,11 @@ def test_relabeling_permutes_vectors_and_keeps_numbers(capsys, tmp_path, case):
         code, got, err = _run(capsys, tmp_path, argv, moved)
         assert code == base_code in (0, 1), (seed, base_err, err)
         _check(kind, case, argv, files, x, base, got)
+
+
+def test_the_sparse_inputs_are_below_the_cut():
+    from fpcentral import Graph
+
+    x = Inputs(SPARSE)
+    for w in (x.sym, x.sym_b, x.directed, x.directed_b):
+        assert Graph(w)._entries is not None

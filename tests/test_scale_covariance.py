@@ -36,6 +36,18 @@ SMALL_B = 0.1 * SYM_B
 KATZ_ALPHA = 0.5 / np.linalg.norm(SYM, 2)
 SMALL_ALPHA = 0.5 / np.linalg.norm(SMALL, 2)
 REFUSED_ALPHA = 1.5 / np.linalg.norm(SMALL, 2)
+# 128 nodes of mean degree 3, below the cut (graphs.ENTRY_SHARE): every
+# product of these runs over their lists of non-zero entries
+_n = 128
+_upper = np.triu(_rng.random((_n, _n)) * (_rng.random((_n, _n)) < 1.5 / (_n - 1)), 1)
+SPARSE = _upper + _upper.T
+SPARSE_B = SPARSE.copy()
+SPARSE_B[0, 1] = SPARSE_B[1, 0] = SPARSE[0, 1] + 0.25
+SPARSE_DIRECTED = _rng.random((_n, _n)) * (_rng.random((_n, _n)) < 3 / (_n - 1))
+SPARSE_DIRECTED_B = SPARSE_DIRECTED.copy()
+SPARSE_DIRECTED_B[2, 3] += 0.5
+SPARSE_ALPHA = 0.5 / np.linalg.norm(SPARSE, 2)
+SPARSE_DIRECTED_ALPHA = 0.5 / np.linalg.norm(SPARSE_DIRECTED, 2)
 
 
 def _write(tmp_path, name, w, k, key="weights"):
@@ -134,6 +146,26 @@ CASES = {
     "norm-cut": (_norms(DIRECTED, "--norm", "cut"), SCALES, ("witness",), ("value",)),
     "norm-cut-heuristic": (_norms(DIRECTED, "--norm", "cut", "--mode", "heuristic"),
                            SCALES, ("witness",), ("value",)),
+    "sparse-katz": (_centrality("katz", SPARSE_DIRECTED, SPARSE_DIRECTED_ALPHA),
+                    SCALES, CENTRALITY, ()),
+    "sparse-pagerank": (_centrality("pagerank", SPARSE_DIRECTED, 0.85), SCALES, CENTRALITY, ()),
+    "sparse-theorem1-katz": (_compare("theorem1", "katz", SPARSE, SPARSE_B, SPARSE_ALPHA),
+                             SCALES, DECISIONS, ()),
+    "sparse-theorem1-pagerank": (
+        _compare("theorem1", "pagerank", SPARSE_DIRECTED, SPARSE_DIRECTED_B, 0.85),
+        SCALES, DECISIONS, ()),
+    "sparse-lift": (_lift(SPARSE), SCALES, ("k",), ("values", "c")),
+    "sparse-graphon-katz": (_graphon_centrality("katz", SPARSE, _n * SPARSE_ALPHA),
+                            SCALES, ("rho",), ()),
+    "sparse-graphon-pagerank": (_graphon_centrality("pagerank", SPARSE, 0.85), DOWN,
+                                ("rho", "integral", "non_negative"), ()),
+    "sparse-theorem2-katz": (
+        _graphon_compare("theorem2", "katz", SPARSE, SPARSE_B, _n * SPARSE_ALPHA),
+        SCALES, DECISIONS, ()),
+    "sparse-theorem2-pagerank": (
+        _graphon_compare("theorem2", "pagerank", SPARSE, SPARSE_B / 1.25, 0.85),
+        DOWN, DECISIONS, ()),
+    "sparse-norm-2": (_norms(SPARSE_DIRECTED, "--norm", "2"), SCALES, (), ("value",)),
 }
 
 
@@ -154,6 +186,13 @@ def test_scaling_weights_by_a_power_of_two_changes_no_decision(capsys, tmp_path,
             assert got[key] == base[key], (k, key)
         for key in scaled:
             assert got[key] == _scaled(base[key], k), (k, key)
+
+
+def test_the_sparse_inputs_are_below_the_cut():
+    from fpcentral import Graph
+
+    for w in (SPARSE, SPARSE_B, SPARSE_DIRECTED, SPARSE_DIRECTED_B):
+        assert Graph(w)._entries is not None
 
 
 def test_the_cases_exit_as_expected(capsys, tmp_path):
