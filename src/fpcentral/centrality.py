@@ -175,26 +175,26 @@ def _prepare(family, alpha, g):
     by the contraction rule (none for eigen)."""
     if family == "eigen":
         return _operand(family, alpha, g)
-    _check_domain(family, alpha)
+    check_contraction(family, alpha)
     prep = _operand(family, alpha, g)
-    p = native_norm_index(family)
-    return prep._replace(l0=_checked_l0(family, alpha * _operator_norm(prep.m, None, p, prep.entries)))
+    l0 = alpha * _operator_norm(prep.m, None, native_norm_index(family), prep.entries)
+    if not l0 < 1.0:
+        label = "alpha * ||A||_2" if family == "katz" else "alpha * ||A^T D^-1||_1"
+        raise ParameterError(f"{family} requires {label} < 1, got {l0:.6g}")
+    return prep._replace(l0=l0)
 
 
-def _scaled(prep, own):
-    """The record of alpha M_A: its list of entries scaled, or its dense
-    matrix, in place when the caller owns the record and uses it no more
-    (``own``), and as a copy otherwise."""
+def _scaled(prep):
+    """The record of alpha M_A, which uses ``prep`` up: its list of entries
+    scaled, or its dense matrix scaled in place."""
     if prep.entries is not None:
         return prep._replace(entries=prep.entries.scaled(prep.alpha))
-    if not own:
-        return prep._replace(m=prep.alpha * prep.m)
     m = prep.m
     m *= prep.alpha
     return prep
 
 
-def _iteration_map(prep, own=False):
+def _iteration_map(prep):
     """f(A, .) as a function of x from a record: x -> alpha (A.T x) + 1 for
     katz, without forming alpha A.T, and x -> (alpha M) x + (1 - alpha)/n
     for pagerank, with alpha M as ``_scaled`` makes it."""
@@ -203,7 +203,7 @@ def _iteration_map(prep, own=False):
         return lambda x: alpha * prep.rmatvec(x) + 1.0
     if prep.family == "pagerank":
         b = (1.0 - alpha) / prep.g.n
-        scaled = _scaled(prep, own)
+        scaled = _scaled(prep)
         return lambda x: scaled.matvec(x) + b
     raise ParameterError(
         "the eigen family has no standalone iteration map; use solve() or "
@@ -216,33 +216,18 @@ def apply_map(map_, g, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise ParameterError("feature vector length must equal the node count")
-    return _iteration_map(_operand(map_.family, map_.alpha, g), own=True)(x)
+    return _iteration_map(_operand(map_.family, map_.alpha, g))(x)
 
 
-def _check_domain(family, alpha):
+def check_contraction(family, alpha):
+    """The domain of the one contraction rule: katz needs alpha > 0,
+    pagerank 0 < alpha < 1.  ``_prepare`` checks the rest of the rule on
+    each input: L0 = alpha ||A||_2 (katz) or alpha ||A^T D^-1||_1
+    (pagerank), of a graph or of a graphon's lift, must be below 1.
+    """
     domain = "alpha > 0" if family == "katz" else "0 < alpha < 1"
     if alpha is None or not (alpha > 0.0 if family == "katz" else 0.0 < alpha < 1.0):
         raise ParameterError(f"{family} requires {domain}, got alpha={alpha}")
-
-
-def _checked_l0(family, l0):
-    label = "alpha * ||A||_2" if family == "katz" else "alpha * ||A^T D^-1||_1"
-    if not l0 < 1.0:
-        raise ParameterError(f"{family} requires {label} < 1, got {l0:.6g}")
-    return l0
-
-
-def check_contraction(family, alpha, m=None):
-    """The one contraction rule.  Katz needs alpha > 0, PageRank 0 < alpha < 1;
-    given the family's matrix ``m`` of a graph (or of a graphon's lift),
-    the weights for katz and the kernel for pagerank, returns
-    L0 = alpha ||A||_2 (katz) or alpha ||A^T D^-1||_1 (pagerank) and refuses
-    it unless L0 < 1.  ``_prepare`` applies the same rule to a record.
-    """
-    _check_domain(family, alpha)
-    if m is None:
-        return None
-    return _checked_l0(family, alpha * operator_norm(m, native_norm_index(family)))
 
 
 def solve(g, map_, cfg=None):
@@ -276,11 +261,11 @@ def solve(g, map_, cfg=None):
     entries when it holds one (``graphs.ENTRY_SHARE``), in O(entries), and
     a dense BLAS product otherwise.
     """
-    return _solve(_prepare(map_.family, map_.alpha, g), cfg, own=True)
+    return _solve(_prepare(map_.family, map_.alpha, g), cfg)
 
 
-def _solve(prep, cfg=None, own=False):
-    """solve() on a record; ``own`` as in ``_scaled``."""
+def _solve(prep, cfg=None):
+    """solve() on a record, which the solve uses up (``_scaled``)."""
     cfg = cfg if cfg is not None else SolveConfig()
     g = prep.g
     if prep.family == "eigen":
@@ -304,7 +289,7 @@ def _solve(prep, cfg=None, own=False):
             raise ParameterError("initial vector length must equal the node count")
     else:
         x = np.ones(g.n)
-    f = _iteration_map(prep, own)
+    f = _iteration_map(prep)
     contraction = 0.0
     prev_residual = None
     residual = math.inf
@@ -368,7 +353,7 @@ def _identity_minus(m):
 def katz_closed_form(g, alpha):
     """Direct solve of (I - alpha A.T) rho = 1.
 
-    Requires alpha > 0 and alpha ||A||_2 < 1 (``check_contraction``); under
+    Requires alpha > 0 and alpha ||A||_2 < 1 (``_prepare``); under
     that bound the system is nonsingular, but the solve is guarded anyway.
     The left side is built in the one array that alpha A.T makes.
     """
@@ -383,19 +368,20 @@ def _katz_direct(prep):
 def pagerank_closed_form(g, alpha):
     """Direct solve of (I - alpha A.T D^{-1}) rho = ((1 - alpha)/n) 1.
 
-    Requires L0 = alpha ||A^T D^-1||_1 < 1 (``check_contraction``).  Columns
+    Requires L0 = alpha ||A^T D^-1||_1 < 1 (``_prepare``).  Columns
     at zero out-degree nodes are zero, so mass can leak: the result may sum
     to less than one and is reported without renormalization.  The left
     side is built in the kernel's own array, or from the kernel's list of
     entries when the graph holds one; both give the same bits.
     """
-    return _pagerank_direct(_prepare("pagerank", alpha, g), own=True)
+    return _pagerank_direct(_prepare("pagerank", alpha, g))
 
 
-def _pagerank_direct(prep, own=False):
-    """pagerank_closed_form on a record; ``own`` as in ``_scaled``."""
+def _pagerank_direct(prep):
+    """pagerank_closed_form on a record, which the solve uses up
+    (``_scaled``)."""
     alpha, n = prep.alpha, prep.g.n
-    scaled = _scaled(prep, own)
+    scaled = _scaled(prep)
     e = scaled.entries
     if e is None:
         lhs = scaled.m

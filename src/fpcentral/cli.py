@@ -217,7 +217,7 @@ def cmd_graphon_compare(args):
 
 def cmd_norms(args):
     from .io import read_graph
-    from .norms import cut_norm_exact, cut_norm_heuristic, operator_norm
+    from .norms import _operator_norm, cut_norm_exact, cut_norm_heuristic, operator_norm
 
     g = read_graph(args.input)
     m = g.weights
@@ -231,6 +231,9 @@ def cmd_norms(args):
             "value": witness.value,
             "witness": {"S": list(witness.S), "T": list(witness.T)},
         }
+    elif args.norm == "2":
+        # the graph's own list of entries, which operator_norm would find again
+        payload = {"kind": "2", "value": _operator_norm(m, None, 2, g._entries)}
     else:
         payload = {"kind": args.norm, "value": operator_norm(m, args.norm)}
     payload["manifest"] = _manifest(args)

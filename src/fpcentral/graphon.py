@@ -170,13 +170,13 @@ def _check_pagerank_values(w):
         raise ParameterError("graphon pagerank requires values in [0, 1]")
 
 
-def _density(w, prep, own=False):
-    """The katz or pagerank density of ``w`` as block values, solved on the
-    record of its lift (``centrality._prepare``); ``own`` as in
-    ``centrality._scaled``."""
+def _density(prep):
+    """The katz or pagerank density of a graphon as block values, solved on
+    the record of its lift (``centrality._prepare``), which the solve uses
+    up."""
     if prep.family == "katz":
         return _katz_direct(prep)
-    return w.k * _pagerank_direct(prep, own)
+    return prep.g.n * _pagerank_direct(prep)
 
 
 def graphon_pagerank(w, alpha):
@@ -190,7 +190,7 @@ def graphon_pagerank(w, alpha):
     """
     g = _lift_graph(w)
     _check_pagerank_values(w)
-    return StepFunction(_density(w, _prepare("pagerank", alpha, g), own=True))
+    return StepFunction(_density(_prepare("pagerank", alpha, g)))
 
 
 def graphon_katz(w, alpha):
@@ -198,7 +198,7 @@ def graphon_katz(w, alpha):
     which is the finite Katz centrality of the lift values/k.  It requires
     alpha below the reciprocal of the graphon operator norm; alpha itself
     may exceed 1 when the values are small."""
-    return StepFunction(_density(w, _prepare("katz", alpha, _lift_graph(w))))
+    return StepFunction(_density(_prepare("katz", alpha, _lift_graph(w))))
 
 
 def graphon_eigencentrality(w):

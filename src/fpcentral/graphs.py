@@ -95,11 +95,12 @@ def _pow2_exponent(m):
     return math.frexp(peak)[1] - 1 if peak else 0
 
 
-def _pow2_normalize(m):
-    """``(m * 2^-e, e)`` with ``e = _pow2_exponent(m)``, ``m`` itself for e = 0.
-    The scaling is exact, so results on the scaled array scale back bit for bit."""
+def _pow2_normalize(m, out=None):
+    """``(m * 2^-e, e)`` with ``e = _pow2_exponent(m)``, ``m`` itself for e = 0,
+    written to ``out`` when given (``m`` itself may be ``out``).  The scaling
+    is exact, so results on the scaled array scale back bit for bit."""
     e = _pow2_exponent(m)
-    return (np.ldexp(m, -e) if e else m), e
+    return (np.ldexp(m, -e, out=out) if e else m), e
 
 
 def matrix_tol(m):

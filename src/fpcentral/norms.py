@@ -143,11 +143,12 @@ def _power_iteration_sigma(m, b=None, entries=None, tol=POWER_TOL, max_iter=POWE
         off = np.bincount(entries.cols, minlength=n) == 0
     else:
         n = m.shape[1]
-        m, cols = _support(m, b)
-        _refuse_non_finite(m, "operator_norm")
-        if not m.size:
+        sub, cols = _support(m, b)
+        _refuse_non_finite(sub, "operator_norm")
+        if not sub.size:
             return 0.0
-        m, e = _pow2_normalize(m)
+        # a submatrix that _support made is scaled in place, the caller's not
+        m, e = _pow2_normalize(sub, out=None if sub is m else sub)
         matvec, rmatvec = m.__matmul__, m.T.__matmul__
     rng = np.random.default_rng(_START_SEED)
 

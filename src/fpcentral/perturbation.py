@@ -22,6 +22,13 @@ inputs as the finite code sees them.  Two adapters build that pair:
   coordinate weight 1/k; its densities come from graphon_katz and
   graphon_pagerank.
 
+Each certificate runs in one order: the records of both inputs
+(``centrality._prepare``), then the right-hand side, taken from those
+records, then the solve of each record, then the observed side.  The
+right-hand side is a property of the inputs alone, and no record is read
+after its solve, so each solve uses its record up (a dense PageRank
+kernel is scaled in place).
+
 The weight w is the measure of one coordinate, so every graphon quantity
 is the finite one on values/k: operator norms are unchanged, the
 L^p([0, 1]) norm is ||v||_{p,w} = w^(1/p) ||v||_p, the mass of a density
@@ -205,68 +212,23 @@ def constants_analytic(g, map_):
 
 
 class _Pair(NamedTuple):
-    """Two inputs as the finite code sees them.
+    """Two inputs as the finite code sees them: their records
+    (``centrality._prepare``), both built before either is solved; the
+    measure ``weight`` of one coordinate; and ``fixed_point``, which solves
+    one record, using it up, to the (centrality, fixed-point feature) of its
+    input in those coordinates."""
 
-    ``graphs`` carry the matrices the right-hand sides measure and
-    ``weight`` the measure of one coordinate.  ``solve`` returns the
-    (centrality, fixed-point feature) of each input in those coordinates,
-    and the records (``centrality._prepare``) it solved them on, each built
-    once.
-    """
-
-    graphs: tuple
+    preps: tuple
     weight: float
-    solve: Callable
+    fixed_point: Callable
     kernel_note: str
     mass_label: str
 
 
-def _graph_pair(a, b, map_, prep_a=None):
-    """Finite adapter: the graphs themselves, weight 1, each iterated on its
-    record; ``prep_a`` is a's record when the caller has built it, and b's
-    is built when b is solved."""
-    if a.n != b.n:
-        raise ParameterError("graphs must have the same number of nodes")
-
-    def solve_pair():
-        solved, preps = [], []
-        for g, prep in ((a, prep_a), (b, None)):
-            prep = prep if prep is not None else _prepare(map_.family, map_.alpha, g)
-            res = _solve(prep)
-            solved.append((res.rho, res.feature_x))
-            preps.append(prep)
-        return solved, preps
-
-    return _Pair(
-        (a, b), 1.0, solve_pair,
-        "perturbation measured on effective kernels A^T D^-1", "centrality sums",
-    )
-
-
-def _step_pair(a, b, lifts, prep_a):
-    """Step adapter: the lifts values/k, weight 1/k, with the graphon
-    densities, solved on the records of those lifts, as both centralities
-    and features; ``prep_a`` is the record of a's lift, and b's is built
-    when b is solved, after b's values are checked."""
-    from .graphon import _check_pagerank_values, _density
-
-    family, alpha = prep_a.family, prep_a.alpha
-
-    def solve_pair():
-        solved, preps = [], []
-        for w, g, prep in ((a, lifts[0], prep_a), (b, lifts[1], None)):
-            if family == "pagerank":
-                _check_pagerank_values(w)
-            prep = prep if prep is not None else _prepare(family, alpha, g)
-            rho = _density(w, prep)
-            solved.append((rho, rho))
-            preps.append(prep)
-        return solved, preps
-
-    return _Pair(
-        lifts, 1.0 / a.k, solve_pair,
-        "perturbation measured on effective kernels A o D^-1", "density masses",
-    )
+def _iterated(prep):
+    """The centrality and the feature of a graph, iterated on its record."""
+    res = _solve(prep)
+    return res.rho, res.feature_x
 
 
 def _norm(v, p, weight):
@@ -299,7 +261,7 @@ def _check_cut_inputs(a, b, weight, p):
         raise ParameterError("the cut-norm bound lives in the 2-norm route")
 
 
-def _certify(kind, pair, family, alpha, consts, certified, digest, mode="exact",
+def _certify(kind, pair, consts, certified, digest, mode="exact",
              convention="permutation_cost", closing_notes=()):
     """The one certificate body; ``kind`` picks the two sides.
 
@@ -309,25 +271,36 @@ def _certify(kind, pair, family, alpha, consts, certified, digest, mode="exact",
       min_pi ||M_A^pi - M_B||_p;
     * "cut": the same W_p against sqrt(8 w min_pi ||A^pi - B||_cut).
 
-    The right side is scaled by L1 Lg / (1 - L0) after enlarging the
-    feasible radius to contain both fixed points.  Both Wasserstein kinds
-    normalize the centralities to unit mass w * sum(rho) unless both
-    masses are already within 1e-9 of one, folding the normalizer into g:
-    Lg grows by 1/s + R ||1||_{q,w} / s^2, s the smaller mass and q the
-    dual index.
+    The order is fixed: ``pair`` holds both records, the right side is
+    taken from them, each record is then solved, which uses it up, and the
+    observed side is computed last.  The right side is scaled by
+    L1 Lg / (1 - L0) after enlarging the feasible radius to contain both
+    fixed points.  Both Wasserstein kinds normalize the centralities to
+    unit mass w * sum(rho) unless both masses are already within 1e-9 of
+    one, folding the normalizer into g: Lg grows by
+    1/s + R ||1||_{q,w} / s^2, s the smaller mass and q the dual index.
     """
     if consts.L0 >= 1.0:
         raise ParameterError(
             "certificate refused: L0 >= 1 violates the contraction hypothesis"
         )
     p = consts.norm_p
-    a, b = pair.graphs
+    prep_a, prep_b = pair.preps
+    family, alpha = prep_a.family, prep_a.alpha
     w = pair.weight
     if kind == "wasserstein" and p not in (1, 2):
         raise ParameterError("Wasserstein certificates require norm_p in {1, 2}")
     if kind == "cut":
+        a, b = prep_a.g, prep_b.g
         _check_cut_inputs(a, b, w, p)
-    ((rho_a, x_a), (rho_b, x_b)), (prep_a, prep_b) = pair.solve()
+        right = math.sqrt(8.0 * w * min_permuted_distance(a, b, "cut", mode=mode).value)
+    elif kind == "theorem":
+        right = difference_norm(prep_a.matrix(), prep_b.matrix(), p)
+    else:
+        right = min_permuted_distance(
+            Graph(prep_a.matrix()), Graph(prep_b.matrix()), p, mode=mode
+        ).value
+    (rho_a, x_a), (rho_b, x_b) = map(pair.fixed_point, pair.preps)
     consts, notes = _enlarged(consts, family, alpha, _norm(x_a, p, w), _norm(x_b, p, w))
     lg = consts.Lg
     if kind == "theorem":
@@ -354,17 +327,8 @@ def _certify(kind, pair, family, alpha, consts, certified, digest, mode="exact",
             )
             pmf_a, pmf_b = pmf_a / mass_a, pmf_b / mass_b
         observed = wasserstein(pmf_a, pmf_b, p, convention)[0] * w ** (1.0 / p - 1.0)
-    if kind == "cut":
-        sweep = min_permuted_distance(a, b, "cut", mode=mode).value
-        right = math.sqrt(8.0 * w * sweep)
-    else:
-        if family == "pagerank":
-            notes.append(pair.kernel_note)
-        eff_a, eff_b = prep_a.matrix(), prep_b.matrix()
-        if kind == "theorem":
-            right = difference_norm(eff_a, eff_b, p)
-        else:
-            right = min_permuted_distance(Graph(eff_a), Graph(eff_b), p, mode=mode).value
+    if kind != "cut" and family == "pagerank":
+        notes.append(pair.kernel_note)
     if convention != "permutation_cost":
         notes.append(
             f"observed side uses the {convention} ground metric; the bound is "
@@ -432,30 +396,46 @@ def _graph_certificate(bound, a, b, map_, consts, perm_mode="exact",
         and perm_mode == "exact"
         and convention == "permutation_cost"
     )
+    if a.n != b.n:
+        raise ParameterError("graphs must have the same number of nodes")
+    family, alpha = map_.family, map_.alpha
+    if prep_a is None:
+        prep_a = _prepare(family, alpha, a)
+    pair = _Pair(
+        (prep_a, _prepare(family, alpha, b)), 1.0, _iterated,
+        "perturbation measured on effective kernels A^T D^-1", "centrality sums",
+    )
     return _certify(
-        kind, _graph_pair(a, b, map_, prep_a), map_.family, map_.alpha, consts,
-        certified, digest, mode=perm_mode, convention=convention,
+        kind, pair, consts, certified, digest, mode=perm_mode, convention=convention
     )
 
 
 def _step_certificate(kind, name, a, b, family, alpha, mode="exact"):
-    """A graphon certificate: the finite one on the lifts values/k.  Only
-    theorem2 is certified; block relabelings only bound the infimum over
+    """A graphon certificate: the finite one on the lifts values/k, whose
+    densities are both centralities and features.  Only theorem2 is
+    certified; block relabelings only bound the infimum over
     measure-preserving bijections from above."""
-    from .graphon import _lift_graph
+    from .graphon import _check_pagerank_values, _density, _lift_graph
 
     if a.k != b.k:
         raise ParameterError("graphons must have the same number of blocks")
     lifts = (_lift_graph(a), _lift_graph(b))
     prep_a = _analytic_record(lifts[0], family, alpha)
-    pair = _step_pair(a, b, lifts, prep_a)
+    if family == "pagerank":
+        _check_pagerank_values(a)
+        _check_pagerank_values(b)
+    pair = _Pair(
+        (prep_a, _prepare(family, alpha, lifts[1])), 1.0 / a.k,
+        lambda prep: (_density(prep),) * 2,
+        "perturbation measured on effective kernels A o D^-1", "density masses",
+    )
     consts = _analytic(prep_a, pair.weight)
     theorem = kind == "theorem"
     digest = _digest(
         a.values, b.values, family, alpha, name, consts.norm_p if theorem else mode
     )
     return _certify(
-        kind, pair, family, alpha, consts, theorem, digest, mode=mode,
+        kind, pair, consts, theorem, digest, mode=mode,
         closing_notes=() if theorem else (_SUBSET_NOTE,),
     )
 

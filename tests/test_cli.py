@@ -691,6 +691,18 @@ class TestWorkCounts:
                 paths[name].write_text(json.dumps({key: w.tolist()}))
         return paths
 
+    @staticmethod
+    def _sparse():
+        """A 96-node ring with chords, mean degree about 3."""
+        rng = np.random.default_rng(15)
+        n = 96
+        a = np.zeros((n, n))
+        a[np.arange(n), np.roll(np.arange(n), 1)] = 1.0
+        chords = rng.integers(n, size=(n // 2, 2))
+        a[chords[:, 0], chords[:, 1]] = rng.random(n // 2) + 0.5
+        np.fill_diagonal(a, 0.0)
+        return np.maximum(a, a.T)
+
     ARGV = [
         ("centrality", "{a}", "--family", "pagerank", "--alpha", "0.85"),
         ("graphon", "centrality", "{wa}", "--family", "pagerank", "--alpha", "0.85"),
@@ -724,18 +736,10 @@ class TestWorkCounts:
     )
     def test_each_sparse_input_lists_its_entries_at_most_once(
             self, capsys, tmp_path, counts, argv, kernels, norms, as_edges):
-        # a 96-node ring with chords, mean degree about 3: every input is
-        # below the cut, so the products run over entry lists, a PageRank
-        # kernel is formed only for the theorem's right side, and an edge
-        # list hands its entries over as it is parsed
-        rng = np.random.default_rng(15)
-        n = 96
-        a = np.zeros((n, n))
-        a[np.arange(n), np.roll(np.arange(n), 1)] = 1.0
-        chords = rng.integers(n, size=(n // 2, 2))
-        a[chords[:, 0], chords[:, 1]] = rng.random(n // 2) + 0.5
-        np.fill_diagonal(a, 0.0)
-        a = np.maximum(a, a.T)
+        # every input is below the cut, so the products run over entry
+        # lists, a PageRank kernel is formed only for the theorem's right
+        # side, and an edge list hands its entries over as it is parsed
+        a = self._sparse()
         b = a.copy()
         b[0, 1] = b[1, 0] = 0.0
         paths = self._write(
@@ -748,6 +752,13 @@ class TestWorkCounts:
         assert counts == {
             "kernels": kernels, "norms": norms, "lists": 0 if parsed else inputs,
         }
+
+    def test_two_norm_of_an_edge_list_iterates_on_its_parsed_entries(
+            self, capsys, tmp_path, counts):
+        paths = self._write(tmp_path, {"a": self._sparse()}, as_edges=True)
+        code, _, err = run(capsys, "norms", str(paths["a"]), "--norm", "2")
+        assert code == 0, err
+        assert counts == {"kernels": 0, "norms": 1, "lists": 0}
 
 
 class TestAlphaRule:

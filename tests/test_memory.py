@@ -5,7 +5,9 @@ The inputs are those of a benchmark compare: a 0/1 Erdos-Renyi graph of
 mean degree 8 overlaid on a ring, against a copy with one edge dropped.
 They lie below the cut of ``graphs.ENTRY_SHARE``, so their products run
 over lists of their non-zero entries, and a PageRank kernel is formed
-densely only for a theorem's right side.
+densely only for a theorem's right side.  A 20%-dense pair above the cut
+covers the dense path, where each input's PageRank kernel is held as a
+matrix.
 """
 
 import math
@@ -53,6 +55,19 @@ def pair():
     return Graph(a), Graph(b)
 
 
+@pytest.fixture(scope="module")
+def dense_pair():
+    rng = np.random.default_rng(1800)
+    a = np.triu(rng.random((N, N)) < 0.2, 1) * 1.0
+    a = a + a.T
+    i, j = np.argwhere(np.triu(a, 1))[0]
+    b = a.copy()
+    b[i, j] = b[j, i] = 0.0
+    pair = Graph(a), Graph(b)
+    assert pair[0]._entries is None and pair[1]._entries is None
+    return pair
+
+
 def test_katz_theorem1_holds_no_matrix_beyond_its_inputs(pair):
     # the iteration runs alpha (A.T x) + 1, and the right side forms only
     # the difference on the rows and columns where the graphs differ
@@ -78,6 +93,22 @@ def test_pagerank_theorem2_holds_two_lifts_and_two_kernels(pair):
     assert _peak(lambda: theorem2_certificate(a, b, "pagerank", 0.85)) <= 4.25
 
 
+def test_dense_pagerank_theorem1_scales_each_kernel_in_place(dense_pair):
+    # the right side is taken from both kernels before either solve, so
+    # each solve scales its kernel in place instead of a copy of it
+    a, b = dense_pair
+    map_ = FixedPointMap("pagerank", alpha=0.85)
+    consts = constants_analytic(a, map_)
+    assert _peak(lambda: theorem1_certificate(a, b, map_, consts)) <= 2.25
+
+
+def test_dense_pagerank_theorem2_scales_each_kernel_in_place(dense_pair):
+    # two lifts and two kernels; each closed form builds its left side in
+    # its own kernel, plus the working copy of the LAPACK solve
+    a, b = (StepGraphon(g.weights) for g in dense_pair)
+    assert _peak(lambda: theorem2_certificate(a, b, "pagerank", 0.85)) <= 4.25
+
+
 @pytest.mark.parametrize("p", [1, math.inf])
 def test_one_and_inf_norms_sum_in_tiles(pair, p):
     m = pair[0].weights
@@ -91,6 +122,16 @@ def test_two_norm_with_an_isolated_node_forms_no_submatrix(pair):
     m[5] = 0.0
     m[:, 5] = 0.0
     assert _peak(lambda: operator_norm(m, 2)) <= 0.25
+
+
+def test_dense_two_norm_with_an_isolated_node_scales_its_submatrix_in_place():
+    # node 5 has no link: the iteration copies the other n - 1 rows and
+    # columns once and scales that copy by its power of two in place
+    rng = np.random.default_rng(1801)
+    m = np.where(rng.random((N, N)) < 0.2, rng.random((N, N)), 0.0)
+    m[5] = 0.0
+    m[:, 5] = 0.0
+    assert _peak(lambda: operator_norm(m, 2)) <= 1.25
 
 
 def test_write_graphon_spells_one_row_at_a_time(pair, tmp_path):

@@ -349,6 +349,28 @@ class TestProp7:
             prop7_certificate(g, g, page, consts)
 
 
+class TestOrder:
+    """A certificate takes its right side from both records before it
+    solves either, so a right side that cannot be taken fails first."""
+
+    @pytest.mark.parametrize("certificate", [prop6_certificate, prop7_certificate])
+    def test_exact_search_beyond_its_limit_fails_before_any_solve(
+            self, monkeypatch, certificate):
+        from fpcentral import SizeLimitError, perturbation
+
+        def no_solve(prep, cfg=None):
+            raise AssertionError("a record was solved before the right side")
+
+        monkeypatch.setattr(perturbation, "_solve", no_solve)
+        a = Graph(random_binary_symmetric(np.random.default_rng(49), 9, 0.5))
+        i, j = np.argwhere(np.triu(a.weights, 1))[0]
+        weights = a.weights.copy()
+        weights[i, j] = weights[j, i] = 0.0
+        map_ = _katz_map_for(a)
+        with pytest.raises(SizeLimitError):
+            certificate(a, Graph(weights), map_, constants_analytic(a, map_))
+
+
 class TestTheorem2:
     def test_identical_graphons(self):
         w = StepGraphon(np.array([[0.5, 0.2], [0.2, 0.7]]))
