@@ -36,7 +36,7 @@ from .errors import (
     ParameterError,
     SimplicityError,
 )
-from .graphs import Graph, _Entries, _pow2_normalize, _sparse_entries, degree_vector
+from .graphs import Graph, _Entries, _pow2_normalize, degree_vector
 from .norms import _operator_norm, operator_norm, vector_norm
 
 FAMILIES = ("eigen", "katz", "pagerank")
@@ -120,8 +120,8 @@ def pagerank_kernel(g):
 def _kernel_entries(g):
     """The entries of A^T D^-1 from the entry list of A: ``(cols, rows,
     vals / d[rows])`` at rows of non-zero degree, the IEEE division that
-    ``pagerank_kernel`` makes; None when the graph holds no list or the
-    kernel is above the cut."""
+    ``pagerank_kernel`` makes; None when the graph holds no list.  The
+    kernel has no more entries than A, so it is below the cut as A is."""
     e = g._entries
     if e is None:
         return None
@@ -130,7 +130,7 @@ def _kernel_entries(g):
     keep = d[rows] != 0.0
     if not keep.all():
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    return _sparse_entries(cols, rows, vals / d[rows], g.n)
+    return _Entries(cols, rows, vals / d[rows], g.n)
 
 
 class _Prepared(NamedTuple):

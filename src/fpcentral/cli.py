@@ -217,7 +217,7 @@ def cmd_graphon_compare(args):
 
 def cmd_norms(args):
     from .io import read_graph
-    from .norms import _operator_norm, cut_norm_exact, cut_norm_heuristic, operator_norm
+    from .norms import _canon_p, _operator_norm, cut_norm_exact, cut_norm_heuristic
 
     g = read_graph(args.input)
     m = g.weights
@@ -231,11 +231,10 @@ def cmd_norms(args):
             "value": witness.value,
             "witness": {"S": list(witness.S), "T": list(witness.T)},
         }
-    elif args.norm == "2":
-        # the graph's own list of entries, which operator_norm would find again
-        payload = {"kind": "2", "value": _operator_norm(m, None, 2, g._entries)}
     else:
-        payload = {"kind": args.norm, "value": operator_norm(m, args.norm)}
+        # the graph's own list of entries, which operator_norm would find again
+        value = _operator_norm(m, None, _canon_p(args.norm), g._entries)
+        payload = {"kind": args.norm, "value": value}
     payload["manifest"] = _manifest(args)
     _emit(payload, args, lambda: f"kind,value\n{payload['kind']},{payload['value']!r}\n")
     return 0

@@ -5,12 +5,12 @@ is the weight of the link from node ``i`` to node ``j``, and the canonical
 centralities act through the transpose ``A.T``.  Negative weights are
 allowed; symmetry is detected, not required.
 
-A matrix with few non-zero entries is also held as the list of them
-(``_Entries``), on which a product with the matrix or its transpose costs
-O(entries) instead of O(n^2).  The list is kept when at most
-``ENTRY_SHARE`` of the matrix's non-zero rows x columns hold an entry:
-there a product over the list beats a dense BLAS product (measured
-break-even about 1/16 at n = 1000 to 2000, about 1/32 at n = 200).
+A matrix takes one of two forms.  With at most ``ENTRY_SHARE`` of its n x n
+entries non-zero it is also held as the list of them (``_Entries``), on
+which a product with the matrix or its transpose costs O(entries) instead
+of O(n^2): there a product over the list beats a dense BLAS product
+(measured on full-support matrices, break-even about 1/16 at n = 1000 to
+2000, about 1/32 at n = 200).  Any other matrix is its whole array.
 """
 
 import math
@@ -22,7 +22,8 @@ from .errors import ParameterError, SizeLimitError
 from .limits import MAX_AUTOMORPHISM_N, exact_limit
 
 MATRIX_TOL = 1e-12
-_SYMMETRY_TILE = 128
+# rows or columns per tile of the n x n passes that make no n x n temporary
+_TILE = 128
 ENTRY_SHARE = 1 / 32
 
 
@@ -50,25 +51,17 @@ class _Entries(NamedTuple):
         return self._replace(vals=self.vals * factor)
 
 
-def _sparse_entries(rows, cols, vals, n):
-    """``_Entries`` of these entries of an n x n matrix when at most
-    ``ENTRY_SHARE`` of their rows x columns hold one, None otherwise."""
-    support = np.count_nonzero(np.bincount(rows, minlength=n)) * np.count_nonzero(
-        np.bincount(cols, minlength=n)
-    )
-    return _Entries(rows, cols, vals, n) if rows.size <= ENTRY_SHARE * support else None
-
-
 def _nonzero_entries(m):
-    """``_sparse_entries`` of a square matrix's non-zero entries (NaN and
-    inf included), in row-major order: one count of them and, only when
+    """The ``_Entries`` of a square matrix's non-zero entries (NaN and inf
+    included), in row-major order, when at most ``ENTRY_SHARE`` of its
+    entries are non-zero, None otherwise: one count of them and, only when
     that count is below the cut, one list."""
     nonzero = np.not_equal(m, 0.0, order="C")
     if np.count_nonzero(nonzero) > ENTRY_SHARE * m.size:
         return None
     rows, cols = np.divmod(np.flatnonzero(nonzero), m.shape[1])
     del nonzero
-    return _sparse_entries(rows, cols, m[rows, cols], m.shape[0])
+    return _Entries(rows, cols, m[rows, cols], m.shape[0])
 
 
 def max_asymmetry(w):
@@ -80,7 +73,7 @@ def max_asymmetry(w):
     n x n temporary is made.
     """
     n = w.shape[0]
-    t = _SYMMETRY_TILE
+    t = _TILE
     peaks = [0.0]
     for i in range(0, n, t):
         for j in range(i, n, t):
@@ -129,8 +122,8 @@ class Graph:
         True iff the matrix equals its transpose within ``matrix_tol``.
 
     A graph also holds its non-zero entries as ``_entries`` (an
-    ``_Entries``) when they are at most ``ENTRY_SHARE`` of its non-zero rows
-    x columns, and None otherwise.  They come from one count of the
+    ``_Entries``) when they are at most ``ENTRY_SHARE`` of its n x n
+    entries, and None otherwise.  They come from one count of the
     non-zero entries and, only below that cut, one list of them; the
     symmetry check and the tolerance are then taken over that list.
 
@@ -169,7 +162,7 @@ class Graph:
             if not keep.all():
                 rows, cols, vals = rows[keep], cols[keep], vals[keep]
             listed = _Entries(rows, cols, vals, n)
-            self._entries = _sparse_entries(*listed)
+            self._entries = listed if vals.size <= ENTRY_SHARE * w.size else None
         if listed is None:
             asymmetry, tol = max_asymmetry(w), matrix_tol(w)
         else:
@@ -236,7 +229,7 @@ def permute(g, p):
     out = np.empty_like(g.weights)
     m = p.mapping
     out[np.ix_(m, m)] = g.weights
-    return Graph(out)
+    return Graph._adopt(out)
 
 
 def permute_vector(v, p):

@@ -17,16 +17,14 @@ computes the column sums of every row subset of a whole stack of small
 candidate differences with one GEMM against the subset-indicator matrix.
 
 ``operator_norm(m, 2)`` is a power iteration on ``m.T @ m``, which is
-cheaper than a dense SVD on the large graphs it serves.  A matrix whose
-non-zero entries are at most ``graphs.ENTRY_SHARE`` (1/32) of its non-zero
-rows x columns is iterated on the list of those entries, each product in
-O(entries); it forms no submatrix, and its iterates are zero off its
-non-zero rows and columns.  Any other matrix is iterated densely on the
-rows and columns that hold a non-zero entry, so the difference of two
-graphs that differ in a few edges is iterated as a small matrix, and a
-matrix with full support as it is.  ``difference_norm(a, b, p)`` is
-``operator_norm(a - b, p)`` without the n x n difference: it forms only
-that small matrix, and the 1- and inf-norms of every matrix are summed in
+cheaper than a dense SVD on the large graphs it serves.  A matrix takes one
+of two forms: with at most ``graphs.ENTRY_SHARE`` (1/32) of its n x n
+entries non-zero it is iterated on the list of them, each product in
+O(entries), and any other matrix is iterated as its whole array.
+``difference_norm(a, b, p)`` is ``operator_norm(a - b, p)`` without the
+n x n difference when that is below the cut: it lists the difference's
+non-zero entries by row tiles, so two graphs that differ in a few edges
+cost a short list.  The 1- and inf-norms of every matrix are summed in
 tiles of whole columns or rows.  The exact permutation sweep instead takes
 the 2-norms of its whole stack of small candidate differences from one
 stacked LAPACK SVD (``numpy.linalg.norm(d, 2, axis=(1, 2))``), exact to
@@ -61,16 +59,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, SizeLimitError
-from .graphs import Permutation, _lex_blocks, _lex_permutations, _pow2_normalize
-from .graphs import _nonzero_entries, degree_vector, max_asymmetry, permute
+from .graphs import ENTRY_SHARE, _TILE, Permutation, _Entries, _lex_blocks, _lex_permutations
+from .graphs import _nonzero_entries, _pow2_normalize, degree_vector, max_asymmetry, permute
 from .limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N, exact_limit
 
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10_000
 _START_SEED = 0x5EED
 _TINY = np.finfo(float).tiny
-# rows or columns per tile of the operator norms' sums and supports
-_TILE = 128
 # elements of one block of row-subset values in cut_norm_exact (256 KiB)
 _CUT_BLOCK = 1 << 15
 # candidate permutations evaluated per vectorized step of the exact sweep
@@ -114,25 +110,29 @@ def vector_norm(v, p):
     return float(np.max(np.abs(v), initial=0.0))
 
 
-def _power_iteration_sigma(m, b=None, entries=None, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
-    """Largest singular value of ``m``, or of ``m - b``, by power iteration
-    on the square of that matrix.
+def _power_iteration_sigma(m, entries=None, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
+    """Largest singular value of ``m`` by power iteration on ``m.T @ m``.
 
-    Given ``entries``, the ``graphs._Entries`` of ``m``, the products run
-    over that list; otherwise the iteration runs on the rows and columns of
-    the matrix that hold a non-zero entry (``_support``), a submatrix with
-    the same singular values, and a matrix with full support is iterated
-    as it is.  Only those entries are checked for NaN and inf (both
-    non-zero) and scaled by the exact power of two that puts the largest
-    of them in [1, 2) (``graphs._pow2_normalize``), so neither sigma^4
-    overflows nor z @ z underflows.  The start is a seeded random unit
-    vector over all n columns (an all-ones start would be blind to matrices
-    whose top singular vector is orthogonal to it), zero off the columns
-    that hold an entry, so on either path the iterates are those of the
-    whole matrix up to summation order.  Raises NumericalError carrying the
-    last iterate, zero off those columns, if the budget is exhausted.
+    Given ``entries``, the ``graphs._Entries`` of ``m`` (``m`` may then be
+    None), the products run over that list, and an empty list has norm 0;
+    otherwise they run over the whole array, which callers pass only above
+    the cut (``graphs.ENTRY_SHARE``), so it has a non-zero entry.  The
+    entries are checked for NaN and inf and scaled (the caller's array as a
+    copy) by the exact power of two that puts the largest of them in
+    [1, 2) (``graphs._pow2_normalize``), so neither sigma^4 overflows nor
+    z @ z underflows.  The start is a seeded random unit vector (an
+    all-ones start would be blind to matrices whose top singular vector is
+    orthogonal to it); a list product reads it only at the listed columns,
+    so on either form the iterates are those of the whole matrix up to
+    summation order.  Raises NumericalError carrying the last iterate if
+    the budget is exhausted.
     """
-    if entries is not None:
+    if entries is None:
+        n = m.shape[1]
+        _refuse_non_finite(m, "operator_norm")
+        m, e = _pow2_normalize(m)
+        matvec, rmatvec = m.__matmul__, m.T.__matmul__
+    else:
         n = entries.n
         _refuse_non_finite(entries.vals, "operator_norm")
         if not entries.vals.size:
@@ -140,24 +140,11 @@ def _power_iteration_sigma(m, b=None, entries=None, tol=POWER_TOL, max_iter=POWE
         vals, e = _pow2_normalize(entries.vals)
         ops = entries._replace(vals=vals)
         matvec, rmatvec = ops.matvec, ops.rmatvec
-        off = np.bincount(entries.cols, minlength=n) == 0
-    else:
-        n = m.shape[1]
-        sub, cols = _support(m, b)
-        _refuse_non_finite(sub, "operator_norm")
-        if not sub.size:
-            return 0.0
-        # a submatrix that _support made is scaled in place, the caller's not
-        m, e = _pow2_normalize(sub, out=None if sub is m else sub)
-        matvec, rmatvec = m.__matmul__, m.T.__matmul__
     rng = np.random.default_rng(_START_SEED)
 
     def start():
         x = rng.standard_normal(n)
         x /= math.sqrt(x @ x)
-        if entries is None:
-            return x[cols]
-        x[off] = 0.0
         return x
 
     x = start()
@@ -177,10 +164,6 @@ def _power_iteration_sigma(m, b=None, entries=None, tol=POWER_TOL, max_iter=POWE
             continue
         x = z / nz
         sigma_prev = sigma
-    if entries is None:
-        last = np.zeros(n)
-        last[cols] = x
-        x = last
     raise NumericalError(
         f"singular-value power iteration did not converge in {max_iter} iterations",
         last_iterate=x,
@@ -235,27 +218,24 @@ def _abs_sums(a, b, axis):
     return sums
 
 
-def _support(a, b=None):
-    """``(sub, cols)``: the submatrix of ``a - b`` (of ``a`` when ``b`` is
-    None) on its rows and columns that hold a non-zero entry, NaN and inf
-    included, and the boolean mask of those columns.  A matrix with full
-    support is its own submatrix.  For a difference, the masks come from
-    row tiles and only the submatrix is formed."""
-    if b is None:
-        rows, cols = a.any(axis=1), a.any(axis=0)
-        if rows.all() and cols.all():
-            return a, cols
-        return a[np.ix_(rows, cols)], cols
-    rows = np.empty(a.shape[0], dtype=bool)
-    cols = np.zeros(a.shape[1], dtype=bool)
-    for s in _tiles(a.shape[0]):
-        nonzero = (a[s] - b[s]) != 0.0
-        rows[s] = nonzero.any(axis=1)
-        cols |= nonzero.any(axis=0)
-    if rows.all() and cols.all():
-        return a - b, cols
-    ix = np.ix_(rows, cols)
-    return a[ix] - b[ix], cols
+def _difference_entries(a, b):
+    """The ``graphs._Entries`` of ``a - b``, NaN and inf included, listed
+    in row-major order by row tiles, or None as soon as they pass the cut
+    (``graphs.ENTRY_SHARE``).  Each tile goes before the next is made."""
+    n = a.shape[0]
+    rows, cols, vals = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    count = 0
+    for s in _tiles(n):
+        d = a[s] - b[s]
+        r, c = np.divmod(np.flatnonzero(d != 0.0), n)
+        count += r.size
+        if count > ENTRY_SHARE * a.size:
+            return None
+        rows.append(r + s.start)
+        cols.append(c)
+        vals.append(d[r, c])
+        del d
+    return _Entries(*map(np.concatenate, (rows, cols, vals)), n)
 
 
 def _operator_norm(a, b, p, entries=None):
@@ -264,10 +244,14 @@ def _operator_norm(a, b, p, entries=None):
     infinities, is refused.  Given ``entries``, the ``graphs._Entries`` of
     ``a``, the norm is taken over that list (``a`` may then be None): its
     2-norm iterates on it, and its 1- and inf-norms add each column's or
-    row's absolute entries in the list's order."""
+    row's absolute entries in the list's order.  The 2-norm of a difference
+    iterates its list below the cut, and ``a - b`` above it."""
     with np.errstate(over="ignore", invalid="ignore"):
         if p == 2:
-            value = _power_iteration_sigma(a, b, entries)
+            if b is not None:
+                entries = _difference_entries(a, b)
+                a = a - b if entries is None else None
+            value = _power_iteration_sigma(a, entries)
         elif entries is None:
             value = float(_abs_sums(a, b, 0 if p == 1 else 1).max())
         else:
@@ -288,10 +272,9 @@ def operator_norm(m, p):
     ``m.T @ m`` with relative tolerance 1e-10 and at most 10000 iterations,
     scaled by an exact power of two (``_power_iteration_sigma``).  It runs
     over the list of ``m``'s non-zero entries when they are at most 1/32 of
-    its non-zero rows x columns (``graphs._nonzero_entries``), and
-    otherwise over the rows and columns of ``m`` that hold a non-zero
-    entry.  Non-finite entries raise ParameterError; a norm beyond float64
-    raises NumericalError.
+    its n x n entries (``graphs._nonzero_entries``), and otherwise over the
+    whole of ``m``.  Non-finite entries raise ParameterError; a norm beyond
+    float64 raises NumericalError.
     """
     p = _canon_p(p)
     m = _square_finite(m, "operator_norm", finite=False)
@@ -300,12 +283,13 @@ def operator_norm(m, p):
 
 def difference_norm(a, b, p):
     """``operator_norm(a - b, p)`` of two square matrices of one shape, bit
-    for bit and with the same errors, without forming ``a - b``.
+    for bit and with the same errors, without forming ``a - b`` below the
+    cut.
 
-    The 1- and inf-norms sum ``|a - b|`` in tiles.  The 2-norm finds the
-    rows and columns where the matrices differ by row tiles and iterates
-    the difference on those alone, so two graphs that differ in a few
-    edges cost a few small matrices, not an n x n one.
+    The 1- and inf-norms sum ``|a - b|`` in tiles.  The 2-norm lists the
+    entries where the matrices differ by row tiles and iterates that list
+    when it is below the cut, so two graphs that differ in a few edges cost
+    a short list, not an n x n matrix; above the cut it forms ``a - b``.
     """
     p = _canon_p(p)
     a = _square_finite(a, "operator_norm", finite=False)

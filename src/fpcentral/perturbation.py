@@ -297,9 +297,12 @@ def _certify(kind, pair, consts, certified, digest, mode="exact",
     elif kind == "theorem":
         right = difference_norm(prep_a.matrix(), prep_b.matrix(), p)
     else:
-        right = min_permuted_distance(
-            Graph(prep_a.matrix()), Graph(prep_b.matrix()), p, mode=mode
-        ).value
+        # the inputs themselves, or graphs that adopt the kernels, which
+        # the solves below scale only after this sweep
+        a, b = (
+            Graph._adopt(prep.matrix()) if family == "pagerank" else prep.g for prep in pair.preps
+        )
+        right = min_permuted_distance(a, b, p, mode=mode).value
     (rho_a, x_a), (rho_b, x_b) = map(pair.fixed_point, pair.preps)
     consts, notes = _enlarged(consts, family, alpha, _norm(x_a, p, w), _norm(x_b, p, w))
     lg = consts.Lg

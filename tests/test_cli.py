@@ -760,6 +760,21 @@ class TestWorkCounts:
         assert code == 0, err
         assert counts == {"kernels": 0, "norms": 1, "lists": 0}
 
+    @pytest.mark.parametrize("p", ["1", "inf"])
+    def test_one_and_inf_norms_of_an_edge_list_sum_its_parsed_entries(
+            self, capsys, tmp_path, counts, monkeypatch, p):
+        from fpcentral import norms
+
+        tiled = []
+        monkeypatch.setattr(norms, "_abs_sums", lambda *args: tiled.append(args))
+        a = self._sparse()
+        paths = self._write(tmp_path, {"a": a}, as_edges=True)
+        code, out, err = run(capsys, "norms", str(paths["a"]), "--norm", p)
+        assert code == 0, err
+        assert counts == {"kernels": 0, "norms": 1, "lists": 0} and not tiled
+        want = np.abs(a).sum(axis=0 if p == "1" else 1).max()
+        assert json.loads(out)["value"] == pytest.approx(want, rel=1e-15, abs=0.0)
+
 
 class TestAlphaRule:
     """One rule: --alpha is required for katz and pagerank and refused for

@@ -1,7 +1,7 @@
 """Products, norms and solves over lists of non-zero entries.
 
 A matrix whose non-zero entries are at most ``graphs.ENTRY_SHARE`` (1/32)
-of its non-zero rows x columns is held as the list of those entries, and
+of its n x n entries is held as the list of those entries, and
 every product with it runs over that list (``graphs._Entries``); any other
 matrix keeps its dense BLAS products.  Both must give ``m @ x`` and
 ``m.T @ y`` to rounding, and the 2-norm and the fixed points on both paths
@@ -15,6 +15,7 @@ import pytest
 
 from fpcentral import FixedPointMap, Graph, operator_norm, pagerank_kernel, solve
 from fpcentral.centrality import _operand, _prepare, _solve
+from fpcentral.io import parse_edge_list
 from fpcentral.graphs import ENTRY_SHARE, _Entries, _nonzero_entries
 from fpcentral.norms import _operator_norm
 
@@ -80,12 +81,10 @@ def test_products_match_blas(case, scale, order):
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_the_cut_is_the_share_of_the_support(case):
+def test_the_cut_is_the_share_of_all_entries(case):
     m = CASES[case]
     entries = Graph(m)._entries
-    nonzero = np.count_nonzero(m)
-    support = np.count_nonzero(m.any(axis=1)) * np.count_nonzero(m.any(axis=0))
-    assert (entries is not None) == (nonzero <= ENTRY_SHARE * support)
+    assert (entries is not None) == (np.count_nonzero(m) <= ENTRY_SHARE * m.size)
     assert "below" not in case or entries is not None
     assert "above" not in case or entries is None
     if entries is not None:
@@ -94,13 +93,31 @@ def test_the_cut_is_the_share_of_the_support(case):
         assert np.array_equal(entries.vals, m[rows, cols])
 
 
-def test_a_dense_block_in_an_empty_matrix_stays_dense():
-    # few entries overall, but all of its one block: the cut is taken on
-    # the non-zero rows x columns, not on n x n
+@pytest.mark.parametrize("scale", [-1000, 0, 1000])
+@pytest.mark.parametrize("weights", ["ones", "uniform"])
+def test_a_dense_block_in_an_empty_matrix_is_listed(weights, scale):
+    # few entries overall, all of them in one block: the cut is taken on
+    # n x n, not on the rows x columns that hold an entry
     m = np.zeros((400, 400))
-    m[:20, 100:120] = 1.0
-    assert _nonzero_entries(m) is None
-    assert math.isclose(operator_norm(m, 2), 20.0, rel_tol=1e-9)
+    rng = np.random.default_rng(1703)
+    block = np.ones((20, 20)) if weights == "ones" else rng.random((20, 20))
+    m[:20, 100:120] = np.ldexp(block, scale)
+    entries = _nonzero_entries(m)
+    assert entries is not None and entries.vals.size == 400
+    want = float(np.linalg.norm(m, 2))
+    assert abs(operator_norm(m, 2) - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_parsed_edge_list_takes_the_same_cut(extra):
+    # 64 x 64 / 32 = 128 entries are listed, 129 are not
+    n = 64
+    m = np.zeros((n, n))
+    m.flat[: 128 + extra] = 1.0
+    rows, cols = np.nonzero(m)
+    parsed = parse_edge_list("".join(f"{i} {j} 1\n" for i, j in zip(rows, cols)))
+    for g in (parsed, Graph(m)):
+        assert (g._entries is None) == bool(extra)
 
 
 @pytest.mark.parametrize("scale", [-1000, 0, 1000])

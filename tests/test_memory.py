@@ -22,6 +22,7 @@ from fpcentral import (
     StepGraphon,
     constants_analytic,
     operator_norm,
+    prop6_certificate,
     theorem1_certificate,
     theorem2_certificate,
     write_graphon,
@@ -69,8 +70,8 @@ def dense_pair():
 
 
 def test_katz_theorem1_holds_no_matrix_beyond_its_inputs(pair):
-    # the iteration runs alpha (A.T x) + 1, and the right side forms only
-    # the difference on the rows and columns where the graphs differ
+    # the iteration runs alpha (A.T x) + 1, and the right side lists only
+    # the entries where the graphs differ, one row tile at a time
     a, b = pair
     map_ = FixedPointMap("katz", alpha=0.5 / operator_norm(a.weights, 2))
     consts = constants_analytic(a, map_)
@@ -102,6 +103,17 @@ def test_dense_pagerank_theorem1_scales_each_kernel_in_place(dense_pair):
     assert _peak(lambda: theorem1_certificate(a, b, map_, consts)) <= 2.25
 
 
+@pytest.mark.parametrize("family, bound", [("katz", 1.25), ("pagerank", 3.25)])
+def test_dense_greedy_prop6_relabels_without_copies(dense_pair, family, bound):
+    # the greedy sweep reads the inputs themselves (katz) or graphs that
+    # adopt their kernels (pagerank), and forms one relabeled difference
+    a, b = dense_pair
+    alpha = 0.5 / operator_norm(a.weights, 2) if family == "katz" else 0.85
+    map_ = FixedPointMap(family, alpha=alpha)
+    consts = constants_analytic(a, map_)
+    assert _peak(lambda: prop6_certificate(a, b, map_, consts, perm_mode="greedy")) <= bound
+
+
 def test_dense_pagerank_theorem2_scales_each_kernel_in_place(dense_pair):
     # two lifts and two kernels; each closed form builds its left side in
     # its own kernel, plus the working copy of the LAPACK solve
@@ -116,22 +128,30 @@ def test_one_and_inf_norms_sum_in_tiles(pair, p):
 
 
 def test_two_norm_with_an_isolated_node_forms_no_submatrix(pair):
-    # node 5 has no link: the dense iteration would copy the other n - 1
-    # rows and columns, the list of entries copies nothing
+    # node 5 has no link: the list of entries copies nothing
     m = pair[0].weights.copy()
     m[5] = 0.0
     m[:, 5] = 0.0
     assert _peak(lambda: operator_norm(m, 2)) <= 0.25
 
 
-def test_dense_two_norm_with_an_isolated_node_scales_its_submatrix_in_place():
-    # node 5 has no link: the iteration copies the other n - 1 rows and
-    # columns once and scales that copy by its power of two in place
+def test_dense_two_norm_with_an_isolated_node_iterates_the_whole_array(dense_pair):
+    # node 5 has no link: a 0/1 matrix above the cut is iterated as it is,
+    # with no copy of the rows and columns that hold an entry
+    m = dense_pair[0].weights.copy()
+    m[5] = 0.0
+    m[:, 5] = 0.0
+    assert _peak(lambda: operator_norm(m, 2)) <= 0.25
+
+
+def test_weighted_dense_two_norm_with_an_isolated_node_makes_one_scaled_copy():
+    # node 5 has no link, and the peak weight lies below 1: the iteration
+    # scales one copy of the whole array by its power of two
     rng = np.random.default_rng(1801)
     m = np.where(rng.random((N, N)) < 0.2, rng.random((N, N)), 0.0)
     m[5] = 0.0
     m[:, 5] = 0.0
-    assert _peak(lambda: operator_norm(m, 2)) <= 1.25
+    assert _peak(lambda: operator_norm(m, 2)) <= 1.10
 
 
 def test_write_graphon_spells_one_row_at_a_time(pair, tmp_path):

@@ -228,10 +228,12 @@ def _padded(rng, m, n):
 
 
 class TestSupportTwoNorm:
-    """The 2-norm iterates on the non-zero rows and columns only."""
+    """Matrices with zero rows and columns: the 2-norm of their list of
+    entries, or of their whole array above the cut, is the value of the
+    iteration on the whole matrix."""
 
     # operator_norm(m, 2).hex() of the full-support matrices of the test
-    # below, frozen before the iteration was restricted to the support
+    # below, frozen when the iteration ran on the whole array
     FULL_SUPPORT = (
         "0x1.b20eb6eeb0240p+1", "0x1.fffffffffc873p+0",
         "0x1.8ed33afaaaaabp+2", "0x1.236b0e67badebp+2",
