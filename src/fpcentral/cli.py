@@ -158,11 +158,11 @@ def cmd_compare(args):
 
 def cmd_graphon_lift(args):
     from .graphon import StepGraphon
-    from .io import _graphon_payload, read_graph
+    from .io import _csv_rows, _graphon_payload, read_graph
 
     w = StepGraphon._adopt(read_graph(args.input))  # lift() without its copy
     _emit(_graphon_payload(w), args, lambda: "".join(
-        ",".join(map(float.__repr__, row.tolist())) + "\n" for row in w.values
+        row + "\n" for row in _csv_rows(w.values)
     ))
     return 0
 

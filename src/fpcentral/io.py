@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputFormatError, ParameterError
-from .graphs import Graph
+from .graphs import ENTRY_SHARE, Graph
 from .limits import MAX_DENSE_N
 
 
@@ -237,7 +237,8 @@ def _write_json(payload, fp):
     A list whose items are all finite floats is one join of their reprs, so
     a matrix costs one join per row instead of one encoder step per entry;
     an array is spelled one row at a time, so no list of all its entries is
-    made.  Every other value goes through the json encoder.  It is the
+    made, and one with few non-zero entries from the list of them
+    (``_listed_rows``).  Every other value goes through the json encoder.  It is the
     package's only JSON writer, so every command and file spells JSON the
     same way.
     """
@@ -258,8 +259,16 @@ def _write_value(value, fp, newline):
             sep = "," + inner
         fp.write(newline + "}")
     elif isinstance(value, np.ndarray):
-        # a matrix is written a row at a time, as the list of its row views
-        _write_value(list(value) if value.ndim > 1 else value.tolist(), fp, newline)
+        rows = _listed_rows(value, "," + inner + "  ")
+        if rows is None:
+            # a matrix is written a row at a time, as the list of its row views
+            _write_value(list(value) if value.ndim > 1 else value.tolist(), fp, newline)
+            return
+        sep = "[" + inner
+        for row in rows:
+            fp.write(f"{sep}[{inner}  {row}{inner}]")
+            sep = "," + inner
+        fp.write(newline + "]")
     elif isinstance(value, (list, tuple)):
         if not value:
             fp.write("[]")
@@ -280,6 +289,50 @@ def _write_value(value, fp, newline):
         fp.write(newline + "]")
     else:
         fp.write(json.dumps(value))
+
+
+def _listed_rows(m, sep):
+    """The rows of a non-empty C-ordered 2-D float64 array, each spelled as
+    ``sep.join`` of its entries' float reprs, from the list of its non-zero
+    entries when they are at most ``graphs.ENTRY_SHARE`` of all: a row is
+    the spelling of a row of zeros with the reprs of its listed entries
+    spliced in, so it costs its listed entries, not one repr per entry.
+    None for any other array, or when an entry is not finite (json spells
+    NaN and inf as no repr does) or is -0.0, which the list leaves out.  The
+    array is counted twice in numpy, as floats and as bit patterns: -0.0 is
+    zero only as a float."""
+    if m.ndim != 2 or m.dtype != float or not m.size or not m.flags.c_contiguous:
+        return None
+    count = np.count_nonzero(m)
+    if count > ENTRY_SHARE * m.size or np.count_nonzero(m.view(np.int64)) != count:
+        return None
+    flat = np.flatnonzero(m)
+    vals = m.ravel()[flat]
+    if not np.isfinite(vals).all():
+        return None
+    rows, cols = np.divmod(flat, m.shape[1])
+    starts = np.searchsorted(rows, np.arange(m.shape[0] + 1)).tolist()
+    width = len(sep) + 3
+    return _spliced_rows(sep.join(["0.0"] * m.shape[1]), starts, cols * width, vals)
+
+
+def _spliced_rows(zeros, starts, offsets, vals):
+    """Row i of ``_listed_rows``: the row of zeros ``zeros`` with the repr
+    of ``vals[k]`` in place of the "0.0" at ``offsets[k]``, for k in
+    ``starts[i]:starts[i + 1]``; the reprs are made a row at a time."""
+    for lo, hi in zip(starts, starts[1:]):
+        pieces, at = [], 0
+        for start, x in zip(offsets[lo:hi].tolist(), vals[lo:hi].tolist()):
+            pieces += zeros[at:start], float.__repr__(x)
+            at = start + 3
+        yield "".join([*pieces, zeros[at:]]) if pieces else zeros
+
+
+def _csv_rows(m):
+    """The lines of a 2-D float64 array as CSV, without line ends: the float
+    reprs of each row, joined by commas."""
+    rows = _listed_rows(m, ",")
+    return (",".join(map(float.__repr__, row.tolist())) for row in m) if rows is None else rows
 
 
 def _json_key(key):

@@ -24,11 +24,12 @@ O(entries), and any other matrix is iterated as its whole array.
 ``difference_norm(a, b, p)`` is ``operator_norm(a - b, p)`` without the
 n x n difference when that is below the cut: it lists the difference's
 non-zero entries by row tiles, so two graphs that differ in a few edges
-cost a short list.  The 1- and inf-norms of every matrix are summed in
-tiles of whole columns or rows.  The exact permutation sweep instead takes
-the 2-norms of its whole stack of small candidate differences from one
-stacked LAPACK SVD (``numpy.linalg.norm(d, 2, axis=(1, 2))``), exact to
-rounding.
+cost a short list; two matrices held as lists merge them into that same
+list in O(entries) (``_merged_difference``).  The 1- and inf-norms of
+every matrix are summed in tiles of whole columns or rows.  The exact
+permutation sweep instead takes the 2-norms of its whole stack of small
+candidate differences from one stacked LAPACK SVD
+(``numpy.linalg.norm(d, 2, axis=(1, 2))``), exact to rounding.
 
 The exact permutation sweep skips candidates that provably cannot beat the
 best value found so far, with two kinds of lower bound:
@@ -238,6 +239,31 @@ def _difference_entries(a, b):
     return _Entries(*map(np.concatenate, (rows, cols, vals)), n)
 
 
+def _merged_difference(ea, eb):
+    """The list ``_difference_entries`` makes of ``a - b``, bit for bit,
+    merged from the ``graphs._Entries`` of both matrices in any order of
+    entries (a PageRank kernel's list comes column by column): the union
+    of their row-major flat indices, the IEEE difference there, 0.0 taken
+    for an index that one list lacks, exact zeros dropped; None when the
+    difference passes the cut (``graphs.ENTRY_SHARE``).  It costs
+    O(entries) and makes no n x n array."""
+    n = ea.n
+    fa, fb = ea.rows * n, eb.rows * n
+    fa += ea.cols
+    fb += eb.cols
+    flat = np.union1d(fa, fb)
+    d = np.zeros(flat.size)
+    d[np.searchsorted(flat, fa)] = ea.vals
+    del fa
+    with np.errstate(over="ignore", invalid="ignore"):
+        # 0.0 - v is -v exactly, as a - b is where b's array holds v
+        d[np.searchsorted(flat, fb)] -= eb.vals
+    keep = d != 0.0
+    if np.count_nonzero(keep) > ENTRY_SHARE * (n * n):
+        return None
+    return _Entries(*np.divmod(flat[keep], n), d[keep], n)
+
+
 def _operator_norm(a, b, p, entries=None):
     """The p-norm of ``a - b``, or of ``a`` when ``b`` is None, the one body
     of every operator norm; a difference that overflows, or of equal
@@ -263,6 +289,14 @@ def _operator_norm(a, b, p, entries=None):
     return value
 
 
+def _norm_operand(m):
+    """``m`` as a float array, refused unless square and non-empty."""
+    m = _square_finite(m, "operator_norm", finite=False)
+    if not m.size:
+        raise ParameterError("operator_norm expects a non-empty matrix")
+    return m
+
+
 def operator_norm(m, p):
     """Induced operator p-norm of a square matrix, p in {1, 2, inf}.
 
@@ -273,11 +307,11 @@ def operator_norm(m, p):
     scaled by an exact power of two (``_power_iteration_sigma``).  It runs
     over the list of ``m``'s non-zero entries when they are at most 1/32 of
     its n x n entries (``graphs._nonzero_entries``), and otherwise over the
-    whole of ``m``.  Non-finite entries raise ParameterError; a norm beyond
-    float64 raises NumericalError.
+    whole of ``m``.  An empty matrix and non-finite entries raise
+    ParameterError; a norm beyond float64 raises NumericalError.
     """
     p = _canon_p(p)
-    m = _square_finite(m, "operator_norm", finite=False)
+    m = _norm_operand(m)
     return _operator_norm(m, None, p, _nonzero_entries(m) if p == 2 else None)
 
 
@@ -292,8 +326,7 @@ def difference_norm(a, b, p):
     a short list, not an n x n matrix; above the cut it forms ``a - b``.
     """
     p = _canon_p(p)
-    a = _square_finite(a, "operator_norm", finite=False)
-    b = _square_finite(b, "operator_norm", finite=False)
+    a, b = _norm_operand(a), _norm_operand(b)
     if a.shape != b.shape:
         raise ParameterError("operator_norm expects two matrices of one shape")
     return _operator_norm(a, b, p)

@@ -27,7 +27,8 @@ Each certificate runs in one order: the records of both inputs
 records, then the solve of each record, then the observed side.  The
 right-hand side is a property of the inputs alone, and no record is read
 after its solve, so each solve uses its record up (a dense PageRank
-kernel is scaled in place).
+kernel is scaled in place).  When both records hold lists of entries, the
+theorem's right side and the digest cost O(entries), not O(n^2).
 
 The weight w is the measure of one coordinate, so every graphon quantity
 is the finite one on values/k: operator norms are unchanged, the
@@ -54,7 +55,8 @@ import numpy as np
 from .centrality import NEGATIVE_RHO_TOL, _prepare, _solve, native_norm_index
 from .errors import ParameterError
 from .graphs import Graph
-from .norms import difference_norm, min_permuted_distance, vector_norm
+from .norms import _merged_difference, _operator_norm, difference_norm, min_permuted_distance
+from .norms import vector_norm
 
 HOLDS_TOL = 1e-9
 _NORM_PS = (1, 2, math.inf)
@@ -132,14 +134,28 @@ class BoundCertificate:
 
 
 def _digest(*parts):
+    """The SHA-256 of ``parts``, each followed by ``|``.  An input (a Graph
+    or a StepGraphon) is hashed as its matrix; every other part as its
+    repr.  A matrix held as its list of entries (``graphs.ENTRY_SHARE``)
+    is hashed as the tag ``entries``, then n and the entry count, then its
+    rows and cols as int64 and its vals as float64, in O(entries) bytes;
+    any other matrix as the str of its shape and then its float64 buffer
+    itself, with no copy."""
     h = hashlib.sha256()
     for part in parts:
-        if isinstance(part, np.ndarray):
-            arr = np.ascontiguousarray(part, dtype=float)
-            h.update(str(arr.shape).encode())
-            h.update(arr)  # the buffer itself: no copy of the matrix
-        else:
+        if not hasattr(part, "_entries"):
             h.update(repr(part).encode())
+        elif part._entries is None:
+            m = part.weights if isinstance(part, Graph) else part.values
+            arr = np.ascontiguousarray(m, dtype=float)
+            h.update(str(arr.shape).encode())
+            h.update(arr)
+        else:
+            e = part._entries
+            h.update(f"entries{(e.n, e.vals.size)}".encode())
+            for buf in (e.rows, e.cols):
+                h.update(np.ascontiguousarray(buf, dtype=np.int64))
+            h.update(np.ascontiguousarray(e.vals, dtype=float))
         h.update(b"|")
     return h.hexdigest()
 
@@ -261,6 +277,19 @@ def _check_cut_inputs(a, b, weight, p):
         raise ParameterError("the cut-norm bound lives in the 2-norm route")
 
 
+def _difference_right(prep_a, prep_b, p):
+    """||M_A - M_B||_p from two records: over the merge of their entry
+    lists when both hold one and the difference is below the cut, in
+    O(entries) with no M formed; else ``difference_norm`` of the two
+    arrays, which forms a listed PageRank kernel.  On either path the
+    2-norm iterates the same list, so it has the same bits."""
+    if prep_a.entries is not None and prep_b.entries is not None:
+        entries = _merged_difference(prep_a.entries, prep_b.entries)
+        if entries is not None:
+            return _operator_norm(None, None, p, entries)
+    return difference_norm(prep_a.matrix(), prep_b.matrix(), p)
+
+
 def _certify(kind, pair, consts, certified, digest, mode="exact",
              convention="permutation_cost", closing_notes=()):
     """The one certificate body; ``kind`` picks the two sides.
@@ -295,7 +324,7 @@ def _certify(kind, pair, consts, certified, digest, mode="exact",
         _check_cut_inputs(a, b, w, p)
         right = math.sqrt(8.0 * w * min_permuted_distance(a, b, "cut", mode=mode).value)
     elif kind == "theorem":
-        right = difference_norm(prep_a.matrix(), prep_b.matrix(), p)
+        right = _difference_right(prep_a, prep_b, p)
     else:
         # the inputs themselves, or graphs that adopt the kernels, which
         # the solves below scale only after this sweep
@@ -391,9 +420,7 @@ def _graph_certificate(bound, a, b, map_, consts, perm_mode="exact",
         "prop6": ("wasserstein", (consts.norm_p, perm_mode, convention)),
         "prop7": ("cut", (convention,)),
     }[bound]
-    digest = _digest(
-        a.weights, b.weights, map_.family, map_.alpha, bound, consts.method, *parts
-    )
+    digest = _digest(a, b, map_.family, map_.alpha, bound, consts.method, *parts)
     certified = (
         consts.method == "analytic"
         and perm_mode == "exact"
@@ -434,9 +461,7 @@ def _step_certificate(kind, name, a, b, family, alpha, mode="exact"):
     )
     consts = _analytic(prep_a, pair.weight)
     theorem = kind == "theorem"
-    digest = _digest(
-        a.values, b.values, family, alpha, name, consts.norm_p if theorem else mode
-    )
+    digest = _digest(a, b, family, alpha, name, consts.norm_p if theorem else mode)
     return _certify(
         kind, pair, consts, theorem, digest, mode=mode,
         closing_notes=() if theorem else (_SUBSET_NOTE,),

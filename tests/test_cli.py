@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -692,10 +693,9 @@ class TestWorkCounts:
         return paths
 
     @staticmethod
-    def _sparse():
-        """A 96-node ring with chords, mean degree about 3."""
+    def _sparse(n=96):
+        """An n-node ring with chords, mean degree about 3."""
         rng = np.random.default_rng(15)
-        n = 96
         a = np.zeros((n, n))
         a[np.arange(n), np.roll(np.arange(n), 1)] = 1.0
         chords = rng.integers(n, size=(n // 2, 2))
@@ -731,14 +731,15 @@ class TestWorkCounts:
     @pytest.mark.parametrize("as_edges", [False, True], ids=["json", "edge-list"])
     @pytest.mark.parametrize(
         "argv, kernels, norms",
-        [(argv, *expect) for argv, expect in zip(ARGV, [(0, 1), (0, 2), (2, 3), (2, 5), (0, 3)])],
+        [(argv, *expect) for argv, expect in zip(ARGV, [(0, 1), (0, 2), (0, 3), (0, 5), (0, 3)])],
         ids=IDS,
     )
     def test_each_sparse_input_lists_its_entries_at_most_once(
             self, capsys, tmp_path, counts, argv, kernels, norms, as_edges):
         # every input is below the cut, so the products run over entry
-        # lists, a PageRank kernel is formed only for the theorem's right
-        # side, and an edge list hands its entries over as it is parsed
+        # lists, no PageRank kernel is formed, the theorem's right side
+        # merges the two lists, and an edge list hands its entries over as
+        # it is parsed
         a = self._sparse()
         b = a.copy()
         b[0, 1] = b[1, 0] = 0.0
@@ -752,6 +753,47 @@ class TestWorkCounts:
         assert counts == {
             "kernels": kernels, "norms": norms, "lists": 0 if parsed else inputs,
         }
+
+    @pytest.mark.parametrize("argv", ARGV[2:], ids=IDS[2:])
+    def test_a_listed_theorem_costs_its_entries(
+            self, capsys, tmp_path, counts, monkeypatch, argv):
+        # the right side merges the two entry lists, with no PageRank
+        # kernel and no tiled pass over a difference, and the digest hashes
+        # the lists alone; the graphon's dense closed-form solves still sum
+        # the rows of their own matrix in tiles
+        from types import SimpleNamespace
+
+        from fpcentral import norms, perturbation
+
+        tiled = []
+        for name in ("_difference_entries", "_abs_sums"):
+            fn = getattr(norms, name)
+            monkeypatch.setattr(
+                norms, name, lambda a, b, *rest, fn=fn: tiled.append(b is not None) or fn(a, b, *rest)
+            )
+        hashed = []
+
+        class Counted:
+            def __init__(self):
+                self.h = hashlib.sha256()
+
+            def update(self, data):
+                hashed.append(memoryview(data).nbytes)
+                self.h.update(data)
+
+            def hexdigest(self):
+                return self.h.hexdigest()
+
+        monkeypatch.setattr(perturbation, "hashlib", SimpleNamespace(sha256=Counted))
+        a = self._sparse(400)
+        b = a.copy()
+        b[0, 1] = b[1, 0] = 0.0
+        paths = self._write(tmp_path, {"a": a, "b": b, "wa": a / a.max(), "wb": b / a.max()})
+        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 0, err
+        assert counts["kernels"] == 0 and not any(tiled)
+        # rows, cols and vals of both lists, 8 bytes each, and the parameters
+        assert 0 < sum(hashed) <= 24 * (np.count_nonzero(a) + np.count_nonzero(b)) + 256
 
     def test_two_norm_of_an_edge_list_iterates_on_its_parsed_entries(
             self, capsys, tmp_path, counts):

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from fpcentral import FixedPointMap, Graph, operator_norm, pagerank_kernel, solve
-from fpcentral.centrality import _operand, _prepare, _solve
+from fpcentral.centrality import _kernel_entries, _operand, _prepare, _solve
 from fpcentral.io import parse_edge_list
 from fpcentral.graphs import ENTRY_SHARE, _Entries, _nonzero_entries
-from fpcentral.norms import _operator_norm
+from fpcentral.norms import _difference_entries, _merged_difference, _operator_norm
 
 EPS = np.finfo(float).eps
 
@@ -173,3 +173,81 @@ def test_solve_agrees_on_both_paths(family, directed):
     p = 2 if family == "katz" else 1
     dense_l0 = alpha * operator_norm(pagerank_kernel(g) if p == 1 else m, p)
     assert abs(prep.l0 - dense_l0) <= 1e-13 * dense_l0
+
+
+def _merge_pairs():
+    """Listed pairs (a, b) of one size: seeded 0/1, weighted and signed
+    pairs, and the edge cases of a merge."""
+    rng = np.random.default_rng(1704)
+    out = {}
+    for kind in ("binary", "weighted", "signed"):
+        a = _matrix(rng, 200, 0.012, kind)
+        b = a.copy()
+        b[rng.random((200, 200)) < 0.004] = 0.0
+        b += _matrix(rng, 200, 0.003, kind)
+        out[kind] = (a, b)
+    a = _matrix(rng, 200, 0.01, "weighted")
+    out["identical"] = (a, a.copy())
+    upper = np.triu(a)
+    out["disjoint"] = (upper, a - upper)
+    cancel = a.copy()
+    cancel[a != 0.0] *= -1.0
+    cancel[:3] = a[:3]  # rows where the two cancel exactly
+    out["cancelling"] = (a, cancel)
+    out["one-side-empty"] = (np.zeros((200, 200)), a)
+    out["both-empty"] = (np.zeros((5, 5)), np.zeros((5, 5)))
+    out["n=1"] = (np.array([[2.5]]), np.array([[0.5]]))
+    out["n=1-equal"] = (np.array([[2.5]]), np.array([[2.5]]))
+    return out
+
+
+MERGE_PAIRS = _merge_pairs()
+
+
+def _same_list(got, want):
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    for name in ("rows", "cols", "vals"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert got.n == want.n
+
+
+@pytest.mark.parametrize("case", list(MERGE_PAIRS))
+def test_the_merged_difference_is_the_tiled_one(case):
+    a, b = MERGE_PAIRS[case]
+    if case.startswith("n=1"):
+        # a 1 x 1 matrix is listed only when it is zero: force the lists
+        got = _merged_difference(_listed(a), _listed(b))
+    else:
+        ga, gb = Graph(a), Graph(b)
+        assert ga._entries is not None and gb._entries is not None
+        got = _merged_difference(ga._entries, gb._entries)
+    _same_list(got, _difference_entries(a, b))
+    if case == "n=1":
+        assert got is None  # its one entry is above the cut
+        return
+    assert got.vals.size == 0 if case in ("identical", "both-empty", "n=1-equal") else got.vals.size
+    assert _operator_norm(None, None, 2, got) == _operator_norm(a, b, 2)
+
+
+@pytest.mark.parametrize("case", ["binary", "weighted", "disjoint", "one-side-empty"])
+def test_the_merged_kernel_difference_is_the_tiled_one(case):
+    # kernel lists come column by column; the merge puts them in row order
+    a, b = (np.abs(m) for m in MERGE_PAIRS[case])
+    ga, gb = Graph(a), Graph(b)
+    got = _merged_difference(_kernel_entries(ga), _kernel_entries(gb))
+    _same_list(got, _difference_entries(pagerank_kernel(ga), pagerank_kernel(gb)))
+
+
+def test_a_merged_difference_above_the_cut_is_none():
+    rng = np.random.default_rng(1705)
+    n = 64
+    a, b = np.zeros((n, n)), np.zeros((n, n))
+    a.flat[:128] = 1.0  # at the cut, as is b
+    b.flat[rng.choice(np.arange(128, n * n), 128, replace=False)] = 1.0
+    assert _merged_difference(_listed(a), _listed(b)) is None is _difference_entries(a, b)
+    b.flat[128:] = 0.0
+    b.flat[:127] = 1.0  # a difference of one entry
+    _same_list(_merged_difference(_listed(a), _listed(b)), _difference_entries(a, b))

@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,9 @@ from fpcentral import (
     write_graph,
     write_graphon,
 )
-from fpcentral.io import _write_json
+from fpcentral.cli import main
+from fpcentral.graphs import ENTRY_SHARE
+from fpcentral.io import _csv_rows, _listed_rows, _write_json
 
 from oracles import parse_edge_list_reference
 
@@ -433,3 +436,77 @@ class TestJsonWriter:
         g = Graph(np.array([[0.0, -0.0], [5e-324, 1.0]]))
         write_graph(g, path)
         assert path.read_text() == _dumped(graph_to_dict(g))
+
+
+# entries of a listed matrix: negative, subnormal, large and small, whose
+# reprs take every form json.dumps gives a finite float
+_LISTED_VALUES = [1.0, -3.0, 0.1, 5e-324, -5e-324, 1e16, -1e16, 1e-05, 2.5e-300, 1e22, 7.0]
+# values json spells as no entry of a list would be spelled
+_ODD_VALUES = {"-0.0": -0.0, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def _matrix_with(count, shape=(64, 64), seed=1800):
+    rng = np.random.default_rng([seed, count])
+    m = np.zeros(shape)
+    flat = rng.choice(m.size, count, replace=False)
+    m.flat[flat] = rng.choice(_LISTED_VALUES, count)
+    return m, flat
+
+
+def _dense_csv(m):
+    return [",".join(map(float.__repr__, row)) for row in m.tolist()]
+
+
+class TestListedMatrixWriter:
+    """A 2-D array with at most ``graphs.ENTRY_SHARE`` of its entries
+    non-zero is spelled from the list of them, byte for byte as json.dumps
+    spells its ``tolist()``; a 64 x 64 array is listed up to 128 entries."""
+
+    @pytest.mark.parametrize("count", [0, 1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("shape", [(64, 64), (2, 2048), (2048, 2)])
+    def test_at_below_and_above_the_cut(self, count, shape):
+        m, _ = _matrix_with(count, shape)
+        listed = _listed_rows(m, ",")
+        assert (listed is not None) == (count <= ENTRY_SHARE * m.size)
+        assert _written({"m": m, "k": [m]}) == _dumped({"m": m.tolist(), "k": [m.tolist()]})
+        assert list(_csv_rows(m)) == _dense_csv(m)
+
+    @pytest.mark.parametrize("odd", list(_ODD_VALUES))
+    @pytest.mark.parametrize("count", [1, 127, 128, 129])
+    def test_odd_entries_keep_their_spelling(self, count, odd):
+        m, flat = _matrix_with(count)
+        at = 5 if odd == "-0.0" else flat[count // 2]  # -0.0 is not listed
+        m.flat[at] = _ODD_VALUES[odd]
+        assert _listed_rows(m, ",") is None
+        assert _written({"m": m}) == _dumped({"m": m.tolist()})
+        assert list(_csv_rows(m)) == _dense_csv(m)
+
+    def test_orders_and_types_other_than_c_float64_are_spelled_as_lists(self):
+        m, _ = _matrix_with(40)
+        for a in (np.asfortranarray(m), m.astype(np.float32), m[:, ::2], (m != 0).astype(int)):
+            assert _listed_rows(a, ",") is None
+            assert _written({"m": a}) == _dumped({"m": a.tolist()})
+
+    def test_lift_of_a_listed_graph_writes_the_dense_bytes(self, tmp_path):
+        # a symmetric 1000-node ring with chords read from an edge list
+        rng = np.random.default_rng(1801)
+        n = 1000
+        m = np.zeros((n, n))
+        m[np.arange(n), np.roll(np.arange(n), 1)] = 1.0
+        chords = rng.integers(n, size=(2 * n, 2))
+        m[chords[:, 0], chords[:, 1]] = rng.choice(_LISTED_VALUES[:4], 2 * n)
+        m = np.triu(m, 1)
+        m = m + m.T
+        rows, cols = np.nonzero(m)
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{i} {j} {float(m[i, j])!r}\n" for i, j in zip(rows, cols)))
+        assert read_graph(path)._entries is not None
+        out = tmp_path / "lift.json"
+        assert main(["graphon", "lift", str(path), "-o", str(out), "--csv"]) == 0
+        # the dense spelling: the writer's list path, which json.dumps
+        # pins down in the tests above
+        want = _written({"k": n, "c": float(np.max(np.abs(m))), "values": m.tolist()})
+        assert out.read_text() == want
+        assert out.with_suffix(".csv").read_text() == "".join(
+            line + "\n" for line in _dense_csv(m)
+        )

@@ -345,6 +345,13 @@ class TestDifferenceNorm:
         with pytest.raises(ParameterError, match="square"):
             difference_norm(np.zeros((2, 3)), np.zeros((2, 3)), 1)
 
+    @pytest.mark.parametrize("p", [1, 2, "inf"])
+    def test_empty_matrices_are_refused_for_every_p(self, p):
+        z = np.zeros((0, 0))
+        for norm in (lambda: operator_norm(z, p), lambda: difference_norm(z, z, p)):
+            with pytest.raises(ParameterError, match="^operator_norm expects a non-empty matrix$"):
+                norm()
+
 
 class TestCutNormExact:
     def test_all_ones_2x2(self):

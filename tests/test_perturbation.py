@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -23,7 +25,10 @@ from fpcentral import (
     theorem1_certificate,
     theorem2_certificate,
 )
+from fpcentral import perturbation
+from fpcentral.io import parse_edge_list, parse_graph_json, parse_graphon_json
 
+from golden_cases import cases, run_case
 from oracles import (
     GraphGeneratorSpec,
     constants_empirical,
@@ -475,3 +480,91 @@ class TestProp9Prop10:
         b = StepGraphon(np.clip(vals * 0.9 + 0.02, 0.0, 1.0))
         cert = prop9_certificate(a, b, "katz", 0.4, mode="greedy")
         assert cert.holds  # greedy only enlarges the right-hand side
+
+
+def _ring(n, chords=()):
+    """A symmetric n-node ring, with unit chords (i, j), as a matrix."""
+    m = np.zeros((n, n))
+    m[np.arange(n), np.roll(np.arange(n), 1)] = 1.0
+    for i, j in chords:
+        m[i, j] = 1.0
+    return np.maximum(m, m.T)
+
+
+def _edge_text(m):
+    rows, cols = np.nonzero(m)
+    return f"{m.shape[0] - 1}\n" + "".join(
+        f"{i} {j} {float(m[i, j])!r}\n" for i, j in zip(rows.tolist(), cols.tolist())
+    )
+
+
+def _json_text(m):
+    return json.dumps({"weights": m.tolist()})
+
+
+class TestInputsDigest:
+    """A listed input is hashed as its entry list, a dense one as its
+    array, so the digest costs a listed input O(entries) bytes."""
+
+    A = _ring(100, [(0, 50), (3, 70)])
+    B = _ring(100, [(0, 50)])
+
+    def _digest(self, a, b, family="katz", alpha=0.2):
+        map_ = FixedPointMap(family, alpha=alpha)
+        return theorem1_certificate(a, b, map_, constants_analytic(a, map_)).inputs_digest
+
+    def test_json_and_edge_list_reads_agree(self):
+        assert parse_graph_json(_json_text(self.A))._entries is not None
+        assert parse_edge_list(_edge_text(self.A))._entries is not None
+        by_json = self._digest(*(parse_graph_json(_json_text(m)) for m in (self.A, self.B)))
+        by_edges = self._digest(*(parse_edge_list(_edge_text(m)) for m in (self.A, self.B)))
+        assert by_json == by_edges == self._digest(Graph(self.A), Graph(self.B))
+
+    def test_it_changes_with_the_inputs_and_the_parameters(self):
+        base = self._digest(Graph(self.A), Graph(self.B))
+        one_entry = self.B.copy()
+        one_entry[7, 9] = one_entry[9, 7] = 0.5
+        isolated = np.zeros((101, 101))
+        isolated[:100, :100] = self.A
+        others = [
+            self._digest(Graph(self.A), Graph(one_entry)),
+            self._digest(Graph(self.A), Graph(self.A)),
+            self._digest(Graph(isolated), Graph(np.pad(self.B, (0, 1)))),
+            self._digest(Graph(self.A), Graph(self.B), alpha=0.25),
+            self._digest(Graph(self.A), Graph(self.B), family="pagerank", alpha=0.85),
+        ]
+        assert len({base, *others}) == 1 + len(others)
+        assert Graph(isolated)._entries is not None
+
+    def test_graphon_digests_hash_the_values_list(self):
+        a, b = self.A / 2, self.B / 2
+        read = [parse_graphon_json(json.dumps({"values": m.tolist()})) for m in (a, b)]
+        assert read[0]._entries is not None
+        digests = {
+            theorem2_certificate(*pair, "pagerank", 0.85).inputs_digest
+            for pair in (read, (StepGraphon(a), StepGraphon(b)), (StepGraphon(a), StepGraphon(a)))
+        }
+        assert len(digests) == 2
+
+    def test_a_dense_input_hashes_its_array(self):
+        a = Graph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        # the bytes every digest hashed before inputs could be listed
+        want = hashlib.sha256(b"(2, 2)" + a.weights.tobytes() + b"|'katz'|").hexdigest()
+        assert a._entries is None
+        assert perturbation._digest(a, "katz") == want
+
+    def test_every_golden_input_is_above_the_cut(self, monkeypatch):
+        # golden digests hash every input as its array, and no change to
+        # the hashing of listed inputs can move them
+        inputs = []
+        digest = perturbation._digest
+
+        def recorded(*parts):
+            inputs.extend(part for part in parts if hasattr(part, "_entries"))
+            return digest(*parts)
+
+        monkeypatch.setattr(perturbation, "_digest", recorded)
+        for thunk in cases().values():
+            run_case(thunk)
+        assert len(inputs) > 100
+        assert all(x._entries is None for x in inputs)
