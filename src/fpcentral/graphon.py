@@ -66,15 +66,18 @@ class StepGraphon:
         if not g.symmetric:
             raise ParameterError("the matrix is not symmetric")
         values = g.weights
-        # max |value| without an n x n temporary
-        peak = max(0.0, float(values.max()), -float(values.min()))
+        # max |value| and its tolerance over the graph's list of entries
+        # when it holds one (the other values are zeros), else over the
+        # values without an n x n temporary
+        listed = values if g._entries is None else g._entries.vals
+        peak = max(0.0, float(listed.max(initial=0.0)), -float(listed.min(initial=0.0)))
         if c is None:
             c = peak
         elif not _is_finite_real(c):
             raise ParameterError(
                 f"graphon bound c must be None or a finite real number, got {c!r:.40}"
             )
-        elif peak > c + matrix_tol(values):
+        elif peak > c + matrix_tol(listed):
             raise ParameterError(f"graphon values exceed the declared bound c={c}")
         self.values = values
         self.k = values.shape[0]

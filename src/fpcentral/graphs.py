@@ -83,8 +83,8 @@ def max_asymmetry(w):
 
 
 def _pow2_exponent(m):
-    """The ``e`` that puts the peak |entry| of a non-empty array in [1, 2); 0 for zero."""
-    peak = max(float(m.max()), -float(m.min()))
+    """The ``e`` that puts the peak |entry| of an array in [1, 2); 0 for zero or empty."""
+    peak = max(float(m.max(initial=0.0)), -float(m.min(initial=0.0)))
     return math.frexp(peak)[1] - 1 if peak else 0
 
 
@@ -169,7 +169,7 @@ class Graph:
             # exactly the tiled value: |w_ij - w_ji| is listed at (i, j) or
             # at (j, i) whenever it is not zero
             asymmetry = float(np.max(np.abs(listed.vals - w[listed.cols, listed.rows]), initial=0.0))
-            tol = matrix_tol(listed.vals) if listed.vals.size else MATRIX_TOL
+            tol = matrix_tol(listed.vals)
         self.weights = w
         self.n = n
         self.symmetric = asymmetry <= tol

@@ -8,13 +8,25 @@ line sets the single entry a_ij, so symmetric graphs list both
 directions.  Step graphons use the JSON object
 `{"k": int, "c": real, "values": [[...], ...]}`.
 
+Files are read as bytes.  A JSON matrix that is listed, with at most
+``graphs.ENTRY_SHARE`` of its entries spelled other than ``0.0`` (the
+form the writer gives a sparse matrix), is read from those entries
+(``_listed_object``): its rows are checked in numpy passes over their
+bytes, and only the other entries are parsed in Python.  Every other file
+is decoded as ``Path.read_text`` decodes it and read by ``json.loads`` or
+the edge-list parser, and so is a listed one with any fault, so values
+and errors do not depend on the path taken.
+
 All parse failures raise InputFormatError with a line number where one
-makes sense.
+makes sense; bytes that are not text in the locale's encoding, JSON
+nested past the parser's recursion limit and integers past Python's digit
+limit raise it too.
 """
 
 import json
 import math
 
+from io import BytesIO, TextIOWrapper
 from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
@@ -135,7 +147,7 @@ def _check_lines(fields):
 
 def parse_graph_json(text):
     """Build a Graph from `{"n": int, "weights": [[...], ...]}` text."""
-    return _parse_matrix(_load_json(text), "graph", Graph, "weights", "n", "matrix")
+    return _graph_from_json(_load_json(text))
 
 
 def parse_graphon_json(text):
@@ -143,6 +155,10 @@ def parse_graphon_json(text):
     text; c is optional (null or a finite real number) and defaults to the
     largest absolute value."""
     return _graphon_from_json(_load_json(text))
+
+
+def _graph_from_json(obj):
+    return _parse_matrix(obj, "graph", _as_graph, "weights", "n", "matrix")
 
 
 def _graphon_from_json(obj):
@@ -154,9 +170,14 @@ def _graphon_from_json(obj):
             raise InputFormatError(
                 "bad 'c' value: expected null or a finite real number"
             )
-        return StepGraphon(values, c=c)
+        return StepGraphon._adopt(_as_graph(values), c=c)
 
     return _parse_matrix(obj, "graphon", build, "values", "k", "values")
+
+
+def _as_graph(rows):
+    """The Graph of a list of rows, or the Graph ``_listed_object`` built."""
+    return rows if isinstance(rows, Graph) else Graph(rows)
 
 
 def _parse_matrix(obj, kind, build, key, size_key, noun):
@@ -193,24 +214,211 @@ def _load_json(text):
         raise InputFormatError(
             f"line {exc.lineno}: invalid JSON: {exc.msg}", line=exc.lineno
         ) from exc
+    except RecursionError:
+        raise InputFormatError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise InputFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InputFormatError("expected a JSON object")
     return obj
 
 
+def _decode(data):
+    """A file's bytes as the text ``Path.read_text`` makes of them (the
+    locale's encoding, universal newlines); bytes that do not decode raise
+    InputFormatError."""
+    try:
+        return TextIOWrapper(BytesIO(data)).read()
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(
+            f"byte {exc.start}: not {exc.encoding} text ({exc.reason})"
+        ) from None
+
+
+# JSON whitespace, and the bytes of the rows of a listed matrix
+_WHITESPACE = b" \t\n\r"
+_MATRIX_BYTES = b"0123456789.eE+-,[]"
+# bytes of a file per chunk of the rows of a listed matrix
+_CHUNK = 1 << 20
+
+
+def _listed_object(data, key):
+    """The JSON object of a file's bytes ``data`` whose matrix ``key`` is
+    listed, with the Graph of that matrix in place of its rows; None for any
+    other file, which the json path then reads as before.
+
+    A listed matrix is the object's last member, a square list of rows of
+    JSON numbers in an ASCII file, of which at most ``graphs.ENTRY_SHARE``
+    are spelled other than ``0.0``.  Its rows are checked in numpy passes
+    over their bytes (``_listed_chunk``), so that only the tokens that are
+    not ``0.0`` are parsed in Python, as ``json.loads`` parses them; the
+    graph adopts the matrix and the list of them (``Graph._adopt``).  The
+    rest of the object is read by ``json.loads`` with a 0 for the matrix.
+    """
+    quoted = b'"%s"' % key.encode()
+    at = data.find(quoted)
+    colon = data.find(b":", at + len(quoted))
+    start = data.find(b"[", colon)
+    end = data.rfind(b"}")
+    close = data.rfind(b"]", 0, end)
+    if min(at, colon, start, close) < 0 or start > close:
+        return None
+    around = data[at + len(quoted) : colon] + data[colon + 1 : start] + data[close + 1 :]
+    doc = data[: colon + 1] + b"0" + data[close + 1 :]
+    if around.translate(None, _WHITESPACE) != b"}" or not doc.isascii():
+        return None
+    members = []
+    try:
+        obj = json.loads(doc, object_pairs_hook=lambda pairs: members.append(pairs) or dict(pairs))
+    except (ValueError, RecursionError):
+        return None
+    # the 0 is the value of the last member of the outermost object
+    names = [name for name, _ in members[-1]] if isinstance(obj, dict) else []
+    if names[-1:] != [key] or names.count(key) != 1:
+        return None
+    entries = _listed_entries(data, start + 1, close)
+    if entries is None:
+        return None
+    n, rows, cols, tokens = entries
+    try:
+        # one list of the tokens, each a JSON number, converted as the json
+        # path converts its lists
+        vals = np.array(json.loads(b"[%s]" % b",".join(tokens)), dtype=float)
+    except (ValueError, OverflowError):  # no number, or an integer beyond float64
+        return None
+    if not np.isfinite(vals).all():
+        return None
+    weights = np.zeros((n, n))
+    weights[rows, cols] = vals
+    obj[key] = Graph._adopt(weights, (rows, cols, vals))
+    return obj
+
+
+def _listed_entries(data, pos, close):
+    """``(n, rows, cols, tokens)`` of the rows of a listed n x n matrix in
+    ``data[pos:close]``: the row, column and bytes of each token that is
+    not ``0.0``, in row-major order.  None if those bytes spell no square
+    list of rows, or more than ``ENTRY_SHARE`` of its tokens are not
+    ``0.0``, which is found after the first chunk of a dense matrix."""
+    n, done, rows, cols, tokens = None, 0, [], [], []
+    gap = b""  # what stands between two rows, whitespace aside
+    while True:
+        head = data.find(b"[", pos, close)
+        between = data[pos : close if head < 0 else head].translate(None, _WHITESPACE)
+        if head < 0 and gap and not between:
+            break
+        if head < 0 or between != gap:
+            return None
+        pos = data.find(b"]", head + _CHUNK, close)
+        pos = close if pos < 0 else pos + 1
+        chunk = _listed_chunk(data[head:pos], n, len(tokens))
+        if chunk is None:
+            return None
+        n, m, row, col, found = chunk
+        rows.append(row + done)
+        cols.append(col)
+        tokens += found
+        done += m
+        if done > n:
+            return None
+        gap = b","
+    if done != n:
+        return None
+    return n, np.concatenate(rows), np.concatenate(cols), tokens
+
+
+def _listed_chunk(raw, n, listed):
+    """``(n, m, rows, cols, tokens)`` of the bytes ``raw`` of m whole rows
+    ``[...], ..., [...]`` of a listed n x n matrix, with n the length of its
+    first row when None is given, and the row (in ``raw``), column and bytes
+    of each token that is not ``0.0``; ``listed`` such tokens are known
+    already.  None for any other bytes.
+
+    The checks are numpy passes over the bytes without whitespace: the
+    brackets are the first ``[``, the last ``]`` and a ``],[`` between two
+    rows, no token is empty, and each row holds n tokens.  Each ``0.0`` takes 4 bytes with
+    its separator, so the columns follow from the byte offsets and lengths
+    of the other tokens alone; whitespace may stand only beside a
+    separator, which a count of adjacent number bytes before and after its
+    removal shows.
+    """
+    s = raw.translate(None, _WHITESPACE)
+    if s.translate(None, _MATRIX_BYTES):
+        return None
+    a = np.frombuffer(s, np.uint8)
+    sep = a == 44  # ","
+    sep |= np.subtract(a, 91, dtype=np.uint8) < 3  # "[" or "]"; "\" is no matrix byte
+    opens = np.flatnonzero(a == 91)
+    closes = np.flatnonzero(a == 93)
+    m = opens.size
+    if (
+        not m or closes.size != m or opens[0] or closes[-1] != a.size - 1
+        or not np.array_equal(opens[1:], closes[:-1] + 2) or (a[closes[:-1] + 1] != 44).any()
+        # past the "]," and ",[" of each join, two adjacent separators
+        # would bound an empty token
+        or np.count_nonzero(sep[1:] & sep[:-1]) != 2 * (m - 1)
+    ):
+        return None
+    if n is None:
+        n = int(np.count_nonzero(a[: closes[0]] == 44)) + 1
+    num = ~sep
+    # zero[j]: the token at j + 1 is "0.0"
+    zero = sep[:-4] & sep[4:]
+    zero &= a[1:-3] == 48
+    zero &= a[2:-2] == 46
+    zero &= a[3:-1] == 48
+    first = sep[:-1] & num[1:]  # a token starts at j + 1
+    first[:-3] &= ~zero
+    last = num[:-1] & sep[1:]  # a token ends at j
+    last[3:] &= ~zero
+    starts = np.flatnonzero(first) + 1
+    if listed + starts.size > ENTRY_SHARE * n * n:
+        return None
+    ends = np.flatnonzero(last)
+    lead = np.zeros(starts.size + 1, np.int64)  # bytes of the tokens before, with separators
+    np.cumsum(ends - starts + 2, out=lead[1:])
+    row = np.searchsorted(opens, starts) - 1
+    bounds = np.searchsorted(row, np.arange(m + 1))
+    if ((closes - opens - np.diff(lead[bounds])) // 4 + np.diff(bounds) != n).any():
+        return None
+    if len(raw) != a.size:
+        inner = np.frombuffer(raw, np.uint8)
+        inner = (inner > 32) & (inner != 44) & (np.subtract(inner, 91, dtype=np.uint8) > 2)
+        if np.count_nonzero(inner[1:] & inner[:-1]) != np.count_nonzero(num) - m * n:
+            return None
+    before = bounds[row]
+    col = (starts - opens[row] - 1 - lead[:-1] + lead[before]) // 4 + np.arange(starts.size) - before
+    return n, m, row, col, [s[i : j + 1] for i, j in zip(starts.tolist(), ends.tolist())]
+
+
 def read_graph(path):
     """Read a graph file, sniffing JSON (first character `{`) versus the
-    edge-list text format."""
-    text = Path(path).read_text()
+    edge-list text format; a listed JSON matrix is read from its entries
+    (``_listed_object``)."""
+    data = Path(path).read_bytes()
+    obj = _listed_object(data, "weights")
+    if obj is not None:
+        return _graph_from_json(obj)
+    text = _decode(data)
+    del data
     if text.lstrip().startswith("{"):
         return parse_graph_json(text)
     return parse_edge_list(text)
 
 
 def read_graphon(path):
-    """Read a step-graphon JSON file; its text is dropped once parsed,
-    before the values array is built."""
-    return _graphon_from_json(_load_json(Path(path).read_text()))
+    """Read a step-graphon JSON file, a listed one from its entries
+    (``_listed_object``); on the json path the file's bytes are dropped
+    once decoded and its text once parsed, before the values array is
+    built."""
+    data = Path(path).read_bytes()
+    obj = _listed_object(data, "values")
+    if obj is None:
+        text = _decode(data)
+        del data
+        obj = _load_json(text)
+        del text
+    return _graphon_from_json(obj)
 
 
 def _graph_payload(g):

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: full enumeration, textbook
 formulas and a general LP solver (scipy) only, sharing nothing with the
-package under test beyond numpy, its error and plan types, ``Graph`` and
-``MAX_DENSE_N``.  Derived
+package under test beyond numpy, its error and plan types, ``Graph``,
+``StepGraphon`` and ``MAX_DENSE_N``.  Derived
 expected values in the test files were frozen from these.
 
 The fixture generators (``GraphGeneratorSpec``, ``generate``), ``is_binary``
@@ -15,6 +15,9 @@ certified, and only the tests and the golden cases use it.
 """
 
 import itertools
+import json
+import math
+import numbers
 
 from dataclasses import dataclass
 
@@ -28,6 +31,7 @@ from fpcentral import (
     ParameterError,
     Permutation,
     SizeLimitError,
+    StepGraphon,
     TransportPlan,
     apply_map,
     constants_analytic,
@@ -382,6 +386,54 @@ def parse_edge_list_reference(text):
         weights[i, j] = weight
     return Graph(weights)
 
+
+
+def parse_matrix_json_reference(text, kind):
+    """The reference for reading a graph (``kind`` "graph") or step graphon
+    ("graphon") JSON text: ``json.loads``, a check that every entry of a
+    list of rows is a JSON number, and a Graph or StepGraphon built from
+    the nested lists, or the InputFormatError of the first fault."""
+    key, size_key, noun = {"graph": ("weights", "n", "matrix"),
+                           "graphon": ("values", "k", "values")}[kind]
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(
+            f"line {exc.lineno}: invalid JSON: {exc.msg}", line=exc.lineno
+        ) from exc
+    if not isinstance(obj, dict):
+        raise InputFormatError("expected a JSON object")
+    if key not in obj:
+        raise InputFormatError(f"{kind} JSON requires a {key!r} key")
+    rows = obj[key]
+    try:
+        if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
+            for x in itertools.chain.from_iterable(rows):
+                if type(x) not in (int, float):
+                    raise ValueError(f"entries must be JSON numbers, got {json.dumps(x):.40}")
+        if kind == "graph":
+            built = Graph(rows)
+        else:
+            c = obj.get("c")
+            finite = isinstance(c, numbers.Real) and not isinstance(c, bool)
+            try:
+                finite = finite and math.isfinite(c)
+            except OverflowError:
+                finite = False
+            if c is not None and not finite:
+                raise InputFormatError("bad 'c' value: expected null or a finite real number")
+            built = StepGraphon(rows, c=c)
+    except (ParameterError, ValueError, TypeError, OverflowError) as exc:
+        raise InputFormatError(f"bad {key!r} value: {exc}") from exc
+    size = getattr(built, size_key)
+    declared = obj.get(size_key)
+    if isinstance(declared, bool):
+        raise InputFormatError(f"bad {size_key!r} value: expected null or a number")
+    if declared is not None and declared != size:
+        raise InputFormatError(
+            f"declared {size_key}={declared} does not match the {size}x{size} {noun}"
+        )
+    return built
 
 def power_iteration_sigma_reference(m, seed, tol=1e-10, max_iter=10_000):
     """The singular-value power iteration of ``norms.operator_norm(m, 2)``

@@ -374,6 +374,50 @@ class TestMalformedJsonNumbers:
             assert code == 0
 
 
+
+class TestUnreadableInputs:
+    """A file that is not UTF-8 text, JSON nested past the parser's
+    recursion limit, or an integer past Python's digit limit, is a parse
+    error (exit 4), not a traceback."""
+
+    GRAPH = ("centrality", "{path}", "--family", "eigen")
+    GRAPHON = ("graphon", "centrality", "{path}", "--family", "eigen")
+
+    @pytest.mark.parametrize(
+        "argv, data, start",
+        [
+            (GRAPH, b"0 1\n1 \xff\n", 6),
+            (GRAPH, b'{"weights": [[0.0, 1.0], [1.0, 0.0\xff]]}', 34),
+            (GRAPHON, b'{"values": [[0.5\xff]]}', 16),
+        ],
+        ids=["edge-list", "graph-json", "graphon"],
+    )
+    def test_bytes_that_are_not_utf8_exit_4(self, capsys, tmp_path, argv, data, start):
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        code, out, err = run(capsys, *(a.replace("{path}", str(path)) for a in argv))
+        assert (code, out) == (4, "")
+        assert err == f"error: byte {start}: not utf-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize("argv, key", [(GRAPH, "weights"), (GRAPHON, "values")],
+                             ids=["graph", "graphon"])
+    def test_deeply_nested_json_exits_4(self, capsys, tmp_path, argv, key):
+        path = tmp_path / "in.json"
+        path.write_text('{"%s": %s0.5%s}' % (key, "[" * 100_000, "]" * 100_000))
+        code, out, err = run(capsys, *(a.replace("{path}", str(path)) for a in argv))
+        assert (code, out, err) == (4, "", "error: invalid JSON: nested too deeply\n")
+
+    @pytest.mark.parametrize("argv, key", [(GRAPH, "weights"), (GRAPHON, "values")],
+                             ids=["graph", "graphon"])
+    def test_integers_past_the_digit_limit_exit_4(self, capsys, tmp_path, argv, key):
+        # json.loads raises a plain ValueError for an integer of more than
+        # sys.get_int_max_str_digits() digits (4300 by default)
+        path = tmp_path / "in.json"
+        path.write_text('{"%s": [[%s]]}' % (key, "1" * 5000))
+        code, out, err = run(capsys, *(a.replace("{path}", str(path)) for a in argv))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: invalid JSON: Exceeds the limit (4300 digits)")
+
 class TestNorms:
     def test_identity_operator_norm(self, capsys, tmp_path):
         path = tmp_path / "eye.json"
@@ -738,8 +782,8 @@ class TestWorkCounts:
             self, capsys, tmp_path, counts, argv, kernels, norms, as_edges):
         # every input is below the cut, so the products run over entry
         # lists, no PageRank kernel is formed, the theorem's right side
-        # merges the two lists, and an edge list hands its entries over as
-        # it is parsed
+        # merges the two lists, and an edge list or a listed JSON matrix
+        # hands its entries over as it is parsed, so none are listed again
         a = self._sparse()
         b = a.copy()
         b[0, 1] = b[1, 0] = 0.0
@@ -748,11 +792,7 @@ class TestWorkCounts:
         )
         code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 0, err
-        inputs = sum(arg.startswith("{") for arg in argv)
-        parsed = as_edges and "graphon" not in argv
-        assert counts == {
-            "kernels": kernels, "norms": norms, "lists": 0 if parsed else inputs,
-        }
+        assert counts == {"kernels": kernels, "norms": norms, "lists": 0}
 
     @pytest.mark.parametrize("argv", ARGV[2:], ids=IDS[2:])
     def test_a_listed_theorem_costs_its_entries(

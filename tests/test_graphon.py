@@ -104,6 +104,31 @@ class TestContainers:
         assert w.k == 2
 
 
+    @pytest.mark.parametrize("scale", [-60, 0, 60])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_listed_and_dense_values_give_the_same_c_and_errors(self, scale, sign):
+        # a listed graph's peak and tolerance come from its list of entries,
+        # with the bits and the refusals of the pass over the whole matrix
+        m = np.zeros((64, 64))
+        m[0, 0] = sign * math.ldexp(1.5, scale)  # the peak, first in the list
+        m[2, 3] = m[3, 2] = math.ldexp(-0.75, scale)
+        m[5, 5] = -0.0
+        peak, tol = math.ldexp(1.5, scale), math.ldexp(1e-12, scale)
+        for values in (m, np.zeros((64, 64)), -np.zeros((64, 64))):
+            top = float(np.max(np.abs(values)))
+            for c in (None, top, top - tol / 2, top - 2 * tol, 0.0, -0.0, peak * 2):
+                outcomes = []
+                for listed in (True, False):
+                    g = Graph(values)
+                    assert g._entries is not None
+                    if not listed:
+                        g._entries = None
+                    try:
+                        outcomes.append(np.float64(StepGraphon._adopt(g, c).c).tobytes())
+                    except ParameterError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (c, outcomes)
+
 class TestLift:
     def test_k2(self):
         w = lift(Graph(np.array([[0.0, 1.0], [1.0, 0.0]])))

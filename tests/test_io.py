@@ -30,9 +30,9 @@ from fpcentral import (
 )
 from fpcentral.cli import main
 from fpcentral.graphs import ENTRY_SHARE
-from fpcentral.io import _csv_rows, _listed_rows, _write_json
+from fpcentral.io import _csv_rows, _listed_object, _listed_rows, _write_json
 
-from oracles import parse_edge_list_reference
+from oracles import parse_edge_list_reference, parse_matrix_json_reference
 
 
 class TestEdgeList:
@@ -350,6 +350,271 @@ class TestFiles:
             read_graph(tmp_path / "absent.txt")
 
 
+def _built(built):
+    """The bits of a read Graph or StepGraphon: shape, matrix bytes (so the
+    sign of each zero), list of entries, and symmetric flag or k and c."""
+    if isinstance(built, Graph):
+        m, e, rest = built.weights, built._entries, (built.n, built.symmetric)
+    else:
+        m, e, rest = built.values, built._entries, (built.k, np.float64(built.c).tobytes())
+    entries = None if e is None else (e.rows.tolist(), e.cols.tolist(), e.vals.tobytes())
+    return type(built), m.shape, m.tobytes(), entries, rest
+
+
+def _read_outcome(kind, path):
+    """What ``read_graph`` or ``read_graphon`` makes of a file."""
+    try:
+        return _built((read_graph if kind == "graph" else read_graphon)(path))
+    except InputFormatError as exc:
+        return type(exc), str(exc), exc.line
+
+
+def _reference_outcome(kind, path):
+    """What the json path makes of a file: its text, sniffed as
+    ``read_graph`` sniffs it, read by ``parse_matrix_json_reference``."""
+    text = path.read_text()
+    try:
+        if kind == "graph" and not text.lstrip().startswith("{"):
+            return _built(parse_edge_list(text))
+        return _built(parse_matrix_json_reference(text, kind))
+    except InputFormatError as exc:
+        return type(exc), str(exc), exc.line
+
+
+# tokens json.loads reads as finite numbers
+_TOKEN_OK = _mostly(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["-0", "0", "-0.0", "0e0", "-0E-0", "1E5", "2.5e+3", "1e-320", "0.00", "10"]),
+    odds=3,
+)
+# tokens it refuses, or reads as something other than a finite number
+_TOKEN_BAD = st.sampled_from([
+    "1.", ".5", "+1", "01", "-01", "1e", "1e+", "--1", "1.5.2", "0x1", "1e400", "-1e400",
+    "1" + "0" * 400, "NaN", "Infinity", "-Infinity", "true", "null", '"1"', "1 2", "0 .0",
+    "1e 5", "- 1", "", "[0.0]", "{}", "000", "0-0", "010",
+])
+_PADS = st.lists(st.sampled_from(["", " ", "\t", "\n", "\r\n", "  \n\t ", "\r"]), min_size=1, max_size=5)
+
+
+def _spell(rows, layout, pads):
+    """The JSON text of a list of rows of tokens: as the package's writer
+    lays it out, compact, as json.dumps spaces it, or with the whitespace
+    ``pads`` in turn around every bracket and comma."""
+    if layout == "writer":
+        return "[" + ",".join(
+            "\n    [\n      " + ",\n      ".join(row) + "\n    ]" for row in rows
+        ) + "\n  ]"
+    if layout in ("compact", "dumps"):
+        sep = "," if layout == "compact" else ", "
+        return "[" + sep.join("[" + sep.join(row) + "]" for row in rows) + "]"
+    pad = itertools.cycle(pads)
+    out = ["["]
+    for i, row in enumerate(rows):
+        out += [next(pad), "," if i else "", next(pad), "[", next(pad)]
+        for j, token in enumerate(row):
+            out += [next(pad), "," if j else "", next(pad), token]
+        out += [next(pad), "]"]
+    return "".join(out) + next(pad) + "]"
+
+
+@st.composite
+def _matrix_documents(draw, faults):
+    """``(kind, bytes)`` of graph and step-graphon JSON files, most of them
+    listed matrices around the cut of ``graphs.ENTRY_SHARE``; with
+    ``faults``, most files have one fault: bad tokens, bad rows, a bad or
+    misplaced member, or bad bytes around the object."""
+    kind = draw(st.sampled_from(["graph", "graphon"]))
+    key, size_key = ("weights", "n") if kind == "graph" else ("values", "k")
+    fault = draw(st.sampled_from([None, "token", "rows", "member", "place", "bytes"])) if faults else None
+    n = draw(st.integers(1, 20))
+    rows = [["0.0"] * n for _ in range(n)]
+    token = _mostly(_TOKEN_OK, _TOKEN_BAD, odds=2) if fault == "token" else _TOKEN_OK
+    for _ in range(draw(st.integers(0, max(1, n * n // 40)))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(token)
+        if draw(st.integers(0, 5)):
+            rows[j][i] = rows[i][j]
+    if fault == "rows":
+        i = draw(st.integers(0, n - 1))
+        change = draw(st.sampled_from(["ragged", "extra", "short", "long", "empty", "nested", "gap"]))
+        if change == "ragged":
+            rows[i].pop()
+        elif change == "extra":
+            rows[i].append("0.0")
+        elif change == "short":
+            rows.pop()
+        elif change == "long":
+            rows.append(["0.0"] * n)
+        elif change == "empty":
+            rows[i] = []
+        elif change == "nested":
+            rows[i][-1] = "[0.0]"
+        else:  # an empty token besides the row's n
+            rows[i].insert(draw(st.integers(0, n)), "")
+    matrix = _spell(rows, draw(st.sampled_from(["writer", "compact", "dumps", "padded"])), draw(_PADS))
+    members = []
+    c = draw(st.sampled_from([None, "1.0", "null", "0.5", "2", "1e-300"]
+                             + (['"x"', "true", "1e400"] if fault == "member" else [])))
+    if c is not None:
+        members.append(f'"c": {c}')
+    size = draw(st.sampled_from([None, str(n), "null", f"{n}.0"]
+                                + ([str(n + 1), "true"] if fault == "member" else [])))
+    if size is not None:
+        members.append(f'"{size_key}": {size}')
+    if fault == "member":
+        extra = draw(st.sampled_from([
+            None, f'"note": "{key}"', f'"x": {{"{key}": 1}}', f'"q\\"{key}": [[1.0]]',
+            f'"{key}": [[1.0]]', '"é": 1',
+        ]))
+        if extra is not None:
+            members.insert(draw(st.integers(0, len(members))), extra)
+    place = draw(st.integers(0, len(members))) if fault == "place" else len(members)
+    members.insert(place, f'"{key}": {matrix}')
+    text = "{" + ", ".join(members) + "}"
+    if draw(st.booleans()):
+        text = "{\n  " + ",\n  ".join(members) + "\n}\n"
+    if draw(st.integers(0, 5)) == 0:
+        text = text.replace("\n", "\r\n")
+    if fault == "bytes":
+        text = draw(st.sampled_from(["", " \n", "\ufeff", "\x0c"])) + text
+        text += draw(st.sampled_from(["", "\n\n ", " x", ",", "\x00", "}"]))
+    return kind, text.encode()
+
+
+def _one_entry_document(token, members="", layout="writer"):
+    """The text of an 8 x 8 matrix with ``token`` at (0, 1) and (1, 0), the
+    last member after ``members``: listed, if the token is a number."""
+    rows = [["0.0"] * 8 for _ in range(8)]
+    rows[0][1] = rows[1][0] = token
+    return '{%s"values": %s}\n' % (members, _spell(rows, layout, ["\t"]))
+
+
+class TestMatrixJsonAgainstReference:
+    """``read_graph`` and ``read_graphon`` read every JSON file as the json
+    path does (``oracles.parse_matrix_json_reference``), bit for bit, list
+    of entries included, or fail with its error; a listed matrix is read
+    from its entries (``io._listed_object``), any other file by the json
+    path itself."""
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("listed")
+
+    def _check(self, folder, kind, data):
+        path = folder / "m.json"
+        path.write_bytes(data)
+        outcome = _read_outcome(kind, path)
+        assert outcome == _reference_outcome(kind, path)
+        return outcome
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_matrix_documents(faults=False))
+    def test_valid_files(self, folder, document):
+        self._check(folder, *document)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(_matrix_documents(faults=True))
+    def test_any_files(self, folder, document):
+        self._check(folder, *document)
+
+    CASES = {
+        # name: (text, listed)
+        "plain": (_one_entry_document("0.5"), True),
+        "compact": (_one_entry_document("0.5", layout="compact"), True),
+        "spaced": (_one_entry_document("0.5", layout="dumps"), True),
+        "tabs": (_one_entry_document("0.5", layout="padded"), True),
+        "crlf": (_one_entry_document("0.5").replace("\n", "\r\n"), True),
+        "bom": ("\ufeff" + _one_entry_document("0.5"), False),
+        "non-ascii": (_one_entry_document("0.5", members='"é": 1, '), False),
+        "negative-zero": (_one_entry_document("-0.0"), True),
+        "integer-zero": (_one_entry_document("0"), True),
+        "integer-negative-zero": (_one_entry_document("-0"), True),
+        "subnormal": (_one_entry_document("1e-320"), True),
+        "long-integer": (_one_entry_document("1" + "0" * 30), True),
+        "exponent": (_one_entry_document("2.5E+3"), True),
+        "trailing-point": (_one_entry_document("1."), False),
+        "leading-point": (_one_entry_document(".5"), False),
+        "plus": (_one_entry_document("+1"), False),
+        "leading-zero": (_one_entry_document("01"), False),
+        "overflow": (_one_entry_document("1e400"), False),
+        "huge-integer": (_one_entry_document("1" + "0" * 400), False),
+        "nan": (_one_entry_document("NaN"), False),
+        "infinity": (_one_entry_document("Infinity"), False),
+        "true": (_one_entry_document("true"), False),
+        "null": (_one_entry_document("null"), False),
+        "string": (_one_entry_document('"1"'), False),
+        "split-token": (_one_entry_document("1 2"), False),
+        "split-zero": (_one_entry_document("0 .0", layout="dumps"), False),
+        "duplicate": (_one_entry_document("0.5", members='"values": [[1.0]], '), False),
+        "escaped-duplicate": (_one_entry_document("0.5", members='"\\u0076alues": [[1.0]], '), False),
+        "escaped-last-key": ('{"\\u0076alues": 1, "\\"values": [[0.0]]}', False),
+        "zero-like": (_one_entry_document("000"), False),
+        "not-last": ('{"values": [[0.0]], "k": 1}', False),
+        "nested": ('{"values": [[[0.0]]]}', False),
+        "empty-row": ('{"values": [[]]}', False),
+        "empty": ('{"values": []}', False),
+        "trailing-comma": ('{"values": [[0.0],]}', False),
+        "empty-token": ('{"values": [[0.0,,0.0], [0.0, 0.0]]}', False),
+        "joined-rows": ('{"values": [[0.0]][[0.0,,0.0]]}', False),
+        "before-matrix": ('{"values": x [[0.0]]}', False),
+        "before-first-row": ('{"values": [x [0.0]]}', False),
+        "after-last-row": ('{"values": [[0.0] 5]}', False),
+        "ragged": ('{"values": [[0.0, 0.0], [0.0]]}', False),
+        "not-square": ('{"values": [[0.0, 0.0]]}', False),
+        "k-mismatch": (_one_entry_document("0.5", members='"k": 9, '), True),
+        "bad-c": (_one_entry_document("0.5", members='"c": "x", '), True),
+        "c-below-peak": (_one_entry_document("0.5", members='"c": 0.25, '), True),
+        "asymmetric": (_one_entry_document("0.5").replace("0.5", "0.25", 1), True),
+    }
+
+    @pytest.mark.parametrize("kind", ["graph", "graphon"])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_cases(self, folder, kind, name):
+        text, listed = self.CASES[name]
+        if kind == "graph":
+            text = text.replace('"values"', '"weights"').replace('"k"', '"n"')
+            text = text.replace("\\u0076alues", "\\u0077eights")
+        data = text.encode()
+        key = "weights" if kind == "graph" else "values"
+        assert (_listed_object(data, key) is not None) == listed
+        outcome = self._check(folder, kind, data)
+        if name == "negative-zero":
+            assert np.signbit(np.frombuffer(outcome[2], float)[1])
+        if name == "integer-negative-zero":
+            assert not np.signbit(np.frombuffer(outcome[2], float)).any()
+
+    def test_a_dense_matrix_is_refused_after_its_first_chunk(self, monkeypatch):
+        # the rows of a matrix far above the cut are not all looked at
+        from fpcentral import io as fio
+
+        seen = []
+        chunk = fio._listed_chunk
+        monkeypatch.setattr(fio, "_CHUNK", 1 << 12)
+        monkeypatch.setattr(fio, "_listed_chunk", lambda *args: seen.append(1) or chunk(*args))
+        data = json.dumps({"values": np.full((100, 100), 0.5).tolist()}).encode()
+        assert fio._listed_object(data, "values") is None
+        assert len(seen) == 1
+
+    def test_rows_are_read_across_chunks(self, folder, monkeypatch):
+        # chunks of a few rows each, cut at whichever row ends after 1 KiB
+        from fpcentral import io as fio
+
+        monkeypatch.setattr(fio, "_CHUNK", 1 << 10)
+        rng = np.random.default_rng(2100)
+        for layout in ("writer", "compact", "dumps"):
+            rows = [["0.0"] * 90 for _ in range(90)]
+            for i, j in rng.integers(90, size=(60, 2)):
+                rows[i][j] = rows[j][i] = repr(float(rng.normal()))
+            data = ('{"values": %s}' % _spell(rows, layout, [" ", "\n"])).encode()
+            assert fio._listed_object(data, "values") is not None
+            assert self._check(folder, "graphon", data)[3] is not None
+            # no comma between two rows, within a chunk or between two
+            broken = data.replace(b"],", b"]")
+            assert broken != data and fio._listed_object(broken, "values") is None
+            self._check(folder, "graphon", broken)
+
+
 def _written(payload):
     out = io.StringIO()
     _write_json(payload, out)
@@ -460,32 +725,47 @@ def _dense_csv(m):
 class TestListedMatrixWriter:
     """A 2-D array with at most ``graphs.ENTRY_SHARE`` of its entries
     non-zero is spelled from the list of them, byte for byte as json.dumps
-    spells its ``tolist()``; a 64 x 64 array is listed up to 128 entries."""
+    spells its ``tolist()``; a 64 x 64 array is listed up to 128 entries.
+    Each matrix written as a graph's weights reads back with its bits, or
+    with the json path's error when no graph holds it."""
+
+    @staticmethod
+    def _round_trip(m, folder):
+        path = folder / "m.json"
+        with open(path, "w") as fp:
+            _write_json({"weights": m}, fp)
+        outcome = _read_outcome("graph", path)
+        assert outcome == _reference_outcome("graph", path)
+        if m.shape[0] == m.shape[1] and np.isfinite(m).all():
+            assert outcome[2] == np.asarray(m, dtype=float).tobytes()
 
     @pytest.mark.parametrize("count", [0, 1, 127, 128, 129, 300])
     @pytest.mark.parametrize("shape", [(64, 64), (2, 2048), (2048, 2)])
-    def test_at_below_and_above_the_cut(self, count, shape):
+    def test_at_below_and_above_the_cut(self, count, shape, tmp_path):
         m, _ = _matrix_with(count, shape)
         listed = _listed_rows(m, ",")
         assert (listed is not None) == (count <= ENTRY_SHARE * m.size)
         assert _written({"m": m, "k": [m]}) == _dumped({"m": m.tolist(), "k": [m.tolist()]})
         assert list(_csv_rows(m)) == _dense_csv(m)
+        self._round_trip(m, tmp_path)
 
     @pytest.mark.parametrize("odd", list(_ODD_VALUES))
     @pytest.mark.parametrize("count", [1, 127, 128, 129])
-    def test_odd_entries_keep_their_spelling(self, count, odd):
+    def test_odd_entries_keep_their_spelling(self, count, odd, tmp_path):
         m, flat = _matrix_with(count)
         at = 5 if odd == "-0.0" else flat[count // 2]  # -0.0 is not listed
         m.flat[at] = _ODD_VALUES[odd]
         assert _listed_rows(m, ",") is None
         assert _written({"m": m}) == _dumped({"m": m.tolist()})
         assert list(_csv_rows(m)) == _dense_csv(m)
+        self._round_trip(m, tmp_path)
 
-    def test_orders_and_types_other_than_c_float64_are_spelled_as_lists(self):
+    def test_orders_and_types_other_than_c_float64_are_spelled_as_lists(self, tmp_path):
         m, _ = _matrix_with(40)
         for a in (np.asfortranarray(m), m.astype(np.float32), m[:, ::2], (m != 0).astype(int)):
             assert _listed_rows(a, ",") is None
             assert _written({"m": a}) == _dumped({"m": a.tolist()})
+            self._round_trip(a, tmp_path)
 
     def test_lift_of_a_listed_graph_writes_the_dense_bytes(self, tmp_path):
         # a symmetric 1000-node ring with chords read from an edge list
@@ -510,3 +790,5 @@ class TestListedMatrixWriter:
         assert out.with_suffix(".csv").read_text() == "".join(
             line + "\n" for line in _dense_csv(m)
         )
+        back = read_graphon(out)
+        assert back._entries is not None and back.values.tobytes() == m.tobytes()

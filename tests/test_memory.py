@@ -23,6 +23,7 @@ from fpcentral import (
     constants_analytic,
     operator_norm,
     prop6_certificate,
+    read_graphon,
     theorem1_certificate,
     theorem2_certificate,
     write_graphon,
@@ -157,3 +158,13 @@ def test_weighted_dense_two_norm_with_an_isolated_node_makes_one_scaled_copy():
 def test_write_graphon_spells_one_row_at_a_time(pair, tmp_path):
     w = StepGraphon(pair[0].weights)
     assert _peak(lambda: write_graphon(w, tmp_path / "w.json")) <= 0.25
+
+
+def test_read_graphon_of_a_listed_lift_holds_its_bytes_and_one_matrix(pair, tmp_path):
+    # the file's 11 MB (1.4 matrices), the values array and a chunk of rows
+    # at a time; nested lists of floats from json.loads peaked at 5.5
+    path = tmp_path / "w.json"
+    write_graphon(StepGraphon(pair[0].weights), path)
+    read = []
+    assert _peak(lambda: read.append(read_graphon(path))) <= 3.0
+    assert read[0]._entries is not None
