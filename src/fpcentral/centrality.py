@@ -137,9 +137,9 @@ class _Prepared(NamedTuple):
     """One input as its family's map sees it, built once (``_prepare``).
 
     ``m`` is M_A, the weights for katz and eigen and the kernel A^T D^-1
-    for pagerank; ``entries`` its ``graphs._Entries`` below the cut, on
-    which a pagerank kernel is not formed (``m`` is None, and ``matrix()``
-    forms it); ``l0`` its contraction modulus, None for eigen.
+    for pagerank; ``entries`` its ``graphs._Entries`` below the cut, where
+    ``m`` is None and ``matrix()`` forms it; ``l0`` its contraction
+    modulus, None for eigen.
     """
 
     family: str
@@ -150,8 +150,10 @@ class _Prepared(NamedTuple):
     l0: float | None
 
     def matrix(self):
-        """M_A as an n x n array."""
-        return pagerank_kernel(self.g) if self.m is None else self.m
+        """M_A as an n x n array, formed anew when the record holds a list."""
+        if self.m is not None:
+            return self.m
+        return pagerank_kernel(self.g) if self.family == "pagerank" else self.g.weights
 
     def matvec(self, x):
         """M_A x."""
@@ -165,7 +167,7 @@ class _Prepared(NamedTuple):
 def _operand(family, alpha, g):
     """The record of ``g`` without its L0: M_A and its entries."""
     if family != "pagerank":
-        return _Prepared(family, alpha, g, g.weights, g._entries, None)
+        return _Prepared(family, alpha, g, g._array, g._entries, None)
     entries = _kernel_entries(g)
     return _Prepared(family, alpha, g, pagerank_kernel(g) if entries is None else None, entries, None)
 
@@ -355,14 +357,16 @@ def katz_closed_form(g, alpha):
 
     Requires alpha > 0 and alpha ||A||_2 < 1 (``_prepare``); under
     that bound the system is nonsingular, but the solve is guarded anyway.
-    The left side is built in the one array that alpha A.T makes.
+    The left side is the transpose of the one array alpha A makes.
     """
     return _katz_direct(_prepare("katz", alpha, g))
 
 
 def _katz_direct(prep):
     """katz_closed_form on a record."""
-    return _solve_direct(_identity_minus(prep.alpha * prep.m.T), np.ones(prep.g.n), "katz")
+    m = prep.matrix()
+    lhs = np.multiply(m, prep.alpha, out=None if prep.m is not None else m).T
+    return _solve_direct(_identity_minus(lhs), np.ones(prep.g.n), "katz")
 
 
 def pagerank_closed_form(g, alpha):
@@ -382,12 +386,7 @@ def _pagerank_direct(prep):
     (``_scaled``)."""
     alpha, n = prep.alpha, prep.g.n
     scaled = _scaled(prep)
-    e = scaled.entries
-    if e is None:
-        lhs = scaled.m
-    else:
-        lhs = np.zeros((n, n))
-        lhs[e.rows, e.cols] = e.vals
+    lhs = scaled.m if scaled.entries is None else scaled.entries.dense()
     return _solve_direct(_identity_minus(lhs), np.full(n, (1.0 - alpha) / n), "pagerank")
 
 
@@ -498,7 +497,8 @@ def eigencentrality(g, which="largest"):
         If the selected eigenvalue of A exceeds float64, or inverse
         iteration does not reach its residual bound.
     """
-    w, e = _pow2_normalize(g.weights)
+    w = g.weights
+    w, e = _pow2_normalize(w, out=None if g._entries is None else w)
     n = g.n
     if isinstance(which, (int, np.integer)) and not isinstance(which, bool):
         if not g.symmetric:

@@ -38,21 +38,10 @@ _EXIT_CODES = {
 }
 
 
-def _file_digest(path):
-    """The SHA-256 of a file, read in 1 MiB chunks so that no copy of a
-    large input is held."""
-    import hashlib
-
-    h = hashlib.sha256()
-    with open(path, "rb") as fp:
-        for chunk in iter(lambda: fp.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _manifest(args):
+def _manifest(args, *inputs):
     """The command, its inputs and every parsed option that is set, except
-    input paths, output routing, and ``--mode``/``--seed`` off the cut norm."""
+    input paths, output routing, and ``--mode``/``--seed`` off the cut norm;
+    ``inputs``, read from those paths, carry the SHA-256 of their bytes."""
     from datetime import datetime, timezone
 
     options = vars(args)
@@ -61,7 +50,7 @@ def _manifest(args):
     command = (args.command, options.get("graphon_command"))
     return {
         "command": " ".join(c for c in command if c),
-        "inputs": [{"path": str(p), "sha256": _file_digest(p)} for p in paths],
+        "inputs": [{"path": str(p), "sha256": x._sha256} for p, x in zip(paths, inputs)],
         "parameters": {k: v for k, v in options.items() if k not in skip and v is not None},
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -96,9 +85,9 @@ def _check_alpha(args):
         raise ParameterError(f"--alpha is required for {args.family}")
 
 
-def _emit_certificate(cert, args):
+def _emit_certificate(cert, args, *inputs):
     """Write a certificate with its manifest; exit 0 if it holds, else 1."""
-    _emit({**cert.to_dict(), "manifest": _manifest(args)}, args, lambda: (
+    _emit({**cert.to_dict(), "manifest": _manifest(args, *inputs)}, args, lambda: (
         "bound,observed,holds,slack,certified\n"
         f"{cert.bound!r},{cert.observed!r},{cert.holds},{cert.slack!r},{cert.certified}\n"
     ))
@@ -130,7 +119,7 @@ def cmd_centrality(args):
         "feature_x": [float(x) for x in feature],
         "iterations": iterations,
         "residual": residual,
-        "manifest": _manifest(args),
+        "manifest": _manifest(args, g),
     }
     _emit(payload, args, lambda: "node,rho,feature_x\n" + "".join(
         f"{i},{float(r)!r},{float(x)!r}\n" for i, (r, x) in enumerate(zip(rho, feature))
@@ -153,7 +142,7 @@ def cmd_compare(args):
         args.bound, a, b, map_, _analytic(prep_a, 1.0),
         perm_mode=args.perm_mode if args.bound == "prop6" else "exact", prep_a=prep_a,
     )
-    return _emit_certificate(cert, args)
+    return _emit_certificate(cert, args, a, b)
 
 
 def cmd_graphon_lift(args):
@@ -162,7 +151,7 @@ def cmd_graphon_lift(args):
 
     w = StepGraphon._adopt(read_graph(args.input))  # lift() without its copy
     _emit(_graphon_payload(w), args, lambda: "".join(
-        row + "\n" for row in _csv_rows(w.values)
+        row + "\n" for row in _csv_rows(w._graph)
     ))
     return 0
 
@@ -191,7 +180,7 @@ def cmd_graphon_centrality(args):
     payload = {
         "rho": [float(x) for x in rho.values],
         **extras,
-        "manifest": _manifest(args),
+        "manifest": _manifest(args, w),
     }
     _emit(payload, args, lambda: "block,rho\n" + "".join(
         f"{i},{float(x)!r}\n" for i, x in enumerate(rho.values)
@@ -212,7 +201,7 @@ def cmd_graphon_compare(args):
         cert = prop9_certificate(a, b, args.family, args.alpha, mode=args.perm_mode)
     else:
         cert = prop10_certificate(a, b, args.family, args.alpha, mode=args.perm_mode)
-    return _emit_certificate(cert, args)
+    return _emit_certificate(cert, args, a, b)
 
 
 def cmd_norms(args):
@@ -220,8 +209,8 @@ def cmd_norms(args):
     from .norms import _canon_p, _operator_norm, cut_norm_exact, cut_norm_heuristic
 
     g = read_graph(args.input)
-    m = g.weights
     if args.norm == "cut":
+        m = g.weights
         if args.mode == "exact":
             witness = cut_norm_exact(m)
         else:
@@ -233,9 +222,9 @@ def cmd_norms(args):
         }
     else:
         # the graph's own list of entries, which operator_norm would find again
-        value = _operator_norm(m, None, _canon_p(args.norm), g._entries)
+        value = _operator_norm(g._array, None, _canon_p(args.norm), g._entries)
         payload = {"kind": args.norm, "value": value}
-    payload["manifest"] = _manifest(args)
+    payload["manifest"] = _manifest(args, g)
     _emit(payload, args, lambda: f"kind,value\n{payload['kind']},{payload['value']!r}\n")
     return 0
 

@@ -49,8 +49,8 @@ class StepGraphon:
     (the peak |value|) or a finite real number, not a bool, that the peak
     exceeds by at most ``graphs.matrix_tol`` of the values.
 
-    ``StepGraphon._adopt(g, c)`` is the private path that takes a Graph's
-    weights, and its list of entries, as the values without a copy.
+    A graphon holds only the Graph of its values; ``values`` is its
+    ``weights``, and ``StepGraphon._adopt(g, c)`` takes it without a copy.
     """
 
     def __init__(self, values, c=None):
@@ -65,11 +65,8 @@ class StepGraphon:
     def _set(self, g, c):
         if not g.symmetric:
             raise ParameterError("the matrix is not symmetric")
-        values = g.weights
-        # max |value| and its tolerance over the graph's list of entries
-        # when it holds one (the other values are zeros), else over the
-        # values without an n x n temporary
-        listed = values if g._entries is None else g._entries.vals
+        # max |value| and its tolerance over what the graph holds
+        listed = g._values()
         peak = max(0.0, float(listed.max(initial=0.0)), -float(listed.min(initial=0.0)))
         if c is None:
             c = peak
@@ -79,10 +76,13 @@ class StepGraphon:
             )
         elif peak > c + matrix_tol(listed):
             raise ParameterError(f"graphon values exceed the declared bound c={c}")
-        self.values = values
-        self.k = values.shape[0]
+        self._graph, self._entries = g, g._entries
+        self.k = g.n
         self.c = float(c)
-        self._entries = g._entries
+
+    @property
+    def values(self):
+        return self._graph.weights
 
     def __repr__(self):
         return f"StepGraphon(k={self.k}, c={self.c})"
@@ -157,10 +157,12 @@ def apply(w, v):
 
 def _lift_graph(w):
     """The finite graph values/k, whose matrix action is the graphon
-    operator on block values; it adopts the array that values/k makes, and
-    the values' list of entries divided by k alike."""
+    operator on block values: the values' list of entries divided by k, or
+    the array that values/k makes."""
     e = w._entries
-    return Graph._adopt(w.values / w.k, None if e is None else (e.rows, e.cols, e.vals / w.k))
+    if e is None:
+        return Graph._adopt(w.values / w.k)
+    return Graph._adopt_list(w.k, e.rows, e.cols, e.vals / w.k, e.zeros)
 
 
 def graphon_degree(w):
@@ -169,7 +171,8 @@ def graphon_degree(w):
 
 
 def _check_pagerank_values(w):
-    if np.min(w.values) < 0.0 or np.max(w.values) > 1.0:
+    values = w._graph._values()
+    if values.min(initial=0.0) < 0.0 or values.max(initial=0.0) > 1.0:
         raise ParameterError("graphon pagerank requires values in [0, 1]")
 
 

@@ -25,18 +25,21 @@ MATRIX_TOL = 1e-12
 # rows or columns per tile of the n x n passes that make no n x n temporary
 _TILE = 128
 ENTRY_SHARE = 1 / 32
+_NO_ZEROS = np.empty(0, dtype=np.intp)
 
 
 class _Entries(NamedTuple):
     """The non-zero entries ``vals`` at ``(rows, cols)`` of an n x n matrix M
     and its products over them alone.  Each product adds a row's (or a
     column's) terms in the order of the list; ``np.bincount`` returns
-    integers for an empty list, hence the cast."""
+    integers for an empty list, hence the cast.  ``zeros`` holds the
+    row-major flat indices of M's -0.0 entries, which only ``dense`` reads."""
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     n: int
+    zeros: np.ndarray = _NO_ZEROS
 
     def matvec(self, x):
         """M x."""
@@ -50,6 +53,13 @@ class _Entries(NamedTuple):
         """The entries of ``factor * M``, with the bits of that product."""
         return self._replace(vals=self.vals * factor)
 
+    def dense(self):
+        """M as a new n x n array, the only place a list forms one."""
+        m = np.zeros((self.n, self.n))
+        m[self.rows, self.cols] = self.vals
+        m.flat[self.zeros] = -0.0
+        return m
+
 
 def _nonzero_entries(m):
     """The ``_Entries`` of a square matrix's non-zero entries (NaN and inf
@@ -62,6 +72,28 @@ def _nonzero_entries(m):
     rows, cols = np.divmod(np.flatnonzero(nonzero), m.shape[1])
     del nonzero
     return _Entries(rows, cols, m[rows, cols], m.shape[0])
+
+
+def _list_asymmetry(e):
+    """``max_asymmetry`` of a row-major list's matrix, bit for bit: each
+    entry's mirror is found in the sorted flat indices, 0.0 if absent."""
+    flat = e.rows * e.n + e.cols
+    mirror = e.cols * e.n + e.rows
+    at = np.searchsorted(flat, mirror)
+    at[at == flat.size] = 0
+    found = np.where(flat[at] == mirror, e.vals[at], 0.0)
+    return float(np.max(np.abs(e.vals - found), initial=0.0))
+
+
+def _tiles(n):
+    """Slices of ``_TILE`` consecutive lines that cover ``range(n)``.  A
+    last slice one line wide is merged into the one before it: numpy sums a
+    single contiguous line pairwise, but a wider tile line by line, and
+    only the latter gives the bits of the whole matrix's sums."""
+    cuts = [*range(0, n, _TILE), n]
+    if n > 1 and n % _TILE == 1:
+        del cuts[-2]
+    return [slice(i, j) for i, j in zip(cuts, cuts[1:])]
 
 
 def max_asymmetry(w):
@@ -117,62 +149,70 @@ class Graph:
     n : int
         Number of nodes.
     weights : (n, n) ndarray
-        The weight matrix (a defensive copy, never aliased).
+        The weight matrix, signs of zeros included: the array held (a
+        defensive copy, never aliased), or one formed anew from the list.
     symmetric : bool
         True iff the matrix equals its transpose within ``matrix_tol``.
 
-    A graph also holds its non-zero entries as ``_entries`` (an
-    ``_Entries``) when they are at most ``ENTRY_SHARE`` of its n x n
-    entries, and None otherwise.  They come from one count of the
-    non-zero entries and, only below that cut, one list of them; the
-    symmetry check and the tolerance are then taken over that list.
-
-    ``Graph._adopt(w, nonzero)`` is the private path for a fresh float64
-    array that no one else holds, such as a parsed edge list or a
-    graphon's lift: it runs the same checks and keeps ``w`` itself as the
-    weights, without the copy.  ``nonzero``, when given, is a
-    ``(rows, cols, vals)`` list, row-major, that holds every non-zero entry
-    of a finite ``w`` (and maybe some zeros): the graph then takes its
-    entries, its symmetry and its tolerance from that list, and no pass
-    over the n x n matrix is made.
+    A graph holds one operand, ``_held``: the list of its non-zero entries
+    (an ``_Entries``, also ``_entries``) when they are at most
+    ``ENTRY_SHARE`` of its n x n entries, else its array (``_entries`` is
+    None).  The symmetry check and the tolerance run over what it holds.
+    ``Graph._adopt(w)`` takes a fresh float64 array without the copy, and
+    ``Graph._adopt_list(n, rows, cols, vals, zeros)`` a finite matrix as a
+    row-major list of its non-zero entries (and maybe zeros).
     """
 
     def __init__(self, weights):
         self._check_and_set(np.array(weights, dtype=float))
 
     @classmethod
-    def _adopt(cls, w, nonzero=None):
-        g = cls.__new__(cls)
-        g._check_and_set(w, nonzero)
-        return g
+    def _adopt(cls, w):
+        return cls.__new__(cls)._check_and_set(w)
 
-    def _check_and_set(self, w, nonzero=None):
+    @classmethod
+    def _adopt_list(cls, n, rows, cols, vals, zeros=_NO_ZEROS):
+        zero = vals == 0.0
+        signed = zero & np.signbit(vals)
+        zeros = np.concatenate([zeros, rows[signed] * n + cols[signed]])
+        e = _Entries(rows[~zero], cols[~zero], vals[~zero], n, zeros)
+        if e.vals.size > ENTRY_SHARE * n * n:
+            return cls._adopt(e.dense())
+        return cls.__new__(cls)._set(e)
+
+    def _check_and_set(self, w):
         if w.size == 0:
             raise ParameterError("the matrix is empty")
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ParameterError("the matrix is not square")
-        n = w.shape[0]
-        if nonzero is None:
-            if not np.all(np.isfinite(w)):
-                raise ParameterError("the matrix has non-finite entries")
-            listed = self._entries = _nonzero_entries(w)
+        if not np.all(np.isfinite(w)):
+            raise ParameterError("the matrix has non-finite entries")
+        listed = _nonzero_entries(w)
+        if listed is not None:
+            # the bit pattern of -0.0 is the smallest int64
+            w = listed._replace(zeros=np.flatnonzero(w.view(np.int64) == np.iinfo(np.int64).min))
+        return self._set(w)
+
+    def _set(self, held):
+        self._held, self._entries = held, held if isinstance(held, _Entries) else None
+        if self._entries is None:
+            self.n, self.symmetric = len(held), max_asymmetry(held) <= matrix_tol(held)
         else:
-            rows, cols, vals = nonzero
-            keep = vals != 0.0
-            if not keep.all():
-                rows, cols, vals = rows[keep], cols[keep], vals[keep]
-            listed = _Entries(rows, cols, vals, n)
-            self._entries = listed if vals.size <= ENTRY_SHARE * w.size else None
-        if listed is None:
-            asymmetry, tol = max_asymmetry(w), matrix_tol(w)
-        else:
-            # exactly the tiled value: |w_ij - w_ji| is listed at (i, j) or
-            # at (j, i) whenever it is not zero
-            asymmetry = float(np.max(np.abs(listed.vals - w[listed.cols, listed.rows]), initial=0.0))
-            tol = matrix_tol(listed.vals)
-        self.weights = w
-        self.n = n
-        self.symmetric = asymmetry <= tol
+            self.n, self.symmetric = held.n, _list_asymmetry(held) <= matrix_tol(held.vals)
+        return self
+
+    @property
+    def weights(self):
+        return self._held.dense() if isinstance(self._held, _Entries) else self._held
+
+    @property
+    def _array(self):
+        """The weights when the products run over the whole array, else None."""
+        return self.weights if self._entries is None else None
+
+    def _values(self):
+        """The weights, or the listed ones: with 0.0, the weights' extremes."""
+        return self.weights if self._entries is None else self._entries.vals
 
     def __repr__(self):
         return f"Graph(n={self.n}, symmetric={self.symmetric})"
@@ -226,9 +266,10 @@ def permute(g, p):
     entry ``(i, j)`` of the input."""
     if p.n != g.n:
         raise ParameterError("permutation size does not match graph")
-    out = np.empty_like(g.weights)
+    w = g.weights
+    out = np.empty_like(w)
     m = p.mapping
-    out[np.ix_(m, m)] = g.weights
+    out[np.ix_(m, m)] = w
     return Graph._adopt(out)
 
 
@@ -245,7 +286,8 @@ def permute_vector(v, p):
 def is_automorphism(g, p):
     """True iff relabeling by ``p`` leaves the weight matrix unchanged
     within ``matrix_tol`` (on 0/1 weights that is exact equality)."""
-    return bool(np.max(np.abs(permute(g, p).weights - g.weights)) <= matrix_tol(g.weights))
+    w = g.weights
+    return bool(np.max(np.abs(permute(g, p).weights - w)) <= matrix_tol(w))
 
 
 def _lex_permutations(n):
@@ -305,5 +347,17 @@ def enumerate_automorphisms(g):
 
 
 def degree_vector(g):
-    """Row sums of the weight matrix: entry ``j`` is the out-mass of node j."""
-    return g.weights.sum(axis=1)
+    """Row sums of the weight matrix: entry ``j`` is the out-mass of node j.
+
+    A listed graph sums tiles of whole rows formed from its list: numpy
+    sums each row alone, from +0.0, so the bits are the whole matrix's."""
+    e = g._entries
+    if e is None:
+        return g.weights.sum(axis=1)
+    sums = np.empty(e.n)
+    for s in _tiles(e.n):
+        lo, hi = np.searchsorted(e.rows, (s.start, s.stop))
+        tile = np.zeros((s.stop - s.start, e.n))
+        tile[e.rows[lo:hi] - s.start, e.cols[lo:hi]] = e.vals[lo:hi]
+        sums[s] = tile.sum(axis=1)
+    return sums

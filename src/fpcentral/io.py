@@ -23,6 +23,7 @@ nested past the parser's recursion limit and integers past Python's digit
 limit raise it too.
 """
 
+import hashlib
 import json
 import math
 
@@ -45,23 +46,21 @@ def parse_edge_list(text):
     Indices are read by ``int`` and weights by ``float``, so both take
     Python's spellings (``+1``, ``1_0``, ``1e3``), and a weight must be
     finite.  When several lines set one entry, the last one wins.  The text
-    is parsed in one vectorized pass; only when that pass meets a fault are
+    is parsed in vectorized passes over chunks of lines; only at a fault are
     the lines walked one by one, to report the first faulty line.  The
-    graph adopts the matrix and the parsed list of its entries
-    (``Graph._adopt``), so it makes no further pass over the matrix.
+    graph adopts the parsed list of its entries (``Graph._adopt_list``), so
+    no n x n array is made below the cut.
     """
     lines = text.splitlines()
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
-    fields = list(map(str.split, lines))
-    del lines
     try:
-        max_index, src, dst, weight = _edge_columns(fields)
+        max_index, src, dst, weight = _edge_columns(lines)
     except (ValueError, OverflowError):
         # With no faulty line, an index beyond int64 overflowed; it is
         # refused below as too many nodes.
-        max_index, src, dst, weight = _check_lines(fields), None, None, None
-    del fields  # the token lists go before the n x n matrix is allocated
+        max_index, src, dst, weight = _check_lines(map(str.split, lines)), None, None, None
+    del lines
     if max_index < 0:
         raise InputFormatError("edge list declares no nodes")
     n = max_index + 1
@@ -72,38 +71,39 @@ def parse_edge_list(text):
     # np.unique keeps the first of equal entries, so the reversed lines
     # keep the last line that sets each entry
     flat, first = np.unique((src * n + dst)[::-1], return_index=True)
-    vals = weight[::-1][first]
-    weights = np.zeros((n, n))
-    weights.flat[flat] = vals
     # the sorted flat indices list every entry in row-major order
-    return Graph._adopt(weights, (*np.divmod(flat, n), vals))
+    return Graph._adopt_list(n, *np.divmod(flat, n), weight[::-1][first])
 
 
-def _edge_columns(fields):
-    """``(largest index, i, j, w)`` of an edge list split into ``fields``,
-    one token list per line, with one array entry per edge line; raises
-    ValueError on a faulty line and OverflowError on an index beyond
-    int64."""
-    size = np.fromiter(map(len, fields), np.intp, len(fields))
-    if size.max(initial=0) > 3:
-        raise ValueError("a line has more than three fields")
-    is_edge = size >= 2
-    edges = list(compress(fields, is_edge))
-    k = len(edges)
-    tokens = chain(
-        map(itemgetter(0), edges),
-        map(itemgetter(1), edges),
-        map(itemgetter(0), compress(fields, size == 1)),
-    )
-    index = np.fromiter(map(int, tokens), np.int64)
-    if (index < 0).any():
-        raise ValueError("a node index is negative")
-    weight = np.ones(k)
-    heavy = size[is_edge] == 3
-    weight[heavy] = np.fromiter(map(float, map(itemgetter(2), compress(edges, heavy))), float)
-    if not np.isfinite(weight).all():
-        raise ValueError("a weight is not finite")
-    return int(index.max(initial=-1)), index[:k], index[k : 2 * k], weight
+def _edge_columns(lines):
+    """``(largest index, i, j, w)`` of an edge list's ``lines``, split
+    ``_EDGE_LINES`` at a time; raises ValueError on a faulty line and
+    OverflowError on an index beyond int64."""
+    top, columns = -1, [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    for start in range(0, len(lines), _EDGE_LINES):
+        fields = list(map(str.split, lines[start : start + _EDGE_LINES]))
+        size = np.fromiter(map(len, fields), np.intp, len(fields))
+        if size.max(initial=0) > 3:
+            raise ValueError("a line has more than three fields")
+        is_edge = size >= 2
+        edges = list(compress(fields, is_edge))
+        k = len(edges)
+        tokens = chain(
+            map(itemgetter(0), edges),
+            map(itemgetter(1), edges),
+            map(itemgetter(0), compress(fields, size == 1)),
+        )
+        index = np.fromiter(map(int, tokens), np.int64)
+        if (index < 0).any():
+            raise ValueError("a node index is negative")
+        weight = np.ones(k)
+        heavy = size[is_edge] == 3
+        weight[heavy] = np.fromiter(map(float, map(itemgetter(2), compress(edges, heavy))), float)
+        if not np.isfinite(weight).all():
+            raise ValueError("a weight is not finite")
+        top = max(top, int(index.max(initial=-1)))
+        columns.append((index[:k], index[k : 2 * k], weight))
+    return (top, *map(np.concatenate, zip(*columns)))
 
 
 def _check_lines(fields):
@@ -122,7 +122,7 @@ def _check_lines(fields):
                 index = int(token)
             except ValueError:
                 raise InputFormatError(
-                    f"line {lineno}: {token!r} is not an integer node index",
+                    f"line {lineno}: {token!r:.40} is not an integer node index",
                     line=lineno,
                 ) from None
             if index < 0:
@@ -135,7 +135,7 @@ def _check_lines(fields):
                 weight = float(parts[2])
             except ValueError:
                 raise InputFormatError(
-                    f"line {lineno}: {parts[2]!r} is not a real weight",
+                    f"line {lineno}: {parts[2]!r:.40} is not a real weight",
                     line=lineno,
                 ) from None
             if not math.isfinite(weight):
@@ -238,8 +238,10 @@ def _decode(data):
 # JSON whitespace, and the bytes of the rows of a listed matrix
 _WHITESPACE = b" \t\n\r"
 _MATRIX_BYTES = b"0123456789.eE+-,[]"
-# bytes of a file per chunk of the rows of a listed matrix
-_CHUNK = 1 << 20
+# bytes of a file per chunk of the rows of a listed matrix, and lines of an
+# edge list split at a time
+_CHUNK = 1 << 18
+_EDGE_LINES = 1024
 
 
 def _listed_object(data, key):
@@ -252,8 +254,8 @@ def _listed_object(data, key):
     are spelled other than ``0.0``.  Its rows are checked in numpy passes
     over their bytes (``_listed_chunk``), so that only the tokens that are
     not ``0.0`` are parsed in Python, as ``json.loads`` parses them; the
-    graph adopts the matrix and the list of them (``Graph._adopt``).  The
-    rest of the object is read by ``json.loads`` with a 0 for the matrix.
+    graph adopts the list of them (``Graph._adopt_list``).  The rest of the
+    object is read by ``json.loads`` with a 0 for the matrix.
     """
     quoted = b'"%s"' % key.encode()
     at = data.find(quoted)
@@ -288,9 +290,7 @@ def _listed_object(data, key):
         return None
     if not np.isfinite(vals).all():
         return None
-    weights = np.zeros((n, n))
-    weights[rows, cols] = vals
-    obj[key] = Graph._adopt(weights, (rows, cols, vals))
+    obj[key] = Graph._adopt_list(n, rows, cols, vals)
     return obj
 
 
@@ -299,7 +299,7 @@ def _listed_entries(data, pos, close):
     ``data[pos:close]``: the row, column and bytes of each token that is
     not ``0.0``, in row-major order.  None if those bytes spell no square
     list of rows, or more than ``ENTRY_SHARE`` of its tokens are not
-    ``0.0``, which is found after the first chunk of a dense matrix."""
+    ``0.0``, which shows in the chunk where they pass that share."""
     n, done, rows, cols, tokens = None, 0, [], [], []
     gap = b""  # what stands between two rows, whitespace aside
     while True:
@@ -394,39 +394,44 @@ def _listed_chunk(raw, n, listed):
 def read_graph(path):
     """Read a graph file, sniffing JSON (first character `{`) versus the
     edge-list text format; a listed JSON matrix is read from its entries
-    (``_listed_object``)."""
+    (``_listed_object``); ``_sha256`` is the digest of the bytes read."""
     data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
     obj = _listed_object(data, "weights")
     if obj is not None:
-        return _graph_from_json(obj)
-    text = _decode(data)
-    del data
-    if text.lstrip().startswith("{"):
-        return parse_graph_json(text)
-    return parse_edge_list(text)
+        g = _graph_from_json(obj)
+    else:
+        text = _decode(data)
+        del data
+        g = parse_graph_json(text) if text.lstrip().startswith("{") else parse_edge_list(text)
+    g._sha256 = digest
+    return g
 
 
 def read_graphon(path):
     """Read a step-graphon JSON file, a listed one from its entries
     (``_listed_object``); on the json path the file's bytes are dropped
     once decoded and its text once parsed, before the values array is
-    built."""
+    built.  ``_sha256`` is set as ``read_graph`` sets it."""
     data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
     obj = _listed_object(data, "values")
     if obj is None:
         text = _decode(data)
         del data
         obj = _load_json(text)
         del text
-    return _graphon_from_json(obj)
+    w = _graphon_from_json(obj)
+    w._sha256 = digest
+    return w
 
 
 def _graph_payload(g):
-    return {"n": g.n, "weights": g.weights}
+    return {"n": g.n, "weights": g}
 
 
 def _graphon_payload(w):
-    return {"k": w.k, "c": float(w.c), "values": w.values}
+    return {"k": w.k, "c": float(w.c), "values": w._graph}
 
 
 def graph_to_dict(g):
@@ -446,9 +451,9 @@ def _write_json(payload, fp):
     a matrix costs one join per row instead of one encoder step per entry;
     an array is spelled one row at a time, so no list of all its entries is
     made, and one with few non-zero entries from the list of them
-    (``_listed_rows``).  Every other value goes through the json encoder.  It is the
-    package's only JSON writer, so every command and file spells JSON the
-    same way.
+    (``_listed_rows``), as is a Graph's list.  Every other value goes
+    through the json encoder.  It is the package's only JSON writer, so
+    every command and file spells JSON the same way.
     """
     _write_value(payload, fp, "\n")
     fp.write("\n")
@@ -466,9 +471,10 @@ def _write_value(value, fp, newline):
             _write_value(item, fp, inner)
             sep = "," + inner
         fp.write(newline + "}")
-    elif isinstance(value, np.ndarray):
+    elif isinstance(value, (np.ndarray, Graph)):
         rows = _listed_rows(value, "," + inner + "  ")
         if rows is None:
+            value = value.weights if isinstance(value, Graph) else value
             # a matrix is written a row at a time, as the list of its row views
             _write_value(list(value) if value.ndim > 1 else value.tolist(), fp, newline)
             return
@@ -508,20 +514,26 @@ def _listed_rows(m, sep):
     None for any other array, or when an entry is not finite (json spells
     NaN and inf as no repr does) or is -0.0, which the list leaves out.  The
     array is counted twice in numpy, as floats and as bit patterns: -0.0 is
-    zero only as a float."""
-    if m.ndim != 2 or m.dtype != float or not m.size or not m.flags.c_contiguous:
-        return None
-    count = np.count_nonzero(m)
-    if count > ENTRY_SHARE * m.size or np.count_nonzero(m.view(np.int64)) != count:
-        return None
-    flat = np.flatnonzero(m)
-    vals = m.ravel()[flat]
-    if not np.isfinite(vals).all():
-        return None
-    rows, cols = np.divmod(flat, m.shape[1])
-    starts = np.searchsorted(rows, np.arange(m.shape[0] + 1)).tolist()
+    zero only as a float.  A Graph's weights are spelled from its list."""
+    if isinstance(m, Graph):
+        e = m._entries
+        if e is None or e.zeros.size:
+            return None
+        rows, cols, vals, shape = e.rows, e.cols, e.vals, (e.n, e.n)
+    else:
+        if m.ndim != 2 or m.dtype != float or not m.size or not m.flags.c_contiguous:
+            return None
+        count = np.count_nonzero(m)
+        if count > ENTRY_SHARE * m.size or np.count_nonzero(m.view(np.int64)) != count:
+            return None
+        flat = np.flatnonzero(m)
+        vals = m.ravel()[flat]
+        if not np.isfinite(vals).all():
+            return None
+        rows, cols, shape = *np.divmod(flat, m.shape[1]), m.shape
+    starts = np.searchsorted(rows, np.arange(shape[0] + 1)).tolist()
     width = len(sep) + 3
-    return _spliced_rows(sep.join(["0.0"] * m.shape[1]), starts, cols * width, vals)
+    return _spliced_rows(sep.join(["0.0"] * shape[1]), starts, cols * width, vals)
 
 
 def _spliced_rows(zeros, starts, offsets, vals):
@@ -537,10 +549,13 @@ def _spliced_rows(zeros, starts, offsets, vals):
 
 
 def _csv_rows(m):
-    """The lines of a 2-D float64 array as CSV, without line ends: the float
-    reprs of each row, joined by commas."""
+    """The lines of a 2-D float64 array, or of a Graph's weights, as CSV,
+    without line ends: the float reprs of each row, joined by commas."""
     rows = _listed_rows(m, ",")
-    return (",".join(map(float.__repr__, row.tolist())) for row in m) if rows is None else rows
+    if rows is None:
+        m = m.weights if isinstance(m, Graph) else m
+        return (",".join(map(float.__repr__, row.tolist())) for row in m)
+    return rows
 
 
 def _json_key(key):

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, SizeLimitError
-from .graphs import ENTRY_SHARE, _TILE, Permutation, _Entries, _lex_blocks, _lex_permutations
+from .graphs import ENTRY_SHARE, Permutation, _Entries, _lex_blocks, _lex_permutations, _tiles
 from .graphs import _nonzero_entries, _pow2_normalize, degree_vector, max_asymmetry, permute
 from .limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N, exact_limit
 
@@ -185,17 +185,6 @@ def _square_finite(m, caller, finite=True):
     if finite:
         _refuse_non_finite(m, caller)
     return m
-
-
-def _tiles(n):
-    """Slices of ``_TILE`` consecutive lines that cover ``range(n)``.  A
-    last slice one line wide is merged into the one before it: numpy sums a
-    single contiguous line pairwise, but a wider tile line by line, and
-    only the latter gives the bits of the whole matrix's sums."""
-    cuts = [*range(0, n, _TILE), n]
-    if n > 1 and n % _TILE == 1:
-        del cuts[-2]
-    return [slice(i, j) for i, j in zip(cuts, cuts[1:])]
 
 
 def _abs_sums(a, b, axis):

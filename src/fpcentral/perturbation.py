@@ -271,7 +271,7 @@ def _enlarged(consts, family, alpha, xa_norm, xb_norm):
 def _check_cut_inputs(a, b, weight, p):
     if not (a.symmetric and b.symmetric):
         raise ParameterError("the cut-norm bound requires symmetric graphs")
-    if max(np.abs(a.weights).max(), np.abs(b.weights).max()) / weight > 1.0 + 1e-12:
+    if max(np.abs(g._values()).max(initial=0.0) for g in (a, b)) / weight > 1.0 + 1e-12:
         raise ParameterError("the cut-norm bound requires entries in [-1, 1]")
     if p != 2:
         raise ParameterError("the cut-norm bound lives in the 2-norm route")

@@ -418,6 +418,52 @@ class TestUnreadableInputs:
         assert (code, out) == (4, "")
         assert err.startswith("error: invalid JSON: Exceeds the limit (4300 digits)")
 
+    @pytest.mark.parametrize("line, message", [
+        ("1" * 5000 + " 1", "'" + "1" * 39 + " is not an integer node index"),
+        ("0 1 " + "9" * 5000 + "x", "'" + "9" * 39 + " is not a real weight"),
+    ], ids=["index", "weight"])
+    def test_a_long_faulty_edge_list_token_is_quoted_to_40_characters(
+            self, capsys, tmp_path, line, message):
+        # as the JSON path quotes a faulty entry
+        path = tmp_path / "in.txt"
+        path.write_text(line + "\n")
+        code, out, err = run(capsys, "centrality", str(path), "--family", "eigen")
+        assert (code, out, err) == (4, "", f"error: line 1: {message}\n")
+
+class TestManifestDigests:
+    """A manifest records the SHA-256 of the bytes each input was read
+    from, taken by the reader, so a command reads each input once."""
+
+    @pytest.mark.parametrize("argv", [
+        ("centrality", "{g}", "--family", "eigen"),
+        ("compare", "{g}", "{h}", "--family", "katz", "--alpha", "0.1"),
+        ("norms", "{g}", "--norm", "cut"),
+        ("graphon", "centrality", "{w}", "--family", "eigen"),
+        ("graphon", "compare", "{w}", "{v}", "--family", "katz", "--alpha", "0.5"),
+    ], ids=["centrality", "compare", "norms", "graphon-centrality", "graphon-compare"])
+    def test_each_input_is_read_once_and_hashed(self, capsys, tmp_path, monkeypatch, argv):
+        import builtins
+
+        paths = {"g": tmp_path / "g.txt", "h": tmp_path / "h.json",
+                 "w": tmp_path / "w.json", "v": tmp_path / "v.json"}
+        paths["g"].write_text(K3_EDGES)
+        paths["h"].write_text(json.dumps({"weights": (np.ones((3, 3)) - np.eye(3)).tolist()}))
+        paths["w"].write_text(json.dumps({"values": [[0.5, 0.25], [0.25, 0.0]]}))
+        paths["v"].write_text(json.dumps({"k": 2, "values": [[0.5, 0.0], [0.0, 0.5]]}))
+        opened = []
+        read_bytes, open_ = Path.read_bytes, builtins.open
+        monkeypatch.setattr(Path, "read_bytes", lambda self: opened.append(self) or read_bytes(self))
+        monkeypatch.setattr(builtins, "open", lambda file, mode="r", *args, **kwargs: (
+            "r" in mode and opened.append(Path(file))) or open_(file, mode, *args, **kwargs))
+        code, payload, err = run_json(capsys, *(a.format(**paths) for a in argv))
+        assert code == 0, err
+        inputs = [Path(a.format(**paths)) for a in argv if a.startswith("{")]
+        assert sorted(opened) == sorted(inputs)
+        assert payload["manifest"]["inputs"] == [
+            {"path": str(p), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()} for p in inputs
+        ]
+
+
 class TestNorms:
     def test_identity_operator_norm(self, capsys, tmp_path):
         path = tmp_path / "eye.json"
@@ -856,6 +902,66 @@ class TestWorkCounts:
         assert counts == {"kernels": 0, "norms": 1, "lists": 0} and not tiled
         want = np.abs(a).sum(axis=0 if p == "1" else 1).max()
         assert json.loads(out)["value"] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+    @pytest.fixture
+    def arrays(self, monkeypatch):
+        """The n of every n x n array formed from a list of entries
+        (``graphs._Entries.dense``, the one place that forms one)."""
+        from fpcentral import graphs
+
+        formed = []
+        dense = graphs._Entries.dense
+        monkeypatch.setattr(graphs._Entries, "dense", lambda e: formed.append(e.n) or dense(e))
+        return formed
+
+    # each call, and the arrays it forms from listed inputs: none where only
+    # products, norms and the writer run, one per LAPACK call (the spectrum
+    # and the inverse iteration of eigen share one, a closed form takes one)
+    FORMED = [
+        (("centrality", "{a}", "--family", "katz", "--alpha", "0.1"), 0),
+        (("centrality", "{a}", "--family", "pagerank", "--alpha", "0.85"), 0),
+        (("compare", "{a}", "{b}", "--family", "katz", "--alpha", "0.1"), 0),
+        (("compare", "{a}", "{b}", "--family", "pagerank", "--alpha", "0.85"), 0),
+        (("norms", "{a}", "--norm", "1"), 0),
+        (("norms", "{a}", "--norm", "2"), 0),
+        (("norms", "{a}", "--norm", "inf"), 0),
+        (("graphon", "lift", "{a}"), 0),
+        (("centrality", "{a}", "--family", "eigen"), 1),
+        (("graphon", "centrality", "{wa}", "--family", "eigen"), 1),
+        (("graphon", "centrality", "{wa}", "--family", "katz", "--alpha", "0.5"), 1),
+        (("graphon", "centrality", "{wa}", "--family", "pagerank", "--alpha", "0.85"), 1),
+        (("graphon", "compare", "{wa}", "{wb}", "--family", "katz", "--alpha", "0.5"), 2),
+        (("graphon", "compare", "{wa}", "{wb}", "--family", "pagerank", "--alpha", "0.85"), 2),
+    ]
+
+    @pytest.mark.parametrize("as_edges", [False, True], ids=["json", "edge-list"])
+    @pytest.mark.parametrize("argv, formed", FORMED, ids=[
+        "-".join(a for a in argv if not a.startswith(("{", "-", "0"))) + f"-{i}"
+        for i, (argv, _) in enumerate(FORMED)
+    ])
+    def test_a_listed_input_forms_an_array_only_for_a_lapack_call(
+            self, capsys, tmp_path, arrays, argv, formed, as_edges):
+        a = self._sparse()
+        b = a.copy()
+        b[0, 1] = b[1, 0] = 0.0
+        paths = self._write(
+            tmp_path, {"a": a, "b": b, "wa": a / a.max(), "wb": b / a.max()}, as_edges
+        )
+        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 0, err
+        assert arrays == [a.shape[0]] * formed
+
+    @pytest.mark.parametrize("argv", ARGV, ids=IDS)
+    def test_an_input_above_the_cut_forms_no_array(self, capsys, tmp_path, arrays, argv):
+        rng = np.random.default_rng(14)
+        a = rng.random((6, 6))
+        b = a.copy()
+        b[0, 1] = 0.0
+        paths = self._write(tmp_path, {"a": a, "b": b, "wa": (a + a.T) / 2, "wb": (b + b.T) / 2})
+        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 0, err
+        assert arrays == []
 
 
 class TestAlphaRule:

@@ -16,7 +16,8 @@ import pytest
 from fpcentral import FixedPointMap, Graph, operator_norm, pagerank_kernel, solve
 from fpcentral.centrality import _kernel_entries, _operand, _prepare, _solve
 from fpcentral.io import parse_edge_list
-from fpcentral.graphs import ENTRY_SHARE, _Entries, _nonzero_entries
+from fpcentral.graphs import ENTRY_SHARE, _Entries, _nonzero_entries, degree_vector
+from fpcentral.graphs import matrix_tol, max_asymmetry
 from fpcentral.norms import _difference_entries, _merged_difference, _operator_norm
 
 EPS = np.finfo(float).eps
@@ -251,3 +252,44 @@ def test_a_merged_difference_above_the_cut_is_none():
     b.flat[128:] = 0.0
     b.flat[:127] = 1.0  # a difference of one entry
     _same_list(_merged_difference(_listed(a), _listed(b)), _difference_entries(a, b))
+
+
+@pytest.mark.parametrize("n", [129, 256, 257, 1000])
+def test_listed_degrees_have_the_bits_of_the_row_sums(n):
+    # 4 to 31 non-dyadic weights per row, so the order of the additions
+    # shows in the bits; the rows are summed in tiles formed from the list
+    rng = np.random.default_rng([1900, n])
+    m = np.zeros((n, n))
+    per_row = rng.integers(4, max(5, n // 32), size=n)
+    for i, k in enumerate(per_row.tolist()):
+        m[i, rng.choice(n, k, replace=False)] = rng.random(k) * 10.0 - 3.0
+    g = Graph(m)
+    assert g._entries is not None
+    want = m.sum(axis=1)
+    assert degree_vector(g).tobytes() == want.tobytes() == g.weights.sum(axis=1).tobytes()
+    # the PageRank kernel's list divides by those bits
+    e = _kernel_entries(g)
+    assert e.vals.tobytes() == (m[e.cols, e.rows] / want[e.cols]).tobytes()
+
+
+def test_the_symmetry_of_a_list_is_that_of_its_array():
+    # each entry's mirror is found among the sorted flat indices; the
+    # asymmetry, near the tolerance or not, decides as the tiled pass does
+    rng = np.random.default_rng(1901)
+    seen = set()
+    for trial in range(300):
+        n = int(rng.integers(2, 40))
+        m = np.zeros((n, n))
+        k = int(rng.integers(1, n * n // 64 + 2))
+        flat = rng.choice(n * n, k, replace=False)
+        m.flat[flat] = rng.choice([0.5, -1.0, 3.0, -0.0], k)
+        if trial % 3:
+            m = m + m.T
+            m.flat[flat[0]] += rng.choice([0.0, 1e-12, 4e-12])
+        g = Graph(m)
+        if g._entries is None:
+            continue
+        want = max_asymmetry(m) <= matrix_tol(m)
+        assert g.symmetric == want
+        seen.add(want)
+    assert seen == {True, False}

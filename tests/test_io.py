@@ -792,3 +792,48 @@ class TestListedMatrixWriter:
         )
         back = read_graphon(out)
         assert back._entries is not None and back.values.tobytes() == m.tobytes()
+
+
+class TestSignedZeros:
+    """A listed graph holds only its list of non-zero entries, and the
+    places of its -0.0 entries beside it, so the weights it forms, and the
+    lift that ``fpc graphon lift`` writes, keep the sign of every zero."""
+
+    @staticmethod
+    def _matrix(n=64):
+        # a symmetric ring with weights, and -0.0 on the diagonal and at a
+        # mirrored pair off the ring
+        m = np.zeros((n, n))
+        m[np.arange(n), np.roll(np.arange(n), 1)] = 0.3
+        m = np.maximum(m, m.T)
+        m[np.arange(0, n, 7), np.arange(0, n, 7)] = -0.0
+        m[2, 9] = m[9, 2] = -0.0
+        assert np.count_nonzero(m) <= ENTRY_SHARE * m.size
+        return m
+
+    def test_an_edge_list_keeps_its_negative_zeros(self):
+        m = self._matrix()
+        rows, cols = np.nonzero(np.signbit(m) | (m != 0.0))
+        g = parse_edge_list("".join(
+            f"{i} {j} {float(m[i, j])!r}\n" for i, j in zip(rows.tolist(), cols.tolist())
+        ))
+        assert g._entries is not None and g._entries.zeros.size == np.count_nonzero(np.signbit(m))
+        assert g.weights.tobytes() == m.tobytes()
+        assert Graph(m).weights.tobytes() == m.tobytes()
+
+    def test_the_lift_of_an_edge_list_writes_them(self, tmp_path):
+        m = self._matrix()
+        rows, cols = np.nonzero(np.signbit(m) | (m != 0.0))
+        path = tmp_path / "g.txt"
+        path.write_text("".join(
+            f"{i} {j} {float(m[i, j])!r}\n" for i, j in zip(rows.tolist(), cols.tolist())
+        ))
+        out = tmp_path / "lift.json"
+        assert main(["graphon", "lift", str(path), "-o", str(out), "--csv"]) == 0
+        assert out.read_text() == _written({"k": m.shape[0], "c": 0.3, "values": m.tolist()})
+        assert '"values"' in out.read_text() and "-0.0" in out.read_text()
+        assert out.with_suffix(".csv").read_text() == "".join(
+            line + "\n" for line in _dense_csv(m)
+        )
+        back = read_graphon(out)
+        assert back._entries is not None and back.values.tobytes() == m.tobytes()
