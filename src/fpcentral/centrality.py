@@ -422,24 +422,30 @@ def _inverse_iteration(m, lam):
     exact eigenvalue the solve is singular or non-finite; sigma then moves
     up by INVERSE_SHIFT_ULPS eps ||m||_inf and the step is repeated.
 
+    Each solve shifts the diagonal of ``m`` itself, which must be the
+    caller's own array, and restores it before the solve's outcome is used,
+    so no shifted copy is made.
+
     Returns ``(v, solves)``: v scaled to max-abs one, and the number of
     solves made, failed ones included.  Raises NumericalError after
     INVERSE_MAX_SOLVES solves.
     """
     n = m.shape[0]
-    ulp = np.finfo(float).eps * float(np.max(np.sum(np.abs(m), axis=1)))
+    ulp = np.finfo(float).eps * _operator_norm(m, None, math.inf)  # no n x n temporary
     tol = INVERSE_RESIDUAL_FACTOR * math.sqrt(n)
     diagonal = np.arange(n)
+    own = m[diagonal, diagonal]
     v = 1.0 + diagonal / n
     sigma = lam
     residual = math.inf
     for solves in range(1, INVERSE_MAX_SOLVES + 1):
-        shifted = m.copy(order="K")
-        shifted[diagonal, diagonal] -= sigma
+        m[diagonal, diagonal] = own - sigma
         try:
-            y = np.linalg.solve(shifted, v)
+            y = np.linalg.solve(m, v)
         except np.linalg.LinAlgError:
             y = None
+        finally:
+            m[diagonal, diagonal] = own
         if y is None or not np.all(np.isfinite(y)):
             sigma += INVERSE_SHIFT_ULPS * ulp
             continue
@@ -538,6 +544,8 @@ def eigencentrality(g, which="largest"):
         raise ParameterError(f"{role} eigenvalue is zero; the centrality equation is undefined")
     if math.isinf(value):
         raise NumericalError(f"the {role} eigenvalue of this matrix overflows float64")
+    if w is g._held:  # the caller's array, which inverse iteration must not write
+        w = w.copy(order="K")
     v, solves = _inverse_iteration(w.T, lam)
     v = v / vector_norm(v, 2)
     if float(v.sum()) < 0.0:

@@ -147,9 +147,11 @@ def cmd_compare(args):
 
 def cmd_graphon_lift(args):
     from .graphon import StepGraphon
-    from .io import _csv_rows, _graphon_payload, read_graph
+    from .io import _csv_rows, _graphon_payload, _read_graph
 
-    w = StepGraphon._adopt(read_graph(args.input))  # lift() without its copy
+    # lift() without its copy, of a graph read without a digest: the
+    # payload has no manifest
+    w = StepGraphon._adopt(_read_graph(args.input, hashed=False))
     _emit(_graphon_payload(w), args, lambda: "".join(
         row + "\n" for row in _csv_rows(w._graph)
     ))

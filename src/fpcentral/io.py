@@ -23,7 +23,6 @@ nested past the parser's recursion limit and integers past Python's digit
 limit raise it too.
 """
 
-import hashlib
 import json
 import math
 
@@ -391,12 +390,25 @@ def _listed_chunk(raw, n, listed):
     return n, m, row, col, [s[i : j + 1] for i, j in zip(starts.tolist(), ends.tolist())]
 
 
+def _sha256(data):
+    """The hex SHA-256 of ``data``.  ``hashlib`` is imported here, so a
+    command that records no digest never loads OpenSSL (3.6 MiB)."""
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
 def read_graph(path):
     """Read a graph file, sniffing JSON (first character `{`) versus the
     edge-list text format; a listed JSON matrix is read from its entries
     (``_listed_object``); ``_sha256`` is the digest of the bytes read."""
+    return _read_graph(path, hashed=True)
+
+
+def _read_graph(path, hashed):
+    """``read_graph``; without ``hashed``, ``_sha256`` is None."""
     data = Path(path).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
+    digest = _sha256(data) if hashed else None
     obj = _listed_object(data, "weights")
     if obj is not None:
         g = _graph_from_json(obj)
@@ -414,7 +426,7 @@ def read_graphon(path):
     once decoded and its text once parsed, before the values array is
     built.  ``_sha256`` is set as ``read_graph`` sets it."""
     data = Path(path).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
+    digest = _sha256(data)
     obj = _listed_object(data, "values")
     if obj is None:
         text = _decode(data)

@@ -12,7 +12,13 @@ The exact computation splits the rows into a low and a high half and
 tabulates the column sums of every subset of each half once (one GEMM per
 half).  The column sums of a row subset are then one high-half entry plus
 one low-half entry, so all 2^n row subsets cost O(2^n * n), swept in blocks
-of high-half subsets sized to stay in cache.  The permutation sweep
+of high-half subsets sized to stay in cache (256 KiB).  Every table entry,
+block total and swept value is bounded by twice the absolute sum of the
+matrix, so a matrix of integers with that bound below 2^15 is swept in
+int16, four times as many subsets per block as in float64 (a +-1 matrix, or
+the difference of two 0/1 graphs, has a bound of at most 968 at n <= 22).  The float GEMM that builds its tables is
+exact on such integers, so the values, the ties and the witness are those
+of the float sweep, bit for bit.  The permutation sweep
 computes the column sums of every row subset of a whole stack of small
 candidate differences with one GEMM against the subset-indicator matrix.
 
@@ -68,8 +74,8 @@ POWER_TOL = 1e-10
 POWER_MAX_ITER = 10_000
 _START_SEED = 0x5EED
 _TINY = np.finfo(float).tiny
-# elements of one block of row-subset values in cut_norm_exact (256 KiB)
-_CUT_BLOCK = 1 << 15
+# bytes of one block of row-subset values in cut_norm_exact (256 KiB)
+_CUT_BLOCK = 1 << 18
 # candidate permutations evaluated per vectorized step of the exact sweep
 _PERM_CHUNK = 500
 # a bound on a block of candidates (graphs._lex_blocks) must exceed the best
@@ -374,11 +380,22 @@ def _split_by_sign(c):
 
 
 def _check_cut_sums(m):
-    """Refuse ``m`` when its absolute sum, a bound on every cut sum, overflows."""
+    """The absolute sum of ``m``, a bound on every cut sum; ``m`` is refused
+    when it overflows."""
     with np.errstate(over="ignore"):
         mass = float(np.abs(m).sum())
     if not math.isfinite(mass):
         raise NumericalError("cut sums of this matrix overflow float64")
+    return mass
+
+
+def _sweep_dtype(m, mass):
+    """int16 when every entry of ``m`` is an integer and ``2 * mass``, a
+    bound on every value the sweep of ``cut_norm_exact`` forms, fits in it;
+    float64 otherwise."""
+    if 2 * mass < 2**15 and np.array_equal(m, np.trunc(m)):
+        return np.int16
+    return np.float64
 
 
 def cut_norm_exact(m):
@@ -388,6 +405,10 @@ def cut_norm_exact(m):
     smallest S (sorted index tuples, empty set first).  For that S the two
     sign-optimal column sets are compared and ties resolve to the
     lexicographically smaller T.  The value is recomputed from the witness.
+    The sweep runs in int16 when every entry is an integer and twice the
+    absolute sum, which bounds every value it forms, is below 2^15; its
+    integer arithmetic is exact, so the witness and value are those of the
+    float64 sweep that any other matrix takes.
     Limited to n <= 22 (the heuristic covers larger matrices).  Non-finite
     entries raise ParameterError; entries whose absolute sum overflows
     raise NumericalError.
@@ -400,20 +421,22 @@ def cut_norm_exact(m):
             f"exact cut norm is limited to n <= {limit}, got n={n}; "
             "use cut_norm_heuristic for a certified lower bound"
         )
-    _check_cut_sums(m)
+    dtype = _sweep_dtype(m, _check_cut_sums(m))
     # row mask = s_hi << h | s_lo; tables hold the column sums of every
-    # subset of each half, one column per subset
+    # subset of each half, one column per subset, and their totals; the
+    # float GEMM and sums are exact on integers, so casting keeps the values
     h = n // 2
     lo = np.ascontiguousarray((_subset_bits(h) @ m[:h]).T)
     hi = np.ascontiguousarray((_subset_bits(n - h) @ m[h:]).T)
-    lo_total = lo.sum(axis=0)
-    hi_total = hi.sum(axis=0)
+    lo, hi, lo_total, hi_total = (
+        x.astype(dtype, copy=False) for x in (lo, hi, lo.sum(axis=0), hi.sum(axis=0))
+    )
     width = lo.shape[1]
-    step = max(1, _CUT_BLOCK // width)
-    best_val = -1.0
+    step = max(1, _CUT_BLOCK // (width * lo.itemsize))
+    best_val = -1
     ties = []
     # both buffers are made once, so the sweep allocates nothing per block
-    term, block = np.empty((step, width)), np.empty((step, width))
+    term, block = np.empty((step, width), dtype), np.empty((step, width), dtype)
     for s0 in range(0, hi.shape[1], step):
         s1 = min(s0 + step, hi.shape[1])
         # twice the value of every row subset of the block
@@ -424,7 +447,7 @@ def cut_norm_exact(m):
             np.add(hi[j, s0:s1, None], lo[j], out=t)
             np.abs(t, out=t)
             vals += t
-        top = float(vals.max())
+        top = vals.max()
         if top < best_val:
             continue
         if top > best_val:

@@ -692,6 +692,19 @@ class TestStartup:
         assert rc == 0
         assert not layers & {"graphon", "perturbation", "transport"}
 
+    def test_graphon_lift_loads_no_hashlib(self, tmp_path):
+        # its payload records no digest, so OpenSSL stays out of the process
+        (tmp_path / "k3.txt").write_text(K3_EDGES)
+        out = self.python(
+            "import sys\n"
+            "from fpcentral.cli import main\n"
+            "rc = main(['graphon', 'lift', 'k3.txt', '-o', 'w.json'])\n"
+            "print(rc, sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n",
+            cwd=tmp_path,
+        )
+        assert out == "0 []\n"
+        assert json.loads((tmp_path / "w.json").read_text())["k"] == 3
+
     def test_theorem1_compare_loads_neither_graphon_nor_transport(self, tmp_path):
         rc, _, layers, _ = self.loaded(tmp_path, "compare", "k3.txt", "k3.txt",
                                        "--family", "katz", "--alpha", "0.3")

@@ -21,6 +21,7 @@ from fpcentral import (
     Graph,
     StepGraphon,
     constants_analytic,
+    eigencentrality,
     operator_norm,
     prop6_certificate,
     read_graphon,
@@ -122,6 +123,35 @@ def test_dense_pagerank_theorem2_scales_each_kernel_in_place(dense_pair):
     # its own kernel, plus the working copy of the LAPACK solve
     a, b = (StepGraphon(g.weights) for g in dense_pair)
     assert _peak(lambda: theorem2_certificate(a, b, "pagerank", 0.85)) <= 4.25
+
+
+def test_listed_directed_eigencentrality_shifts_its_own_array():
+    # the spectrum and every inverse-iteration solve share the one array
+    # formed from the list, whose diagonal each solve shifts and restores
+    # (2.04 with a shifted copy per solve)
+    rng = np.random.default_rng(1900)
+    order = rng.permutation(N)
+    w = (rng.random((N, N)) < 8 / (N - 1)) * 1.0
+    w[order, np.roll(order, -1)] = 1.0
+    np.fill_diagonal(w, 0.0)
+    g = Graph(w)
+    assert g._entries is not None and not g.symmetric
+    assert _peak(lambda: eigencentrality(g)) <= 1.25
+
+
+@pytest.mark.parametrize("w", [
+    np.diag([1.5, 1.0, 0.5]),  # scale 1; the first solve is singular, so it retries
+    np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]),
+    np.array([[0.0, 3.0, 1.0], [3.0, -0.0, 1.0], [1.0, 1.0, 0.0]]),  # scaled by 2^-1
+], ids=["diagonal", "directed", "scaled"])
+def test_eigencentrality_never_writes_a_dense_graph(w):
+    g = Graph(w)
+    assert g._entries is None
+    held = g.weights.copy()
+    g.weights.flags.writeable = False
+    res = eigencentrality(g)
+    assert g.weights.tobytes() == held.tobytes()
+    assert res.iterations == (2 if w[0, 0] else 1)
 
 
 @pytest.mark.parametrize("p", [1, math.inf])

@@ -423,6 +423,56 @@ class TestCutNormExact:
         assert abs(float(m[np.ix_(list(w.S), list(w.T))].sum())) == w.value
         assert w.value >= cut_norm_heuristic(m).value
 
+    @staticmethod
+    def _integer_matrices(n, rng):
+        signed = rng.choice([-1.0, 1.0], size=(n, n))
+        zeros = signed.copy()
+        zeros[rng.random((n, n)) < 0.4] = -0.0
+        sparse = np.zeros((n, n))  # a few +-1 entries: most subsets tie
+        listed = rng.choice(n * n, size=min(3, n * n), replace=False)
+        sparse.flat[listed] = rng.choice([-1.0, 1.0], size=listed.size)
+        return {
+            "signed": signed,
+            "difference": ((rng.random((n, n)) < 0.5) * 1.0 - (rng.random((n, n)) < 0.5) * 1.0),
+            "zero": np.zeros((n, n)),
+            "ties": sparse,
+            "signed-zeros": zeros,
+        }
+
+    @pytest.mark.parametrize("kind", ["signed", "difference", "zero", "ties", "signed-zeros"])
+    def test_integer_sweep_matches_the_brute_force(self, kind):
+        rng = np.random.default_rng(13)
+        for n in range(1, 11):
+            m = self._integer_matrices(n, rng)[kind]
+            assert norms._sweep_dtype(m, float(np.abs(m).sum())) is np.int16
+            w = cut_norm_exact(m)
+            assert w.value == cut_norm_brute(m)
+            assert (w.value, w.S, w.T) == cut_norm_rows_reference(m)
+
+    @pytest.mark.parametrize("twice_mass, dtype", [(32766, np.int16), (32768, np.float64)])
+    @pytest.mark.parametrize("signs", ["positive", "mixed"])
+    def test_the_int16_bound_keeps_the_float_witness(self, monkeypatch, twice_mass, dtype, signs):
+        # with all entries positive the best subset sums to the whole mass,
+        # so twice it is the largest value the sweep forms
+        m = np.ones((6, 6))
+        if signs == "mixed":
+            m[np.random.default_rng(14).random((6, 6)) < 0.5] = -1.0
+        m[0, 0] = twice_mass // 2 - 35
+        assert norms._sweep_dtype(m, float(np.abs(m).sum())) is dtype
+        w = cut_norm_exact(m)
+        monkeypatch.setattr(norms, "_sweep_dtype", lambda m, mass: np.float64)
+        assert w == cut_norm_exact(m)
+        assert w.value == cut_norm_brute(m)
+
+    def test_a_fractional_entry_takes_the_float_sweep(self):
+        rng = np.random.default_rng(15)
+        for n in range(1, 9):
+            m = rng.integers(-2, 3, size=(n, n)) * 1.0
+            m[rng.integers(n), rng.integers(n)] = 0.5
+            assert norms._sweep_dtype(m, float(np.abs(m).sum())) is np.float64
+            w = cut_norm_exact(m)
+            assert (w.value, w.S, w.T) == cut_norm_rows_reference(m)
+
     def test_zero_matrix_at_the_limit_has_empty_witness(self):
         w = cut_norm_exact(np.zeros((MAX_CUT_EXACT_N, MAX_CUT_EXACT_N)))
         assert (w.value, w.S, w.T) == (0.0, (), ())
