@@ -12,11 +12,9 @@ permutation-equivariant pair (f, g).  The canonical families are
 For all three g is the identity.  Native norms: 1-norm for pagerank, 2-norm
 otherwise.  Katz and PageRank act through one matrix M_A, the weights A for
 katz and the kernel A.T D^{-1} for pagerank.  Each input is prepared once
-(``_prepare``): the record holds M_A, its L0, and the products x -> M_A x
-and y -> M_A^T y that every iteration step takes.  When the graph holds the
-list of its non-zero entries (``graphs.ENTRY_SHARE``), the products run over
-that list, and a PageRank kernel is kept as the list alone: its entries are
-the graph's, with the IEEE division ``pagerank_kernel`` makes.
+(``_prepare``): the record holds its L0 and M_A as one operand (``graphs``)
+in the form of the graph's, whose products x -> M_A x and y -> M_A^T y
+every iteration step takes: over a list of entries they cost O(entries).
 
 Katz and PageRank are iterated (``solve``) or solved directly (the closed
 forms).  The eigen family takes the spectrum of A.T from LAPACK without
@@ -36,7 +34,7 @@ from .errors import (
     ParameterError,
     SimplicityError,
 )
-from .graphs import Graph, _Entries, _pow2_normalize, degree_vector
+from .graphs import Graph, _Dense, _pow2_normalize, degree_vector
 from .norms import _operator_norm, operator_norm, vector_norm
 
 FAMILIES = ("eigen", "katz", "pagerank")
@@ -112,100 +110,55 @@ class CentralityResult:
 
 def pagerank_kernel(g):
     """The kernel A.T D^{-1} with columns of zero out-degree nodes zeroed."""
-    w = g.weights
-    d = degree_vector(g)[:, None]
-    return np.divide(w, d, out=np.zeros_like(w), where=d != 0.0).T
-
-
-def _kernel_entries(g):
-    """The entries of A^T D^-1 from the entry list of A: ``(cols, rows,
-    vals / d[rows])`` at rows of non-zero degree, the IEEE division that
-    ``pagerank_kernel`` makes; None when the graph holds no list.  The
-    kernel has no more entries than A, so it is below the cut as A is."""
-    e = g._entries
-    if e is None:
-        return None
-    d = degree_vector(g)
-    rows, cols, vals = e.rows, e.cols, e.vals
-    keep = d[rows] != 0.0
-    if not keep.all():
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    return _Entries(cols, rows, vals / d[rows], g.n)
+    return _Dense(g.weights).kernel(degree_vector(g)).dense()
 
 
 class _Prepared(NamedTuple):
     """One input as its family's map sees it, built once (``_prepare``).
 
-    ``m`` is M_A, the weights for katz and eigen and the kernel A^T D^-1
-    for pagerank; ``entries`` its ``graphs._Entries`` below the cut, where
-    ``m`` is None and ``matrix()`` forms it; ``l0`` its contraction
+    ``op`` is M_A as an operand (``graphs``): the graph's for katz and
+    eigen, the kernel A^T D^-1 for pagerank; ``l0`` its contraction
     modulus, None for eigen.
     """
 
     family: str
     alpha: float | None
     g: Graph
-    m: np.ndarray | None
-    entries: _Entries | None
+    op: object
     l0: float | None
-
-    def matrix(self):
-        """M_A as an n x n array, formed anew when the record holds a list."""
-        if self.m is not None:
-            return self.m
-        return pagerank_kernel(self.g) if self.family == "pagerank" else self.g.weights
-
-    def matvec(self, x):
-        """M_A x."""
-        return self.m @ x if self.entries is None else self.entries.matvec(x)
-
-    def rmatvec(self, y):
-        """M_A^T y."""
-        return self.m.T @ y if self.entries is None else self.entries.rmatvec(y)
 
 
 def _operand(family, alpha, g):
-    """The record of ``g`` without its L0: M_A and its entries."""
-    if family != "pagerank":
-        return _Prepared(family, alpha, g, g._array, g._entries, None)
-    entries = _kernel_entries(g)
-    return _Prepared(family, alpha, g, pagerank_kernel(g) if entries is None else None, entries, None)
+    """The record of ``g`` without its L0: M_A."""
+    op = g._held.kernel(degree_vector(g)) if family == "pagerank" else g._held
+    return _Prepared(family, alpha, g, op, None)
 
 
 def _prepare(family, alpha, g):
-    """The record of ``g`` for a family: M_A, its entries, and L0 checked
-    by the contraction rule (none for eigen)."""
+    """The record of ``g`` for a family: M_A and L0 checked by the
+    contraction rule (none for eigen)."""
     if family == "eigen":
         return _operand(family, alpha, g)
     check_contraction(family, alpha)
     prep = _operand(family, alpha, g)
-    l0 = alpha * _operator_norm(prep.m, None, native_norm_index(family), prep.entries)
+    l0 = alpha * _operator_norm(prep.op, native_norm_index(family))
     if not l0 < 1.0:
         label = "alpha * ||A||_2" if family == "katz" else "alpha * ||A^T D^-1||_1"
         raise ParameterError(f"{family} requires {label} < 1, got {l0:.6g}")
     return prep._replace(l0=l0)
 
 
-def _scaled(prep):
-    """The record of alpha M_A, which uses ``prep`` up: its list of entries
-    scaled, or its dense matrix scaled in place."""
-    if prep.entries is not None:
-        return prep._replace(entries=prep.entries.scaled(prep.alpha))
-    m = prep.m
-    m *= prep.alpha
-    return prep
-
-
 def _iteration_map(prep):
     """f(A, .) as a function of x from a record: x -> alpha (A.T x) + 1 for
     katz, without forming alpha A.T, and x -> (alpha M) x + (1 - alpha)/n
-    for pagerank, with alpha M as ``_scaled`` makes it."""
+    for pagerank, with alpha M as ``scaled`` makes it: a dense kernel is
+    scaled in place, which uses the record up."""
     alpha = prep.alpha
     if prep.family == "katz":
-        return lambda x: alpha * prep.rmatvec(x) + 1.0
+        return lambda x: alpha * prep.op.rmatvec(x) + 1.0
     if prep.family == "pagerank":
         b = (1.0 - alpha) / prep.g.n
-        scaled = _scaled(prep)
+        scaled = prep.op.scaled(alpha)
         return lambda x: scaled.matvec(x) + b
     raise ParameterError(
         "the eigen family has no standalone iteration map; use solve() or "
@@ -259,15 +212,15 @@ def solve(g, map_, cfg=None):
     NonConvergenceError
         Budget exhausted; carries the last iterate and residual.
 
-    Each step is one product with M_A: over the graph's list of non-zero
-    entries when it holds one (``graphs.ENTRY_SHARE``), in O(entries), and
-    a dense BLAS product otherwise.
+    Each step is one product with M_A, in the form the graph holds it
+    (``graphs``): over its list of non-zero entries in O(entries), or a
+    dense BLAS product.
     """
     return _solve(_prepare(map_.family, map_.alpha, g), cfg)
 
 
 def _solve(prep, cfg=None):
-    """solve() on a record, which the solve uses up (``_scaled``)."""
+    """solve() on a record, which the solve uses up (``_iteration_map``)."""
     cfg = cfg if cfg is not None else SolveConfig()
     g = prep.g
     if prep.family == "eigen":
@@ -363,9 +316,9 @@ def katz_closed_form(g, alpha):
 
 
 def _katz_direct(prep):
-    """katz_closed_form on a record."""
-    m = prep.matrix()
-    lhs = np.multiply(m, prep.alpha, out=None if prep.m is not None else m).T
+    """katz_closed_form on a record: alpha A is a new array, never the
+    graph's."""
+    lhs = prep.op.scaled(prep.alpha).dense().T
     return _solve_direct(_identity_minus(lhs), np.ones(prep.g.n), "katz")
 
 
@@ -375,18 +328,17 @@ def pagerank_closed_form(g, alpha):
     Requires L0 = alpha ||A^T D^-1||_1 < 1 (``_prepare``).  Columns
     at zero out-degree nodes are zero, so mass can leak: the result may sum
     to less than one and is reported without renormalization.  The left
-    side is built in the kernel's own array, or from the kernel's list of
-    entries when the graph holds one; both give the same bits.
+    side is built in the kernel's own array, or formed from the kernel's
+    list of entries; both give the same bits.
     """
     return _pagerank_direct(_prepare("pagerank", alpha, g))
 
 
 def _pagerank_direct(prep):
-    """pagerank_closed_form on a record, which the solve uses up
-    (``_scaled``)."""
+    """pagerank_closed_form on a record, which the solve uses up: a dense
+    kernel is scaled in place."""
     alpha, n = prep.alpha, prep.g.n
-    scaled = _scaled(prep)
-    lhs = scaled.m if scaled.entries is None else scaled.entries.dense()
+    lhs = prep.op.scaled(alpha).dense()
     return _solve_direct(_identity_minus(lhs), np.full(n, (1.0 - alpha) / n), "pagerank")
 
 
@@ -431,7 +383,7 @@ def _inverse_iteration(m, lam):
     INVERSE_MAX_SOLVES solves.
     """
     n = m.shape[0]
-    ulp = np.finfo(float).eps * _operator_norm(m, None, math.inf)  # no n x n temporary
+    ulp = np.finfo(float).eps * _operator_norm(_Dense(m), math.inf)  # no n x n temporary
     tol = INVERSE_RESIDUAL_FACTOR * math.sqrt(n)
     diagonal = np.arange(n)
     own = m[diagonal, diagonal]
@@ -503,8 +455,8 @@ def eigencentrality(g, which="largest"):
         If the selected eigenvalue of A exceeds float64, or inverse
         iteration does not reach its residual bound.
     """
-    w = g.weights
-    w, e = _pow2_normalize(w, out=None if g._entries is None else w)
+    w = g._held.dense()  # a list forms an array of its own, scaled in place
+    w, e = _pow2_normalize(w, out=w if w.flags.writeable else None)
     n = g.n
     if isinstance(which, (int, np.integer)) and not isinstance(which, bool):
         if not g.symmetric:
@@ -544,7 +496,7 @@ def eigencentrality(g, which="largest"):
         raise ParameterError(f"{role} eigenvalue is zero; the centrality equation is undefined")
     if math.isinf(value):
         raise NumericalError(f"the {role} eigenvalue of this matrix overflows float64")
-    if w is g._held:  # the caller's array, which inverse iteration must not write
+    if not w.flags.writeable:  # the graph's array, which inverse iteration must not write
         w = w.copy(order="K")
     v, solves = _inverse_iteration(w.T, lam)
     v = v / vector_norm(v, 2)

@@ -223,8 +223,8 @@ def cmd_norms(args):
             "witness": {"S": list(witness.S), "T": list(witness.T)},
         }
     else:
-        # the graph's own list of entries, which operator_norm would find again
-        value = _operator_norm(g._array, None, _canon_p(args.norm), g._entries)
+        # the graph's own operand, whose list operator_norm would find again
+        value = _operator_norm(g._held, _canon_p(args.norm))
         payload = {"kind": args.norm, "value": value}
     payload["manifest"] = _manifest(args, g)
     _emit(payload, args, lambda: f"kind,value\n{payload['kind']},{payload['value']!r}\n")

@@ -66,17 +66,17 @@ class StepGraphon:
         if not g.symmetric:
             raise ParameterError("the matrix is not symmetric")
         # max |value| and its tolerance over what the graph holds
-        listed = g._values()
-        peak = max(0.0, float(listed.max(initial=0.0)), -float(listed.min(initial=0.0)))
+        held = g._held.vals
+        peak = max(0.0, float(held.max(initial=0.0)), -float(held.min(initial=0.0)))
         if c is None:
             c = peak
         elif not _is_finite_real(c):
             raise ParameterError(
                 f"graphon bound c must be None or a finite real number, got {c!r:.40}"
             )
-        elif peak > c + matrix_tol(listed):
+        elif peak > c + matrix_tol(held):
             raise ParameterError(f"graphon values exceed the declared bound c={c}")
-        self._graph, self._entries = g, g._entries
+        self._graph = g
         self.k = g.n
         self.c = float(c)
 
@@ -157,12 +157,9 @@ def apply(w, v):
 
 def _lift_graph(w):
     """The finite graph values/k, whose matrix action is the graphon
-    operator on block values: the values' list of entries divided by k, or
-    the array that values/k makes."""
-    e = w._entries
-    if e is None:
-        return Graph._adopt(w.values / w.k)
-    return Graph._adopt_list(w.k, e.rows, e.cols, e.vals / w.k, e.zeros)
+    operator on block values: each value divided by k, in the form the
+    values are held."""
+    return w._graph._held.divided(w.k)
 
 
 def graphon_degree(w):
@@ -171,7 +168,7 @@ def graphon_degree(w):
 
 
 def _check_pagerank_values(w):
-    values = w._graph._values()
+    values = w._graph._held.vals
     if values.min(initial=0.0) < 0.0 or values.max(initial=0.0) > 1.0:
         raise ParameterError("graphon pagerank requires values in [0, 1]")
 

@@ -5,12 +5,16 @@ is the weight of the link from node ``i`` to node ``j``, and the canonical
 centralities act through the transpose ``A.T``.  Negative weights are
 allowed; symmetry is detected, not required.
 
-A matrix takes one of two forms.  With at most ``ENTRY_SHARE`` of its n x n
-entries non-zero it is also held as the list of them (``_Entries``), on
-which a product with the matrix or its transpose costs O(entries) instead
-of O(n^2): there a product over the list beats a dense BLAS product
+Every matrix the package computes with is one operand, in one of two forms
+that only this module tells apart.  With at most ``ENTRY_SHARE`` of its
+n x n entries non-zero it is the list of them (``_Entries``), on which a
+product with the matrix or its transpose costs O(entries) instead of
+O(n^2): there a product over the list beats a dense BLAS product
 (measured on full-support matrices, break-even about 1/16 at n = 1000 to
-2000, about 1/32 at n = 200).  Any other matrix is its whole array.
+2000, about 1/32 at n = 200).  Any other matrix is its whole array
+(``_Dense``).  Both answer the same methods, each in its own summation
+order (BLAS for the array, ``np.bincount`` for the list), and hold their
+values as ``vals``, whose extremes with 0.0 are the matrix's.
 """
 
 import math
@@ -28,12 +32,18 @@ ENTRY_SHARE = 1 / 32
 _NO_ZEROS = np.empty(0, dtype=np.intp)
 
 
+def _refuse_non_finite(m, caller):
+    if not np.isfinite(m).all():
+        raise ParameterError(f"{caller} expects finite entries")
+
+
 class _Entries(NamedTuple):
     """The non-zero entries ``vals`` at ``(rows, cols)`` of an n x n matrix M
-    and its products over them alone.  Each product adds a row's (or a
-    column's) terms in the order of the list; ``np.bincount`` returns
-    integers for an empty list, hence the cast.  ``zeros`` holds the
-    row-major flat indices of M's -0.0 entries, which only ``dense`` reads."""
+    and its products over them alone, each adding a line's terms in the
+    order of the list (``np.bincount`` returns integers for an empty list,
+    hence the casts).  ``zeros`` holds the row-major flat indices of M's
+    -0.0 entries.  A graph's list is row-major; a PageRank kernel's goes
+    column by column, and no method after ``digest_into`` reads it."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -49,9 +59,27 @@ class _Entries(NamedTuple):
         """M^T y."""
         return np.bincount(self.cols, self.vals * y[self.rows], self.n).astype(float, copy=False)
 
+    def abs_sums(self, axis):
+        """``|M|.sum(axis)``, each line's absolute entries added in the
+        list's order; non-finite entries are refused."""
+        _refuse_non_finite(self.vals, "operator_norm")
+        lines = self.cols if axis == 0 else self.rows
+        return np.bincount(lines, np.abs(self.vals), self.n).astype(float, copy=False)
+
     def scaled(self, factor):
         """The entries of ``factor * M``, with the bits of that product."""
         return self._replace(vals=self.vals * factor)
+
+    def minus(self, other):
+        """M - O: the merge of two lists below the cut, else the arrays'."""
+        if isinstance(other, _Entries):
+            merged = _merged_difference(self, other)
+            if merged is not None:
+                return merged
+        return _Difference(self.dense(), other.dense())
+
+    def iterand(self):
+        return self
 
     def dense(self):
         """M as a new n x n array, the only place a list forms one."""
@@ -59,6 +87,139 @@ class _Entries(NamedTuple):
         m[self.rows, self.cols] = self.vals
         m.flat[self.zeros] = -0.0
         return m
+
+    def digest_into(self, h):
+        """Hash M as the tag ``entries``, then n and the entry count, then
+        rows and cols as int64 and vals as float64: O(entries) bytes."""
+        h.update(f"entries{(self.n, self.vals.size)}".encode())
+        for buf in (self.rows, self.cols):
+            h.update(np.ascontiguousarray(buf, dtype=np.int64))
+        h.update(np.ascontiguousarray(self.vals, dtype=float))
+
+    def row_sums(self):
+        """Summed over tiles of whole rows formed from the list: numpy sums
+        each row alone, from +0.0, so the bits are the whole matrix's."""
+        sums = np.empty(self.n)
+        for s in _tiles(self.n):
+            lo, hi = np.searchsorted(self.rows, (s.start, s.stop))
+            tile = np.zeros((s.stop - s.start, self.n))
+            tile[self.rows[lo:hi] - s.start, self.cols[lo:hi]] = self.vals[lo:hi]
+            sums[s] = tile.sum(axis=1)
+        return sums
+
+    def asymmetry(self):
+        """``max_asymmetry`` of a row-major list's matrix, bit for bit: each
+        entry's mirror is found in the sorted flat indices, 0.0 if absent."""
+        flat = self.rows * self.n + self.cols
+        mirror = self.cols * self.n + self.rows
+        at = np.searchsorted(flat, mirror)
+        at[at == flat.size] = 0
+        found = np.where(flat[at] == mirror, self.vals[at], 0.0)
+        return float(np.max(np.abs(self.vals - found), initial=0.0))
+
+    def kernel(self, d):
+        """M^T D^-1 for row sums ``d``: ``vals / d[rows]`` at rows of
+        non-zero degree, the IEEE division ``_Dense.kernel`` makes.  It has
+        no more entries than M, so it is below the cut as M is."""
+        rows, cols, vals = self.rows, self.cols, self.vals
+        keep = d[rows] != 0.0
+        if not keep.all():
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        return _Entries(cols, rows, vals / d[rows], self.n)
+
+    def divided(self, k):
+        """The graph of M / k, as ``vals / k``."""
+        return Graph._adopt_list(self.n, self.rows, self.cols, self.vals / k, self.zeros)
+
+    def spelled_rows(self, sep):
+        """Each row as ``sep.join`` of its entries' float reprs: a row of
+        zeros with the reprs of its listed entries in place of their "0.0",
+        made a row at a time, so a row costs its listed entries.  With -0.0
+        entries, it spells its array."""
+        if self.zeros.size:
+            yield from _Dense(self.dense()).spelled_rows(sep)
+            return
+        zeros = sep.join(["0.0"] * self.n)
+        starts = np.searchsorted(self.rows, np.arange(self.n + 1)).tolist()
+        offsets = self.cols * (len(sep) + 3)
+        for lo, hi in zip(starts, starts[1:]):
+            pieces, at = [], 0
+            for start, x in zip(offsets[lo:hi].tolist(), self.vals[lo:hi].tolist()):
+                pieces += zeros[at:start], float.__repr__(x)
+                at = start + 3
+            yield "".join([*pieces, zeros[at:]]) if pieces else zeros
+
+
+class _Dense(NamedTuple):
+    """The whole n x n array ``vals`` of M, with BLAS's products.  ``scaled``
+    writes an array the operand may write, such as a kernel it formed; a
+    graph holds its array read-only, so no operand writes a graph's."""
+
+    vals: np.ndarray
+
+    @property
+    def n(self):
+        return self.vals.shape[0]
+
+    def matvec(self, x):
+        return self.vals @ x
+
+    def rmatvec(self, y):
+        return self.vals.T @ y
+
+    def abs_sums(self, axis):
+        return _abs_sums(self.vals, None, axis)
+
+    def scaled(self, factor):
+        m = self.vals
+        return _Dense(np.multiply(m, factor, out=m if m.flags.writeable else None))
+
+    def minus(self, other):
+        return _Difference(self.vals, other.dense())
+
+    def iterand(self):
+        return self
+
+    def dense(self):
+        return self.vals
+
+    def digest_into(self, h):
+        """Hash M as the str of its shape, then its float64 buffer."""
+        arr = np.ascontiguousarray(self.vals, dtype=float)
+        h.update(str(arr.shape).encode())
+        h.update(arr)
+
+    def row_sums(self):
+        return self.vals.sum(axis=1)
+
+    def asymmetry(self):
+        return max_asymmetry(self.vals)
+
+    def kernel(self, d):
+        d = d[:, None]
+        return _Dense(np.divide(self.vals, d, out=np.zeros_like(self.vals), where=d != 0.0).T)
+
+    def divided(self, k):
+        return Graph._adopt(self.vals / k)
+
+    def spelled_rows(self, sep):
+        return (sep.join(map(float.__repr__, row.tolist())) for row in self.vals)
+
+
+class _Difference(NamedTuple):
+    """``a - b`` of two arrays, kept as the pair for a norm: its absolute
+    sums are tiled over both, and its 2-norm iterates the list of its
+    entries by row tiles below the cut, else the array ``a - b``."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+    def abs_sums(self, axis):
+        return _abs_sums(self.a, self.b, axis)
+
+    def iterand(self):
+        listed = _difference_entries(self.a, self.b)
+        return _Dense(self.a - self.b) if listed is None else listed
 
 
 def _nonzero_entries(m):
@@ -74,15 +235,74 @@ def _nonzero_entries(m):
     return _Entries(rows, cols, m[rows, cols], m.shape[0])
 
 
-def _list_asymmetry(e):
-    """``max_asymmetry`` of a row-major list's matrix, bit for bit: each
-    entry's mirror is found in the sorted flat indices, 0.0 if absent."""
-    flat = e.rows * e.n + e.cols
-    mirror = e.cols * e.n + e.rows
-    at = np.searchsorted(flat, mirror)
-    at[at == flat.size] = 0
-    found = np.where(flat[at] == mirror, e.vals[at], 0.0)
-    return float(np.max(np.abs(e.vals - found), initial=0.0))
+def _operand(m):
+    """A square array as the list of its entries below the cut, else itself
+    (a list, a non-empty tuple, is true)."""
+    return _nonzero_entries(m) or _Dense(m)
+
+
+def _abs_sums(a, b, axis):
+    """``np.abs(a - b).sum(axis)``, or of ``a`` when ``b`` is None, in tiles
+    of whole lines along the other axis, with no n x n temporary and the
+    bits of the whole matrix's sums; non-finite entries are refused."""
+    n = a.shape[1 - axis]
+    sums = np.empty(n)
+    for s in _tiles(n):
+        index = (slice(None), s) if axis == 0 else s
+        if b is None:
+            tile = np.abs(a[index])
+        else:
+            tile = a[index] - b[index]
+            np.abs(tile, out=tile)
+        _refuse_non_finite(tile, "operator_norm")
+        sums[s] = tile.sum(axis=axis)
+        del tile  # before the next tile is made
+    return sums
+
+
+def _difference_entries(a, b):
+    """The ``_Entries`` of ``a - b``, NaN and inf included, listed in
+    row-major order by row tiles, or None as soon as they pass the cut.
+    Each tile goes before the next is made."""
+    n = a.shape[0]
+    rows, cols, vals = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    count = 0
+    for s in _tiles(n):
+        d = a[s] - b[s]
+        r, c = np.divmod(np.flatnonzero(d != 0.0), n)
+        count += r.size
+        if count > ENTRY_SHARE * a.size:
+            return None
+        rows.append(r + s.start)
+        cols.append(c)
+        vals.append(d[r, c])
+        del d
+    return _Entries(*map(np.concatenate, (rows, cols, vals)), n)
+
+
+def _merged_difference(ea, eb):
+    """The list ``_difference_entries`` makes of ``a - b``, bit for bit,
+    merged from the ``_Entries`` of both matrices in any order of entries
+    (a PageRank kernel's list comes column by column): the union of their
+    row-major flat indices, the IEEE difference there, 0.0 taken for an
+    index that one list lacks, exact zeros dropped; None when the
+    difference passes the cut.  It costs O(entries) and makes no n x n
+    array."""
+    n = ea.n
+    fa, fb = ea.rows * n, eb.rows * n
+    fa += ea.cols
+    fb += eb.cols
+    flat = np.union1d(fa, fb)
+    d = np.zeros(flat.size)
+    d[np.searchsorted(flat, fa)] = ea.vals
+    del fa
+    with np.errstate(over="ignore", invalid="ignore"):
+        # 0.0 - v is -v exactly, as a - b is where b's array holds v
+        d[np.searchsorted(flat, fb)] -= eb.vals
+    keep = d != 0.0
+    if np.count_nonzero(keep) > ENTRY_SHARE * (n * n):
+        return None
+    return _Entries(*np.divmod(flat[keep], n), d[keep], n)
 
 
 def _tiles(n):
@@ -149,18 +369,18 @@ class Graph:
     n : int
         Number of nodes.
     weights : (n, n) ndarray
-        The weight matrix, signs of zeros included: the array held (a
-        defensive copy, never aliased), or one formed anew from the list.
+        The weight matrix, signs of zeros included, read-only: the array
+        held (a defensive copy, never aliased), or one formed anew from the
+        list.  A write through it raises on both forms.
     symmetric : bool
         True iff the matrix equals its transpose within ``matrix_tol``.
 
     A graph holds one operand, ``_held``: the list of its non-zero entries
-    (an ``_Entries``, also ``_entries``) when they are at most
-    ``ENTRY_SHARE`` of its n x n entries, else its array (``_entries`` is
-    None).  The symmetry check and the tolerance run over what it holds.
-    ``Graph._adopt(w)`` takes a fresh float64 array without the copy, and
+    when they are at most ``ENTRY_SHARE`` of all, else its array, read-only.
+    ``Graph._adopt(w)`` takes a fresh float64 array without the copy,
     ``Graph._adopt_list(n, rows, cols, vals, zeros)`` a finite matrix as a
-    row-major list of its non-zero entries (and maybe zeros).
+    row-major list of its non-zero entries (and maybe zeros), and
+    ``Graph._holding(op)`` an operand as it is, with no cut taken.
     """
 
     def __init__(self, weights):
@@ -178,7 +398,11 @@ class Graph:
         e = _Entries(rows[~zero], cols[~zero], vals[~zero], n, zeros)
         if e.vals.size > ENTRY_SHARE * n * n:
             return cls._adopt(e.dense())
-        return cls.__new__(cls)._set(e)
+        return cls._holding(e)
+
+    @classmethod
+    def _holding(cls, held):
+        return cls.__new__(cls)._set(held)
 
     def _check_and_set(self, w):
         if w.size == 0:
@@ -188,31 +412,25 @@ class Graph:
         if not np.all(np.isfinite(w)):
             raise ParameterError("the matrix has non-finite entries")
         listed = _nonzero_entries(w)
-        if listed is not None:
-            # the bit pattern of -0.0 is the smallest int64
-            w = listed._replace(zeros=np.flatnonzero(w.view(np.int64) == np.iinfo(np.int64).min))
-        return self._set(w)
+        if listed is None:
+            return self._set(_Dense(w))
+        # the bit pattern of -0.0 is the smallest int64
+        return self._set(listed._replace(zeros=np.flatnonzero(w.view(np.int64) == np.iinfo(np.int64).min)))
 
     def _set(self, held):
-        self._held, self._entries = held, held if isinstance(held, _Entries) else None
-        if self._entries is None:
-            self.n, self.symmetric = len(held), max_asymmetry(held) <= matrix_tol(held)
-        else:
-            self.n, self.symmetric = held.n, _list_asymmetry(held) <= matrix_tol(held.vals)
+        if isinstance(held, _Dense):
+            m = held.vals.view()
+            m.flags.writeable = False
+            held = _Dense(m)
+        self._held, self.n = held, held.n
+        self.symmetric = held.asymmetry() <= matrix_tol(held.vals)
         return self
 
     @property
     def weights(self):
-        return self._held.dense() if isinstance(self._held, _Entries) else self._held
-
-    @property
-    def _array(self):
-        """The weights when the products run over the whole array, else None."""
-        return self.weights if self._entries is None else None
-
-    def _values(self):
-        """The weights, or the listed ones: with 0.0, the weights' extremes."""
-        return self.weights if self._entries is None else self._entries.vals
+        m = self._held.dense()
+        m.flags.writeable = False
+        return m
 
     def __repr__(self):
         return f"Graph(n={self.n}, symmetric={self.symmetric})"
@@ -347,17 +565,6 @@ def enumerate_automorphisms(g):
 
 
 def degree_vector(g):
-    """Row sums of the weight matrix: entry ``j`` is the out-mass of node j.
-
-    A listed graph sums tiles of whole rows formed from its list: numpy
-    sums each row alone, from +0.0, so the bits are the whole matrix's."""
-    e = g._entries
-    if e is None:
-        return g.weights.sum(axis=1)
-    sums = np.empty(e.n)
-    for s in _tiles(e.n):
-        lo, hi = np.searchsorted(e.rows, (s.start, s.stop))
-        tile = np.zeros((s.stop - s.start, e.n))
-        tile[e.rows[lo:hi] - s.start, e.cols[lo:hi]] = e.vals[lo:hi]
-        sums[s] = tile.sum(axis=1)
-    return sums
+    """Row sums of the weight matrix: entry ``j`` is the out-mass of node j,
+    with the bits of ``g.weights.sum(axis=1)`` on both forms."""
+    return g._held.row_sums()

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputFormatError, ParameterError
-from .graphs import ENTRY_SHARE, Graph
+from .graphs import ENTRY_SHARE, Graph, _Dense
 from .limits import MAX_DENSE_N
 
 
@@ -277,10 +277,10 @@ def _listed_object(data, key):
     names = [name for name, _ in members[-1]] if isinstance(obj, dict) else []
     if names[-1:] != [key] or names.count(key) != 1:
         return None
-    entries = _listed_entries(data, start + 1, close)
-    if entries is None:
+    listed = _listed_entries(data, start + 1, close)
+    if listed is None:
         return None
-    n, rows, cols, tokens = entries
+    n, rows, cols, tokens = listed
     try:
         # one list of the tokens, each a JSON number, converted as the json
         # path converts its lists
@@ -462,9 +462,9 @@ def _write_json(payload, fp):
     A list whose items are all finite floats is one join of their reprs, so
     a matrix costs one join per row instead of one encoder step per entry;
     an array is spelled one row at a time, so no list of all its entries is
-    made, and one with few non-zero entries from the list of them
-    (``_listed_rows``), as is a Graph's list.  Every other value goes
-    through the json encoder.  It is the package's only JSON writer, so
+    made, and a Graph's weights by its operand (``spelled_rows``), from
+    its list of entries when it holds one.  Every other value goes through
+    the json encoder.  It is the package's only JSON writer, so
     every command and file spells JSON the same way.
     """
     _write_value(payload, fp, "\n")
@@ -483,18 +483,15 @@ def _write_value(value, fp, newline):
             _write_value(item, fp, inner)
             sep = "," + inner
         fp.write(newline + "}")
-    elif isinstance(value, (np.ndarray, Graph)):
-        rows = _listed_rows(value, "," + inner + "  ")
-        if rows is None:
-            value = value.weights if isinstance(value, Graph) else value
-            # a matrix is written a row at a time, as the list of its row views
-            _write_value(list(value) if value.ndim > 1 else value.tolist(), fp, newline)
-            return
+    elif isinstance(value, Graph):
         sep = "[" + inner
-        for row in rows:
+        for row in value._held.spelled_rows("," + inner + "  "):
             fp.write(f"{sep}[{inner}  {row}{inner}]")
             sep = "," + inner
         fp.write(newline + "]")
+    elif isinstance(value, np.ndarray):
+        # a matrix is written a row at a time, as the list of its row views
+        _write_value(list(value) if value.ndim > 1 else value.tolist(), fp, newline)
     elif isinstance(value, (list, tuple)):
         if not value:
             fp.write("[]")
@@ -517,57 +514,11 @@ def _write_value(value, fp, newline):
         fp.write(json.dumps(value))
 
 
-def _listed_rows(m, sep):
-    """The rows of a non-empty C-ordered 2-D float64 array, each spelled as
-    ``sep.join`` of its entries' float reprs, from the list of its non-zero
-    entries when they are at most ``graphs.ENTRY_SHARE`` of all: a row is
-    the spelling of a row of zeros with the reprs of its listed entries
-    spliced in, so it costs its listed entries, not one repr per entry.
-    None for any other array, or when an entry is not finite (json spells
-    NaN and inf as no repr does) or is -0.0, which the list leaves out.  The
-    array is counted twice in numpy, as floats and as bit patterns: -0.0 is
-    zero only as a float.  A Graph's weights are spelled from its list."""
-    if isinstance(m, Graph):
-        e = m._entries
-        if e is None or e.zeros.size:
-            return None
-        rows, cols, vals, shape = e.rows, e.cols, e.vals, (e.n, e.n)
-    else:
-        if m.ndim != 2 or m.dtype != float or not m.size or not m.flags.c_contiguous:
-            return None
-        count = np.count_nonzero(m)
-        if count > ENTRY_SHARE * m.size or np.count_nonzero(m.view(np.int64)) != count:
-            return None
-        flat = np.flatnonzero(m)
-        vals = m.ravel()[flat]
-        if not np.isfinite(vals).all():
-            return None
-        rows, cols, shape = *np.divmod(flat, m.shape[1]), m.shape
-    starts = np.searchsorted(rows, np.arange(shape[0] + 1)).tolist()
-    width = len(sep) + 3
-    return _spliced_rows(sep.join(["0.0"] * shape[1]), starts, cols * width, vals)
-
-
-def _spliced_rows(zeros, starts, offsets, vals):
-    """Row i of ``_listed_rows``: the row of zeros ``zeros`` with the repr
-    of ``vals[k]`` in place of the "0.0" at ``offsets[k]``, for k in
-    ``starts[i]:starts[i + 1]``; the reprs are made a row at a time."""
-    for lo, hi in zip(starts, starts[1:]):
-        pieces, at = [], 0
-        for start, x in zip(offsets[lo:hi].tolist(), vals[lo:hi].tolist()):
-            pieces += zeros[at:start], float.__repr__(x)
-            at = start + 3
-        yield "".join([*pieces, zeros[at:]]) if pieces else zeros
-
-
 def _csv_rows(m):
-    """The lines of a 2-D float64 array, or of a Graph's weights, as CSV,
-    without line ends: the float reprs of each row, joined by commas."""
-    rows = _listed_rows(m, ",")
-    if rows is None:
-        m = m.weights if isinstance(m, Graph) else m
-        return (",".join(map(float.__repr__, row.tolist())) for row in m)
-    return rows
+    """The lines of a Graph's weights, or of a 2-D float64 array, as CSV,
+    without line ends: the float reprs of each row, joined by commas; a
+    Graph's from its list of entries when it holds one."""
+    return (m._held if isinstance(m, Graph) else _Dense(m)).spelled_rows(",")
 
 
 def _json_key(key):

@@ -16,26 +16,24 @@ of high-half subsets sized to stay in cache (256 KiB).  Every table entry,
 block total and swept value is bounded by twice the absolute sum of the
 matrix, so a matrix of integers with that bound below 2^15 is swept in
 int16, four times as many subsets per block as in float64 (a +-1 matrix, or
-the difference of two 0/1 graphs, has a bound of at most 968 at n <= 22).  The float GEMM that builds its tables is
-exact on such integers, so the values, the ties and the witness are those
-of the float sweep, bit for bit.  The permutation sweep
-computes the column sums of every row subset of a whole stack of small
-candidate differences with one GEMM against the subset-indicator matrix.
+the difference of two 0/1 graphs, has a bound of at most 968 at n <= 22).
+The float GEMM that builds its tables is exact on such integers, so the
+values, the ties and the witness are those of the float sweep, bit for
+bit.  The permutation sweep computes the column sums of every row subset
+of a whole stack of small candidate differences with one GEMM against the
+subset-indicator matrix.
 
-``operator_norm(m, 2)`` is a power iteration on ``m.T @ m``, which is
-cheaper than a dense SVD on the large graphs it serves.  A matrix takes one
-of two forms: with at most ``graphs.ENTRY_SHARE`` (1/32) of its n x n
-entries non-zero it is iterated on the list of them, each product in
-O(entries), and any other matrix is iterated as its whole array.
-``difference_norm(a, b, p)`` is ``operator_norm(a - b, p)`` without the
-n x n difference when that is below the cut: it lists the difference's
-non-zero entries by row tiles, so two graphs that differ in a few edges
-cost a short list; two matrices held as lists merge them into that same
-list in O(entries) (``_merged_difference``).  The 1- and inf-norms of
-every matrix are summed in tiles of whole columns or rows.  The exact
-permutation sweep instead takes the 2-norms of its whole stack of small
-candidate differences from one stacked LAPACK SVD
-(``numpy.linalg.norm(d, 2, axis=(1, 2))``), exact to rounding.
+Every operator norm is of one operand (``graphs``), a list of entries or
+an array: the 2-norm is a power iteration on ``M.T @ M``, cheaper than a
+dense SVD on the large graphs it serves, and the 1- and inf-norms add the
+absolute entries of each column or row, in the list's order or over tiles
+of an array.  A difference is the operand ``minus`` makes: two lists merge
+in O(entries), and two arrays stay a pair whose 2-norm lists the entries
+by row tiles below the cut, so two graphs that differ in a few edges cost
+a short list, not an n x n matrix.  The exact permutation sweep instead
+takes the 2-norms of its whole stack of small candidate differences from
+one stacked LAPACK SVD (``numpy.linalg.norm(d, 2, axis=(1, 2))``), exact
+to rounding.
 
 The exact permutation sweep skips candidates that provably cannot beat the
 best value found so far, with two kinds of lower bound:
@@ -66,8 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, SizeLimitError
-from .graphs import ENTRY_SHARE, Permutation, _Entries, _lex_blocks, _lex_permutations, _tiles
-from .graphs import _nonzero_entries, _pow2_normalize, degree_vector, max_asymmetry, permute
+from .graphs import Permutation, _Dense, _Difference, _lex_blocks, _lex_permutations, _operand
+from .graphs import _pow2_normalize, _refuse_non_finite, degree_vector, max_asymmetry
 from .limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N, exact_limit
 
 POWER_TOL = 1e-10
@@ -117,36 +115,26 @@ def vector_norm(v, p):
     return float(np.max(np.abs(v), initial=0.0))
 
 
-def _power_iteration_sigma(m, entries=None, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
-    """Largest singular value of ``m`` by power iteration on ``m.T @ m``.
-
-    Given ``entries``, the ``graphs._Entries`` of ``m`` (``m`` may then be
-    None), the products run over that list, and an empty list has norm 0;
-    otherwise they run over the whole array, which callers pass only above
-    the cut (``graphs.ENTRY_SHARE``), so it has a non-zero entry.  The
-    entries are checked for NaN and inf and scaled (the caller's array as a
-    copy) by the exact power of two that puts the largest of them in
-    [1, 2) (``graphs._pow2_normalize``), so neither sigma^4 overflows nor
-    z @ z underflows.  The start is a seeded random unit vector (an
-    all-ones start would be blind to matrices whose top singular vector is
+def _power_iteration_sigma(op, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
+    """Largest singular value of the operand ``op`` (its ``iterand``) by
+    power iteration on M.T M; an empty list has norm 0.  The entries are
+    checked for NaN and inf and scaled (an array as a copy) by the exact
+    power of two that puts the largest of them in [1, 2)
+    (``graphs._pow2_normalize``), so neither sigma^4 overflows nor z @ z
+    underflows.  The start is a seeded random unit vector (an all-ones
+    start would be blind to matrices whose top singular vector is
     orthogonal to it); a list product reads it only at the listed columns,
     so on either form the iterates are those of the whole matrix up to
     summation order.  Raises NumericalError carrying the last iterate if
     the budget is exhausted.
     """
-    if entries is None:
-        n = m.shape[1]
-        _refuse_non_finite(m, "operator_norm")
-        m, e = _pow2_normalize(m)
-        matvec, rmatvec = m.__matmul__, m.T.__matmul__
-    else:
-        n = entries.n
-        _refuse_non_finite(entries.vals, "operator_norm")
-        if not entries.vals.size:
-            return 0.0
-        vals, e = _pow2_normalize(entries.vals)
-        ops = entries._replace(vals=vals)
-        matvec, rmatvec = ops.matvec, ops.rmatvec
+    op = op.iterand()
+    _refuse_non_finite(op.vals, "operator_norm")
+    if not op.vals.size:
+        return 0.0
+    vals, e = _pow2_normalize(op.vals)
+    op = op._replace(vals=vals)
+    n = op.n
     rng = np.random.default_rng(_START_SEED)
 
     def start():
@@ -157,11 +145,11 @@ def _power_iteration_sigma(m, entries=None, tol=POWER_TOL, max_iter=POWER_MAX_IT
     x = start()
     sigma_prev = -1.0
     for _ in range(max_iter):
-        y = matvec(x)
+        y = op.matvec(x)
         sigma = math.sqrt(float(y @ y))
         if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
             return float(np.ldexp(sigma, e))
-        z = rmatvec(y)
+        z = op.rmatvec(y)
         nz = math.sqrt(float(z @ z))
         if nz == 0.0:
             # x fell into the null space of m.T m; restart along a fresh
@@ -177,11 +165,6 @@ def _power_iteration_sigma(m, entries=None, tol=POWER_TOL, max_iter=POWER_MAX_IT
     )
 
 
-def _refuse_non_finite(m, caller):
-    if not np.isfinite(m).all():
-        raise ParameterError(f"{caller} expects finite entries")
-
-
 def _square_finite(m, caller, finite=True):
     """``m`` as a float array, refused unless square and, with ``finite``,
     unless its entries are finite."""
@@ -193,92 +176,16 @@ def _square_finite(m, caller, finite=True):
     return m
 
 
-def _abs_sums(a, b, axis):
-    """``np.abs(a - b).sum(axis)``, or of ``a`` when ``b`` is None, taken in
-    tiles of whole lines along the other axis, so that no n x n temporary
-    is made.  Each sum adds the same entries in the same order, so the bits
-    are those of the whole matrix.  Non-finite entries are refused as
-    ``operator_norm`` refuses them."""
-    n = a.shape[1 - axis]
-    sums = np.empty(n)
-    for s in _tiles(n):
-        index = (slice(None), s) if axis == 0 else s
-        if b is None:
-            tile = np.abs(a[index])
-        else:
-            tile = a[index] - b[index]
-            np.abs(tile, out=tile)
-        _refuse_non_finite(tile, "operator_norm")
-        sums[s] = tile.sum(axis=axis)
-        del tile  # before the next tile is made
-    return sums
-
-
-def _difference_entries(a, b):
-    """The ``graphs._Entries`` of ``a - b``, NaN and inf included, listed
-    in row-major order by row tiles, or None as soon as they pass the cut
-    (``graphs.ENTRY_SHARE``).  Each tile goes before the next is made."""
-    n = a.shape[0]
-    rows, cols, vals = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    count = 0
-    for s in _tiles(n):
-        d = a[s] - b[s]
-        r, c = np.divmod(np.flatnonzero(d != 0.0), n)
-        count += r.size
-        if count > ENTRY_SHARE * a.size:
-            return None
-        rows.append(r + s.start)
-        cols.append(c)
-        vals.append(d[r, c])
-        del d
-    return _Entries(*map(np.concatenate, (rows, cols, vals)), n)
-
-
-def _merged_difference(ea, eb):
-    """The list ``_difference_entries`` makes of ``a - b``, bit for bit,
-    merged from the ``graphs._Entries`` of both matrices in any order of
-    entries (a PageRank kernel's list comes column by column): the union
-    of their row-major flat indices, the IEEE difference there, 0.0 taken
-    for an index that one list lacks, exact zeros dropped; None when the
-    difference passes the cut (``graphs.ENTRY_SHARE``).  It costs
-    O(entries) and makes no n x n array."""
-    n = ea.n
-    fa, fb = ea.rows * n, eb.rows * n
-    fa += ea.cols
-    fb += eb.cols
-    flat = np.union1d(fa, fb)
-    d = np.zeros(flat.size)
-    d[np.searchsorted(flat, fa)] = ea.vals
-    del fa
-    with np.errstate(over="ignore", invalid="ignore"):
-        # 0.0 - v is -v exactly, as a - b is where b's array holds v
-        d[np.searchsorted(flat, fb)] -= eb.vals
-    keep = d != 0.0
-    if np.count_nonzero(keep) > ENTRY_SHARE * (n * n):
-        return None
-    return _Entries(*np.divmod(flat[keep], n), d[keep], n)
-
-
-def _operator_norm(a, b, p, entries=None):
-    """The p-norm of ``a - b``, or of ``a`` when ``b`` is None, the one body
-    of every operator norm; a difference that overflows, or of equal
-    infinities, is refused.  Given ``entries``, the ``graphs._Entries`` of
-    ``a``, the norm is taken over that list (``a`` may then be None): its
-    2-norm iterates on it, and its 1- and inf-norms add each column's or
-    row's absolute entries in the list's order.  The 2-norm of a difference
-    iterates its list below the cut, and ``a - b`` above it."""
+def _operator_norm(op, p):
+    """The p-norm of the operand ``op``, the one body of every operator
+    norm: its 2-norm iterates it, and its 1- and inf-norms are the largest
+    of its absolute column or row sums (``abs_sums``).  A difference that
+    overflows, or of equal infinities, is refused."""
     with np.errstate(over="ignore", invalid="ignore"):
         if p == 2:
-            if b is not None:
-                entries = _difference_entries(a, b)
-                a = a - b if entries is None else None
-            value = _power_iteration_sigma(a, entries)
-        elif entries is None:
-            value = float(_abs_sums(a, b, 0 if p == 1 else 1).max())
+            value = _power_iteration_sigma(op)
         else:
-            _refuse_non_finite(entries.vals, "operator_norm")
-            lines = entries.cols if p == 1 else entries.rows
-            value = float(np.bincount(lines, np.abs(entries.vals), entries.n).max())
+            value = float(op.abs_sums(0 if p == 1 else 1).max())
     if math.isinf(value):
         raise NumericalError(f"the {p}-norm of this matrix overflows float64")
     return value
@@ -296,35 +203,31 @@ def operator_norm(m, p):
     """Induced operator p-norm of a square matrix, p in {1, 2, inf}.
 
     p=1 is the maximum absolute column sum, p=inf the maximum absolute row
-    sum, both summed in tiles of whole columns or rows (``_abs_sums``).
+    sum, both summed in tiles of whole columns or rows (``graphs._abs_sums``).
     p=2 is the largest singular value computed by power iteration on
     ``m.T @ m`` with relative tolerance 1e-10 and at most 10000 iterations,
-    scaled by an exact power of two (``_power_iteration_sigma``).  It runs
-    over the list of ``m``'s non-zero entries when they are at most 1/32 of
-    its n x n entries (``graphs._nonzero_entries``), and otherwise over the
-    whole of ``m``.  An empty matrix and non-finite entries raise
+    scaled by an exact power of two (``_power_iteration_sigma``), over the
+    list of ``m``'s non-zero entries when they are at most 1/32 of all, else
+    over the whole of ``m``.  An empty matrix and non-finite entries raise
     ParameterError; a norm beyond float64 raises NumericalError.
     """
     p = _canon_p(p)
     m = _norm_operand(m)
-    return _operator_norm(m, None, p, _nonzero_entries(m) if p == 2 else None)
+    return _operator_norm(_operand(m) if p == 2 else _Dense(m), p)
 
 
 def difference_norm(a, b, p):
     """``operator_norm(a - b, p)`` of two square matrices of one shape, bit
     for bit and with the same errors, without forming ``a - b`` below the
-    cut.
-
-    The 1- and inf-norms sum ``|a - b|`` in tiles.  The 2-norm lists the
-    entries where the matrices differ by row tiles and iterates that list
-    when it is below the cut, so two graphs that differ in a few edges cost
-    a short list, not an n x n matrix; above the cut it forms ``a - b``.
+    cut (``graphs._Difference``): the 1- and inf-norms sum ``|a - b|`` in
+    tiles, and the 2-norm iterates the list of the entries where the two
+    differ, made by row tiles, so a few edges cost a short list.
     """
     p = _canon_p(p)
     a, b = _norm_operand(a), _norm_operand(b)
     if a.shape != b.shape:
         raise ParameterError("operator_norm expects two matrices of one shape")
-    return _operator_norm(a, b, p)
+    return _operator_norm(_Difference(a, b), p)
 
 
 @dataclass(frozen=True)
@@ -644,7 +547,11 @@ def min_permuted_distance(a, b, norm, mode="exact"):
         mapping = np.empty(n, dtype=int)
         mapping[order_a] = order_b
         p = Permutation(mapping)
-        value = _matrix_distance(permute(a, p).weights - b.weights, norm)
+        # a relabeled by p, as ``permute`` places it, less b, in one array
+        d = np.empty((n, n))
+        d[np.ix_(mapping, mapping)] = a.weights
+        d -= b.weights
+        value = _matrix_distance(d, norm)
         return PermutedDistanceResult(
             value=value, permutation=p, certified=False, mode=mode, norm=norm,
             evaluated=1,

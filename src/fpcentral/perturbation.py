@@ -27,8 +27,10 @@ Each certificate runs in one order: the records of both inputs
 records, then the solve of each record, then the observed side.  The
 right-hand side is a property of the inputs alone, and no record is read
 after its solve, so each solve uses its record up (a dense PageRank
-kernel is scaled in place).  When both records hold lists of entries, the
-theorem's right side and the digest cost O(entries), not O(n^2).
+kernel is scaled in place).  The theorem's right side is the norm of one
+operand, ``minus`` of the two records' (``graphs``), and the digest hashes
+each input's operand: on two lists of entries both cost O(entries), not
+O(n^2).
 
 The weight w is the measure of one coordinate, so every graphon quantity
 is the finite one on values/k: operator norms are unchanged, the
@@ -55,8 +57,7 @@ import numpy as np
 from .centrality import NEGATIVE_RHO_TOL, _prepare, _solve, native_norm_index
 from .errors import ParameterError
 from .graphs import Graph
-from .norms import _merged_difference, _operator_norm, difference_norm, min_permuted_distance
-from .norms import vector_norm
+from .norms import _operator_norm, min_permuted_distance, vector_norm
 
 HOLDS_TOL = 1e-9
 _NORM_PS = (1, 2, math.inf)
@@ -135,27 +136,16 @@ class BoundCertificate:
 
 def _digest(*parts):
     """The SHA-256 of ``parts``, each followed by ``|``.  An input (a Graph
-    or a StepGraphon) is hashed as its matrix; every other part as its
-    repr.  A matrix held as its list of entries (``graphs.ENTRY_SHARE``)
-    is hashed as the tag ``entries``, then n and the entry count, then its
-    rows and cols as int64 and its vals as float64, in O(entries) bytes;
-    any other matrix as the str of its shape and then its float64 buffer
-    itself, with no copy."""
+    or a StepGraphon) is hashed as its matrix, by its operand
+    (``digest_into``): a list of entries in O(entries) bytes, an array as
+    its shape and buffer; every other part as its repr."""
     h = hashlib.sha256()
     for part in parts:
-        if not hasattr(part, "_entries"):
-            h.update(repr(part).encode())
-        elif part._entries is None:
-            m = part.weights if isinstance(part, Graph) else part.values
-            arr = np.ascontiguousarray(m, dtype=float)
-            h.update(str(arr.shape).encode())
-            h.update(arr)
+        g = getattr(part, "_graph", part)  # a StepGraphon's Graph
+        if isinstance(g, Graph):
+            g._held.digest_into(h)
         else:
-            e = part._entries
-            h.update(f"entries{(e.n, e.vals.size)}".encode())
-            for buf in (e.rows, e.cols):
-                h.update(np.ascontiguousarray(buf, dtype=np.int64))
-            h.update(np.ascontiguousarray(e.vals, dtype=float))
+            h.update(repr(part).encode())
         h.update(b"|")
     return h.hexdigest()
 
@@ -271,23 +261,17 @@ def _enlarged(consts, family, alpha, xa_norm, xb_norm):
 def _check_cut_inputs(a, b, weight, p):
     if not (a.symmetric and b.symmetric):
         raise ParameterError("the cut-norm bound requires symmetric graphs")
-    if max(np.abs(g._values()).max(initial=0.0) for g in (a, b)) / weight > 1.0 + 1e-12:
+    if max(np.abs(g._held.vals).max(initial=0.0) for g in (a, b)) / weight > 1.0 + 1e-12:
         raise ParameterError("the cut-norm bound requires entries in [-1, 1]")
     if p != 2:
         raise ParameterError("the cut-norm bound lives in the 2-norm route")
 
 
 def _difference_right(prep_a, prep_b, p):
-    """||M_A - M_B||_p from two records: over the merge of their entry
-    lists when both hold one and the difference is below the cut, in
-    O(entries) with no M formed; else ``difference_norm`` of the two
-    arrays, which forms a listed PageRank kernel.  On either path the
-    2-norm iterates the same list, so it has the same bits."""
-    if prep_a.entries is not None and prep_b.entries is not None:
-        entries = _merged_difference(prep_a.entries, prep_b.entries)
-        if entries is not None:
-            return _operator_norm(None, None, p, entries)
-    return difference_norm(prep_a.matrix(), prep_b.matrix(), p)
+    """||M_A - M_B||_p from two records, of the operand ``minus`` makes:
+    two lists merge in O(entries) below the cut, with no M formed, into the
+    list that two arrays make by row tiles, so the bits are the same."""
+    return _operator_norm(prep_a.op.minus(prep_b.op), p)
 
 
 def _certify(kind, pair, consts, certified, digest, mode="exact",
@@ -329,7 +313,7 @@ def _certify(kind, pair, consts, certified, digest, mode="exact",
         # the inputs themselves, or graphs that adopt the kernels, which
         # the solves below scale only after this sweep
         a, b = (
-            Graph._adopt(prep.matrix()) if family == "pagerank" else prep.g for prep in pair.preps
+            Graph._adopt(prep.op.dense()) if family == "pagerank" else prep.g for prep in pair.preps
         )
         right = min_permuted_distance(a, b, p, mode=mode).value
     (rho_a, x_a), (rho_b, x_b) = map(pair.fixed_point, pair.preps)

@@ -748,14 +748,15 @@ class TestWorkCounts:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Count the calls of ``pagerank_kernel``; of ``norms._operator_norm``,
-        the one body of every operator norm, as norms; and of
-        ``graphs._nonzero_entries`` that list the entries, i.e. whose matrix
-        is below the count cut, as lists.  Through every fpcentral module
-        that names them."""
+        """Count the dense PageRank kernels formed (``graphs._Dense.kernel``,
+        which ``pagerank_kernel`` calls too) as kernels; the calls of
+        ``norms._operator_norm``, the one body of every operator norm, as
+        norms; and the calls of ``graphs._nonzero_entries`` that list the
+        entries, i.e. whose matrix is below the count cut, as lists.
+        Through every fpcentral module that names them."""
         import importlib
 
-        from fpcentral import centrality, graphs, norms
+        from fpcentral import graphs, norms
 
         for layer in ("graphon", "io", "perturbation", "transport"):
             importlib.import_module(f"fpcentral.{layer}")
@@ -770,8 +771,9 @@ class TestWorkCounts:
         def lists(m):
             return np.count_nonzero(m) <= graphs.ENTRY_SHARE * m.size
 
-        for key, fn, listed in (("kernels", centrality.pagerank_kernel, None),
-                                ("norms", norms._operator_norm, None),
+        kernel = graphs._Dense.kernel
+        monkeypatch.setattr(graphs._Dense, "kernel", counted("kernels", kernel))
+        for key, fn, listed in (("norms", norms._operator_norm, None),
                                 ("lists", graphs._nonzero_entries, lists)):
             wrapper = counted(key, fn) if listed is None else counted(key, fn, listed)
             for name, module in list(sys.modules.items()):
@@ -862,13 +864,13 @@ class TestWorkCounts:
         # the rows of their own matrix in tiles
         from types import SimpleNamespace
 
-        from fpcentral import norms, perturbation
+        from fpcentral import graphs, perturbation
 
         tiled = []
         for name in ("_difference_entries", "_abs_sums"):
-            fn = getattr(norms, name)
+            fn = getattr(graphs, name)
             monkeypatch.setattr(
-                norms, name, lambda a, b, *rest, fn=fn: tiled.append(b is not None) or fn(a, b, *rest)
+                graphs, name, lambda a, b, *rest, fn=fn: tiled.append(b is not None) or fn(a, b, *rest)
             )
         hashed = []
 
@@ -904,10 +906,10 @@ class TestWorkCounts:
     @pytest.mark.parametrize("p", ["1", "inf"])
     def test_one_and_inf_norms_of_an_edge_list_sum_its_parsed_entries(
             self, capsys, tmp_path, counts, monkeypatch, p):
-        from fpcentral import norms
+        from fpcentral import graphs
 
         tiled = []
-        monkeypatch.setattr(norms, "_abs_sums", lambda *args: tiled.append(args))
+        monkeypatch.setattr(graphs, "_abs_sums", lambda *args: tiled.append(args))
         a = self._sparse()
         paths = self._write(tmp_path, {"a": a}, as_edges=True)
         code, out, err = run(capsys, "norms", str(paths["a"]), "--norm", p)

@@ -1,24 +1,30 @@
-"""Products, norms and solves over lists of non-zero entries.
+"""Products, norms and solves over the two forms of one operand.
 
 A matrix whose non-zero entries are at most ``graphs.ENTRY_SHARE`` (1/32)
 of its n x n entries is held as the list of those entries, and
 every product with it runs over that list (``graphs._Entries``); any other
-matrix keeps its dense BLAS products.  Both must give ``m @ x`` and
-``m.T @ y`` to rounding, and the 2-norm and the fixed points on both paths
-must agree.
+matrix is its array, with dense BLAS products (``graphs._Dense``).  Both
+must give ``m @ x`` and ``m.T @ y`` to rounding, the same bytes wherever
+the summation order cannot show, and the 2-norm and the fixed points on
+both paths must agree.  Only ``graphs`` tells the two forms apart.
 """
 
+import hashlib
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import fpcentral
 from fpcentral import FixedPointMap, Graph, operator_norm, pagerank_kernel, solve
-from fpcentral.centrality import _kernel_entries, _operand, _prepare, _solve
+from fpcentral.centrality import _operand, _prepare, _solve
 from fpcentral.io import parse_edge_list
-from fpcentral.graphs import ENTRY_SHARE, _Entries, _nonzero_entries, degree_vector
+from fpcentral.graphs import ENTRY_SHARE, _Dense, _Entries, _difference_entries
+from fpcentral.graphs import _merged_difference, _nonzero_entries, degree_vector
 from fpcentral.graphs import matrix_tol, max_asymmetry
-from fpcentral.norms import _difference_entries, _merged_difference, _operator_norm
+from fpcentral.norms import _operator_norm
 
 EPS = np.finfo(float).eps
 
@@ -37,9 +43,15 @@ def _matrix(rng, n, share, kind):
 
 
 def _listed(m):
-    """The entries of ``m`` by ``np.nonzero``, at any density."""
+    """The entries of ``m`` by ``np.nonzero``, and the places of its -0.0
+    entries, at any density."""
     rows, cols = np.nonzero(m)
-    return _Entries(rows, cols, m[rows, cols], m.shape[0])
+    zeros = np.flatnonzero(np.signbit(m) & (m == 0.0))
+    return _Entries(rows, cols, m[rows, cols], m.shape[0], zeros)
+
+
+def _is_listed(g):
+    return isinstance(g._held, _Entries)
 
 
 def _close(got, want, m, x):
@@ -76,7 +88,7 @@ def test_products_match_blas(case, scale, order):
     rng = np.random.default_rng(1701)
     x = rng.standard_normal(m.shape[0])
     y = rng.standard_normal(m.shape[0])
-    for ops in (_listed(m), _operand("katz", None, Graph(m))):
+    for ops in (_listed(m), _Dense(m), _operand("katz", None, Graph(m)).op):
         _close(ops.matvec(x), m @ x, m, x)
         _close(ops.rmatvec(y), m.T @ y, m, y)
 
@@ -84,7 +96,8 @@ def test_products_match_blas(case, scale, order):
 @pytest.mark.parametrize("case", list(CASES))
 def test_the_cut_is_the_share_of_all_entries(case):
     m = CASES[case]
-    entries = Graph(m)._entries
+    held = Graph(m)._held
+    entries = held if isinstance(held, _Entries) else None
     assert (entries is not None) == (np.count_nonzero(m) <= ENTRY_SHARE * m.size)
     assert "below" not in case or entries is not None
     assert "above" not in case or entries is None
@@ -118,7 +131,7 @@ def test_a_parsed_edge_list_takes_the_same_cut(extra):
     rows, cols = np.nonzero(m)
     parsed = parse_edge_list("".join(f"{i} {j} 1\n" for i, j in zip(rows, cols)))
     for g in (parsed, Graph(m)):
-        assert (g._entries is None) == bool(extra)
+        assert _is_listed(g) != bool(extra)
 
 
 @pytest.mark.parametrize("scale", [-1000, 0, 1000])
@@ -128,7 +141,7 @@ def test_two_norm_on_entries_matches_lapack(case, scale):
     # the dense iteration, whose iterates the list's match up to summation
     # order, and which stops reading low by up to 3e-9 on the signed one
     m = np.ldexp(CASES[case], scale)
-    got = _operator_norm(None, None, 2, _listed(m))
+    got = _operator_norm(_listed(m), 2)
     if "above" in case:
         want, tol = operator_norm(m, 2), 1e-12
     else:
@@ -147,8 +160,8 @@ def test_two_norm_on_entries_refuses_non_finite():
 
 
 def _dense(prep):
-    """The record with its entry list dropped: the dense BLAS path."""
-    return prep._replace(m=prep.matrix(), entries=None)
+    """The record with M_A as its array: the dense BLAS path."""
+    return prep._replace(op=_Dense(prep.op.dense()))
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -161,7 +174,7 @@ def test_solve_agrees_on_both_paths(family, directed):
     if not directed:
         m = np.maximum(m, m.T)
     g = Graph(m)
-    assert g._entries is not None
+    assert _is_listed(g)
     alpha = 0.5 / np.linalg.norm(m, 2) if family == "katz" else 0.85
     prep = _prepare(family, alpha, g)
     listed, dense = _solve(prep), _solve(_dense(prep))
@@ -223,14 +236,14 @@ def test_the_merged_difference_is_the_tiled_one(case):
         got = _merged_difference(_listed(a), _listed(b))
     else:
         ga, gb = Graph(a), Graph(b)
-        assert ga._entries is not None and gb._entries is not None
-        got = _merged_difference(ga._entries, gb._entries)
+        assert _is_listed(ga) and _is_listed(gb)
+        got = _merged_difference(ga._held, gb._held)
     _same_list(got, _difference_entries(a, b))
     if case == "n=1":
         assert got is None  # its one entry is above the cut
         return
     assert got.vals.size == 0 if case in ("identical", "both-empty", "n=1-equal") else got.vals.size
-    assert _operator_norm(None, None, 2, got) == _operator_norm(a, b, 2)
+    assert _operator_norm(got, 2) == _operator_norm(_Dense(a).minus(_Dense(b)), 2)
 
 
 @pytest.mark.parametrize("case", ["binary", "weighted", "disjoint", "one-side-empty"])
@@ -238,7 +251,7 @@ def test_the_merged_kernel_difference_is_the_tiled_one(case):
     # kernel lists come column by column; the merge puts them in row order
     a, b = (np.abs(m) for m in MERGE_PAIRS[case])
     ga, gb = Graph(a), Graph(b)
-    got = _merged_difference(_kernel_entries(ga), _kernel_entries(gb))
+    got = _merged_difference(*(g._held.kernel(degree_vector(g)) for g in (ga, gb)))
     _same_list(got, _difference_entries(pagerank_kernel(ga), pagerank_kernel(gb)))
 
 
@@ -264,11 +277,11 @@ def test_listed_degrees_have_the_bits_of_the_row_sums(n):
     for i, k in enumerate(per_row.tolist()):
         m[i, rng.choice(n, k, replace=False)] = rng.random(k) * 10.0 - 3.0
     g = Graph(m)
-    assert g._entries is not None
+    assert _is_listed(g)
     want = m.sum(axis=1)
     assert degree_vector(g).tobytes() == want.tobytes() == g.weights.sum(axis=1).tobytes()
     # the PageRank kernel's list divides by those bits
-    e = _kernel_entries(g)
+    e = g._held.kernel(degree_vector(g))
     assert e.vals.tobytes() == (m[e.cols, e.rows] / want[e.cols]).tobytes()
 
 
@@ -287,9 +300,103 @@ def test_the_symmetry_of_a_list_is_that_of_its_array():
             m = m + m.T
             m.flat[flat[0]] += rng.choice([0.0, 1e-12, 4e-12])
         g = Graph(m)
-        if g._entries is None:
+        if not _is_listed(g):
             continue
         want = max_asymmetry(m) <= matrix_tol(m)
         assert g.symmetric == want
         seen.add(want)
     assert seen == {True, False}
+
+
+def _parity_cases():
+    """Seeded 0/1, +-1 and weighted matrices below the cut, one weighted
+    with -0.0 entries, the empty list and n = 1."""
+    rng = np.random.default_rng(2400)
+    out = {kind: _matrix(rng, 150, 0.02, kind) for kind in ("binary", "signed", "weighted")}
+    zeros = _matrix(rng, 150, 0.02, "weighted")
+    zeros.flat[rng.choice(zeros.size, 40, replace=False)] = -0.0
+    out["negative-zeros"] = zeros
+    out["empty"] = np.zeros((40, 40))
+    out["n=1"] = np.array([[-2.5]])
+    return out
+
+
+PARITY = _parity_cases()
+
+
+@pytest.mark.parametrize("case", list(PARITY))
+def test_the_two_forms_of_one_matrix_agree(case):
+    # the listed and the dense form of one matrix, each read only through
+    # the operand methods; the list adds a line's terms in its order, so
+    # only sums whose order cannot show are compared byte for byte
+    m = PARITY[case]
+    listed, dense = _listed(m), _Dense(m.copy())
+    assert listed.dense().tobytes() == dense.dense().tobytes() == m.tobytes()
+    # column sums add each column's rows in order on both forms
+    assert listed.abs_sums(0).dtype == np.float64
+    assert listed.abs_sums(0).tobytes() == dense.abs_sums(0).tobytes()
+    # numpy sums a row pairwise: exact on integers, within rounding else
+    rows = dense.abs_sums(1)
+    if case in ("binary", "signed", "empty", "n=1"):
+        assert listed.abs_sums(1).tobytes() == rows.tobytes()
+    _close(listed.abs_sums(1), rows, np.abs(m), np.ones(m.shape[0]))
+    for factor in (0.37, 2.0**-3):
+        assert listed.scaled(factor).dense().tobytes() == _Dense(m.copy()).scaled(factor).dense().tobytes()
+    rng = np.random.default_rng(2401)
+    other = np.where(rng.random(m.shape) < 0.01, 1.5, m)
+    for b in (m.copy(), other):
+        got, want = listed.minus(_listed(b)).iterand(), _Dense(m).minus(_Dense(b)).iterand()
+        assert type(got) is type(want)
+        assert got.dense().tobytes() == want.dense().tobytes()
+    x = rng.standard_normal(m.shape[0])
+    for form in (listed, dense):
+        _close(form.matvec(x), m @ x, m, x)
+        _close(form.rmatvec(x), m.T @ x, m, x)
+
+
+@pytest.mark.parametrize("case", list(PARITY))
+def test_each_form_digests_its_documented_bytes(case):
+    m = PARITY[case]
+    for form, want in (
+        (_Dense(m), str(m.shape).encode() + m.tobytes()),
+        (_listed(m), f"entries{(m.shape[0], m[m != 0.0].size)}".encode()
+            + np.concatenate(np.nonzero(m)).astype(np.int64).tobytes() + m[m != 0.0].tobytes()),
+    ):
+        parts = []
+
+        class Recorded:
+            def update(self, data):
+                parts.append(bytes(data))
+
+        form.digest_into(Recorded())
+        assert b"".join(parts) == want
+        h = hashlib.sha256()
+        form.digest_into(h)
+        assert h.digest() == hashlib.sha256(want).digest()
+
+
+@pytest.mark.parametrize("listed", [False, True], ids=["dense", "listed"])
+def test_a_write_through_the_weights_raises_on_both_forms(listed):
+    m = np.ones((3, 3)) - np.eye(3)
+    g = Graph._holding(_listed(m)) if listed else Graph(m)
+    assert _is_listed(g) == listed
+    before = g.weights.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        g.weights[0, 1] = 5.0
+    assert g.weights.tobytes() == before == m.tobytes()
+    assert g.symmetric
+    # the array the graph holds is not the caller's, which stays writable
+    m[0, 1] = 5.0
+    assert g.weights.tobytes() == before
+
+
+def test_only_graphs_tells_the_forms_apart():
+    # every other module reads a matrix through the operand methods alone
+    folder = pathlib.Path(fpcentral.__file__).parent
+    probes = re.compile(r"\b_Entries\b|\b_entries\b|\b_array\b|\b_values\(|\.m is\b|entries is None")
+    modules = sorted(folder.glob("*.py"))
+    assert "graphs.py" in {path.name for path in modules}
+    for path in modules:
+        if path.name != "graphs.py":
+            found = [line.strip() for line in path.read_text().splitlines() if probes.search(line)]
+            assert not found, (path.name, found)

@@ -30,6 +30,7 @@ from fpcentral import (
     step_lp_norm,
 )
 
+from fpcentral.graphs import _Dense, _Entries
 from oracles import (
     GraphGeneratorSpec,
     cut_norm_brute,
@@ -118,11 +119,10 @@ class TestContainers:
             top = float(np.max(np.abs(values)))
             for c in (None, top, top - tol / 2, top - 2 * tol, 0.0, -0.0, peak * 2):
                 outcomes = []
-                for listed in (True, False):
-                    g = Graph(values)
-                    assert g._entries is not None
-                    if not listed:
-                        g._entries = None
+                listed = Graph(values)
+                assert isinstance(listed._held, _Entries)
+                # the same matrix held as its array, whatever its density
+                for g in (listed, Graph._holding(_Dense(values.copy()))):
                     try:
                         outcomes.append(np.float64(StepGraphon._adopt(g, c).c).tobytes())
                     except ParameterError as exc:

@@ -29,8 +29,8 @@ from fpcentral import (
     write_graphon,
 )
 from fpcentral.cli import main
-from fpcentral.graphs import ENTRY_SHARE
-from fpcentral.io import _csv_rows, _listed_object, _listed_rows, _write_json
+from fpcentral.graphs import ENTRY_SHARE, _Entries
+from fpcentral.io import _csv_rows, _listed_object, _write_json
 
 from oracles import parse_edge_list_reference, parse_matrix_json_reference
 
@@ -354,10 +354,10 @@ def _built(built):
     """The bits of a read Graph or StepGraphon: shape, matrix bytes (so the
     sign of each zero), list of entries, and symmetric flag or k and c."""
     if isinstance(built, Graph):
-        m, e, rest = built.weights, built._entries, (built.n, built.symmetric)
+        m, e, rest = built.weights, built._held, (built.n, built.symmetric)
     else:
-        m, e, rest = built.values, built._entries, (built.k, np.float64(built.c).tobytes())
-    entries = None if e is None else (e.rows.tolist(), e.cols.tolist(), e.vals.tobytes())
+        m, e, rest = built.values, built._graph._held, (built.k, np.float64(built.c).tobytes())
+    entries = (e.rows.tolist(), e.cols.tolist(), e.vals.tobytes()) if isinstance(e, _Entries) else None
     return type(built), m.shape, m.tobytes(), entries, rest
 
 
@@ -723,11 +723,26 @@ def _dense_csv(m):
 
 
 class TestListedMatrixWriter:
-    """A 2-D array with at most ``graphs.ENTRY_SHARE`` of its entries
-    non-zero is spelled from the list of them, byte for byte as json.dumps
-    spells its ``tolist()``; a 64 x 64 array is listed up to 128 entries.
+    """A Graph with at most ``graphs.ENTRY_SHARE`` of its entries non-zero
+    is spelled from the list of them, byte for byte as json.dumps spells
+    its weights' ``tolist()``; a 64 x 64 matrix is listed up to 128
+    entries.  A 2-D array is spelled as its rows, however few its entries.
     Each matrix written as a graph's weights reads back with its bits, or
     with the json path's error when no graph holds it."""
+
+    @staticmethod
+    def _spelled(m):
+        """The JSON spelling of ``m``, and the JSON and CSV spellings of
+        ``Graph(m)`` when ``m`` is square and finite, against json.dumps
+        and the row reprs; the Graph, or None."""
+        assert _written({"m": m, "k": [m]}) == _dumped({"m": m.tolist(), "k": [m.tolist()]})
+        if m.shape[0] != m.shape[1] or not np.isfinite(m).all():
+            return None
+        g = Graph(m)
+        want = np.asarray(m, dtype=float).tolist()
+        assert _written({"m": g, "k": [g]}) == _dumped({"m": want, "k": [want]})
+        assert list(_csv_rows(g)) == _dense_csv(np.asarray(m, dtype=float))
+        return g
 
     @staticmethod
     def _round_trip(m, folder):
@@ -743,10 +758,10 @@ class TestListedMatrixWriter:
     @pytest.mark.parametrize("shape", [(64, 64), (2, 2048), (2048, 2)])
     def test_at_below_and_above_the_cut(self, count, shape, tmp_path):
         m, _ = _matrix_with(count, shape)
-        listed = _listed_rows(m, ",")
-        assert (listed is not None) == (count <= ENTRY_SHARE * m.size)
-        assert _written({"m": m, "k": [m]}) == _dumped({"m": m.tolist(), "k": [m.tolist()]})
         assert list(_csv_rows(m)) == _dense_csv(m)
+        g = self._spelled(m)
+        if g is not None:
+            assert isinstance(g._held, _Entries) == (count <= ENTRY_SHARE * m.size)
         self._round_trip(m, tmp_path)
 
     @pytest.mark.parametrize("odd", list(_ODD_VALUES))
@@ -755,16 +770,16 @@ class TestListedMatrixWriter:
         m, flat = _matrix_with(count)
         at = 5 if odd == "-0.0" else flat[count // 2]  # -0.0 is not listed
         m.flat[at] = _ODD_VALUES[odd]
-        assert _listed_rows(m, ",") is None
-        assert _written({"m": m}) == _dumped({"m": m.tolist()})
         assert list(_csv_rows(m)) == _dense_csv(m)
+        g = self._spelled(m)
+        if g is not None and count <= 128:  # -0.0: a list that spells its array's rows
+            assert isinstance(g._held, _Entries) and g._held.zeros.size == 1
         self._round_trip(m, tmp_path)
 
     def test_orders_and_types_other_than_c_float64_are_spelled_as_lists(self, tmp_path):
         m, _ = _matrix_with(40)
         for a in (np.asfortranarray(m), m.astype(np.float32), m[:, ::2], (m != 0).astype(int)):
-            assert _listed_rows(a, ",") is None
-            assert _written({"m": a}) == _dumped({"m": a.tolist()})
+            self._spelled(a)
             self._round_trip(a, tmp_path)
 
     def test_lift_of_a_listed_graph_writes_the_dense_bytes(self, tmp_path):
@@ -780,7 +795,7 @@ class TestListedMatrixWriter:
         rows, cols = np.nonzero(m)
         path = tmp_path / "g.txt"
         path.write_text("".join(f"{i} {j} {float(m[i, j])!r}\n" for i, j in zip(rows, cols)))
-        assert read_graph(path)._entries is not None
+        assert isinstance(read_graph(path)._held, _Entries)
         out = tmp_path / "lift.json"
         assert main(["graphon", "lift", str(path), "-o", str(out), "--csv"]) == 0
         # the dense spelling: the writer's list path, which json.dumps
@@ -791,7 +806,7 @@ class TestListedMatrixWriter:
             line + "\n" for line in _dense_csv(m)
         )
         back = read_graphon(out)
-        assert back._entries is not None and back.values.tobytes() == m.tobytes()
+        assert isinstance(back._graph._held, _Entries) and back.values.tobytes() == m.tobytes()
 
 
 class TestSignedZeros:
@@ -817,7 +832,7 @@ class TestSignedZeros:
         g = parse_edge_list("".join(
             f"{i} {j} {float(m[i, j])!r}\n" for i, j in zip(rows.tolist(), cols.tolist())
         ))
-        assert g._entries is not None and g._entries.zeros.size == np.count_nonzero(np.signbit(m))
+        assert isinstance(g._held, _Entries) and g._held.zeros.size == np.count_nonzero(np.signbit(m))
         assert g.weights.tobytes() == m.tobytes()
         assert Graph(m).weights.tobytes() == m.tobytes()
 
@@ -836,4 +851,4 @@ class TestSignedZeros:
             line + "\n" for line in _dense_csv(m)
         )
         back = read_graphon(out)
-        assert back._entries is not None and back.values.tobytes() == m.tobytes()
+        assert isinstance(back._graph._held, _Entries) and back.values.tobytes() == m.tobytes()

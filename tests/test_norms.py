@@ -21,7 +21,7 @@ from fpcentral import (
     permute,
     vector_norm,
 )
-from fpcentral import norms
+from fpcentral import graphs, norms
 from fpcentral.limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N
 from fpcentral.norms import _batched_cut
 
@@ -213,7 +213,7 @@ class TestOperatorNorm:
             for p, axis in ((1, 0), (math.inf, 1)):
                 sums = np.abs(layout).sum(axis=axis)
                 assert operator_norm(layout, p) == float(sums.max()), (p, layout.flags)
-                tiled = norms._abs_sums(layout, None, axis)
+                tiled = graphs._abs_sums(layout, None, axis)
                 assert np.array_equal(tiled, sums), (p, layout.flags)
 
 
@@ -283,7 +283,7 @@ class TestSupportTwoNorm:
         rng = np.random.default_rng(45)
         m = _padded(rng, rng.standard_normal((4, 4)), 9)
         with pytest.raises(NumericalError) as exc:
-            norms._power_iteration_sigma(m, max_iter=2)
+            norms._power_iteration_sigma(graphs._Dense(m), max_iter=2)
         last = exc.value.last_iterate
         assert last.shape == (9,)
         assert not last[~m.any(axis=0)].any()

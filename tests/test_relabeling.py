@@ -27,6 +27,7 @@ import pytest
 from fpcentral import cut_norm_exact
 
 from test_cli import run
+from fpcentral.graphs import _Entries
 
 TOL = 1e-12
 TWO_NORM_TOL = 1e-9
@@ -258,4 +259,4 @@ def test_the_sparse_inputs_are_below_the_cut():
 
     x = Inputs(SPARSE)
     for w in (x.sym, x.sym_b, x.directed, x.directed_b):
-        assert Graph(w)._entries is not None
+        assert isinstance(Graph(w)._held, _Entries)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from test_cli import run
+from fpcentral.graphs import _Entries
 
 SCALES = (-60, -1, 1, 60)
 DOWN = (-60, -1)
@@ -192,7 +193,7 @@ def test_the_sparse_inputs_are_below_the_cut():
     from fpcentral import Graph
 
     for w in (SPARSE, SPARSE_B, SPARSE_DIRECTED, SPARSE_DIRECTED_B):
-        assert Graph(w)._entries is not None
+        assert isinstance(Graph(w)._held, _Entries)
 
 
 def test_the_cases_exit_as_expected(capsys, tmp_path):
