@@ -21,22 +21,18 @@ __version__ = "0.1.0"
 _HOMES = {
     "centrality": (
         "CentralityResult", "EigenResult", "FixedPointMap", "Normalizer", "SolveConfig",
-        "apply_map", "eigencentrality", "grassmann_distance", "katz_closed_form",
-        "normalize", "pagerank_closed_form", "pagerank_kernel", "solve",
+        "eigencentrality", "grassmann_distance", "katz_closed_form", "normalize",
+        "pagerank_closed_form", "pagerank_kernel", "solve",
     ),
     "errors": (
         "FpcError", "InputFormatError", "NonConvergenceError", "NumericalError",
         "ParameterError", "SimplicityError", "SizeLimitError",
     ),
     "graphon": (
-        "StepFunction", "StepGraphon", "apply", "block_permute", "graphon_cut_norm",
-        "graphon_degree", "graphon_eigencentrality", "graphon_katz", "graphon_op_norm",
-        "graphon_pagerank", "integral", "lift", "refine", "resample", "step_lp_norm",
+        "StepFunction", "StepGraphon", "graphon_eigencentrality", "graphon_katz",
+        "graphon_pagerank", "integral", "lift",
     ),
-    "graphs": (
-        "Graph", "Permutation", "degree_vector", "enumerate_automorphisms",
-        "is_automorphism", "permute", "permute_vector",
-    ),
+    "graphs": ("Graph", "Permutation", "degree_vector", "permute"),
     "io": (
         "graph_to_dict", "graphon_to_dict", "parse_edge_list", "parse_graph_json",
         "parse_graphon_json", "read_graph", "read_graphon", "write_graph", "write_graphon",

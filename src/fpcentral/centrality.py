@@ -166,14 +166,6 @@ def _iteration_map(prep):
     )
 
 
-def apply_map(map_, g, x):
-    """One application of f(A, x) for the given family."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.n,):
-        raise ParameterError("feature vector length must equal the node count")
-    return _iteration_map(_operand(map_.family, map_.alpha, g))(x)
-
-
 def check_contraction(family, alpha):
     """The domain of the one contraction rule: katz needs alpha > 0,
     pagerank 0 < alpha < 1.  ``_prepare`` checks the rest of the rule on

@@ -19,8 +19,7 @@ import numpy as np
 
 from .centrality import _katz_direct, _pagerank_direct, _prepare, eigencentrality
 from .errors import ParameterError
-from .graphs import Graph, Permutation, matrix_tol, permute
-from .norms import cut_norm_exact, operator_norm
+from .graphs import Graph, matrix_tol
 
 
 class StepFunction:
@@ -103,56 +102,9 @@ def lift(g, c=None):
     return StepGraphon(g.weights, c=c)
 
 
-def resample(f, k):
-    """Rewrite a step function on a refinement of its partition (k must be
-    a multiple of f.k); exact, no quadrature."""
-    if k < 1 or k % f.k != 0:
-        raise ParameterError(f"cannot resample {f.k} blocks to {k}")
-    return StepFunction(np.repeat(f.values, k // f.k))
-
-
-def refine(w, k):
-    """Rewrite a step graphon on a refinement of its partition."""
-    if k < 1 or k % w.k != 0:
-        raise ParameterError(f"cannot refine {w.k} blocks to {k}")
-    reps = k // w.k
-    return StepGraphon(np.kron(w.values, np.ones((reps, reps))), c=w.c)
-
-
 def integral(f):
     """The integral of a step function over [0, 1]."""
     return float(f.values.mean())
-
-
-def step_lp_norm(f, p):
-    """The L^p([0, 1]) norm of a step function, p in {1, 2, inf}."""
-    v = np.abs(f.values)
-    if p in (1, "1"):
-        return float(v.mean())
-    if p in (2, "2"):
-        return float(math.sqrt((v * v).mean()))
-    if p in (math.inf, "inf", float("inf")):
-        return float(v.max())
-    raise ParameterError(f"p must be one of 1, 2, inf, got {p!r}")
-
-
-def apply(w, v):
-    """The graphon operator acting on a step function.
-
-    Partitions are matched by exact resampling when one refines the other
-    (block counts where one divides the other); anything else has no exact
-    common step representation here and is rejected.
-    """
-    if v.k != w.k:
-        if w.k % v.k == 0:
-            v = resample(v, w.k)
-        elif v.k % w.k == 0:
-            w = refine(w, v.k)
-        else:
-            raise ParameterError(
-                f"incommensurate partitions: {w.k} and {v.k} blocks"
-            )
-    return StepFunction(w.values @ v.values / w.k)
 
 
 def _lift_graph(w):
@@ -160,11 +112,6 @@ def _lift_graph(w):
     operator on block values: each value divided by k, in the form the
     values are held."""
     return w._graph._held.divided(w.k)
-
-
-def graphon_degree(w):
-    """The degree function D(y) = int A(x, y) dx as block values."""
-    return w.values.mean(axis=0)
 
 
 def _check_pagerank_values(w):
@@ -216,24 +163,3 @@ def graphon_eigencentrality(w):
     res = eigencentrality(_lift_graph(w), "largest")
     rho = StepFunction(res.vector * math.sqrt(w.k))
     return rho, res.value
-
-
-def graphon_cut_norm(w):
-    """Cut norm of a step graphon: sup over measurable S, T of the absolute
-    integral of the kernel over S x T.  For a step kernel the supremum is
-    attained on unions of blocks, so it equals the matrix cut norm of the
-    values scaled by 1/k^2."""
-    return cut_norm_exact(w.values).value / w.k**2
-
-
-def graphon_op_norm(w):
-    """L^2 -> L^2 operator norm of a step graphon (opnorm2 of the values
-    scaled by 1/k)."""
-    return operator_norm(w.values, 2) / w.k
-
-
-def block_permute(w, p):
-    """Relabel the blocks of a step graphon (a measure-preserving map)."""
-    if not isinstance(p, Permutation):
-        p = Permutation(p)
-    return StepGraphon(permute(Graph(w.values), p).weights, c=w.c)

@@ -1,4 +1,4 @@
-"""Dense graph representation, permutations and automorphisms.
+"""Dense graph representation and permutations.
 
 Orientation convention, fixed once for the whole package: ``weights[i, j]``
 is the weight of the link from node ``i`` to node ``j``, and the canonical
@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, SizeLimitError
-from .limits import MAX_AUTOMORPHISM_N, exact_limit
+from .errors import ParameterError
 
 MATRIX_TOL = 1e-12
 # rows or columns per tile of the n x n passes that make no n x n temporary
@@ -489,79 +488,6 @@ def permute(g, p):
     m = p.mapping
     out[np.ix_(m, m)] = w
     return Graph._adopt(out)
-
-
-def permute_vector(v, p):
-    """Apply ``p`` to a node vector: output entry ``p(i)`` equals input ``i``."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != p.n:
-        raise ParameterError("permutation size does not match vector")
-    out = np.empty_like(v)
-    out[p.mapping] = v
-    return out
-
-
-def is_automorphism(g, p):
-    """True iff relabeling by ``p`` leaves the weight matrix unchanged
-    within ``matrix_tol`` (on 0/1 weights that is exact equality)."""
-    w = g.weights
-    return bool(np.max(np.abs(permute(g, p).weights - w)) <= matrix_tol(w))
-
-
-def _lex_permutations(n):
-    """All n! permutations of ``range(n)`` as rows, in lexicographic order
-    (the order of ``itertools.permutations``)."""
-    perms = np.zeros((1, 0), dtype=int)
-    for k in range(1, n + 1):
-        # first symbol i, then the (k-1)-permutations relabeled onto the
-        # other k - 1 symbols in increasing order, which keeps the order
-        m = perms.shape[0]
-        out = np.empty((k * m, k), dtype=int)
-        for i in range(k):
-            out[i * m : (i + 1) * m, 0] = i
-            out[i * m : (i + 1) * m, 1:] = np.delete(np.arange(k), i)[perms]
-        perms = out
-    return perms
-
-
-def _lex_blocks(perms):
-    """``(blocks, d)``: the rows of ``perms = _lex_permutations(n)`` in
-    blocks of (n - d)! rows that share their first ``d = max(n - 4, 0)``."""
-    n = perms.shape[1]
-    d = max(n - 4, 0)
-    return perms.reshape(-1, math.factorial(n - d), n), d
-
-
-def enumerate_automorphisms(g):
-    """All automorphisms of ``g``, in lexicographic order of the mapping.
-
-    Brute force over the ``n!`` candidate permutations, so the node count
-    is capped at 9 (lower if FPC_MAX_EXACT_N says so), skipping each block
-    of 24 that share their first n - 4 images once the principal submatrix
-    they assign differs from ``g``'s by more than ``matrix_tol``.  The
-    identity is always present in the result.
-    """
-    limit = exact_limit(MAX_AUTOMORPHISM_N)
-    if g.n > limit:
-        raise SizeLimitError(
-            f"automorphism enumeration is limited to n <= {limit}, got n={g.n}"
-        )
-    w = g.weights
-    tol = matrix_tol(w)
-    blocks, d = _lex_blocks(_lex_permutations(g.n))
-    heads = blocks[:, 0, :d]
-    sub = w[heads[:, :, None], heads[:, None, :]]
-    close = np.all(np.abs(sub - w[:d, :d]) <= tol, axis=(1, 2))
-    perms = blocks[close].reshape(-1, g.n)
-    keep = []
-    chunk = 100_000
-    for start in range(0, perms.shape[0], chunk):
-        block = perms[start : start + chunk]
-        # permuted[k, i, j] = w[block[k, i], block[k, j]]
-        permuted = w[block[:, :, None], block[:, None, :]]
-        match = np.all(np.abs(permuted - w) <= tol, axis=(1, 2))
-        keep.append(block[match])
-    return [Permutation(row) for row in np.concatenate(keep, axis=0)]
 
 
 def degree_vector(g):

@@ -1,4 +1,6 @@
-"""Hard size limits for the exhaustive searches.
+"""Hard size limits for the exhaustive searches: the exact cut norm (2^n
+row subsets), the exact relabeling sweep (n! permutations) and exact
+transport plans.
 
 The environment variable ``FPC_MAX_EXACT_N`` may lower any of these
 thresholds for a run (useful to keep CI wall time bounded); it can never
@@ -11,7 +13,6 @@ from .errors import ParameterError
 
 MAX_CUT_EXACT_N = 22
 MAX_PERM_EXACT_N = 8
-MAX_AUTOMORPHISM_N = 9
 MAX_PLAN_N = 64
 # node count of an edge-list graph; not an exact search, so FPC_MAX_EXACT_N
 # does not lower it

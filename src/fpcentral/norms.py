@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, SizeLimitError
-from .graphs import Permutation, _Dense, _Difference, _lex_blocks, _lex_permutations, _operand
+from .graphs import Permutation, _Dense, _Difference, _operand
 from .graphs import _pow2_normalize, _refuse_non_finite, degree_vector, max_asymmetry
 from .limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N, exact_limit
 
@@ -76,7 +76,7 @@ _TINY = np.finfo(float).tiny
 _CUT_BLOCK = 1 << 18
 # candidate permutations evaluated per vectorized step of the exact sweep
 _PERM_CHUNK = 500
-# a bound on a block of candidates (graphs._lex_blocks) must exceed the best
+# a bound on a block of candidates (_lex_blocks) must exceed the best
 # value by this relative margin, far above the rounding of an n <= 8
 # distance, before its block is skipped
 _PRUNE_MARGIN = 1e-12
@@ -500,6 +500,30 @@ def _prefix_bounds(a_w, b_w, prefixes, norm):
         bounds = _stack_norms(sub, norm)
     bounds[~np.isfinite(bounds)] = 0.0
     return bounds
+
+
+def _lex_permutations(n):
+    """All n! permutations of ``range(n)`` as rows, in lexicographic order
+    (the order of ``itertools.permutations``)."""
+    perms = np.zeros((1, 0), dtype=int)
+    for k in range(1, n + 1):
+        # first symbol i, then the (k-1)-permutations relabeled onto the
+        # other k - 1 symbols in increasing order, which keeps the order
+        m = perms.shape[0]
+        out = np.empty((k * m, k), dtype=int)
+        for i in range(k):
+            out[i * m : (i + 1) * m, 0] = i
+            out[i * m : (i + 1) * m, 1:] = np.delete(np.arange(k), i)[perms]
+        perms = out
+    return perms
+
+
+def _lex_blocks(perms):
+    """``(blocks, d)``: the rows of ``perms = _lex_permutations(n)`` in
+    blocks of (n - d)! rows that share their first ``d = max(n - 4, 0)``."""
+    n = perms.shape[1]
+    d = max(n - 4, 0)
+    return perms.reshape(-1, math.factorial(n - d), n), d
 
 
 def min_permuted_distance(a, b, norm, mode="exact"):

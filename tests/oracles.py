@@ -9,9 +9,10 @@ expected values in the test files were frozen from these.
 The fixture generators (``GraphGeneratorSpec``, ``generate``), ``is_binary``
 and the equivariance checker at the end are test scaffolding rather than
 oracles; the checker also relabels through the package's ``permute``.
-``constants_empirical`` samples the contraction constants through the
-package's own maps and norms; certificates built from it are never
-certified, and only the tests and the golden cases use it.
+``apply_map`` is one step of the package's own iteration map, and
+``constants_empirical`` samples the contraction constants through it and
+the package's norms; certificates built from it are never certified, and
+only the tests and the golden cases use it.
 """
 
 import itertools
@@ -33,16 +34,14 @@ from fpcentral import (
     SizeLimitError,
     StepGraphon,
     TransportPlan,
-    apply_map,
     constants_analytic,
     operator_norm,
     pagerank_kernel,
     permute,
-    permute_vector,
     solve,
     vector_norm,
 )
-from fpcentral.centrality import native_norm_index
+from fpcentral.centrality import _iteration_map, _operand, native_norm_index
 from fpcentral.limits import MAX_DENSE_N
 
 MAX_LP_ORACLE_N = 16
@@ -515,6 +514,19 @@ def is_binary(g):
     """True iff every weight is exactly 0 or 1."""
     w = g.weights
     return bool(np.all((w == 0.0) | (w == 1.0)))
+
+
+def permute_vector(v, p):
+    """Apply ``p`` to a node vector: output entry ``p(i)`` equals input ``i``."""
+    out = np.empty_like(v)
+    out[p.mapping] = v
+    return out
+
+
+def apply_map(map_, g, x):
+    """One application of f(A, x) for ``map_``'s family, through the
+    package's own iteration map."""
+    return _iteration_map(_operand(map_.family, map_.alpha, g))(x)
 
 
 def check_equivariance(f, g, trials=50, seed=0):

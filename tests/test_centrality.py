@@ -12,9 +12,9 @@ from fpcentral import (
     Normalizer,
     NumericalError,
     ParameterError,
+    Permutation,
     SimplicityError,
     SolveConfig,
-    apply_map,
     eigencentrality,
     grassmann_distance,
     graphon_katz,
@@ -25,6 +25,7 @@ from fpcentral import (
     operator_norm,
     pagerank_closed_form,
     pagerank_kernel,
+    permute,
     solve,
     vector_norm,
 )
@@ -32,9 +33,12 @@ from fpcentral.centrality import _identity_minus, native_norm_index
 from fpcentral.graphon import StepGraphon, graphon_eigencentrality
 from oracles import (
     GraphGeneratorSpec,
+    apply_map,
+    automorphisms_brute,
     check_equivariance,
     eigencentrality_lapack_reference,
     generate,
+    permute_vector,
 )
 
 
@@ -247,6 +251,73 @@ class TestClosedForms:
             kernel = pagerank_kernel(g)
             pagerank = np.linalg.solve(np.eye(n) - 0.85 * kernel, np.full(n, (1.0 - 0.85) / n))
             assert np.array_equal(pagerank_closed_form(g, 0.85), pagerank)
+
+
+def _undirected(n, edges):
+    w = np.zeros((n, n))
+    for i, j in edges:
+        w[i, j] = w[j, i] = 1.0
+    return Graph(w)
+
+
+_ORBIT_GRAPHS = {
+    # node 0 pendant on 1; 2 and 3 swap
+    "paw": lambda: _undirected(4, ((0, 1), (1, 2), (2, 3), (1, 3))),
+    "star": lambda: generate(GraphGeneratorSpec("star", 6)),
+    "path": lambda: generate(GraphGeneratorSpec("path", 5)),
+    # triangles 0-1-2 and 3-4-5 joined by the edge 2-3: a group of order 8
+    "bridged-triangles": lambda: _undirected(
+        6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3))
+    ),
+}
+
+
+def _centrality(family, g):
+    if family == "eigen":
+        return eigencentrality(g).rho
+    alpha = 0.4 / operator_norm(g.weights, 2) if family == "katz" else 0.85
+    return solve(g, FixedPointMap(family, alpha=alpha)).rho
+
+
+class TestAutomorphismInvariance:
+    """Every automorphism of a graph fixes each of its centralities, also
+    where the orbits differ and the centrality is not constant."""
+
+    @pytest.mark.parametrize("name", sorted(_ORBIT_GRAPHS))
+    @pytest.mark.parametrize("family", ["katz", "pagerank", "eigen"])
+    def test_automorphisms_fix_the_centrality(self, family, name):
+        g = _ORBIT_GRAPHS[name]()
+        rho = _centrality(family, g)
+        assert rho is not None
+        assert float(np.max(rho) - np.min(rho)) > 1e-3
+        autos = automorphisms_brute(g.weights)
+        assert len(autos) > 1
+        for mapping in autos:
+            p = Permutation(np.array(mapping))
+            assert np.array_equal(permute(g, p).weights, g.weights)
+            assert np.max(np.abs(permute_vector(rho, p) - rho)) <= 1e-10 * np.max(np.abs(rho))
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_nudged_cycle_keeps_only_the_symmetries_of_its_edge(self, n):
+        # a weighted n-cycle, even and odd, with edge {0, 1} made heavier keeps the two
+        # dihedral symmetries that map that edge onto itself, the identity
+        # and i -> 1 - i, and no centrality is fixed by the others
+        w = 0.7 * generate(GraphGeneratorSpec("cycle", n)).weights
+        w[0, 1] = w[1, 0] = 0.701
+        g = Graph(w)
+        dihedral = sorted(
+            tuple((r + s * i) % n for i in range(n)) for r in range(n) for s in (1, -1)
+        )
+        kept = [tuple(range(n)), tuple((1 - i) % n for i in range(n))]
+        assert automorphisms_brute(w) == sorted(kept)
+        for family in ("katz", "pagerank", "eigen"):
+            rho = _centrality(family, g)
+            for mapping in dihedral:
+                moved = np.max(np.abs(permute_vector(rho, Permutation(np.array(mapping))) - rho))
+                if mapping in kept:
+                    assert moved <= 1e-10 * np.max(np.abs(rho)), family
+                else:
+                    assert moved > 1e-6 * np.max(np.abs(rho)), family
 
 
 class TestPagerankKernel:

@@ -729,6 +729,22 @@ class TestStartup:
         with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
             fpcentral.not_a_name
 
+    def test_the_runtime_exports_no_test_only_name(self):
+        # helpers that only the tests called; the ones they still need live
+        # in tests/oracles.py
+        test_only = {
+            "graphs": ("enumerate_automorphisms", "is_automorphism", "permute_vector"),
+            "centrality": ("apply_map",),
+            "graphon": ("resample", "refine", "step_lp_norm", "apply", "graphon_degree",
+                        "graphon_cut_norm", "graphon_op_norm", "block_permute"),
+        }
+        for home, names in test_only.items():
+            for name in names:
+                with pytest.raises(AttributeError):
+                    getattr(fpcentral, name)
+                assert not hasattr(getattr(fpcentral, home), name), name
+        assert not hasattr(fpcentral.limits, "MAX_AUTOMORPHISM_N")
+
 
 P3_EDGES = "0 1 {w}\n1 0 {w}\n1 2 {w}\n2 1 {w}\n"
 GRAPHON_2 = '{"values": [[0.5, 0.2], [0.2, 0.5]]}'

@@ -10,14 +10,9 @@ from fpcentral import (
     Permutation,
     StepFunction,
     StepGraphon,
-    apply,
-    block_permute,
     cut_norm_exact,
-    graphon_cut_norm,
-    graphon_degree,
     graphon_eigencentrality,
     graphon_katz,
-    graphon_op_norm,
     graphon_pagerank,
     integral,
     katz_closed_form,
@@ -25,9 +20,6 @@ from fpcentral import (
     min_permuted_distance,
     operator_norm,
     permute,
-    refine,
-    resample,
-    step_lp_norm,
 )
 
 from fpcentral.graphs import _Dense, _Entries
@@ -35,6 +27,7 @@ from oracles import (
     GraphGeneratorSpec,
     cut_norm_brute,
     generate,
+    permute_vector,
     random_binary_symmetric,
     random_symmetric,
 )
@@ -42,6 +35,27 @@ from oracles import (
 
 def _constant(value, k=1, c=None):
     return StepGraphon(np.full((k, k), float(value)), c=c)
+
+
+def _op_norm(w):
+    """The L^2 -> L^2 operator norm of a step graphon: the 2-norm of its
+    values over k."""
+    return operator_norm(w.values, 2) / w.k
+
+
+def _cut_norm(w):
+    """The cut norm of a step graphon: the cut norm of its values over k^2."""
+    return cut_norm_exact(w.values).value / w.k**2
+
+
+def _refined(w, m):
+    """The same graphon on the partition of m * k blocks."""
+    return StepGraphon(np.kron(w.values, np.ones((m, m))))
+
+
+def _relabeled(w, p):
+    """The graphon with its blocks relabeled by ``p``."""
+    return StepGraphon(permute(Graph(w.values), p).weights)
 
 
 class TestContainers:
@@ -152,48 +166,23 @@ class TestLift:
     def test_c4_operator_norm(self):
         g = generate(GraphGeneratorSpec("cycle", 4))
         w = lift(g)
-        assert graphon_op_norm(w) == pytest.approx(
-            operator_norm(g.weights, 2) / 4.0, abs=1e-10
-        )
-        assert graphon_op_norm(w) == pytest.approx(0.5, abs=1e-9)
+        assert _op_norm(w) == pytest.approx(operator_norm(g.weights, 2) / 4.0, abs=1e-10)
+        assert _op_norm(w) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestResampleRefine:
-    def test_resample_repeats_blocks(self):
-        f = resample(StepFunction(np.array([1.0, 2.0])), 4)
-        assert np.array_equal(f.values, np.array([1.0, 1.0, 2.0, 2.0]))
-
-    def test_resample_preserves_integral(self):
-        f = StepFunction(np.array([0.2, 0.9, 0.4]))
-        assert integral(resample(f, 9)) == pytest.approx(integral(f), abs=1e-15)
-
-    def test_resample_rejects_incompatible_k(self):
-        with pytest.raises(ParameterError):
-            resample(StepFunction(np.array([1.0, 2.0])), 3)
-
-    def test_refine_is_kron_with_ones(self):
-        w = StepGraphon(np.array([[0.1, 0.6], [0.6, 0.2]]))
-        r = refine(w, 4)
-        assert r.k == 4
-        assert np.array_equal(r.values, np.kron(w.values, np.ones((2, 2))))
-
     def test_refine_preserves_norms(self):
         rng = np.random.default_rng(20)
         w = StepGraphon(random_symmetric(rng, 3, 0.0, 1.0))
-        r = refine(w, 9)
-        assert graphon_op_norm(r) == pytest.approx(graphon_op_norm(w), abs=1e-9)
-        assert graphon_cut_norm(r) == pytest.approx(graphon_cut_norm(w), abs=1e-10)
-
-    def test_refine_rejects_non_multiple(self):
-        w = StepGraphon(np.zeros((2, 2)))
-        with pytest.raises(ParameterError):
-            refine(w, 5)
+        r = _refined(w, 3)
+        assert _op_norm(r) == pytest.approx(_op_norm(w), abs=1e-9)
+        assert _cut_norm(r) == pytest.approx(_cut_norm(w), abs=1e-10)
 
     def test_refine_leaves_every_centrality_unchanged(self):
         # the same graphon written on a finer partition has the same katz,
         # pagerank and eigen densities and the same eigenvalue
         def assert_same(coarse, fine):
-            expected = resample(coarse, fine.k).values
+            expected = np.repeat(coarse.values, fine.k // coarse.k)
             assert np.max(np.abs(fine.values - expected)) <= 1e-13 * np.max(np.abs(expected))
 
         rng = np.random.default_rng(20261019)
@@ -201,8 +190,8 @@ class TestResampleRefine:
             k, m = int(rng.integers(2, 9)), int(rng.integers(2, 4))
             u = rng.random((k, k))
             w = StepGraphon((u + u.T) / 2.0)
-            r = refine(w, m * k)
-            alpha = 0.5 / graphon_op_norm(w)
+            r = _refined(w, m)
+            alpha = 0.5 / _op_norm(w)
             assert_same(graphon_katz(w, alpha), graphon_katz(r, alpha))
             assert_same(graphon_pagerank(w, 0.85), graphon_pagerank(r, 0.85))
             (rho, lam), (rho_r, lam_r) = graphon_eigencentrality(w), graphon_eigencentrality(r)
@@ -213,46 +202,6 @@ class TestResampleRefine:
 class TestStepNorms:
     def test_integral_is_mean(self):
         assert integral(StepFunction(np.array([1.0, 3.0]))) == 2.0
-
-    def test_lp_norms(self):
-        f = StepFunction(np.array([1.0, -1.0]))
-        assert step_lp_norm(f, 1) == 1.0
-        assert step_lp_norm(f, 2) == 1.0
-        assert step_lp_norm(f, math.inf) == 1.0
-        g = StepFunction(np.array([3.0, 0.0]))
-        assert step_lp_norm(g, 1) == 1.5
-        assert step_lp_norm(g, 2) == pytest.approx(math.sqrt(4.5))
-        assert step_lp_norm(g, math.inf) == 3.0
-
-
-class TestApply:
-    def test_constant_half_on_ones(self):
-        out = apply(_constant(0.5), StepFunction(np.ones(3)))
-        assert np.allclose(out.values, np.full(3, 0.5))
-
-    def test_zero_graphon(self):
-        out = apply(_constant(0.0, k=2), StepFunction(np.array([3.0, -1.0])))
-        assert np.array_equal(out.values, np.zeros(2))
-
-    def test_lift_k2_on_indicator(self):
-        w = lift(Graph(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        out = apply(w, StepFunction(np.array([1.0, 0.0])))
-        assert np.allclose(out.values, np.array([0.0, 0.5]))
-
-    def test_commensurate_resampling_both_directions(self):
-        w = StepGraphon(np.array([[0.2, 0.8], [0.8, 0.4]]))
-        fine = apply(w, StepFunction(np.array([1.0, 0.0, 0.0, 1.0])))
-        assert fine.k == 4
-        coarse = apply(w, StepFunction(np.array([1.0])))
-        assert coarse.k == 2
-        # a refined graphon acting on the matching refined step agrees
-        ref = apply(refine(w, 4), StepFunction(np.array([1.0, 0.0, 0.0, 1.0])))
-        assert np.allclose(fine.values, ref.values)
-
-    def test_incommensurate_blocks_rejected(self):
-        w = StepGraphon(np.zeros((2, 2)))
-        with pytest.raises(ParameterError, match="incommensurate"):
-            apply(w, StepFunction(np.zeros(3)))
 
 
 class TestGraphonPagerank:
@@ -286,10 +235,29 @@ class TestGraphonPagerank:
 
     def test_degree_and_kernel(self):
         w = StepGraphon(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert np.allclose(graphon_degree(w), [0.5, 0.0])
         rho = graphon_pagerank(w, 0.5)
         # block 2 is dangling: its column contributes nothing
         assert float(np.min(rho.values)) >= 0.0
+
+    def test_zero_graphon_keeps_only_the_teleport_mass(self):
+        # every column is dangling, so rho = (1 - alpha) 1
+        rho = graphon_pagerank(_constant(0.0, k=3), 0.85)
+        assert np.allclose(rho.values, np.full(3, 0.15), atol=1e-15)
+
+    def test_density_solves_its_equation(self):
+        # rho = alpha (A o D^-1) rho + (1 - alpha) 1 with D(y) = int A(x, y) dx,
+        # on graphons whose last block is dangling
+        rng = np.random.default_rng(31)
+        for k in (1, 3, 5):
+            v = np.zeros((k + 1, k + 1))
+            v[:k, :k] = random_symmetric(rng, k, 0.0, 1.0)
+            w = StepGraphon(v)
+            rho = graphon_pagerank(w, 0.7).values
+            degree = v.mean(axis=0)
+            kernel = np.divide(v, degree, out=np.zeros_like(v), where=degree > 0)
+            expected = 0.7 * (kernel @ rho) / w.k + 0.3
+            assert np.max(np.abs(rho - expected)) <= 1e-12
+            assert rho[k] == pytest.approx(0.3, abs=1e-15)
 
 
 class TestGraphonKatz:
@@ -310,6 +278,17 @@ class TestGraphonKatz:
         with pytest.raises(ParameterError):
             graphon_katz(_constant(2.0), 0.6)
 
+    def test_density_solves_its_equation(self):
+        # (I - alpha A) rho = 1 with (A v)(x) = int A(x, y) v(y) dy, on
+        # signed graphons
+        rng = np.random.default_rng(32)
+        for k in (1, 4, 7):
+            w = StepGraphon(random_symmetric(rng, k, -1.0, 1.0))
+            alpha = 0.5 / _op_norm(w)
+            rho = graphon_katz(w, alpha).values
+            residual = rho - alpha * (w.values @ rho) / w.k - 1.0
+            assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(rho))
+
 
 class TestGraphonEigen:
     def test_constant_graphon(self):
@@ -321,7 +300,7 @@ class TestGraphonEigen:
         rho, lam = graphon_eigencentrality(lift(generate(GraphGeneratorSpec("cycle", 4))))
         assert lam == pytest.approx(0.5, abs=1e-9)
         assert np.allclose(rho.values, np.ones(4), atol=1e-8)
-        assert step_lp_norm(rho, 2) == pytest.approx(1.0, abs=1e-9)
+        assert math.sqrt(np.mean(rho.values**2)) == pytest.approx(1.0, abs=1e-9)
 
     def test_block_diagonal_concentrates(self):
         w = StepGraphon(np.array([[0.9, 0.0], [0.0, 0.3]]))
@@ -333,43 +312,53 @@ class TestGraphonEigen:
         with pytest.raises(ParameterError):
             graphon_eigencentrality(_constant(0.0, k=2))
 
+    def test_pair_solves_its_equation(self):
+        # A rho = lam rho, with rho of unit L^2 norm and non-negative integral
+        rng = np.random.default_rng(33)
+        for k in (1, 4, 7):
+            w = StepGraphon(random_symmetric(rng, k, 0.0, 1.0))
+            rho, lam = graphon_eigencentrality(w)
+            assert lam == pytest.approx(_op_norm(w), rel=1e-12)
+            residual = (w.values @ rho.values) / w.k - lam * rho.values
+            assert np.max(np.abs(residual)) <= 1e-12
+            assert math.sqrt(np.mean(rho.values**2)) == pytest.approx(1.0, abs=1e-12)
+            assert integral(rho) >= 0.0
+
 
 class TestGraphonNorms:
     def test_cut_norm_constant_one(self):
-        assert graphon_cut_norm(_constant(1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert _cut_norm(_constant(1.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_cut_norm_zero(self):
-        assert graphon_cut_norm(_constant(0.0, k=3)) == 0.0
+        assert _cut_norm(_constant(0.0, k=3)) == 0.0
 
     def test_cut_norm_of_lift(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
             n = int(rng.integers(2, 9))
             a = random_binary_symmetric(rng, n, 0.5)
-            got = graphon_cut_norm(lift(Graph(a)))
+            got = _cut_norm(lift(Graph(a)))
             assert got == pytest.approx(cut_norm_exact(a).value / n ** 2, abs=1e-12)
             assert got == pytest.approx(cut_norm_brute(a) / n ** 2, abs=1e-12)
 
     def test_cut_norm_refinement_invariance(self):
         rng = np.random.default_rng(23)
         w = StepGraphon(random_symmetric(rng, 4, -1.0, 1.0))
-        assert graphon_cut_norm(refine(w, 8)) == pytest.approx(
-            graphon_cut_norm(w), abs=1e-12
-        )
+        assert _cut_norm(_refined(w, 2)) == pytest.approx(_cut_norm(w), abs=1e-12)
 
     def test_op_norm_constant(self):
-        assert graphon_op_norm(_constant(0.8)) == pytest.approx(0.8, abs=1e-10)
+        assert _op_norm(_constant(0.8)) == pytest.approx(0.8, abs=1e-10)
 
     def test_op_norm_lift_k2(self):
         w = lift(Graph(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        assert graphon_op_norm(w) == pytest.approx(0.5, abs=1e-10)
+        assert _op_norm(w) == pytest.approx(0.5, abs=1e-10)
 
     def test_lemma1_on_seeded_graphons(self):
         rng = np.random.default_rng(24)
         for _ in range(30):
             k = int(rng.integers(1, 8))
             w = StepGraphon(random_symmetric(rng, k, -1.0, 1.0))
-            assert graphon_op_norm(w) <= math.sqrt(8.0 * graphon_cut_norm(w)) + 1e-9
+            assert _op_norm(w) <= math.sqrt(8.0 * _cut_norm(w)) + 1e-9
 
 
 def _block_cut_distance(a, b, mode="exact"):
@@ -389,7 +378,7 @@ class TestCutDistance:
     def test_block_relabeling_is_free(self):
         rng = np.random.default_rng(26)
         w = StepGraphon(random_symmetric(rng, 5, 0.0, 1.0))
-        moved = block_permute(w, Permutation(np.array([2, 0, 4, 1, 3])))
+        moved = _relabeled(w, Permutation(np.array([2, 0, 4, 1, 3])))
         assert _block_cut_distance(w, moved).value == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_factorial_brute_force(self):
@@ -421,21 +410,25 @@ class TestBlockPermute:
         rng = np.random.default_rng(29)
         w = StepGraphon(random_symmetric(rng, 4, -1.0, 1.0))
         p = Permutation(np.array([3, 1, 0, 2]))
-        moved = block_permute(w, p)
-        assert graphon_op_norm(moved) == pytest.approx(graphon_op_norm(w), abs=1e-9)
-        assert graphon_cut_norm(moved) == pytest.approx(graphon_cut_norm(w), abs=1e-12)
+        moved = _relabeled(w, p)
+        assert _op_norm(moved) == pytest.approx(_op_norm(w), abs=1e-9)
+        assert _cut_norm(moved) == pytest.approx(_cut_norm(w), abs=1e-12)
 
-    def test_size_check(self):
-        with pytest.raises(ParameterError):
-            block_permute(_constant(0.5, k=2), Permutation(np.arange(3)))
+    @pytest.mark.parametrize("family", ["katz", "pagerank", "eigen"])
+    def test_relabeled_graphon_has_relabeled_densities(self, family):
+        # the graphon centralities are equivariant: relabeling the blocks
+        # relabels the density the same way
+        def density(w):
+            if family == "katz":
+                return graphon_katz(w, 0.5 / _op_norm(w)).values
+            if family == "pagerank":
+                return graphon_pagerank(w, 0.85).values
+            return graphon_eigencentrality(w)[0].values
 
-    def test_matches_permute_on_the_values(self):
-        rng = np.random.default_rng(30)
-        for k in (1, 3, 6):
-            w = StepGraphon(random_symmetric(rng, k, -1.0, 1.0), c=2.0)
-            mapping = rng.permutation(k)
-            for p in (Permutation(mapping), mapping.tolist()):
-                moved = block_permute(w, p)
-                expected = permute(Graph(w.values), Permutation(mapping)).weights
-                assert np.array_equal(moved.values, expected)
-                assert moved.c == 2.0 and moved.k == k
+        rng = np.random.default_rng(34)
+        for k in (2, 5, 8):
+            w = StepGraphon(random_symmetric(rng, k, 0.0, 1.0))
+            p = Permutation(rng.permutation(k))
+            rho = density(w)
+            moved = density(_relabeled(w, p))
+            assert np.max(np.abs(moved - permute_vector(rho, p))) <= 1e-12 * np.max(np.abs(rho))

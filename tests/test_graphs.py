@@ -1,24 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from fpcentral import (
-    Graph,
-    ParameterError,
-    Permutation,
-    SizeLimitError,
-    degree_vector,
-    enumerate_automorphisms,
-    is_automorphism,
-    permute,
-    permute_vector,
-)
+from fpcentral import Graph, ParameterError, Permutation, degree_vector, permute
 from fpcentral.graphon import StepGraphon
-from fpcentral.graphs import MATRIX_TOL, _pow2_normalize, matrix_tol, max_asymmetry
-from fpcentral.limits import MAX_AUTOMORPHISM_N
+from fpcentral.graphs import MATRIX_TOL, _Entries, _pow2_normalize, matrix_tol, max_asymmetry
+from fpcentral.io import parse_edge_list
 
-from oracles import GraphGeneratorSpec, automorphisms_brute, generate, is_binary
+from oracles import GraphGeneratorSpec, automorphisms_brute, generate, is_binary, permute_vector
 
 
 def _full_asymmetry(w):
@@ -234,121 +225,83 @@ class TestPermute:
             permute(g, Permutation.identity(3))
 
 
+def _fixed_by_permute(g):
+    """Every relabeling, in itertools order, that ``permute`` maps ``g``
+    onto itself exactly."""
+    return [
+        p for p in itertools.permutations(range(g.n))
+        if np.array_equal(permute(g, Permutation(np.array(p))).weights, g.weights)
+    ]
+
+
 class TestAutomorphisms:
-    def test_c4_rotation_is_automorphism(self):
-        g = generate(GraphGeneratorSpec("cycle", 4))
-        assert is_automorphism(g, Permutation(np.array([1, 2, 3, 0])))
+    """``permute`` fixes a graph under exactly its automorphisms, the
+    relabelings that the brute-force oracle finds by index arithmetic."""
 
     def test_p3_endpoint_swap_is_automorphism(self):
         g = generate(GraphGeneratorSpec("path", 3))
-        assert is_automorphism(g, Permutation(np.array([2, 1, 0])))
+        assert _fixed_by_permute(g) == [(0, 1, 2), (2, 1, 0)]
 
     def test_p3_rotation_is_not(self):
+        # the rotation moves the middle node to an end: 0-1-2 becomes 1-2-0
         g = generate(GraphGeneratorSpec("path", 3))
-        assert not is_automorphism(g, Permutation(np.array([1, 2, 0])))
+        moved = permute(g, Permutation(np.array([1, 2, 0]))).weights
+        assert not np.array_equal(moved, g.weights)
+        assert np.array_equal(moved.sum(axis=1), [1.0, 1.0, 2.0])
 
     def test_k3_has_six(self):
         g = generate(GraphGeneratorSpec("complete", 3))
-        assert len(enumerate_automorphisms(g)) == 6
+        assert _fixed_by_permute(g) == list(itertools.permutations(range(3)))
 
     def test_c4_has_eight(self):
         g = generate(GraphGeneratorSpec("cycle", 4))
-        autos = enumerate_automorphisms(g)
-        assert len(autos) == 8
-        assert {tuple(p.mapping) for p in autos} == set(
-            automorphisms_brute(g.weights)
-        )
+        got = _fixed_by_permute(g)
+        assert len(got) == 8
+        assert got == automorphisms_brute(g.weights)
 
     def test_paw_graph_has_identity_and_leaf_swap(self):
         # edges 0-1, 1-2, 2-3, 1-3: node 0 pendant, nodes 2 and 3 symmetric
         w = np.zeros((4, 4))
         for i, j in ((0, 1), (1, 2), (2, 3), (1, 3)):
             w[i, j] = w[j, i] = 1.0
-        autos = enumerate_automorphisms(Graph(w))
-        got = {tuple(p.mapping) for p in autos}
-        assert got == {(0, 1, 2, 3), (0, 1, 3, 2)}
-        assert got == set(automorphisms_brute(w))
+        got = _fixed_by_permute(Graph(w))
+        assert got == [(0, 1, 2, 3), (0, 1, 3, 2)]
+        assert got == automorphisms_brute(w)
+
+    def test_directed_cycle_has_only_its_rotations(self):
+        w = np.zeros((4, 4))
+        for i in range(4):
+            w[i, (i + 1) % 4] = 1.0
+        got = _fixed_by_permute(Graph(w))
+        assert sorted(got) == sorted(tuple((r + i) % 4 for i in range(4)) for r in range(4))
+        assert got == automorphisms_brute(w)
+
+    def test_empty_graph_is_fixed_by_every_relabeling(self):
+        assert _fixed_by_permute(Graph(np.zeros((4, 4)))) == list(
+            itertools.permutations(range(4))
+        )
 
     def test_matches_brute_force_on_seeded_graphs(self):
         for seed in range(6):
-            g = generate(
-                GraphGeneratorSpec("erdos_renyi", 6, edge_prob=0.4, seed=seed)
-            )
-            got = {tuple(p.mapping) for p in enumerate_automorphisms(g)}
-            assert got == set(automorphisms_brute(g.weights))
+            g = generate(GraphGeneratorSpec("erdos_renyi", 6, edge_prob=0.4, seed=seed))
+            assert _fixed_by_permute(g) == automorphisms_brute(g.weights)
 
-    def test_same_list_in_the_same_order_as_itertools(self):
-        graphs = [
-            generate(GraphGeneratorSpec("cycle", 6)),
-            generate(GraphGeneratorSpec("complete", 4)),
-            Graph(np.zeros((5, 5))),
-        ] + [
-            generate(GraphGeneratorSpec("erdos_renyi", 6, edge_prob=0.5, seed=seed))
-            for seed in range(20, 25)
-        ]
-        for g in graphs:
-            got = [tuple(p.mapping.tolist()) for p in enumerate_automorphisms(g)]
-            assert got == automorphisms_brute(g.weights)
-
-    def test_same_list_as_brute_force_at_eight_and_nine(self):
-        graphs = [
-            generate(GraphGeneratorSpec("cycle", 8)),
-            generate(GraphGeneratorSpec("star", 8)),
-        ] + [
-            generate(GraphGeneratorSpec("erdos_renyi", n, edge_prob=0.5, seed=seed))
-            for n, seed in ((8, 30), (8, 31), (8, 32), (9, 33))
-        ]
-        for g in graphs:
-            got = [tuple(p.mapping.tolist()) for p in enumerate_automorphisms(g)]
-            assert got == automorphisms_brute(g.weights)
-
-    @pytest.mark.parametrize("n", [8, 9])
-    def test_weighted_entries_compare_within_1e_12(self, n):
-        # a weighted cycle with one edge nudged, compared within 1e-12 times
-        # 2^-1 for the peak 0.7: 2.5e-13 keeps every dihedral symmetry,
-        # 7.5e-13 only the two that map the edge {0, 1} onto itself (the
-        # identity and i -> 1 - i)
-        dihedral = sorted(
-            tuple((r + s * i) % n for i in range(n)) for r in range(n) for s in (1, -1)
-        )
-        edge_fixing = [tuple(range(n)), tuple((1 - i) % n for i in range(n))]
-        base = 0.7 * generate(GraphGeneratorSpec("cycle", n)).weights
-        if n == 8:
-            assert automorphisms_brute(base) == dihedral
-        assert matrix_tol(base) == 5e-13
-        for nudge, kept in ((2.5e-13, dihedral), (7.5e-13, edge_fixing)):
-            w = base.copy()
-            w[0, 1] = w[1, 0] = 0.7 + nudge
-            g = Graph(w)
-            got = [tuple(p.mapping.tolist()) for p in enumerate_automorphisms(g)]
-            assert got == kept
-            for mapping in dihedral:
-                assert is_automorphism(g, Permutation(mapping)) is (mapping in kept)
-
-    def test_every_listed_permutation_validates(self):
-        g = generate(GraphGeneratorSpec("star", 5))
-        for p in enumerate_automorphisms(g):
-            assert is_automorphism(g, p)
-
-    def test_nine_cycle_at_the_limit(self):
-        n = MAX_AUTOMORPHISM_N
-        g = generate(GraphGeneratorSpec("cycle", n))
-        dihedral = {tuple((r + s * i) % n for i in range(n)) for r in range(n) for s in (1, -1)}
-        got = [tuple(p.mapping.tolist()) for p in enumerate_automorphisms(g)]
-        assert len(got) == 18
-        assert set(got) == dihedral
-        assert got == sorted(got)
-
-    def test_size_cap(self):
-        g = generate(GraphGeneratorSpec("cycle", 10))
-        with pytest.raises(SizeLimitError):
-            enumerate_automorphisms(g)
-
-    def test_env_var_lowers_cap(self, monkeypatch):
-        monkeypatch.setenv("FPC_MAX_EXACT_N", "3")
-        g = generate(GraphGeneratorSpec("cycle", 4))
-        with pytest.raises(SizeLimitError):
-            enumerate_automorphisms(g)
+    def test_listed_graph_is_fixed_by_the_automorphisms_of_its_array(self):
+        # K_{1,63} read from an edge list is sparse enough to be held as its
+        # entries; its leaves permute freely and its hub stays put
+        n = 64
+        g = parse_edge_list("".join(f"0 {j}\n{j} 0\n" for j in range(1, n)))
+        assert isinstance(g._held, _Entries)
+        dense = Graph(g.weights)
+        leaf_swap = np.arange(n)
+        leaf_swap[[1, 2]] = [2, 1]
+        leaf_cycle = np.concatenate([[0], np.roll(np.arange(1, n), 1)])
+        hub_swap = np.arange(n)
+        hub_swap[[0, 1]] = [1, 0]
+        for mapping, fixes in ((leaf_swap, True), (leaf_cycle, True), (hub_swap, False)):
+            moved = permute(g, Permutation(mapping)).weights
+            assert np.array_equal(moved, permute(dense, Permutation(mapping)).weights)
+            assert np.array_equal(moved, g.weights) is fixes
 
 
 class TestDegreeVector:
