@@ -48,7 +48,7 @@ _HOMES = {
         "prop9_certificate", "prop10_certificate", "theorem1_certificate",
         "theorem2_certificate",
     ),
-    "transport": ("TransportConvention", "TransportPlan", "wasserstein"),
+    "transport": ("wasserstein",),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 

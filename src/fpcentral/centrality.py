@@ -108,9 +108,19 @@ class CentralityResult:
     contraction_estimate: float
 
 
+def _degrees(g):
+    """The out-degrees D of the kernel A.T D^{-1}; one past float64 is
+    refused, since dividing by it would zero its column and lose its mass."""
+    with np.errstate(over="ignore"):
+        d = degree_vector(g)
+    if not np.isfinite(d).all():
+        raise NumericalError("an out-degree overflows float64; rescale the weights")
+    return d
+
+
 def pagerank_kernel(g):
     """The kernel A.T D^{-1} with columns of zero out-degree nodes zeroed."""
-    return _Dense(g.weights).kernel(degree_vector(g)).dense()
+    return _Dense(g.weights).kernel(_degrees(g)).dense()
 
 
 class _Prepared(NamedTuple):
@@ -130,7 +140,7 @@ class _Prepared(NamedTuple):
 
 def _operand(family, alpha, g):
     """The record of ``g`` without its L0: M_A."""
-    op = g._held.kernel(degree_vector(g)) if family == "pagerank" else g._held
+    op = g._held.kernel(_degrees(g)) if family == "pagerank" else g._held
     return _Prepared(family, alpha, g, op, None)
 
 
@@ -149,21 +159,17 @@ def _prepare(family, alpha, g):
 
 
 def _iteration_map(prep):
-    """f(A, .) as a function of x from a record: x -> alpha (A.T x) + 1 for
-    katz, without forming alpha A.T, and x -> (alpha M) x + (1 - alpha)/n
-    for pagerank, with alpha M as ``scaled`` makes it: a dense kernel is
-    scaled in place, which uses the record up."""
+    """f(A, .) as a function of x from a katz or pagerank record:
+    x -> alpha (A.T x) + 1 for katz, without forming alpha A.T, and
+    x -> (alpha M) x + (1 - alpha)/n for pagerank, with alpha M as
+    ``scaled`` makes it: a dense kernel is scaled in place, which uses the
+    record up."""
     alpha = prep.alpha
     if prep.family == "katz":
         return lambda x: alpha * prep.op.rmatvec(x) + 1.0
-    if prep.family == "pagerank":
-        b = (1.0 - alpha) / prep.g.n
-        scaled = prep.op.scaled(alpha)
-        return lambda x: scaled.matvec(x) + b
-    raise ParameterError(
-        "the eigen family has no standalone iteration map; use solve() or "
-        "eigencentrality()"
-    )
+    b = (1.0 - alpha) / prep.g.n
+    scaled = prep.op.scaled(alpha)
+    return lambda x: scaled.matvec(x) + b
 
 
 def check_contraction(family, alpha):

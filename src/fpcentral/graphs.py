@@ -451,21 +451,6 @@ class Permutation:
         self.mapping = m
         self.n = n
 
-    @classmethod
-    def identity(cls, n):
-        return cls(np.arange(n))
-
-    def inverse(self):
-        inv = np.empty(self.n, dtype=int)
-        inv[self.mapping] = np.arange(self.n)
-        return Permutation(inv)
-
-    def compose(self, other):
-        """Return self after other: (self . other)(i) = self(other(i))."""
-        if other.n != self.n:
-            raise ParameterError("permutation sizes differ")
-        return Permutation(self.mapping[other.mapping])
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and np.array_equal(
             self.mapping, other.mapping

@@ -1,6 +1,5 @@
 """Hard size limits for the exhaustive searches: the exact cut norm (2^n
-row subsets), the exact relabeling sweep (n! permutations) and exact
-transport plans.
+row subsets) and the exact relabeling sweep (n! permutations).
 
 The environment variable ``FPC_MAX_EXACT_N`` may lower any of these
 thresholds for a run (useful to keep CI wall time bounded); it can never
@@ -13,7 +12,6 @@ from .errors import ParameterError
 
 MAX_CUT_EXACT_N = 22
 MAX_PERM_EXACT_N = 8
-MAX_PLAN_N = 64
 # node count of an edge-list graph; not an exact search, so FPC_MAX_EXACT_N
 # does not lower it
 MAX_DENSE_N = 5000

@@ -274,8 +274,7 @@ def _difference_right(prep_a, prep_b, p):
     return _operator_norm(prep_a.op.minus(prep_b.op), p)
 
 
-def _certify(kind, pair, consts, certified, digest, mode="exact",
-             convention="permutation_cost", closing_notes=()):
+def _certify(kind, pair, consts, certified, digest, mode="exact", closing_notes=()):
     """The one certificate body; ``kind`` picks the two sides.
 
     * "theorem": ||rho_A - rho_B||_{p,w} against ||M_A - M_B||_p, with M
@@ -342,14 +341,9 @@ def _certify(kind, pair, consts, certified, digest, mode="exact",
                 f"({pair.mass_label} {mass_a:.12g}, {mass_b:.12g})"
             )
             pmf_a, pmf_b = pmf_a / mass_a, pmf_b / mass_b
-        observed = wasserstein(pmf_a, pmf_b, p, convention)[0] * w ** (1.0 / p - 1.0)
+        observed = wasserstein(pmf_a, pmf_b, p) * w ** (1.0 / p - 1.0)
     if kind != "cut" and family == "pagerank":
         notes.append(pair.kernel_note)
-    if convention != "permutation_cost":
-        notes.append(
-            f"observed side uses the {convention} ground metric; the bound is "
-            "proved through the permutation_cost comparison quantity"
-        )
     notes.extend(closing_notes)
     bound = consts.L1 * lg / (1.0 - consts.L0) * right
     return _certificate(bound, observed, certified, p, replace(consts, Lg=lg), digest, notes)
@@ -367,49 +361,43 @@ def theorem1_certificate(a, b, map_, consts):
     return _graph_certificate("theorem1", a, b, map_, consts)
 
 
-def prop6_certificate(a, b, map_, consts, perm_mode="exact",
-                      convention="permutation_cost"):
+def prop6_certificate(a, b, map_, consts, perm_mode="exact"):
     """Certificate for the Wasserstein variation bound
     W_p(rho_A, rho_B) <= L1 Lg / (1 - L0) min_pi ||A^pi - B||_op,p.
 
     Centralities are normalized to probability vectors first (the
-    normalizer is folded into g, scaling Lg); the right side minimizes
-    over relabelings in the requested mode.  Certified only when the
-    permutation search is exact, the convention is permutation_cost (the
-    comparison quantity the bound is proved through), and the constants
+    normalizer is folded into g, scaling Lg); W_p is the minimum over
+    relabelings of their distance (``transport.wasserstein``), and the
+    right side minimizes over relabelings in the requested mode.
+    Certified only when the permutation search is exact and the constants
     are analytic.
     """
-    return _graph_certificate(
-        "prop6", a, b, map_, consts, perm_mode=perm_mode, convention=convention
-    )
+    return _graph_certificate("prop6", a, b, map_, consts, perm_mode=perm_mode)
 
 
-def prop7_certificate(a, b, map_, consts, convention="permutation_cost"):
+def prop7_certificate(a, b, map_, consts):
     """Certificate for the cut-norm variation bound
     W_2(rho_A, rho_B) <= L1 Lg / (1 - L0) sqrt(8 delta_cut(A, B))
     for symmetric matrices with entries in [-1, 1], where delta_cut
     minimizes the cut norm of the difference over relabelings (always the
     exact search, so n is capped).
     """
-    return _graph_certificate("prop7", a, b, map_, consts, convention=convention)
+    return _graph_certificate("prop7", a, b, map_, consts)
 
 
-def _graph_certificate(bound, a, b, map_, consts, perm_mode="exact",
-                       convention="permutation_cost", prep_a=None):
+def _graph_certificate(bound, a, b, map_, consts, perm_mode="exact", prep_a=None):
     """theorem1, prop6 or prop7 on two graphs; ``prep_a`` is a's record
     (``_record``) when the caller has built it.  Only prop6 takes a
-    ``perm_mode``; prop7 always runs the exact search."""
+    ``perm_mode``; prop7 always runs the exact search.  The digests of prop6
+    and prop7 hash the name of their Wasserstein side, "permutation_cost",
+    so recorded inputs_digest values stay comparable."""
     kind, parts = {
         "theorem1": ("theorem", (consts.norm_p,)),
-        "prop6": ("wasserstein", (consts.norm_p, perm_mode, convention)),
-        "prop7": ("cut", (convention,)),
+        "prop6": ("wasserstein", (consts.norm_p, perm_mode, "permutation_cost")),
+        "prop7": ("cut", ("permutation_cost",)),
     }[bound]
     digest = _digest(a, b, map_.family, map_.alpha, bound, consts.method, *parts)
-    certified = (
-        consts.method == "analytic"
-        and perm_mode == "exact"
-        and convention == "permutation_cost"
-    )
+    certified = consts.method == "analytic" and perm_mode == "exact"
     if a.n != b.n:
         raise ParameterError("graphs must have the same number of nodes")
     family, alpha = map_.family, map_.alpha
@@ -419,9 +407,7 @@ def _graph_certificate(bound, a, b, map_, consts, perm_mode="exact",
         (prep_a, _prepare(family, alpha, b)), 1.0, _iterated,
         "perturbation measured on effective kernels A^T D^-1", "centrality sums",
     )
-    return _certify(
-        kind, pair, consts, certified, digest, mode=perm_mode, convention=convention
-    )
+    return _certify(kind, pair, consts, certified, digest, mode=perm_mode)
 
 
 def _step_certificate(kind, name, a, b, family, alpha, mode="exact"):

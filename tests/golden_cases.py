@@ -8,7 +8,8 @@ class name.  To record the golden file from a source tree:
 
     PYTHONPATH=<tree>/src:tests python tests/golden_cases.py tests/golden_certificates.json
 
-Case ids read ``bound/family/mode/convention/input``.
+Case ids read ``bound/family/mode/side/input``, where ``side`` is
+``permutation_cost``, the Wasserstein side of prop6 and prop7, or ``-``.
 """
 
 import json
@@ -101,12 +102,8 @@ def _finite_cases(cases):
             for mode in ("exact", "greedy"):
                 add("prop6", prop6_certificate, family, mode, "permutation_cost",
                     name, a, b, perm_mode=mode)
-            add("prop6", prop6_certificate, family, "exact", "grid_embedding",
-                name, a, b, convention="grid_embedding")
         if "dir" not in name:
-            for convention in ("permutation_cost", "discrete_metric"):
-                add("prop7", prop7_certificate, "katz", "exact", convention,
-                    name, a, b, convention=convention)
+            add("prop7", prop7_certificate, "katz", "exact", "permutation_cost", name, a, b)
     # the one exact sweep at n = 8, the documented permutation limit
     a8 = random_binary_symmetric(rng, 8, 0.5)
     b8 = random_binary_symmetric(rng, 8, 0.5)
@@ -164,9 +161,6 @@ def _finite_error_cases(cases, pairs):
         ),
         "theorem1/katz/inf-norm": lambda: theorem1_certificate(
             Graph(sym_a), Graph(sym_b), katz, inf_norm
-        ),
-        "prop6/katz/bad-convention": analytic(
-            prop6_certificate, sym_a, sym_b, katz, convention="earth_mover"
         ),
     }
     for name, thunk in errors.items():

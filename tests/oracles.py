@@ -1,9 +1,8 @@
 """Independent brute-force oracles, and the tests' fixture scaffolding.
 
-Everything here is deliberately naive: full enumeration, textbook
-formulas and a general LP solver (scipy) only, sharing nothing with the
-package under test beyond numpy, its error and plan types, ``Graph``,
-``StepGraphon`` and ``MAX_DENSE_N``.  Derived
+Everything here is deliberately naive: full enumeration and textbook
+formulas only, sharing nothing with the package under test beyond numpy,
+its error types, ``Graph``, ``StepGraphon`` and ``MAX_DENSE_N``.  Derived
 expected values in the test files were frozen from these.
 
 The fixture generators (``GraphGeneratorSpec``, ``generate``), ``is_binary``
@@ -31,9 +30,7 @@ from fpcentral import (
     NumericalError,
     ParameterError,
     Permutation,
-    SizeLimitError,
     StepGraphon,
-    TransportPlan,
     constants_analytic,
     operator_norm,
     pagerank_kernel,
@@ -43,8 +40,6 @@ from fpcentral import (
 )
 from fpcentral.centrality import _iteration_map, _operand, native_norm_index
 from fpcentral.limits import MAX_DENSE_N
-
-MAX_LP_ORACLE_N = 16
 
 
 def cut_norm_brute(m):
@@ -200,56 +195,6 @@ def permutation_cost_brute(src, dst, p):
             val = float(np.sqrt((diff ** 2).sum()))
         best = min(best, val)
     return best
-
-
-def w1_grid_brute(src, dst):
-    """1-D optimal transport on the grid i/n: integral of |CDF gap|."""
-    src = np.asarray(src, dtype=float)
-    dst = np.asarray(dst, dtype=float)
-    return float(np.abs(np.cumsum(src - dst)).sum() / src.shape[0])
-
-
-def transport_lp_oracle(src, dst, cost_matrix):
-    """Exact optimal transport at tiny sizes by linear programming.
-
-    Solves min <gamma, cost> over the transportation polytope with
-    marginals (src, dst) using the HiGHS simplex solver, which returns an
-    exact vertex solution at these sizes.  Independent of the closed forms
-    of ``fpcentral.wasserstein``.
-
-    Returns (value, TransportPlan); the plan cost is the LP objective.
-    """
-    # scipy is a test dependency, imported here so that the other oracles
-    # load without it
-    from scipy.optimize import linprog
-
-    src = np.asarray(src, dtype=float)
-    dst = np.asarray(dst, dtype=float)
-    if src.ndim != 1 or src.shape != dst.shape:
-        raise ParameterError("src and dst must be vectors of the same length")
-    n = src.shape[0]
-    if n > MAX_LP_ORACLE_N:
-        raise SizeLimitError(
-            f"the transport oracle is limited to n <= {MAX_LP_ORACLE_N}, got n={n}"
-        )
-    cost_matrix = np.asarray(cost_matrix, dtype=float)
-    if cost_matrix.shape != (n, n):
-        raise ParameterError("cost matrix shape must match the marginals")
-    if not np.all(np.isfinite(cost_matrix)) or float(np.min(cost_matrix)) < 0.0:
-        raise ParameterError("cost matrix must be finite and non-negative")
-    a_eq = np.zeros((2 * n, n * n))
-    for i in range(n):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-        a_eq[n + i, i::n] = 1.0
-    b_eq = np.concatenate([src, dst])
-    res = linprog(cost_matrix.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise NumericalError(f"transport LP failed: {res.message}")
-    gamma = res.x.reshape(n, n)
-    err = max(np.abs(gamma.sum(axis=1) - src).max(), np.abs(gamma.sum(axis=0) - dst).max())
-    if err > 1e-9:
-        raise NumericalError(f"transport LP plan violates its marginals by {err:.3e}")
-    return float(res.fun), TransportPlan(gamma=gamma, cost=float(res.fun))
 
 
 def eigencentrality_lapack_reference(g, which="largest"):
@@ -523,9 +468,21 @@ def permute_vector(v, p):
     return out
 
 
+def inverse(p):
+    """The permutation q with q(p(i)) = i."""
+    inv = np.empty(p.n, dtype=int)
+    inv[p.mapping] = np.arange(p.n)
+    return Permutation(inv)
+
+
 def apply_map(map_, g, x):
     """One application of f(A, x) for ``map_``'s family, through the
-    package's own iteration map."""
+    package's own iteration map; the eigen family has none."""
+    if map_.family == "eigen":
+        raise ParameterError(
+            "the eigen family has no standalone iteration map; use solve() or "
+            "eigencentrality()"
+        )
     return _iteration_map(_operand(map_.family, map_.alpha, g))(x)
 
 

@@ -33,7 +33,6 @@ from fpcentral import (
     solve,
     theorem1_certificate,
     vector_norm,
-    wasserstein,
 )
 
 from oracles import (
@@ -44,8 +43,6 @@ from oracles import (
     generate,
     permute_vector,
     random_binary_symmetric,
-    random_pmf,
-    transport_lp_oracle,
 )
 
 
@@ -267,26 +264,6 @@ def test_c08_equivariance_property():
     assert not check_equivariance(broken, generate(GraphGeneratorSpec("cycle", 4)))
     elapsed = _elapsed_ok(t0, 10.0, "c08")
     print(f"c08 PASS: 100 family checks pass, broken fixture fails ({elapsed:.1f}s)")
-
-
-def test_c09_closed_form_transport_matches_lp():
-    rng = np.random.default_rng(1009)
-    t0 = time.monotonic()
-    idx = None
-    for _ in range(100):
-        n = int(rng.integers(2, 9))
-        src = random_pmf(rng, n)
-        dst = random_pmf(rng, n)
-        idx = np.arange(n)
-        grid = np.abs(idx[:, None] - idx[None, :]) / n
-        disc = 1.0 - np.eye(n)
-        for p in (1, 2):
-            for convention, ground in (("grid_embedding", grid), ("discrete_metric", disc)):
-                value, _ = wasserstein(src, dst, p, convention)
-                lp_value, _ = transport_lp_oracle(src, dst, ground**p)
-                assert abs(value - lp_value ** (1.0 / p)) <= 1e-9
-    elapsed = _elapsed_ok(t0, 10.0, "c09")
-    print(f"c09 PASS: 400 closed-form values match the LP oracle ({elapsed:.1f}s)")
 
 
 def test_c10_heuristic_cut_norm_is_a_lower_bound():

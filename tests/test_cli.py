@@ -737,13 +737,18 @@ class TestStartup:
             "centrality": ("apply_map",),
             "graphon": ("resample", "refine", "step_lp_norm", "apply", "graphon_degree",
                         "graphon_cut_norm", "graphon_op_norm", "block_permute"),
+            "transport": ("TransportConvention", "TransportPlan"),
         }
         for home, names in test_only.items():
             for name in names:
                 with pytest.raises(AttributeError):
                     getattr(fpcentral, name)
                 assert not hasattr(getattr(fpcentral, home), name), name
-        assert not hasattr(fpcentral.limits, "MAX_AUTOMORPHISM_N")
+        assert not hasattr(fpcentral.transport, "CONVENTIONS")
+        for name in ("MAX_AUTOMORPHISM_N", "MAX_PLAN_N"):
+            assert not hasattr(fpcentral.limits, name), name
+        for name in ("identity", "inverse", "compose"):
+            assert not hasattr(fpcentral.Permutation, name), name
 
 
 P3_EDGES = "0 1 {w}\n1 0 {w}\n1 2 {w}\n2 1 {w}\n"
@@ -1227,3 +1232,51 @@ class TestNormsStayFinite:
         assert (code, err) == (0, "")
         payload = json.loads(out, parse_constant=lambda name: pytest.fail(name))
         assert payload["value"] == pytest.approx(expected, rel=1e-15)
+
+
+class TestPageRankDegreeOverflow:
+    def test_an_out_degree_beyond_float64_exits_3(self, capsys, tmp_path):
+        # the path 0-1-2-3 at weight 1e308: nodes 1 and 2 have out-degree
+        # 2e308, which used to zero their kernel columns, with a warning, and
+        # give a rho summing to 0.214
+        ha = tmp_path / "ha.txt"
+        ha.write_text(P3_EDGES.format(w="1e308") + "2 3 1e308\n3 2 1e308\n")
+        hd = tmp_path / "hd.txt"
+        hd.write_text(P3_EDGES.format(w="1e308") + "2 3 5e307\n3 2 5e307\n")
+        flags = ("--family", "pagerank", "--alpha", "0.85")
+        for argv in (("centrality", str(ha)), ("compare", str(ha), str(hd))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, *argv, *flags)
+            assert (code, out) == (3, ""), argv
+            assert err == "error: an out-degree overflows float64; rescale the weights\n"
+
+    def test_out_degrees_just_below_float64_max_are_solved(self, capsys, tmp_path):
+        # out-degree 1.6e308 is finite: the kernel is the one of weight 1,
+        # so rho is too
+        rhos = []
+        for w in ("8e307", "1"):
+            path = tmp_path / f"p4_{w}.txt"
+            path.write_text(P3_EDGES.format(w=w) + f"2 3 {w}\n3 2 {w}\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, payload, err = run_json(
+                    capsys, "centrality", str(path), "--family", "pagerank", "--alpha", "0.85"
+                )
+            assert (code, err) == (0, "")
+            rhos.append(np.array(payload["rho"]))
+        assert rhos[0].sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(rhos[0], rhos[1], rtol=1e-12, atol=0.0)
+
+    def test_the_library_refuses_it_too(self):
+        w = np.zeros((4, 4))
+        for i in range(3):
+            w[i, i + 1] = w[i + 1, i] = 1e308
+        g = fpcentral.Graph(w)
+        page = fpcentral.FixedPointMap("pagerank", alpha=0.85)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fpcentral.NumericalError, match="out-degree overflows"):
+                fpcentral.solve(g, page)
+            with pytest.raises(fpcentral.NumericalError, match="out-degree overflows"):
+                fpcentral.centrality.pagerank_kernel(g)

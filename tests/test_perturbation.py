@@ -295,16 +295,25 @@ class TestProp6:
         assert not cert.certified
         assert cert.holds  # greedy only enlarges the right-hand side
 
-    def test_alternate_convention_not_certified_and_noted(self):
+    def test_observed_is_the_sorted_matching_of_the_pmfs(self):
         rng = np.random.default_rng(47)
-        a = Graph(random_binary_symmetric(rng, 4, 0.5))
-        b = Graph(random_binary_symmetric(rng, 4, 0.5))
+        a = Graph(random_binary_symmetric(rng, 5, 0.5))
+        b = Graph(random_binary_symmetric(rng, 5, 0.5))
         map_ = _katz_map_for(a)
-        cert = prop6_certificate(
-            a, b, map_, constants_analytic(a, map_), convention="grid_embedding"
-        )
-        assert not cert.certified
-        assert any("grid_embedding" in note for note in cert.notes)
+        cert = prop6_certificate(a, b, map_, constants_analytic(a, map_))
+        pmf_a, pmf_b = (katz_closed_form(g, map_.alpha) for g in (a, b))
+        pmf_a, pmf_b = pmf_a / pmf_a.sum(), pmf_b / pmf_b.sum()
+        expected = float(np.linalg.norm(np.sort(pmf_a) - np.sort(pmf_b)))
+        assert expected > 1e-3
+        assert cert.observed == pytest.approx(expected, abs=1e-9)
+
+    def test_no_convention_keyword(self):
+        a = _c2()
+        map_ = _katz_map_for(a)
+        consts = constants_analytic(a, map_)
+        for certificate in (prop6_certificate, prop7_certificate):
+            with pytest.raises(TypeError):
+                certificate(a, a, map_, consts, convention="permutation_cost")
 
     def test_normalization_fold_is_noted(self):
         rng = np.random.default_rng(48)
