@@ -43,8 +43,7 @@ _HOMES = {
         "difference_norm", "min_permuted_distance", "operator_norm", "vector_norm",
     ),
     "perturbation": (
-        "BoundCertificate", "LipschitzConstants", "constants_analytic",
-        "prop6_certificate", "prop7_certificate",
+        "BoundCertificate", "LipschitzConstants", "prop6_certificate", "prop7_certificate",
         "prop9_certificate", "prop10_certificate", "theorem1_certificate",
         "theorem2_certificate",
     ),

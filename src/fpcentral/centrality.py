@@ -18,7 +18,7 @@ every iteration step takes: over a list of entries they cost O(entries).
 
 Katz and PageRank are iterated (``solve``) or solved directly (the closed
 forms).  The eigen family takes the spectrum of A.T from LAPACK without
-eigenvectors, which the simplicity checks need, and then the one selected
+eigenvectors, which the simplicity checks need, and then the leading
 eigenvector by inverse iteration.
 """
 
@@ -209,6 +209,8 @@ def solve(g, map_, cfg=None):
         (the caller should then normalize feature_x explicitly).
     NonConvergenceError
         Budget exhausted; carries the last iterate and residual.
+    NumericalError
+        A step overflows float64, so its residual is not finite.
 
     Each step is one product with M_A, in the form the graph holds it
     (``graphs``): over its list of non-zero entries in O(entries), or a
@@ -222,7 +224,7 @@ def _solve(prep, cfg=None):
     cfg = cfg if cfg is not None else SolveConfig()
     g = prep.g
     if prep.family == "eigen":
-        eig = eigencentrality(g, "largest")
+        eig = eigencentrality(g)
         if eig.rho is None:
             raise ParameterError(
                 "the leading eigenvector has mixed signs; apply a Normalizer "
@@ -246,26 +248,32 @@ def _solve(prep, cfg=None):
     contraction = 0.0
     prev_residual = None
     residual = math.inf
-    for iteration in range(1, cfg.max_iterations + 1):
-        fx = f(x)
-        residual = vector_norm(fx - x, p)
-        if prev_residual is not None and prev_residual > 0.0:
-            contraction = max(contraction, residual / prev_residual)
-        if residual <= cfg.tolerance:
-            if float(np.min(x)) < -NEGATIVE_RHO_TOL:
-                raise ParameterError(
-                    "fixed point has negative entries; centralities must be "
-                    "non-negative, apply a Normalizer to feature_x"
+    # a product past float64 ends the solve at its first non-finite residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(1, cfg.max_iterations + 1):
+            fx = f(x)
+            residual = vector_norm(fx - x, p)
+            if not math.isfinite(residual):
+                raise NumericalError(
+                    "the fixed-point iteration overflows float64; rescale the weights"
                 )
-            return CentralityResult(
-                rho=np.maximum(x, 0.0),
-                feature_x=x,
-                iterations=iteration,
-                residual=residual,
-                contraction_estimate=contraction,
-            )
-        prev_residual = residual
-        x = fx
+            if prev_residual is not None and prev_residual > 0.0:
+                contraction = max(contraction, residual / prev_residual)
+            if residual <= cfg.tolerance:
+                if float(np.min(x)) < -NEGATIVE_RHO_TOL:
+                    raise ParameterError(
+                        "fixed point has negative entries; centralities must be "
+                        "non-negative, apply a Normalizer to feature_x"
+                    )
+                return CentralityResult(
+                    rho=np.maximum(x, 0.0),
+                    feature_x=x,
+                    iterations=iteration,
+                    residual=residual,
+                    contraction_estimate=contraction,
+                )
+            prev_residual = residual
+            x = fx
     raise NonConvergenceError(
         f"no fixed point within {cfg.max_iterations} iterations "
         f"(residual {residual:.3e})",
@@ -342,13 +350,13 @@ def _pagerank_direct(prep):
 
 @dataclass
 class EigenResult:
-    """Leading (or selected) eigenpair of A.T with simplicity diagnostics.
+    """Leading eigenpair of A.T with simplicity diagnostics.
 
     ``vector`` is the oriented unit eigenvector (2-norm one, entry sum at
     least zero).  ``rho`` is its absolute value when the oriented vector is
     entrywise non-negative within 1e-12, and None otherwise; callers with a
     mixed-sign eigenvector pick a Normalizer themselves.  ``gap`` is the
-    distance from the selected eigenvalue to the rest of the spectrum.
+    distance from the leading eigenvalue to the rest of the spectrum.
     ``iterations`` is the number of inverse-iteration solves that produced
     the vector, normally 1.
     """
@@ -411,31 +419,22 @@ def _inverse_iteration(m, lam):
     )
 
 
-def eigencentrality(g, which="largest"):
+def eigencentrality(g):
     """Eigenvector centrality with an explicit simplicity check.
 
     The whole spectrum of A.T comes from LAPACK without eigenvectors:
     ``numpy.linalg.eigvalsh`` for a symmetric graph,
-    ``numpy.linalg.eigvals`` otherwise.  Eigenvalues are ranked by
-    descending real part.  Once the selected eigenvalue passes every check,
-    its eigenvector comes from inverse iteration on A.T - lambda I.  All of
+    ``numpy.linalg.eigvals`` otherwise.  The leading eigenvalue is the one
+    with the largest real part.  Once it passes every check, its
+    eigenvector comes from inverse iteration on A.T - lambda I.  All of
     this runs on A scaled by the exact power of two that puts max |a_ij| in
     [1, 2) (``graphs._pow2_normalize``), so the gap and zero checks below do
     not depend on the weight scale.  The route is chosen by ``g.symmetric``.
 
-    Parameters
-    ----------
-    g : Graph
-    which : "largest" or int
-        "largest" selects the eigenvalue with the largest real part.  An
-        integer k selects the k-th largest eigenvalue (0-based, algebraic
-        order); that route requires a symmetric graph with at most 2000
-        nodes.
-
     Returns
     -------
     EigenResult
-        ``value`` is the selected eigenvalue of A, ``gap`` its distance to
+        ``value`` is the leading eigenvalue of A, ``gap`` its distance to
         the rest of the spectrum of A, ``residual`` the fixed-point residual
         ||(1/lambda) A.T v - v||_2, and ``iterations`` the number of
         inverse-iteration solves.
@@ -444,38 +443,24 @@ def eigencentrality(g, which="largest"):
     ------
     SimplicityError
         If the gap of the scaled matrix falls below 1e-8 (the defining
-        equation assumes a simple eigenvalue), or if the selected
+        equation assumes a simple eigenvalue), or if the leading
         eigenvalue is complex.
     ParameterError
-        Zero selected eigenvalue (below 1e-12 scaled), invalid ``which``,
-        or a non-symmetric graph on the index route.
+        A zero matrix, or a zero leading eigenvalue (below 1e-12 scaled).
     NumericalError
-        If the selected eigenvalue of A exceeds float64, or inverse
+        If the leading eigenvalue of A exceeds float64, or inverse
         iteration does not reach its residual bound.
     """
     w = g._held.dense()  # a list forms an array of its own, scaled in place
     w, e = _pow2_normalize(w, out=w if w.flags.writeable else None)
-    n = g.n
-    if isinstance(which, (int, np.integer)) and not isinstance(which, bool):
-        if not g.symmetric:
-            raise ParameterError("eigenvalue selection by index requires a symmetric graph")
-        if n > 2000:
-            raise ParameterError("full eigendecomposition is limited to n <= 2000")
-        if not 0 <= which < n:
-            raise ParameterError(f"eigenvalue index must lie in [0, {n})")
-        k, role = int(which), "selected"
-    elif which == "largest":
-        if not w.any():
-            raise ParameterError(
-                "the zero matrix has leading eigenvalue zero; eigencentrality is undefined"
-            )
-        k, role = 0, "leading"
-    else:
-        raise ParameterError(f"which must be 'largest' or an integer index, got {which!r}")
+    if not w.any():
+        raise ParameterError(
+            "the zero matrix has leading eigenvalue zero; eigencentrality is undefined"
+        )
     evals = np.linalg.eigvalsh(w) if g.symmetric else np.linalg.eigvals(w.T)
-    order = np.argsort(-evals.real, kind="stable")
-    lam_c = evals[order[k]]
-    others = np.delete(evals, order[k])
+    lead = int(np.argmax(evals.real))  # the first of equal real parts
+    lam_c = evals[lead]
+    others = np.delete(evals, lead)
     gap = float(np.min(np.abs(others - lam_c))) if others.size else math.inf
     if abs(lam_c.imag) > GAP_TOL * max(1.0, abs(lam_c)):
         raise SimplicityError(
@@ -487,13 +472,13 @@ def eigencentrality(g, which="largest"):
         gap_a = float(np.ldexp(gap, e))
     if gap < GAP_TOL:
         raise SimplicityError(
-            f"{role} eigenvalue is not simple "
+            "leading eigenvalue is not simple "
             f"(gap {gap_a:.3e} < {math.ldexp(GAP_TOL, e):.3g})"
         )
     if abs(lam) < 1e-12:
-        raise ParameterError(f"{role} eigenvalue is zero; the centrality equation is undefined")
+        raise ParameterError("leading eigenvalue is zero; the centrality equation is undefined")
     if math.isinf(value):
-        raise NumericalError(f"the {role} eigenvalue of this matrix overflows float64")
+        raise NumericalError("the leading eigenvalue of this matrix overflows float64")
     if not w.flags.writeable:  # the graph's array, which inverse iteration must not write
         w = w.copy(order="K")
     v, solves = _inverse_iteration(w.T, lam)

@@ -85,15 +85,6 @@ def _check_alpha(args):
         raise ParameterError(f"--alpha is required for {args.family}")
 
 
-def _emit_certificate(cert, args, *inputs):
-    """Write a certificate with its manifest; exit 0 if it holds, else 1."""
-    _emit({**cert.to_dict(), "manifest": _manifest(args, *inputs)}, args, lambda: (
-        "bound,observed,holds,slack,certified\n"
-        f"{cert.bound!r},{cert.observed!r},{cert.holds},{cert.slack!r},{cert.certified}\n"
-    ))
-    return 0 if cert.holds else 1
-
-
 def cmd_centrality(args):
     from .centrality import FixedPointMap, eigencentrality, normalize, solve
     from .io import read_graph
@@ -101,7 +92,7 @@ def cmd_centrality(args):
     g = read_graph(args.input)
     _check_alpha(args)
     if args.family == "eigen":
-        res = eigencentrality(g, "largest")
+        res = eigencentrality(g)
         feature, rho = res.vector, res.rho
         iterations, residual = res.iterations, res.residual
     else:
@@ -128,21 +119,25 @@ def cmd_centrality(args):
 
 
 def cmd_compare(args):
-    from .centrality import FixedPointMap
-    from .io import read_graph
-    from .perturbation import _analytic, _graph_certificate, _record
+    """``compare`` and ``graphon compare``: the certificate of ``--bound``
+    on two graphs or two step graphons; exit 0 if it holds, else 1."""
+    from . import perturbation
 
-    a = read_graph(args.input_a)
-    b = read_graph(args.input_b)
+    if args.command == "graphon":
+        from .io import read_graphon as read
+    else:
+        from .io import read_graph as read
+    a = read(args.input_a)
+    b = read(args.input_b)
     _check_alpha(args)
-    map_ = FixedPointMap(args.family, alpha=args.alpha)
-    # a's record serves the constants and the certificate alike
-    prep_a = _record(a, map_)
-    cert = _graph_certificate(
-        args.bound, a, b, map_, _analytic(prep_a, 1.0),
-        perm_mode=args.perm_mode if args.bound == "prop6" else "exact", prep_a=prep_a,
-    )
-    return _emit_certificate(cert, args, a, b)
+    certificate = getattr(perturbation, f"{args.bound}_certificate")
+    mode = {"mode": args.perm_mode} if args.bound in ("prop6", "prop9", "prop10") else {}
+    cert = certificate(a, b, args.family, args.alpha, **mode)
+    _emit({**cert.to_dict(), "manifest": _manifest(args, a, b)}, args, lambda: (
+        "bound,observed,holds,slack,certified\n"
+        f"{cert.bound!r},{cert.observed!r},{cert.holds},{cert.slack!r},{cert.certified}\n"
+    ))
+    return 0 if cert.holds else 1
 
 
 def cmd_graphon_lift(args):
@@ -188,22 +183,6 @@ def cmd_graphon_centrality(args):
         f"{i},{float(x)!r}\n" for i, x in enumerate(rho.values)
     ))
     return 0
-
-
-def cmd_graphon_compare(args):
-    from .io import read_graphon
-    from .perturbation import prop9_certificate, prop10_certificate, theorem2_certificate
-
-    a = read_graphon(args.input_a)
-    b = read_graphon(args.input_b)
-    _check_alpha(args)
-    if args.bound == "theorem2":
-        cert = theorem2_certificate(a, b, args.family, args.alpha)
-    elif args.bound == "prop9":
-        cert = prop9_certificate(a, b, args.family, args.alpha, mode=args.perm_mode)
-    else:
-        cert = prop10_certificate(a, b, args.family, args.alpha, mode=args.perm_mode)
-    return _emit_certificate(cert, args, a, b)
 
 
 def cmd_norms(args):
@@ -310,7 +289,7 @@ def build_parser():
     gcomp = gsub.add_parser("compare", help="graphon perturbation certificate")
     _add_compare_flags(gcomp, ("katz", "pagerank"), ("theorem2", "prop9", "prop10"))
     _add_output_flags(gcomp)
-    gcomp.set_defaults(handler=cmd_graphon_compare)
+    gcomp.set_defaults(handler=cmd_compare)
 
     norms = subparsers.add_parser("norms", help="operator and cut norms")
     norms.add_argument("input")

@@ -160,6 +160,6 @@ def graphon_eigencentrality(w):
     spectrum is exactly the graphon operator's; the simplicity gap check
     applies to that spectrum.
     """
-    res = eigencentrality(_lift_graph(w), "largest")
+    res = eigencentrality(_lift_graph(w))
     rho = StepFunction(res.vector * math.sqrt(w.k))
     return rho, res.value

@@ -566,8 +566,9 @@ def min_permuted_distance(a, b, norm, mode="exact"):
         raise ParameterError(f"unknown mode {mode!r}")
     n = a.n
     if mode == "greedy":
-        order_a = np.lexsort((np.arange(n), degree_vector(a)))
-        order_b = np.lexsort((np.arange(n), degree_vector(b)))
+        with np.errstate(over="ignore"):  # an infinite degree still sorts
+            order_a = np.lexsort((np.arange(n), degree_vector(a)))
+            order_b = np.lexsort((np.arange(n), degree_vector(b)))
         mapping = np.empty(n, dtype=int)
         mapping[order_a] = order_b
         p = Permutation(mapping)

@@ -9,18 +9,23 @@ the Lipschitz constant of the output map g,
 Variants swap the right-hand side for a minimum over relabelings
 (Wasserstein form), or for sqrt(8 * cut-distance) on symmetric matrices
 with entries in [-1, 1].  A certificate records both sides, the constants
-actually used, a content digest of the inputs, and whether every
-ingredient was computed exactly (``certified``); heuristic or sampled
-ingredients clear the flag but never weaken ``holds``, which always
-compares the two sides as computed.
+it used, a content digest of the inputs, and whether every ingredient was
+computed exactly (``certified``); a greedy search or block relabelings
+clear the flag but never weaken ``holds``, which always compares the two
+sides as computed.
 
-All seven certificates run through one body, ``_certify``, on a pair of
-inputs as the finite code sees them.  Two adapters build that pair:
+All six certificates take the same arguments, ``(a, b, family, alpha)``,
+plus the search ``mode`` where a relabeling is searched, and run through
+one body, ``_certify``, on a pair of inputs as the finite code sees them.
+No caller supplies constants: each certificate takes the closed-form
+(analytic) ones from the record of its first input.  Two adapters build
+the pair:
 
-* a graph enters as itself, with coordinate weight 1, solved by solve();
-* a step graphon enters as its scaled lift, the graph values/k, with
-  coordinate weight 1/k; its densities come from graphon_katz and
-  graphon_pagerank.
+* ``_graph_certificate``: a graph enters as itself, with coordinate
+  weight 1, and is iterated as solve() iterates it;
+* ``_step_certificate``: a step graphon enters as its scaled lift, the
+  graph values/k, with coordinate weight 1/k; its densities come from the
+  closed forms of graphon_katz and graphon_pagerank.
 
 Each certificate runs in one order: the records of both inputs
 (``centrality._prepare``), then the right-hand side, taken from those
@@ -60,7 +65,6 @@ from .graphs import Graph
 from .norms import _operator_norm, min_permuted_distance, vector_norm
 
 HOLDS_TOL = 1e-9
-_NORM_PS = (1, 2, math.inf)
 _SUBSET_NOTE = (
     "block relabelings are a strict subset of the measure-preserving "
     "bijections; the right-hand side is an upper bound on the true infimum"
@@ -69,35 +73,15 @@ _SUBSET_NOTE = (
 
 @dataclass(frozen=True)
 class LipschitzConstants:
-    """The constants of the contraction route, tied to a norm index and to
-    the feasible ball of radius ``feasible_radius`` they were computed on.
-
-    ``method`` is "analytic" for closed-form constants (L0 < 1 enforced)
-    and "empirical" for sampled ratio maxima, which are lower bounds on
-    the true suprema and therefore never yield certified certificates.
-    """
+    """The analytic constants of the contraction route, tied to a norm index
+    and to the feasible ball of radius ``feasible_radius`` they were
+    computed on (``_analytic``)."""
 
     L0: float
     L1: float
     Lg: float
     norm_p: float
-    method: str
     feasible_radius: float
-
-    def __post_init__(self):
-        if self.norm_p not in _NORM_PS:
-            raise ParameterError(f"norm_p must be one of {_NORM_PS}")
-        if self.method not in ("analytic", "empirical"):
-            raise ParameterError("method must be 'analytic' or 'empirical'")
-        if self.L0 < 0.0 or self.L1 < 0.0 or self.Lg < 0.0:
-            raise ParameterError("constants must be non-negative")
-        if self.method == "analytic" and not self.L0 < 1.0:
-            raise ParameterError(
-                f"analytic constants require L0 < 1, got L0={self.L0:.6g}; "
-                "the contraction hypothesis fails for this graph and map"
-            )
-        if not self.feasible_radius > 0.0:
-            raise ParameterError("feasible_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,7 +111,7 @@ class BoundCertificate:
                 "L1": self.constants.L1,
                 "Lg": self.constants.Lg,
                 "R": self.constants.feasible_radius,
-                "method": self.constants.method,
+                "method": "analytic",
             },
             "inputs_digest": self.inputs_digest,
             "notes": list(self.notes),
@@ -171,50 +155,36 @@ def _l1(family, alpha, radius):
 
 
 def _analytic(prep, weight):
-    """constants_analytic on the record of an input whose coordinates have
-    measure ``weight``: R = ||b||_{p,weight}/(1 - L0) + 1 for the constant
-    term b, with ||1||_{2,weight} = sqrt(weight n) for katz and
-    ||b||_{1,weight} = 1 - alpha for pagerank."""
+    """The closed-form contraction constants on the record of an input whose
+    coordinates have measure ``weight``.
+
+    katz (2-norm): L0 = alpha ||A||_2, R = ||1||_{2,weight}/(1 - L0) + 1
+    (the a priori bound on iterates from the all-ones start, plus margin),
+    with ||1||_{2,weight} = sqrt(weight n), L1 = alpha R, Lg = 1.
+    pagerank (1-norm): L0 = alpha ||A^T D^-1||_1,
+    R = (1 - alpha)/(1 - L0) + 1, L1 = R, Lg = 1.
+    """
     family, alpha, l0 = prep.family, prep.alpha, prep.l0
     b_norm = math.sqrt(weight * prep.g.n) if family == "katz" else 1.0 - alpha
     radius = b_norm / (1.0 - l0) + 1.0
     return LipschitzConstants(
         L0=l0, L1=_l1(family, alpha, radius), Lg=1.0, norm_p=native_norm_index(family),
-        method="analytic", feasible_radius=radius,
+        feasible_radius=radius,
     )
 
 
-def _analytic_record(g, family, alpha):
-    """The record whose L0 analytic constants take; refuses eigen."""
-    if family not in ("katz", "pagerank"):
-        raise ParameterError("analytic constants exist for the katz and pagerank families")
-    return _prepare(family, alpha, g)
-
-
-def _record(g, map_):
-    """The record of a graph that constants_analytic and the finite
-    certificates share."""
-    if map_.family == "eigen":
+def _first_record(family, alpha, g):
+    """The record of a certificate's first input, whose L0 its constants
+    take.  The eigen family is refused: its fixed-point map has contraction
+    modulus 1, so the route does not apply."""
+    if family == "eigen":
         raise ParameterError(
             "eigencentrality has no contraction certificate (the linear map "
             "has L0 = 1); use grassmann_distance as a descriptive diff"
         )
-    return _analytic_record(g, map_.family, map_.alpha)
-
-
-def constants_analytic(g, map_):
-    """Closed-form contraction constants for the katz and pagerank maps.
-
-    katz (2-norm): L0 = alpha ||A||_2, R = sqrt(n)/(1 - L0) + 1 (the
-    a priori bound on iterates from the all-ones start, plus margin),
-    L1 = alpha R, Lg = 1.  pagerank (1-norm): L0 = alpha ||A^T D^-1||_1,
-    R = (1 - alpha)/(1 - L0) + 1, L1 = R, Lg = 1.
-
-    The eigen family is refused: its fixed-point map has contraction
-    modulus 1, so the route does not apply; grassmann_distance is the
-    descriptive alternative.
-    """
-    return _analytic(_record(g, map_), 1.0)
+    if family not in ("katz", "pagerank"):
+        raise ParameterError(f"unknown family {family!r}")
+    return _prepare(family, alpha, g)
 
 
 class _Pair(NamedTuple):
@@ -245,17 +215,16 @@ def _norm(v, p, weight):
 
 def _enlarged(consts, family, alpha, xa_norm, xb_norm):
     """Grow the feasible ball to contain both fixed points and recompute
-    the radius-dependent L1 for analytic constants."""
+    the radius-dependent L1."""
     needed = max(consts.feasible_radius, xa_norm + 1.0, xb_norm + 1.0)
     notes = [f"fixed-point feature norms: {xa_norm:.12g}, {xb_norm:.12g}"]
     if needed <= consts.feasible_radius:
         return consts, notes
-    l1 = _l1(family, alpha, needed) if consts.method == "analytic" else consts.L1
     notes.append(
         f"feasible radius enlarged from {consts.feasible_radius:.12g} to "
         f"{needed:.12g} to contain both fixed points"
     )
-    return replace(consts, L1=l1, feasible_radius=needed), notes
+    return replace(consts, L1=_l1(family, alpha, needed), feasible_radius=needed), notes
 
 
 def _check_cut_inputs(a, b, weight, p):
@@ -274,8 +243,25 @@ def _difference_right(prep_a, prep_b, p):
     return _operator_norm(prep_a.op.minus(prep_b.op), p)
 
 
-def _certify(kind, pair, consts, certified, digest, mode="exact", closing_notes=()):
-    """The one certificate body; ``kind`` picks the two sides.
+# each certificate's kind, and the parts its digest hashes after the two
+# inputs, the family, alpha and its name, given the native norm index p and
+# the search mode; the finite ones hash the name of their constants and of
+# their Wasserstein side, so recorded inputs_digest values stay comparable
+_BOUNDS = {
+    "theorem1": ("theorem", lambda p, mode: ("analytic", p)),
+    "prop6": ("wasserstein", lambda p, mode: ("analytic", p, mode, "permutation_cost")),
+    "prop7": ("cut", lambda p, mode: ("analytic", "permutation_cost")),
+    "theorem2": ("theorem", lambda p, mode: (p,)),
+    "prop9": ("wasserstein", lambda p, mode: (mode,)),
+    "prop10": ("cut", lambda p, mode: (mode,)),
+}
+# graphon bounds whose relabelings are blocks (_SUBSET_NOTE): never certified
+_BLOCK_RELABELED = ("prop9", "prop10")
+
+
+def _certify(name, a, b, pair, mode="exact"):
+    """The one certificate body; the bound ``name`` picks its kind, which
+    picks the two sides:
 
     * "theorem": ||rho_A - rho_B||_{p,w} against ||M_A - M_B||_p, with M
       the effective matrix (the PageRank kernel, else the weights);
@@ -283,7 +269,8 @@ def _certify(kind, pair, consts, certified, digest, mode="exact", closing_notes=
       min_pi ||M_A^pi - M_B||_p;
     * "cut": the same W_p against sqrt(8 w min_pi ||A^pi - B||_cut).
 
-    The order is fixed: ``pair`` holds both records, the right side is
+    The constants are the analytic ones of a's record, in its native norm
+    p.  The order is fixed: ``pair`` holds both records, the right side is
     taken from them, each record is then solved, which uses it up, and the
     observed side is computed last.  The right side is scaled by
     L1 Lg / (1 - L0) after enlarging the feasible radius to contain both
@@ -291,30 +278,29 @@ def _certify(kind, pair, consts, certified, digest, mode="exact", closing_notes=
     unit mass w * sum(rho) unless both masses are already within 1e-9 of
     one, folding the normalizer into g: Lg grows by
     1/s + R ||1||_{q,w} / s^2, s the smaller mass and q the dual index.
+    A certificate is certified when its search is exact and its
+    relabelings are not only blocks.
     """
-    if consts.L0 >= 1.0:
-        raise ParameterError(
-            "certificate refused: L0 >= 1 violates the contraction hypothesis"
-        )
-    p = consts.norm_p
+    kind, digested = _BOUNDS[name]
     prep_a, prep_b = pair.preps
     family, alpha = prep_a.family, prep_a.alpha
     w = pair.weight
-    if kind == "wasserstein" and p not in (1, 2):
-        raise ParameterError("Wasserstein certificates require norm_p in {1, 2}")
+    consts = _analytic(prep_a, w)
+    p = consts.norm_p
+    digest = _digest(a, b, family, alpha, name, *digested(p, mode))
     if kind == "cut":
-        a, b = prep_a.g, prep_b.g
-        _check_cut_inputs(a, b, w, p)
-        right = math.sqrt(8.0 * w * min_permuted_distance(a, b, "cut", mode=mode).value)
+        ga, gb = prep_a.g, prep_b.g
+        _check_cut_inputs(ga, gb, w, p)
+        right = math.sqrt(8.0 * w * min_permuted_distance(ga, gb, "cut", mode=mode).value)
     elif kind == "theorem":
         right = _difference_right(prep_a, prep_b, p)
     else:
         # the inputs themselves, or graphs that adopt the kernels, which
         # the solves below scale only after this sweep
-        a, b = (
+        ga, gb = (
             Graph._adopt(prep.op.dense()) if family == "pagerank" else prep.g for prep in pair.preps
         )
-        right = min_permuted_distance(a, b, p, mode=mode).value
+        right = min_permuted_distance(ga, gb, p, mode=mode).value
     (rho_a, x_a), (rho_b, x_b) = map(pair.fixed_point, pair.preps)
     consts, notes = _enlarged(consts, family, alpha, _norm(x_a, p, w), _norm(x_b, p, w))
     lg = consts.Lg
@@ -344,24 +330,60 @@ def _certify(kind, pair, consts, certified, digest, mode="exact", closing_notes=
         observed = wasserstein(pmf_a, pmf_b, p) * w ** (1.0 / p - 1.0)
     if kind != "cut" and family == "pagerank":
         notes.append(pair.kernel_note)
-    notes.extend(closing_notes)
+    block_relabeled = name in _BLOCK_RELABELED
+    if block_relabeled:
+        notes.append(_SUBSET_NOTE)
     bound = consts.L1 * lg / (1.0 - consts.L0) * right
+    certified = mode == "exact" and not block_relabeled
     return _certificate(bound, observed, certified, p, replace(consts, Lg=lg), digest, notes)
 
 
-def theorem1_certificate(a, b, map_, consts):
+def _graph_certificate(name, a, b, family, alpha, mode="exact"):
+    """theorem1, prop6 or prop7 on two graphs: each enters as itself, with
+    coordinate weight 1, and is iterated (``solve``)."""
+    prep_a = _first_record(family, alpha, a)
+    if a.n != b.n:
+        raise ParameterError("graphs must have the same number of nodes")
+    pair = _Pair(
+        (prep_a, _prepare(family, alpha, b)), 1.0, _iterated,
+        "perturbation measured on effective kernels A^T D^-1", "centrality sums",
+    )
+    return _certify(name, a, b, pair, mode)
+
+
+def _step_certificate(name, a, b, family, alpha, mode="exact"):
+    """theorem2, prop9 or prop10 on two step graphons: each enters as its
+    lift values/k, with coordinate weight 1/k, whose density is both its
+    centrality and its feature (a closed form)."""
+    from .graphon import _check_pagerank_values, _density, _lift_graph
+
+    prep_a = _first_record(family, alpha, _lift_graph(a))
+    if a.k != b.k:
+        raise ParameterError("graphons must have the same number of blocks")
+    if family == "pagerank":
+        _check_pagerank_values(a)
+        _check_pagerank_values(b)
+    pair = _Pair(
+        (prep_a, _prepare(family, alpha, _lift_graph(b))), 1.0 / a.k,
+        lambda prep: (_density(prep),) * 2,
+        "perturbation measured on effective kernels A o D^-1", "density masses",
+    )
+    return _certify(name, a, b, pair, mode)
+
+
+def theorem1_certificate(a, b, family, alpha):
     """Certificate for the basic variation bound
-    ||rho_A - rho_B|| <= L1 Lg / (1 - L0) ||A - B||_op in consts.norm_p.
+    ||rho_A - rho_B|| <= L1 Lg / (1 - L0) ||A - B||_op in the family's
+    native norm, with the analytic constants of a.
 
     Both centralities are solved to tolerance; the feasible radius is
     enlarged if either fixed point escapes it (with L1 recomputed), and
-    PageRank perturbations are measured on the effective kernels.  The
-    certificate is certified iff the constants are analytic.
+    PageRank perturbations are measured on the effective kernels.
     """
-    return _graph_certificate("theorem1", a, b, map_, consts)
+    return _graph_certificate("theorem1", a, b, family, alpha)
 
 
-def prop6_certificate(a, b, map_, consts, perm_mode="exact"):
+def prop6_certificate(a, b, family, alpha, mode="exact"):
     """Certificate for the Wasserstein variation bound
     W_p(rho_A, rho_B) <= L1 Lg / (1 - L0) min_pi ||A^pi - B||_op,p.
 
@@ -369,80 +391,26 @@ def prop6_certificate(a, b, map_, consts, perm_mode="exact"):
     normalizer is folded into g, scaling Lg); W_p is the minimum over
     relabelings of their distance (``transport.wasserstein``), and the
     right side minimizes over relabelings in the requested mode.
-    Certified only when the permutation search is exact and the constants
-    are analytic.
+    Certified only when the permutation search is exact.
     """
-    return _graph_certificate("prop6", a, b, map_, consts, perm_mode=perm_mode)
+    return _graph_certificate("prop6", a, b, family, alpha, mode)
 
 
-def prop7_certificate(a, b, map_, consts):
+def prop7_certificate(a, b, family, alpha):
     """Certificate for the cut-norm variation bound
     W_2(rho_A, rho_B) <= L1 Lg / (1 - L0) sqrt(8 delta_cut(A, B))
     for symmetric matrices with entries in [-1, 1], where delta_cut
     minimizes the cut norm of the difference over relabelings (always the
     exact search, so n is capped).
     """
-    return _graph_certificate("prop7", a, b, map_, consts)
-
-
-def _graph_certificate(bound, a, b, map_, consts, perm_mode="exact", prep_a=None):
-    """theorem1, prop6 or prop7 on two graphs; ``prep_a`` is a's record
-    (``_record``) when the caller has built it.  Only prop6 takes a
-    ``perm_mode``; prop7 always runs the exact search.  The digests of prop6
-    and prop7 hash the name of their Wasserstein side, "permutation_cost",
-    so recorded inputs_digest values stay comparable."""
-    kind, parts = {
-        "theorem1": ("theorem", (consts.norm_p,)),
-        "prop6": ("wasserstein", (consts.norm_p, perm_mode, "permutation_cost")),
-        "prop7": ("cut", ("permutation_cost",)),
-    }[bound]
-    digest = _digest(a, b, map_.family, map_.alpha, bound, consts.method, *parts)
-    certified = consts.method == "analytic" and perm_mode == "exact"
-    if a.n != b.n:
-        raise ParameterError("graphs must have the same number of nodes")
-    family, alpha = map_.family, map_.alpha
-    if prep_a is None:
-        prep_a = _prepare(family, alpha, a)
-    pair = _Pair(
-        (prep_a, _prepare(family, alpha, b)), 1.0, _iterated,
-        "perturbation measured on effective kernels A^T D^-1", "centrality sums",
-    )
-    return _certify(kind, pair, consts, certified, digest, mode=perm_mode)
-
-
-def _step_certificate(kind, name, a, b, family, alpha, mode="exact"):
-    """A graphon certificate: the finite one on the lifts values/k, whose
-    densities are both centralities and features.  Only theorem2 is
-    certified; block relabelings only bound the infimum over
-    measure-preserving bijections from above."""
-    from .graphon import _check_pagerank_values, _density, _lift_graph
-
-    if a.k != b.k:
-        raise ParameterError("graphons must have the same number of blocks")
-    lifts = (_lift_graph(a), _lift_graph(b))
-    prep_a = _analytic_record(lifts[0], family, alpha)
-    if family == "pagerank":
-        _check_pagerank_values(a)
-        _check_pagerank_values(b)
-    pair = _Pair(
-        (prep_a, _prepare(family, alpha, lifts[1])), 1.0 / a.k,
-        lambda prep: (_density(prep),) * 2,
-        "perturbation measured on effective kernels A o D^-1", "density masses",
-    )
-    consts = _analytic(prep_a, pair.weight)
-    theorem = kind == "theorem"
-    digest = _digest(a, b, family, alpha, name, consts.norm_p if theorem else mode)
-    return _certify(
-        kind, pair, consts, theorem, digest, mode=mode,
-        closing_notes=() if theorem else (_SUBSET_NOTE,),
-    )
+    return _graph_certificate("prop7", a, b, family, alpha)
 
 
 def theorem2_certificate(a, b, family, alpha):
     """Graphon analogue of theorem1_certificate: the same contraction
     bound with the scaled step-kernel operator norms and L^p([0, 1])
     distances between the block densities."""
-    return _step_certificate("theorem", "theorem2", a, b, family, alpha)
+    return _step_certificate("theorem2", a, b, family, alpha)
 
 
 def prop9_certificate(a, b, family, alpha, mode="exact"):
@@ -451,7 +419,7 @@ def prop9_certificate(a, b, family, alpha, mode="exact"):
     Never certified: block relabelings only bound the infimum over
     measure-preserving bijections from above (the inequality direction
     keeps holds = true meaningful)."""
-    return _step_certificate("wasserstein", "prop9", a, b, family, alpha, mode)
+    return _step_certificate("prop9", a, b, family, alpha, mode)
 
 
 def prop10_certificate(a, b, family, alpha, mode="exact"):
@@ -459,4 +427,4 @@ def prop10_certificate(a, b, family, alpha, mode="exact"):
     sqrt(8 * block cut distance) for graphons with values in [-1, 1].
     Never certified, for the same relabeling-subset reason as
     prop9_certificate."""
-    return _step_certificate("cut", "prop10", a, b, family, alpha, mode)
+    return _step_certificate("prop10", a, b, family, alpha, mode)

@@ -1,4 +1,4 @@
-"""Frozen certificate cases: seeded inputs for all seven certificate
+"""Frozen certificate cases: seeded inputs for all six certificate
 functions, run through the public API.
 
 ``cases()`` maps a case id to a thunk that returns a BoundCertificate (or
@@ -13,18 +13,14 @@ Case ids read ``bound/family/mode/side/input``, where ``side`` is
 """
 
 import json
-import math
 import sys
 
 import numpy as np
 
 from fpcentral import (
-    FixedPointMap,
     Graph,
-    LipschitzConstants,
     Permutation,
     StepGraphon,
-    constants_analytic,
     lift,
     permute,
     prop6_certificate,
@@ -35,7 +31,7 @@ from fpcentral import (
     theorem2_certificate,
 )
 
-from oracles import constants_empirical, random_binary_symmetric, random_symmetric
+from oracles import random_binary_symmetric, random_symmetric
 
 STEP_KS = (1, 2, 3, 5, 7, 8, 12)
 EXACT_LIMIT = 7  # exact sweeps stay at n <= 7 but for the one n = 8 case
@@ -82,17 +78,16 @@ def _finite_cases(cases):
     big = rng.random((30, 30))
     pairs_theorem = dict(pairs, dir30=(big, big + 0.05 * rng.random((30, 30))))
 
-    def add(bound, fn, family, mode, label, name, a, b, **kw):
+    def add(bound, fn, family, search, label, name, a, b, **kw):
         if family == "katz":
-            map_ = FixedPointMap("katz", alpha=_katz_alpha(a, b))
+            alpha = _katz_alpha(a, b)
         else:
-            map_ = FixedPointMap("pagerank", alpha=0.85 if "dir" in name else 0.5)
+            alpha = 0.85 if "dir" in name else 0.5
 
         def thunk():
-            ga, gb = Graph(a), Graph(b)
-            return fn(ga, gb, map_, constants_analytic(ga, map_), **kw)
+            return fn(Graph(a), Graph(b), family, alpha, **kw)
 
-        cases[f"{bound}/{family}/{mode}/{label}/{name}"] = thunk
+        cases[f"{bound}/{family}/{search}/{label}/{name}"] = thunk
 
     for name, (a, b) in pairs_theorem.items():
         for family in ("katz", "pagerank"):
@@ -101,7 +96,7 @@ def _finite_cases(cases):
         for family in ("katz", "pagerank"):
             for mode in ("exact", "greedy"):
                 add("prop6", prop6_certificate, family, mode, "permutation_cost",
-                    name, a, b, perm_mode=mode)
+                    name, a, b, mode=mode)
         if "dir" not in name:
             add("prop7", prop7_certificate, "katz", "exact", "permutation_cost", name, a, b)
     # the one exact sweep at n = 8, the documented permutation limit
@@ -111,56 +106,27 @@ def _finite_cases(cases):
         a8, b8)
     add("prop6", prop6_certificate, "pagerank", "exact", "permutation_cost",
         "bin8", a8, b8)
-
-    a, b = pairs["sym5"]
-    katz = FixedPointMap("katz", alpha=_katz_alpha(a, b))
-
-    def empirical(fn, **kw):
-        def thunk():
-            ga, gb = Graph(a), Graph(b)
-            return fn(ga, gb, katz, constants_empirical(ga, katz, 12, 3), **kw)
-        return thunk
-
-    cases["theorem1/katz/empirical/-/sym5"] = empirical(theorem1_certificate)
-    cases["prop6/katz/empirical/permutation_cost/sym5"] = empirical(prop6_certificate)
-    cases["prop7/katz/empirical/permutation_cost/sym5"] = empirical(prop7_certificate)
     _finite_error_cases(cases, pairs)
 
 
 def _finite_error_cases(cases, pairs):
     sym_a, sym_b = pairs["sym5"]
-    katz = FixedPointMap("katz", alpha=_katz_alpha(sym_a, sym_b))
-    page = FixedPointMap("pagerank", alpha=0.85)
+    katz = ("katz", _katz_alpha(sym_a, sym_b))
     dir_a, dir_b = pairs["dir4"]
-    steep = LipschitzConstants(L0=1.5, L1=1.0, Lg=1.0, norm_p=2, method="empirical",
-                               feasible_radius=2.0)
-    inf_norm = LipschitzConstants(L0=0.5, L1=1.0, Lg=1.0, norm_p=math.inf,
-                                  method="empirical", feasible_radius=2.0)
 
-    def analytic(fn, a, b, map_, **kw):
-        return lambda: fn(Graph(a), Graph(b), map_, constants_analytic(Graph(a), map_), **kw)
+    def graphs(fn, a, b, family, alpha):
+        return lambda: fn(Graph(a), Graph(b), family, alpha)
 
     errors = {
-        "prop7/katz/dir4": analytic(prop7_certificate, dir_a, dir_b, katz),
-        "prop7/pagerank/sym5": analytic(prop7_certificate, sym_a, sym_b, page),
-        "prop7/katz/large-entries": analytic(
+        "prop7/katz/dir4": graphs(prop7_certificate, dir_a, dir_b, *katz),
+        "prop7/pagerank/sym5": graphs(prop7_certificate, sym_a, sym_b, "pagerank", 0.85),
+        "prop7/katz/large-entries": graphs(
             prop7_certificate, 2.0 * sym_a, 2.0 * sym_b,
-            FixedPointMap("katz", alpha=_katz_alpha(2.0 * sym_a, 2.0 * sym_b)),
+            "katz", _katz_alpha(2.0 * sym_a, 2.0 * sym_b),
         ),
-        "prop6/katz/size-mismatch": lambda: prop6_certificate(
-            Graph(sym_a), Graph(sym_a[:4, :4]), katz, constants_analytic(Graph(sym_a), katz)
-        ),
-        "theorem1/katz/alpha-too-large": analytic(
-            theorem1_certificate, sym_a, sym_b, FixedPointMap("katz", alpha=0.99)
-        ),
-        "theorem1/katz/L0-refused": lambda: theorem1_certificate(
-            Graph(sym_a), Graph(sym_b), katz, steep
-        ),
-        "prop6/katz/inf-norm": lambda: prop6_certificate(
-            Graph(sym_a), Graph(sym_b), katz, inf_norm
-        ),
-        "theorem1/katz/inf-norm": lambda: theorem1_certificate(
-            Graph(sym_a), Graph(sym_b), katz, inf_norm
+        "prop6/katz/size-mismatch": graphs(prop6_certificate, sym_a, sym_a[:4, :4], *katz),
+        "theorem1/katz/alpha-too-large": graphs(
+            theorem1_certificate, sym_a, sym_b, "katz", 0.99
         ),
     }
     for name, thunk in errors.items():

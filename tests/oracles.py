@@ -10,8 +10,9 @@ and the equivariance checker at the end are test scaffolding rather than
 oracles; the checker also relabels through the package's ``permute``.
 ``apply_map`` is one step of the package's own iteration map, and
 ``constants_empirical`` samples the contraction constants through it and
-the package's norms; certificates built from it are never certified, and
-only the tests and the golden cases use it.
+the package's norms into a record of its own (``EmpiricalConstants``);
+no certificate takes them, since every certificate derives its analytic
+constants from its inputs.
 """
 
 import itertools
@@ -20,18 +21,17 @@ import math
 import numbers
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from fpcentral import (
     Graph,
     InputFormatError,
-    LipschitzConstants,
     NumericalError,
     ParameterError,
     Permutation,
     StepGraphon,
-    constants_analytic,
     operator_norm,
     pagerank_kernel,
     permute,
@@ -197,7 +197,7 @@ def permutation_cost_brute(src, dst, p):
     return best
 
 
-def eigencentrality_lapack_reference(g, which="largest"):
+def eigencentrality_lapack_reference(g):
     """Eigenvector centrality from one full LAPACK eigendecomposition with
     eigenvectors: ``eigh`` for a symmetric graph, ``eig`` of A.T otherwise.
 
@@ -208,37 +208,28 @@ def eigencentrality_lapack_reference(g, which="largest"):
     ``(vector, value, gap, rho)``.
     """
     w = g.weights
-    n = g.n
-    if isinstance(which, (int, np.integer)) and not isinstance(which, bool):
-        if not g.symmetric:
-            raise ValueError("eigenvalue selection by index requires a symmetric graph")
-        if not 0 <= which < n:
-            raise ValueError(f"eigenvalue index must lie in [0, {n})")
-        k, role = int(which), "selected"
-    else:
-        if not w.any():
-            raise ValueError(
-                "the zero matrix has leading eigenvalue zero; eigencentrality is undefined"
-            )
-        k, role = 0, "leading"
+    if not w.any():
+        raise ValueError(
+            "the zero matrix has leading eigenvalue zero; eigencentrality is undefined"
+        )
     if g.symmetric:
         evals, evecs = np.linalg.eigh(w)
     else:
         evals, evecs = np.linalg.eig(w.T)
-    order = np.argsort(-evals.real, kind="stable")
-    lam_c = evals[order[k]]
-    others = np.delete(evals, order[k])
+    k = np.argsort(-evals.real, kind="stable")[0]
+    lam_c = evals[k]
+    others = np.delete(evals, k)
     gap = float(np.min(np.abs(others - lam_c))) if others.size else np.inf
     if abs(lam_c.imag) > 1e-8 * max(1.0, abs(lam_c)):
         raise ValueError(
             "the dominant eigenvalue is complex; no simple real leading eigenvalue"
         )
     if gap < 1e-8:
-        raise ValueError(f"{role} eigenvalue is not simple")
+        raise ValueError("leading eigenvalue is not simple")
     lam = float(lam_c.real)
     if abs(lam) < 1e-12:
-        raise ValueError(f"{role} eigenvalue is zero; the centrality equation is undefined")
-    v = evecs[:, order[k]].real
+        raise ValueError("leading eigenvalue is zero; the centrality equation is undefined")
+    v = evecs[:, k].real
     v = v / np.linalg.norm(v)
     if float(v.sum()) < 0.0:
         v = -v
@@ -521,6 +512,26 @@ def _ball_point(rng, n, radius, p):
     return direction * (radius * rng.random() / scale)
 
 
+class EmpiricalConstants(NamedTuple):
+    """Sampled contraction constants: lower bounds on the suprema."""
+
+    L0: float
+    L1: float
+    Lg: float
+    norm_p: float
+    feasible_radius: float
+    method: str = "empirical"
+
+
+def _analytic_radius(map_, g, p):
+    """The a priori iterate radius ||b||_p / (1 - L0) + 1 of the analytic
+    constants, with b the constant term: the all-ones vector for katz,
+    (1 - alpha)/n per node for pagerank."""
+    l0 = map_.alpha * operator_norm(_effective_matrix(map_.family, g), p)
+    b_norm = math.sqrt(g.n) if map_.family == "katz" else 1.0 - map_.alpha
+    return b_norm / (1.0 - l0) + 1.0
+
+
 def constants_empirical(g, map_, samples, seed):
     """Sampled estimates of the contraction constants.
 
@@ -535,7 +546,7 @@ def constants_empirical(g, map_, samples, seed):
     if map_.family == "eigen":
         raise ParameterError("the eigen family has no iterated map to sample")
     p = native_norm_index(map_.family)
-    radius = constants_analytic(g, map_).feasible_radius
+    radius = _analytic_radius(map_, g, p)
     x_fixed = solve(g, map_).feature_x
     rng = np.random.default_rng(seed)
     n = g.n
@@ -565,7 +576,6 @@ def constants_empirical(g, map_, samples, seed):
         v = _ball_point(rng, n, radius, p)
         if vector_norm(u - v, p) > 1e-12:
             lg_est = 1.0
-    return LipschitzConstants(
-        L0=l0_est, L1=l1_est, Lg=lg_est, norm_p=p,
-        method="empirical", feasible_radius=radius,
+    return EmpiricalConstants(
+        L0=l0_est, L1=l1_est, Lg=lg_est, norm_p=p, feasible_radius=radius,
     )

@@ -17,7 +17,6 @@ from fpcentral import (
     Permutation,
     SolveConfig,
     StepGraphon,
-    constants_analytic,
     cut_norm_exact,
     cut_norm_heuristic,
     eigencentrality,
@@ -108,7 +107,7 @@ def test_c02_theorem1_holds_on_seeded_pairs():
             b = Graph(base + delta)
             map_ = FixedPointMap(family, alpha=alpha)
             try:
-                cert = theorem1_certificate(a, b, map_, constants_analytic(a, map_))
+                cert = theorem1_certificate(a, b, map_.family, map_.alpha)
             except ParameterError:
                 refused += 1
                 continue
@@ -155,13 +154,12 @@ def test_c04_prop6_prop7_hold_with_exact_search():
             operator_norm(a.weights, 2), operator_norm(b.weights, 2), 0.5
         )
         katz = FixedPointMap("katz", alpha=alpha)
-        consts = constants_analytic(a, katz)
-        cert = prop6_certificate(a, b, katz, consts)
+        cert = prop6_certificate(a, b, katz.family, katz.alpha)
         assert cert.holds and cert.certified
-        cert = prop7_certificate(a, b, katz, consts)
+        cert = prop7_certificate(a, b, katz.family, katz.alpha)
         assert cert.holds and cert.certified
         pr = FixedPointMap("pagerank", alpha=0.85)
-        cert = prop6_certificate(a, b, pr, constants_analytic(a, pr))
+        cert = prop6_certificate(a, b, pr.family, pr.alpha)
         assert cert.holds and cert.certified
         checked += 3
     elapsed = _elapsed_ok(t0, 120.0, "c04")

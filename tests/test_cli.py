@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -326,6 +327,59 @@ class TestGraphonCommands:
         )
         assert code == 2
         assert "blocks" in err
+
+
+class TestCompareCallsItsCertificate:
+    """``compare`` and ``graphon compare`` call the public certificate of
+    their ``--bound`` once, so a trace of that function sees the command, and
+    print what the library call returns, with the manifest added."""
+
+    CASES = [
+        ("compare", "theorem1", "katz", "0.3", ()),
+        ("compare", "prop6", "pagerank", "0.85", ("--perm-mode", "greedy")),
+        ("compare", "prop7", "katz", "0.3", ()),
+        ("graphon", "theorem2", "pagerank", "0.85", ()),
+        ("graphon", "prop9", "katz", "0.5", ("--perm-mode", "greedy")),
+        ("graphon", "prop10", "katz", "0.5", ()),
+    ]
+
+    @pytest.mark.parametrize("command, bound, family, alpha, flags", CASES,
+                             ids=[case[1] for case in CASES])
+    def test_one_call_and_the_same_payload(
+            self, capsys, tmp_path, monkeypatch, command, bound, family, alpha, flags):
+        from fpcentral import perturbation
+        from fpcentral.io import read_graph, read_graphon
+
+        names = [f"{case[1]}_certificate" for case in self.CASES]
+        originals = {name: getattr(perturbation, name) for name in names}
+        calls = []
+        for name, fn in originals.items():
+            def counted(*args, name=name, fn=fn, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(perturbation, name, counted)
+        if command == "graphon":
+            texts = [GRAPHON_2, '{"values": [[0.5, 0.3], [0.3, 0.4]]}']
+            argv, read = ["graphon", "compare"], read_graphon
+        else:
+            texts = [K3_EDGES, K3_EDGES.replace("2 0 1\n0 2 1", "2 0 0.5\n0 2 0.5")]
+            argv, read = ["compare"], read_graph
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(tmp_path / f"in{i}")
+            paths[-1].write_text(text)
+        code, payload, err = run_json(
+            capsys, *argv, *map(str, paths), "--family", family, "--alpha", alpha,
+            "--bound", bound, *flags,
+        )
+        assert (code, err) == (0, "")
+        assert calls == [f"{bound}_certificate"]
+        mode = {"mode": flags[1]} if flags else {}
+        library = originals[f"{bound}_certificate"](
+            *map(read, paths), family, float(alpha), **mode
+        )
+        del payload["manifest"]
+        assert payload == library.to_dict()
 
 
 # a JSON integer beyond float64: numpy used to raise OverflowError
@@ -749,6 +803,14 @@ class TestStartup:
             assert not hasattr(fpcentral.limits, name), name
         for name in ("identity", "inverse", "compose"):
             assert not hasattr(fpcentral.Permutation, name), name
+        # constants are derived by each certificate, never built by a caller
+        with pytest.raises(AttributeError):
+            fpcentral.constants_analytic
+        for name in ("constants_analytic", "_record", "_analytic_record"):
+            assert not hasattr(fpcentral.perturbation, name), name
+        fields = {f.name for f in dataclasses.fields(fpcentral.LipschitzConstants)}
+        assert "method" not in fields
+        assert not hasattr(fpcentral.cli, "cmd_graphon_compare")
 
 
 P3_EDGES = "0 1 {w}\n1 0 {w}\n1 2 {w}\n2 1 {w}\n"
@@ -1280,3 +1342,23 @@ class TestPageRankDegreeOverflow:
                 fpcentral.solve(g, page)
             with pytest.raises(fpcentral.NumericalError, match="out-degree overflows"):
                 fpcentral.centrality.pagerank_kernel(g)
+
+
+class TestKatzIterationOverflow:
+    def test_an_iterate_beyond_float64_exits_3(self, capsys, tmp_path):
+        # the path 0-1-2-3 at weight 1e308 with alpha 2.5e-309, so
+        # L0 = 0.40: A.T x overflows before alpha scales it, and the solve
+        # used to iterate on NaN for 100000 steps, with two warnings
+        ha = tmp_path / "ha.txt"
+        ha.write_text(P3_EDGES.format(w="1e308") + "2 3 1e308\n3 2 1e308\n")
+        hd = tmp_path / "hd.txt"
+        hd.write_text(P3_EDGES.format(w="1e308") + "2 3 5e307\n3 2 5e307\n")
+        flags = ("--family", "katz", "--alpha", "2.5e-309")
+        for argv in (("centrality", str(ha)),
+                     ("compare", str(ha), str(hd), "--bound", "prop6", "--perm-mode", "greedy")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, *argv, *flags)
+            assert (code, out) == (3, ""), argv
+            assert err == "error: the fixed-point iteration overflows float64; rescale the weights\n"
+

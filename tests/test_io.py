@@ -14,7 +14,6 @@ from fpcentral import (
     Graph,
     InputFormatError,
     StepGraphon,
-    constants_analytic,
     cut_norm_exact,
     graph_to_dict,
     graphon_to_dict,
@@ -672,7 +671,7 @@ class TestJsonWriter:
         a = Graph(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
         b = Graph(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
         map_ = FixedPointMap("katz", alpha=0.2)
-        cert = theorem1_certificate(a, b, map_, constants_analytic(a, map_))
+        cert = theorem1_certificate(a, b, map_.family, map_.alpha)
         witness = cut_norm_exact(a.weights - b.weights)
         for payload in (
             cert.to_dict(),

@@ -17,13 +17,12 @@ import numpy as np
 import pytest
 
 from fpcentral import (
-    FixedPointMap,
     Graph,
     StepGraphon,
-    constants_analytic,
     eigencentrality,
     operator_norm,
     prop6_certificate,
+    prop7_certificate,
     read_graphon,
     theorem1_certificate,
     theorem2_certificate,
@@ -77,18 +76,38 @@ def test_katz_theorem1_holds_no_matrix_beyond_its_inputs(pair):
     # the iteration runs alpha (A.T x) + 1, and the right side lists only
     # the entries where the graphs differ, one row tile at a time
     a, b = pair
-    map_ = FixedPointMap("katz", alpha=0.5 / operator_norm(a.weights, 2))
-    consts = constants_analytic(a, map_)
-    assert _peak(lambda: theorem1_certificate(a, b, map_, consts)) <= 0.25
+    alpha = 0.5 / operator_norm(a.weights, 2)
+    assert _peak(lambda: theorem1_certificate(a, b, "katz", alpha)) <= 0.25
 
 
 def test_pagerank_theorem1_holds_two_kernels(pair):
     # each solve scales its kernel's list of entries; the right side holds
     # both kernels and sums their difference in tiles
     a, b = pair
-    map_ = FixedPointMap("pagerank", alpha=0.85)
-    consts = constants_analytic(a, map_)
-    assert _peak(lambda: theorem1_certificate(a, b, map_, consts)) <= 2.25
+    assert _peak(lambda: theorem1_certificate(a, b, "pagerank", 0.85)) <= 2.25
+
+
+@pytest.mark.parametrize("certificate, mode", [
+    (theorem1_certificate, {}), (prop6_certificate, {"mode": "greedy"}), (prop7_certificate, {}),
+], ids=["theorem1", "prop6", "prop7"])
+def test_a_certificate_prepares_each_input_once(pair, monkeypatch, certificate, mode):
+    # the record of the first input serves the constants, the right side and
+    # its solve; prop7 is refused by its exact search at n = 1000, after both
+    # records and before any solve
+    from fpcentral import SizeLimitError, perturbation
+
+    prepared = []
+    prepare = perturbation._prepare
+    monkeypatch.setattr(perturbation, "_prepare",
+                        lambda family, alpha, g: prepared.append(g) or prepare(family, alpha, g))
+    a, b = pair
+    alpha = 0.5 / operator_norm(a.weights, 2)
+    if certificate is prop7_certificate:
+        with pytest.raises(SizeLimitError):
+            certificate(a, b, "katz", alpha)
+    else:
+        assert certificate(a, b, "katz", alpha, **mode).holds
+    assert len(prepared) == 2 and prepared[0] is a and prepared[1] is b
 
 
 def test_pagerank_theorem2_holds_two_lifts_and_two_kernels(pair):
@@ -103,9 +122,7 @@ def test_dense_pagerank_theorem1_scales_each_kernel_in_place(dense_pair):
     # the right side is taken from both kernels before either solve, so
     # each solve scales its kernel in place instead of a copy of it
     a, b = dense_pair
-    map_ = FixedPointMap("pagerank", alpha=0.85)
-    consts = constants_analytic(a, map_)
-    assert _peak(lambda: theorem1_certificate(a, b, map_, consts)) <= 2.25
+    assert _peak(lambda: theorem1_certificate(a, b, "pagerank", 0.85)) <= 2.25
 
 
 @pytest.mark.parametrize("family, bound", [("katz", 1.25), ("pagerank", 3.25)])
@@ -114,9 +131,7 @@ def test_dense_greedy_prop6_relabels_without_copies(dense_pair, family, bound):
     # adopt their kernels (pagerank), and forms one relabeled difference
     a, b = dense_pair
     alpha = 0.5 / operator_norm(a.weights, 2) if family == "katz" else 0.85
-    map_ = FixedPointMap(family, alpha=alpha)
-    consts = constants_analytic(a, map_)
-    assert _peak(lambda: prop6_certificate(a, b, map_, consts, perm_mode="greedy")) <= bound
+    assert _peak(lambda: prop6_certificate(a, b, family, alpha, mode="greedy")) <= bound
 
 
 def test_dense_pagerank_theorem2_scales_each_kernel_in_place(dense_pair):

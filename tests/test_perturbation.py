@@ -8,11 +8,9 @@ import pytest
 from fpcentral import (
     FixedPointMap,
     Graph,
-    LipschitzConstants,
     ParameterError,
     Permutation,
     StepGraphon,
-    constants_analytic,
     katz_closed_form,
     lift,
     operator_norm,
@@ -53,40 +51,14 @@ def _katz_map_for(g, margin=0.5):
     return FixedPointMap("katz", alpha=alpha)
 
 
-class TestLipschitzConstants:
-    def test_analytic_requires_contraction(self):
-        with pytest.raises(ParameterError):
-            LipschitzConstants(
-                L0=1.0, L1=1.0, Lg=1.0, norm_p=2, method="analytic",
-                feasible_radius=2.0,
-            )
-
-    def test_field_validation(self):
-        with pytest.raises(ParameterError):
-            LipschitzConstants(
-                L0=0.5, L1=1.0, Lg=1.0, norm_p=3, method="analytic",
-                feasible_radius=2.0,
-            )
-        with pytest.raises(ParameterError):
-            LipschitzConstants(
-                L0=0.5, L1=1.0, Lg=1.0, norm_p=2, method="sampled",
-                feasible_radius=2.0,
-            )
-        with pytest.raises(ParameterError):
-            LipschitzConstants(
-                L0=0.5, L1=-1.0, Lg=1.0, norm_p=2, method="analytic",
-                feasible_radius=2.0,
-            )
-        with pytest.raises(ParameterError):
-            LipschitzConstants(
-                L0=0.5, L1=1.0, Lg=1.0, norm_p=2, method="analytic",
-                feasible_radius=0.0,
-            )
+def _constants(g, map_):
+    """The analytic constants that a certificate takes from its first input."""
+    return theorem1_certificate(g, g, map_.family, map_.alpha).constants
 
 
 class TestConstantsAnalytic:
     def test_katz_c2(self):
-        consts = constants_analytic(_c2(), FixedPointMap("katz", alpha=0.5))
+        consts = _constants(_c2(), FixedPointMap("katz", alpha=0.5))
         assert consts.L0 == pytest.approx(0.5, abs=1e-10)
         assert consts.Lg == 1.0
         assert consts.norm_p == 2
@@ -96,26 +68,32 @@ class TestConstantsAnalytic:
         assert consts.L1 == pytest.approx(0.5 * consts.feasible_radius, abs=1e-12)
 
     def test_katz_zero_matrix(self):
-        consts = constants_analytic(
-            Graph(np.zeros((3, 3))), FixedPointMap("katz", alpha=0.7)
-        )
+        consts = _constants(Graph(np.zeros((3, 3))), FixedPointMap("katz", alpha=0.7))
         assert consts.L0 == 0.0
 
     def test_pagerank_directed_3_cycle(self):
-        consts = constants_analytic(
-            _directed_3_cycle(), FixedPointMap("pagerank", alpha=0.85)
-        )
+        consts = _constants(_directed_3_cycle(), FixedPointMap("pagerank", alpha=0.85))
         assert consts.L0 == pytest.approx(0.85, abs=1e-12)
         assert consts.norm_p == 1
 
     def test_katz_contraction_failure(self):
         g = Graph(np.full((4, 4), 1.0))
         with pytest.raises(ParameterError):
-            constants_analytic(g, FixedPointMap("katz", alpha=0.5))
+            theorem1_certificate(g, g, "katz", 0.5)
 
     def test_eigen_refused_with_pointer(self):
-        with pytest.raises(ParameterError, match="grassmann"):
-            constants_analytic(_c2(), FixedPointMap("eigen"))
+        w = lift(_c2())
+        for a, certificate in ((_c2(), theorem1_certificate), (w, theorem2_certificate)):
+            with pytest.raises(ParameterError, match="grassmann"):
+                certificate(a, a, "eigen", None)
+
+    def test_unknown_family_refused(self):
+        with pytest.raises(ParameterError, match="unknown family 'hits'"):
+            prop6_certificate(_c2(), _c2(), "hits", 0.5)
+
+    def test_the_first_inputs_contraction_is_checked_before_the_sizes(self):
+        with pytest.raises(ParameterError, match=r"alpha \* \|\|A\|\|_2 < 1, got 2"):
+            theorem1_certificate(Graph(np.full((4, 4), 1.0)), _c2(), "katz", 0.5)
 
 
 class TestConstantsEmpirical:
@@ -125,7 +103,7 @@ class TestConstantsEmpirical:
             n = int(rng.integers(2, 8))
             g = Graph(rng.random((n, n)))
             map_ = _katz_map_for(g)
-            analytic = constants_analytic(g, map_)
+            analytic = _constants(g, map_)
             empirical = constants_empirical(g, map_, samples=25, seed=seed)
             assert empirical.L0 <= analytic.L0 + 1e-9
             assert empirical.method == "empirical"
@@ -136,7 +114,7 @@ class TestConstantsEmpirical:
             n = int(rng.integers(2, 8))
             g = Graph(rng.random((n, n)) + 0.05)
             map_ = FixedPointMap("pagerank", alpha=0.85)
-            analytic = constants_analytic(g, map_)
+            analytic = _constants(g, map_)
             empirical = constants_empirical(g, map_, samples=25, seed=seed)
             assert empirical.L0 <= analytic.L0 + 1e-9
 
@@ -165,7 +143,7 @@ class TestTheorem1:
     def test_identical_graphs(self):
         g = _c2()
         map_ = FixedPointMap("katz", alpha=0.5)
-        cert = theorem1_certificate(g, g, map_, constants_analytic(g, map_))
+        cert = theorem1_certificate(g, g, map_.family, map_.alpha)
         assert cert.bound == 0.0
         assert cert.observed == 0.0
         assert cert.holds
@@ -178,7 +156,7 @@ class TestTheorem1:
         weights[0, 1] = weights[1, 0] = 0.9
         b = Graph(weights)
         map_ = FixedPointMap("katz", alpha=0.25)
-        cert = theorem1_certificate(a, b, map_, constants_analytic(a, map_))
+        cert = theorem1_certificate(a, b, map_.family, map_.alpha)
         assert cert.holds
         assert cert.norm == "2"
         assert cert.bound >= cert.observed
@@ -191,7 +169,7 @@ class TestTheorem1:
             pert = base + rng.random((n, n)) * 0.1
             a, b = Graph(base), Graph(pert)
             for map_ in (_katz_map_for(a), FixedPointMap("pagerank", alpha=0.85)):
-                cert = theorem1_certificate(a, b, map_, constants_analytic(a, map_))
+                cert = theorem1_certificate(a, b, map_.family, map_.alpha)
                 assert cert.holds
 
     def test_bound_grows_with_perturbation_size(self):
@@ -199,10 +177,9 @@ class TestTheorem1:
         e = np.zeros((5, 5))
         e[0, 2] = e[2, 0] = 1.0
         map_ = FixedPointMap("katz", alpha=0.2)
-        consts = constants_analytic(a, map_)
         bounds = []
         for t in (0.05, 0.15, 0.3):
-            cert = theorem1_certificate(a, Graph(a.weights + t * e), map_, consts)
+            cert = theorem1_certificate(a, Graph(a.weights + t * e), "katz", 0.2)
             assert cert.holds
             bounds.append(cert.bound)
         assert bounds[0] < bounds[1] < bounds[2]
@@ -211,43 +188,30 @@ class TestTheorem1:
         a = _directed_3_cycle()
         b = Graph(a.weights * 0.9)
         map_ = FixedPointMap("pagerank", alpha=0.85)
-        cert = theorem1_certificate(a, b, map_, constants_analytic(a, map_))
+        cert = theorem1_certificate(a, b, map_.family, map_.alpha)
         assert any("kernel" in note for note in cert.notes)
         assert cert.holds
-
-    def test_empirical_constants_are_not_certified(self):
-        g = _c2()
-        b = Graph(np.array([[0.0, 0.9], [0.9, 0.0]]))
-        map_ = FixedPointMap("katz", alpha=0.5)
-        consts = constants_empirical(g, map_, samples=20, seed=2)
-        cert = theorem1_certificate(g, b, map_, consts)
-        assert not cert.certified
 
     def test_digest_reproducible_and_sensitive(self):
         a = _c2()
         b = Graph(np.array([[0.0, 0.9], [0.9, 0.0]]))
         m1 = FixedPointMap("katz", alpha=0.5)
         m2 = FixedPointMap("katz", alpha=0.4)
-        c1 = theorem1_certificate(a, b, m1, constants_analytic(a, m1))
-        c2 = theorem1_certificate(a, b, m1, constants_analytic(a, m1))
-        c3 = theorem1_certificate(a, b, m2, constants_analytic(a, m2))
+        c1 = theorem1_certificate(a, b, m1.family, m1.alpha)
+        c2 = theorem1_certificate(a, b, m1.family, m1.alpha)
+        c3 = theorem1_certificate(a, b, m2.family, m2.alpha)
         assert c1.inputs_digest == c2.inputs_digest
         assert c1.inputs_digest != c3.inputs_digest
 
     def test_size_mismatch(self):
         map_ = FixedPointMap("katz", alpha=0.3)
         with pytest.raises(ParameterError):
-            theorem1_certificate(
-                _c2(),
-                Graph(np.zeros((3, 3))),
-                map_,
-                constants_analytic(_c2(), map_),
-            )
+            theorem1_certificate(_c2(), Graph(np.zeros((3, 3))), map_.family, map_.alpha)
 
     def test_to_dict_layout(self):
         g = _c2()
         map_ = FixedPointMap("katz", alpha=0.5)
-        payload = theorem1_certificate(g, g, map_, constants_analytic(g, map_)).to_dict()
+        payload = theorem1_certificate(g, g, map_.family, map_.alpha).to_dict()
         assert set(payload) == {
             "bound", "observed", "holds", "slack", "certified", "norm",
             "constants", "inputs_digest", "notes",
@@ -259,7 +223,7 @@ class TestProp6:
     def test_identical_graphs(self):
         g = generate(GraphGeneratorSpec("cycle", 4))
         map_ = FixedPointMap("katz", alpha=0.3)
-        cert = prop6_certificate(g, g, map_, constants_analytic(g, map_))
+        cert = prop6_certificate(g, g, map_.family, map_.alpha)
         assert cert.bound == 0.0 and cert.observed == 0.0 and cert.holds
         assert cert.certified
 
@@ -268,7 +232,7 @@ class TestProp6:
         a = Graph(random_binary_symmetric(rng, 5, 0.5))
         b = permute(a, Permutation(np.array([3, 0, 4, 2, 1])))
         for map_ in (_katz_map_for(a), FixedPointMap("pagerank", alpha=0.85)):
-            cert = prop6_certificate(a, b, map_, constants_analytic(a, map_))
+            cert = prop6_certificate(a, b, map_.family, map_.alpha)
             assert cert.bound == pytest.approx(0.0, abs=1e-9)
             assert cert.observed == pytest.approx(0.0, abs=1e-9)
             assert cert.holds
@@ -278,10 +242,10 @@ class TestProp6:
         a = Graph(random_binary_symmetric(rng, 5, 0.6))
         b = Graph(random_binary_symmetric(rng, 5, 0.6))
         katz = _katz_map_for(a)
-        cert2 = prop6_certificate(a, b, katz, constants_analytic(a, katz))
+        cert2 = prop6_certificate(a, b, katz.family, katz.alpha)
         assert cert2.holds and cert2.norm == "2" and cert2.certified
         page = FixedPointMap("pagerank", alpha=0.85)
-        cert1 = prop6_certificate(a, b, page, constants_analytic(a, page))
+        cert1 = prop6_certificate(a, b, page.family, page.alpha)
         assert cert1.holds and cert1.norm == "1" and cert1.certified
 
     def test_greedy_mode_not_certified(self):
@@ -289,8 +253,7 @@ class TestProp6:
         a = Graph(random_binary_symmetric(rng, 5, 0.5))
         b = Graph(random_binary_symmetric(rng, 5, 0.5))
         map_ = _katz_map_for(a)
-        cert = prop6_certificate(
-            a, b, map_, constants_analytic(a, map_), perm_mode="greedy"
+        cert = prop6_certificate(a, b, map_.family, map_.alpha, mode="greedy"
         )
         assert not cert.certified
         assert cert.holds  # greedy only enlarges the right-hand side
@@ -300,7 +263,7 @@ class TestProp6:
         a = Graph(random_binary_symmetric(rng, 5, 0.5))
         b = Graph(random_binary_symmetric(rng, 5, 0.5))
         map_ = _katz_map_for(a)
-        cert = prop6_certificate(a, b, map_, constants_analytic(a, map_))
+        cert = prop6_certificate(a, b, map_.family, map_.alpha)
         pmf_a, pmf_b = (katz_closed_form(g, map_.alpha) for g in (a, b))
         pmf_a, pmf_b = pmf_a / pmf_a.sum(), pmf_b / pmf_b.sum()
         expected = float(np.linalg.norm(np.sort(pmf_a) - np.sort(pmf_b)))
@@ -310,17 +273,16 @@ class TestProp6:
     def test_no_convention_keyword(self):
         a = _c2()
         map_ = _katz_map_for(a)
-        consts = constants_analytic(a, map_)
         for certificate in (prop6_certificate, prop7_certificate):
             with pytest.raises(TypeError):
-                certificate(a, a, map_, consts, convention="permutation_cost")
+                certificate(a, a, map_.family, map_.alpha, convention="permutation_cost")
 
     def test_normalization_fold_is_noted(self):
         rng = np.random.default_rng(48)
         a = Graph(random_binary_symmetric(rng, 5, 0.6))
         b = Graph(random_binary_symmetric(rng, 5, 0.6))
         map_ = _katz_map_for(a)
-        cert = prop6_certificate(a, b, map_, constants_analytic(a, map_))
+        cert = prop6_certificate(a, b, map_.family, map_.alpha)
         assert any("normalizer folded" in note for note in cert.notes)
 
 
@@ -328,7 +290,7 @@ class TestProp7:
     def test_identical_graphs(self):
         g = generate(GraphGeneratorSpec("cycle", 5))
         map_ = FixedPointMap("katz", alpha=0.3)
-        cert = prop7_certificate(g, g, map_, constants_analytic(g, map_))
+        cert = prop7_certificate(g, g, map_.family, map_.alpha)
         assert cert.bound == 0.0 and cert.observed == 0.0 and cert.holds
 
     def test_k4_minus_one_edge(self):
@@ -337,30 +299,26 @@ class TestProp7:
         weights[0, 1] = weights[1, 0] = 0.0
         b = Graph(weights)
         map_ = FixedPointMap("katz", alpha=0.2)
-        cert = prop7_certificate(a, b, map_, constants_analytic(a, map_))
+        cert = prop7_certificate(a, b, map_.family, map_.alpha)
         assert cert.holds
         assert cert.certified
 
     def test_rejects_non_symmetric(self):
         a = _directed_3_cycle()
         map_ = FixedPointMap("katz", alpha=0.3)
-        consts = constants_analytic(a, map_)
         with pytest.raises(ParameterError):
-            prop7_certificate(a, a, map_, consts)
+            prop7_certificate(a, a, map_.family, map_.alpha)
 
     def test_rejects_large_entries(self):
         a = Graph(2.0 * np.array([[0.0, 1.0], [1.0, 0.0]]))
         map_ = FixedPointMap("katz", alpha=0.2)
-        consts = constants_analytic(a, map_)
         with pytest.raises(ParameterError):
-            prop7_certificate(a, a, map_, consts)
+            prop7_certificate(a, a, map_.family, map_.alpha)
 
     def test_rejects_one_norm_route(self):
         g = _c2()
-        page = FixedPointMap("pagerank", alpha=0.85)
-        consts = constants_analytic(g, page)
         with pytest.raises(ParameterError):
-            prop7_certificate(g, g, page, consts)
+            prop7_certificate(g, g, "pagerank", 0.85)
 
 
 class TestOrder:
@@ -382,7 +340,7 @@ class TestOrder:
         weights[i, j] = weights[j, i] = 0.0
         map_ = _katz_map_for(a)
         with pytest.raises(SizeLimitError):
-            certificate(a, Graph(weights), map_, constants_analytic(a, map_))
+            certificate(a, Graph(weights), map_.family, map_.alpha)
 
 
 class TestTheorem2:
@@ -416,7 +374,7 @@ class TestTheorem2:
         b = Graph(weights)
         g_cert = theorem2_certificate(lift(a), lift(b), "katz", 0.8)
         map_ = FixedPointMap("katz", alpha=0.2)
-        f_cert = theorem1_certificate(a, b, map_, constants_analytic(a, map_))
+        f_cert = theorem1_certificate(a, b, map_.family, map_.alpha)
         assert g_cert.constants.L0 == pytest.approx(f_cert.constants.L0, abs=1e-9)
         assert g_cert.observed == pytest.approx(f_cert.observed / 2.0, abs=1e-9)
         assert g_cert.holds and f_cert.holds
@@ -521,7 +479,7 @@ class TestInputsDigest:
 
     def _digest(self, a, b, family="katz", alpha=0.2):
         map_ = FixedPointMap(family, alpha=alpha)
-        return theorem1_certificate(a, b, map_, constants_analytic(a, map_)).inputs_digest
+        return theorem1_certificate(a, b, map_.family, map_.alpha).inputs_digest
 
     def test_json_and_edge_list_reads_agree(self):
         assert isinstance(parse_graph_json(_json_text(self.A))._held, _Entries)
