@@ -17,8 +17,9 @@ in the form of the graph's, whose products x -> M_A x and y -> M_A^T y
 every iteration step takes: over a list of entries they cost O(entries).
 
 Katz and PageRank are iterated (``solve``) or solved directly (the closed
-forms).  The eigen family takes the spectrum of A.T from LAPACK without
-eigenvectors, which the simplicity checks need, and then the leading
+forms).  The eigen family takes its leading eigenvalue from a bracket where
+Perron-Frobenius proves it simple, else from the spectrum of A.T from LAPACK
+without eigenvectors, which the simplicity checks need, and then the leading
 eigenvector by inverse iteration.
 """
 
@@ -34,7 +35,8 @@ from .errors import (
     ParameterError,
     SimplicityError,
 )
-from .graphs import Graph, _Dense, _pow2_normalize, degree_vector
+from .graphs import Graph, _Dense, _pow2_normalize, _strongly_connected, degree_vector
+from .graphs import _operand as _matrix_operand
 from .norms import _operator_norm, operator_norm, vector_norm
 
 FAMILIES = ("eigen", "katz", "pagerank")
@@ -52,6 +54,9 @@ INVERSE_RESIDUAL_FACTOR = 4.0
 # eps ||A.T||_inf; at most this many solves are made.
 INVERSE_SHIFT_ULPS = 2.0
 INVERSE_MAX_SOLVES = 8
+# The Collatz-Wielandt bracket of the Perron root closes within this many
+# power steps, or the spectrum is taken instead.
+PERRON_MAX_ITERATIONS = 500
 
 
 @dataclass
@@ -356,29 +361,54 @@ class EigenResult:
     least zero).  ``rho`` is its absolute value when the oriented vector is
     entrywise non-negative within 1e-12, and None otherwise; callers with a
     mixed-sign eigenvector pick a Normalizer themselves.  ``gap`` is the
-    distance from the leading eigenvalue to the rest of the spectrum.
+    distance from the leading eigenvalue to the rest of the spectrum, or
+    None on the Perron route, which proves it simple (``eigencentrality``).
     ``iterations`` is the number of inverse-iteration solves that produced
     the vector, normally 1.
     """
 
     vector: np.ndarray
     value: float
-    gap: float
+    gap: float | None
     rho: np.ndarray | None
     iterations: int
     residual: float
 
 
-def _inverse_iteration(m, lam):
+def _perron_root(w, tol):
+    """The Perron root of A.T for the array ``w`` of a non-negative,
+    strongly connected graph, or None if its bracket does not close.
+
+    Power steps on A.T + I from the all-ones vector, by the products of
+    ``w``'s operand (over its list below the cut), keep x positive, so
+    min_i (A.T x)_i / x_i <= rho <= max_i (A.T x)_i / x_i (Collatz-Wielandt).
+    The + I makes a periodic graph, such as a directed cycle, converge.  The
+    midpoint is returned once the bracket is at most ``tol`` wide.
+    """
+    op = _matrix_operand(w)
+    x = np.ones(w.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # an entry of x that underflows
+        for _ in range(PERRON_MAX_ITERATIONS):
+            y = op.rmatvec(x)
+            ratios = y / x
+            lo, hi = float(ratios.min()), float(ratios.max())
+            if hi - lo <= tol:
+                return 0.5 * (lo + hi)
+            x += y
+            x /= x.max()
+    return None
+
+
+def _inverse_iteration(m, lam, ulp):
     """An eigenvector of ``m`` for its simple real eigenvalue ``lam``.
 
     Each step solves (m - sigma I) y = v with sigma = lam, from the fixed
     start v = 1 + arange(n)/n (an all-ones start is orthogonal to many
     eigenvectors of regular graphs), and continues from y scaled to max-abs
     one.  It stops once the unit vector's residual ||m u - lam u||_2 is at
-    most INVERSE_RESIDUAL_FACTOR sqrt(n) eps ||m||_inf.  When sigma is an
-    exact eigenvalue the solve is singular or non-finite; sigma then moves
-    up by INVERSE_SHIFT_ULPS eps ||m||_inf and the step is repeated.
+    most INVERSE_RESIDUAL_FACTOR sqrt(n) ``ulp`` (eps ||m||_inf).  When
+    sigma is an exact eigenvalue the solve is singular or non-finite; sigma
+    then moves up by INVERSE_SHIFT_ULPS ulp and the step is repeated.
 
     Each solve shifts the diagonal of ``m`` itself, which must be the
     caller's own array, and restores it before the solve's outcome is used,
@@ -389,7 +419,6 @@ def _inverse_iteration(m, lam):
     INVERSE_MAX_SOLVES solves.
     """
     n = m.shape[0]
-    ulp = np.finfo(float).eps * _operator_norm(_Dense(m), math.inf)  # no n x n temporary
     tol = INVERSE_RESIDUAL_FACTOR * math.sqrt(n)
     diagonal = np.arange(n)
     own = m[diagonal, diagonal]
@@ -420,24 +449,29 @@ def _inverse_iteration(m, lam):
 
 
 def eigencentrality(g):
-    """Eigenvector centrality with an explicit simplicity check.
+    """Eigenvector centrality of a simple leading eigenvalue, the one with
+    the largest real part, found by one of two routes:
 
-    The whole spectrum of A.T comes from LAPACK without eigenvectors:
-    ``numpy.linalg.eigvalsh`` for a symmetric graph,
-    ``numpy.linalg.eigvals`` otherwise.  The leading eigenvalue is the one
-    with the largest real part.  Once it passes every check, its
-    eigenvector comes from inverse iteration on A.T - lambda I.  All of
+    * Perron: a directed graph with no negative weight that is strongly
+      connected.  Perron-Frobenius proves its leading eigenvalue simple, so
+      no gap is measured: the value is the midpoint of a Collatz-Wielandt
+      bracket (``_perron_root``), or the spectrum's if that does not close.
+    * spectrum: the whole spectrum of A.T from LAPACK without eigenvectors,
+      ``numpy.linalg.eigvalsh`` for a symmetric graph and
+      ``numpy.linalg.eigvals`` otherwise, checked for a real leading
+      eigenvalue at least 1e-8 from the rest.
+
+    Its eigenvector comes from inverse iteration on A.T - lambda I.  All of
     this runs on A scaled by the exact power of two that puts max |a_ij| in
-    [1, 2) (``graphs._pow2_normalize``), so the gap and zero checks below do
-    not depend on the weight scale.  The route is chosen by ``g.symmetric``.
+    [1, 2) (``graphs._pow2_normalize``), so no check depends on the scale.
 
     Returns
     -------
     EigenResult
         ``value`` is the leading eigenvalue of A, ``gap`` its distance to
-        the rest of the spectrum of A, ``residual`` the fixed-point residual
-        ||(1/lambda) A.T v - v||_2, and ``iterations`` the number of
-        inverse-iteration solves.
+        the rest of the spectrum of A (None on the Perron route),
+        ``residual`` the fixed-point residual ||(1/lambda) A.T v - v||_2,
+        and ``iterations`` the number of inverse-iteration solves.
 
     Raises
     ------
@@ -457,31 +491,37 @@ def eigencentrality(g):
         raise ParameterError(
             "the zero matrix has leading eigenvalue zero; eigencentrality is undefined"
         )
-    evals = np.linalg.eigvalsh(w) if g.symmetric else np.linalg.eigvals(w.T)
-    lead = int(np.argmax(evals.real))  # the first of equal real parts
-    lam_c = evals[lead]
-    others = np.delete(evals, lead)
-    gap = float(np.min(np.abs(others - lam_c))) if others.size else math.inf
-    if abs(lam_c.imag) > GAP_TOL * max(1.0, abs(lam_c)):
-        raise SimplicityError(
-            "the dominant eigenvalue is complex; no simple real leading eigenvalue"
-        )
-    lam = float(lam_c.real)
-    with np.errstate(over="ignore"):  # an infinite gap of A is still simple
-        value = float(np.ldexp(lam, e))
-        gap_a = float(np.ldexp(gap, e))
-    if gap < GAP_TOL:
-        raise SimplicityError(
-            "leading eigenvalue is not simple "
-            f"(gap {gap_a:.3e} < {math.ldexp(GAP_TOL, e):.3g})"
-        )
+    ulp = np.finfo(float).eps * _operator_norm(_Dense(w.T), math.inf)  # no n x n temporary
+    lam = gap_a = None
+    if not g.symmetric and w.min() >= 0.0 and _strongly_connected(w):
+        lam = _perron_root(w, INVERSE_RESIDUAL_FACTOR * math.sqrt(g.n) * ulp)
+    if lam is None:
+        evals = np.linalg.eigvalsh(w) if g.symmetric else np.linalg.eigvals(w.T)
+        lead = int(np.argmax(evals.real))  # the first of equal real parts
+        lam_c = evals[lead]
+        others = np.delete(evals, lead)
+        gap = float(np.min(np.abs(others - lam_c))) if others.size else math.inf
+        if abs(lam_c.imag) > GAP_TOL * max(1.0, abs(lam_c)):
+            raise SimplicityError(
+                "the dominant eigenvalue is complex; no simple real leading eigenvalue"
+            )
+        lam = float(lam_c.real)
+        with np.errstate(over="ignore"):  # an infinite gap of A is still simple
+            gap_a = float(np.ldexp(gap, e))
+        if gap < GAP_TOL:
+            raise SimplicityError(
+                "leading eigenvalue is not simple "
+                f"(gap {gap_a:.3e} < {math.ldexp(GAP_TOL, e):.3g})"
+            )
     if abs(lam) < 1e-12:
         raise ParameterError("leading eigenvalue is zero; the centrality equation is undefined")
+    with np.errstate(over="ignore"):
+        value = float(np.ldexp(lam, e))
     if math.isinf(value):
         raise NumericalError("the leading eigenvalue of this matrix overflows float64")
     if not w.flags.writeable:  # the graph's array, which inverse iteration must not write
         w = w.copy(order="K")
-    v, solves = _inverse_iteration(w.T, lam)
+    v, solves = _inverse_iteration(w.T, lam, ulp)
     v = v / vector_norm(v, 2)
     if float(v.sum()) < 0.0:
         v = -v

@@ -333,6 +333,26 @@ def max_asymmetry(w):
     return float(np.max(peaks))
 
 
+def _strongly_connected(m):
+    """Whether every node of the square array ``m`` reaches every other
+    along its non-zero entries: a reach search from node 0 over the rows,
+    then one over the columns, each reading the lines its frontier reached
+    in tiles of ``_TILE``, so no n x n temporary is made."""
+    for lines in (m, m.T):
+        seen = np.zeros(m.shape[0], dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        while frontier.size:
+            hit = np.zeros_like(seen)
+            for lo in range(0, frontier.size, _TILE):
+                hit |= (lines[frontier[lo : lo + _TILE]] != 0.0).any(axis=0)
+            frontier = np.flatnonzero(hit & ~seen)
+            seen |= hit
+        if not seen.all():
+            return False
+    return True
+
+
 def _pow2_exponent(m):
     """The ``e`` that puts the peak |entry| of an array in [1, 2); 0 for zero or empty."""
     peak = max(float(m.max(initial=0.0)), -float(m.min(initial=0.0)))

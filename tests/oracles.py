@@ -237,6 +237,25 @@ def eigencentrality_lapack_reference(g):
     return v, lam, gap, rho
 
 
+def strongly_connected(w):
+    """Whether every node reaches every other along the non-zero entries of
+    ``w``: the transitive closure of (w != 0) | I by repeated boolean
+    squaring, each squaring doubling the path length it covers."""
+    w = np.asarray(w)
+    n = w.shape[0]
+    reach = (w != 0.0) | np.eye(n, dtype=bool)
+    for _ in range(max(1, math.ceil(math.log2(n)))):
+        reach = (reach.astype(float) @ reach.astype(float)) > 0.0
+    return bool(reach.all())
+
+
+def takes_the_perron_route(g):
+    """Whether ``eigencentrality`` proves ``g``'s leading eigenvalue simple
+    (Perron-Frobenius) instead of measuring its gap: a directed graph with
+    no negative weight that is strongly connected."""
+    return not g.symmetric and bool(g.weights.min() >= 0.0) and strongly_connected(g.weights)
+
+
 def random_pmf(rng, n):
     v = rng.random(n) + 1e-3
     return v / v.sum()

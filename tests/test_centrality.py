@@ -29,7 +29,9 @@ from fpcentral import (
     solve,
     vector_norm,
 )
+from fpcentral import centrality
 from fpcentral.centrality import _identity_minus, native_norm_index
+from fpcentral.graphs import _Entries, _strongly_connected
 from fpcentral.graphon import StepGraphon, graphon_eigencentrality
 from oracles import (
     GraphGeneratorSpec,
@@ -39,6 +41,8 @@ from oracles import (
     eigencentrality_lapack_reference,
     generate,
     permute_vector,
+    strongly_connected,
+    takes_the_perron_route,
 )
 
 
@@ -387,7 +391,9 @@ class TestEigencentrality:
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 2] = 1.0
         w[2, 0] = -1.0
-        with pytest.raises(SimplicityError):
+        # strongly connected, but its negative weight keeps it off the Perron route
+        assert strongly_connected(w) and not takes_the_perron_route(Graph(w))
+        with pytest.raises(SimplicityError, match="dominant eigenvalue is complex"):
             eigencentrality(Graph(w))
 
     def test_degenerate_leading_eigenvalue_is_refused(self):
@@ -429,11 +435,16 @@ class TestEigencentrality:
                  rng.random((6, 6)) * (rng.random((6, 6)) < 0.7)]
         for w in cases:
             base = eigencentrality(Graph(w))
-            for k in (-1000, -900, -300, -1, 1, 7, 300, 900):
+            # the directed case takes the Perron route at every scale
+            assert (base.gap is None) == takes_the_perron_route(Graph(w)) == (w is cases[2])
+            for k in (-1000, -900, -300, -1, 1, 7, 300, 900, 1000):
                 res = eigencentrality(Graph(np.ldexp(w, k)))
                 assert np.array_equal(res.vector, base.vector), k
                 assert res.value == np.ldexp(base.value, k), k
-                assert res.gap == np.ldexp(base.gap, k), k
+                if base.gap is None:
+                    assert res.gap is None, k
+                else:
+                    assert res.gap == np.ldexp(base.gap, k), k
                 assert res.residual == base.residual, k
 
     def test_not_simple_reports_the_gap_of_a(self):
@@ -516,14 +527,17 @@ class TestEigenAgainstLapack:
         vec, value, gap, rho = eigencentrality_lapack_reference(g)
         res = eigencentrality(g)
         assert abs(res.value - value) <= 1e-12 * max(1.0, abs(value))
-        assert res.gap == pytest.approx(gap, rel=1e-9, abs=1e-12 * max(1.0, abs(value)))
+        if takes_the_perron_route(g):
+            assert res.gap is None
+        else:
+            assert res.gap == pytest.approx(gap, rel=1e-9, abs=1e-12 * max(1.0, abs(value)))
         assert np.max(np.abs(res.vector - vec)) <= vector_tol
         assert (res.rho is None) == (rho is None)
         assert 1 <= res.iterations <= 2
         return res
 
     def test_seeded_graphs(self):
-        compared = 0
+        compared = routed = 0
         for index in range(200):
             g = _seeded_eigen_graph(index)
             try:
@@ -535,7 +549,8 @@ class TestEigenAgainstLapack:
                 continue
             self._assert_matches(g)
             compared += 1
-        assert compared >= 150
+            routed += takes_the_perron_route(g)
+        assert compared >= 150 and routed >= 80
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_complete_graphs(self, n):
@@ -605,6 +620,145 @@ class TestEigenAgainstLapack:
         rho, lam = graphon_eigencentrality(StepGraphon(np.array([[0.5, 0.2], [0.2, 0.7]])))
         assert lam == pytest.approx(float(np.linalg.eigvalsh([[0.5, 0.2], [0.2, 0.7]])[-1]) / 2)
         assert np.all(rho.values > 0.0)
+
+
+def _ring_with_chords(n):
+    """A directed n-node ring with n // 2 weighted chords: strongly connected."""
+    rng = np.random.default_rng(28)
+    w = np.zeros((n, n))
+    w[np.arange(n), np.roll(np.arange(n), -1)] = 1.0
+    chords = rng.integers(n, size=(n // 2, 2))
+    w[chords[:, 0], chords[:, 1]] = rng.random(n // 2) + 0.5
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _cycle(weights):
+    """The directed cycle 0 -> 1 -> ... -> 0 with these arc weights."""
+    n = len(weights)
+    w = np.zeros((n, n))
+    w[np.arange(n), np.roll(np.arange(n), -1)] = weights
+    return w
+
+
+def _joined_cycles():
+    """A directed 3-cycle of weight 2 with one arc into a 4-cycle of weight
+    1: not strongly connected, and its leading eigenvalue 2 is simple."""
+    w = np.zeros((7, 7))
+    w[:3, :3] = _cycle([2.0] * 3)
+    w[3:, 3:] = _cycle([1.0] * 4)
+    w[2, 3] = 1.0
+    return w
+
+
+def _coupled_cliques(c):
+    """Two 4-cliques coupled by c one way and 2c the other: strongly
+    connected, with leading eigenvalues 3 +- 4 sqrt(2) c."""
+    j = np.ones((4, 4)) - np.eye(4)
+    w = np.zeros((8, 8))
+    w[:4, :4] = w[4:, 4:] = j
+    w[:4, 4:] = c
+    w[4:, :4] = 2.0 * c
+    return w
+
+
+class TestPerronRoute:
+    """A directed graph with no negative weight that is strongly connected
+    takes its leading eigenvalue from the Collatz-Wielandt bracket and no
+    spectrum; every other graph, and one whose bracket does not close, takes
+    the spectrum route, bit for bit."""
+
+    ROUTED = {
+        "listed-ring-with-chords": _ring_with_chords(200),
+        "dense-6": np.random.default_rng(6).random((6, 6)) + 0.1,
+        "3-cycle": _cycle([1.0] * 3),
+        "4-cycle": _cycle([1.0] * 4),
+        # periodic, with a Perron vector other than the all-ones start
+        "weighted-3-cycle": _cycle([1.0, 2.0, 3.0]),
+        "weighted-4-cycle": _cycle([1.0, 1.5, 0.5, 2.0]),
+    }
+
+    @staticmethod
+    def _spectrum_route(monkeypatch, g):
+        """eigencentrality(g) with the Perron route closed."""
+        with monkeypatch.context() as m:
+            m.setattr(centrality, "_strongly_connected", lambda w: False)
+            return eigencentrality(g)
+
+    @staticmethod
+    def _assert_same_bits(res, ref):
+        assert np.array_equal(res.vector, ref.vector)
+        assert (res.value, res.gap, res.residual, res.iterations) == (
+            ref.value, ref.gap, ref.residual, ref.iterations)
+        assert (res.rho is None) == (ref.rho is None)
+
+    @pytest.mark.parametrize("name", list(ROUTED))
+    def test_the_route_takes_no_spectrum(self, monkeypatch, name):
+        g = Graph(self.ROUTED[name])
+        assert takes_the_perron_route(g)
+        assert isinstance(g._held, _Entries) == (name == "listed-ring-with-chords")
+        vec, value, _, rho = eigencentrality_lapack_reference(g)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the spectrum was taken")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        res = eigencentrality(g)
+        assert res.gap is None
+        assert abs(res.value - value) <= 1e-12 * abs(value)
+        assert np.max(np.abs(res.vector - vec)) <= 1e-10
+        assert rho is not None and res.rho is not None
+        assert 1 <= res.iterations <= 2
+
+    @pytest.mark.parametrize("w", [
+        np.array([[0.0, 1.0, 0.5], [-0.25, 0.0, 1.0], [1.0, 0.5, 0.0]]),
+        _joined_cycles(),
+    ], ids=["negative-weight", "joined-cycles"])
+    def test_other_graphs_take_the_spectrum_route(self, monkeypatch, w):
+        g = Graph(w)
+        assert not g.symmetric and not takes_the_perron_route(g)
+        ref = self._spectrum_route(monkeypatch, g)
+
+        def refuse(*args):
+            raise AssertionError("a bracket was tried")
+
+        monkeypatch.setattr(centrality, "_perron_root", refuse)
+        res = eigencentrality(g)
+        assert res.gap is not None and res.rho is not None
+        self._assert_same_bits(res, ref)
+
+    def test_a_bracket_that_does_not_close_takes_the_spectrum_route(self, monkeypatch):
+        g = Graph(self.ROUTED["listed-ring-with-chords"])
+        ref = self._spectrum_route(monkeypatch, g)
+        monkeypatch.setattr(centrality, "PERRON_MAX_ITERATIONS", 2)
+        res = eigencentrality(g)
+        assert res.gap == ref.gap and res.gap > 0.1
+        self._assert_same_bits(res, ref)
+
+    def test_a_near_degenerate_graph_is_refused_as_today(self, monkeypatch):
+        # the bracket contracts at (3 - 4 sqrt(2) c + 1) / (3 + 4 sqrt(2) c + 1)
+        # per step and cannot close; the spectrum's gap 8 sqrt(2) c is below 1e-8
+        g = Graph(_coupled_cliques(5e-10))
+        assert takes_the_perron_route(g)
+        brackets = []
+        perron_root = centrality._perron_root
+        monkeypatch.setattr(centrality, "_perron_root",
+                            lambda w, tol: brackets.append(perron_root(w, tol)))
+        message = r"^leading eigenvalue is not simple \(gap 5\.657e-09 < 1e-08\)$"
+        with pytest.raises(SimplicityError, match=message):
+            eigencentrality(g)
+        assert brackets == [None]
+        with pytest.raises(SimplicityError, match=message):
+            self._spectrum_route(monkeypatch, g)
+
+    def test_the_reach_search_agrees_with_the_closure(self):
+        rng = np.random.default_rng(2801)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            w = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.0, 4.0 / n))
+            assert _strongly_connected(w) == strongly_connected(w), w
+        for w in (*self.ROUTED.values(), _joined_cycles(), np.zeros((1, 1))):
+            assert _strongly_connected(w) == strongly_connected(w)
 
 
 class TestNormalize:

@@ -881,15 +881,16 @@ class TestWorkCounts:
         return paths
 
     @staticmethod
-    def _sparse(n=96):
-        """An n-node ring with chords, mean degree about 3."""
+    def _sparse(n=96, directed=False):
+        """An n-node ring with chords, mean degree about 3; directed, it is
+        strongly connected."""
         rng = np.random.default_rng(15)
         a = np.zeros((n, n))
         a[np.arange(n), np.roll(np.arange(n), 1)] = 1.0
         chords = rng.integers(n, size=(n // 2, 2))
         a[chords[:, 0], chords[:, 1]] = rng.random(n // 2) + 0.5
         np.fill_diagonal(a, 0.0)
-        return np.maximum(a, a.T)
+        return a if directed else np.maximum(a, a.T)
 
     ARGV = [
         ("centrality", "{a}", "--family", "pagerank", "--alpha", "0.85"),
@@ -931,8 +932,9 @@ class TestWorkCounts:
         a = self._sparse()
         b = a.copy()
         b[0, 1] = b[1, 0] = 0.0
+        d = self._sparse(directed=True)
         paths = self._write(
-            tmp_path, {"a": a, "b": b, "wa": a / a.max(), "wb": b / a.max()}, as_edges
+            tmp_path, {"a": a, "b": b, "wa": a / a.max(), "wb": b / a.max(), "d": d}, as_edges
         )
         code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 0, err
@@ -1015,8 +1017,10 @@ class TestWorkCounts:
 
     # each call, and the arrays it forms from listed inputs: none where only
     # products, norms and the writer run, one per LAPACK call (the spectrum
-    # and the inverse iteration of eigen share one, a closed form takes one)
+    # or the Perron bracket of eigen and its inverse iteration share one, a
+    # closed form takes one)
     FORMED = [
+        (("centrality", "{d}", "--family", "eigen"), 1),
         (("centrality", "{a}", "--family", "katz", "--alpha", "0.1"), 0),
         (("centrality", "{a}", "--family", "pagerank", "--alpha", "0.85"), 0),
         (("compare", "{a}", "{b}", "--family", "katz", "--alpha", "0.1"), 0),
@@ -1043,8 +1047,9 @@ class TestWorkCounts:
         a = self._sparse()
         b = a.copy()
         b[0, 1] = b[1, 0] = 0.0
+        d = self._sparse(directed=True)
         paths = self._write(
-            tmp_path, {"a": a, "b": b, "wa": a / a.max(), "wb": b / a.max()}, as_edges
+            tmp_path, {"a": a, "b": b, "wa": a / a.max(), "wb": b / a.max(), "d": d}, as_edges
         )
         code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 0, err

@@ -142,9 +142,10 @@ def test_dense_pagerank_theorem2_scales_each_kernel_in_place(dense_pair):
 
 
 def test_listed_directed_eigencentrality_shifts_its_own_array():
-    # the spectrum and every inverse-iteration solve share the one array
-    # formed from the list, whose diagonal each solve shifts and restores
-    # (2.04 with a shifted copy per solve)
+    # the Perron bracket and every inverse-iteration solve share the one
+    # array formed from the list, whose diagonal each solve shifts and
+    # restores (2.04 with a shifted copy per solve); the bracket's reach
+    # search and re-listing add no n x n float temporary
     rng = np.random.default_rng(1900)
     order = rng.permutation(N)
     w = (rng.random((N, N)) < 8 / (N - 1)) * 1.0

@@ -14,11 +14,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import strongly_connected, takes_the_perron_route
 from test_cli import run
+from fpcentral import Graph
 from fpcentral.graphs import _Entries
 
-SCALES = (-60, -1, 1, 60)
-DOWN = (-60, -1)
+SCALES = (-1000, -60, -1, 1, 60, 1000)
+DOWN = (-1000, -60, -1)
 
 _rng = np.random.default_rng(20261018)
 _upper = np.triu(_rng.random((6, 6)) * (_rng.random((6, 6)) < 0.7), 1)
@@ -150,6 +152,8 @@ CASES = {
     "sparse-katz": (_centrality("katz", SPARSE_DIRECTED, SPARSE_DIRECTED_ALPHA),
                     SCALES, CENTRALITY, ()),
     "sparse-pagerank": (_centrality("pagerank", SPARSE_DIRECTED, 0.85), SCALES, CENTRALITY, ()),
+    "sparse-eigen-directed": (_centrality("eigen", SPARSE_DIRECTED, None, "--normalizer", "abs"),
+                              SCALES, CENTRALITY, ()),
     "sparse-theorem1-katz": (_compare("theorem1", "katz", SPARSE, SPARSE_B, SPARSE_ALPHA),
                              SCALES, DECISIONS, ()),
     "sparse-theorem1-pagerank": (
@@ -190,10 +194,15 @@ def test_scaling_weights_by_a_power_of_two_changes_no_decision(capsys, tmp_path,
 
 
 def test_the_sparse_inputs_are_below_the_cut():
-    from fpcentral import Graph
-
     for w in (SPARSE, SPARSE_B, SPARSE_DIRECTED, SPARSE_DIRECTED_B):
         assert isinstance(Graph(w)._held, _Entries)
+
+
+def test_the_directed_eigen_cases_cover_both_routes():
+    # DIRECTED and TINY are strongly connected and take the Perron route;
+    # SPARSE_DIRECTED is not, and takes the spectrum of its list
+    assert takes_the_perron_route(Graph(DIRECTED)) and takes_the_perron_route(Graph(TINY))
+    assert not strongly_connected(SPARSE_DIRECTED)
 
 
 def test_the_cases_exit_as_expected(capsys, tmp_path):
