@@ -20,9 +20,8 @@ __version__ = "0.1.0"
 # home module of each public name
 _HOMES = {
     "centrality": (
-        "CentralityResult", "EigenResult", "FixedPointMap", "Normalizer", "SolveConfig",
-        "eigencentrality", "grassmann_distance", "katz_closed_form", "normalize",
-        "pagerank_closed_form", "pagerank_kernel", "solve",
+        "CentralityResult", "EigenResult", "eigencentrality", "grassmann_distance",
+        "normalize", "solve",
     ),
     "errors": (
         "FpcError", "InputFormatError", "NonConvergenceError", "NumericalError",
@@ -40,7 +39,7 @@ _HOMES = {
     "limits": ("exact_limit",),
     "norms": (
         "CutNormWitness", "PermutedDistanceResult", "cut_norm_exact", "cut_norm_heuristic",
-        "difference_norm", "min_permuted_distance", "operator_norm", "vector_norm",
+        "min_permuted_distance", "operator_norm", "vector_norm",
     ),
     "perturbation": (
         "BoundCertificate", "LipschitzConstants", "prop6_certificate", "prop7_certificate",

@@ -16,11 +16,12 @@ katz and the kernel A.T D^{-1} for pagerank.  Each input is prepared once
 in the form of the graph's, whose products x -> M_A x and y -> M_A^T y
 every iteration step takes: over a list of entries they cost O(entries).
 
-Katz and PageRank are iterated (``solve``) or solved directly (the closed
-forms).  The eigen family takes its leading eigenvalue from a bracket where
-Perron-Frobenius proves it simple, else from the spectrum of A.T from LAPACK
-without eigenvectors, which the simplicity checks need, and then the leading
-eigenvector by inverse iteration.
+Katz and PageRank are iterated (``solve``) or, for the graphon densities,
+solved directly (``_katz_direct``, ``_pagerank_direct``).  The eigen family
+takes its leading eigenvalue from a bracket where Perron-Frobenius proves it
+simple, else from the spectrum of A.T from LAPACK without eigenvectors,
+which the simplicity checks need, and then the leading eigenvector by
+inverse iteration.
 """
 
 import math
@@ -44,6 +45,9 @@ PHI_CHOICES = ("identity", "exp", "exp_neg", "abs")
 
 GAP_TOL = 1e-8
 NEGATIVE_RHO_TOL = 1e-12
+# solve()'s residual bound, in the family's native norm, and its step budget
+SOLVE_TOL = 1e-10
+SOLVE_MAX_ITERATIONS = 100_000
 SOLVE_RESIDUAL_TOL = 1e-10
 # Inverse iteration stops once ||A.T v - lam v||_2 <= this factor times
 # sqrt(n) eps ||A.T||_inf for a unit v.  The rounding floor of that residual
@@ -59,46 +63,9 @@ INVERSE_MAX_SOLVES = 8
 PERRON_MAX_ITERATIONS = 500
 
 
-@dataclass
-class FixedPointMap:
-    """A named, parameterized fixed-point family (f, g).
-
-    ``family`` is one of ``FAMILIES``.  ``alpha`` is required for katz and
-    pagerank, where it must lie in the domain of ``check_contraction``, and
-    refused for eigen; the bound L0 < 1 is checked when the map is bound to
-    a graph (in solve and the closed forms).
-    """
-
-    family: str
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ParameterError(f"unknown family {self.family!r}")
-        if self.family in ("katz", "pagerank"):
-            check_contraction(self.family, self.alpha)
-        elif self.alpha is not None:
-            raise ParameterError(f"alpha is not a {self.family} parameter")
-
-
 def native_norm_index(family):
     """The norm each family's contraction argument lives in."""
     return 1 if family == "pagerank" else 2
-
-
-@dataclass
-class SolveConfig:
-    """Iteration controls for solve()."""
-
-    tolerance: float = 1e-10
-    max_iterations: int = 100_000
-    initial: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ParameterError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ParameterError("max_iterations must be at least 1")
 
 
 @dataclass
@@ -123,11 +90,6 @@ def _degrees(g):
     return d
 
 
-def pagerank_kernel(g):
-    """The kernel A.T D^{-1} with columns of zero out-degree nodes zeroed."""
-    return _Dense(g.weights).kernel(_degrees(g)).dense()
-
-
 class _Prepared(NamedTuple):
     """One input as its family's map sees it, built once (``_prepare``).
 
@@ -150,11 +112,23 @@ def _operand(family, alpha, g):
 
 
 def _prepare(family, alpha, g):
-    """The record of ``g`` for a family: M_A and L0 checked by the
-    contraction rule (none for eigen)."""
+    """The record of ``g`` for a family: M_A, and L0 for katz and pagerank.
+
+    The one place that checks the contraction rule, in this order: the
+    family is one of ``FAMILIES``; eigen takes no alpha; katz needs
+    alpha > 0 and pagerank 0 < alpha < 1; and L0 = alpha ||A||_2 (katz) or
+    alpha ||A^T D^-1||_1 (pagerank), of a graph or of a graphon's lift, is
+    below 1.
+    """
+    if family not in FAMILIES:
+        raise ParameterError(f"unknown family {family!r}")
     if family == "eigen":
+        if alpha is not None:
+            raise ParameterError(f"alpha is not a {family} parameter")
         return _operand(family, alpha, g)
-    check_contraction(family, alpha)
+    if alpha is None or not (alpha > 0.0 if family == "katz" else 0.0 < alpha < 1.0):
+        domain = "alpha > 0" if family == "katz" else "0 < alpha < 1"
+        raise ParameterError(f"{family} requires {domain}, got alpha={alpha}")
     prep = _operand(family, alpha, g)
     l0 = alpha * _operator_norm(prep.op, native_norm_index(family))
     if not l0 < 1.0:
@@ -177,40 +151,31 @@ def _iteration_map(prep):
     return lambda x: scaled.matvec(x) + b
 
 
-def check_contraction(family, alpha):
-    """The domain of the one contraction rule: katz needs alpha > 0,
-    pagerank 0 < alpha < 1.  ``_prepare`` checks the rest of the rule on
-    each input: L0 = alpha ||A||_2 (katz) or alpha ||A^T D^-1||_1
-    (pagerank), of a graph or of a graphon's lift, must be below 1.
-    """
-    domain = "alpha > 0" if family == "katz" else "0 < alpha < 1"
-    if alpha is None or not (alpha > 0.0 if family == "katz" else 0.0 < alpha < 1.0):
-        raise ParameterError(f"{family} requires {domain}, got alpha={alpha}")
-
-
-def solve(g, map_, cfg=None):
+def solve(g, family, alpha=None):
     """Iterate x_{k+1} = f(A, x_k) to the fixed point and report rho = g(x).
 
     Parameters
     ----------
     g : Graph
-    map_ : FixedPointMap
+    family : one of ``FAMILIES``
         The eigen family dispatches to eigencentrality(); the others are
-        iterated from the configured start (all-ones by default).
-    cfg : SolveConfig, optional
+        iterated from the all-ones vector until the residual is at most
+        ``SOLVE_TOL``, within ``SOLVE_MAX_ITERATIONS`` steps.
+    alpha : float, optional
+        Required for katz and pagerank, refused for eigen (``_prepare``).
 
     Returns
     -------
     CentralityResult
         ``residual`` is ||f(A, x) - x|| at the returned x in the family's
-        native norm, guaranteed at most the tolerance on success.
+        native norm, guaranteed at most ``SOLVE_TOL`` on success.
         ``contraction_estimate`` is the largest observed ratio of
         consecutive residuals.
 
     Raises
     ------
     ParameterError
-        Parameter bound violations, or a fixed point with negative entries
+        A refusal of ``_prepare``, or a fixed point with negative entries
         (the caller should then normalize feature_x explicitly).
     NonConvergenceError
         Budget exhausted; carries the last iterate and residual.
@@ -221,18 +186,17 @@ def solve(g, map_, cfg=None):
     (``graphs``): over its list of non-zero entries in O(entries), or a
     dense BLAS product.
     """
-    return _solve(_prepare(map_.family, map_.alpha, g), cfg)
+    return _solve(_prepare(family, alpha, g))
 
 
-def _solve(prep, cfg=None):
+def _solve(prep):
     """solve() on a record, which the solve uses up (``_iteration_map``)."""
-    cfg = cfg if cfg is not None else SolveConfig()
     g = prep.g
     if prep.family == "eigen":
         eig = eigencentrality(g)
         if eig.rho is None:
             raise ParameterError(
-                "the leading eigenvector has mixed signs; apply a Normalizer "
+                "the leading eigenvector has mixed signs; apply normalize() "
                 "to feature_x instead"
             )
         return CentralityResult(
@@ -243,19 +207,14 @@ def _solve(prep, cfg=None):
             contraction_estimate=0.0,
         )
     p = native_norm_index(prep.family)
-    if cfg.initial is not None:
-        x = np.asarray(cfg.initial, dtype=float).copy()
-        if x.shape != (g.n,):
-            raise ParameterError("initial vector length must equal the node count")
-    else:
-        x = np.ones(g.n)
+    x = np.ones(g.n)
     f = _iteration_map(prep)
     contraction = 0.0
     prev_residual = None
     residual = math.inf
     # a product past float64 ends the solve at its first non-finite residual
     with np.errstate(over="ignore", invalid="ignore"):
-        for iteration in range(1, cfg.max_iterations + 1):
+        for iteration in range(1, SOLVE_MAX_ITERATIONS + 1):
             fx = f(x)
             residual = vector_norm(fx - x, p)
             if not math.isfinite(residual):
@@ -264,11 +223,11 @@ def _solve(prep, cfg=None):
                 )
             if prev_residual is not None and prev_residual > 0.0:
                 contraction = max(contraction, residual / prev_residual)
-            if residual <= cfg.tolerance:
+            if residual <= SOLVE_TOL:
                 if float(np.min(x)) < -NEGATIVE_RHO_TOL:
                     raise ParameterError(
                         "fixed point has negative entries; centralities must be "
-                        "non-negative, apply a Normalizer to feature_x"
+                        "non-negative, apply normalize() to feature_x"
                     )
                 return CentralityResult(
                     rho=np.maximum(x, 0.0),
@@ -280,7 +239,7 @@ def _solve(prep, cfg=None):
             prev_residual = residual
             x = fx
     raise NonConvergenceError(
-        f"no fixed point within {cfg.max_iterations} iterations "
+        f"no fixed point within {SOLVE_MAX_ITERATIONS} iterations "
         f"(residual {residual:.3e})",
         last_iterate=x,
         residual=residual,
@@ -316,38 +275,28 @@ def _identity_minus(m):
     return m
 
 
-def katz_closed_form(g, alpha):
-    """Direct solve of (I - alpha A.T) rho = 1.
-
-    Requires alpha > 0 and alpha ||A||_2 < 1 (``_prepare``); under
-    that bound the system is nonsingular, but the solve is guarded anyway.
-    The left side is the transpose of the one array alpha A makes.
-    """
-    return _katz_direct(_prepare("katz", alpha, g))
-
-
 def _katz_direct(prep):
-    """katz_closed_form on a record: alpha A is a new array, never the
-    graph's."""
+    """Direct solve of (I - alpha A.T) rho = 1 on a katz record.
+
+    The record's bound alpha ||A||_2 < 1 (``_prepare``) makes the system
+    nonsingular, but the solve is guarded anyway.  The left side is the
+    transpose of the one array alpha A makes, a new array, never the
+    graph's.
+    """
     lhs = prep.op.scaled(prep.alpha).dense().T
     return _solve_direct(_identity_minus(lhs), np.ones(prep.g.n), "katz")
 
 
-def pagerank_closed_form(g, alpha):
-    """Direct solve of (I - alpha A.T D^{-1}) rho = ((1 - alpha)/n) 1.
-
-    Requires L0 = alpha ||A^T D^-1||_1 < 1 (``_prepare``).  Columns
-    at zero out-degree nodes are zero, so mass can leak: the result may sum
-    to less than one and is reported without renormalization.  The left
-    side is built in the kernel's own array, or formed from the kernel's
-    list of entries; both give the same bits.
-    """
-    return _pagerank_direct(_prepare("pagerank", alpha, g))
-
-
 def _pagerank_direct(prep):
-    """pagerank_closed_form on a record, which the solve uses up: a dense
-    kernel is scaled in place."""
+    """Direct solve of (I - alpha A.T D^{-1}) rho = ((1 - alpha)/n) 1 on a
+    pagerank record, with L0 = alpha ||A^T D^-1||_1 < 1 (``_prepare``).
+
+    Columns at zero out-degree nodes are zero, so mass can leak: the result
+    may sum to less than one and is reported without renormalization.  The
+    left side is built in the kernel's own array, which the solve uses up
+    (a dense kernel is scaled in place), or formed from the kernel's list
+    of entries; both give the same bits.
+    """
     alpha, n = prep.alpha, prep.g.n
     lhs = prep.op.scaled(alpha).dense()
     return _solve_direct(_identity_minus(lhs), np.full(n, (1.0 - alpha) / n), "pagerank")
@@ -360,8 +309,8 @@ class EigenResult:
     ``vector`` is the oriented unit eigenvector (2-norm one, entry sum at
     least zero).  ``rho`` is its absolute value when the oriented vector is
     entrywise non-negative within 1e-12, and None otherwise; callers with a
-    mixed-sign eigenvector pick a Normalizer themselves.  ``gap`` is the
-    distance from the leading eigenvalue to the rest of the spectrum, or
+    mixed-sign eigenvector pick a ``normalize`` phi themselves.  ``gap`` is
+    the distance from the leading eigenvalue to the rest of the spectrum, or
     None on the Perron route, which proves it simple (``eigencentrality``).
     ``iterations`` is the number of inverse-iteration solves that produced
     the vector, normally 1.
@@ -532,36 +481,26 @@ def eigencentrality(g):
     )
 
 
-@dataclass(frozen=True)
-class Normalizer:
-    """A monotone reshaping phi followed by division by the sum, producing
-    a probability vector: rho_i = phi(c_i) / sum_j phi(c_j)."""
-
-    phi: str = "identity"
-
-    def __post_init__(self):
-        if self.phi not in PHI_CHOICES:
-            raise ParameterError(f"phi must be one of {PHI_CHOICES}, got {self.phi!r}")
-
-
-def normalize(v, normalizer="identity"):
-    """Apply a Normalizer: the phi image divided by its sum.
+def normalize(v, phi="identity"):
+    """A monotone reshaping ``phi``, one of ``PHI_CHOICES``, followed by
+    division by the sum, producing a probability vector:
+    rho_i = phi(c_i) / sum_j phi(c_j).
 
     The exp variants are computed with the usual max/min shift, which
     changes nothing after division.  The identity requires non-negative
     input (the output must be a probability vector); a non-positive
     denominator is an error for every phi.
     """
-    if isinstance(normalizer, str):
-        normalizer = Normalizer(normalizer)
+    if phi not in PHI_CHOICES:
+        raise ParameterError(f"phi must be one of {PHI_CHOICES}, got {phi!r}")
     v = np.asarray(v, dtype=float)
-    if normalizer.phi == "identity":
+    if phi == "identity":
         if np.any(v < 0.0):
             raise ParameterError("identity normalizer requires non-negative input")
         image = v.astype(float)
-    elif normalizer.phi == "exp":
+    elif phi == "exp":
         image = np.exp(v - np.max(v))
-    elif normalizer.phi == "exp_neg":
+    elif phi == "exp_neg":
         image = np.exp(-(v - np.min(v)))
     else:
         image = np.abs(v)

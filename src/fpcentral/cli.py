@@ -40,12 +40,12 @@ _EXIT_CODES = {
 
 def _manifest(args, *inputs):
     """The command, its inputs and every parsed option that is set, except
-    input paths, output routing, and ``--mode``/``--seed`` off the cut norm;
+    input paths, output routing, and ``--mode`` off the cut norm;
     ``inputs``, read from those paths, carry the SHA-256 of their bytes."""
     from datetime import datetime, timezone
 
     options = vars(args)
-    skip = _NOT_RECORDED + (() if options.get("norm", "cut") == "cut" else ("mode", "seed"))
+    skip = _NOT_RECORDED + (() if options.get("norm", "cut") == "cut" else ("mode",))
     paths = [options[k] for k in _INPUTS if k in options]
     command = (args.command, options.get("graphon_command"))
     return {
@@ -86,7 +86,7 @@ def _check_alpha(args):
 
 
 def cmd_centrality(args):
-    from .centrality import FixedPointMap, eigencentrality, normalize, solve
+    from .centrality import eigencentrality, normalize, solve
     from .io import read_graph
 
     g = read_graph(args.input)
@@ -96,7 +96,7 @@ def cmd_centrality(args):
         feature, rho = res.vector, res.rho
         iterations, residual = res.iterations, res.residual
     else:
-        out = solve(g, FixedPointMap(args.family, alpha=args.alpha))
+        out = solve(g, args.family, args.alpha)
         feature, rho = out.feature_x, out.rho
         iterations, residual = out.iterations, out.residual
     if args.normalizer is not None:
@@ -120,7 +120,9 @@ def cmd_centrality(args):
 
 def cmd_compare(args):
     """``compare`` and ``graphon compare``: the certificate of ``--bound``
-    on two graphs or two step graphons; exit 0 if it holds, else 1."""
+    on two graphs or two step graphons; exit 0 if it holds, else 1.  A
+    greedy ``--perm-mode`` is refused for a bound that searches no
+    relabeling greedily, which would ignore it."""
     from . import perturbation
 
     if args.command == "graphon":
@@ -130,8 +132,14 @@ def cmd_compare(args):
     a = read(args.input_a)
     b = read(args.input_b)
     _check_alpha(args)
+    searched = args.bound in ("prop6", "prop9", "prop10")
+    if args.perm_mode == "greedy" and not searched:
+        raise ParameterError(
+            "--perm-mode greedy applies only to --bound prop6, prop9 and prop10, "
+            f"not to {args.bound}"
+        )
     certificate = getattr(perturbation, f"{args.bound}_certificate")
-    mode = {"mode": args.perm_mode} if args.bound in ("prop6", "prop9", "prop10") else {}
+    mode = {"mode": args.perm_mode} if searched else {}
     cert = certificate(a, b, args.family, args.alpha, **mode)
     _emit({**cert.to_dict(), "manifest": _manifest(args, a, b)}, args, lambda: (
         "bound,observed,holds,slack,certified\n"
@@ -195,7 +203,7 @@ def cmd_norms(args):
         if args.mode == "exact":
             witness = cut_norm_exact(m)
         else:
-            witness = cut_norm_heuristic(m, seed=args.seed)
+            witness = cut_norm_heuristic(m)
         payload = {
             "kind": "cut",
             "value": witness.value,
@@ -300,7 +308,6 @@ def build_parser():
         default="exact",
         help="cut norm only: exhaustive search or alternating maximization",
     )
-    norms.add_argument("--seed", type=int, default=0, help="heuristic restart seed")
     _add_output_flags(norms)
     norms.set_defaults(handler=cmd_norms)
 

@@ -64,13 +64,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, SizeLimitError
-from .graphs import Permutation, _Dense, _Difference, _operand
+from .graphs import Permutation, _Dense, _operand
 from .graphs import _pow2_normalize, _refuse_non_finite, degree_vector, max_asymmetry
 from .limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N, exact_limit
 
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10_000
 _START_SEED = 0x5EED
+# the starts of cut_norm_heuristic and the seed of its random ones
+CUT_HEURISTIC_RESTARTS = 16
+CUT_HEURISTIC_SEED = 0
 _TINY = np.finfo(float).tiny
 # bytes of one block of row-subset values in cut_norm_exact (256 KiB)
 _CUT_BLOCK = 1 << 18
@@ -115,18 +118,19 @@ def vector_norm(v, p):
     return float(np.max(np.abs(v), initial=0.0))
 
 
-def _power_iteration_sigma(op, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
+def _power_iteration_sigma(op):
     """Largest singular value of the operand ``op`` (its ``iterand``) by
     power iteration on M.T M; an empty list has norm 0.  The entries are
     checked for NaN and inf and scaled (an array as a copy) by the exact
     power of two that puts the largest of them in [1, 2)
     (``graphs._pow2_normalize``), so neither sigma^4 overflows nor z @ z
-    underflows.  The start is a seeded random unit vector (an all-ones
-    start would be blind to matrices whose top singular vector is
-    orthogonal to it); a list product reads it only at the listed columns,
-    so on either form the iterates are those of the whole matrix up to
-    summation order.  Raises NumericalError carrying the last iterate if
-    the budget is exhausted.
+    underflows.  It stops once sigma moves by at most POWER_TOL relative,
+    within POWER_MAX_ITER steps.  The start is a seeded random unit vector
+    (an all-ones start would be blind to matrices whose top singular vector
+    is orthogonal to it); a list product reads it only at the listed
+    columns, so on either form the iterates are those of the whole matrix
+    up to summation order.  Raises NumericalError carrying the last iterate
+    if the budget is exhausted.
     """
     op = op.iterand()
     _refuse_non_finite(op.vals, "operator_norm")
@@ -144,10 +148,10 @@ def _power_iteration_sigma(op, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
 
     x = start()
     sigma_prev = -1.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         y = op.matvec(x)
         sigma = math.sqrt(float(y @ y))
-        if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
+        if abs(sigma - sigma_prev) <= POWER_TOL * max(sigma, 1e-300):
             return float(np.ldexp(sigma, e))
         z = op.rmatvec(y)
         nz = math.sqrt(float(z @ z))
@@ -160,7 +164,7 @@ def _power_iteration_sigma(op, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
         x = z / nz
         sigma_prev = sigma
     raise NumericalError(
-        f"singular-value power iteration did not converge in {max_iter} iterations",
+        f"singular-value power iteration did not converge in {POWER_MAX_ITER} iterations",
         last_iterate=x,
     )
 
@@ -191,14 +195,6 @@ def _operator_norm(op, p):
     return value
 
 
-def _norm_operand(m):
-    """``m`` as a float array, refused unless square and non-empty."""
-    m = _square_finite(m, "operator_norm", finite=False)
-    if not m.size:
-        raise ParameterError("operator_norm expects a non-empty matrix")
-    return m
-
-
 def operator_norm(m, p):
     """Induced operator p-norm of a square matrix, p in {1, 2, inf}.
 
@@ -212,22 +208,10 @@ def operator_norm(m, p):
     ParameterError; a norm beyond float64 raises NumericalError.
     """
     p = _canon_p(p)
-    m = _norm_operand(m)
+    m = _square_finite(m, "operator_norm", finite=False)
+    if not m.size:
+        raise ParameterError("operator_norm expects a non-empty matrix")
     return _operator_norm(_operand(m) if p == 2 else _Dense(m), p)
-
-
-def difference_norm(a, b, p):
-    """``operator_norm(a - b, p)`` of two square matrices of one shape, bit
-    for bit and with the same errors, without forming ``a - b`` below the
-    cut (``graphs._Difference``): the 1- and inf-norms sum ``|a - b|`` in
-    tiles, and the 2-norm iterates the list of the entries where the two
-    differ, made by row tiles, so a few edges cost a short list.
-    """
-    p = _canon_p(p)
-    a, b = _norm_operand(a), _norm_operand(b)
-    if a.shape != b.shape:
-        raise ParameterError("operator_norm expects two matrices of one shape")
-    return _operator_norm(_Difference(a, b), p)
 
 
 @dataclass(frozen=True)
@@ -366,26 +350,23 @@ def cut_norm_exact(m):
     return CutNormWitness(value=value, S=s_tuple, T=t_tuple)
 
 
-def cut_norm_heuristic(m, restarts=16, seed=0):
+def cut_norm_heuristic(m):
     """Alternating-maximization lower bound on the cut norm.
 
     Fix S and pick the sign-optimal T, then fix T and pick the sign-optimal
-    S; repeat until the value stops improving, over ``restarts`` starts
-    (the first start is the full row set, the rest are seeded random).  Any
-    witness is feasible, so the result never exceeds the exact cut norm.
-    Non-finite entries and a ``seed`` that is not a non-negative integer
-    raise ParameterError, an overflowing absolute sum NumericalError.
+    S; repeat until the value stops improving, over CUT_HEURISTIC_RESTARTS
+    starts (the first start is the full row set, the rest random, drawn
+    from a generator seeded with CUT_HEURISTIC_SEED).  Any witness is
+    feasible, so the result never exceeds the exact cut norm.  Non-finite
+    entries raise ParameterError, an overflowing absolute sum
+    NumericalError.
     """
     m = _square_finite(m, "cut_norm_heuristic")
     _check_cut_sums(m)
-    if restarts < 1:
-        raise ParameterError("restarts must be at least 1")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     n = m.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CUT_HEURISTIC_SEED)
     best = CutNormWitness(value=-1.0, S=(), T=())
-    for r in range(restarts):
+    for r in range(CUT_HEURISTIC_RESTARTS):
         if r == 0:
             s = np.ones(n, dtype=bool)
         else:

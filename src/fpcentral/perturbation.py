@@ -182,8 +182,6 @@ def _first_record(family, alpha, g):
             "eigencentrality has no contraction certificate (the linear map "
             "has L0 = 1); use grassmann_distance as a descriptive diff"
         )
-    if family not in ("katz", "pagerank"):
-        raise ParameterError(f"unknown family {family!r}")
     return _prepare(family, alpha, g)
 
 

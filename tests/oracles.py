@@ -12,7 +12,10 @@ oracles; the checker also relabels through the package's ``permute``.
 ``constants_empirical`` samples the contraction constants through it and
 the package's norms into a record of its own (``EmpiricalConstants``);
 no certificate takes them, since every certificate derives its analytic
-constants from its inputs.
+constants from its inputs.  Both take a family and its alpha, as
+``solve`` does.  ``katz_reference``, ``pagerank_reference`` and
+``pagerank_kernel_reference`` are textbook numpy forms of the closed
+forms and of the PageRank kernel.
 """
 
 import itertools
@@ -33,7 +36,6 @@ from fpcentral import (
     Permutation,
     StepGraphon,
     operator_norm,
-    pagerank_kernel,
     permute,
     solve,
     vector_norm,
@@ -485,21 +487,21 @@ def inverse(p):
     return Permutation(inv)
 
 
-def apply_map(map_, g, x):
-    """One application of f(A, x) for ``map_``'s family, through the
+def apply_map(family, alpha, g, x):
+    """One application of f(A, x) for ``family`` and ``alpha``, through the
     package's own iteration map; the eigen family has none."""
-    if map_.family == "eigen":
+    if family == "eigen":
         raise ParameterError(
             "the eigen family has no standalone iteration map; use solve() or "
             "eigencentrality()"
         )
-    return _iteration_map(_operand(map_.family, map_.alpha, g))(x)
+    return _iteration_map(_operand(family, alpha, g))(x)
 
 
 def check_equivariance(f, g, trials=50, seed=0):
     """Sample random relabelings and feature vectors and test
     P f(A, x) = f(P A P.T, P x) within 1e-9 in the max norm, for a map
-    ``f(g, x)`` such as ``functools.partial(apply_map, map_)``.
+    ``f(g, x)`` such as ``functools.partial(apply_map, family, alpha)``.
 
     Returns True iff the identity held for every sampled trial.
     """
@@ -516,10 +518,34 @@ def check_equivariance(f, g, trials=50, seed=0):
     return True
 
 
+def pagerank_kernel_reference(g):
+    """The PageRank kernel A^T D^-1, D the row sums of A, with the columns
+    of zero out-degree nodes zero."""
+    w = g.weights
+    d = w.sum(axis=1)
+    kernel = w.T / np.where(d != 0.0, d, 1.0)
+    kernel[:, d == 0.0] = 0.0
+    return kernel
+
+
+def katz_reference(g, alpha):
+    """The Katz closed form: (I - alpha A^T) rho = 1 by one numpy solve."""
+    n = g.n
+    return np.linalg.solve(np.eye(n) - alpha * g.weights.T, np.ones(n))
+
+
+def pagerank_reference(g, alpha):
+    """The PageRank closed form: (I - alpha A^T D^-1) rho = (1 - alpha)/n
+    by one numpy solve."""
+    n = g.n
+    lhs = np.eye(n) - alpha * pagerank_kernel_reference(g)
+    return np.linalg.solve(lhs, np.full(n, (1.0 - alpha) / n))
+
+
 def _effective_matrix(family, g):
     """M_A, the matrix a family acts through: the PageRank kernel
     A^T D^-1 for pagerank, the weights A otherwise."""
-    return pagerank_kernel(g) if family == "pagerank" else g.weights
+    return pagerank_kernel_reference(g) if family == "pagerank" else g.weights
 
 
 def _ball_point(rng, n, radius, p):
@@ -542,17 +568,18 @@ class EmpiricalConstants(NamedTuple):
     method: str = "empirical"
 
 
-def _analytic_radius(map_, g, p):
+def _analytic_radius(family, alpha, g, p):
     """The a priori iterate radius ||b||_p / (1 - L0) + 1 of the analytic
     constants, with b the constant term: the all-ones vector for katz,
     (1 - alpha)/n per node for pagerank."""
-    l0 = map_.alpha * operator_norm(_effective_matrix(map_.family, g), p)
-    b_norm = math.sqrt(g.n) if map_.family == "katz" else 1.0 - map_.alpha
+    l0 = alpha * operator_norm(_effective_matrix(family, g), p)
+    b_norm = math.sqrt(g.n) if family == "katz" else 1.0 - alpha
     return b_norm / (1.0 - l0) + 1.0
 
 
-def constants_empirical(g, map_, samples, seed):
-    """Sampled estimates of the contraction constants.
+def constants_empirical(g, family, alpha, samples, seed):
+    """Sampled estimates of the contraction constants of ``family`` and
+    ``alpha`` on ``g``.
 
     Draws points in the feasible ball and takes ratio maxima: L0 from
     ||f(A, x) - f(A, x_A)|| / ||x - x_A|| against the solved fixed point,
@@ -562,31 +589,33 @@ def constants_empirical(g, map_, samples, seed):
     """
     if samples < 2:
         raise ParameterError("samples must be at least 2")
-    if map_.family == "eigen":
+    if family == "eigen":
         raise ParameterError("the eigen family has no iterated map to sample")
-    p = native_norm_index(map_.family)
-    radius = _analytic_radius(map_, g, p)
-    x_fixed = solve(g, map_).feature_x
+    p = native_norm_index(family)
+    radius = _analytic_radius(family, alpha, g, p)
+    x_fixed = solve(g, family, alpha).feature_x
     rng = np.random.default_rng(seed)
     n = g.n
     l0_est = 0.0
     l1_est = 0.0
     lg_est = 0.0
-    base = apply_map(map_, g, x_fixed)
-    m_g = _effective_matrix(map_.family, g)
+    base = apply_map(family, alpha, g, x_fixed)
+    m_g = _effective_matrix(family, g)
     for _ in range(samples):
         x = _ball_point(rng, n, radius, p)
         denom = vector_norm(x - x_fixed, p)
         if denom > 1e-12:
-            l0_est = max(l0_est, vector_norm(apply_map(map_, g, x) - base, p) / denom)
+            l0_est = max(l0_est, vector_norm(apply_map(family, alpha, g, x) - base, p) / denom)
         perturb = rng.standard_normal((n, n))
         other = Graph(g.weights + perturb / operator_norm(perturb, p))
-        deviation = operator_norm(m_g - _effective_matrix(map_.family, other), p)
+        deviation = operator_norm(m_g - _effective_matrix(family, other), p)
         if deviation > 1e-12:
             y = _ball_point(rng, n, radius, p)
             l1_est = max(
                 l1_est,
-                vector_norm(apply_map(map_, g, y) - apply_map(map_, other, y), p)
+                vector_norm(
+                    apply_map(family, alpha, g, y) - apply_map(family, alpha, other, y), p
+                )
                 / deviation,
             )
         # canonical g is the identity, so its ratio on a distinct pair is 1;

@@ -6,31 +6,32 @@ import numpy as np
 import pytest
 
 from fpcentral import (
-    FixedPointMap,
     Graph,
     NonConvergenceError,
-    Normalizer,
     NumericalError,
     ParameterError,
     Permutation,
     SimplicityError,
-    SolveConfig,
     eigencentrality,
     grassmann_distance,
     graphon_katz,
     graphon_pagerank,
-    katz_closed_form,
     lift,
     normalize,
     operator_norm,
-    pagerank_closed_form,
-    pagerank_kernel,
     permute,
     solve,
     vector_norm,
 )
 from fpcentral import centrality
-from fpcentral.centrality import _identity_minus, native_norm_index
+from fpcentral.centrality import (
+    _degrees,
+    _identity_minus,
+    _katz_direct,
+    _pagerank_direct,
+    _prepare,
+    native_norm_index,
+)
 from fpcentral.graphs import _Entries, _strongly_connected
 from fpcentral.graphon import StepGraphon, graphon_eigencentrality
 from oracles import (
@@ -40,6 +41,8 @@ from oracles import (
     check_equivariance,
     eigencentrality_lapack_reference,
     generate,
+    katz_reference,
+    pagerank_reference,
     permute_vector,
     strongly_connected,
     takes_the_perron_route,
@@ -60,56 +63,85 @@ def _single_edge():
     return Graph(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestFixedPointMap:
+def _katz(g, alpha):
+    """The Katz closed form that graphon_katz solves, on a graph."""
+    return _katz_direct(_prepare("katz", alpha, g))
+
+
+def _pagerank(g, alpha):
+    """The PageRank closed form that graphon_pagerank solves, on a graph."""
+    return _pagerank_direct(_prepare("pagerank", alpha, g))
+
+
+def _kernel(g):
+    """The PageRank kernel A^T D^-1 that solve() iterates, as an array."""
+    return g._held.kernel(_degrees(g)).dense()
+
+
+class TestFamilyAndAlpha:
     def test_alpha_required_for_katz_and_pagerank(self):
         for family in ("katz", "pagerank"):
             with pytest.raises(ParameterError):
-                FixedPointMap(family)
+                solve(_c2(), family)
             with pytest.raises(ParameterError):
-                FixedPointMap(family, alpha=0.0)
+                solve(_c2(), family, 0.0)
         with pytest.raises(ParameterError):
-            FixedPointMap("pagerank", alpha=1.0)
+            solve(_c2(), "pagerank", 1.0)
         # katz alpha = 1.0 is refused only once alpha ||A||_2 >= 1
-        katz = FixedPointMap("katz", alpha=1.0)
         with pytest.raises(ParameterError, match="katz requires"):
-            solve(_c2(), katz)
-        assert np.allclose(solve(Graph(0.5 * _c2().weights), katz).rho, [2.0, 2.0])
+            solve(_c2(), "katz", 1.0)
+        assert np.allclose(solve(Graph(0.5 * _c2().weights), "katz", 1.0).rho, [2.0, 2.0])
 
     def test_alpha_forbidden_for_eigen(self):
-        with pytest.raises(ParameterError):
-            FixedPointMap("eigen", alpha=0.5)
+        with pytest.raises(ParameterError, match="alpha is not a eigen parameter"):
+            solve(_c2(), "eigen", 0.5)
 
     def test_unknown_family(self):
         for family in ("betweenness", "affine"):
             with pytest.raises(ParameterError, match="unknown family"):
-                FixedPointMap(family)
+                solve(_c2(), family)
+
+    def test_refusals_come_before_the_graph_is_read(self, monkeypatch):
+        # each refusal is made on (family, alpha) alone, in this order
+        def no_operand(family, alpha, g):
+            raise AssertionError("the graph was read")
+
+        monkeypatch.setattr(centrality, "_operand", no_operand)
+        cases = (
+            ("affine", 0.5, "unknown family 'affine'"),
+            ("eigen", 0.5, "alpha is not a eigen parameter"),
+            ("pagerank", 1.0, r"pagerank requires 0 < alpha < 1, got alpha=1.0"),
+            ("katz", None, r"katz requires alpha > 0, got alpha=None"),
+        )
+        for family, alpha, message in cases:
+            with pytest.raises(ParameterError, match=message):
+                _prepare(family, alpha, _c2())
 
 
 class TestApplyMap:
     def test_katz_uses_transposed_weights(self):
         g = _single_edge()
-        m = FixedPointMap("katz", alpha=0.5)
-        out = apply_map(m, g, np.array([1.0, 0.0]))
+        out = apply_map("katz", 0.5, g, np.array([1.0, 0.0]))
         # node 1 receives from node 0: A.T x puts the mass on index 1
         assert np.allclose(out, np.array([1.0, 1.5]))
 
     def test_eigen_has_no_update_map(self):
         with pytest.raises(ParameterError):
-            apply_map(FixedPointMap("eigen"), _c2(), np.ones(2))
+            apply_map("eigen", None, _c2(), np.ones(2))
 
 
 class TestSolve:
     def test_katz_c2_example(self):
-        res = solve(_c2(), FixedPointMap("katz", alpha=0.5))
+        res = solve(_c2(), "katz", 0.5)
         assert np.allclose(res.rho, [2.0, 2.0], atol=1e-8)
         assert res.residual <= 1e-10
 
     def test_katz_zero_matrix_gives_ones(self):
-        res = solve(Graph(np.zeros((3, 3))), FixedPointMap("katz", alpha=0.7))
+        res = solve(Graph(np.zeros((3, 3))), "katz", 0.7)
         assert np.allclose(res.rho, np.ones(3), atol=1e-10)
 
     def test_pagerank_directed_3_cycle(self):
-        res = solve(_directed_3_cycle(), FixedPointMap("pagerank", alpha=0.85))
+        res = solve(_directed_3_cycle(), "pagerank", 0.85)
         assert np.allclose(res.rho, np.full(3, 1.0 / 3.0), atol=1e-8)
 
     def test_iterative_matches_closed_form_on_seeded_graphs(self):
@@ -117,34 +149,36 @@ class TestSolve:
         for _ in range(20):
             n = int(rng.integers(2, 10))
             g = Graph(rng.random((n, n)) * (rng.random((n, n)) < 0.6))
-            pr = solve(g, FixedPointMap("pagerank", alpha=0.85))
-            assert vector_norm(pr.rho - pagerank_closed_form(g, 0.85), 1) <= 1e-8
+            pr = solve(g, "pagerank", 0.85)
+            assert vector_norm(pr.rho - pagerank_reference(g, 0.85), 1) <= 1e-8
             alpha = 0.5 / (operator_norm(g.weights, 2) + 1.0)
-            kz = solve(g, FixedPointMap("katz", alpha=alpha))
-            assert vector_norm(kz.rho - katz_closed_form(g, alpha), 2) <= 1e-8
+            kz = solve(g, "katz", alpha)
+            assert vector_norm(kz.rho - katz_reference(g, alpha), 2) <= 1e-8
 
     def test_katz_contraction_hypothesis_enforced(self):
         g = Graph(np.full((4, 4), 1.0))
         with pytest.raises(ParameterError):
-            solve(g, FixedPointMap("katz", alpha=0.5))
+            solve(g, "katz", 0.5)
 
     def test_slow_contraction_exhausts_budget(self):
         with pytest.raises(NonConvergenceError) as exc:
-            solve(_c2(), FixedPointMap("katz", alpha=0.9999999))
+            solve(_c2(), "katz", 0.9999999)
         assert exc.value.last_iterate is not None
         assert exc.value.residual > 0.0
 
-    def test_custom_config(self):
-        res = solve(
-            _c2(),
-            FixedPointMap("katz", alpha=0.5),
-            SolveConfig(tolerance=1e-6, initial=np.array([5.0, -3.0])),
-        )
-        assert res.residual <= 1e-6
-        assert np.allclose(res.rho, [2.0, 2.0], atol=1e-4)
+    def test_tolerance_and_budget_are_the_module_constants(self, monkeypatch):
+        res = solve(_c2(), "katz", 0.5)
+        assert res.residual <= centrality.SOLVE_TOL
+        monkeypatch.setattr(centrality, "SOLVE_TOL", 1e-6)
+        coarse = solve(_c2(), "katz", 0.5)
+        assert coarse.residual <= 1e-6 and coarse.iterations < res.iterations
+        assert np.allclose(coarse.rho, [2.0, 2.0], atol=1e-4)
+        monkeypatch.setattr(centrality, "SOLVE_MAX_ITERATIONS", coarse.iterations - 1)
+        with pytest.raises(NonConvergenceError, match=f"within {coarse.iterations - 1} "):
+            solve(_c2(), "katz", 0.5)
 
     def test_contraction_estimate_is_reported(self):
-        res = solve(_c2(), FixedPointMap("katz", alpha=0.5))
+        res = solve(_c2(), "katz", 0.5)
         assert 0.0 < res.contraction_estimate <= 0.5 + 1e-9
 
     def test_negative_fixed_point_suggests_normalizer(self):
@@ -152,12 +186,12 @@ class TestSolve:
         # center's fixed point is x_0 = 1 - 0.45 * 4 = -0.8
         w = np.zeros((5, 5))
         w[1:, 0] = -1.0
-        with pytest.raises(ParameterError, match="[Nn]ormalizer"):
-            solve(Graph(w), FixedPointMap("katz", alpha=0.45))
+        with pytest.raises(ParameterError, match="normalize"):
+            solve(Graph(w), "katz", 0.45)
 
     def test_eigen_family_dispatches(self):
         g = generate(GraphGeneratorSpec("cycle", 4))
-        res = solve(g, FixedPointMap("eigen"))
+        res = solve(g, "eigen")
         assert np.allclose(res.rho, np.full(4, 0.5), atol=1e-8)
 
     def test_native_norm_index(self):
@@ -169,18 +203,18 @@ class TestSolve:
 class TestClosedForms:
     def test_katz_zero_matrix(self):
         g = Graph(np.zeros((3, 3)))
-        assert np.allclose(katz_closed_form(g, 0.3), np.ones(3))
+        assert np.allclose(_katz(g, 0.3), np.ones(3))
 
     def test_katz_c2(self):
-        assert np.allclose(katz_closed_form(_c2(), 0.5), [2.0, 2.0])
+        assert np.allclose(_katz(_c2(), 0.5), [2.0, 2.0])
 
     def test_katz_directed_edge(self):
-        assert np.allclose(katz_closed_form(_single_edge(), 0.5), [1.0, 1.5])
+        assert np.allclose(_katz(_single_edge(), 0.5), [1.0, 1.5])
 
     def test_katz_alpha_at_spectral_boundary(self):
         g = Graph(2.0 * np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ParameterError, match="katz requires"):
-            katz_closed_form(g, 0.5)
+            _katz(g, 0.5)
 
     def test_pagerank_refused_unless_l0_is_below_one(self):
         # a signed graph whose kernel has 1-norm 3; solve used to iterate
@@ -188,19 +222,19 @@ class TestClosedForms:
         g = Graph(np.array([[0.0, 2.0, -1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
         message = r"pagerank requires alpha \* \|\|A\^T D\^-1\|\|_1 < 1, got 2.55"
         with pytest.raises(ParameterError, match=message):
-            solve(g, FixedPointMap("pagerank", alpha=0.85))
+            solve(g, "pagerank", 0.85)
         with pytest.raises(ParameterError, match=message):
-            pagerank_closed_form(g, 0.85)
+            _pagerank(g, 0.85)
 
     def test_pagerank_directed_3_cycle(self):
-        got = pagerank_closed_form(_directed_3_cycle(), 0.85)
+        got = _pagerank(_directed_3_cycle(), 0.85)
         assert np.allclose(got, np.full(3, 1.0 / 3.0), atol=1e-12)
 
     def test_pagerank_k2(self):
-        assert np.allclose(pagerank_closed_form(_c2(), 0.5), [0.5, 0.5])
+        assert np.allclose(_pagerank(_c2(), 0.5), [0.5, 0.5])
 
     def test_pagerank_dangling_node_mass_leaks(self):
-        got = pagerank_closed_form(_single_edge(), 0.5)
+        got = _pagerank(_single_edge(), 0.5)
         assert np.allclose(got, [0.25, 0.375])
         # dangling column is zeroed, the lost mass is reported, not patched
         assert got.sum() == pytest.approx(0.625)
@@ -208,9 +242,9 @@ class TestClosedForms:
     def test_alpha_validation(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ParameterError):
-                katz_closed_form(_c2(), bad)
+                _katz(_c2(), bad)
             with pytest.raises(ParameterError):
-                pagerank_closed_form(_c2(), bad)
+                _pagerank(_c2(), bad)
 
     def test_inexact_solve_is_refused(self, monkeypatch):
         # a solve that returns a slightly wrong vector must not pass silently
@@ -221,8 +255,8 @@ class TestClosedForms:
         g = generate(GraphGeneratorSpec("cycle", 5))
         w = lift(g)
         for call in (
-            lambda: katz_closed_form(g, 0.2),
-            lambda: pagerank_closed_form(g, 0.85),
+            lambda: _katz(g, 0.2),
+            lambda: _pagerank(g, 0.85),
             lambda: graphon_katz(w, 0.8),
             lambda: graphon_pagerank(w, 0.85),
         ):
@@ -251,10 +285,10 @@ class TestClosedForms:
             g = Graph(w)
             alpha = 0.5 / operator_norm(w, 2) if w.any() else 0.5
             katz = np.linalg.solve(np.eye(n) - alpha * w.T, np.ones(n))
-            assert np.array_equal(katz_closed_form(g, alpha), katz)
-            kernel = pagerank_kernel(g)
+            assert np.array_equal(_katz(g, alpha), katz)
+            kernel = _kernel(g)
             pagerank = np.linalg.solve(np.eye(n) - 0.85 * kernel, np.full(n, (1.0 - 0.85) / n))
-            assert np.array_equal(pagerank_closed_form(g, 0.85), pagerank)
+            assert np.array_equal(_pagerank(g, 0.85), pagerank)
 
 
 def _undirected(n, edges):
@@ -280,7 +314,7 @@ def _centrality(family, g):
     if family == "eigen":
         return eigencentrality(g).rho
     alpha = 0.4 / operator_norm(g.weights, 2) if family == "katz" else 0.85
-    return solve(g, FixedPointMap(family, alpha=alpha)).rho
+    return solve(g, family, alpha).rho
 
 
 class TestAutomorphismInvariance:
@@ -326,12 +360,12 @@ class TestAutomorphismInvariance:
 
 class TestPagerankKernel:
     def test_directed_3_cycle_is_permutation_matrix(self):
-        k = pagerank_kernel(_directed_3_cycle())
+        k = _kernel(_directed_3_cycle())
         assert np.allclose(k.sum(axis=0), np.ones(3))
         assert set(np.unique(k)) == {0.0, 1.0}
 
     def test_dangling_column_is_zero(self):
-        k = pagerank_kernel(_single_edge())
+        k = _kernel(_single_edge())
         assert np.allclose(k[:, 1], 0.0)
         assert np.allclose(k.sum(axis=0), [1.0, 0.0])
 
@@ -792,12 +826,10 @@ class TestNormalize:
         assert np.isfinite(got).all()
         assert got.sum() == pytest.approx(1.0)
 
-    def test_normalizer_object_and_bad_phi(self):
-        assert np.allclose(
-            normalize(np.array([1.0, 1.0]), Normalizer("identity")), [0.5, 0.5]
-        )
-        with pytest.raises(ParameterError):
-            Normalizer("softplus")
+    def test_phi_is_checked_against_its_choices(self):
+        assert np.allclose(normalize(np.array([1.0, 1.0]), "identity"), [0.5, 0.5])
+        with pytest.raises(ParameterError, match="phi must be one of"):
+            normalize(np.array([1.0, 1.0]), "softplus")
 
 
 class TestGrassmannDistance:
@@ -823,15 +855,13 @@ class TestEquivariance:
         rng = np.random.default_rng(13)
         for _ in range(5):
             g = Graph(rng.random((6, 6)))
-            map_ = FixedPointMap("katz", alpha=0.3)
-            assert check_equivariance(partial(apply_map, map_), g)
+            assert check_equivariance(partial(apply_map, "katz", 0.3), g)
 
     def test_pagerank_is_equivariant_with_positive_out_degrees(self):
         rng = np.random.default_rng(14)
         for _ in range(5):
             g = Graph(rng.random((6, 6)) + 0.05)
-            map_ = FixedPointMap("pagerank", alpha=0.85)
-            assert check_equivariance(partial(apply_map, map_), g)
+            assert check_equivariance(partial(apply_map, "pagerank", 0.85), g)
 
     def test_node_indexed_offset_breaks_equivariance(self):
         def offset(g, x):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -239,6 +240,30 @@ class TestCompare:
         )
         assert code == 0
         assert payload["holds"] is True
+
+    def test_greedy_mode_is_refused_where_no_greedy_search_runs(self, capsys, tmp_path):
+        # theorem1 and theorem2 search no relabeling and prop7 always runs
+        # its exact search; they used to exit 0, certified, and record
+        # "perm_mode": "greedy"
+        cycle = "0 1 1\n1 0 1\n1 2 1\n2 1 1\n2 3 1\n3 2 1\n3 0 1\n0 3 1\n"
+        c4, chord = tmp_path / "c4.txt", tmp_path / "c4chord.txt"
+        c4.write_text(cycle)
+        chord.write_text(cycle + "0 2 1\n2 0 1\n")
+        graphon = tmp_path / "w.json"
+        graphon.write_text(GRAPHON_2)
+        message = "applies only to --bound prop6, prop9 and prop10, not to {}\n"
+        for argv in (("compare", str(c4), str(chord), "--bound", "theorem1"),
+                     ("compare", str(c4), str(chord), "--bound", "prop7"),
+                     ("graphon", "compare", str(graphon), str(graphon), "--bound", "theorem2")):
+            code, out, err = run(capsys, *argv, "--family", "katz", "--alpha", "0.1",
+                                 "--perm-mode", "greedy")
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: --perm-mode greedy ")
+            assert err.endswith(message.format(argv[-1])), err
+        code, payload, _ = run_json(capsys, "compare", str(c4), str(chord), "--family",
+                                    "katz", "--alpha", "0.1", "--bound", "prop6",
+                                    "--perm-mode", "greedy")
+        assert code == 0 and payload["certified"] is False
 
     def test_csv_row(self, capsys, k3):
         code, out, _ = run(
@@ -548,26 +573,18 @@ class TestNorms:
         assert code == 4
         assert "n <= 5000" in err
 
-    def test_heuristic_mode_with_seed(self, capsys, tmp_path):
+    def test_heuristic_mode(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         rng = np.random.default_rng(60)
         path.write_text(json.dumps({"weights": rng.uniform(-1, 1, (6, 6)).tolist()}))
         code, payload, _ = run_json(
-            capsys, "norms", str(path), "--norm", "cut",
-            "--mode", "heuristic", "--seed", "3",
+            capsys, "norms", str(path), "--norm", "cut", "--mode", "heuristic"
         )
         assert code == 0
         exact_code, exact_payload, _ = run_json(
             capsys, "norms", str(path), "--norm", "cut"
         )
         assert payload["value"] <= exact_payload["value"] + 1e-12
-
-    def test_negative_heuristic_seed_exits_2(self, capsys, k3):
-        # it used to end in a numpy ValueError traceback and exit 1
-        code, out, err = run(capsys, "norms", k3, "--norm", "cut",
-                             "--mode", "heuristic", "--seed", "-1")
-        assert (code, out) == (2, "")
-        assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_one_and_inf_norms(self, capsys, tmp_path):
         path = tmp_path / "m.json"
@@ -783,14 +800,16 @@ class TestStartup:
         with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
             fpcentral.not_a_name
 
-    def test_the_runtime_exports_no_test_only_name(self):
+    def test_the_runtime_exports_no_test_only_name(self, capsys, k3):
         # helpers that only the tests called; the ones they still need live
-        # in tests/oracles.py
+        # in tests/oracles.py, or are the private functions the commands run
         test_only = {
             "graphs": ("enumerate_automorphisms", "is_automorphism", "permute_vector"),
-            "centrality": ("apply_map",),
+            "centrality": ("apply_map", "FixedPointMap", "SolveConfig", "Normalizer",
+                           "katz_closed_form", "pagerank_closed_form", "pagerank_kernel"),
             "graphon": ("resample", "refine", "step_lp_norm", "apply", "graphon_degree",
                         "graphon_cut_norm", "graphon_op_norm", "block_permute"),
+            "norms": ("difference_norm",),
             "transport": ("TransportConvention", "TransportPlan"),
         }
         for home, names in test_only.items():
@@ -811,6 +830,27 @@ class TestStartup:
         fields = {f.name for f in dataclasses.fields(fpcentral.LipschitzConstants)}
         assert "method" not in fields
         assert not hasattr(fpcentral.cli, "cmd_graphon_compare")
+        # settings that every caller left at one value are module constants
+        takes = {
+            fpcentral.solve: ["g", "family", "alpha"],
+            fpcentral.normalize: ["v", "phi"],
+            fpcentral.norms._power_iteration_sigma: ["op"],
+            fpcentral.cut_norm_heuristic: ["m"],
+        }
+        for fn, params in takes.items():
+            assert list(inspect.signature(fn).parameters) == params, fn.__name__
+        with pytest.raises(SystemExit) as exc:
+            main(["norms", k3, "--norm", "cut", "--mode", "heuristic", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_the_readme_library_example_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
+        out = self.python(example.split("```", 1)[0]).splitlines()
+        assert out[0] == "[1.66666667 1.66666667]"
+        assert out[1].startswith("True ") and out[1].endswith(" 0.4")
+        assert out[2] == "[1. 1.]"
 
 
 P3_EDGES = "0 1 {w}\n1 0 {w}\n1 2 {w}\n2 1 {w}\n"
@@ -831,12 +871,12 @@ class TestWorkCounts:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Count the dense PageRank kernels formed (``graphs._Dense.kernel``,
-        which ``pagerank_kernel`` calls too) as kernels; the calls of
-        ``norms._operator_norm``, the one body of every operator norm, as
-        norms; and the calls of ``graphs._nonzero_entries`` that list the
-        entries, i.e. whose matrix is below the count cut, as lists.
-        Through every fpcentral module that names them."""
+        """Count the dense PageRank kernels formed (``graphs._Dense.kernel``)
+        as kernels; the calls of ``norms._operator_norm``, the one body of
+        every operator norm, as norms; and the calls of
+        ``graphs._nonzero_entries`` that list the entries, i.e. whose matrix
+        is below the count cut, as lists.  Through every fpcentral module
+        that names them."""
         import importlib
 
         from fpcentral import graphs, norms
@@ -1196,7 +1236,7 @@ class TestExitCodes:
 
 class TestManifest:
     """The manifest records every parsed option except the input paths and
-    the output routing; --mode and --seed only for the cut norm."""
+    the output routing; --mode only for the cut norm."""
 
     def manifest(self, capsys, tmp_path, *argv):
         out_path = tmp_path / "out.json"
@@ -1222,10 +1262,10 @@ class TestManifest:
               "--alpha", "0.85", "--bound", "prop9"),
              "graphon compare", [graphon2, graphon2],
              {"family": "pagerank", "alpha": 0.85, "bound": "prop9", "perm_mode": "exact"}),
-            (("norms", k3, "--norm", "2", "--mode", "heuristic", "--seed", "5"),
+            (("norms", k3, "--norm", "2", "--mode", "heuristic"),
              "norms", [k3], {"norm": "2"}),
-            (("norms", k3, "--norm", "cut", "--mode", "heuristic", "--seed", "5"),
-             "norms", [k3], {"norm": "cut", "mode": "heuristic", "seed": 5}),
+            (("norms", k3, "--norm", "cut", "--mode", "heuristic"),
+             "norms", [k3], {"norm": "cut", "mode": "heuristic"}),
         ]
         for argv, command, paths, parameters in cases:
             manifest = self.manifest(capsys, tmp_path, *argv)
@@ -1340,13 +1380,12 @@ class TestPageRankDegreeOverflow:
         for i in range(3):
             w[i, i + 1] = w[i + 1, i] = 1e308
         g = fpcentral.Graph(w)
-        page = fpcentral.FixedPointMap("pagerank", alpha=0.85)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(fpcentral.NumericalError, match="out-degree overflows"):
-                fpcentral.solve(g, page)
+                fpcentral.solve(g, "pagerank", 0.85)
             with pytest.raises(fpcentral.NumericalError, match="out-degree overflows"):
-                fpcentral.centrality.pagerank_kernel(g)
+                fpcentral.centrality._degrees(g)
 
 
 class TestKatzIterationOverflow:

@@ -15,7 +15,6 @@ from fpcentral import (
     graphon_katz,
     graphon_pagerank,
     integral,
-    katz_closed_form,
     lift,
     min_permuted_distance,
     operator_norm,
@@ -27,6 +26,7 @@ from oracles import (
     GraphGeneratorSpec,
     cut_norm_brute,
     generate,
+    katz_reference,
     permute_vector,
     random_binary_symmetric,
     random_symmetric,
@@ -272,7 +272,7 @@ class TestGraphonKatz:
     def test_lift_matches_finite_katz_at_scaled_alpha(self):
         g = generate(GraphGeneratorSpec("cycle", 4))
         rho = graphon_katz(lift(g), 0.8)
-        assert np.allclose(rho.values, katz_closed_form(g, 0.2), atol=1e-10)
+        assert np.allclose(rho.values, katz_reference(g, 0.2), atol=1e-10)
 
     def test_contraction_hypothesis(self):
         with pytest.raises(ParameterError):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpcentral import (
-    FixedPointMap,
     Graph,
     InputFormatError,
     StepGraphon,
@@ -670,8 +669,7 @@ class TestJsonWriter:
     def test_certificate_and_norm_payloads(self):
         a = Graph(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
         b = Graph(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
-        map_ = FixedPointMap("katz", alpha=0.2)
-        cert = theorem1_certificate(a, b, map_.family, map_.alpha)
+        cert = theorem1_certificate(a, b, "katz", 0.2)
         witness = cut_norm_exact(a.weights - b.weights)
         for payload in (
             cert.to_dict(),

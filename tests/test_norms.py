@@ -15,7 +15,6 @@ from fpcentral import (
     SizeLimitError,
     cut_norm_exact,
     cut_norm_heuristic,
-    difference_norm,
     min_permuted_distance,
     operator_norm,
     permute,
@@ -23,7 +22,8 @@ from fpcentral import (
 )
 from fpcentral import graphs, norms
 from fpcentral.limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N
-from fpcentral.norms import _batched_cut
+from fpcentral.graphs import _Difference
+from fpcentral.norms import _batched_cut, _operator_norm
 
 from oracles import (
     cut_norm_brute,
@@ -279,19 +279,26 @@ class TestSupportTwoNorm:
             for e in (-1000, -201, -1, 1, 201, 1000):
                 assert operator_norm(np.ldexp(m, e), 2) == np.ldexp(base, e)
 
-    def test_last_iterate_has_full_length(self):
+    def test_last_iterate_has_full_length(self, monkeypatch):
         rng = np.random.default_rng(45)
         m = _padded(rng, rng.standard_normal((4, 4)), 9)
-        with pytest.raises(NumericalError) as exc:
-            norms._power_iteration_sigma(graphs._Dense(m), max_iter=2)
+        monkeypatch.setattr(norms, "POWER_MAX_ITER", 2)
+        with pytest.raises(NumericalError, match="did not converge in 2 iterations") as exc:
+            norms._power_iteration_sigma(graphs._Dense(m))
         last = exc.value.last_iterate
         assert last.shape == (9,)
         assert not last[~m.any(axis=0)].any()
         assert last[m.any(axis=0)].all()
 
+def difference_norm(a, b, p):
+    """The norm of the operand ``minus`` makes of two arrays, as the
+    theorem's right side takes it."""
+    return _operator_norm(_Difference(a, b), p)
+
+
 class TestDifferenceNorm:
-    """``difference_norm(a, b, p)`` is ``operator_norm(a - b, p)`` bit for
-    bit, with the same errors, without the n x n difference."""
+    """The p-norm of ``graphs._Difference(a, b)`` is ``operator_norm(a - b,
+    p)`` bit for bit, with the same errors, without the n x n difference."""
 
     @staticmethod
     def _outcome(fn, *args):
@@ -339,18 +346,10 @@ class TestDifferenceNorm:
         with pytest.raises(ParameterError, match="^operator_norm expects finite entries$"):
             difference_norm(a, -a, 1)
 
-    def test_shapes_must_match(self):
-        with pytest.raises(ParameterError, match="one shape"):
-            difference_norm(np.zeros((2, 2)), np.zeros((3, 3)), 1)
-        with pytest.raises(ParameterError, match="square"):
-            difference_norm(np.zeros((2, 3)), np.zeros((2, 3)), 1)
-
     @pytest.mark.parametrize("p", [1, 2, "inf"])
     def test_empty_matrices_are_refused_for_every_p(self, p):
-        z = np.zeros((0, 0))
-        for norm in (lambda: operator_norm(z, p), lambda: difference_norm(z, z, p)):
-            with pytest.raises(ParameterError, match="^operator_norm expects a non-empty matrix$"):
-                norm()
+        with pytest.raises(ParameterError, match="^operator_norm expects a non-empty matrix$"):
+            operator_norm(np.zeros((0, 0)), p)
 
 
 class TestCutNormExact:
@@ -507,19 +506,15 @@ class TestCutNormExact:
 
 
 class TestCutNormHeuristic:
-    def test_all_ones_6x6_from_many_starts(self):
+    def test_all_ones_6x6_from_many_starts(self, monkeypatch):
+        monkeypatch.setattr(norms, "CUT_HEURISTIC_RESTARTS", 1)
         for seed in range(5):
-            w = cut_norm_heuristic(np.ones((6, 6)), restarts=1, seed=seed)
+            monkeypatch.setattr(norms, "CUT_HEURISTIC_SEED", seed)
+            w = cut_norm_heuristic(np.ones((6, 6)))
             assert w.value == 36.0
 
     def test_zero_matrix(self):
         assert cut_norm_heuristic(np.zeros((4, 4))).value == 0.0
-
-    def test_seed_must_be_a_non_negative_integer(self):
-        for seed in (-1, True, 1.0, None, "3"):
-            with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
-                cut_norm_heuristic(np.ones((3, 3)), seed=seed)
-        assert cut_norm_heuristic(np.ones((3, 3)), seed=np.int64(3)).value == 9.0
 
     def test_never_exceeds_exact_and_witness_consistent(self):
         rng = np.random.default_rng(4)

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from fpcentral import (
-    FixedPointMap,
     Graph,
     ParameterError,
     Permutation,
     StepGraphon,
-    katz_closed_form,
     lift,
     operator_norm,
     permute,
@@ -31,6 +29,7 @@ from oracles import (
     GraphGeneratorSpec,
     constants_empirical,
     generate,
+    katz_reference,
     random_binary_symmetric,
     random_symmetric,
 )
@@ -46,19 +45,18 @@ def _directed_3_cycle():
     return Graph(w)
 
 
-def _katz_map_for(g, margin=0.5):
-    alpha = min(0.9, margin / max(operator_norm(g.weights, 2), 1e-9))
-    return FixedPointMap("katz", alpha=alpha)
+def _katz_alpha_for(g, margin=0.5):
+    return min(0.9, margin / max(operator_norm(g.weights, 2), 1e-9))
 
 
-def _constants(g, map_):
+def _constants(g, family, alpha):
     """The analytic constants that a certificate takes from its first input."""
-    return theorem1_certificate(g, g, map_.family, map_.alpha).constants
+    return theorem1_certificate(g, g, family, alpha).constants
 
 
 class TestConstantsAnalytic:
     def test_katz_c2(self):
-        consts = _constants(_c2(), FixedPointMap("katz", alpha=0.5))
+        consts = _constants(_c2(), "katz", 0.5)
         assert consts.L0 == pytest.approx(0.5, abs=1e-10)
         assert consts.Lg == 1.0
         assert consts.norm_p == 2
@@ -68,11 +66,11 @@ class TestConstantsAnalytic:
         assert consts.L1 == pytest.approx(0.5 * consts.feasible_radius, abs=1e-12)
 
     def test_katz_zero_matrix(self):
-        consts = _constants(Graph(np.zeros((3, 3))), FixedPointMap("katz", alpha=0.7))
+        consts = _constants(Graph(np.zeros((3, 3))), "katz", 0.7)
         assert consts.L0 == 0.0
 
     def test_pagerank_directed_3_cycle(self):
-        consts = _constants(_directed_3_cycle(), FixedPointMap("pagerank", alpha=0.85))
+        consts = _constants(_directed_3_cycle(), "pagerank", 0.85)
         assert consts.L0 == pytest.approx(0.85, abs=1e-12)
         assert consts.norm_p == 1
 
@@ -102,9 +100,9 @@ class TestConstantsEmpirical:
         for seed in range(10):
             n = int(rng.integers(2, 8))
             g = Graph(rng.random((n, n)))
-            map_ = _katz_map_for(g)
-            analytic = _constants(g, map_)
-            empirical = constants_empirical(g, map_, samples=25, seed=seed)
+            alpha = _katz_alpha_for(g)
+            analytic = _constants(g, "katz", alpha)
+            empirical = constants_empirical(g, "katz", alpha, samples=25, seed=seed)
             assert empirical.L0 <= analytic.L0 + 1e-9
             assert empirical.method == "empirical"
 
@@ -113,37 +111,33 @@ class TestConstantsEmpirical:
         for seed in range(10):
             n = int(rng.integers(2, 8))
             g = Graph(rng.random((n, n)) + 0.05)
-            map_ = FixedPointMap("pagerank", alpha=0.85)
-            analytic = _constants(g, map_)
-            empirical = constants_empirical(g, map_, samples=25, seed=seed)
+            analytic = _constants(g, "pagerank", 0.85)
+            empirical = constants_empirical(g, "pagerank", 0.85, samples=25, seed=seed)
             assert empirical.L0 <= analytic.L0 + 1e-9
 
     def test_affine_contraction_ratio_is_exact(self):
         # katz on C_2 is the affine map x -> 0.3 A.T x + 1 with A.T a
         # permutation, so every sampled ratio is 0.3 up to rounding
-        consts = constants_empirical(_c2(), FixedPointMap("katz", alpha=0.3), samples=100, seed=0)
+        consts = constants_empirical(_c2(), "katz", 0.3, samples=100, seed=0)
         assert consts.L0 == pytest.approx(0.3, rel=1e-14)
 
     def test_identity_g_has_unit_lg(self):
-        consts = constants_empirical(
-            _c2(), FixedPointMap("katz", alpha=0.5), samples=50, seed=1
-        )
+        consts = constants_empirical(_c2(), "katz", 0.5, samples=50, seed=1)
         assert consts.Lg == pytest.approx(1.0, abs=1e-9)
 
     def test_needs_at_least_two_samples(self):
         with pytest.raises(ParameterError):
-            constants_empirical(_c2(), FixedPointMap("katz", alpha=0.5), 1, 0)
+            constants_empirical(_c2(), "katz", 0.5, 1, 0)
 
     def test_eigen_refused(self):
         with pytest.raises(ParameterError):
-            constants_empirical(_c2(), FixedPointMap("eigen"), 10, 0)
+            constants_empirical(_c2(), "eigen", None, 10, 0)
 
 
 class TestTheorem1:
     def test_identical_graphs(self):
         g = _c2()
-        map_ = FixedPointMap("katz", alpha=0.5)
-        cert = theorem1_certificate(g, g, map_.family, map_.alpha)
+        cert = theorem1_certificate(g, g, "katz", 0.5)
         assert cert.bound == 0.0
         assert cert.observed == 0.0
         assert cert.holds
@@ -155,8 +149,7 @@ class TestTheorem1:
         weights = a.weights.copy()
         weights[0, 1] = weights[1, 0] = 0.9
         b = Graph(weights)
-        map_ = FixedPointMap("katz", alpha=0.25)
-        cert = theorem1_certificate(a, b, map_.family, map_.alpha)
+        cert = theorem1_certificate(a, b, "katz", 0.25)
         assert cert.holds
         assert cert.norm == "2"
         assert cert.bound >= cert.observed
@@ -168,15 +161,14 @@ class TestTheorem1:
             base = rng.random((n, n)) + 0.05
             pert = base + rng.random((n, n)) * 0.1
             a, b = Graph(base), Graph(pert)
-            for map_ in (_katz_map_for(a), FixedPointMap("pagerank", alpha=0.85)):
-                cert = theorem1_certificate(a, b, map_.family, map_.alpha)
+            for family, alpha in (("katz", _katz_alpha_for(a)), ("pagerank", 0.85)):
+                cert = theorem1_certificate(a, b, family, alpha)
                 assert cert.holds
 
     def test_bound_grows_with_perturbation_size(self):
         a = generate(GraphGeneratorSpec("cycle", 5))
         e = np.zeros((5, 5))
         e[0, 2] = e[2, 0] = 1.0
-        map_ = FixedPointMap("katz", alpha=0.2)
         bounds = []
         for t in (0.05, 0.15, 0.3):
             cert = theorem1_certificate(a, Graph(a.weights + t * e), "katz", 0.2)
@@ -187,31 +179,26 @@ class TestTheorem1:
     def test_pagerank_kernel_note_present(self):
         a = _directed_3_cycle()
         b = Graph(a.weights * 0.9)
-        map_ = FixedPointMap("pagerank", alpha=0.85)
-        cert = theorem1_certificate(a, b, map_.family, map_.alpha)
+        cert = theorem1_certificate(a, b, "pagerank", 0.85)
         assert any("kernel" in note for note in cert.notes)
         assert cert.holds
 
     def test_digest_reproducible_and_sensitive(self):
         a = _c2()
         b = Graph(np.array([[0.0, 0.9], [0.9, 0.0]]))
-        m1 = FixedPointMap("katz", alpha=0.5)
-        m2 = FixedPointMap("katz", alpha=0.4)
-        c1 = theorem1_certificate(a, b, m1.family, m1.alpha)
-        c2 = theorem1_certificate(a, b, m1.family, m1.alpha)
-        c3 = theorem1_certificate(a, b, m2.family, m2.alpha)
+        c1 = theorem1_certificate(a, b, "katz", 0.5)
+        c2 = theorem1_certificate(a, b, "katz", 0.5)
+        c3 = theorem1_certificate(a, b, "katz", 0.4)
         assert c1.inputs_digest == c2.inputs_digest
         assert c1.inputs_digest != c3.inputs_digest
 
     def test_size_mismatch(self):
-        map_ = FixedPointMap("katz", alpha=0.3)
         with pytest.raises(ParameterError):
-            theorem1_certificate(_c2(), Graph(np.zeros((3, 3))), map_.family, map_.alpha)
+            theorem1_certificate(_c2(), Graph(np.zeros((3, 3))), "katz", 0.3)
 
     def test_to_dict_layout(self):
         g = _c2()
-        map_ = FixedPointMap("katz", alpha=0.5)
-        payload = theorem1_certificate(g, g, map_.family, map_.alpha).to_dict()
+        payload = theorem1_certificate(g, g, "katz", 0.5).to_dict()
         assert set(payload) == {
             "bound", "observed", "holds", "slack", "certified", "norm",
             "constants", "inputs_digest", "notes",
@@ -222,8 +209,7 @@ class TestTheorem1:
 class TestProp6:
     def test_identical_graphs(self):
         g = generate(GraphGeneratorSpec("cycle", 4))
-        map_ = FixedPointMap("katz", alpha=0.3)
-        cert = prop6_certificate(g, g, map_.family, map_.alpha)
+        cert = prop6_certificate(g, g, "katz", 0.3)
         assert cert.bound == 0.0 and cert.observed == 0.0 and cert.holds
         assert cert.certified
 
@@ -231,8 +217,8 @@ class TestProp6:
         rng = np.random.default_rng(44)
         a = Graph(random_binary_symmetric(rng, 5, 0.5))
         b = permute(a, Permutation(np.array([3, 0, 4, 2, 1])))
-        for map_ in (_katz_map_for(a), FixedPointMap("pagerank", alpha=0.85)):
-            cert = prop6_certificate(a, b, map_.family, map_.alpha)
+        for family, alpha in (("katz", _katz_alpha_for(a)), ("pagerank", 0.85)):
+            cert = prop6_certificate(a, b, family, alpha)
             assert cert.bound == pytest.approx(0.0, abs=1e-9)
             assert cert.observed == pytest.approx(0.0, abs=1e-9)
             assert cert.holds
@@ -241,20 +227,16 @@ class TestProp6:
         rng = np.random.default_rng(45)
         a = Graph(random_binary_symmetric(rng, 5, 0.6))
         b = Graph(random_binary_symmetric(rng, 5, 0.6))
-        katz = _katz_map_for(a)
-        cert2 = prop6_certificate(a, b, katz.family, katz.alpha)
+        cert2 = prop6_certificate(a, b, "katz", _katz_alpha_for(a))
         assert cert2.holds and cert2.norm == "2" and cert2.certified
-        page = FixedPointMap("pagerank", alpha=0.85)
-        cert1 = prop6_certificate(a, b, page.family, page.alpha)
+        cert1 = prop6_certificate(a, b, "pagerank", 0.85)
         assert cert1.holds and cert1.norm == "1" and cert1.certified
 
     def test_greedy_mode_not_certified(self):
         rng = np.random.default_rng(46)
         a = Graph(random_binary_symmetric(rng, 5, 0.5))
         b = Graph(random_binary_symmetric(rng, 5, 0.5))
-        map_ = _katz_map_for(a)
-        cert = prop6_certificate(a, b, map_.family, map_.alpha, mode="greedy"
-        )
+        cert = prop6_certificate(a, b, "katz", _katz_alpha_for(a), mode="greedy")
         assert not cert.certified
         assert cert.holds  # greedy only enlarges the right-hand side
 
@@ -262,9 +244,9 @@ class TestProp6:
         rng = np.random.default_rng(47)
         a = Graph(random_binary_symmetric(rng, 5, 0.5))
         b = Graph(random_binary_symmetric(rng, 5, 0.5))
-        map_ = _katz_map_for(a)
-        cert = prop6_certificate(a, b, map_.family, map_.alpha)
-        pmf_a, pmf_b = (katz_closed_form(g, map_.alpha) for g in (a, b))
+        alpha = _katz_alpha_for(a)
+        cert = prop6_certificate(a, b, "katz", alpha)
+        pmf_a, pmf_b = (katz_reference(g, alpha) for g in (a, b))
         pmf_a, pmf_b = pmf_a / pmf_a.sum(), pmf_b / pmf_b.sum()
         expected = float(np.linalg.norm(np.sort(pmf_a) - np.sort(pmf_b)))
         assert expected > 1e-3
@@ -272,25 +254,22 @@ class TestProp6:
 
     def test_no_convention_keyword(self):
         a = _c2()
-        map_ = _katz_map_for(a)
         for certificate in (prop6_certificate, prop7_certificate):
             with pytest.raises(TypeError):
-                certificate(a, a, map_.family, map_.alpha, convention="permutation_cost")
+                certificate(a, a, "katz", _katz_alpha_for(a), convention="permutation_cost")
 
     def test_normalization_fold_is_noted(self):
         rng = np.random.default_rng(48)
         a = Graph(random_binary_symmetric(rng, 5, 0.6))
         b = Graph(random_binary_symmetric(rng, 5, 0.6))
-        map_ = _katz_map_for(a)
-        cert = prop6_certificate(a, b, map_.family, map_.alpha)
+        cert = prop6_certificate(a, b, "katz", _katz_alpha_for(a))
         assert any("normalizer folded" in note for note in cert.notes)
 
 
 class TestProp7:
     def test_identical_graphs(self):
         g = generate(GraphGeneratorSpec("cycle", 5))
-        map_ = FixedPointMap("katz", alpha=0.3)
-        cert = prop7_certificate(g, g, map_.family, map_.alpha)
+        cert = prop7_certificate(g, g, "katz", 0.3)
         assert cert.bound == 0.0 and cert.observed == 0.0 and cert.holds
 
     def test_k4_minus_one_edge(self):
@@ -298,22 +277,19 @@ class TestProp7:
         weights = a.weights.copy()
         weights[0, 1] = weights[1, 0] = 0.0
         b = Graph(weights)
-        map_ = FixedPointMap("katz", alpha=0.2)
-        cert = prop7_certificate(a, b, map_.family, map_.alpha)
+        cert = prop7_certificate(a, b, "katz", 0.2)
         assert cert.holds
         assert cert.certified
 
     def test_rejects_non_symmetric(self):
         a = _directed_3_cycle()
-        map_ = FixedPointMap("katz", alpha=0.3)
         with pytest.raises(ParameterError):
-            prop7_certificate(a, a, map_.family, map_.alpha)
+            prop7_certificate(a, a, "katz", 0.3)
 
     def test_rejects_large_entries(self):
         a = Graph(2.0 * np.array([[0.0, 1.0], [1.0, 0.0]]))
-        map_ = FixedPointMap("katz", alpha=0.2)
         with pytest.raises(ParameterError):
-            prop7_certificate(a, a, map_.family, map_.alpha)
+            prop7_certificate(a, a, "katz", 0.2)
 
     def test_rejects_one_norm_route(self):
         g = _c2()
@@ -330,7 +306,7 @@ class TestOrder:
             self, monkeypatch, certificate):
         from fpcentral import SizeLimitError, perturbation
 
-        def no_solve(prep, cfg=None):
+        def no_solve(prep):
             raise AssertionError("a record was solved before the right side")
 
         monkeypatch.setattr(perturbation, "_solve", no_solve)
@@ -338,9 +314,8 @@ class TestOrder:
         i, j = np.argwhere(np.triu(a.weights, 1))[0]
         weights = a.weights.copy()
         weights[i, j] = weights[j, i] = 0.0
-        map_ = _katz_map_for(a)
         with pytest.raises(SizeLimitError):
-            certificate(a, Graph(weights), map_.family, map_.alpha)
+            certificate(a, Graph(weights), "katz", _katz_alpha_for(a))
 
 
 class TestTheorem2:
@@ -373,8 +348,7 @@ class TestTheorem2:
         weights[0, 2] = weights[2, 0] = 1.0
         b = Graph(weights)
         g_cert = theorem2_certificate(lift(a), lift(b), "katz", 0.8)
-        map_ = FixedPointMap("katz", alpha=0.2)
-        f_cert = theorem1_certificate(a, b, map_.family, map_.alpha)
+        f_cert = theorem1_certificate(a, b, "katz", 0.2)
         assert g_cert.constants.L0 == pytest.approx(f_cert.constants.L0, abs=1e-9)
         assert g_cert.observed == pytest.approx(f_cert.observed / 2.0, abs=1e-9)
         assert g_cert.holds and f_cert.holds
@@ -478,8 +452,7 @@ class TestInputsDigest:
     B = _ring(100, [(0, 50)])
 
     def _digest(self, a, b, family="katz", alpha=0.2):
-        map_ = FixedPointMap(family, alpha=alpha)
-        return theorem1_certificate(a, b, map_.family, map_.alpha).inputs_digest
+        return theorem1_certificate(a, b, family, alpha).inputs_digest
 
     def test_json_and_edge_list_reads_agree(self):
         assert isinstance(parse_graph_json(_json_text(self.A))._held, _Entries)
