@@ -36,7 +36,6 @@ _HOMES = {
         "graph_to_dict", "graphon_to_dict", "parse_edge_list", "parse_graph_json",
         "parse_graphon_json", "read_graph", "read_graphon", "write_graph", "write_graphon",
     ),
-    "limits": ("exact_limit",),
     "norms": (
         "CutNormWitness", "PermutedDistanceResult", "cut_norm_exact", "cut_norm_heuristic",
         "min_permuted_distance", "operator_norm", "vector_norm",

@@ -17,7 +17,7 @@ in the form of the graph's, whose products x -> M_A x and y -> M_A^T y
 every iteration step takes: over a list of entries they cost O(entries).
 
 Katz and PageRank are iterated (``solve``) or, for the graphon densities,
-solved directly (``_katz_direct``, ``_pagerank_direct``).  The eigen family
+solved directly (``_solve_direct``).  The eigen family
 takes its leading eigenvalue from a bracket where Perron-Frobenius proves it
 simple, else from the spectrum of A.T from LAPACK without eigenvectors,
 which the simplicity checks need, and then the leading eigenvector by
@@ -246,60 +246,41 @@ def _solve(prep):
     )
 
 
-def _solve_direct(lhs, rhs, label):
-    """One guarded LAPACK solve of lhs x = rhs.
+def _solve_direct(prep):
+    """Direct solve of (I - alpha A.T) rho = 1 on a katz record, or of
+    (I - alpha A.T D^{-1}) rho = ((1 - alpha)/n) 1 on a pagerank one.
 
-    Raises NumericalError on a singular system, on non-finite output, or
-    when the backward error ||lhs x - rhs||_inf exceeds 1e-10 times
-    ||lhs||_inf ||x||_inf + ||rhs||_inf.
+    The record's L0 < 1 (``_prepare``) makes the system nonsingular, but
+    the solve is guarded anyway: it raises NumericalError on a singular
+    system, on non-finite output, or when the backward error
+    ||lhs x - rhs||_inf exceeds 1e-10 times ||lhs||_inf ||x||_inf +
+    ||rhs||_inf.  PageRank columns at zero out-degree nodes are zero, so
+    mass can leak: the result may sum to less than one and is reported
+    without renormalization.  The left side is built in the one array
+    alpha M_A makes, never the graph's (a dense kernel is scaled in place,
+    which uses the record up), transposed for katz: 0 - m_ij everywhere,
+    then 1 added on the diagonal, the bits of ``np.eye(n) - m``.
     """
+    family, alpha, n = prep.family, prep.alpha, prep.g.n
+    lhs = prep.op.scaled(alpha).dense()
+    if family == "katz":
+        lhs, rhs = lhs.T, np.ones(n)
+    else:
+        rhs = np.full(n, (1.0 - alpha) / n)
+    np.subtract(0.0, lhs, out=lhs)
+    diagonal = np.arange(n)
+    lhs[diagonal, diagonal] += 1.0
     try:
         x = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{label} system is singular: {exc}") from exc
+        raise NumericalError(f"{family} system is singular: {exc}") from exc
     if not np.all(np.isfinite(x)):
-        raise NumericalError(f"{label} solve produced non-finite values")
+        raise NumericalError(f"{family} solve produced non-finite values")
     residual = vector_norm(lhs @ x - rhs, math.inf)
     scale = operator_norm(lhs, math.inf) * vector_norm(x, math.inf) + vector_norm(rhs, math.inf)
     if residual > SOLVE_RESIDUAL_TOL * scale:
-        raise NumericalError(f"{label} solve residual {residual:.3e} exceeds its bound")
+        raise NumericalError(f"{family} solve residual {residual:.3e} exceeds its bound")
     return x
-
-
-def _identity_minus(m):
-    """``np.eye(n) - m`` in the array ``m`` itself, bit for bit: 0 - m_ij
-    everywhere, then 1 added on the diagonal, which is 1 - m_ii."""
-    np.subtract(0.0, m, out=m)
-    diagonal = np.arange(m.shape[0])
-    m[diagonal, diagonal] += 1.0
-    return m
-
-
-def _katz_direct(prep):
-    """Direct solve of (I - alpha A.T) rho = 1 on a katz record.
-
-    The record's bound alpha ||A||_2 < 1 (``_prepare``) makes the system
-    nonsingular, but the solve is guarded anyway.  The left side is the
-    transpose of the one array alpha A makes, a new array, never the
-    graph's.
-    """
-    lhs = prep.op.scaled(prep.alpha).dense().T
-    return _solve_direct(_identity_minus(lhs), np.ones(prep.g.n), "katz")
-
-
-def _pagerank_direct(prep):
-    """Direct solve of (I - alpha A.T D^{-1}) rho = ((1 - alpha)/n) 1 on a
-    pagerank record, with L0 = alpha ||A^T D^-1||_1 < 1 (``_prepare``).
-
-    Columns at zero out-degree nodes are zero, so mass can leak: the result
-    may sum to less than one and is reported without renormalization.  The
-    left side is built in the kernel's own array, which the solve uses up
-    (a dense kernel is scaled in place), or formed from the kernel's list
-    of entries; both give the same bits.
-    """
-    alpha, n = prep.alpha, prep.g.n
-    lhs = prep.op.scaled(alpha).dense()
-    return _solve_direct(_identity_minus(lhs), np.full(n, (1.0 - alpha) / n), "pagerank")
 
 
 @dataclass

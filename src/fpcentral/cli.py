@@ -30,6 +30,8 @@ from .errors import (
 _INPUTS = ("input", "input_a", "input_b")
 # parsed options that are not parameters of the computation
 _NOT_RECORDED = (*_INPUTS, "command", "graphon_command", "handler", "output", "csv")
+# the bounds whose relabeling search --perm-mode picks
+_SEARCHED = ("prop6", "prop9", "prop10")
 # exit code of each error class; all other exceptions propagate
 _EXIT_CODES = {
     InputFormatError: 4, OSError: 4,
@@ -40,12 +42,14 @@ _EXIT_CODES = {
 
 def _manifest(args, *inputs):
     """The command, its inputs and every parsed option that is set, except
-    input paths, output routing, and ``--mode`` off the cut norm;
-    ``inputs``, read from those paths, carry the SHA-256 of their bytes."""
+    input paths, output routing, ``--mode`` off the cut norm and
+    ``--perm-mode`` off a bound that takes no mode; ``inputs``, read from
+    those paths, carry the SHA-256 of their bytes."""
     from datetime import datetime, timezone
 
     options = vars(args)
     skip = _NOT_RECORDED + (() if options.get("norm", "cut") == "cut" else ("mode",))
+    skip += () if options.get("bound") in _SEARCHED else ("perm_mode",)
     paths = [options[k] for k in _INPUTS if k in options]
     command = (args.command, options.get("graphon_command"))
     return {
@@ -132,7 +136,7 @@ def cmd_compare(args):
     a = read(args.input_a)
     b = read(args.input_b)
     _check_alpha(args)
-    searched = args.bound in ("prop6", "prop9", "prop10")
+    searched = args.bound in _SEARCHED
     if args.perm_mode == "greedy" and not searched:
         raise ParameterError(
             "--perm-mode greedy applies only to --bound prop6, prop9 and prop10, "

@@ -17,7 +17,7 @@ import numbers
 
 import numpy as np
 
-from .centrality import _katz_direct, _pagerank_direct, _prepare, eigencentrality
+from .centrality import _prepare, _solve_direct, eigencentrality
 from .errors import ParameterError
 from .graphs import Graph, matrix_tol
 
@@ -124,9 +124,8 @@ def _density(prep):
     """The katz or pagerank density of a graphon as block values, solved on
     the record of its lift (``centrality._prepare``), which the solve uses
     up."""
-    if prep.family == "katz":
-        return _katz_direct(prep)
-    return prep.g.n * _pagerank_direct(prep)
+    rho = _solve_direct(prep)
+    return rho if prep.family == "katz" else prep.g.n * rho
 
 
 def graphon_pagerank(w, alpha):

@@ -17,10 +17,11 @@ is decoded as ``Path.read_text`` decodes it and read by ``json.loads`` or
 the edge-list parser, and so is a listed one with any fault, so values
 and errors do not depend on the path taken.
 
-All parse failures raise InputFormatError with a line number where one
-makes sense; bytes that are not text in the locale's encoding, JSON
-nested past the parser's recursion limit and integers past Python's digit
-limit raise it too.
+An edge list declares at most MAX_DENSE_N = 5000 nodes, checked before
+any array is made.  All parse failures raise InputFormatError with a line
+number where one makes sense; bytes that are not text in the locale's
+encoding, JSON nested past the parser's recursion limit and integers past
+Python's digit limit raise it too.
 """
 
 import json
@@ -35,12 +36,14 @@ import numpy as np
 
 from .errors import InputFormatError, ParameterError
 from .graphs import ENTRY_SHARE, Graph, _Dense
-from .limits import MAX_DENSE_N
+
+# the largest node count of an edge-list graph, refused before any array
+MAX_DENSE_N = 5000
 
 
 def parse_edge_list(text):
     """Build a Graph from edge-list text; node count is one past the
-    largest index mentioned, at most MAX_DENSE_N = 5000.
+    largest index mentioned, at most MAX_DENSE_N.
 
     Indices are read by ``int`` and weights by ``float``, so both take
     Python's spellings (``+1``, ``1_0``, ``1e3``), and a weight must be

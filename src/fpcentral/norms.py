@@ -56,6 +56,10 @@ Both only drop candidates that compare worse under the sweep's strict
 With integer weights and the 1-, inf- or cut norm this holds bit for bit;
 otherwise the floors are rounded, and a sweep that stops at one can keep a
 candidate that ties the minimum to within rounding of the weights.
+
+The exhaustive searches refuse a larger n with SizeLimitError before any
+work: the exact cut norm above MAX_CUT_EXACT_N = 22 and the exact
+relabeling sweep above MAX_PERM_EXACT_N = 8.
 """
 
 import math
@@ -66,8 +70,11 @@ import numpy as np
 from .errors import NumericalError, ParameterError, SizeLimitError
 from .graphs import Permutation, _Dense, _operand
 from .graphs import _pow2_normalize, _refuse_non_finite, degree_vector, max_asymmetry
-from .limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N, exact_limit
 
+# the largest n of the exhaustive searches: the exact cut norm (2^n row
+# subsets) and the exact relabeling sweep (n! permutations)
+MAX_CUT_EXACT_N = 22
+MAX_PERM_EXACT_N = 8
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10_000
 _START_SEED = 0x5EED
@@ -302,10 +309,9 @@ def cut_norm_exact(m):
     """
     m = _square_finite(m, "cut_norm_exact")
     n = m.shape[0]
-    limit = exact_limit(MAX_CUT_EXACT_N)
-    if n > limit:
+    if n > MAX_CUT_EXACT_N:
         raise SizeLimitError(
-            f"exact cut norm is limited to n <= {limit}, got n={n}; "
+            f"exact cut norm is limited to n <= {MAX_CUT_EXACT_N}, got n={n}; "
             "use cut_norm_heuristic for a certified lower bound"
         )
     dtype = _sweep_dtype(m, _check_cut_sums(m))
@@ -562,10 +568,9 @@ def min_permuted_distance(a, b, norm, mode="exact"):
             value=value, permutation=p, certified=False, mode=mode, norm=norm,
             evaluated=1,
         )
-    limit = exact_limit(MAX_PERM_EXACT_N)
-    if n > limit:
+    if n > MAX_PERM_EXACT_N:
         raise SizeLimitError(
-            f"exact permutation search is limited to n <= {limit}, got n={n}"
+            f"exact permutation search is limited to n <= {MAX_PERM_EXACT_N}, got n={n}"
         )
     a_w, b_w = a.weights, b.weights
     blocks, d = _lex_blocks(_lex_permutations(n))

@@ -41,7 +41,7 @@ from fpcentral import (
     vector_norm,
 )
 from fpcentral.centrality import _iteration_map, _operand, native_norm_index
-from fpcentral.limits import MAX_DENSE_N
+from fpcentral.io import MAX_DENSE_N
 
 
 def cut_norm_brute(m):

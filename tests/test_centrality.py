@@ -26,10 +26,9 @@ from fpcentral import (
 from fpcentral import centrality
 from fpcentral.centrality import (
     _degrees,
-    _identity_minus,
-    _katz_direct,
-    _pagerank_direct,
+    _operand,
     _prepare,
+    _solve_direct,
     native_norm_index,
 )
 from fpcentral.graphs import _Entries, _strongly_connected
@@ -65,12 +64,12 @@ def _single_edge():
 
 def _katz(g, alpha):
     """The Katz closed form that graphon_katz solves, on a graph."""
-    return _katz_direct(_prepare("katz", alpha, g))
+    return _solve_direct(_prepare("katz", alpha, g))
 
 
 def _pagerank(g, alpha):
     """The PageRank closed form that graphon_pagerank solves, on a graph."""
-    return _pagerank_direct(_prepare("pagerank", alpha, g))
+    return _solve_direct(_prepare("pagerank", alpha, g))
 
 
 def _kernel(g):
@@ -265,16 +264,27 @@ class TestClosedForms:
 
 
     @pytest.mark.parametrize("n", [1, 2, 7, 130])
-    def test_left_side_in_place_has_the_bits_of_eye_minus(self, n):
+    def test_left_side_in_place_has_the_bits_of_eye_minus(self, n, monkeypatch):
+        solved = []
+        lapack = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda lhs, rhs: solved.append(lhs) or lapack(lhs, rhs))
         rng = np.random.default_rng(n)
         signed = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5)
         signed[0, -1] = -0.0
-        for m in (signed, np.asfortranarray(signed), (rng.random((n, n)) < 0.3) * 1.0):
+        binary = (rng.random((n, n)) < 0.3) * 1.0
+        for m in (signed, np.asfortranarray(signed), binary):
             for alpha in (0.3, 1e-300, 7.5):
-                expected = np.eye(n) - alpha * m
-                got = _identity_minus(alpha * m)
-                # viewed as integers, so the signs of zeros count too
-                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+                # records without the contraction check, so any alpha goes
+                g = Graph(m)
+                cases = [("katz", alpha * m.T)]
+                if m is binary:
+                    cases.append(("pagerank", alpha * _kernel(g)))
+                for family, scaled in cases:
+                    _solve_direct(_operand(family, alpha, g))
+                    got, expected = solved.pop(), np.eye(n) - scaled
+                    # viewed as integers, so the signs of zeros count too
+                    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_closed_forms_solve_the_same_system_as_eye_minus(self):
         rng = np.random.default_rng(16)

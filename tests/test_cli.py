@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import inspect
@@ -754,7 +755,7 @@ class TestStartup:
             self, tmp_path, flags):
         rc, _, layers, _ = self.loaded(tmp_path, "norms", "k3.txt", *flags)
         assert rc == 0
-        assert layers == {"cli", "errors", "graphs", "io", "limits", "norms"}
+        assert layers == {"cli", "errors", "graphs", "io", "norms"}
 
     @pytest.mark.parametrize("family", [("--family", "eigen"),
                                         ("--family", "pagerank", "--alpha", "0.85")])
@@ -818,8 +819,11 @@ class TestStartup:
                     getattr(fpcentral, name)
                 assert not hasattr(getattr(fpcentral, home), name), name
         assert not hasattr(fpcentral.transport, "CONVENTIONS")
-        for name in ("MAX_AUTOMORPHISM_N", "MAX_PLAN_N"):
-            assert not hasattr(fpcentral.limits, name), name
+        # the size limits are constants of the modules that enforce them
+        for name in ("limits", "exact_limit"):
+            with pytest.raises(AttributeError):
+                getattr(fpcentral, name)
+        assert not (Path(fpcentral.__file__).parent / "limits.py").exists()
         for name in ("identity", "inverse", "compose"):
             assert not hasattr(fpcentral.Permutation, name), name
         # constants are derived by each certificate, never built by a caller
@@ -843,6 +847,19 @@ class TestStartup:
             main(["norms", k3, "--norm", "cut", "--mode", "heuristic", "--seed", "3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_no_module_reads_the_environment(self):
+        # a run depends only on its command line and its input files
+        banned = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+        found = []
+        for path in sorted(Path(fpcentral.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and node.attr in banned:
+                    found.append(f"{path.name}:{node.lineno} os.{node.attr}")
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    found += [f"{path.name}:{node.lineno} from os import {a.name}"
+                              for a in node.names if a.name in banned]
+        assert found == []
 
     def test_the_readme_library_example_runs(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -1236,7 +1253,8 @@ class TestExitCodes:
 
 class TestManifest:
     """The manifest records every parsed option except the input paths and
-    the output routing; --mode only for the cut norm."""
+    the output routing; --mode only for the cut norm, and --perm-mode only
+    for the bounds that take a mode."""
 
     def manifest(self, capsys, tmp_path, *argv):
         out_path = tmp_path / "out.json"
@@ -1273,6 +1291,18 @@ class TestManifest:
             assert [entry["path"] for entry in manifest["inputs"]] == paths, argv
             assert manifest["parameters"] == parameters, argv
             assert manifest["tool_version"] == fpcentral.__version__
+
+    def test_perm_mode_only_where_the_bound_takes_a_mode(self, capsys, k3, graphon2,
+                                                         tmp_path):
+        # theorem1 and theorem2 search no relabeling, and prop7 always
+        # searches exactly
+        katz = ("--family", "katz", "--alpha", "0.2")
+        for argv in (("compare", k3, k3, *katz),
+                     ("compare", k3, k3, *katz, "--bound", "prop7"),
+                     ("graphon", "compare", graphon2, graphon2, *katz)):
+            parameters = self.manifest(capsys, tmp_path, *argv)["parameters"]
+            assert "perm_mode" not in parameters, argv
+            assert parameters["bound"] in ("theorem1", "prop7", "theorem2"), argv
 
 
 class TestScaleFreeEigen:

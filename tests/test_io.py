@@ -99,10 +99,6 @@ class TestEdgeList:
         with pytest.raises(InputFormatError, match="n <= 5000"):
             parse_edge_list("100000\n")
 
-    def test_exact_search_override_does_not_lower_the_node_cap(self, monkeypatch):
-        monkeypatch.setenv("FPC_MAX_EXACT_N", "3")
-        assert parse_edge_list("0 9\n").n == 10
-
     def test_an_index_beyond_int64_is_too_many_nodes(self):
         text = "0 1\n2 99999999999999999999 1\n"
         with pytest.raises(InputFormatError, match="declares 100000000000000000000 nodes"):

@@ -21,9 +21,8 @@ from fpcentral import (
     vector_norm,
 )
 from fpcentral import graphs, norms
-from fpcentral.limits import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N
 from fpcentral.graphs import _Difference
-from fpcentral.norms import _batched_cut, _operator_norm
+from fpcentral.norms import MAX_CUT_EXACT_N, MAX_PERM_EXACT_N, _batched_cut, _operator_norm
 
 from oracles import (
     cut_norm_brute,
@@ -493,21 +492,11 @@ class TestCutNormExact:
         with pytest.raises(SizeLimitError):
             cut_norm_exact(np.zeros((23, 23)))
 
-    def test_env_var_lowers_cap(self, monkeypatch):
-        monkeypatch.setenv("FPC_MAX_EXACT_N", "4")
-        with pytest.raises(SizeLimitError):
-            cut_norm_exact(np.zeros((5, 5)))
-        assert cut_norm_exact(np.zeros((4, 4))).value == 0.0
-
-    def test_env_var_cannot_raise_cap(self, monkeypatch):
-        monkeypatch.setenv("FPC_MAX_EXACT_N", "100")
-        with pytest.raises(SizeLimitError):
-            cut_norm_exact(np.zeros((23, 23)))
-
 
 class TestCutNormHeuristic:
     def test_all_ones_6x6_from_many_starts(self, monkeypatch):
-        monkeypatch.setattr(norms, "CUT_HEURISTIC_RESTARTS", 1)
+        # the full row set, then one random start drawn from each seed
+        monkeypatch.setattr(norms, "CUT_HEURISTIC_RESTARTS", 2)
         for seed in range(5):
             monkeypatch.setattr(norms, "CUT_HEURISTIC_SEED", seed)
             w = cut_norm_heuristic(np.ones((6, 6)))
@@ -809,7 +798,7 @@ class TestPrunedSweep:
         def refuse(*args):
             raise AssertionError("the sweep started")
 
-        monkeypatch.setenv("FPC_MAX_EXACT_N", "7")
+        monkeypatch.setattr(norms, "MAX_PERM_EXACT_N", 7)
         monkeypatch.setattr(norms, "_lex_permutations", refuse)
         monkeypatch.setattr(norms, "_chunk_values", refuse)
         monkeypatch.setattr(norms, "_relabeling_floor", refuse)
