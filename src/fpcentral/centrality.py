@@ -17,11 +17,12 @@ in the form of the graph's, whose products x -> M_A x and y -> M_A^T y
 every iteration step takes: over a list of entries they cost O(entries).
 
 Katz and PageRank are iterated (``solve``) or, for the graphon densities,
-solved directly (``_solve_direct``).  The eigen family
-takes its leading eigenvalue from a bracket where Perron-Frobenius proves it
-simple, else from the spectrum of A.T from LAPACK without eigenvectors,
-which the simplicity checks need, and then the leading eigenvector by
-inverse iteration.
+solved directly (``_solve_direct``).  The eigen family takes its leading
+eigenvalue and eigenvector from a power-step bracket where Perron-Frobenius
+proves the eigenvalue simple (no negative weight, strongly connected).
+Otherwise it takes the eigenvalue from the spectrum of A.T from LAPACK
+without eigenvectors, which the simplicity checks need, and the eigenvector
+by inverse iteration.
 """
 
 import math
@@ -294,7 +295,8 @@ class EigenResult:
     the distance from the leading eigenvalue to the rest of the spectrum, or
     None on the Perron route, which proves it simple (``eigencentrality``).
     ``iterations`` is the number of inverse-iteration solves that produced
-    the vector, normally 1.
+    the vector: 0 when the Perron bracket's own vector passed, normally 1
+    otherwise.
     """
 
     vector: np.ndarray
@@ -305,28 +307,57 @@ class EigenResult:
     residual: float
 
 
-def _perron_root(w, tol):
+def _perron_root(w, tol, symmetric):
     """The Perron root of A.T for the array ``w`` of a non-negative,
-    strongly connected graph, or None if its bracket does not close.
+    strongly connected graph, and its vector, or None if its bracket does
+    not close.
 
     Power steps on A.T + I from the all-ones vector, by the products of
     ``w``'s operand (over its list below the cut), keep x positive, so
-    min_i (A.T x)_i / x_i <= rho <= max_i (A.T x)_i / x_i (Collatz-Wielandt).
-    The + I makes a periodic graph, such as a directed cycle, converge.  The
-    midpoint is returned once the bracket is at most ``tol`` wide.
+    min_i (A.T x)_i / x_i <= rho <= max_i (A.T x)_i / x_i (Collatz-Wielandt),
+    and that width never grows in exact arithmetic.  The + I makes a
+    periodic graph, such as a directed cycle or a bipartite graph, converge.
+    Once the bracket is at most ``tol`` wide, ``(midpoint, x)`` is
+    returned, x scaled to max-abs one.
+
+    A ``symmetric`` graph's bracket gives up at a power-of-two step k if
+    the width's contraction over steps k/2..k, kept up, would not close it
+    within ``PERRON_MAX_ITERATIONS`` steps, as for a small relative gap:
+    its spectrum (``eigvalsh``) costs about as much as 300 dense power steps
+    at n = 1000.  A directed graph's bracket runs the whole budget: its
+    spectrum (``eigvals``) costs more than that, about 1700 steps, and its
+    width can shrink slowly for many steps and faster later (a long cycle
+    passes a change around it one node per step).
     """
     op = _matrix_operand(w)
     x = np.ones(w.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):  # an entry of x that underflows
-        for _ in range(PERRON_MAX_ITERATIONS):
+        for step in range(PERRON_MAX_ITERATIONS):
             y = op.rmatvec(x)
             ratios = y / x
             lo, hi = float(ratios.min()), float(ratios.max())
-            if hi - lo <= tol:
-                return 0.5 * (lo + hi)
+            width = hi - lo
+            if width <= tol:
+                return 0.5 * (lo + hi), x
+            if step & (step - 1) == 0:  # step 0, 1, 2, 4, ...; ``before`` is step // 2's
+                # a width that did not shrink, or is NaN, gives up at once
+                if symmetric and step >= 2 and (
+                    not width < before
+                    or step + step // 2 * math.log(width / tol) / math.log(before / width)
+                    > PERRON_MAX_ITERATIONS
+                ):
+                    return None
+                before = width
             x += y
             x /= x.max()
     return None
+
+
+def _residual_ulps(m, v, lam, ulp):
+    """||m u - lam u||_2 in units of ``ulp`` for the unit vector u along v,
+    so that squaring cannot overflow for huge weights."""
+    u = v / math.sqrt(float(v @ v))
+    return float(np.linalg.norm((m @ u - lam * u) / ulp))
 
 
 def _inverse_iteration(m, lam, ulp):
@@ -367,9 +398,7 @@ def _inverse_iteration(m, lam, ulp):
             sigma += INVERSE_SHIFT_ULPS * ulp
             continue
         v = y / np.max(np.abs(y))
-        u = v / math.sqrt(float(v @ v))
-        # in units of ulp, so that squaring cannot overflow for huge weights
-        residual = float(np.linalg.norm((m @ u - lam * u) / ulp))
+        residual = _residual_ulps(m, v, lam, ulp)
         if residual <= tol:
             return v, solves
     raise NumericalError(
@@ -382,18 +411,23 @@ def eigencentrality(g):
     """Eigenvector centrality of a simple leading eigenvalue, the one with
     the largest real part, found by one of two routes:
 
-    * Perron: a directed graph with no negative weight that is strongly
-      connected.  Perron-Frobenius proves its leading eigenvalue simple, so
-      no gap is measured: the value is the midpoint of a Collatz-Wielandt
-      bracket (``_perron_root``), or the spectrum's if that does not close.
+    * Perron: a graph with no negative weight that is strongly connected
+      (connected, if symmetric).  Perron-Frobenius proves its leading
+      eigenvalue simple with a positive eigenvector, so no gap is measured
+      and no gap below 1e-8 is refused.  A Collatz-Wielandt bracket
+      (``_perron_root``) gives the value, its midpoint, and the vector, its
+      last power step, which is kept if it passes inverse iteration's
+      residual bound.  If the bracket does not close, the spectrum route
+      runs instead.
     * spectrum: the whole spectrum of A.T from LAPACK without eigenvectors,
       ``numpy.linalg.eigvalsh`` for a symmetric graph and
       ``numpy.linalg.eigvals`` otherwise, checked for a real leading
       eigenvalue at least 1e-8 from the rest.
 
-    Its eigenvector comes from inverse iteration on A.T - lambda I.  All of
-    this runs on A scaled by the exact power of two that puts max |a_ij| in
-    [1, 2) (``graphs._pow2_normalize``), so no check depends on the scale.
+    Any eigenvector the bracket did not give comes from inverse iteration on
+    A.T - lambda I.  All of this runs on A scaled by the exact power of two
+    that puts max |a_ij| in [1, 2) (``graphs._pow2_normalize``), so no check
+    depends on the scale.
 
     Returns
     -------
@@ -401,14 +435,15 @@ def eigencentrality(g):
         ``value`` is the leading eigenvalue of A, ``gap`` its distance to
         the rest of the spectrum of A (None on the Perron route),
         ``residual`` the fixed-point residual ||(1/lambda) A.T v - v||_2,
-        and ``iterations`` the number of inverse-iteration solves.
+        and ``iterations`` the number of inverse-iteration solves (0 when
+        the bracket's vector passed).
 
     Raises
     ------
     SimplicityError
-        If the gap of the scaled matrix falls below 1e-8 (the defining
-        equation assumes a simple eigenvalue), or if the leading
-        eigenvalue is complex.
+        On the spectrum route, if the gap of the scaled matrix falls below
+        1e-8 (the defining equation assumes a simple eigenvalue), or if the
+        leading eigenvalue is complex.
     ParameterError
         A zero matrix, or a zero leading eigenvalue (below 1e-12 scaled).
     NumericalError
@@ -422,9 +457,14 @@ def eigencentrality(g):
             "the zero matrix has leading eigenvalue zero; eigencentrality is undefined"
         )
     ulp = np.finfo(float).eps * _operator_norm(_Dense(w.T), math.inf)  # no n x n temporary
-    lam = gap_a = None
-    if not g.symmetric and w.min() >= 0.0 and _strongly_connected(w):
-        lam = _perron_root(w, INVERSE_RESIDUAL_FACTOR * math.sqrt(g.n) * ulp)
+    tol = INVERSE_RESIDUAL_FACTOR * math.sqrt(g.n)
+    lam = gap_a = v = None
+    if w.min() >= 0.0 and _strongly_connected(w):
+        root = _perron_root(w, tol * ulp, g.symmetric)
+        if root is not None:
+            lam, x = root
+            if _residual_ulps(w.T, x, lam, ulp) <= tol:
+                v = x
     if lam is None:
         evals = np.linalg.eigvalsh(w) if g.symmetric else np.linalg.eigvals(w.T)
         lead = int(np.argmax(evals.real))  # the first of equal real parts
@@ -449,9 +489,11 @@ def eigencentrality(g):
         value = float(np.ldexp(lam, e))
     if math.isinf(value):
         raise NumericalError("the leading eigenvalue of this matrix overflows float64")
-    if not w.flags.writeable:  # the graph's array, which inverse iteration must not write
-        w = w.copy(order="K")
-    v, solves = _inverse_iteration(w.T, lam, ulp)
+    solves = 0
+    if v is None:
+        if not w.flags.writeable:  # the graph's array, which inverse iteration must not write
+            w = w.copy(order="K")
+        v, solves = _inverse_iteration(w.T, lam, ulp)
     v = v / vector_norm(v, 2)
     if float(v.sum()) < 0.0:
         v = -v

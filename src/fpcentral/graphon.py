@@ -155,9 +155,10 @@ def graphon_eigencentrality(w):
 
     Returns (rho, lam) with rho the eigenfunction normalized to unit
     L^2([0, 1]) norm and oriented to non-negative integral.  The
-    computation runs the finite symmetric eigenroutine on values/k, whose
-    spectrum is exactly the graphon operator's; the simplicity gap check
-    applies to that spectrum.
+    computation runs the finite eigenroutine on values/k, whose spectrum is
+    exactly the graphon operator's.  Values that are non-negative and
+    connected take its Perron route, which proves lam simple; others take
+    its spectrum route, whose gap check applies to that spectrum.
     """
     res = eigencentrality(_lift_graph(w))
     rho = StepFunction(res.vector * math.sqrt(w.k))

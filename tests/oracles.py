@@ -253,9 +253,9 @@ def strongly_connected(w):
 
 def takes_the_perron_route(g):
     """Whether ``eigencentrality`` proves ``g``'s leading eigenvalue simple
-    (Perron-Frobenius) instead of measuring its gap: a directed graph with
-    no negative weight that is strongly connected."""
-    return not g.symmetric and bool(g.weights.min() >= 0.0) and strongly_connected(g.weights)
+    (Perron-Frobenius) instead of measuring its gap: a graph with no
+    negative weight that is strongly connected (connected, if symmetric)."""
+    return bool(g.weights.min() >= 0.0) and strongly_connected(g.weights)
 
 
 def random_pmf(rng, n):

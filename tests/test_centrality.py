@@ -32,7 +32,7 @@ from fpcentral.centrality import (
     native_norm_index,
 )
 from fpcentral.graphs import _Entries, _strongly_connected
-from fpcentral.graphon import StepGraphon, graphon_eigencentrality
+from fpcentral.graphon import StepGraphon, _lift_graph, graphon_eigencentrality
 from oracles import (
     GraphGeneratorSpec,
     apply_map,
@@ -386,7 +386,9 @@ class TestEigencentrality:
         res = eigencentrality(g)
         assert res.value == pytest.approx(2.0, abs=1e-9)
         assert np.allclose(res.rho, np.full(4, 0.5), atol=1e-8)
-        assert res.gap == pytest.approx(2.0, abs=1e-8)
+        # connected and non-negative: the Perron route proves 2 simple, and
+        # the all-ones start is its vector
+        assert res.gap is None and res.iterations == 0
 
     def test_p3(self):
         g = generate(GraphGeneratorSpec("path", 3))
@@ -467,8 +469,15 @@ class TestEigencentrality:
         w = generate(GraphGeneratorSpec("path", 3)).weights * weight
         res = eigencentrality(Graph(w))
         assert res.value == pytest.approx(math.sqrt(2.0) * weight, rel=1e-14)
-        assert res.gap == pytest.approx(math.sqrt(2.0) * weight, rel=1e-14)
+        assert res.gap is None
         assert np.allclose(res.vector, [0.5, math.sqrt(0.5), 0.5], atol=1e-14)
+        # the signed path takes the spectrum route: eigenvalues -sqrt 2, 0
+        # and sqrt 2, whose vector has mixed signs
+        signed = eigencentrality(Graph(-w))
+        assert signed.value == pytest.approx(math.sqrt(2.0) * weight, rel=1e-14)
+        assert signed.gap == pytest.approx(math.sqrt(2.0) * weight, rel=1e-14)
+        assert np.allclose(signed.vector, [0.5, -math.sqrt(0.5), 0.5], atol=1e-14)
+        assert signed.rho is None
 
     def test_power_of_two_scalings_give_the_same_bits(self):
         rng = np.random.default_rng(40)
@@ -476,11 +485,11 @@ class TestEigencentrality:
         # Graph's symmetry tolerance scales with the peak entry, so the
         # directed graph stays directed at every scale
         cases = [generate(GraphGeneratorSpec("path", 3)).weights, sym + sym.T,
-                 rng.random((6, 6)) * (rng.random((6, 6)) < 0.7)]
+                 rng.random((6, 6)) * (rng.random((6, 6)) < 0.7), sym + sym.T - 1.0]
         for w in cases:
             base = eigencentrality(Graph(w))
-            # the directed case takes the Perron route at every scale
-            assert (base.gap is None) == takes_the_perron_route(Graph(w)) == (w is cases[2])
+            # all but the signed case take the Perron route at every scale
+            assert (base.gap is None) == takes_the_perron_route(Graph(w)) == (w is not cases[3])
             for k in (-1000, -900, -300, -1, 1, 7, 300, 900, 1000):
                 res = eigencentrality(Graph(np.ldexp(w, k)))
                 assert np.array_equal(res.vector, base.vector), k
@@ -509,9 +518,16 @@ class TestEigencentrality:
         w = generate(GraphGeneratorSpec("complete", 3)).weights * 1e308
         with pytest.raises(NumericalError, match="leading eigenvalue of this matrix overflows"):
             eigencentrality(Graph(w))
+        res = eigencentrality(Graph(w * 0.65))
+        assert res.value == pytest.approx(1.3e308, rel=1e-15)
+        assert res.gap is None
+        # K_3 and a node with a loop of weight -1 take the spectrum route:
         # at 6.5e307 the gap of A, 3 * 6.5e307, overflows but the value
         # does not; an infinite gap still means a simple eigenvalue
-        res = eigencentrality(Graph(w * 0.65))
+        signed = np.zeros((4, 4))
+        signed[:3, :3] = w * 0.65
+        signed[3, 3] = -0.65e308
+        res = eigencentrality(Graph(signed))
         assert res.value == pytest.approx(1.3e308, rel=1e-15)
         assert res.gap == math.inf
 
@@ -561,23 +577,39 @@ def _two_blocks_near_gap():
     return Graph(w), exact
 
 
+def _bracket_cannot_close(g):
+    """Whether the Perron bracket of ``g`` may give up: at the rate
+    |mu_2| / mu_1 of the two largest moduli of A.T + I, for A scaled to a
+    peak entry in [1, 2), a unit width stays above the bracket's tolerance
+    after ``PERRON_MAX_ITERATIONS`` steps."""
+    w = g.weights / 2.0 ** (math.frexp(np.abs(g.weights).max())[1] - 1)
+    moduli = np.sort(np.abs(np.linalg.eigvals(w.T + np.eye(g.n))))
+    ulp = np.finfo(float).eps * np.abs(w).sum(axis=0).max()
+    tol = centrality.INVERSE_RESIDUAL_FACTOR * math.sqrt(g.n) * ulp
+    return (moduli[-2] / moduli[-1]) ** centrality.PERRON_MAX_ITERATIONS > tol
+
+
 class TestEigenAgainstLapack:
-    """Eigenvalues without vectors plus inverse iteration against the full
-    eig/eigh decomposition: the same decisions, values to 1e-12 relative,
-    unit vectors to 1e-10 in max-abs."""
+    """The Perron bracket, or eigenvalues without vectors plus inverse
+    iteration, against the full eig/eigh decomposition: the same decisions,
+    values to 1e-12 relative, unit vectors to 1e-10 in max-abs.  The gap is
+    LAPACK's wherever the spectrum route runs, and None where the bracket
+    proved the value simple and its own vector passed."""
 
     @staticmethod
     def _assert_matches(g, vector_tol=1e-10):
         vec, value, gap, rho = eigencentrality_lapack_reference(g)
         res = eigencentrality(g)
         assert abs(res.value - value) <= 1e-12 * max(1.0, abs(value))
-        if takes_the_perron_route(g):
-            assert res.gap is None
+        if res.gap is None:
+            assert takes_the_perron_route(g) and res.iterations == 0
         else:
+            # off the route, or on it with a bracket too slow to close
+            assert not takes_the_perron_route(g) or _bracket_cannot_close(g)
             assert res.gap == pytest.approx(gap, rel=1e-9, abs=1e-12 * max(1.0, abs(value)))
+            assert 1 <= res.iterations <= 2
         assert np.max(np.abs(res.vector - vec)) <= vector_tol
         assert (res.rho is None) == (rho is None)
-        assert 1 <= res.iterations <= 2
         return res
 
     def test_seeded_graphs(self):
@@ -591,19 +623,25 @@ class TestEigenAgainstLapack:
                     eigencentrality(g)
                 assert str(info.value).startswith(str(exc))
                 continue
-            self._assert_matches(g)
+            routed += self._assert_matches(g).gap is None
             compared += 1
-            routed += takes_the_perron_route(g)
-        assert compared >= 150 and routed >= 80
+        assert compared >= 150 and routed >= 170
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_complete_graphs(self, n):
         res = self._assert_matches(generate(GraphGeneratorSpec("complete", n)))
         assert res.value == pytest.approx(n - 1.0, rel=1e-14)
-        if n in (4, 5):
-            # eigvalsh returns the Perron values 3 and 4 exactly, so the
-            # first shifted solve is singular and the shift moves
-            assert res.iterations == 2
+        assert res.gap is None
+
+    def test_an_exact_eigenvalue_moves_the_shift(self):
+        # K_4 and an isolated node take the spectrum route; eigvalsh returns
+        # the Perron value 3 exactly, so the first shifted solve is singular
+        # and the shift moves
+        w = np.zeros((5, 5))
+        w[:4, :4] = generate(GraphGeneratorSpec("complete", 4)).weights
+        res = self._assert_matches(Graph(w))
+        assert res.value == 3.0 and res.gap == 3.0
+        assert res.iterations == 2
 
     def test_c4(self):
         self._assert_matches(generate(GraphGeneratorSpec("cycle", 4)))
@@ -622,7 +660,10 @@ class TestEigenAgainstLapack:
             return np.full_like(b, np.inf) if len(calls) == 1 else solve_(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", first_overflows)
-        res = self._assert_matches(generate(GraphGeneratorSpec("path", 3)))
+        # a path and an isolated node take the spectrum route
+        w = np.zeros((4, 4))
+        w[:3, :3] = generate(GraphGeneratorSpec("path", 3)).weights
+        res = self._assert_matches(Graph(w))
         assert res.iterations == 2
         assert calls[1] < calls[0]
 
@@ -695,6 +736,51 @@ def _joined_cycles():
     return w
 
 
+def _listed_symmetric(n, seed):
+    """A symmetric 0/1 graph on n nodes: a ring and about 2n random edges,
+    below the cut of ``graphs.ENTRY_SHARE``."""
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.random((n, n)) < 4.0 / n, 1) * 1.0
+    ring = np.arange(n)
+    w[ring, np.roll(ring, -1)] = 1.0
+    w = np.maximum(w, w.T)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _symmetric_blocks(k, seed):
+    """Symmetric step-graphon values in (0, 1] on k blocks."""
+    v = np.random.default_rng(seed).uniform(0.05, 1.0, (k, k))
+    return np.maximum(v, v.T)
+
+
+def _complete_bipartite(a, b):
+    w = np.zeros((a + b, a + b))
+    w[:a, a:] = w[a:, :a] = 1.0
+    return w
+
+
+def _two_dense_blocks(n, seed):
+    """Two symmetric 30%-dense 0/1 blocks of n/2 nodes joined by one edge."""
+    rng = np.random.default_rng(seed)
+    h = n // 2
+    w = np.zeros((n, n))
+    for block in (slice(0, h), slice(h, n)):
+        upper = np.triu(rng.random((h, h)) < 0.3, 1) * 1.0
+        w[block, block] = upper + upper.T
+    w[h - 1, h] = w[h, h - 1] = 1.0
+    return w
+
+
+def _triangle_and_edge():
+    """A triangle and a separate edge: symmetric, not connected, and its
+    leading eigenvalue 2 is simple."""
+    w = np.zeros((5, 5))
+    w[:3, :3] = np.ones((3, 3)) - np.eye(3)
+    w[3, 4] = w[4, 3] = 1.0
+    return w
+
+
 def _coupled_cliques(c):
     """Two 4-cliques coupled by c one way and 2c the other: strongly
     connected, with leading eigenvalues 3 +- 4 sqrt(2) c."""
@@ -707,19 +793,24 @@ def _coupled_cliques(c):
 
 
 class TestPerronRoute:
-    """A directed graph with no negative weight that is strongly connected
-    takes its leading eigenvalue from the Collatz-Wielandt bracket and no
-    spectrum; every other graph, and one whose bracket does not close, takes
-    the spectrum route, bit for bit."""
+    """A graph with no negative weight that is strongly connected (connected,
+    if symmetric) takes its leading eigenvalue and its vector from the
+    Collatz-Wielandt bracket: no spectrum and no solve.  Every other graph,
+    and one whose bracket gives up, takes the spectrum route, bit for bit."""
 
     ROUTED = {
-        "listed-ring-with-chords": _ring_with_chords(200),
-        "dense-6": np.random.default_rng(6).random((6, 6)) + 0.1,
-        "3-cycle": _cycle([1.0] * 3),
-        "4-cycle": _cycle([1.0] * 4),
+        "listed-ring-with-chords": Graph(_ring_with_chords(200)),
+        "dense-6": Graph(np.random.default_rng(6).random((6, 6)) + 0.1),
+        "3-cycle": Graph(_cycle([1.0] * 3)),
+        "4-cycle": Graph(_cycle([1.0] * 4)),
         # periodic, with a Perron vector other than the all-ones start
-        "weighted-3-cycle": _cycle([1.0, 2.0, 3.0]),
-        "weighted-4-cycle": _cycle([1.0, 1.5, 0.5, 2.0]),
+        "weighted-3-cycle": Graph(_cycle([1.0, 2.0, 3.0])),
+        "weighted-4-cycle": Graph(_cycle([1.0, 1.5, 0.5, 2.0])),
+        "listed-symmetric": Graph(_listed_symmetric(300, 2411)),
+        "lift": _lift_graph(StepGraphon(_symmetric_blocks(40, 2412))),
+        # bipartite: its eigenvalue -sqrt 12 makes A.T + I contract at
+        # (sqrt 12 - 1) / (sqrt 12 + 1) per step
+        "K3,4": Graph(_complete_bipartite(3, 4)),
     }
 
     @staticmethod
@@ -736,31 +827,86 @@ class TestPerronRoute:
             ref.value, ref.gap, ref.residual, ref.iterations)
         assert (res.rho is None) == (ref.rho is None)
 
+    @staticmethod
+    def _count_brackets(monkeypatch):
+        """Patch the bracket's operand to count its products: the list the
+        counts go to."""
+        counts = []
+        operand = centrality._matrix_operand
+
+        class Counting:
+            def __init__(self, op):
+                self.op = op
+                counts.append(0)
+
+            def rmatvec(self, y):
+                counts[-1] += 1
+                return self.op.rmatvec(y)
+
+        monkeypatch.setattr(centrality, "_matrix_operand", lambda w: Counting(operand(w)))
+        return counts
+
     @pytest.mark.parametrize("name", list(ROUTED))
     def test_the_route_takes_no_spectrum(self, monkeypatch, name):
-        g = Graph(self.ROUTED[name])
+        g = self.ROUTED[name]
         assert takes_the_perron_route(g)
-        assert isinstance(g._held, _Entries) == (name == "listed-ring-with-chords")
+        assert isinstance(g._held, _Entries) == name.startswith("listed")
+        assert g.symmetric == (name in ("listed-symmetric", "lift", "K3,4"))
         vec, value, _, rho = eigencentrality_lapack_reference(g)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the spectrum was taken")
+            raise AssertionError("the spectrum was taken, or a system solved")
 
-        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for spectrum_or_solve in ("eigvals", "eigvalsh", "solve"):
+            monkeypatch.setattr(np.linalg, spectrum_or_solve, refuse)
+        counts = self._count_brackets(monkeypatch)
         res = eigencentrality(g)
-        assert res.gap is None
+        assert res.gap is None and res.iterations == 0
         assert abs(res.value - value) <= 1e-12 * abs(value)
         assert np.max(np.abs(res.vector - vec)) <= 1e-10
         assert rho is not None and res.rho is not None
-        assert 1 <= res.iterations <= 2
+        assert len(counts) == 1 and 1 <= counts[0] < centrality.PERRON_MAX_ITERATIONS
+
+    def test_two_dense_blocks_give_up_early(self, monkeypatch):
+        # two 30%-dense blocks joined by one edge: their Perron values are
+        # close, so the bracket contracts too slowly to close in the budget,
+        # and it gives up within a few steps rather than after all of them
+        g = Graph(_two_dense_blocks(200, 2413))
+        assert takes_the_perron_route(g) and not isinstance(g._held, _Entries)
+        assert _bracket_cannot_close(g)
+        ref = self._spectrum_route(monkeypatch, g)
+        counts = self._count_brackets(monkeypatch)
+        res = eigencentrality(g)
+        assert len(counts) == 1 and counts[0] <= centrality.PERRON_MAX_ITERATIONS // 16
+        assert res.gap is not None
+        self._assert_same_bits(res, ref)
+
+    def test_twin_cliques_with_a_tiny_gap_are_accepted(self, monkeypatch):
+        # two 4-cliques joined node by node with weight c: eigenvalues
+        # 3 +- c, a gap of 2c below 1e-8, which the spectrum route refuses.
+        # The graph is regular, so the all-ones start is the Perron vector,
+        # and the bracket proves 3 + c simple at once
+        c = 1e-10
+        w = np.zeros((8, 8))
+        w[:4, :4] = w[4:, 4:] = np.ones((4, 4)) - np.eye(4)
+        w[np.arange(4), np.arange(4, 8)] = w[np.arange(4, 8), np.arange(4)] = c
+        g = Graph(w)
+        res = eigencentrality(g)
+        assert res.value == pytest.approx(3.0 + c, rel=1e-15)
+        assert res.gap is None and res.iterations == 0
+        assert np.array_equal(res.vector, np.full(8, 1.0 / math.sqrt(8.0)))
+        with pytest.raises(SimplicityError, match="leading eigenvalue is not simple"):
+            self._spectrum_route(monkeypatch, g)
 
     @pytest.mark.parametrize("w", [
         np.array([[0.0, 1.0, 0.5], [-0.25, 0.0, 1.0], [1.0, 0.5, 0.0]]),
         _joined_cycles(),
-    ], ids=["negative-weight", "joined-cycles"])
+        np.array([[0.0, 1.0, -0.5], [1.0, 0.0, 1.0], [-0.5, 1.0, 0.0]]),
+        _triangle_and_edge(),
+    ], ids=["negative-weight", "joined-cycles", "symmetric-negative-weight", "triangle-and-edge"])
     def test_other_graphs_take_the_spectrum_route(self, monkeypatch, w):
         g = Graph(w)
-        assert not g.symmetric and not takes_the_perron_route(g)
+        assert not takes_the_perron_route(g)
         ref = self._spectrum_route(monkeypatch, g)
 
         def refuse(*args):
@@ -772,7 +918,7 @@ class TestPerronRoute:
         self._assert_same_bits(res, ref)
 
     def test_a_bracket_that_does_not_close_takes_the_spectrum_route(self, monkeypatch):
-        g = Graph(self.ROUTED["listed-ring-with-chords"])
+        g = self.ROUTED["listed-ring-with-chords"]
         ref = self._spectrum_route(monkeypatch, g)
         monkeypatch.setattr(centrality, "PERRON_MAX_ITERATIONS", 2)
         res = eigencentrality(g)
@@ -787,11 +933,13 @@ class TestPerronRoute:
         brackets = []
         perron_root = centrality._perron_root
         monkeypatch.setattr(centrality, "_perron_root",
-                            lambda w, tol: brackets.append(perron_root(w, tol)))
+                            lambda *args: brackets.append(perron_root(*args)))
+        counts = self._count_brackets(monkeypatch)
         message = r"^leading eigenvalue is not simple \(gap 5\.657e-09 < 1e-08\)$"
         with pytest.raises(SimplicityError, match=message):
             eigencentrality(g)
-        assert brackets == [None]
+        # a directed graph's bracket runs the whole budget before it gives up
+        assert brackets == [None] and counts == [centrality.PERRON_MAX_ITERATIONS]
         with pytest.raises(SimplicityError, match=message):
             self._spectrum_route(monkeypatch, g)
 
@@ -801,7 +949,7 @@ class TestPerronRoute:
             n = int(rng.integers(1, 40))
             w = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.0, 4.0 / n))
             assert _strongly_connected(w) == strongly_connected(w), w
-        for w in (*self.ROUTED.values(), _joined_cycles(), np.zeros((1, 1))):
+        for w in (*(g.weights for g in self.ROUTED.values()), _joined_cycles(), np.zeros((1, 1))):
             assert _strongly_connected(w) == strongly_connected(w)
 
 

@@ -89,8 +89,9 @@ class TestCentrality:
         code, payload, _ = run_json(capsys, "centrality", k3, "--family", "eigen")
         assert code == 0
         assert np.allclose(payload["rho"], [1.0 / np.sqrt(3.0)] * 3, atol=1e-8)
-        # inverse-iteration solves; a second one only when the shift is singular
-        assert payload["iterations"] in (1, 2)
+        # inverse-iteration solves: none, since K_3 takes the Perron route
+        # and the all-ones start is its vector
+        assert payload["iterations"] == 0
 
     def test_eigen_residual_with_huge_weights_is_finite(self, capsys, tmp_path):
         # squaring entries near 1e200 overflowed the residual's 2-norm, which
@@ -105,18 +106,23 @@ class TestCentrality:
         assert 0.0 <= payload["residual"] <= 1e-14
         assert np.allclose(payload["rho"], [0.5, 0.5**0.5, 0.5], atol=1e-12)
 
-    def test_eigen_gap_with_weights_near_the_float_limit_is_quiet(self, capsys, tmp_path):
-        # the simplicity check runs on the weights scaled by 2^-1023, where
-        # the gap is about 2.5; only the gap of A scaled back overflows to
-        # inf, which must not warn
+    @pytest.mark.parametrize("loop, solves", [("", 0), ("2 2 -1e308\n", 1)],
+                             ids=["perron-route", "spectrum-route"])
+    def test_eigen_gap_with_weights_near_the_float_limit_is_quiet(
+            self, capsys, tmp_path, loop, solves):
+        # every check runs on the weights scaled by 2^-1023.  The directed
+        # graph takes the Perron route, whose bracket proves its value
+        # simple.  A loop of negative weight sends it to the spectrum route,
+        # where the gap of the scaled weights is about 2.4; only the gap of A
+        # scaled back overflows to inf, which must not warn
         path = tmp_path / "limit.txt"
-        path.write_text("0 1 1e308\n1 2 1e308\n2 0 1e308\n1 0 1e308\n0 2 1e308\n")
+        path.write_text("0 1 1e308\n1 2 1e308\n2 0 1e308\n1 0 1e308\n0 2 1e308\n" + loop)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "centrality", str(path), "--family", "eigen")
         assert (code, err) == (0, "")
         payload = json.loads(out, parse_constant=lambda name: pytest.fail(name))
-        assert payload["iterations"] >= 1
+        assert payload["iterations"] == solves
 
     def test_mixed_sign_eigenvector_needs_normalizer(self, capsys, tmp_path):
         path = tmp_path / "neg.txt"

@@ -142,7 +142,7 @@ def test_dense_pagerank_theorem2_scales_each_kernel_in_place(dense_pair):
 
 
 def test_listed_directed_eigencentrality_shifts_its_own_array():
-    # the Perron bracket and every inverse-iteration solve share the one
+    # the Perron bracket, and any inverse-iteration solve, share the one
     # array formed from the list, whose diagonal each solve shifts and
     # restores (2.04 with a shifted copy per solve); the bracket's reach
     # search and re-listing add no n x n float temporary
@@ -156,19 +156,39 @@ def test_listed_directed_eigencentrality_shifts_its_own_array():
     assert _peak(lambda: eigencentrality(g)) <= 1.25
 
 
-@pytest.mark.parametrize("w", [
-    np.diag([1.5, 1.0, 0.5]),  # scale 1; the first solve is singular, so it retries
-    np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]),
-    np.array([[0.0, 3.0, 1.0], [3.0, -0.0, 1.0], [1.0, 1.0, 0.0]]),  # scaled by 2^-1
-], ids=["diagonal", "directed", "scaled"])
-def test_eigencentrality_never_writes_a_dense_graph(w):
+@pytest.mark.parametrize("w, solves", [
+    # not connected, so the spectrum route; scale 1, and the first solve is
+    # singular, so it retries on its copy of the array
+    (np.diag([1.5, 1.0, 0.5]), 2),
+    (np.array([[0.0, 1.0, -0.5], [1.0, 0.0, 1.0], [-0.5, 1.0, 0.0]]), 1),  # signed
+    # the Perron route, whose bracket only reads the array
+    (np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]), 0),
+    (np.array([[0.0, 3.0, 1.0], [3.0, -0.0, 1.0], [1.0, 1.0, 0.0]]), 0),  # scaled by 2^-1
+], ids=["diagonal", "signed", "directed", "scaled"])
+def test_eigencentrality_never_writes_a_dense_graph(w, solves):
     g = Graph(w)
     assert not isinstance(g._held, _Entries)
     held = g.weights.copy()
     g.weights.flags.writeable = False
     res = eigencentrality(g)
     assert g.weights.tobytes() == held.tobytes()
-    assert res.iterations == (2 if w[0, 0] else 1)
+    assert res.iterations == solves
+    assert (res.gap is None) == (solves == 0)
+
+
+def test_dense_symmetric_eigencentrality_makes_no_copy():
+    # a read-only 0/1 graph above the cut on the Perron route: the bracket
+    # and the residual checks read the graph's own array, and only the
+    # re-listing test and the reach search make boolean temporaries (1.01
+    # with the copy that inverse iteration writes)
+    rng = np.random.default_rng(3100)
+    upper = np.triu(rng.random((N, N)) < 0.1, 1) * 1.0
+    g = Graph(upper + upper.T)
+    assert not isinstance(g._held, _Entries) and g.symmetric
+    assert not g.weights.flags.writeable
+    res = eigencentrality(g)
+    assert res.gap is None and res.iterations == 0
+    assert _peak(lambda: eigencentrality(g)) <= 0.25
 
 
 @pytest.mark.parametrize("p", [1, math.inf])

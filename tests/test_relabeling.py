@@ -260,3 +260,24 @@ def test_the_sparse_inputs_are_below_the_cut():
     x = Inputs(SPARSE)
     for w in (x.sym, x.sym_b, x.directed, x.directed_b):
         assert isinstance(Graph(w)._held, _Entries)
+
+
+def test_eigencentrality_of_a_listed_symmetric_graph_is_equivariant():
+    # the Perron route starts its bracket from the all-ones vector, which no
+    # relabeling moves, and returns that bracket's vector
+    from fpcentral import Graph, eigencentrality
+
+    rng = np.random.default_rng(3101)
+    n = 300
+    upper = np.triu(rng.random((n, n)) < 4.0 / n, 1) * 1.0
+    upper[np.arange(n - 1), np.arange(1, n)] = 1.0  # a path keeps it connected
+    w = upper + upper.T
+    p = rng.permutation(n)
+    moved = np.empty_like(w)
+    moved[np.ix_(p, p)] = w
+    g = Graph(w)
+    assert isinstance(g._held, _Entries)
+    base, got = eigencentrality(g), eigencentrality(Graph(moved))
+    assert base.gap is None and base.iterations == got.iterations == 0
+    _assert_permuted(got.vector, base.vector, p)
+    _assert_close(got.value, base.value, TOL)

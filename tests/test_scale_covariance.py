@@ -154,6 +154,7 @@ CASES = {
     "sparse-pagerank": (_centrality("pagerank", SPARSE_DIRECTED, 0.85), SCALES, CENTRALITY, ()),
     "sparse-eigen-directed": (_centrality("eigen", SPARSE_DIRECTED, None, "--normalizer", "abs"),
                               SCALES, CENTRALITY, ()),
+    "sparse-eigen": (_centrality("eigen", SPARSE), SCALES, CENTRALITY, ()),
     "sparse-theorem1-katz": (_compare("theorem1", "katz", SPARSE, SPARSE_B, SPARSE_ALPHA),
                              SCALES, DECISIONS, ()),
     "sparse-theorem1-pagerank": (
@@ -203,6 +204,13 @@ def test_the_directed_eigen_cases_cover_both_routes():
     # SPARSE_DIRECTED is not, and takes the spectrum of its list
     assert takes_the_perron_route(Graph(DIRECTED)) and takes_the_perron_route(Graph(TINY))
     assert not strongly_connected(SPARSE_DIRECTED)
+
+
+def test_the_symmetric_eigen_cases_cover_both_routes():
+    # SYM is connected and takes the Perron route, as does its lift;
+    # SPARSE is not, and takes the spectrum of its list
+    assert takes_the_perron_route(Graph(SYM))
+    assert not strongly_connected(SPARSE)
 
 
 def test_the_cases_exit_as_expected(capsys, tmp_path):
