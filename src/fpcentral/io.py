@@ -8,14 +8,15 @@ line sets the single entry a_ij, so symmetric graphs list both
 directions.  Step graphons use the JSON object
 `{"k": int, "c": real, "values": [[...], ...]}`.
 
-Files are read as bytes.  A JSON matrix that is listed, with at most
+Files are read as bytes.  A listed JSON matrix, with at most
 ``graphs.ENTRY_SHARE`` of its entries spelled other than ``0.0`` (the
-form the writer gives a sparse matrix), is read from those entries
-(``_listed_object``): its rows are checked in numpy passes over their
-bytes, and only the other entries are parsed in Python.  Every other file
-is decoded as ``Path.read_text`` decodes it and read by ``json.loads`` or
-the edge-list parser, and so is a listed one with any fault, so values
-and errors do not depend on the path taken.
+writer's form of a sparse matrix), is read from those entries
+(``_listed_object``); any other file is decoded as ``Path.read_text``
+decodes it and read by ``json.loads`` or ``parse_edge_list``.  Numpy passes
+over bytes check a listed matrix's rows and tokenize an ASCII edge list, so
+only the other entries, or the weights, are parsed in Python; a file with a
+fault or a spelling they do not read takes ``json.loads`` or the line
+walker, so values and errors do not depend on the path taken.
 
 An edge list declares at most MAX_DENSE_N = 5000 nodes, checked before
 any array is made.  All parse failures raise InputFormatError with a line
@@ -26,10 +27,10 @@ Python's digit limit raise it too.
 
 import json
 import math
+import re
 
 from io import BytesIO, TextIOWrapper
-from itertools import chain, compress
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,21 +49,16 @@ def parse_edge_list(text):
     Indices are read by ``int`` and weights by ``float``, so both take
     Python's spellings (``+1``, ``1_0``, ``1e3``), and a weight must be
     finite.  When several lines set one entry, the last one wins.  The text
-    is parsed in vectorized passes over chunks of lines; only at a fault are
-    the lines walked one by one, to report the first faulty line.  The
-    graph adopts the parsed list of its entries (``Graph._adopt_list``), so
-    no n x n array is made below the cut.
+    is read in vectorized passes over chunks of its bytes (``_scan_edges``)
+    or, where they find a fault or a spelling they do not read, a line at a
+    time (``_check_lines``), which names the first faulty line.  The graph
+    adopts the list of its entries (``Graph._adopt_list``), so no n x n
+    array is made below the cut.
     """
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.partition("#")[0] for line in lines]
     try:
-        max_index, src, dst, weight = _edge_columns(lines)
-    except (ValueError, OverflowError):
-        # With no faulty line, an index beyond int64 overflowed; it is
-        # refused below as too many nodes.
-        max_index, src, dst, weight = _check_lines(map(str.split, lines)), None, None, None
-    del lines
+        max_index, src, dst, weight = _scan_edges(text)
+    except ValueError:  # a text the passes do not read, or a fault
+        max_index, src, dst, weight = _check_lines(text.splitlines())
     if max_index < 0:
         raise InputFormatError("edge list declares no nodes")
     n = max_index + 1
@@ -70,81 +66,90 @@ def parse_edge_list(text):
         raise InputFormatError(
             f"edge list declares {n} nodes; dense graphs are limited to n <= {MAX_DENSE_N}"
         )
-    # np.unique keeps the first of equal entries, so the reversed lines
-    # keep the last line that sets each entry
-    flat, first = np.unique((src * n + dst)[::-1], return_index=True)
-    # the sorted flat indices list every entry in row-major order
-    return Graph._adopt_list(n, *np.divmod(flat, n), weight[::-1][first])
+    src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
+    flat, weight = src * n + dst, np.asarray(weight, float)
+    if not (flat[1:] > flat[:-1]).all():  # not each entry once, in row-major order
+        # np.unique keeps the first of equal entries, so the reversed lines
+        # keep the last line that sets each entry; they sort row-major
+        flat, first = np.unique(flat[::-1], return_index=True)
+        (src, dst), weight = np.divmod(flat, n), weight[::-1][first]
+    return Graph._adopt_list(n, src, dst, weight)
 
 
-def _edge_columns(lines):
-    """``(largest index, i, j, w)`` of an edge list's ``lines``, split
-    ``_EDGE_LINES`` at a time; raises ValueError on a faulty line and
-    OverflowError on an index beyond int64."""
-    top, columns = -1, [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
-    for start in range(0, len(lines), _EDGE_LINES):
-        fields = list(map(str.split, lines[start : start + _EDGE_LINES]))
-        size = np.fromiter(map(len, fields), np.intp, len(fields))
-        if size.max(initial=0) > 3:
-            raise ValueError("a line has more than three fields")
-        is_edge = size >= 2
-        edges = list(compress(fields, is_edge))
-        k = len(edges)
-        tokens = chain(
-            map(itemgetter(0), edges),
-            map(itemgetter(1), edges),
-            map(itemgetter(0), compress(fields, size == 1)),
-        )
-        index = np.fromiter(map(int, tokens), np.int64)
-        if (index < 0).any():
-            raise ValueError("a node index is negative")
-        weight = np.ones(k)
-        heavy = size[is_edge] == 3
-        weight[heavy] = np.fromiter(map(float, map(itemgetter(2), compress(edges, heavy))), float)
-        if not np.isfinite(weight).all():
-            raise ValueError("a weight is not finite")
-        top = max(top, int(index.max(initial=-1)))
-        columns.append((index[:k], index[k : 2 * k], weight))
+def _scan_edges(text):
+    """``(largest index, i, j, w)`` of an edge list, from numpy passes over
+    chunks of its bytes that end at a newline.  Tokens, ``a[first:end]``,
+    are the runs of bytes above the blank; an index is summed from its
+    digits by place value, and only a weight is parsed in Python, by
+    ``float`` on its bytes.  A fault, a byte outside ``_EDGE_BYTES`` and
+    comments, or an index that is not 1 to 18 digits raises ValueError."""
+    top, start, columns = -1, 0, [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    while start < len(text):
+        stop = text.rfind("\n", start, start + _EDGE_CHUNK) + 1
+        stop = stop or text.find("\n", start + _EDGE_CHUNK) + 1 or len(text)
+        chunk = _COMMENT.sub(b"", text[start:stop].encode())
+        start = stop
+        if chunk.translate(None, _EDGE_BYTES):
+            raise ValueError("a byte the passes do not read")
+        a = np.frombuffer(chunk, np.uint8)
+        first, end = np.flatnonzero(np.diff(a > 32, prepend=False, append=False)).reshape(-1, 2).T
+        # a line's first token is the chunk's or the first after a newline
+        head = np.zeros(first.size + 1, bool)
+        head[np.searchsorted(first, np.flatnonzero(a == 10))] = head[0] = True
+        head = np.flatnonzero(head[:-1])
+        size = np.diff(head, append=first.size)  # fields of each line with any
+        heavy = head[size == 3] + 2  # the weight tokens
+        width = end - first
+        width[heavy] = 0
+        value = np.zeros(first.size, np.int64)
+        for place in range(width.max(initial=0) - 1, -1, -1):
+            digit = np.subtract(a[end - 1 - place], 48, dtype=np.uint8)
+            digit *= width > place
+            if place > 17 or digit.max() > 9:
+                raise ValueError("an index is not a run of at most 18 digits")
+            value = value * 10 + digit
+        edges = head[size > 1]
+        weight = np.ones(edges.size)
+        tokens = [chunk[i:j] for i, j in zip(first[heavy].tolist(), end[heavy].tolist())]
+        weight[size[size > 1] == 3] = np.fromiter(map(float, tokens), float, heavy.size)
+        if size.max(initial=0) > 3 or not np.isfinite(weight).all():
+            raise ValueError("a line has more than three fields, or a weight is not finite")
+        top = max(top, int(value.max(initial=-1)))
+        columns.append((value[edges], value[edges + 1], weight))
     return (top, *map(np.concatenate, zip(*columns)))
 
 
-def _check_lines(fields):
-    """Raise the InputFormatError of the first faulty line of an edge list
-    split into ``fields``, one token list per line; with none, return the
-    largest node index."""
-    max_index = -1
-    for lineno, parts in enumerate(fields, start=1):
+def _check_lines(lines):
+    """``(largest index, i, j, w)`` of an edge list's ``lines``, read one at
+    a time: the columns are tuples, as an index may pass int64.  A faulty
+    line raises InputFormatError."""
+    max_index, edges = -1, []
+    for line, text in enumerate(lines, start=1):
+        parts = text.partition("#")[0].split()
         if len(parts) > 3:
-            raise InputFormatError(
-                f"line {lineno}: expected 'i j w' with at most three fields",
-                line=lineno,
-            )
+            raise _fault(line, "expected 'i j w' with at most three fields")
+        entry = []
         for token in parts[:2]:
             try:
-                index = int(token)
+                entry.append(int(token))
             except ValueError:
-                raise InputFormatError(
-                    f"line {lineno}: {token!r:.40} is not an integer node index",
-                    line=lineno,
-                ) from None
-            if index < 0:
-                raise InputFormatError(
-                    f"line {lineno}: node indices must be non-negative", line=lineno
-                )
-            max_index = max(max_index, index)
-        if len(parts) == 3:
+                raise _fault(line, f"{token!r:.40} is not an integer node index") from None
+            if entry[-1] < 0:
+                raise _fault(line, "node indices must be non-negative")
+            max_index = max(max_index, entry[-1])
+        if len(parts) > 1:
             try:
-                weight = float(parts[2])
+                weight = float(parts[2]) if len(parts) == 3 else 1.0
             except ValueError:
-                raise InputFormatError(
-                    f"line {lineno}: {parts[2]!r:.40} is not a real weight",
-                    line=lineno,
-                ) from None
+                raise _fault(line, f"{parts[2]!r:.40} is not a real weight") from None
             if not math.isfinite(weight):
-                raise InputFormatError(
-                    f"line {lineno}: weights must be finite", line=lineno
-                )
-    return max_index
+                raise _fault(line, "weights must be finite")
+            edges.append((*entry, weight))
+    return (max_index, *(list(zip(*edges)) or [(), (), ()]))
+
+
+def _fault(line, message):
+    return InputFormatError(f"line {line}: {message}", line=line)
 
 
 def parse_graph_json(text):
@@ -169,9 +174,7 @@ def _graphon_from_json(obj):
     def build(values):
         c = obj.get("c")
         if c is not None and not _is_finite_real(c):
-            raise InputFormatError(
-                "bad 'c' value: expected null or a finite real number"
-            )
+            raise InputFormatError("bad 'c' value: expected null or a finite real number")
         return StepGraphon._adopt(_as_graph(values), c=c)
 
     return _parse_matrix(obj, "graphon", build, "values", "k", "values")
@@ -213,9 +216,7 @@ def _load_json(text):
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputFormatError(
-            f"line {exc.lineno}: invalid JSON: {exc.msg}", line=exc.lineno
-        ) from exc
+        raise InputFormatError(f"line {exc.lineno}: invalid JSON: {exc.msg}", line=exc.lineno) from exc
     except RecursionError:
         raise InputFormatError("invalid JSON: nested too deeply") from None
     except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
@@ -232,18 +233,19 @@ def _decode(data):
     try:
         return TextIOWrapper(BytesIO(data)).read()
     except UnicodeDecodeError as exc:
-        raise InputFormatError(
-            f"byte {exc.start}: not {exc.encoding} text ({exc.reason})"
-        ) from None
+        raise InputFormatError(f"byte {exc.start}: not {exc.encoding} text ({exc.reason})") from None
 
 
 # JSON whitespace, and the bytes of the rows of a listed matrix
 _WHITESPACE = b" \t\n\r"
 _MATRIX_BYTES = b"0123456789.eE+-,[]"
-# bytes of a file per chunk of the rows of a listed matrix, and lines of an
-# edge list split at a time
+# bytes per chunk of the rows of a listed matrix; characters per chunk of
+# an edge list's lines, its comment (up to a line break or non-ASCII byte)
+# and the bytes ``_scan_edges`` reads outside comments
 _CHUNK = 1 << 18
-_EDGE_LINES = 1024
+_EDGE_CHUNK = 1 << 14
+_COMMENT = re.compile(rb"#[^\n\r\v\f\x1c-\x1e\x80-\xff]*")
+_EDGE_BYTES = b"0123456789 \t\n.eE+-"
 
 
 def _listed_object(data, key):
@@ -530,9 +532,7 @@ def _json_key(key):
         return key
     if key is None or isinstance(key, (bool, int, float)):
         return json.dumps(key)
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-    )
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def write_graph(g, path):

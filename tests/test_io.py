@@ -28,7 +28,7 @@ from fpcentral import (
 )
 from fpcentral.cli import main
 from fpcentral.graphs import ENTRY_SHARE, _Entries
-from fpcentral.io import _csv_rows, _listed_object, _write_json
+from fpcentral.io import _EDGE_CHUNK, _csv_rows, _listed_object, _write_json
 
 from oracles import parse_edge_list_reference, parse_matrix_json_reference
 
@@ -145,12 +145,38 @@ _LINE_BREAKS = st.sampled_from(
     ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 )
 _COMMENTS = st.sampled_from(["", "# note", " #0 1 2 3 4", "#", "  # -1 x"])
+# digit-only tokens, which the byte passes read, beside indices at and past
+# their 18 digits and int64, and weights of 20 digits
+_DIGITS = _mostly(st.integers(0, 40).map(str) | st.just("007"), st.sampled_from(
+    ["999999999999999999", "9223372036854775807", "9223372036854775808",
+     "5000", "1.0", "+1", "-1", "1e1"]
+), odds=12)
+_DIGIT_WEIGHTS = _mostly(
+    st.integers(0, 10**20).map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.sampled_from(["12345678901234567890", "-0.0", "1e-320", "+2", ".5", "5."]),
+    st.sampled_from(["1e400", "e", "-", "1.2.3", "1e", "+-1", "inf", "1_0"]),
+    odds=10,
+)
+_NEWLINES = _mostly(st.just("\n"), _LINE_BREAKS, odds=20)
+_ASCII_COMMENTS = st.sampled_from(
+    ["", "# note", " #0 1 2 3 4", "#\t#", "  # -1 x", "# x\x1f 1 2", "# caf\u00e9 0 1"]
+)
+# valid lines, among them weighted, tabbed, commented and blank ones, that
+# end a little before one chunk of the byte passes: a text after them meets
+# the chunk's end, or lies in the next chunk
+_FILLER = "".join(
+    f"{i % 29}\t{i * 7 % 29} {i / 8}  # {i}\n\n" if i % 5 == 0 else f"{i % 31} {i * 3 % 31}\n"
+    for i in range(_EDGE_CHUNK // 4)
+)
+_FILLER = _FILLER[: _FILLER.rfind("\n", 0, _EDGE_CHUNK - 300) + 1]
 
 
-def _edge_lists(index, weight, faulty_lines):
+def _edge_lists(index, weight, faulty_lines, breaks=_LINE_BREAKS, comments=_COMMENTS):
     """Edge-list texts from lines of the given tokens: bare indices, edges
     with and without a weight, blank and comment lines, and, when
-    ``faulty_lines``, lines of more than three fields."""
+    ``faulty_lines``, lines of more than three fields; lines end in
+    ``breaks`` and may hold one of ``comments``."""
     shape = st.one_of(
         st.tuples(index),
         st.tuples(index, index),
@@ -163,8 +189,8 @@ def _edge_lists(index, weight, faulty_lines):
         shape,
         st.sampled_from([" ", "\t", "  ", " \t "]),
         st.sampled_from(["", " ", "\t"]),
-        _COMMENTS,
-        _LINE_BREAKS,
+        comments,
+        breaks,
     ).map(lambda t: t[2] + t[1].join(t[0]) + t[2] + t[3] + t[4])
     return st.tuples(st.lists(line, max_size=12), st.booleans()).map(
         lambda t: "".join(t[0]) if t[1] else "".join(t[0]).rstrip("\n")
@@ -209,6 +235,99 @@ class TestEdgeListAgainstReference:
         g = parse_edge_list(text)
         assert g.weights[0, 1] == 0.25 and g.weights[1, 0] == 2.0
         assert _outcome(parse_edge_list, text) == _outcome(parse_edge_list_reference, text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_edge_lists(_DIGITS, _DIGIT_WEIGHTS, faulty_lines=False, breaks=_NEWLINES,
+                       comments=_ASCII_COMMENTS))
+    def test_digit_texts(self, text):
+        assert _outcome(parse_edge_list, text) == _outcome(parse_edge_list_reference, text)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_edge_lists(_DIGITS, _DIGIT_WEIGHTS, faulty_lines=True, breaks=_NEWLINES,
+                       comments=_ASCII_COMMENTS), st.integers(0, 400))
+    def test_texts_past_a_chunk(self, text, shift):
+        # the text's lines meet the end of the first chunk or lie in the
+        # second, so a faulty line's number counts the lines before it
+        text = " " * shift + _FILLER + text
+        assert _EDGE_CHUNK - 400 < len(_FILLER) <= _EDGE_CHUNK - 300
+        assert _outcome(parse_edge_list, text) == _outcome(parse_edge_list_reference, text)
+
+    def test_a_faulty_line_in_a_later_chunk_is_named(self):
+        for fault in ("0 1 x", "0 1 2 3", "0 -1", "0 1 1e400", "0 1.5"):
+            text = _FILLER * 3 + "0 1 2\n" + fault + "\n3 4\n"
+            outcome = _outcome(parse_edge_list, text)
+            assert outcome == _outcome(parse_edge_list_reference, text)
+            assert outcome[2] == 3 * _FILLER.count("\n") + 2
+
+    def test_a_line_longer_than_a_chunk(self):
+        text = "0 1\n" + " " * _EDGE_CHUNK + "2\t" + "0" * 20 + "3 0.5  # " + "x" * _EDGE_CHUNK
+        g = parse_edge_list(text + "\n4 1\n")
+        assert g.n == 5 and g.weights[2, 3] == 0.5 and g.weights[4, 1] == 1.0
+        assert _outcome(parse_edge_list, text) == _outcome(parse_edge_list_reference, text)
+
+    @pytest.mark.parametrize("index", ["999999999999999999", "9223372036854775807",
+                                       "9223372036854775808"])
+    def test_an_index_past_the_node_limit_declares_its_nodes(self, index):
+        for text in (f"0 1\n{index} 2 0.5\n3\n", f"0 1\n{index}", f"{index}\t0\n"):
+            outcome = _outcome(parse_edge_list, text)
+            assert outcome == _outcome(parse_edge_list_reference, text)
+            assert outcome[1].startswith(f"edge list declares {int(index) + 1} nodes")
+
+    def test_digit_only_and_twenty_digit_weights(self):
+        text = "0 1 7\n1 0 12345678901234567890\n1 1 99999999999999999999\n0 0 00000000000000000003\n"
+        g = parse_edge_list(text)
+        assert g.weights.tolist() == [[3.0, 7.0], [12345678901234567890.0, 99999999999999999999.0]]
+        assert _outcome(parse_edge_list, text) == _outcome(parse_edge_list_reference, text)
+
+
+class TestEdgeListRoute:
+    """A digit-only edge list is read by the byte passes alone; the line
+    walker reads only a text they do not read, or one with a fault."""
+
+    @staticmethod
+    def _digit_list():
+        # 2000 nodes in row-major order, unit and weighted lines, tabs,
+        # blank lines, and a last line with no newline
+        rng = np.random.default_rng(2000)
+        rows = np.sort(rng.integers(0, 2000, 8000)).tolist()
+        cols = rng.integers(0, 2000, 8000).tolist()
+        weights = rng.integers(0, 10**6, 8000).tolist()
+        lines = [
+            f"{i} {j}" if k % 3 else f"{i}\t{j} {w}" if k % 2 else f" {i} {j}\t{w / 7!r}\n"
+            for k, (i, j, w) in enumerate(zip(rows, cols, weights))
+        ]
+        return "1999\n" + "\n".join(lines)
+
+    @staticmethod
+    def _refuse(lines):
+        raise AssertionError("the line walker ran")
+
+    def test_a_digit_only_list_takes_no_walker(self, monkeypatch):
+        from fpcentral import io as fio
+
+        text = self._digit_list()
+        expected = parse_edge_list_reference(text)
+        monkeypatch.setattr(fio, "_check_lines", self._refuse)
+        g = parse_edge_list(text)
+        assert g.n == 2000 and isinstance(g._held, _Entries)
+        assert np.array_equal(g.weights.view(np.int64), expected.weights.view(np.int64))
+
+    @pytest.mark.parametrize("text, line", [
+        ("0 1\n+1 2\n", None), ("0 1\n1_0 2 0.5\n", None), ("0 1\n\u0663 2\n", None),
+        ("0 1\v2 3\n", None), ("0 1\n2 3 1_0\n", None), ("0 1\n2 3\n1 x\n", 3),
+        ("0 1\n2 3 4 5\n", 2), ("0 1 nan\n", 1),
+    ], ids=["plus", "underscore", "arabic-digit", "vertical-tab", "underscore-weight",
+            "bad-index", "four-fields", "nan-weight"])
+    def test_other_texts_take_the_walker(self, monkeypatch, text, line):
+        from fpcentral import io as fio
+
+        walked = []
+        check = fio._check_lines
+        monkeypatch.setattr(fio, "_check_lines", lambda lines: walked.append(1) or check(lines))
+        outcome = _outcome(parse_edge_list, text)
+        assert walked == [1]
+        assert outcome == _outcome(parse_edge_list_reference, text)
+        assert (outcome[2] if line else None) == line
 
 
 class TestGraphJson:
