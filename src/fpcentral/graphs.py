@@ -28,7 +28,6 @@ MATRIX_TOL = 1e-12
 # rows or columns per tile of the n x n passes that make no n x n temporary
 _TILE = 128
 ENTRY_SHARE = 1 / 32
-_NO_ZEROS = np.empty(0, dtype=np.intp)
 
 
 def _refuse_non_finite(m, caller):
@@ -40,15 +39,13 @@ class _Entries(NamedTuple):
     """The non-zero entries ``vals`` at ``(rows, cols)`` of an n x n matrix M
     and its products over them alone, each adding a line's terms in the
     order of the list (``np.bincount`` returns integers for an empty list,
-    hence the casts).  ``zeros`` holds the row-major flat indices of M's
-    -0.0 entries.  A graph's list is row-major; a PageRank kernel's goes
-    column by column, and no method after ``digest_into`` reads it."""
+    hence the casts).  A graph's list is row-major; a PageRank kernel's
+    goes column by column, and no method after ``digest_into`` reads it."""
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     n: int
-    zeros: np.ndarray = _NO_ZEROS
 
     def matvec(self, x):
         """M x."""
@@ -84,7 +81,6 @@ class _Entries(NamedTuple):
         """M as a new n x n array, the only place a list forms one."""
         m = np.zeros((self.n, self.n))
         m[self.rows, self.cols] = self.vals
-        m.flat[self.zeros] = -0.0
         return m
 
     def digest_into(self, h):
@@ -128,16 +124,12 @@ class _Entries(NamedTuple):
 
     def divided(self, k):
         """The graph of M / k, as ``vals / k``."""
-        return Graph._adopt_list(self.n, self.rows, self.cols, self.vals / k, self.zeros)
+        return Graph._adopt_list(self.n, self.rows, self.cols, self.vals / k)
 
     def spelled_rows(self, sep):
         """Each row as ``sep.join`` of its entries' float reprs: a row of
         zeros with the reprs of its listed entries in place of their "0.0",
-        made a row at a time, so a row costs its listed entries.  With -0.0
-        entries, it spells its array."""
-        if self.zeros.size:
-            yield from _Dense(self.dense()).spelled_rows(sep)
-            return
+        made a row at a time, so a row costs its listed entries."""
         zeros = sep.join(["0.0"] * self.n)
         starts = np.searchsorted(self.rows, np.arange(self.n + 1)).tolist()
         offsets = self.cols * (len(sep) + 3)
@@ -388,18 +380,18 @@ class Graph:
     n : int
         Number of nodes.
     weights : (n, n) ndarray
-        The weight matrix, signs of zeros included, read-only: the array
-        held (a defensive copy, never aliased), or one formed anew from the
-        list.  A write through it raises on both forms.
+        The weight matrix, each zero +0.0, read-only: the array held (a
+        defensive copy, never aliased), or one formed anew from the list.
+        A write through it raises on both forms.
     symmetric : bool
         True iff the matrix equals its transpose within ``matrix_tol``.
 
     A graph holds one operand, ``_held``: the list of its non-zero entries
     when they are at most ``ENTRY_SHARE`` of all, else its array, read-only.
     ``Graph._adopt(w)`` takes a fresh float64 array without the copy,
-    ``Graph._adopt_list(n, rows, cols, vals, zeros)`` a finite matrix as a
-    row-major list of its non-zero entries (and maybe zeros), and
-    ``Graph._holding(op)`` an operand as it is, with no cut taken.
+    ``Graph._adopt_list(n, rows, cols, vals)`` a finite matrix as a
+    row-major list of its entries, whose zeros it drops, and
+    ``Graph._holding(op)`` an operand, handed over, with no cut taken.
     """
 
     def __init__(self, weights):
@@ -410,11 +402,9 @@ class Graph:
         return cls.__new__(cls)._check_and_set(w)
 
     @classmethod
-    def _adopt_list(cls, n, rows, cols, vals, zeros=_NO_ZEROS):
-        zero = vals == 0.0
-        signed = zero & np.signbit(vals)
-        zeros = np.concatenate([zeros, rows[signed] * n + cols[signed]])
-        e = _Entries(rows[~zero], cols[~zero], vals[~zero], n, zeros)
+    def _adopt_list(cls, n, rows, cols, vals):
+        keep = vals != 0.0
+        e = _Entries(rows[keep], cols[keep], vals[keep], n)
         if e.vals.size > ENTRY_SHARE * n * n:
             return cls._adopt(e.dense())
         return cls._holding(e)
@@ -430,14 +420,11 @@ class Graph:
             raise ParameterError("the matrix is not square")
         if not np.all(np.isfinite(w)):
             raise ParameterError("the matrix has non-finite entries")
-        listed = _nonzero_entries(w)
-        if listed is None:
-            return self._set(_Dense(w))
-        # the bit pattern of -0.0 is the smallest int64
-        return self._set(listed._replace(zeros=np.flatnonzero(w.view(np.int64) == np.iinfo(np.int64).min)))
+        return self._set(_operand(w))
 
     def _set(self, held):
         if isinstance(held, _Dense):
+            np.add(held.vals, 0.0, out=held.vals)  # -0.0 + 0.0 is +0.0, any other entry kept
             m = held.vals.view()
             m.flags.writeable = False
             held = _Dense(m)

@@ -31,7 +31,7 @@ from fpcentral.centrality import (
     _solve_direct,
     native_norm_index,
 )
-from fpcentral.graphs import _Entries, _strongly_connected
+from fpcentral.graphs import _Dense, _Entries, _strongly_connected
 from fpcentral.graphon import StepGraphon, _lift_graph, graphon_eigencentrality
 from oracles import (
     GraphGeneratorSpec,
@@ -188,6 +188,11 @@ class TestSolve:
         with pytest.raises(ParameterError, match="normalize"):
             solve(Graph(w), "katz", 0.45)
 
+    def test_eigen_with_a_mixed_sign_vector_is_refused(self):
+        # eigenvalues 3 and -1; the leading eigenvector (1, -1) has no rho
+        with pytest.raises(ParameterError, match="mixed signs"):
+            solve(Graph(np.array([[1.0, -2.0], [-2.0, 1.0]])), "eigen")
+
     def test_eigen_family_dispatches(self):
         g = generate(GraphGeneratorSpec("cycle", 4))
         res = solve(g, "eigen")
@@ -262,6 +267,20 @@ class TestClosedForms:
             with pytest.raises(NumericalError):
                 call()
 
+
+    @pytest.mark.parametrize("solved, message", [
+        (np.linalg.LinAlgError("Singular matrix"), "katz system is singular: Singular matrix"),
+        (np.array([1.0, np.nan]), "katz solve produced non-finite values"),
+    ], ids=["singular", "non-finite"])
+    def test_a_singular_or_non_finite_solve_is_refused(self, monkeypatch, solved, message):
+        def lapack(lhs, rhs):
+            if isinstance(solved, Exception):
+                raise solved
+            return solved
+
+        monkeypatch.setattr(np.linalg, "solve", lapack)
+        with pytest.raises(NumericalError, match=message):
+            graphon_katz(lift(_c2()), 0.5)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 130])
     def test_left_side_in_place_has_the_bits_of_eye_minus(self, n, monkeypatch):
@@ -379,6 +398,27 @@ class TestPagerankKernel:
         assert np.allclose(k[:, 1], 0.0)
         assert np.allclose(k.sum(axis=0), [1.0, 0.0])
 
+    def test_a_listed_row_of_zero_degree_has_no_kernel_entries(self):
+        # a directed ring whose row 5 also holds -1 twice and sums to 0: the
+        # list drops that row's entries where the array's kernel is 0 there,
+        # and each kernel row keeps at most one entry, so both forms agree
+        # bit for bit, the solve too
+        n = 64
+        m = np.zeros((n, n))
+        m[np.arange(n), np.roll(np.arange(n), -1)] = 1.0
+        m[5, 6], m[5, 20], m[5, 40] = 2.0, -1.0, -1.0
+        listed, dense = Graph(m), Graph._holding(_Dense(m.copy()))
+        assert isinstance(listed._held, _Entries) and not isinstance(dense._held, _Entries)
+        d = _degrees(listed)
+        assert d[5] == 0.0 and d.tobytes() == _degrees(dense).tobytes()
+        kernel = listed._held.kernel(d)
+        assert kernel.vals.size == n - 1
+        assert kernel.dense().tobytes() == dense._held.kernel(d).dense().tobytes()
+        assert not kernel.dense()[:, 5].any()
+        got, want = (solve(g, "pagerank", 0.85) for g in (listed, dense))
+        assert got.feature_x.tobytes() == want.feature_x.tobytes()
+        assert got.iterations == want.iterations
+
 
 class TestEigencentrality:
     def test_c4(self):
@@ -452,6 +492,11 @@ class TestEigencentrality:
     def test_zero_matrix_is_refused(self):
         with pytest.raises(ParameterError):
             eigencentrality(Graph(np.zeros((3, 3))))
+
+    def test_zero_leading_eigenvalue_is_refused(self):
+        # eigenvalues 0 and -1: a simple leading eigenvalue that is zero
+        with pytest.raises(ParameterError, match="leading eigenvalue is zero"):
+            eigencentrality(Graph(np.array([[0.0, 0.0], [0.0, -1.0]])))
 
     def test_mixed_sign_vector_has_no_rho(self):
         res = eigencentrality(Graph(np.array([[0.0, -1.0], [-1.0, 0.0]])))

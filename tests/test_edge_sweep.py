@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -32,6 +33,11 @@ MATRICES = {
     "one-node": [[0.0]],
     "self-loops": [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
     "signed-zeros": [[-0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [-0.0, 1.0, -0.0]],
+    # a directed ring of 40 nodes with a -0.0 line for each reverse link: a
+    # graph that holds the list of its 40 entries (at most 50 are listed),
+    # where the 3 x 3 one holds its array
+    "signed-zeros-listed": [[1.0 if j == (i + 1) % 40 else -0.0 if i == (j + 1) % 40 else 0.0
+                             for j in range(40)] for i in range(40)],
     "subnormal": [[TINY * x for x in row] for row in TRIANGLE],
     "huge": [[1e308 * x for x in row] for row in PATH],
     "negative": [[0.0, -1.0, 2.0], [-1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
@@ -110,6 +116,11 @@ def test_every_command_on_an_edge_input(tmp_path, name):
         graphon_b.write_text(json.dumps({"values": _partner(m)}))
     a, b = str(graph), str(partner)
     _call("graphon", "lift", a)
+    # a graph holds no -0.0: its lift, JSON and CSV, spells 0.0 there
+    lifted = io.StringIO()
+    with contextlib.redirect_stdout(lifted), contextlib.redirect_stderr(io.StringIO()):
+        main(["graphon", "lift", a, "--csv"])
+    assert not re.search(r"-0\.0(?![0-9e])", lifted.getvalue())
     for norm in NORMS:
         _call("norms", a, "--norm", *norm)
     for family in FAMILIES:

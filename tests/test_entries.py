@@ -20,11 +20,12 @@ import pytest
 import fpcentral
 from fpcentral import Graph, operator_norm, solve
 from fpcentral.centrality import _operand, _prepare, _solve
-from fpcentral.io import parse_edge_list
+from fpcentral.io import _csv_rows, parse_edge_list
 from fpcentral.graphs import ENTRY_SHARE, _Dense, _Entries, _difference_entries
 from fpcentral.graphs import _merged_difference, _nonzero_entries, degree_vector
 from fpcentral.graphs import matrix_tol, max_asymmetry
 from fpcentral.norms import _operator_norm
+from fpcentral.perturbation import _digest
 from oracles import pagerank_kernel_reference
 
 EPS = np.finfo(float).eps
@@ -44,11 +45,10 @@ def _matrix(rng, n, share, kind):
 
 
 def _listed(m):
-    """The entries of ``m`` by ``np.nonzero``, and the places of its -0.0
-    entries, at any density."""
+    """The entries of ``m`` by ``np.nonzero``, at any density: no zero of
+    either sign."""
     rows, cols = np.nonzero(m)
-    zeros = np.flatnonzero(np.signbit(m) & (m == 0.0))
-    return _Entries(rows, cols, m[rows, cols], m.shape[0], zeros)
+    return _Entries(rows, cols, m[rows, cols], m.shape[0])
 
 
 def _is_listed(g):
@@ -330,9 +330,10 @@ PARITY = _parity_cases()
 def test_the_two_forms_of_one_matrix_agree(case):
     # the listed and the dense form of one matrix, each read only through
     # the operand methods; the list adds a line's terms in its order, so
-    # only sums whose order cannot show are compared byte for byte
-    m = PARITY[case]
-    listed, dense = _listed(m), _Dense(m.copy())
+    # only sums whose order cannot show are compared byte for byte.  Neither
+    # form holds a -0.0: the array is the one a graph holds, m + 0.0
+    m = PARITY[case] + 0.0
+    listed, dense = _listed(PARITY[case]), _Dense(m.copy())
     assert listed.dense().tobytes() == dense.dense().tobytes() == m.tobytes()
     # column sums add each column's rows in order on both forms
     assert listed.abs_sums(0).dtype == np.float64
@@ -358,9 +359,11 @@ def test_the_two_forms_of_one_matrix_agree(case):
 
 @pytest.mark.parametrize("case", list(PARITY))
 def test_each_form_digests_its_documented_bytes(case):
+    # the array is the one a graph holds, with no -0.0: the listed form's
+    # bytes are those of the matrix without its zeros of either sign
     m = PARITY[case]
     for form, want in (
-        (_Dense(m), str(m.shape).encode() + m.tobytes()),
+        (_Dense(m + 0.0), str(m.shape).encode() + (m + 0.0).tobytes()),
         (_listed(m), f"entries{(m.shape[0], m[m != 0.0].size)}".encode()
             + np.concatenate(np.nonzero(m)).astype(np.int64).tobytes() + m[m != 0.0].tobytes()),
     ):
@@ -375,6 +378,20 @@ def test_each_form_digests_its_documented_bytes(case):
         h = hashlib.sha256()
         form.digest_into(h)
         assert h.digest() == hashlib.sha256(want).digest()
+
+
+@pytest.mark.parametrize("share", [0.02, 0.5], ids=["listed", "dense"])
+def test_a_negative_zero_is_zero_on_both_forms(share):
+    # a graph holds no -0.0, so a matrix reads, writes and hashes as the
+    # one with +0.0 in its place, whichever form its graph holds
+    rng = np.random.default_rng(2402)
+    m = _matrix(rng, 150, share, "signed")
+    m.flat[np.flatnonzero(m == 0.0)[::3]] = -0.0
+    g, plus = Graph(m), Graph(m + 0.0)
+    assert _is_listed(g) == (share < ENTRY_SHARE) and np.signbit(m[m == 0.0]).any()
+    assert g.weights.tobytes() == plus.weights.tobytes() == (m + 0.0).tobytes()
+    assert list(_csv_rows(g)) == list(_csv_rows(plus))
+    assert _digest(g) == _digest(plus)
 
 
 @pytest.mark.parametrize("listed", [False, True], ids=["dense", "listed"])

@@ -135,8 +135,10 @@ class TestContainers:
                 outcomes = []
                 listed = Graph(values)
                 assert isinstance(listed._held, _Entries)
-                # the same matrix held as its array, whatever its density
+                # the same matrix held as its array, whatever its density;
+                # both forms hold +0.0 for -0.0
                 for g in (listed, Graph._holding(_Dense(values.copy()))):
+                    assert g.weights.tobytes() == (values + 0.0).tobytes()
                     try:
                         outcomes.append(np.float64(StepGraphon._adopt(g, c).c).tobytes())
                     except ParameterError as exc:

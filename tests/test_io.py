@@ -692,9 +692,8 @@ class TestMatrixJsonAgainstReference:
         key = "weights" if kind == "graph" else "values"
         assert (_listed_object(data, key) is not None) == listed
         outcome = self._check(folder, kind, data)
-        if name == "negative-zero":
-            assert np.signbit(np.frombuffer(outcome[2], float)[1])
-        if name == "integer-negative-zero":
+        if name in ("negative-zero", "integer-negative-zero"):
+            # a zero weight reads as +0.0, whatever its sign
             assert not np.signbit(np.frombuffer(outcome[2], float)).any()
 
     def test_a_dense_matrix_is_refused_after_its_first_chunk(self, monkeypatch):
@@ -839,21 +838,23 @@ class TestListedMatrixWriter:
     is spelled from the list of them, byte for byte as json.dumps spells
     its weights' ``tolist()``; a 64 x 64 matrix is listed up to 128
     entries.  A 2-D array is spelled as its rows, however few its entries.
-    Each matrix written as a graph's weights reads back with its bits, or
-    with the json path's error when no graph holds it."""
+    Each matrix written as a graph's weights reads back with its bits, a
+    -0.0 as 0.0 as a graph holds it, or with the json path's error when no
+    graph holds it."""
 
     @staticmethod
     def _spelled(m):
         """The JSON spelling of ``m``, and the JSON and CSV spellings of
         ``Graph(m)`` when ``m`` is square and finite, against json.dumps
-        and the row reprs; the Graph, or None."""
+        and the row reprs of ``m + 0.0``, the array with no -0.0 that the
+        graph holds; the Graph, or None."""
         assert _written({"m": m, "k": [m]}) == _dumped({"m": m.tolist(), "k": [m.tolist()]})
         if m.shape[0] != m.shape[1] or not np.isfinite(m).all():
             return None
         g = Graph(m)
-        want = np.asarray(m, dtype=float).tolist()
-        assert _written({"m": g, "k": [g]}) == _dumped({"m": want, "k": [want]})
-        assert list(_csv_rows(g)) == _dense_csv(np.asarray(m, dtype=float))
+        held = np.asarray(m, dtype=float) + 0.0
+        assert _written({"m": g, "k": [g]}) == _dumped({"m": held.tolist(), "k": [held.tolist()]})
+        assert list(_csv_rows(g)) == _dense_csv(held)
         return g
 
     @staticmethod
@@ -864,7 +865,7 @@ class TestListedMatrixWriter:
         outcome = _read_outcome("graph", path)
         assert outcome == _reference_outcome("graph", path)
         if m.shape[0] == m.shape[1] and np.isfinite(m).all():
-            assert outcome[2] == np.asarray(m, dtype=float).tobytes()
+            assert outcome[2] == (np.asarray(m, dtype=float) + 0.0).tobytes()
 
     @pytest.mark.parametrize("count", [0, 1, 127, 128, 129, 300])
     @pytest.mark.parametrize("shape", [(64, 64), (2, 2048), (2048, 2)])
@@ -884,8 +885,9 @@ class TestListedMatrixWriter:
         m.flat[at] = _ODD_VALUES[odd]
         assert list(_csv_rows(m)) == _dense_csv(m)
         g = self._spelled(m)
-        if g is not None and count <= 128:  # -0.0: a list that spells its array's rows
-            assert isinstance(g._held, _Entries) and g._held.zeros.size == 1
+        if g is not None and count <= 128:  # -0.0: a list without it, spelled 0.0
+            assert isinstance(g._held, _Entries) and g._held.vals.size == count
+            assert "-0.0" not in "".join(_csv_rows(g))
         self._round_trip(m, tmp_path)
 
     def test_orders_and_types_other_than_c_float64_are_spelled_as_lists(self, tmp_path):
@@ -922,9 +924,10 @@ class TestListedMatrixWriter:
 
 
 class TestSignedZeros:
-    """A listed graph holds only its list of non-zero entries, and the
-    places of its -0.0 entries beside it, so the weights it forms, and the
-    lift that ``fpc graphon lift`` writes, keep the sign of every zero."""
+    """A graph holds no -0.0: the -0.0 lines of an edge list set no entry,
+    so a listed graph holds only its non-zero entries, and the weights it
+    forms and the lift that ``fpc graphon lift`` writes hold 0.0 there, as
+    the array of the same matrix does."""
 
     @staticmethod
     def _matrix(n=64):
@@ -938,29 +941,30 @@ class TestSignedZeros:
         assert np.count_nonzero(m) <= ENTRY_SHARE * m.size
         return m
 
-    def test_an_edge_list_keeps_its_negative_zeros(self):
-        m = self._matrix()
+    @staticmethod
+    def _edge_list(m):
+        """The lines of every entry of ``m`` that is not +0.0."""
         rows, cols = np.nonzero(np.signbit(m) | (m != 0.0))
-        g = parse_edge_list("".join(
-            f"{i} {j} {float(m[i, j])!r}\n" for i, j in zip(rows.tolist(), cols.tolist())
-        ))
-        assert isinstance(g._held, _Entries) and g._held.zeros.size == np.count_nonzero(np.signbit(m))
-        assert g.weights.tobytes() == m.tobytes()
-        assert Graph(m).weights.tobytes() == m.tobytes()
+        return "".join(f"{i} {j} {float(m[i, j])!r}\n" for i, j in zip(rows.tolist(), cols.tolist()))
 
-    def test_the_lift_of_an_edge_list_writes_them(self, tmp_path):
+    def test_an_edge_list_holds_no_negative_zero(self):
         m = self._matrix()
-        rows, cols = np.nonzero(np.signbit(m) | (m != 0.0))
+        text = self._edge_list(m)
+        assert "-0.0" in text
+        g = parse_edge_list(text)
+        assert isinstance(g._held, _Entries) and g._held.vals.size == np.count_nonzero(m)
+        assert g.weights.tobytes() == (m + 0.0).tobytes() == Graph(m).weights.tobytes()
+        assert not np.signbit(g.weights).any()
+
+    def test_the_lift_of_an_edge_list_spells_them_as_zero(self, tmp_path):
+        m = self._matrix()
         path = tmp_path / "g.txt"
-        path.write_text("".join(
-            f"{i} {j} {float(m[i, j])!r}\n" for i, j in zip(rows.tolist(), cols.tolist())
-        ))
+        path.write_text(self._edge_list(m))
         out = tmp_path / "lift.json"
         assert main(["graphon", "lift", str(path), "-o", str(out), "--csv"]) == 0
-        assert out.read_text() == _written({"k": m.shape[0], "c": 0.3, "values": m.tolist()})
-        assert '"values"' in out.read_text() and "-0.0" in out.read_text()
-        assert out.with_suffix(".csv").read_text() == "".join(
-            line + "\n" for line in _dense_csv(m)
-        )
+        assert out.read_text() == _written({"k": m.shape[0], "c": 0.3, "values": (m + 0.0).tolist()})
+        csv = out.with_suffix(".csv").read_text()
+        assert csv == "".join(line + "\n" for line in _dense_csv(m + 0.0))
+        assert "-0.0" not in out.read_text() + csv
         back = read_graphon(out)
-        assert isinstance(back._graph._held, _Entries) and back.values.tobytes() == m.tobytes()
+        assert isinstance(back._graph._held, _Entries) and back.values.tobytes() == (m + 0.0).tobytes()

@@ -21,6 +21,7 @@ from fpcentral import (
     StepGraphon,
     eigencentrality,
     operator_norm,
+    parse_edge_list,
     prop6_certificate,
     prop7_certificate,
     read_graph,
@@ -31,6 +32,7 @@ from fpcentral import (
 )
 from fpcentral.cli import main
 from fpcentral.graphs import _Entries
+from fpcentral.io import _write_json
 
 N = 1000
 
@@ -239,6 +241,31 @@ def test_read_graphon_of_a_listed_lift_holds_its_bytes_and_a_chunk(pair, tmp_pat
     read = []
     assert _peak(lambda: read.append(read_graphon(path))) <= 1.75
     assert isinstance(read[0]._graph._held, _Entries)
+
+
+def test_a_negated_graph_holds_no_more_than_the_graph(pair):
+    # -A has a -0.0 wherever A has a 0.0; a graph holds no signed zero, so
+    # both hold the same list of entries (with the places of the -0.0
+    # entries kept beside it, Graph(-A) held 0.99 matrices more)
+    a = pair[0].weights
+    held = [Graph(m)._held for m in (a, -a)]
+    assert isinstance(held[1], _Entries)
+    size = [sum(x.nbytes for x in h if isinstance(x, np.ndarray)) for h in held]
+    assert size[1] <= size[0]
+
+
+def test_writing_a_listed_graph_with_a_negative_zero_spells_its_list(pair, tmp_path):
+    # an edge list with one -0.0 line: the graph holds the list of its
+    # non-zero entries alone, which the writer spells a row at a time
+    # (when the list kept the -0.0, the writer spelled a whole array: 1.01)
+    a = pair[0].weights
+    rows, cols = np.nonzero(a)
+    i, j = np.argwhere(a == 0.0)[0]
+    g = parse_edge_list("".join(f"{r} {c}\n" for r, c in zip(rows.tolist(), cols.tolist()))
+                        + f"{i} {j} -0.0\n")
+    assert isinstance(g._held, _Entries) and g._held.vals.size == rows.size
+    with open(tmp_path / "g.json", "w") as fp:
+        assert _peak(lambda: _write_json({"n": g.n, "weights": g}, fp)) <= 0.05
 
 
 @pytest.fixture(scope="module")
