@@ -26,7 +26,6 @@ by inverse iteration.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -69,10 +68,9 @@ def native_norm_index(family):
     return 1 if family == "pagerank" else 2
 
 
-@dataclass
-class CentralityResult:
+class CentralityResult(NamedTuple):
     """Solver output: rho = g(x) plus the fixed-point feature x and
-    iteration diagnostics."""
+    iteration diagnostics, an immutable record (``_replace`` copies it)."""
 
     rho: np.ndarray
     feature_x: np.ndarray
@@ -284,9 +282,9 @@ def _solve_direct(prep):
     return x
 
 
-@dataclass
-class EigenResult:
-    """Leading eigenpair of A.T with simplicity diagnostics.
+class EigenResult(NamedTuple):
+    """Leading eigenpair of A.T with simplicity diagnostics, an immutable
+    record (``_replace`` copies it).
 
     ``vector`` is the oriented unit eigenvector (2-norm one, entry sum at
     least zero).  ``rho`` is its absolute value when the oriented vector is

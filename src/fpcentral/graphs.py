@@ -104,13 +104,18 @@ class _Entries(NamedTuple):
 
     def asymmetry(self):
         """``max_asymmetry`` of a row-major list's matrix, bit for bit: each
-        entry's mirror is found in the sorted flat indices, 0.0 if absent."""
+        entry's mirror is found in the sorted flat indices, 0.0 if absent.
+        The mirrors are looked up in their own sorted order, since a binary
+        search over sorted keys runs several times faster than over the
+        column-major order in which they arrive."""
         flat = self.rows * self.n + self.cols
         mirror = self.cols * self.n + self.rows
+        order = np.argsort(mirror)
+        mirror = mirror[order]
         at = np.searchsorted(flat, mirror)
         at[at == flat.size] = 0
         found = np.where(flat[at] == mirror, self.vals[at], 0.0)
-        return float(np.max(np.abs(self.vals - found), initial=0.0))
+        return float(np.max(np.abs(self.vals[order] - found), initial=0.0))
 
     def kernel(self, d):
         """M^T D^-1 for row sums ``d``: ``vals / d[rows]`` at rows of
@@ -125,6 +130,13 @@ class _Entries(NamedTuple):
     def divided(self, k):
         """The graph of M / k, as ``vals / k``."""
         return Graph._adopt_list(self.n, self.rows, self.cols, self.vals / k)
+
+    def relabeled(self, m):
+        """The graph whose entry ``(m[i], m[j])`` is M's entry ``(i, j)``: the
+        list with its indices mapped, sorted row-major again, in O(entries)."""
+        rows, cols = m[self.rows], m[self.cols]
+        order = np.argsort(rows * self.n + cols)
+        return Graph._holding(_Entries(rows[order], cols[order], self.vals[order], self.n))
 
     def spelled_rows(self, sep):
         """Each row as ``sep.join`` of its entries' float reprs: a row of
@@ -192,6 +204,11 @@ class _Dense(NamedTuple):
 
     def divided(self, k):
         return Graph._adopt(self.vals / k)
+
+    def relabeled(self, m):
+        out = np.empty_like(self.vals)
+        out[np.ix_(m, m)] = self.vals
+        return Graph._adopt(out)
 
     def spelled_rows(self, sep):
         return (sep.join(map(float.__repr__, row.tolist())) for row in self.vals)
@@ -277,13 +294,17 @@ def _merged_difference(ea, eb):
     (a PageRank kernel's list comes column by column): the union of their
     row-major flat indices, the IEEE difference there, 0.0 taken for an
     index that one list lacks, exact zeros dropped; None when the
-    difference passes the cut.  It costs O(entries) and makes no n x n
-    array."""
+    difference passes the cut.  It makes no n x n array: the union is one
+    sort of both lists' indices, less each index equal to the one before
+    it."""
     n = ea.n
     fa, fb = ea.rows * n, eb.rows * n
     fa += ea.cols
     fb += eb.cols
-    flat = np.union1d(fa, fb)
+    flat = np.sort(np.concatenate((fa, fb)))
+    first = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    flat = flat[first]
     d = np.zeros(flat.size)
     d[np.searchsorted(flat, fa)] = ea.vals
     del fa
@@ -475,11 +496,7 @@ def permute(g, p):
     entry ``(i, j)`` of the input."""
     if p.n != g.n:
         raise ParameterError("permutation size does not match graph")
-    w = g.weights
-    out = np.empty_like(w)
-    m = p.mapping
-    out[np.ix_(m, m)] = w
-    return Graph._adopt(out)
+    return g._held.relabeled(p.mapping)
 
 
 def degree_vector(g):

@@ -63,7 +63,7 @@ relabeling sweep above MAX_PERM_EXACT_N = 8.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,9 +221,9 @@ def operator_norm(m, p):
     return _operator_norm(_operand(m) if p == 2 else _Dense(m), p)
 
 
-@dataclass(frozen=True)
-class CutNormWitness:
-    """A cut-norm value together with index sets that attain it."""
+class CutNormWitness(NamedTuple):
+    """A cut-norm value together with index sets that attain it, an
+    immutable record (``_replace`` copies it)."""
 
     value: float
     S: tuple
@@ -398,9 +398,9 @@ def cut_norm_heuristic(m):
     return best
 
 
-@dataclass(frozen=True)
-class PermutedDistanceResult:
-    """Distance between two graphs minimized over node relabelings.
+class PermutedDistanceResult(NamedTuple):
+    """Distance between two graphs minimized over node relabelings, an
+    immutable record (``_replace`` copies it).
 
     ``evaluated`` counts the candidate relabelings whose full distance was
     computed: 1 in greedy mode, at most n! in exact mode.

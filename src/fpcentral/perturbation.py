@@ -53,8 +53,6 @@ priori iterate ball, with L1 recomputed from the enlarged radius.
 
 import hashlib
 import math
-
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -71,11 +69,11 @@ _SUBSET_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class LipschitzConstants:
+class LipschitzConstants(NamedTuple):
     """The analytic constants of the contraction route, tied to a norm index
     and to the feasible ball of radius ``feasible_radius`` they were
-    computed on (``_analytic``)."""
+    computed on (``_analytic``); an immutable record (``_replace`` copies
+    it)."""
 
     L0: float
     L1: float
@@ -84,9 +82,11 @@ class LipschitzConstants:
     feasible_radius: float
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
-    """One checked instance of a perturbation inequality."""
+class BoundCertificate(NamedTuple):
+    """One checked instance of a perturbation inequality, an immutable
+    record (``_replace`` copies it).  A payload is built by ``to_dict``,
+    never from the record itself, which the JSON writer would spell as a
+    list."""
 
     bound: float
     observed: float
@@ -222,7 +222,7 @@ def _enlarged(consts, family, alpha, xa_norm, xb_norm):
         f"feasible radius enlarged from {consts.feasible_radius:.12g} to "
         f"{needed:.12g} to contain both fixed points"
     )
-    return replace(consts, L1=_l1(family, alpha, needed), feasible_radius=needed), notes
+    return consts._replace(L1=_l1(family, alpha, needed), feasible_radius=needed), notes
 
 
 def _check_cut_inputs(a, b, weight, p):
@@ -333,7 +333,7 @@ def _certify(name, a, b, pair, mode="exact"):
         notes.append(_SUBSET_NOTE)
     bound = consts.L1 * lg / (1.0 - consts.L0) * right
     certified = mode == "exact" and not block_relabeled
-    return _certificate(bound, observed, certified, p, replace(consts, Lg=lg), digest, notes)
+    return _certificate(bound, observed, certified, p, consts._replace(Lg=lg), digest, notes)
 
 
 def _graph_certificate(name, a, b, family, alpha, mode="exact"):

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -733,7 +732,7 @@ class TestStartup:
 
     def loaded(self, tmp_path, *argv):
         """The exit code, stdout and fpcentral modules of one command run in
-        a fresh interpreter, and whether it loaded numpy."""
+        a fresh interpreter, and every module it loaded."""
         (tmp_path / "k3.txt").write_text(K3_EDGES)
         code = (
             "import contextlib, io, json, sys\n"
@@ -748,13 +747,45 @@ class TestStartup:
         )
         rc, out, modules = json.loads(self.python(code, cwd=tmp_path))
         layers = {m.removeprefix("fpcentral.") for m in modules if m.startswith("fpcentral.")}
-        return rc, out, layers, "numpy" in modules
+        return rc, out, layers, set(modules)
 
     def test_version_loads_neither_numpy_nor_a_layer(self, tmp_path):
-        rc, out, layers, numpy = self.loaded(tmp_path, "--version")
+        rc, out, layers, modules = self.loaded(tmp_path, "--version")
         assert (rc, out) == (0, f"fpc {fpcentral.__version__}\n")
         assert layers == {"cli", "errors"}
-        assert not numpy
+        assert "numpy" not in modules
+
+    @pytest.mark.parametrize("argv", [
+        ("centrality", "k3.txt", "--family", "pagerank", "--alpha", "0.85"),
+        *(("compare", "k3.txt", "k3.txt", "--family", "katz", "--alpha", "0.3",
+           "--bound", bound) for bound in ("theorem1", "prop6", "prop7")),
+        ("graphon", "lift", "k3.txt", "-o", "w.json"),
+        ("graphon", "centrality", "a.json", "--family", "eigen"),
+        ("graphon", "compare", "a.json", "b.json", "--family", "katz", "--alpha", "0.5",
+         "--bound", "prop9"),
+        ("norms", "k3.txt", "--norm", "cut"),
+    ], ids=["centrality", "compare-theorem1", "compare-prop6", "compare-prop7", "graphon-lift",
+            "graphon-centrality", "graphon-compare", "norms"])
+    def test_no_command_loads_dataclasses(self, tmp_path, argv):
+        # the result records are NamedTuples: no class body is generated by
+        # exec when their modules are imported
+        (tmp_path / "a.json").write_text('{"values": [[0.6, 0.2], [0.2, 0.6]]}\n')
+        (tmp_path / "b.json").write_text('{"values": [[0.5, 0.25], [0.25, 0.6]]}\n')
+        rc, _, _, modules = self.loaded(tmp_path, *argv)
+        assert rc == 0
+        assert "dataclasses" not in modules
+
+    def test_a_listed_compare_loads_no_numpy_ma(self, tmp_path):
+        # the merged difference of two lists sorts their indices; the
+        # np.union1d it used imported numpy.ma on its first call (5.7 ms)
+        ring = [(i, (i + 1) % 100) for i in range(100)]
+        for name, last in (("a.txt", 1.0), ("b.txt", 0.5)):
+            lines = [f"{i} {j} 1\n{j} {i} 1\n" for i, j in ring[:-1]]
+            (tmp_path / name).write_text("".join(lines) + f"99 0 {last}\n0 99 {last}\n")
+        rc, _, _, modules = self.loaded(tmp_path, "compare", "a.txt", "b.txt", "--family", "katz",
+                                        "--alpha", "0.3")
+        assert rc == 0
+        assert "numpy.ma" not in modules
 
     @pytest.mark.parametrize("flags", [("--norm", "2"), ("--norm", "cut", "--mode", "heuristic")])
     def test_norms_loads_no_centrality_graphon_perturbation_or_transport(
@@ -837,7 +868,7 @@ class TestStartup:
             fpcentral.constants_analytic
         for name in ("constants_analytic", "_record", "_analytic_record"):
             assert not hasattr(fpcentral.perturbation, name), name
-        fields = {f.name for f in dataclasses.fields(fpcentral.LipschitzConstants)}
+        fields = set(fpcentral.LipschitzConstants._fields)
         assert "method" not in fields
         assert not hasattr(fpcentral.cli, "cmd_graphon_compare")
         # settings that every caller left at one value are module constants
@@ -853,6 +884,32 @@ class TestStartup:
             main(["norms", k3, "--norm", "cut", "--mode", "heuristic", "--seed", "3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_each_result_record_is_immutable_and_replaced_by_a_copy(self):
+        g = fpcentral.Graph(np.ones((3, 3)) - np.eye(3))
+        cert = fpcentral.theorem1_certificate(g, g, "katz", 0.2)
+        records = [
+            fpcentral.solve(g, "katz", 0.2),
+            fpcentral.eigencentrality(g),
+            fpcentral.cut_norm_exact(g.weights),
+            fpcentral.min_permuted_distance(g, g, 1),
+            cert.constants,
+            cert,
+        ]
+        assert [type(r).__name__ for r in records] == [
+            "CentralityResult", "EigenResult", "CutNormWitness", "PermutedDistanceResult",
+            "LipschitzConstants", "BoundCertificate"]
+        for record in records:
+            name = record._fields[0]
+            first = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                record.extra = None
+            copy = record._replace(**{name: None})
+            assert type(copy) is type(record) and copy is not record
+            assert getattr(copy, name) is None and getattr(record, name) is first
+            assert list(record._asdict()) == list(record._fields)
 
     def test_no_module_reads_the_environment(self):
         # a run depends only on its command line and its input files

@@ -247,7 +247,8 @@ def test_the_merged_difference_is_the_tiled_one(case):
     assert _operator_norm(got, 2) == _operator_norm(_Dense(a).minus(_Dense(b)), 2)
 
 
-@pytest.mark.parametrize("case", ["binary", "weighted", "disjoint", "one-side-empty"])
+@pytest.mark.parametrize("case", ["binary", "weighted", "identical", "disjoint", "one-side-empty",
+                                  "both-empty"])
 def test_the_merged_kernel_difference_is_the_tiled_one(case):
     # kernel lists come column by column; the merge puts them in row order
     a, b = (np.abs(m) for m in MERGE_PAIRS[case])
@@ -285,6 +286,34 @@ def test_listed_degrees_have_the_bits_of_the_row_sums(n):
     # the PageRank kernel's list divides by those bits
     e = g._held.kernel(degree_vector(g))
     assert e.vals.tobytes() == (m[e.cols, e.rows] / want[e.cols]).tobytes()
+
+
+def _asymmetry_cases():
+    """Seeded matrices whose lists find every mirror, some or none."""
+    rng = np.random.default_rng(1902)
+    out = {}
+    for kind in ("binary", "weighted", "signed"):
+        m = _matrix(rng, 200, 0.01, kind)
+        out[f"symmetric-{kind}"] = m + m.T
+        moved = m + m.T
+        moved[moved != 0.0] *= rng.choice([1.0, 0.75, 1.0 + 2.0**-40], np.count_nonzero(moved))
+        out[f"asymmetric-{kind}"] = moved
+        out[f"one-sided-{kind}"] = np.triu(m, 1) + np.triu(m, 1).T * (rng.random((200, 200)) < 0.5)
+    out["empty"] = np.zeros((5, 5))
+    out["one-node"] = np.array([[2.5]])
+    return out
+
+
+ASYMMETRY_CASES = _asymmetry_cases()
+
+
+@pytest.mark.parametrize("case", list(ASYMMETRY_CASES))
+def test_the_asymmetry_of_a_list_has_the_bits_of_the_tiled_pass(case):
+    m = ASYMMETRY_CASES[case]
+    got = _listed(m).asymmetry()
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(max_asymmetry(m)).tobytes()
+    assert (got == 0.0) == case.startswith(("symmetric", "empty", "one-node"))
 
 
 def test_the_symmetry_of_a_list_is_that_of_its_array():

@@ -228,6 +228,27 @@ class TestPermute:
         with pytest.raises(ParameterError):
             permute(g, Permutation(np.arange(3)))
 
+    @pytest.mark.parametrize("share", [0.0, 0.01, 0.3], ids=["empty", "listed", "dense"])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "directed"])
+    def test_relabeling_holds_what_the_relabeled_array_holds(self, share, symmetric):
+        # a listed graph maps its entries' indices and sorts them again; the
+        # reference relabels the whole array and lists it anew
+        rng = np.random.default_rng(2500)
+        n = 300
+        w = np.where(rng.random((n, n)) < share, rng.random((n, n)) * 4.0 - 1.0, 0.0)
+        if symmetric:
+            w = w + w.T
+        g, p = Graph(w), Permutation(rng.permutation(n))
+        relabeled = np.empty_like(w)
+        relabeled[np.ix_(p.mapping, p.mapping)] = w
+        got, want = permute(g, p), Graph(relabeled)
+        assert type(got._held) is type(want._held) is type(g._held)
+        assert isinstance(g._held, _Entries) == (share < 0.1)
+        assert got.symmetric == want.symmetric == (symmetric or not share)
+        for x, y in zip(got._held, want._held):
+            assert type(x) is type(y)
+            assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()) if type(x) is np.ndarray else x == y
+
 
 def _fixed_by_permute(g):
     """Every relabeling, in itertools order, that ``permute`` maps ``g``
