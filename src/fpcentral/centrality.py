@@ -19,10 +19,11 @@ every iteration step takes: over a list of entries they cost O(entries).
 Katz and PageRank are iterated (``solve``) or, for the graphon densities,
 solved directly (``_solve_direct``).  The eigen family takes its leading
 eigenvalue and eigenvector from a power-step bracket where Perron-Frobenius
-proves the eigenvalue simple (no negative weight, strongly connected).
-Otherwise it takes the eigenvalue from the spectrum of A.T from LAPACK
-without eigenvectors, which the simplicity checks need, and the eigenvector
-by inverse iteration.
+proves the eigenvalue simple (no negative weight, strongly connected),
+by products with the graph's operand.  Otherwise it takes the eigenvalue
+from the spectrum of A.T from LAPACK without eigenvectors, which the
+simplicity checks need, and the eigenvector by inverse iteration: only
+these form a list's array.
 """
 
 import math
@@ -36,8 +37,7 @@ from .errors import (
     ParameterError,
     SimplicityError,
 )
-from .graphs import Graph, _Dense, _pow2_normalize, _strongly_connected, degree_vector
-from .graphs import _operand as _matrix_operand
+from .graphs import Graph, _pow2_normalize, _strongly_connected, degree_vector
 from .norms import _operator_norm, operator_norm, vector_norm
 
 FAMILIES = ("eigen", "katz", "pagerank")
@@ -305,13 +305,13 @@ class EigenResult(NamedTuple):
     residual: float
 
 
-def _perron_root(w, tol, symmetric):
-    """The Perron root of A.T for the array ``w`` of a non-negative,
+def _perron_root(op, tol, symmetric):
+    """The Perron root of A.T for the operand ``op`` of a non-negative,
     strongly connected graph, and its vector, or None if its bracket does
     not close.
 
     Power steps on A.T + I from the all-ones vector, by the products of
-    ``w``'s operand (over its list below the cut), keep x positive, so
+    ``op`` (over its list, or by BLAS over its array), keep x positive, so
     min_i (A.T x)_i / x_i <= rho <= max_i (A.T x)_i / x_i (Collatz-Wielandt),
     and that width never grows in exact arithmetic.  The + I makes a
     periodic graph, such as a directed cycle or a bipartite graph, converge.
@@ -327,8 +327,7 @@ def _perron_root(w, tol, symmetric):
     width can shrink slowly for many steps and faster later (a long cycle
     passes a change around it one node per step).
     """
-    op = _matrix_operand(w)
-    x = np.ones(w.shape[0])
+    x = np.ones(op.n)
     with np.errstate(divide="ignore", invalid="ignore"):  # an entry of x that underflows
         for step in range(PERRON_MAX_ITERATIONS):
             y = op.rmatvec(x)
@@ -351,11 +350,11 @@ def _perron_root(w, tol, symmetric):
     return None
 
 
-def _residual_ulps(m, v, lam, ulp):
-    """||m u - lam u||_2 in units of ``ulp`` for the unit vector u along v,
-    so that squaring cannot overflow for huge weights."""
+def _residual_ulps(product, v, lam, ulp):
+    """||M u - lam u||_2, M u = ``product(u)``, in units of ``ulp`` for the
+    unit vector u along v, so that squaring cannot overflow for huge weights."""
     u = v / math.sqrt(float(v @ v))
-    return float(np.linalg.norm((m @ u - lam * u) / ulp))
+    return float(np.linalg.norm((product(u) - lam * u) / ulp))
 
 
 def _inverse_iteration(m, lam, ulp):
@@ -396,7 +395,7 @@ def _inverse_iteration(m, lam, ulp):
             sigma += INVERSE_SHIFT_ULPS * ulp
             continue
         v = y / np.max(np.abs(y))
-        residual = _residual_ulps(m, v, lam, ulp)
+        residual = _residual_ulps(lambda u: m @ u, v, lam, ulp)
         if residual <= tol:
             return v, solves
     raise NumericalError(
@@ -425,7 +424,8 @@ def eigencentrality(g):
     Any eigenvector the bracket did not give comes from inverse iteration on
     A.T - lambda I.  All of this runs on A scaled by the exact power of two
     that puts max |a_ij| in [1, 2) (``graphs._pow2_normalize``), so no check
-    depends on the scale.
+    depends on the scale: the graph's operand with its values scaled, whose
+    products serve the reach search, the bracket and the residuals.
 
     Returns
     -------
@@ -448,22 +448,22 @@ def eigencentrality(g):
         If the leading eigenvalue of A exceeds float64, or inverse
         iteration does not reach its residual bound.
     """
-    w = g._held.dense()  # a list forms an array of its own, scaled in place
-    w, e = _pow2_normalize(w, out=w if w.flags.writeable else None)
-    if not w.any():
+    vals, e = _pow2_normalize(g._held.vals)
+    if not vals.any():
         raise ParameterError(
             "the zero matrix has leading eigenvalue zero; eigencentrality is undefined"
         )
-    ulp = np.finfo(float).eps * _operator_norm(_Dense(w.T), math.inf)  # no n x n temporary
+    op = g._held._replace(vals=vals)  # a dense graph's array is copied only when e != 0
+    ulp = np.finfo(float).eps * _operator_norm(op, 1)  # ||A.T||_inf, no n x n temporary
     tol = INVERSE_RESIDUAL_FACTOR * math.sqrt(g.n)
-    lam = gap_a = v = None
-    if w.min() >= 0.0 and _strongly_connected(w):
-        root = _perron_root(w, tol * ulp, g.symmetric)
+    lam = gap_a = v = w = None
+    if vals.min() >= 0.0 and _strongly_connected(op):
+        root = _perron_root(op, tol * ulp, g.symmetric)
         if root is not None:
             lam, x = root
-            if _residual_ulps(w.T, x, lam, ulp) <= tol:
-                v = x
+            v = x if _residual_ulps(op.rmatvec, x, lam, ulp) <= tol else None
     if lam is None:
+        w = op.dense()  # a list forms its array, for LAPACK
         evals = np.linalg.eigvalsh(w) if g.symmetric else np.linalg.eigvals(w.T)
         lead = int(np.argmax(evals.real))  # the first of equal real parts
         lam_c = evals[lead]
@@ -489,6 +489,7 @@ def eigencentrality(g):
         raise NumericalError("the leading eigenvalue of this matrix overflows float64")
     solves = 0
     if v is None:
+        w = op.dense() if w is None else w
         if not w.flags.writeable:  # the graph's array, which inverse iteration must not write
             w = w.copy(order="K")
         v, solves = _inverse_iteration(w.T, lam, ulp)
@@ -496,7 +497,7 @@ def eigencentrality(g):
     if float(v.sum()) < 0.0:
         v = -v
     rho = np.abs(v) if float(np.min(v)) >= -NEGATIVE_RHO_TOL else None
-    residual = vector_norm(w.T @ v - lam * v, 2) / abs(lam)
+    residual = vector_norm(op.rmatvec(v) - lam * v, 2) / abs(lam)
     return EigenResult(
         vector=v, value=value, gap=gap_a, rho=rho, iterations=solves, residual=float(residual),
     )

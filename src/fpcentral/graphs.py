@@ -296,21 +296,24 @@ def _merged_difference(ea, eb):
     index that one list lacks, exact zeros dropped; None when the
     difference passes the cut.  It makes no n x n array: the union is one
     sort of both lists' indices, less each index equal to the one before
-    it."""
+    it, where each list is looked up in sorted order (as in ``asymmetry``)."""
     n = ea.n
-    fa, fb = ea.rows * n, eb.rows * n
-    fa += ea.cols
-    fb += eb.cols
+    keyed = []
+    for e in (ea, eb):
+        keys = e.rows * n + e.cols
+        order = np.argsort(keys) if np.any(keys[1:] < keys[:-1]) else slice(None)
+        keyed.append((keys[order], e.vals[order]))
+    (fa, va), (fb, vb) = keyed
     flat = np.sort(np.concatenate((fa, fb)))
     first = np.ones(flat.size, dtype=bool)
     np.not_equal(flat[1:], flat[:-1], out=first[1:])
     flat = flat[first]
     d = np.zeros(flat.size)
-    d[np.searchsorted(flat, fa)] = ea.vals
-    del fa
+    d[np.searchsorted(flat, fa)] = va
+    del fa, keyed
     with np.errstate(over="ignore", invalid="ignore"):
         # 0.0 - v is -v exactly, as a - b is where b's array holds v
-        d[np.searchsorted(flat, fb)] -= eb.vals
+        d[np.searchsorted(flat, fb)] -= vb
     keep = d != 0.0
     if np.count_nonzero(keep) > ENTRY_SHARE * (n * n):
         return None
@@ -346,21 +349,17 @@ def max_asymmetry(w):
     return float(np.max(peaks))
 
 
-def _strongly_connected(m):
-    """Whether every node of the square array ``m`` reaches every other
-    along its non-zero entries: a reach search from node 0 over the rows,
-    then one over the columns, each reading the lines its frontier reached
-    in tiles of ``_TILE``, so no n x n temporary is made."""
-    for lines in (m, m.T):
-        seen = np.zeros(m.shape[0], dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=np.intp)
-        while frontier.size:
-            hit = np.zeros_like(seen)
-            for lo in range(0, frontier.size, _TILE):
-                hit |= (lines[frontier[lo : lo + _TILE]] != 0.0).any(axis=0)
-            frontier = np.flatnonzero(hit & ~seen)
-            seen |= hit
+def _strongly_connected(op):
+    """Whether every node of the operand ``op``, with no negative entry,
+    reaches every other along its non-zero entries: a reach search from
+    node 0 along the links (``rmatvec``), then one against them
+    (``matvec``), each level a product with the indicator of the nodes
+    last reached, positive exactly at the nodes one step on."""
+    for step in (op.rmatvec, op.matvec):
+        frontier = seen = np.arange(op.n) == 0
+        while frontier.any():
+            hit = step(frontier.astype(float)) > 0.0
+            frontier, seen = hit & ~seen, seen | hit
         if not seen.all():
             return False
     return True

@@ -1,6 +1,7 @@
 import math
 
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -837,6 +838,26 @@ def _coupled_cliques(c):
     return w
 
 
+class _Counting(NamedTuple):
+    """The operand ``op``, which appends the name of each product it takes
+    to ``calls``."""
+
+    op: object
+    calls: list
+
+    @property
+    def n(self):
+        return self.op.n
+
+    def matvec(self, x):
+        self.calls.append("matvec")
+        return self.op.matvec(x)
+
+    def rmatvec(self, y):
+        self.calls.append("rmatvec")
+        return self.op.rmatvec(y)
+
+
 class TestPerronRoute:
     """A graph with no negative weight that is strongly connected (connected,
     if symmetric) takes its leading eigenvalue and its vector from the
@@ -862,7 +883,7 @@ class TestPerronRoute:
     def _spectrum_route(monkeypatch, g):
         """eigencentrality(g) with the Perron route closed."""
         with monkeypatch.context() as m:
-            m.setattr(centrality, "_strongly_connected", lambda w: False)
+            m.setattr(centrality, "_strongly_connected", lambda op: False)
             return eigencentrality(g)
 
     @staticmethod
@@ -874,21 +895,19 @@ class TestPerronRoute:
 
     @staticmethod
     def _count_brackets(monkeypatch):
-        """Patch the bracket's operand to count its products: the list the
-        counts go to."""
+        """Patch each bracket to count the products it takes of the graph's
+        operand: the list the counts go to, one count per bracket."""
         counts = []
-        operand = centrality._matrix_operand
+        perron_root = centrality._perron_root
 
-        class Counting:
-            def __init__(self, op):
-                self.op = op
-                counts.append(0)
+        def counted(op, *args):
+            calls = []
+            try:
+                return perron_root(_Counting(op, calls), *args)
+            finally:
+                counts.append(len(calls))
 
-            def rmatvec(self, y):
-                counts[-1] += 1
-                return self.op.rmatvec(y)
-
-        monkeypatch.setattr(centrality, "_matrix_operand", lambda w: Counting(operand(w)))
+        monkeypatch.setattr(centrality, "_perron_root", counted)
         return counts
 
     @pytest.mark.parametrize("name", list(ROUTED))
@@ -900,10 +919,11 @@ class TestPerronRoute:
         vec, value, _, rho = eigencentrality_lapack_reference(g)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the spectrum was taken, or a system solved")
+            raise AssertionError("the spectrum was taken, a system solved or an array formed")
 
         for spectrum_or_solve in ("eigvals", "eigvalsh", "solve"):
             monkeypatch.setattr(np.linalg, spectrum_or_solve, refuse)
+        monkeypatch.setattr(_Entries, "dense", refuse)  # a list forms no array
         counts = self._count_brackets(monkeypatch)
         res = eigencentrality(g)
         assert res.gap is None and res.iterations == 0
@@ -988,14 +1008,31 @@ class TestPerronRoute:
         with pytest.raises(SimplicityError, match=message):
             self._spectrum_route(monkeypatch, g)
 
+    @staticmethod
+    def _both_forms(w):
+        """The list of ``w``'s non-zero entries, at any density, and its array."""
+        rows, cols = np.nonzero(w)
+        return _Entries(rows, cols, w[rows, cols], w.shape[0]), _Dense(w)
+
     def test_the_reach_search_agrees_with_the_closure(self):
+        # the products of either form, on the same non-negative matrices
         rng = np.random.default_rng(2801)
         for _ in range(300):
             n = int(rng.integers(1, 40))
             w = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.0, 4.0 / n))
-            assert _strongly_connected(w) == strongly_connected(w), w
+            for op in self._both_forms(w):
+                assert _strongly_connected(op) == strongly_connected(w), (op, w)
         for w in (*(g.weights for g in self.ROUTED.values()), _joined_cycles(), np.zeros((1, 1))):
-            assert _strongly_connected(w) == strongly_connected(w)
+            for op in self._both_forms(w):
+                assert _strongly_connected(op) == strongly_connected(w)
+
+    def test_the_reach_search_takes_one_product_per_level(self):
+        # a directed 5-cycle: node 0 reaches the last node in 4 steps, and a
+        # fifth product finds no new node, along the links and against them
+        for op in self._both_forms(_cycle([1.0] * 5)):
+            calls = []
+            assert _strongly_connected(_Counting(op, calls))
+            assert calls == ["rmatvec"] * 5 + ["matvec"] * 5
 
 
 class TestNormalize:

@@ -1136,11 +1136,12 @@ class TestWorkCounts:
         return formed
 
     # each call, and the arrays it forms from listed inputs: none where only
-    # products, norms and the writer run, one per LAPACK call (the spectrum
-    # or the Perron bracket of eigen and its inverse iteration share one, a
-    # closed form takes one)
+    # products, norms and the writer run (the Perron route of eigen
+    # included), one per LAPACK call (the spectrum of eigen and its inverse
+    # iteration share one, a closed form takes one)
     FORMED = [
-        (("centrality", "{d}", "--family", "eigen"), 1),
+        (("centrality", "{d}", "--family", "eigen"), 0),
+        (("centrality", "{s}", "--family", "eigen"), 1),
         (("centrality", "{a}", "--family", "katz", "--alpha", "0.1"), 0),
         (("centrality", "{a}", "--family", "pagerank", "--alpha", "0.85"), 0),
         (("compare", "{a}", "{b}", "--family", "katz", "--alpha", "0.1"), 0),
@@ -1149,8 +1150,8 @@ class TestWorkCounts:
         (("norms", "{a}", "--norm", "2"), 0),
         (("norms", "{a}", "--norm", "inf"), 0),
         (("graphon", "lift", "{a}"), 0),
-        (("centrality", "{a}", "--family", "eigen"), 1),
-        (("graphon", "centrality", "{wa}", "--family", "eigen"), 1),
+        (("centrality", "{a}", "--family", "eigen"), 0),
+        (("graphon", "centrality", "{wa}", "--family", "eigen"), 0),
         (("graphon", "centrality", "{wa}", "--family", "katz", "--alpha", "0.5"), 1),
         (("graphon", "centrality", "{wa}", "--family", "pagerank", "--alpha", "0.85"), 1),
         (("graphon", "compare", "{wa}", "{wb}", "--family", "katz", "--alpha", "0.5"), 2),
@@ -1168,9 +1169,11 @@ class TestWorkCounts:
         b = a.copy()
         b[0, 1] = b[1, 0] = 0.0
         d = self._sparse(directed=True)
-        paths = self._write(
-            tmp_path, {"a": a, "b": b, "wa": a / a.max(), "wb": b / a.max(), "d": d}, as_edges
-        )
+        s = a.copy()  # signed, so its eigen call takes the spectrum route
+        s[0, 1] = s[1, 0] = -0.01
+        paths = self._write(tmp_path, {
+            "a": a, "b": b, "wa": a / a.max(), "wb": b / a.max(), "d": d, "s": s,
+        }, as_edges)
         code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 0, err
         assert arrays == [a.shape[0]] * formed

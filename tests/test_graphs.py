@@ -191,6 +191,17 @@ class TestPermutation:
         assert p.mapping.tolist() == [2, 0, 1]
         assert p.mapping.dtype.kind == "i"
 
+    def test_refuses_a_mapping_that_is_not_flat(self):
+        with pytest.raises(ParameterError, match="^mapping must be a flat index sequence$"):
+            Permutation(np.array([[0, 1], [1, 0]]))
+
+    def test_equality_compares_mappings(self):
+        p = Permutation(np.array([1, 2, 0]))
+        assert p == Permutation([1.0, 2.0, 0.0]) and hash(p) == hash(Permutation([1, 2, 0]))
+        assert p != Permutation(np.array([2, 0, 1]))
+        assert p != Permutation(np.array([1, 0]))
+        assert p != [1, 2, 0]  # not a Permutation
+
 
 class TestPermute:
     def test_identity_leaves_graph_unchanged(self):

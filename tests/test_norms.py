@@ -1,6 +1,8 @@
 import itertools
 import math
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,18 @@ class TestOperatorNorm:
                 assert operator_norm(layout, p) == float(sums.max()), (p, layout.flags)
                 tiled = graphs._abs_sums(layout, None, axis)
                 assert np.array_equal(tiled, sums), (p, layout.flags)
+
+    @pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))],
+                             ids=["2x3", "vector", "3-d"])
+    @pytest.mark.parametrize("fn, name", [
+        (partial(operator_norm, p=1), "operator_norm"),
+        (partial(operator_norm, p=2), "operator_norm"),
+        (cut_norm_exact, "cut_norm_exact"),
+        (cut_norm_heuristic, "cut_norm_heuristic"),
+    ], ids=["norm-1", "norm-2", "cut-exact", "cut-heuristic"])
+    def test_a_matrix_that_is_not_square_is_refused(self, m, fn, name):
+        with pytest.raises(ParameterError, match=f"^{name} expects a square matrix$"):
+            fn(m)
 
 
 def _padded(rng, m, n):
@@ -554,6 +568,11 @@ class TestBatchedCut:
 
 
 class TestMinPermutedDistance:
+    def test_an_unknown_mode_is_refused(self):
+        g = Graph(np.ones((3, 3)))
+        with pytest.raises(ParameterError, match="^unknown mode 'bogus'$"):
+            min_permuted_distance(g, g, 1, mode="bogus")
+
     def test_identical_graphs(self):
         rng = np.random.default_rng(5)
         g = Graph(rng.random((4, 4)))
