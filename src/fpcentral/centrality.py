@@ -16,14 +16,14 @@ katz and the kernel A.T D^{-1} for pagerank.  Each input is prepared once
 in the form of the graph's, whose products x -> M_A x and y -> M_A^T y
 every iteration step takes: over a list of entries they cost O(entries).
 
-Katz and PageRank are iterated (``solve``) or, for the graphon densities,
-solved directly (``_solve_direct``).  The eigen family takes its leading
-eigenvalue and eigenvector from a power-step bracket where Perron-Frobenius
-proves the eigenvalue simple (no negative weight, strongly connected),
-by products with the graph's operand.  Otherwise it takes the eigenvalue
-from the spectrum of A.T from LAPACK without eigenvectors, which the
-simplicity checks need, and the eigenvector by inverse iteration: only
-these form a list's array.
+Katz and PageRank are iterated (``solve``), and so are the graphon
+densities, on their lifts (``graphon._density``).  The eigen family takes
+its leading eigenvalue and eigenvector from a power-step bracket where
+Perron-Frobenius proves the eigenvalue simple (no negative weight,
+strongly connected), by products with the graph's operand.  Otherwise it
+takes the eigenvalue from the spectrum of A.T from LAPACK without
+eigenvectors, which the simplicity checks need, and the eigenvector by
+inverse iteration: only these form a list's array.
 """
 
 import math
@@ -38,7 +38,7 @@ from .errors import (
     SimplicityError,
 )
 from .graphs import Graph, _pow2_normalize, _strongly_connected, degree_vector
-from .norms import _operator_norm, operator_norm, vector_norm
+from .norms import _operator_norm, vector_norm
 
 FAMILIES = ("eigen", "katz", "pagerank")
 PHI_CHOICES = ("identity", "exp", "exp_neg", "abs")
@@ -48,7 +48,6 @@ NEGATIVE_RHO_TOL = 1e-12
 # solve()'s residual bound, in the family's native norm, and its step budget
 SOLVE_TOL = 1e-10
 SOLVE_MAX_ITERATIONS = 100_000
-SOLVE_RESIDUAL_TOL = 1e-10
 # Inverse iteration stops once ||A.T v - lam v||_2 <= this factor times
 # sqrt(n) eps ||A.T||_inf for a unit v.  The rounding floor of that residual
 # (the eigenvalue's own error plus one matrix-vector product) grows about
@@ -243,43 +242,6 @@ def _solve(prep):
         last_iterate=x,
         residual=residual,
     )
-
-
-def _solve_direct(prep):
-    """Direct solve of (I - alpha A.T) rho = 1 on a katz record, or of
-    (I - alpha A.T D^{-1}) rho = ((1 - alpha)/n) 1 on a pagerank one.
-
-    The record's L0 < 1 (``_prepare``) makes the system nonsingular, but
-    the solve is guarded anyway: it raises NumericalError on a singular
-    system, on non-finite output, or when the backward error
-    ||lhs x - rhs||_inf exceeds 1e-10 times ||lhs||_inf ||x||_inf +
-    ||rhs||_inf.  PageRank columns at zero out-degree nodes are zero, so
-    mass can leak: the result may sum to less than one and is reported
-    without renormalization.  The left side is built in the one array
-    alpha M_A makes, never the graph's (a dense kernel is scaled in place,
-    which uses the record up), transposed for katz: 0 - m_ij everywhere,
-    then 1 added on the diagonal, the bits of ``np.eye(n) - m``.
-    """
-    family, alpha, n = prep.family, prep.alpha, prep.g.n
-    lhs = prep.op.scaled(alpha).dense()
-    if family == "katz":
-        lhs, rhs = lhs.T, np.ones(n)
-    else:
-        rhs = np.full(n, (1.0 - alpha) / n)
-    np.subtract(0.0, lhs, out=lhs)
-    diagonal = np.arange(n)
-    lhs[diagonal, diagonal] += 1.0
-    try:
-        x = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{family} system is singular: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise NumericalError(f"{family} solve produced non-finite values")
-    residual = vector_norm(lhs @ x - rhs, math.inf)
-    scale = operator_norm(lhs, math.inf) * vector_norm(x, math.inf) + vector_norm(rhs, math.inf)
-    if residual > SOLVE_RESIDUAL_TOL * scale:
-        raise NumericalError(f"{family} solve residual {residual:.3e} exceeds its bound")
-    return x
 
 
 class EigenResult(NamedTuple):

@@ -17,9 +17,11 @@ import numbers
 
 import numpy as np
 
-from .centrality import _prepare, _solve_direct, eigencentrality
-from .errors import ParameterError
+from .centrality import (SOLVE_MAX_ITERATIONS, _iteration_map, _prepare, eigencentrality,
+                         native_norm_index)
+from .errors import NonConvergenceError, NumericalError, ParameterError
 from .graphs import Graph, matrix_tol
+from .norms import vector_norm
 
 
 class StepFunction:
@@ -121,11 +123,33 @@ def _check_pagerank_values(w):
 
 
 def _density(prep):
-    """The katz or pagerank density of a graphon as block values, solved on
-    the record of its lift (``centrality._prepare``), which the solve uses
-    up."""
-    rho = _solve_direct(prep)
-    return rho if prep.family == "katz" else prep.g.n * rho
+    """The katz or pagerank density of a graphon as block values, the fixed
+    point of solve()'s map (``centrality._iteration_map``) on the record of
+    its lift, which it uses up.  From the all-ones vector, once the residual
+    ||f(x) - x|| is at most 1e-12 ||x|| in the native norm, the steps go on
+    while it falls, and the last iterate before it rose is kept.  The guards
+    are solve()'s, but a signed katz density is returned as it is."""
+    p = native_norm_index(prep.family)
+    f = _iteration_map(prep)
+    x, settled = np.ones(prep.g.n), None  # (x, residual) once within the bound
+    size = vector_norm(x, p)  # at least ||x||: a norm taken, plus the residuals since
+    with np.errstate(over="ignore", invalid="ignore"):  # stopped at a non-finite residual
+        for _ in range(SOLVE_MAX_ITERATIONS):
+            fx = f(x)
+            residual = vector_norm(fx - x, p)
+            if not math.isfinite(residual):
+                raise NumericalError(
+                    "the fixed-point iteration overflows float64; rescale the weights"
+                )
+            if settled is not None and residual >= settled[1]:
+                return settled[0] if prep.family == "katz" else prep.g.n * settled[0]
+            if settled is None and residual <= 1e-12 * size:
+                size = vector_norm(x, p)
+            if settled is not None or residual <= 1e-12 * size:
+                settled = x, residual
+            x, size = fx, size + residual
+    raise NonConvergenceError(f"no fixed point within {SOLVE_MAX_ITERATIONS} iterations "
+                              f"(residual {residual:.3e})", last_iterate=x, residual=residual)
 
 
 def graphon_pagerank(w, alpha):
@@ -134,8 +158,8 @@ def graphon_pagerank(w, alpha):
     Solves rho = alpha (A o D^{-1}) rho + (1 - alpha) 1 where D(y) is the
     degree function int A(x, y) dx and kernel columns with zero degree are
     zero.  The density is k times the finite PageRank of the lift values/k,
-    from one guarded direct solve; with positive degrees everywhere it is a
-    probability density (non-negative, unit integral).
+    iterated as solve() iterates it (``_density``); with positive degrees
+    everywhere it is a probability density (non-negative, unit integral).
     """
     g = _lift_graph(w)
     _check_pagerank_values(w)

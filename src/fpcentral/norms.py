@@ -114,10 +114,10 @@ def vector_norm(v, p):
     p = _canon_p(p)
     v = np.asarray(v, dtype=float)
     if p == 1:
-        return float(np.sum(np.abs(v)))
+        return float(np.abs(v).sum())  # the methods skip np.sum's dispatch, same bits
     if p == 2:
         with np.errstate(over="ignore"):
-            total = float(np.sum(v * v))
+            total = float((v * v).sum())
             if math.isfinite(total) and (total >= _TINY or not v.any()):
                 return math.sqrt(total)
             scaled, e = _pow2_normalize(v)  # inf and NaN entries stay as they are

@@ -24,8 +24,8 @@ the pair:
 * ``_graph_certificate``: a graph enters as itself, with coordinate
   weight 1, and is iterated as solve() iterates it;
 * ``_step_certificate``: a step graphon enters as its scaled lift, the
-  graph values/k, with coordinate weight 1/k; its densities come from the
-  closed forms of graphon_katz and graphon_pagerank.
+  graph values/k, with coordinate weight 1/k; its densities are those of
+  graphon_katz and graphon_pagerank, iterated on the lift's record.
 
 Each certificate runs in one order: the records of both inputs
 (``centrality._prepare``), then the right-hand side, taken from those
@@ -351,8 +351,8 @@ def _graph_certificate(name, a, b, family, alpha, mode="exact"):
 
 def _step_certificate(name, a, b, family, alpha, mode="exact"):
     """theorem2, prop9 or prop10 on two step graphons: each enters as its
-    lift values/k, with coordinate weight 1/k, whose density is both its
-    centrality and its feature (a closed form)."""
+    lift values/k, with coordinate weight 1/k, whose density (``_density``)
+    is both its centrality and its feature."""
     from .graphon import _check_pagerank_values, _density, _lift_graph
 
     prep_a = _first_record(family, alpha, _lift_graph(a))

@@ -542,6 +542,15 @@ def pagerank_reference(g, alpha):
     return np.linalg.solve(lhs, np.full(n, (1.0 - alpha) / n))
 
 
+def density_reference(values, family, alpha):
+    """A step graphon's katz or pagerank density by one numpy solve on its
+    lift M = values/k: (I - alpha M^T) x = 1 for katz, and k times the x of
+    (I - alpha M^T D^-1) x = (1 - alpha)/k for pagerank."""
+    k = values.shape[0]
+    g = Graph(values / k)
+    return katz_reference(g, alpha) if family == "katz" else k * pagerank_reference(g, alpha)
+
+
 def _effective_matrix(family, g):
     """M_A, the matrix a family acts through: the PageRank kernel
     A^T D^-1 for pagerank, the weights A otherwise."""

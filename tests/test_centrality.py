@@ -1,4 +1,5 @@
 import math
+import warnings
 
 from functools import partial
 from typing import NamedTuple
@@ -25,13 +26,8 @@ from fpcentral import (
     vector_norm,
 )
 from fpcentral import centrality
-from fpcentral.centrality import (
-    _degrees,
-    _operand,
-    _prepare,
-    _solve_direct,
-    native_norm_index,
-)
+from fpcentral import graphon
+from fpcentral.centrality import _degrees, _prepare, native_norm_index
 from fpcentral.graphs import _Dense, _Entries, _strongly_connected
 from fpcentral.graphon import StepGraphon, _lift_graph, graphon_eigencentrality
 from oracles import (
@@ -39,6 +35,7 @@ from oracles import (
     apply_map,
     automorphisms_brute,
     check_equivariance,
+    density_reference,
     eigencentrality_lapack_reference,
     generate,
     katz_reference,
@@ -64,13 +61,14 @@ def _single_edge():
 
 
 def _katz(g, alpha):
-    """The Katz closed form that graphon_katz solves, on a graph."""
-    return _solve_direct(_prepare("katz", alpha, g))
+    """The Katz centrality of a symmetric graph through its lift: the
+    density at n alpha, since the lift acts as A/n."""
+    return graphon_katz(lift(g), g.n * alpha).values
 
 
 def _pagerank(g, alpha):
-    """The PageRank closed form that graphon_pagerank solves, on a graph."""
-    return _solve_direct(_prepare("pagerank", alpha, g))
+    """The PageRank of a symmetric graph through its lift: the density / n."""
+    return graphon_pagerank(lift(g), alpha).values / g.n
 
 
 def _kernel(g):
@@ -199,28 +197,6 @@ class TestSolve:
         res = solve(g, "eigen")
         assert np.allclose(res.rho, np.full(4, 0.5), atol=1e-8)
 
-    def test_native_norm_index(self):
-        assert native_norm_index("pagerank") == 1
-        assert native_norm_index("katz") == 2
-        assert native_norm_index("eigen") == 2
-
-
-class TestClosedForms:
-    def test_katz_zero_matrix(self):
-        g = Graph(np.zeros((3, 3)))
-        assert np.allclose(_katz(g, 0.3), np.ones(3))
-
-    def test_katz_c2(self):
-        assert np.allclose(_katz(_c2(), 0.5), [2.0, 2.0])
-
-    def test_katz_directed_edge(self):
-        assert np.allclose(_katz(_single_edge(), 0.5), [1.0, 1.5])
-
-    def test_katz_alpha_at_spectral_boundary(self):
-        g = Graph(2.0 * np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(ParameterError, match="katz requires"):
-            _katz(g, 0.5)
-
     def test_pagerank_refused_unless_l0_is_below_one(self):
         # a signed graph whose kernel has 1-norm 3; solve used to iterate
         # to NaN and give up after its budget
@@ -228,21 +204,43 @@ class TestClosedForms:
         message = r"pagerank requires alpha \* \|\|A\^T D\^-1\|\|_1 < 1, got 2.55"
         with pytest.raises(ParameterError, match=message):
             solve(g, "pagerank", 0.85)
-        with pytest.raises(ParameterError, match=message):
-            _pagerank(g, 0.85)
 
-    def test_pagerank_directed_3_cycle(self):
-        got = _pagerank(_directed_3_cycle(), 0.85)
+    def test_native_norm_index(self):
+        assert native_norm_index("pagerank") == 1
+        assert native_norm_index("katz") == 2
+        assert native_norm_index("eigen") == 2
+
+
+class TestDensityLoop:
+    """The graphon densities, iterated on their lifts (``graphon._density``)."""
+
+    def test_katz_zero_matrix(self):
+        assert np.allclose(_katz(Graph(np.zeros((3, 3))), 0.3), np.ones(3))
+
+    def test_katz_c2(self):
+        assert np.allclose(_katz(_c2(), 0.5), [2.0, 2.0])
+
+    def test_katz_path(self):
+        # x = 0.5 A x + 1 on the path 0-1-2: x_0 = 1 + x_1 / 2 and x_1 = 1 + x_0
+        assert np.allclose(_katz(_undirected(3, ((0, 1), (1, 2))), 0.5), [3.0, 4.0, 3.0])
+
+    def test_katz_alpha_at_spectral_boundary(self):
+        g = Graph(2.0 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ParameterError, match="katz requires"):
+            _katz(g, 0.5)
+
+    def test_pagerank_triangle(self):
+        got = _pagerank(_undirected(3, ((0, 1), (1, 2), (0, 2))), 0.85)
         assert np.allclose(got, np.full(3, 1.0 / 3.0), atol=1e-12)
 
     def test_pagerank_k2(self):
         assert np.allclose(_pagerank(_c2(), 0.5), [0.5, 0.5])
 
     def test_pagerank_dangling_node_mass_leaks(self):
-        got = _pagerank(_single_edge(), 0.5)
-        assert np.allclose(got, [0.25, 0.375])
-        # dangling column is zeroed, the lost mass is reported, not patched
-        assert got.sum() == pytest.approx(0.625)
+        got = _pagerank(_undirected(3, ((0, 1),)), 0.5)
+        assert np.allclose(got, [1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
+        # the isolated block's column is zero, the lost mass is reported, not patched
+        assert got.sum() == pytest.approx(5.0 / 6.0)
 
     def test_alpha_validation(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
@@ -251,74 +249,58 @@ class TestClosedForms:
             with pytest.raises(ParameterError):
                 _pagerank(_c2(), bad)
 
-    def test_inexact_solve_is_refused(self, monkeypatch):
-        # a solve that returns a slightly wrong vector must not pass silently
-        real_solve = np.linalg.solve
-        monkeypatch.setattr(
-            np.linalg, "solve", lambda lhs, rhs: real_solve(lhs, rhs) * (1.0 + 1e-6)
-        )
-        g = generate(GraphGeneratorSpec("cycle", 5))
-        w = lift(g)
-        for call in (
-            lambda: _katz(g, 0.2),
-            lambda: _pagerank(g, 0.85),
-            lambda: graphon_katz(w, 0.8),
-            lambda: graphon_pagerank(w, 0.85),
-        ):
-            with pytest.raises(NumericalError):
-                call()
-
-
-    @pytest.mark.parametrize("solved, message", [
-        (np.linalg.LinAlgError("Singular matrix"), "katz system is singular: Singular matrix"),
-        (np.array([1.0, np.nan]), "katz solve produced non-finite values"),
-    ], ids=["singular", "non-finite"])
-    def test_a_singular_or_non_finite_solve_is_refused(self, monkeypatch, solved, message):
-        def lapack(lhs, rhs):
-            if isinstance(solved, Exception):
-                raise solved
-            return solved
-
-        monkeypatch.setattr(np.linalg, "solve", lapack)
-        with pytest.raises(NumericalError, match=message):
-            graphon_katz(lift(_c2()), 0.5)
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 130])
-    def test_left_side_in_place_has_the_bits_of_eye_minus(self, n, monkeypatch):
-        solved = []
-        lapack = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda lhs, rhs: solved.append(lhs) or lapack(lhs, rhs))
-        rng = np.random.default_rng(n)
-        signed = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5)
-        signed[0, -1] = -0.0
-        binary = (rng.random((n, n)) < 0.3) * 1.0
-        for m in (signed, np.asfortranarray(signed), binary):
-            for alpha in (0.3, 1e-300, 7.5):
-                # records without the contraction check, so any alpha goes
-                g = Graph(m)
-                cases = [("katz", alpha * m.T)]
-                if m is binary:
-                    cases.append(("pagerank", alpha * _kernel(g)))
-                for family, scaled in cases:
-                    _solve_direct(_operand(family, alpha, g))
-                    got, expected = solved.pop(), np.eye(n) - scaled
-                    # viewed as integers, so the signs of zeros count too
-                    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-
-    def test_closed_forms_solve_the_same_system_as_eye_minus(self):
+    def test_densities_match_a_numpy_solve_on_seeded_lifts(self):
         rng = np.random.default_rng(16)
-        for n, directed in ((5, False), (40, True), (130, False)):
-            w = (rng.random((n, n)) < 0.2) * 1.0
-            if not directed:
-                w = np.triu(w, 1) + np.triu(w, 1).T
-            g = Graph(w)
-            alpha = 0.5 / operator_norm(w, 2) if w.any() else 0.5
-            katz = np.linalg.solve(np.eye(n) - alpha * w.T, np.ones(n))
-            assert np.array_equal(_katz(g, alpha), katz)
-            kernel = _kernel(g)
-            pagerank = np.linalg.solve(np.eye(n) - 0.85 * kernel, np.full(n, (1.0 - 0.85) / n))
-            assert np.array_equal(_pagerank(g, 0.85), pagerank)
+        for k in (5, 40, 130):
+            values = np.triu(rng.random((k, k)) * (rng.random((k, k)) < 0.2))
+            values += np.triu(values, 1).T
+            rows, cols = np.nonzero(values)
+            forms = (_Entries(rows, cols, values[rows, cols], k), _Dense(values.copy()))
+            norm = np.linalg.norm(values, 2) / k
+            for held in forms:
+                w = StepGraphon._adopt(Graph._holding(held))
+                for family, alpha in (("katz", 0.5 / norm if norm else 0.5), ("pagerank", 0.85)):
+                    got = (graphon_katz if family == "katz" else graphon_pagerank)(w, alpha)
+                    want = density_reference(values, family, alpha)
+                    p = native_norm_index(family)
+                    err = vector_norm(got.values - want, p)
+                    assert err <= 1e-12 * vector_norm(want, p), (k, type(held), family, err)
+
+    def test_densities_take_no_lapack_solve(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a density called LAPACK")
+
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        monkeypatch.setattr(np.linalg, "lstsq", refused)
+        w = lift(_undirected(4, ((0, 1), (1, 2), (2, 3), (0, 3))))
+        assert np.allclose(graphon_katz(w, 1.0).values, 2.0)
+        assert np.allclose(graphon_pagerank(w, 0.85).values, 1.0)
+
+    def test_a_near_critical_graphon_exhausts_the_budget(self, monkeypatch):
+        # L0 = 1 - 1e-4 on both families: some 3e5 steps to settle
+        monkeypatch.setattr(graphon, "SOLVE_MAX_ITERATIONS", 1000)
+        w = StepGraphon(np.ones((2, 2)))
+        for density in (graphon_katz, graphon_pagerank):
+            with pytest.raises(NonConvergenceError, match="^no fixed point within 1000 ") as exc:
+                density(w, 1.0 - 1e-4)
+            assert exc.value.residual > 0.0 and exc.value.last_iterate.shape == (2,)
+
+    def test_an_iterate_beyond_float64_is_refused(self):
+        # values/2 = 8.5e307 off the diagonal and L0 = 0.9: the density is
+        # 10, but A.T x overflows once x passes about 2.1
+        w = StepGraphon(np.array([[0.0, 1.7e308], [1.7e308, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="iteration overflows float64"):
+                graphon_katz(w, 0.9 / 8.5e307)
+
+    def test_a_signed_katz_density_is_returned_signed(self):
+        # a star with weights -1 at L0 = 0.9: its center's Katz value is
+        # (1 - 1.8) / (1 - 0.81), a fixed point that solve() refuses
+        g = Graph(-_undirected(5, ((0, 1), (0, 2), (0, 3), (0, 4))).weights)
+        assert _katz(g, 0.45)[0] == pytest.approx(-0.8 / 0.19, rel=1e-12)
+        with pytest.raises(ParameterError, match="normalize"):
+            solve(g, "katz", 0.45)
 
 
 def _undirected(n, edges):
