@@ -38,7 +38,7 @@ from .errors import (
     SimplicityError,
 )
 from .graphs import Graph, _pow2_normalize, _strongly_connected, degree_vector
-from .norms import _operator_norm, vector_norm
+from .norms import _operator_norm, _perron_root, vector_norm
 
 FAMILIES = ("eigen", "katz", "pagerank")
 PHI_CHOICES = ("identity", "exp", "exp_neg", "abs")
@@ -57,9 +57,6 @@ INVERSE_RESIDUAL_FACTOR = 4.0
 # eps ||A.T||_inf; at most this many solves are made.
 INVERSE_SHIFT_ULPS = 2.0
 INVERSE_MAX_SOLVES = 8
-# The Collatz-Wielandt bracket of the Perron root closes within this many
-# power steps, or the spectrum is taken instead.
-PERRON_MAX_ITERATIONS = 500
 
 
 def native_norm_index(family):
@@ -267,51 +264,6 @@ class EigenResult(NamedTuple):
     residual: float
 
 
-def _perron_root(op, tol, symmetric):
-    """The Perron root of A.T for the operand ``op`` of a non-negative,
-    strongly connected graph, and its vector, or None if its bracket does
-    not close.
-
-    Power steps on A.T + I from the all-ones vector, by the products of
-    ``op`` (over its list, or by BLAS over its array), keep x positive, so
-    min_i (A.T x)_i / x_i <= rho <= max_i (A.T x)_i / x_i (Collatz-Wielandt),
-    and that width never grows in exact arithmetic.  The + I makes a
-    periodic graph, such as a directed cycle or a bipartite graph, converge.
-    Once the bracket is at most ``tol`` wide, ``(midpoint, x)`` is
-    returned, x scaled to max-abs one.
-
-    A ``symmetric`` graph's bracket gives up at a power-of-two step k if
-    the width's contraction over steps k/2..k, kept up, would not close it
-    within ``PERRON_MAX_ITERATIONS`` steps, as for a small relative gap:
-    its spectrum (``eigvalsh``) costs about as much as 300 dense power steps
-    at n = 1000.  A directed graph's bracket runs the whole budget: its
-    spectrum (``eigvals``) costs more than that, about 1700 steps, and its
-    width can shrink slowly for many steps and faster later (a long cycle
-    passes a change around it one node per step).
-    """
-    x = np.ones(op.n)
-    with np.errstate(divide="ignore", invalid="ignore"):  # an entry of x that underflows
-        for step in range(PERRON_MAX_ITERATIONS):
-            y = op.rmatvec(x)
-            ratios = y / x
-            lo, hi = float(ratios.min()), float(ratios.max())
-            width = hi - lo
-            if width <= tol:
-                return 0.5 * (lo + hi), x
-            if step & (step - 1) == 0:  # step 0, 1, 2, 4, ...; ``before`` is step // 2's
-                # a width that did not shrink, or is NaN, gives up at once
-                if symmetric and step >= 2 and (
-                    not width < before
-                    or step + step // 2 * math.log(width / tol) / math.log(before / width)
-                    > PERRON_MAX_ITERATIONS
-                ):
-                    return None
-                before = width
-            x += y
-            x /= x.max()
-    return None
-
-
 def _residual_ulps(product, v, lam, ulp):
     """||M u - lam u||_2, M u = ``product(u)``, in units of ``ulp`` for the
     unit vector u along v, so that squaring cannot overflow for huge weights."""
@@ -420,9 +372,10 @@ def eigencentrality(g):
     tol = INVERSE_RESIDUAL_FACTOR * math.sqrt(g.n)
     lam = gap_a = v = w = None
     if vals.min() >= 0.0 and _strongly_connected(op):
-        root = _perron_root(op, tol * ulp, g.symmetric)
+        root = _perron_root(op.rmatvec, np.ones(g.n), tol * ulp, g.symmetric)
         if root is not None:
-            lam, x = root
+            lo, hi, x = root
+            lam = 0.5 * (lo + hi)
             v = x if _residual_ulps(op.rmatvec, x, lam, ulp) <= tol else None
     if lam is None:
         w = op.dense()  # a list forms its array, for LAPACK

@@ -19,11 +19,7 @@ class SizeLimitError(FpcError):
 
 
 class NumericalError(FpcError):
-    """A numerical routine failed; carries the last iterate when available."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """A numerical routine failed, such as a result beyond float64."""
 
 
 class NonConvergenceError(FpcError):

@@ -62,6 +62,17 @@ class _Entries(NamedTuple):
         lines = self.cols if axis == 0 else self.rows
         return np.bincount(lines, np.abs(self.vals), self.n).astype(float, copy=False)
 
+    def gram_start(self):
+        """M's column 2-norms, and the most entries of a row or a column."""
+        k = max(np.bincount(self.rows).max(), np.bincount(self.cols).max())
+        return np.sqrt(np.bincount(self.cols, self.vals * self.vals, self.n)), int(k)
+
+    def submatrix(self, rows, cols):
+        """M's sorted ``rows`` and ``cols``, which hold every entry, as an array."""
+        m = np.zeros((rows.size, cols.size))
+        m[np.searchsorted(rows, self.rows), np.searchsorted(cols, self.cols)] = self.vals
+        return m
+
     def scaled(self, factor):
         """The entries of ``factor * M``, with the bits of that product."""
         return self._replace(vals=self.vals * factor)
@@ -172,6 +183,15 @@ class _Dense(NamedTuple):
 
     def abs_sums(self, axis):
         return _abs_sums(self.vals, None, axis)
+
+    def gram_start(self):
+        nonzero = self.vals != 0.0
+        k = max(np.count_nonzero(nonzero, axis=0).max(), np.count_nonzero(nonzero, axis=1).max())
+        return np.sqrt(np.einsum("ij,ij->j", self.vals, self.vals)), int(k)
+
+    def submatrix(self, rows, cols):
+        """M itself when ``rows`` and ``cols`` are all, else a new array."""
+        return self.vals if rows.size == cols.size == self.n else self.vals[np.ix_(rows, cols)]
 
     def scaled(self, factor):
         m = self.vals
@@ -371,12 +391,11 @@ def _pow2_exponent(m):
     return math.frexp(peak)[1] - 1 if peak else 0
 
 
-def _pow2_normalize(m, out=None):
-    """``(m * 2^-e, e)`` with ``e = _pow2_exponent(m)``, ``m`` itself for e = 0,
-    written to ``out`` when given (``m`` itself may be ``out``).  The scaling
-    is exact, so results on the scaled array scale back bit for bit."""
+def _pow2_normalize(m):
+    """``(m * 2^-e, e)`` with ``e = _pow2_exponent(m)``, ``m`` itself for e = 0.
+    The scaling is exact, so results on the scaled array scale back bit for bit."""
     e = _pow2_exponent(m)
-    return (np.ldexp(m, -e, out=out) if e else m), e
+    return (np.ldexp(m, -e) if e else m), e
 
 
 def matrix_tol(m):

@@ -24,16 +24,17 @@ of a whole stack of small candidate differences with one GEMM against the
 subset-indicator matrix.
 
 Every operator norm is of one operand (``graphs``), a list of entries or
-an array: the 2-norm is a power iteration on ``M.T @ M``, cheaper than a
-dense SVD on the large graphs it serves, and the 1- and inf-norms add the
-absolute entries of each column or row, in the list's order or over tiles
-of an array.  A difference is the operand ``minus`` makes: two lists merge
-in O(entries), and two arrays stay a pair whose 2-norm lists the entries
-by row tiles below the cut, so two graphs that differ in a few edges cost
-a short list, not an n x n matrix.  The exact permutation sweep instead
-takes the 2-norms of its whole stack of small candidate differences from
-one stacked LAPACK SVD (``numpy.linalg.norm(d, 2, axis=(1, 2))``), exact
-to rounding.
+an array: a one-signed matrix's 2-norm is the upper end of a Perron
+bracket of ``M.T @ M`` (``_perron_root``, also eigen centrality's loop),
+cheaper than a dense SVD on the large graphs it serves, any other's is
+LAPACK's, and the 1- and inf-norms add the absolute entries of each column
+or row, in the list's order or over tiles of an array.  A difference is
+the operand ``minus`` makes: two lists merge in O(entries), and two arrays
+stay a pair whose 2-norm lists the entries by row tiles below the cut, so
+two graphs that differ in a few edges cost a short list, not an n x n
+matrix.  The exact permutation sweep instead takes the 2-norms of its
+whole stack of small candidate differences from one stacked LAPACK SVD
+(``numpy.linalg.norm(d, 2, axis=(1, 2))``), exact to rounding.
 
 The exact permutation sweep skips candidates that provably cannot beat the
 best value found so far, with two kinds of lower bound:
@@ -75,9 +76,11 @@ from .graphs import _pow2_normalize, _refuse_non_finite, degree_vector, max_asym
 # subsets) and the exact relabeling sweep (n! permutations)
 MAX_CUT_EXACT_N = 22
 MAX_PERM_EXACT_N = 8
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 10_000
-_START_SEED = 0x5EED
+# a Perron bracket's step budget, and a one-signed 2-norm's relative width
+PERRON_MAX_ITERATIONS = 500
+GRAM_TOL = 1e-12
+# a 2-norm's peak exponent beyond which its products could overflow
+_POW2_EXTREME = 256
 # the starts of cut_norm_heuristic and the seed of its random ones
 CUT_HEURISTIC_RESTARTS = 16
 CUT_HEURISTIC_SEED = 0
@@ -125,55 +128,82 @@ def vector_norm(v, p):
     return float(np.max(np.abs(v), initial=0.0))
 
 
-def _power_iteration_sigma(op):
-    """Largest singular value of the operand ``op`` (its ``iterand``) by
-    power iteration on M.T M; an empty list has norm 0.  The entries are
-    checked for NaN and inf and scaled (an array as a copy) by the exact
-    power of two that puts the largest of them in [1, 2)
-    (``graphs._pow2_normalize``), so neither sigma^4 overflows nor z @ z
-    underflows.  It stops once sigma moves by at most POWER_TOL relative,
-    within POWER_MAX_ITER steps.  The start is a seeded random unit vector
-    (an all-ones start would be blind to matrices whose top singular vector
-    is orthogonal to it); a list product reads it only at the listed
-    columns, so on either form the iterates are those of the whole matrix
-    up to summation order.  Raises NumericalError carrying the last iterate
-    if the budget is exhausted.
+def _perron_root(product, x, tol, symmetric=True, gram=False):
+    """The Perron root of a non-negative B by power steps of its ``product``
+    x -> B x from ``x``, non-negative like each step: ``(lo, hi, x)`` once
+    the bracket [lo, hi] is at most ``tol`` wide, x scaled to max-abs one,
+    or None.  The upper end is max_i (B x)_i / x_i over x_i > 0
+    (Collatz-Wielandt).  Eigen centrality's B = A.T takes the min as its
+    lower end and steps by B + I, which makes a periodic graph converge.  A
+    ``gram`` B = M^T M takes the Rayleigh quotient x.Bx / x.x, which meets
+    the upper end also when B is reducible, steps by B, and its ``tol`` is
+    relative.
+
+    A ``symmetric`` B's bracket gives up at a power-of-two step k if its
+    width's contraction over steps k/2..k, kept up, would not close it
+    within ``PERRON_MAX_ITERATIONS`` steps (``eigvalsh`` costs about 300
+    dense steps at n = 1000); a directed graph's runs the whole budget
+    (``eigvals`` costs about 1700, and a long cycle's width shrinks slowly
+    for many steps and faster later).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # an entry of x that is zero
+        for step in range(PERRON_MAX_ITERATIONS):
+            y = product(x)
+            ratios = y / x  # NaN at a zero column's 0 / 0, which fmax skips
+            lo = float(x @ y) / float(x @ x) if gram else float(ratios.min())
+            hi, limit = float(np.fmax.reduce(ratios)), tol * lo if gram else tol
+            width = hi - lo
+            if width <= limit:
+                return lo, hi, x
+            if step & (step - 1) == 0:  # step 0, 1, 2, 4, ...; ``before`` is step // 2's
+                # a width that did not shrink, or is NaN, gives up at once
+                if symmetric and step >= 2 and (
+                    not width < before
+                    or step + step // 2 * math.log(width / limit) / math.log(before / width)
+                    > PERRON_MAX_ITERATIONS
+                ):
+                    return None
+                before = width
+            x = y if gram else x + y
+            x /= x.max()
+    return None
+
+
+def _two_norm(op):
+    """The largest singular value of the operand ``op`` (its ``iterand``); 0
+    if it has no entry, NaN and inf entries refused.  M is scaled, as a
+    copy, only if its peak's exponent is beyond +-_POW2_EXTREME.
+
+    A one-signed M brackets M^T M from its column 2-norms, a label-free
+    start, and the root of the upper end is rounded up by gamma_{k+4},
+    gamma_j = j u / (1 - j u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1): each product adds at most k same-signed terms, k the
+    most entries of a row or column, and the ratio, root and rounding up add
+    a rounding each.  Any other M, or a bracket that does not close, takes
+    LAPACK on the rows and columns that hold an entry: for [[a, a], [b, -b]],
+    b > a, every start that commutes with relabelings misses the top pair.
     """
     op = op.iterand()
-    _refuse_non_finite(op.vals, "operator_norm")
-    if not op.vals.size:
+    low, high = float(op.vals.min(initial=0.0)), float(op.vals.max(initial=0.0))
+    if not (math.isfinite(low) and math.isfinite(high)):  # min and max keep a NaN
+        raise ParameterError("operator_norm expects finite entries")
+    if low == high:
         return 0.0
-    vals, e = _pow2_normalize(op.vals)
-    op = op._replace(vals=vals)
-    n = op.n
-    rng = np.random.default_rng(_START_SEED)
-
-    def start():
-        x = rng.standard_normal(n)
-        x /= math.sqrt(x @ x)
-        return x
-
-    x = start()
-    sigma_prev = -1.0
-    for _ in range(POWER_MAX_ITER):
-        y = op.matvec(x)
-        sigma = math.sqrt(float(y @ y))
-        if abs(sigma - sigma_prev) <= POWER_TOL * max(sigma, 1e-300):
-            return float(np.ldexp(sigma, e))
-        z = op.rmatvec(y)
-        nz = math.sqrt(float(z @ z))
-        if nz == 0.0:
-            # x fell into the null space of m.T m; restart along a fresh
-            # deterministic direction
-            x = start()
-            sigma_prev = -1.0
-            continue
-        x = z / nz
-        sigma_prev = sigma
-    raise NumericalError(
-        f"singular-value power iteration did not converge in {POWER_MAX_ITER} iterations",
-        last_iterate=x,
-    )
+    e = math.frexp(max(high, -low))[1] - 1
+    if abs(e) <= _POW2_EXTREME:
+        e = 0
+    op = op._replace(vals=np.ldexp(op.vals, -e)) if e else op
+    if low >= 0.0 or high <= 0.0:
+        x, k = op.gram_start()
+        root = _perron_root(lambda x: op.rmatvec(op.matvec(x)), x / x.max(), GRAM_TOL, gram=True)
+        if root is not None:
+            ku = (k + 4) * 2.0**-53
+            return float(np.ldexp(math.sqrt(root[1]) * (1.0 + ku / (1.0 - ku)), e))
+    rows, cols = (np.flatnonzero(op.abs_sums(axis)) for axis in (1, 0))
+    sub = op.submatrix(rows, cols)
+    symmetric = np.array_equal(rows, cols) and not max_asymmetry(sub)
+    sigma = np.abs(np.linalg.eigvalsh(sub)).max() if symmetric else np.linalg.norm(sub, 2)
+    return float(np.ldexp(sigma, e))
 
 
 def _square_finite(m, caller, finite=True):
@@ -189,12 +219,12 @@ def _square_finite(m, caller, finite=True):
 
 def _operator_norm(op, p):
     """The p-norm of the operand ``op``, the one body of every operator
-    norm: its 2-norm iterates it, and its 1- and inf-norms are the largest
-    of its absolute column or row sums (``abs_sums``).  A difference that
+    norm: its 2-norm is ``_two_norm``'s, and its 1- and inf-norms are the
+    largest of its absolute column or row sums (``abs_sums``).  A difference that
     overflows, or of equal infinities, is refused."""
     with np.errstate(over="ignore", invalid="ignore"):
         if p == 2:
-            value = _power_iteration_sigma(op)
+            value = _two_norm(op)
         else:
             value = float(op.abs_sums(0 if p == 1 else 1).max())
     if math.isinf(value):
@@ -207,12 +237,13 @@ def operator_norm(m, p):
 
     p=1 is the maximum absolute column sum, p=inf the maximum absolute row
     sum, both summed in tiles of whole columns or rows (``graphs._abs_sums``).
-    p=2 is the largest singular value computed by power iteration on
-    ``m.T @ m`` with relative tolerance 1e-10 and at most 10000 iterations,
-    scaled by an exact power of two (``_power_iteration_sigma``), over the
-    list of ``m``'s non-zero entries when they are at most 1/32 of all, else
-    over the whole of ``m``.  An empty matrix and non-finite entries raise
-    ParameterError; a norm beyond float64 raises NumericalError.
+    p=2 is the largest singular value (``_two_norm``), over the list of
+    ``m``'s non-zero entries when they are at most 1/32 of all, else over
+    the whole of ``m``: for a one-signed ``m``, a bracket of ``m.T @ m``
+    closed to 1e-12 relative and rounded up, at or above the exact value;
+    for any other, or if the bracket does not close in 500 steps, LAPACK's.
+    An empty matrix and non-finite entries raise ParameterError; a norm
+    beyond float64 raises NumericalError.
     """
     p = _canon_p(p)
     m = _square_finite(m, "operator_norm", finite=False)

@@ -31,7 +31,6 @@ import numpy as np
 from fpcentral import (
     Graph,
     InputFormatError,
-    NumericalError,
     ParameterError,
     Permutation,
     StepGraphon,
@@ -390,26 +389,6 @@ def parse_matrix_json_reference(text, kind):
             f"declared {size_key}={declared} does not match the {size}x{size} {noun}"
         )
     return built
-
-def power_iteration_sigma_reference(m, seed, tol=1e-10, max_iter=10_000):
-    """The singular-value power iteration of ``norms.operator_norm(m, 2)``
-    run on the whole of ``m``, zero rows and columns included, from the
-    same seeded start."""
-    m = np.asarray(m, dtype=float)
-    n = m.shape[1]
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.sqrt(x @ x)
-    sigma_prev = -1.0
-    for _ in range(max_iter):
-        y = m @ x
-        sigma = float(np.sqrt(y @ y))
-        if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
-            return sigma
-        z = m.T @ y
-        x = z / np.sqrt(z @ z)
-        sigma_prev = sigma
-    raise NumericalError("reference power iteration did not converge")
 
 
 @dataclass

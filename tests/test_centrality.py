@@ -27,6 +27,7 @@ from fpcentral import (
 )
 from fpcentral import centrality
 from fpcentral import graphon
+from fpcentral import norms
 from fpcentral.centrality import _degrees, _prepare, native_norm_index
 from fpcentral.graphs import _Dense, _Entries, _strongly_connected
 from fpcentral.graphon import StepGraphon, _lift_graph, graphon_eigencentrality
@@ -614,7 +615,7 @@ def _bracket_cannot_close(g):
     moduli = np.sort(np.abs(np.linalg.eigvals(w.T + np.eye(g.n))))
     ulp = np.finfo(float).eps * np.abs(w).sum(axis=0).max()
     tol = centrality.INVERSE_RESIDUAL_FACTOR * math.sqrt(g.n) * ulp
-    return (moduli[-2] / moduli[-1]) ** centrality.PERRON_MAX_ITERATIONS > tol
+    return (moduli[-2] / moduli[-1]) ** norms.PERRON_MAX_ITERATIONS > tol
 
 
 class TestEigenAgainstLapack:
@@ -877,15 +878,21 @@ class TestPerronRoute:
 
     @staticmethod
     def _count_brackets(monkeypatch):
-        """Patch each bracket to count the products it takes of the graph's
-        operand: the list the counts go to, one count per bracket."""
+        """Patch each bracket of eigen centrality to count the products it
+        takes of the graph's operand: the list the counts go to, one count
+        per bracket."""
         counts = []
         perron_root = centrality._perron_root
 
-        def counted(op, *args):
+        def counted(product, *args):
             calls = []
+
+            def step(x):
+                calls.append(x)
+                return product(x)
+
             try:
-                return perron_root(_Counting(op, calls), *args)
+                return perron_root(step, *args)
             finally:
                 counts.append(len(calls))
 
@@ -912,7 +919,7 @@ class TestPerronRoute:
         assert abs(res.value - value) <= 1e-12 * abs(value)
         assert np.max(np.abs(res.vector - vec)) <= 1e-10
         assert rho is not None and res.rho is not None
-        assert len(counts) == 1 and 1 <= counts[0] < centrality.PERRON_MAX_ITERATIONS
+        assert len(counts) == 1 and 1 <= counts[0] < norms.PERRON_MAX_ITERATIONS
 
     def test_two_dense_blocks_give_up_early(self, monkeypatch):
         # two 30%-dense blocks joined by one edge: their Perron values are
@@ -924,7 +931,7 @@ class TestPerronRoute:
         ref = self._spectrum_route(monkeypatch, g)
         counts = self._count_brackets(monkeypatch)
         res = eigencentrality(g)
-        assert len(counts) == 1 and counts[0] <= centrality.PERRON_MAX_ITERATIONS // 16
+        assert len(counts) == 1 and counts[0] <= norms.PERRON_MAX_ITERATIONS // 16
         assert res.gap is not None
         self._assert_same_bits(res, ref)
 
@@ -967,7 +974,7 @@ class TestPerronRoute:
     def test_a_bracket_that_does_not_close_takes_the_spectrum_route(self, monkeypatch):
         g = self.ROUTED["listed-ring-with-chords"]
         ref = self._spectrum_route(monkeypatch, g)
-        monkeypatch.setattr(centrality, "PERRON_MAX_ITERATIONS", 2)
+        monkeypatch.setattr(norms, "PERRON_MAX_ITERATIONS", 2)
         res = eigencentrality(g)
         assert res.gap == ref.gap and res.gap > 0.1
         self._assert_same_bits(res, ref)
@@ -986,7 +993,7 @@ class TestPerronRoute:
         with pytest.raises(SimplicityError, match=message):
             eigencentrality(g)
         # a directed graph's bracket runs the whole budget before it gives up
-        assert brackets == [None] and counts == [centrality.PERRON_MAX_ITERATIONS]
+        assert brackets == [None] and counts == [norms.PERRON_MAX_ITERATIONS]
         with pytest.raises(SimplicityError, match=message):
             self._spectrum_route(monkeypatch, g)
 

@@ -776,6 +776,28 @@ class TestStartup:
         assert rc == 0
         assert "dataclasses" not in modules
 
+    @pytest.mark.parametrize("argv", [
+        *(("centrality", "k3.txt", "--family", family, *alpha) for family, alpha in (
+            ("katz", ("--alpha", "0.3")), ("pagerank", ("--alpha", "0.85")), ("eigen", ()))),
+        *(("compare", "k3.txt", "k3.txt", "--family", "katz", "--alpha", "0.3",
+           "--bound", bound) for bound in ("theorem1", "prop6", "prop7")),
+        ("compare", "k3.txt", "k3.txt", "--family", "pagerank", "--alpha", "0.85",
+         "--bound", "theorem1"),
+        ("graphon", "centrality", "a.json", "--family", "katz", "--alpha", "0.5"),
+        *(("graphon", "compare", "a.json", "b.json", "--family", "katz", "--alpha", "0.5",
+           "--bound", bound) for bound in ("theorem2", "prop9", "prop10")),
+        *(("norms", "k3.txt", "--norm", norm) for norm in ("1", "2", "inf", "cut")),
+        ("norms", "k3.txt", "--norm", "cut", "--mode", "heuristic"),
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv if "." not in a or a[0].isdigit()))
+    def test_only_the_cut_heuristic_loads_numpy_random(self, tmp_path, argv):
+        # no 2-norm draws a random number; the heuristic's restarts do.  A
+        # bare ``import numpy`` does not load numpy.random
+        (tmp_path / "a.json").write_text('{"values": [[0.6, 0.2], [0.2, 0.6]]}\n')
+        (tmp_path / "b.json").write_text('{"values": [[0.5, 0.25], [0.25, 0.6]]}\n')
+        rc, _, _, modules = self.loaded(tmp_path, *argv)
+        assert rc == 0
+        assert ("numpy.random" in modules) == ("heuristic" in argv)
+
     def test_a_listed_compare_loads_no_numpy_ma(self, tmp_path):
         # the merged difference of two lists sorts their indices; the
         # np.union1d it used imported numpy.ma on its first call (5.7 ms)
@@ -876,7 +898,7 @@ class TestStartup:
         takes = {
             fpcentral.solve: ["g", "family", "alpha"],
             fpcentral.normalize: ["v", "phi"],
-            fpcentral.norms._power_iteration_sigma: ["op"],
+            fpcentral.norms._two_norm: ["op"],
             fpcentral.cut_norm_heuristic: ["m"],
         }
         for fn, params in takes.items():
@@ -930,7 +952,8 @@ class TestStartup:
         example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
         out = self.python(example.split("```", 1)[0]).splitlines()
         assert out[0] == "[1.66666667 1.66666667]"
-        assert out[1].startswith("True ") and out[1].endswith(" 0.4")
+        # L0 = alpha ||A||_2 with the 2-norm rounded up: a few ulps above 0.4
+        assert out[1].startswith("True ") and out[1].endswith(" 0.4000000000000003")
         assert out[2] == "[1. 1.]"
 
 

@@ -32,7 +32,6 @@ from oracles import (
     matrix_norm_brute,
     min_permuted_distance_brute,
     min_permuted_distance_lex_reference,
-    power_iteration_sigma_reference,
     random_binary_symmetric,
 )
 
@@ -144,13 +143,23 @@ class TestOperatorNorm:
         m = np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert operator_norm(m, 2) == pytest.approx(2.0, abs=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the power iteration stops "
-                       "early and reads low when the top two singular values are close")
     def test_the_two_norm_is_not_below_the_largest_singular_value(self):
-        # the lifts' difference of FOUND_PAIR, read low by 2.49e-8 relative;
-        # a theorem2 bound that rests on it can read below its observed side
+        # the lifts' difference of FOUND_PAIR, whose 16 entries are negative:
+        # its column norms start the bracket at its top singular vector, and
+        # the upper end, rounded up, is not below LAPACK's value (a power
+        # iteration that stopped early read it 2.49e-8 low, and a theorem2
+        # bound that rested on it read below its observed side)
         d = FOUND_PAIR[0] / 4 - FOUND_PAIR[1] / 4
-        assert operator_norm(d, 2) >= np.linalg.svd(d, compute_uv=False)[0]
+        sigma = np.linalg.svd(d, compute_uv=False)[0]
+        assert sigma <= operator_norm(d, 2) <= sigma * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.3, 0.7), (1e-3, 5.0)])
+    def test_a_mixed_sign_two_norm_needs_no_start(self, a, b):
+        # M^T M has eigenvalues 2 a^2, along (1, 1), and 2 b^2, along
+        # (1, -1): every start that commutes with swapping the columns is
+        # orthogonal to the top right singular vector, so no bracket runs
+        m = np.array([[a, a], [b, -b]])
+        assert operator_norm(m, 2) == pytest.approx(math.sqrt(2.0) * b, rel=1e-15, abs=0.0)
 
     def test_matches_numpy_spectral_norm(self):
         rng = np.random.default_rng(1)
@@ -262,16 +271,18 @@ def _padded(rng, m, n):
 
 class TestSupportTwoNorm:
     """Matrices with zero rows and columns: the 2-norm of their list of
-    entries, or of their whole array above the cut, is the value of the
-    iteration on the whole matrix."""
+    entries, or of their whole array above the cut, is that of the matrix
+    without them."""
 
     # operator_norm(m, 2).hex() of the full-support matrices of the test
-    # below, frozen when the iteration ran on the whole array
+    # below, each at or above np.linalg.svd's largest singular value and
+    # within 1e-12 of it: LAPACK's for the standard normal matrices, the
+    # rounded-up bracket for the 0/1 ones
     FULL_SUPPORT = (
-        "0x1.b20eb6eeb0240p+1", "0x1.fffffffffc873p+0",
-        "0x1.8ed33afaaaaabp+2", "0x1.236b0e67badebp+2",
-        "0x1.850803c869c47p+3", "0x1.4a19eb5406070p+4",
-        "0x1.c6ca8b55525f1p+4", "0x1.984a3d36e7d2cp+6",
+        "0x1.b20eb6eeb024dp+1", "0x1.0000000000003p+1",
+        "0x1.8ed33afadaa2fp+2", "0x1.236b0e67bdf1ap+2",
+        "0x1.850803d835e97p+3", "0x1.4a19eb54067d6p+4",
+        "0x1.c6ca8b58f269bp+4", "0x1.984a3d36e8380p+6",
     )
 
     def test_full_support_keeps_its_bits(self):
@@ -284,13 +295,19 @@ class TestSupportTwoNorm:
             values.append(operator_norm(b, 2))
         assert [v.hex() for v in values] == list(self.FULL_SUPPORT)
 
-    def test_zero_padding_keeps_the_full_iteration(self):
+    def test_zero_padding_keeps_the_core_value(self):
+        # LAPACK sees the core itself; the bracket's products add the same
+        # terms over the padded list as over the core's array, in another order
         for seed in range(60):
             rng = np.random.default_rng([7, seed])
             k = int(rng.integers(1, 13))
-            m = _padded(rng, rng.standard_normal((k, k)), k + int(rng.integers(1, 25)))
-            full = power_iteration_sigma_reference(m, norms._START_SEED)
-            assert operator_norm(m, 2) == pytest.approx(full, rel=1e-15, abs=0.0)
+            core = rng.standard_normal((k, k))
+            m = _padded(rng, core, k + int(rng.integers(1, 25)))
+            assert operator_norm(m, 2) == operator_norm(core, 2)
+            core = (rng.random((k, k)) < 0.5) * rng.random((k, k))
+            m = _padded(rng, core, k + int(rng.integers(1, 25)))
+            assert operator_norm(m, 2) == pytest.approx(
+                operator_norm(core, 2), rel=1e-15, abs=0.0)
 
     def test_one_non_zero_row_or_column(self):
         rng = np.random.default_rng(43)
@@ -312,16 +329,15 @@ class TestSupportTwoNorm:
             for e in (-1000, -201, -1, 1, 201, 1000):
                 assert operator_norm(np.ldexp(m, e), 2) == np.ldexp(base, e)
 
-    def test_last_iterate_has_full_length(self, monkeypatch):
+    def test_a_bracket_that_does_not_close_takes_lapack(self, monkeypatch):
         rng = np.random.default_rng(45)
-        m = _padded(rng, rng.standard_normal((4, 4)), 9)
-        monkeypatch.setattr(norms, "POWER_MAX_ITER", 2)
-        with pytest.raises(NumericalError, match="did not converge in 2 iterations") as exc:
-            norms._power_iteration_sigma(graphs._Dense(m))
-        last = exc.value.last_iterate
-        assert last.shape == (9,)
-        assert not last[~m.any(axis=0)].any()
-        assert last[m.any(axis=0)].all()
+        m = _padded(rng, rng.random((4, 4)), 9)
+        sigma = np.linalg.svd(m, compute_uv=False)[0]
+        assert sigma <= operator_norm(m, 2) <= sigma * (1.0 + 1e-12)
+        monkeypatch.setattr(norms, "PERRON_MAX_ITERATIONS", 1)
+        core = m[np.ix_(m.any(axis=1), m.any(axis=0))]
+        assert operator_norm(m, 2) == np.linalg.norm(core, 2)
+
 
 def difference_norm(a, b, p):
     """The norm of the operand ``minus`` makes of two arrays, as the
