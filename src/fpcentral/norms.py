@@ -180,8 +180,9 @@ def _two_norm(op):
     Algorithms, 3.1): each product adds at most k same-signed terms, k the
     most entries of a row or column, and the ratio, root and rounding up add
     a rounding each.  Any other M, or a bracket that does not close, takes
-    LAPACK on the rows and columns that hold an entry: for [[a, a], [b, -b]],
-    b > a, every start that commutes with relabelings misses the top pair.
+    LAPACK's SVD of the array of the rows and columns that hold an entry:
+    for [[a, a], [b, -b]], b > a, every start that commutes with relabelings
+    misses the top pair.
     """
     op = op.iterand()
     low, high = float(op.vals.min(initial=0.0)), float(op.vals.max(initial=0.0))
@@ -200,10 +201,7 @@ def _two_norm(op):
             ku = (k + 4) * 2.0**-53
             return float(np.ldexp(math.sqrt(root[1]) * (1.0 + ku / (1.0 - ku)), e))
     rows, cols = (np.flatnonzero(op.abs_sums(axis)) for axis in (1, 0))
-    sub = op.submatrix(rows, cols)
-    symmetric = np.array_equal(rows, cols) and not max_asymmetry(sub)
-    sigma = np.abs(np.linalg.eigvalsh(sub)).max() if symmetric else np.linalg.norm(sub, 2)
-    return float(np.ldexp(sigma, e))
+    return float(np.ldexp(np.linalg.norm(op.submatrix(rows, cols), 2), e))
 
 
 def _square_finite(m, caller, finite=True):
@@ -241,7 +239,8 @@ def operator_norm(m, p):
     ``m``'s non-zero entries when they are at most 1/32 of all, else over
     the whole of ``m``: for a one-signed ``m``, a bracket of ``m.T @ m``
     closed to 1e-12 relative and rounded up, at or above the exact value;
-    for any other, or if the bracket does not close in 500 steps, LAPACK's.
+    for any other, or if the bracket does not close in 500 steps, LAPACK's
+    SVD of the rows and columns that hold an entry, which forms their array.
     An empty matrix and non-finite entries raise ParameterError; a norm
     beyond float64 raises NumericalError.
     """

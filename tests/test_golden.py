@@ -15,9 +15,12 @@ differ by 1e-10 relative and always reads low: in these cases by up to
 1e-8 relative to the bound, and never fall.
 
 Since the 2-norm of a one-signed matrix became the rounded-up upper end of
-a Perron bracket, every Katz entry whose L0 or right side rose past these
-tolerances was re-frozen (68 entries, each ``bound`` up by 1.2e-12 to
-1.8e-8 relative and none down); every other entry keeps its frozen values.
+a Perron bracket, 68 Katz entries whose L0 or right side rose past these
+tolerances hold new values for the fields that rise with them: ``bound``
+(up by 1.2e-12 to 1.8e-8 relative, none down), ``slack`` and L0, and
+where they follow L0 also L1, Lg, R and the feasible-radius and
+normalizer notes.  Their ``observed`` and every other entry keep their
+frozen values.
 """
 
 import json
