@@ -153,12 +153,11 @@ def cmd_compare(args):
 
 
 def cmd_graphon_lift(args):
-    from .graphon import StepGraphon
+    from .graphon import lift
     from .io import _csv_rows, _graphon_payload, _read_graph
 
-    # lift() without its copy, of a graph read without a digest: the
-    # payload has no manifest
-    w = StepGraphon._adopt(_read_graph(args.input, hashed=False))
+    # a graph read without a digest: the payload has no manifest
+    w = lift(_read_graph(args.input, hashed=False))
     _emit(_graphon_payload(w), args, lambda: "".join(
         row + "\n" for row in _csv_rows(w._graph)
     ))

@@ -100,8 +100,8 @@ def _is_finite_real(value):
 
 
 def lift(g, c=None):
-    """Represent a finite symmetric graph as a step graphon with n blocks."""
-    return StepGraphon(g.weights, c=c)
+    """A finite symmetric graph as a step graphon with n blocks that holds ``g``, uncopied."""
+    return StepGraphon._adopt(g, c)
 
 
 def integral(f):

@@ -12,9 +12,10 @@ product with the matrix or its transpose costs O(entries) instead of
 O(n^2): there a product over the list beats a dense BLAS product
 (measured on full-support matrices, break-even about 1/16 at n = 1000 to
 2000, about 1/32 at n = 200).  Any other matrix is its whole array
-(``_Dense``).  Both answer the same methods, each in its own summation
-order (BLAS for the array, ``np.bincount`` for the list), and hold their
-values as ``vals``, whose extremes with 0.0 are the matrix's.
+(``_Dense``).  Both answer the same methods and hold their values as
+``vals``, whose extremes with 0.0 are the matrix's.  Every row and column
+sum adds its terms left to right in index order, on both forms and in any
+layout; products keep each form's order (BLAS, ``np.bincount``).
 """
 
 import math
@@ -103,15 +104,8 @@ class _Entries(NamedTuple):
         h.update(np.ascontiguousarray(self.vals, dtype=float))
 
     def row_sums(self):
-        """Summed over tiles of whole rows formed from the list: numpy sums
-        each row alone, from +0.0, so the bits are the whole matrix's."""
-        sums = np.empty(self.n)
-        for s in _tiles(self.n):
-            lo, hi = np.searchsorted(self.rows, (s.start, s.stop))
-            tile = np.zeros((s.stop - s.start, self.n))
-            tile[self.rows[lo:hi] - s.start, self.cols[lo:hi]] = self.vals[lo:hi]
-            sums[s] = tile.sum(axis=1)
-        return sums
+        """M's row sums in the list's order, index order in a row-major list."""
+        return np.bincount(self.rows, self.vals, self.n).astype(float, copy=False)
 
     def asymmetry(self):
         """``max_asymmetry`` of a row-major list's matrix, bit for bit: each
@@ -213,7 +207,7 @@ class _Dense(NamedTuple):
         h.update(arr)
 
     def row_sums(self):
-        return self.vals.sum(axis=1)
+        return np.concatenate([_lines(self.vals, s, 1).sum(axis=0) for s in _tiles(self.n)])
 
     def asymmetry(self):
         return max_asymmetry(self.vals)
@@ -271,21 +265,24 @@ def _operand(m):
 
 def _abs_sums(a, b, axis):
     """``np.abs(a - b).sum(axis)``, or of ``a`` when ``b`` is None, in tiles
-    of whole lines along the other axis, with no n x n temporary and the
-    bits of the whole matrix's sums; non-finite entries are refused."""
-    n = a.shape[1 - axis]
-    sums = np.empty(n)
-    for s in _tiles(n):
-        index = (slice(None), s) if axis == 0 else s
-        if b is None:
-            tile = np.abs(a[index])
-        else:
-            tile = a[index] - b[index]
-            np.abs(tile, out=tile)
+    of whole lines (``_lines``), with no n x n temporary; non-finite entries
+    are refused."""
+    sums = np.empty(a.shape[0])
+    for s in _tiles(a.shape[0]):
+        tile = _lines(a, s, axis)
+        if b is not None:
+            tile -= b[:, s] if axis == 0 else b[s].T
+        np.abs(tile, out=tile)
         _refuse_non_finite(tile, "operator_norm")
-        sums[s] = tile.sum(axis=axis)
+        sums[s] = tile.sum(axis=0)
         del tile  # before the next tile is made
     return sums
+
+
+def _lines(m, s, axis):
+    """Columns (axis 0) or rows (1) ``s`` of ``m`` as the columns of a new C-contiguous
+    array, which numpy sums along axis 0 row by row: each line in index order."""
+    return np.array(m[:, s] if axis == 0 else m[s].T, order="C")
 
 
 def _difference_entries(a, b):
@@ -343,8 +340,7 @@ def _merged_difference(ea, eb):
 def _tiles(n):
     """Slices of ``_TILE`` consecutive lines that cover ``range(n)``.  A
     last slice one line wide is merged into the one before it: numpy sums a
-    single contiguous line pairwise, but a wider tile line by line, and
-    only the latter gives the bits of the whole matrix's sums."""
+    tile of one line, a contiguous array, pairwise, not in index order."""
     cuts = [*range(0, n, _TILE), n]
     if n > 1 and n % _TILE == 1:
         del cuts[-2]
@@ -486,7 +482,8 @@ class Permutation:
 
     def __init__(self, mapping):
         m = np.asarray(mapping)
-        if m.dtype.kind == "f" and not np.all(np.isfinite(m) & (m == np.round(m))):
+        if not (m.dtype.kind in "iu" or m.dtype.kind == "f"
+                and np.all((m == np.round(m)) & (abs(m) < 2.0**63))):
             raise ParameterError("mapping entries must be integers")
         m = m.astype(int, copy=False)
         if m.ndim != 1:
@@ -519,5 +516,6 @@ def permute(g, p):
 
 def degree_vector(g):
     """Row sums of the weight matrix: entry ``j`` is the out-mass of node j,
-    with the bits of ``g.weights.sum(axis=1)`` on both forms."""
+    each row added left to right in index order, with the same bits on
+    both forms."""
     return g._held.row_sums()

@@ -27,8 +27,8 @@ Every operator norm is of one operand (``graphs``), a list of entries or
 an array: a one-signed matrix's 2-norm is the upper end of a Perron
 bracket of ``M.T @ M`` (``_perron_root``, also eigen centrality's loop),
 cheaper than a dense SVD on the large graphs it serves, any other's is
-LAPACK's, and the 1- and inf-norms add the absolute entries of each column
-or row, in the list's order or over tiles of an array.  A difference is
+LAPACK's, and the 1- and inf-norms add each column's or row's absolute
+entries in index order, over the list or tiles of an array.  A difference is
 the operand ``minus`` makes: two lists merge in O(entries), and two arrays
 stay a pair whose 2-norm lists the entries by row tiles below the cut, so
 two graphs that differ in a few edges cost a short list, not an n x n
@@ -234,7 +234,7 @@ def operator_norm(m, p):
     """Induced operator p-norm of a square matrix, p in {1, 2, inf}.
 
     p=1 is the maximum absolute column sum, p=inf the maximum absolute row
-    sum, both summed in tiles of whole columns or rows (``graphs._abs_sums``).
+    sum, each line added in index order in tiles (``graphs._abs_sums``).
     p=2 is the largest singular value (``_two_norm``), over the list of
     ``m``'s non-zero entries when they are at most 1/32 of all, else over
     the whole of ``m``: for a one-signed ``m``, a bracket of ``m.T @ m``
@@ -468,13 +468,17 @@ def _batched_cut(mats):
     return vals.max(axis=0) / 2
 
 
+def _abs_line_sums(d, norm):
+    """|d|'s column ("1") or row ("inf") sums, of a matrix or each of a stack,
+    in index order: numpy adds a C-contiguous array's rows one by one."""
+    return np.abs(d if norm == "1" else np.swapaxes(d, -1, -2), order="C").sum(axis=-2)
+
+
 def _stack_norms(d, norm):
     """``norm`` of every matrix of the stack ``d``; the 2-norm is the
     largest singular value from a stacked LAPACK SVD."""
-    if norm == "1":
-        return np.abs(d).sum(axis=1).max(axis=1)
-    if norm == "inf":
-        return np.abs(d).sum(axis=2).max(axis=1)
+    if norm in ("1", "inf"):
+        return _abs_line_sums(d, norm).max(axis=-1)
     if norm == "2":
         return np.linalg.norm(d, 2, axis=(1, 2))
     return _batched_cut(d)
@@ -497,9 +501,8 @@ def _relabeling_floor(a_w, b_w, norm):
                 return 0.0
             floor = np.abs(np.linalg.eigvalsh(a_w) - np.linalg.eigvalsh(b_w)).max()
         else:
-            axis = 0 if norm == "1" else 1
             floor = np.abs(
-                np.sort(np.abs(a_w).sum(axis=axis)) - np.sort(np.abs(b_w).sum(axis=axis))
+                np.sort(_abs_line_sums(a_w, norm)) - np.sort(_abs_line_sums(b_w, norm))
             ).max()
     floor = float(floor)
     return floor if math.isfinite(floor) else 0.0

@@ -15,7 +15,8 @@ no certificate takes them, since every certificate derives its analytic
 constants from its inputs.  Both take a family and its alpha, as
 ``solve`` does.  ``katz_reference``, ``pagerank_reference`` and
 ``pagerank_kernel_reference`` are textbook numpy forms of the closed
-forms and of the PageRank kernel.
+forms and of the PageRank kernel, whose degrees are ``sequential_sums``,
+a loop that adds a matrix's lines in index order.
 """
 
 import itertools
@@ -115,10 +116,8 @@ def matrix_norm_brute(d, norm):
     d = np.asarray(d, dtype=float)
     if norm == "cut":
         return cut_norm_brute(d)
-    if norm == 1:
-        return float(np.max(np.abs(d).sum(axis=0), initial=0.0))
-    if norm == np.inf:
-        return float(np.max(np.abs(d).sum(axis=1), initial=0.0))
+    if norm in (1, np.inf):
+        return float(np.max(sequential_sums(np.abs(d), 0 if norm == 1 else 1), initial=0.0))
     return float(np.linalg.norm(d, 2))
 
 
@@ -497,11 +496,22 @@ def check_equivariance(f, g, trials=50, seed=0):
     return True
 
 
+def sequential_sums(m, axis):
+    """The column (axis 0) or row (axis 1) sums of a square matrix, each
+    line's terms added left to right in index order: running sums that
+    start at +0.0 take one line of the matrix at a time."""
+    m = np.asarray(m, dtype=float)
+    total = np.zeros(m.shape[0])
+    for k in range(m.shape[0]):
+        total = total + (m[k] if axis == 0 else m[:, k])
+    return total
+
+
 def pagerank_kernel_reference(g):
-    """The PageRank kernel A^T D^-1, D the row sums of A, with the columns
-    of zero out-degree nodes zero."""
+    """The PageRank kernel A^T D^-1, D the row sums of A added in index
+    order, with the columns of zero out-degree nodes zero."""
     w = g.weights
-    d = w.sum(axis=1)
+    d = sequential_sums(w, 1)
     kernel = w.T / np.where(d != 0.0, d, 1.0)
     kernel[:, d == 0.0] = 0.0
     return kernel

@@ -16,6 +16,7 @@ import pytest
 import fpcentral
 from fpcentral.cli import _emit, build_parser, main
 
+from oracles import sequential_sums
 from test_norms import SWEEP_LIMIT_PAIR
 
 K3_EDGES = "0 1 1\n1 0 1\n1 2 1\n2 1 1\n2 0 1\n0 2 1\n"
@@ -600,6 +601,17 @@ class TestNorms:
         assert payload["value"] == 3.0
         code, payload, _ = run_json(capsys, "norms", str(path), "--norm", "inf")
         assert payload["value"] == 3.0
+
+    @pytest.mark.parametrize("share", [0.02, 0.5], ids=["listed", "dense"])
+    def test_one_and_inf_norms_add_each_line_in_index_order(self, capsys, tmp_path, share):
+        # log-normal weights, so the order of the additions shows in the bits
+        rng = np.random.default_rng(4001)
+        m = np.where(rng.random((300, 300)) < share, rng.lognormal(size=(300, 300)), 0.0)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"weights": m.tolist()}))
+        for norm, axis in (("1", 0), ("inf", 1)):
+            code, payload, _ = run_json(capsys, "norms", str(path), "--norm", norm)
+            assert code == 0 and payload["value"] == float(sequential_sums(m, axis).max())
 
 
 class TestOutput:

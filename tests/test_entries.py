@@ -26,7 +26,7 @@ from fpcentral.graphs import _merged_difference, _nonzero_entries, degree_vector
 from fpcentral.graphs import matrix_tol, max_asymmetry
 from fpcentral.norms import _operator_norm
 from fpcentral.perturbation import _digest
-from oracles import pagerank_kernel_reference
+from oracles import pagerank_kernel_reference, sequential_sums
 
 EPS = np.finfo(float).eps
 
@@ -187,6 +187,8 @@ def test_solve_agrees_on_both_paths(family, directed):
     # L0 on the list and on the dense matrix
     p = 2 if family == "katz" else 1
     dense_l0 = alpha * operator_norm(pagerank_kernel_reference(g) if p == 1 else m, p)
+    if p == 1:  # column sums added in index order on both forms
+        assert prep.l0 == dense_l0 == _prepare(family, alpha, Graph._holding(_Dense(m))).l0
     assert abs(prep.l0 - dense_l0) <= 1e-13 * dense_l0
 
 
@@ -273,7 +275,7 @@ def test_a_merged_difference_above_the_cut_is_none():
 @pytest.mark.parametrize("n", [129, 256, 257, 1000])
 def test_listed_degrees_have_the_bits_of_the_row_sums(n):
     # 4 to 31 non-dyadic weights per row, so the order of the additions
-    # shows in the bits; the rows are summed in tiles formed from the list
+    # shows in the bits; both forms add each row left to right
     rng = np.random.default_rng([1900, n])
     m = np.zeros((n, n))
     per_row = rng.integers(4, max(5, n // 32), size=n)
@@ -281,11 +283,42 @@ def test_listed_degrees_have_the_bits_of_the_row_sums(n):
         m[i, rng.choice(n, k, replace=False)] = rng.random(k) * 10.0 - 3.0
     g = Graph(m)
     assert _is_listed(g)
-    want = m.sum(axis=1)
-    assert degree_vector(g).tobytes() == want.tobytes() == g.weights.sum(axis=1).tobytes()
+    want = sequential_sums(m, 1)
+    assert degree_vector(g).tobytes() == want.tobytes() == _Dense(m).row_sums().tobytes()
     # the PageRank kernel's list divides by those bits
     e = g._held.kernel(degree_vector(g))
     assert e.vals.tobytes() == (m[e.cols, e.rows] / want[e.cols]).tobytes()
+
+
+def _layouts(m):
+    """``m`` in C and Fortran order, as a transposed view whose rows run
+    backwards in memory, and as every other column of a wider array."""
+    wide = np.zeros((m.shape[0], 2 * m.shape[0]))
+    wide[:, ::2] = m
+    return {"C": m, "F": np.asfortranarray(m), "T": np.ascontiguousarray(m[::-1].T).T[::-1],
+            "strided": wide[:, ::2]}
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "T", "strided"])
+def test_every_line_sum_has_one_order_on_both_forms(layout):
+    # seeded matrices at every n from 1 to 300, 2%, 20% or wholly non-zero
+    # with log-normal weights: the list, the array in each layout and the
+    # oracle agree byte for byte in degrees, absolute column and row sums,
+    # PageRank kernels and their L0
+    rng = np.random.default_rng(4000)
+    for n in range(1, 301):
+        share = rng.choice([0.02, 0.2, 1.0])
+        m = np.where(rng.random((n, n)) < share, rng.lognormal(size=(n, n)), 0.0)
+        kernel = pagerank_kernel_reference(Graph(m))
+        want = [sequential_sums(m, 1), sequential_sums(np.abs(m), 0),
+                sequential_sums(np.abs(m), 1), kernel,
+                np.float64(0.5 * sequential_sums(kernel, 0).max())]
+        for g in (Graph._holding(_listed(m)), Graph._holding(_Dense(_layouts(m)[layout]))):
+            prep = _prepare("pagerank", 0.5, g)
+            got = [degree_vector(g), g._held.abs_sums(0), g._held.abs_sums(1), prep.op.dense(),
+                   np.float64(prep.l0)]
+            for name, x, y in zip(("degrees", "columns", "rows", "kernel", "l0"), got, want):
+                assert x.tobytes() == y.tobytes(), (n, type(g._held).__name__, name)
 
 
 def _asymmetry_cases():
@@ -358,20 +391,16 @@ PARITY = _parity_cases()
 @pytest.mark.parametrize("case", list(PARITY))
 def test_the_two_forms_of_one_matrix_agree(case):
     # the listed and the dense form of one matrix, each read only through
-    # the operand methods; the list adds a line's terms in its order, so
-    # only sums whose order cannot show are compared byte for byte.  Neither
-    # form holds a -0.0: the array is the one a graph holds, m + 0.0
+    # the operand methods; both add a line's terms in index order, so every
+    # row and column sum has the same bytes.  Neither form holds a -0.0:
+    # the array is the one a graph holds, m + 0.0
     m = PARITY[case] + 0.0
     listed, dense = _listed(PARITY[case]), _Dense(m.copy())
     assert listed.dense().tobytes() == dense.dense().tobytes() == m.tobytes()
-    # column sums add each column's rows in order on both forms
-    assert listed.abs_sums(0).dtype == np.float64
-    assert listed.abs_sums(0).tobytes() == dense.abs_sums(0).tobytes()
-    # numpy sums a row pairwise: exact on integers, within rounding else
-    rows = dense.abs_sums(1)
-    if case in ("binary", "signed", "empty", "n=1"):
-        assert listed.abs_sums(1).tobytes() == rows.tobytes()
-    _close(listed.abs_sums(1), rows, np.abs(m), np.ones(m.shape[0]))
+    for axis in (0, 1):
+        assert listed.abs_sums(axis).dtype == np.float64
+        want = sequential_sums(np.abs(m), axis).tobytes()
+        assert listed.abs_sums(axis).tobytes() == dense.abs_sums(axis).tobytes() == want, axis
     for factor in (0.37, 2.0**-3):
         assert listed.scaled(factor).dense().tobytes() == _Dense(m.copy()).scaled(factor).dense().tobytes()
     rng = np.random.default_rng(2401)

@@ -186,6 +186,16 @@ class TestPermutation:
         with pytest.raises(ParameterError, match="integers"):
             Permutation(mapping)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mapping", [
+        [0, 10**30], ["a", "b"], [None, 0], [True, False], ["0", "1"], [1 + 0j, 0j],
+        [0.0, 1e300], np.array([1, 0], dtype=object),
+    ], ids=["beyond-int64", "letters", "none", "bools", "digit-strings", "complex",
+            "float-beyond-int64", "object-ints"])
+    def test_refuses_entries_that_are_not_integers_before_any_cast(self, mapping):
+        with pytest.raises(ParameterError, match="^mapping entries must be integers$"):
+            Permutation(mapping)
+
     def test_accepts_integral_floats(self):
         p = Permutation(np.array([2.0, 0.0, 1.0]))
         assert p.mapping.tolist() == [2, 0, 1]

@@ -20,6 +20,7 @@ from fpcentral import (
     Graph,
     Permutation,
     StepGraphon,
+    degree_vector,
     eigencentrality,
     operator_norm,
     parse_edge_list,
@@ -32,6 +33,7 @@ from fpcentral import (
     theorem2_certificate,
     write_graphon,
 )
+from fpcentral.centrality import _prepare
 from fpcentral.cli import main
 from fpcentral.graphon import _lift_graph, graphon_eigencentrality, graphon_katz
 from fpcentral.graphs import _Entries
@@ -232,6 +234,16 @@ def test_dense_symmetric_eigencentrality_makes_no_copy():
     res = eigencentrality(g)
     assert res.gap is None and res.iterations == 0
     assert _peak(lambda: eigencentrality(g)) <= 0.25
+
+
+def test_listed_degrees_and_pagerank_record_form_no_row_tile(pair):
+    # a list adds its rows by one np.bincount over its entries (tiles of
+    # 128 whole rows formed from the list peaked at 0.26); the record holds
+    # its kernel's own 9870 values, 0.0099, and its L0 adds their absolute
+    # values, as many again (measured 0.022)
+    g = pair[0]
+    assert _peak(lambda: degree_vector(g)) <= 0.01
+    assert _peak(lambda: _prepare("pagerank", 0.85, g)) <= 0.025
 
 
 @pytest.mark.parametrize("p", [1, math.inf])

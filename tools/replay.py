@@ -13,11 +13,14 @@ tree's ``src``, each tree in its own pass directory with one BLAS thread.
 It compares each call's exit code, standard output and standard error, and
 its output file, after masking the manifest's timestamp and the name of the
 pass directory.  It prints, per command and JSON field, how many values it
-compared, how many moved and the largest relative move.  Numbers move when
-their JSON spellings differ, and their relative move is |a - b| / max(|a|,
-|b|); any other value moves when its spelling differs, by an infinite
-relative move, as does a key or list item that only one side has.  The exit
-status is 0 when no call and no field differ, 1 otherwise.
+compared, how many moved, how many of those rose and how many fell, and the
+largest relative move.  Numbers move when their JSON spellings differ, and
+their relative move is |a - b| / max(|a|, |b|); a moved number rose when
+this tree's value is the larger, fell when it is the smaller, and neither
+when the two are equal (0.0 and -0.0).  Any other value moves when its
+spelling differs, by an infinite relative move and in no direction, as does
+a key or list item that only one side has.  The exit status is 0 when no
+call and no field differ, 1 otherwise.
 
 The orchestrator imports only the standard library, as ``perfbench/run.py``
 does; the inputs are written by a child process.
@@ -70,40 +73,48 @@ def run_plan(commands, work, src, pass_dir):
 
 
 def _move(a, b):
-    """The relative move from ``a`` to ``b``, two parsed JSON values."""
+    """The relative move from ``a`` to ``b``, two parsed JSON values, and
+    its sign: 1 if ``b`` is the larger number, -1 if the smaller, else 0."""
     numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
-    if numbers and math.isfinite(a) and math.isfinite(b):
+    if not numbers:
+        return math.inf, 0
+    sign = (b > a) - (b < a)
+    if math.isfinite(a) and math.isfinite(b):
         top = max(abs(a), abs(b))
-        return abs(a - b) / top if top else 0.0
-    return math.inf
+        return (abs(a - b) / top if top else 0.0), sign
+    return math.inf, sign
 
 
 def compare_values(a, b, field, stats):
     """Fold the leaves of two parsed JSON values into ``stats``: field name
-    -> [values compared, values moved, largest relative move]."""
+    -> [values compared, values moved, largest relative move, values that
+    rose, values that fell]."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             name = f"{field}.{key}" if field else key
             if key in a and key in b:
                 compare_values(a[key], b[key], name, stats)
             else:
-                _count(stats, name, math.inf)
+                _count(stats, name, (math.inf, 0))
     elif isinstance(a, list) and isinstance(b, list):
         for x, y in zip(a, b):
             compare_values(x, y, field + "[]", stats)
         for _ in range(abs(len(a) - len(b))):
-            _count(stats, field + "[]", math.inf)
+            _count(stats, field + "[]", (math.inf, 0))
     else:
         moved = json.dumps(a) != json.dumps(b)
         _count(stats, field, _move(a, b) if moved else None)
 
 
 def _count(stats, name, move):
-    row = stats.setdefault(name, [0, 0, 0.0])
+    """Count one value of ``name``; ``move`` is None, or (relative move, sign)."""
+    row = stats.setdefault(name, [0, 0, 0.0, 0, 0])
     row[0] += 1
     if move is not None:
         row[1] += 1
-        row[2] = max(row[2], move)
+        row[2] = max(row[2], move[0])
+        row[3] += move[1] > 0
+        row[4] += move[1] < 0
 
 
 def replay(base, workloads, seeds, work):
@@ -131,7 +142,7 @@ def replay(base, workloads, seeds, work):
                     try:
                         compare_values(json.loads(x[3]), json.loads(y[3]), "", fields)
                     except ValueError:
-                        _count(fields, "(not JSON)", None if x[3] == y[3] else math.inf)
+                        _count(fields, "(not JSON)", None if x[3] == y[3] else (math.inf, 0))
             plans.append((workload, seed, len(commands), *differ))
     return plans, stats
 
@@ -145,9 +156,11 @@ def report(plans, stats, out=sys.stdout):
     rows = [(f"{command} {field}", *row) for command, fields in sorted(stats.items())
             for field, row in sorted(fields.items())]
     width = max((len(r[0]) for r in rows), default=5)
-    print(f"\n{'field':<{width}} {'values':>8} {'moved':>6}  largest relative move", file=out)
-    for name, values, moved, largest in rows:
-        print(f"{name:<{width}} {values:>8} {moved:>6}  {largest:.3g}", file=out)
+    print(f"\n{'field':<{width}} {'values':>8} {'moved':>6} {'rose':>5} {'fell':>5}"
+          "  largest relative move", file=out)
+    for name, values, moved, largest, rose, fell in rows:
+        print(f"{name:<{width}} {values:>8} {moved:>6} {rose:>5} {fell:>5}  {largest:.3g}",
+              file=out)
     calls = sum(p[2] for p in plans)
     differing = sum(sum(p[3:]) for p in plans)
     moved = sum(1 for r in rows if r[2])
