@@ -12,6 +12,7 @@ non-convergence, 4 I/O or parse error.
 """
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -278,8 +279,8 @@ def build_parser():
         "compare", help="perturbation-bound certificate between two graphs"
     )
     _add_compare_flags(comp, ("eigen", "katz", "pagerank"), ("theorem1", "prop6", "prop7"))
-    # validated and recorded in the manifest only; it changes nothing
-    comp.add_argument("--jobs", type=_positive_int, default=1)
+    comp.add_argument("--jobs", type=_positive_int, default=1,
+                      help="accepted and recorded in the manifest; it changes nothing")
     _add_output_flags(comp)
     comp.set_defaults(handler=cmd_compare)
 
@@ -326,5 +327,21 @@ def main(argv=None):
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
+def run():
+    """Process entry of ``fpc`` and ``python -m fpcentral.cli``: run ``main()``, flush
+    stdout and stderr, and end by ``os._exit`` with its code, skipping the interpreter's
+    teardown and ``atexit`` hooks.  Another exception, or a failed flush, exits as usual."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code or 0
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -481,7 +481,10 @@ class Permutation:
     """A bijection on ``{0, ..., n-1}`` stored as an integral index array."""
 
     def __init__(self, mapping):
-        m = np.asarray(mapping)
+        try:
+            m = np.asarray(mapping)
+        except ValueError:  # a ragged nesting
+            raise ParameterError("mapping must be a flat index sequence") from None
         if not (m.dtype.kind in "iu" or m.dtype.kind == "f"
                 and np.all((m == np.round(m)) & (abs(m) < 2.0**63))):
             raise ParameterError("mapping entries must be integers")

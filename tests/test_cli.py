@@ -2,6 +2,7 @@ import ast
 import hashlib
 import inspect
 import json
+import math
 import os
 import re
 import shutil
@@ -677,6 +678,11 @@ class TestParser:
                           "--bound", bound, "--jobs", jobs])
                 assert exc.value.code == 2
                 assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_help_says_it_changes_nothing(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["compare", "--help"])
+        assert "changes nothing" in " ".join(capsys.readouterr().out.split())
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1602,3 +1608,138 @@ class TestThreadCount:
                          for out in json.loads(proc.stdout)])
         differ = [argv for argv, one, two in zip(calls, *runs) if one != two]
         assert not differ
+
+
+class TestProcessExit:
+    """``python -m fpcentral.cli`` ends through ``run()``, which skips the
+    interpreter's teardown: its exit code and streams are those of ``main``
+    run in this process, and no ``atexit`` hook runs after it."""
+
+    SRC = str(Path(fpcentral.__file__).resolve().parents[1])
+    # every certificate fails when its tolerance is -inf
+    FAILS = "import math\nfrom fpcentral import perturbation\nperturbation.HOLDS_TOL = -math.inf\n"
+    HOOK = "import atexit, sys\natexit.register(lambda: sys.stderr.write('teardown ran\\n'))\n"
+    PAGERANK = ("centrality", "k3.txt", "--family", "pagerank", "--alpha", "0.85")
+    CASES = {  # the exit code and the call
+        "exit-0": (0, PAGERANK),
+        "certificate-fails": (1, ("compare", "k3.txt", "k3.txt", "--family", "katz",
+                                  "--alpha", "0.3")),
+        "exit-2": (2, ("centrality", "k3.txt", "--family", "katz")),
+        "exit-3": (3, ("centrality", "p2.txt", "--family", "katz", "--alpha", "0.9999999")),
+        "exit-4": (4, ("centrality", "missing.txt", "--family", "katz", "--alpha", "0.5")),
+        "version": (0, ("--version",)),
+        "help": (0, ("compare", "--help")),
+        "usage-error": (2, ("frobnicate",)),
+        "csv-to-stdout": (0, (*PAGERANK, "--csv")),
+    }
+
+    @pytest.fixture
+    def work(self, tmp_path):
+        (tmp_path / "k3.txt").write_text(K3_EDGES)
+        (tmp_path / "p2.txt").write_text("0 1 1\n1 0 1\n")
+        return tmp_path
+
+    def child(self, cwd, argv, prelude="", env=None, **streams):
+        """``python -m fpcentral.cli argv`` in ``cwd``, its stdout
+        block-buffered unless ``env`` says otherwise; with a prelude, the
+        prelude runs first and then the module, as ``-m`` runs it."""
+        env = {**os.environ, "PYTHONPATH": self.SRC, "COLUMNS": "80", "PYTHONUNBUFFERED": "",
+               **(env or {})}
+        entry = ["-m", "fpcentral.cli"] if not prelude else ["-c", prelude + (
+            "import runpy\nrunpy.run_module('fpcentral.cli', run_name='__main__', alter_sys=True)\n")]
+        streams = streams or {"capture_output": True, "text": True}
+        return subprocess.run([sys.executable, *entry, *argv], cwd=cwd, env=env, timeout=120,
+                              **streams)
+
+    @staticmethod
+    def untimed(text):
+        return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_process_ends_as_main_returns(self, capsys, monkeypatch, work, case):
+        expected, argv = self.CASES[case]
+        prelude = self.FAILS if case == "certificate-fails" else ""
+        proc = self.child(work, argv, prelude)
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("COLUMNS", "80")
+        if prelude:
+            from fpcentral import perturbation
+
+            monkeypatch.setattr(perturbation, "HOLDS_TOL", -math.inf)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == expected
+        assert (proc.returncode, self.untimed(proc.stdout), proc.stderr) == (
+            code, self.untimed(out), err)
+
+    @pytest.mark.parametrize("argv", [PAGERANK, ("--version",), ("frobnicate",)],
+                             ids=["computed", "version", "usage-error"])
+    def test_no_atexit_hook_runs(self, work, argv):
+        proc = self.child(work, argv, self.HOOK)
+        assert proc.returncode == (2 if argv == ("frobnicate",) else 0)
+        assert "teardown ran" not in proc.stderr
+
+    def test_another_exception_ends_the_process_as_usual(self, work):
+        # a traceback, exit 1 and the interpreter's teardown
+        boom = ("import fpcentral.centrality\n"
+                "def solve(*args): raise RuntimeError('boom')\n"
+                "fpcentral.centrality.solve = solve\n")
+        proc = self.child(work, self.PAGERANK, self.HOOK + boom)
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr and "RuntimeError: boom" in proc.stderr
+        assert proc.stderr.endswith("teardown ran\n")
+
+    def test_the_console_script_enters_through_run(self):
+        import tomllib
+
+        pyproject = tomllib.loads((Path(self.SRC).parent / "pyproject.toml").read_text())
+        assert pyproject["project"]["scripts"] == {"fpc": "fpcentral.cli:run"}
+
+    BUFFERED = {"PYTHONIOENCODING": "utf-8", "PYTHONUNBUFFERED": ""}
+    UNBUFFERED = {"PYTHONIOENCODING": "utf-8", "PYTHONUNBUFFERED": "1"}
+    BROKEN_PIPE = "error: [Errno 32] Broken pipe\n"
+    # the interpreter's teardown reports a final flush that fails, and exits 120
+    FLUSH_REPORT = ("Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                    "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize("env", [BUFFERED, UNBUFFERED], ids=["buffered", "unbuffered"])
+    def test_a_reader_that_closes_early_gives_exit_4(self, tmp_path, env):
+        # the JSON of 2000 nodes is larger than a pipe's buffer, so a write
+        # in main fails once the reader is gone.  Whether that write leaves
+        # bytes in a block-buffered stdout, for the final flush to fail on
+        # too, depends on which write meets the closed pipe: a race, with
+        # the same two outcomes under teardown and under run()
+        n = 2000
+        (tmp_path / "ring.txt").write_text("".join(
+            f"{i} {(i + 1) % n} 1\n{(i + 1) % n} {i} 1\n{i} {(7 * i + 3) % n} 1\n"
+            for i in range(n)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fpcentral.cli", "centrality", "ring.txt", "--family",
+             "pagerank", "--alpha", "0.85"], cwd=tmp_path, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": self.SRC, **env})
+        proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        outcomes = {(4, self.BROKEN_PIPE)}
+        if not env["PYTHONUNBUFFERED"]:
+            outcomes.add((120, self.BROKEN_PIPE + self.FLUSH_REPORT))
+        assert (proc.returncode, err) in outcomes
+
+    @pytest.mark.parametrize("env, code, err", [
+        (BUFFERED, 120, FLUSH_REPORT), (UNBUFFERED, 4, BROKEN_PIPE),
+    ], ids=["buffered", "unbuffered"])
+    def test_a_pipe_closed_before_the_final_flush(self, work, env, code, err):
+        # block-buffered, a small payload reaches the pipe only at the final
+        # flush, which fails in run(); the teardown then fails on it again
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.child(work, self.PAGERANK, env=env, stdout=write,
+                              stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (code, err)

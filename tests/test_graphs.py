@@ -205,6 +205,13 @@ class TestPermutation:
         with pytest.raises(ParameterError, match="^mapping must be a flat index sequence$"):
             Permutation(np.array([[0, 1], [1, 0]]))
 
+    @pytest.mark.parametrize("mapping", [[[0], [1, 2]], [0, [1]], [[0, 1], [2]]],
+                             ids=["ragged-rows", "scalar-and-list", "short-row"])
+    def test_refuses_a_ragged_mapping(self, mapping):
+        # numpy's own ValueError on an inhomogeneous shape used to escape
+        with pytest.raises(ParameterError, match="^mapping must be a flat index sequence$"):
+            Permutation(mapping)
+
     def test_equality_compares_mappings(self):
         p = Permutation(np.array([1, 2, 0]))
         assert p == Permutation([1.0, 2.0, 0.0]) and hash(p) == hash(Permutation([1, 2, 0]))
