@@ -16,8 +16,9 @@ katz and the kernel A.T D^{-1} for pagerank.  Each input is prepared once
 in the form of the graph's, whose products x -> M_A x and y -> M_A^T y
 every iteration step takes: over a list of entries they cost O(entries).
 
-Katz and PageRank are iterated (``solve``), and so are the graphon
-densities, on their lifts (``graphon._density``).  The eigen family takes
+Katz and PageRank are iterated to the rounding floor by one loop
+(``_fixed_point``), which ``solve`` runs on a graph and the graphon
+densities on their lifts (``graphon._density``).  The eigen family takes
 its leading eigenvalue and eigenvector from a power-step bracket where
 Perron-Frobenius proves the eigenvalue simple (no negative weight,
 strongly connected), by products with the graph's operand.  Otherwise it
@@ -45,8 +46,7 @@ PHI_CHOICES = ("identity", "exp", "exp_neg", "abs")
 
 GAP_TOL = 1e-8
 NEGATIVE_RHO_TOL = 1e-12
-# solve()'s residual bound, in the family's native norm, and its step budget
-SOLVE_TOL = 1e-10
+# the step budget of the fixed-point loop (``_fixed_point``)
 SOLVE_MAX_ITERATIONS = 100_000
 # Inverse iteration stops once ||A.T v - lam v||_2 <= this factor times
 # sqrt(n) eps ||A.T||_inf for a unit v.  The rounding floor of that residual
@@ -154,8 +154,8 @@ def solve(g, family, alpha=None):
     g : Graph
     family : one of ``FAMILIES``
         The eigen family dispatches to eigencentrality(); the others are
-        iterated from the all-ones vector until the residual is at most
-        ``SOLVE_TOL``, within ``SOLVE_MAX_ITERATIONS`` steps.
+        iterated from the all-ones vector to the rounding floor within
+        ``SOLVE_MAX_ITERATIONS`` steps (``_fixed_point``).
     alpha : float, optional
         Required for katz and pagerank, refused for eigen (``_prepare``).
 
@@ -163,9 +163,9 @@ def solve(g, family, alpha=None):
     -------
     CentralityResult
         ``residual`` is ||f(A, x) - x|| at the returned x in the family's
-        native norm, guaranteed at most ``SOLVE_TOL`` on success.
-        ``contraction_estimate`` is the largest observed ratio of
-        consecutive residuals.
+        native norm, at most 1e-12 ||x||.  ``iterations`` counts the steps
+        taken and ``contraction_estimate`` is the largest ratio of
+        consecutive residuals before the loop settled.
 
     Raises
     ------
@@ -186,59 +186,56 @@ def solve(g, family, alpha=None):
 
 def _solve(prep):
     """solve() on a record, which the solve uses up (``_iteration_map``)."""
-    g = prep.g
     if prep.family == "eigen":
-        eig = eigencentrality(g)
+        eig = eigencentrality(prep.g)
         if eig.rho is None:
             raise ParameterError(
                 "the leading eigenvector has mixed signs; apply normalize() "
                 "to feature_x instead"
             )
-        return CentralityResult(
-            rho=eig.rho,
-            feature_x=eig.vector,
-            iterations=eig.iterations,
-            residual=eig.residual,
-            contraction_estimate=0.0,
+        return CentralityResult(eig.rho, eig.vector, eig.iterations, eig.residual, 0.0)
+    res = _fixed_point(prep)
+    if float(np.min(res.feature_x)) < -NEGATIVE_RHO_TOL:
+        raise ParameterError(
+            "fixed point has negative entries; centralities must be "
+            "non-negative, apply normalize() to feature_x"
         )
+    return res._replace(rho=np.maximum(res.feature_x, 0.0))
+
+
+def _fixed_point(prep):
+    """The fixed point of a katz or pagerank record's map (``_iteration_map``),
+    which it uses up: the one loop of solve() and of the graphon densities.
+    From the all-ones vector, once the residual ||f(x) - x|| is at most
+    1e-12 ||x|| in the native norm, the steps go on while it falls, and the
+    last iterate before it rose is returned as ``rho`` and ``feature_x``,
+    unchecked.  ``iterations`` counts every step taken, and the contraction
+    estimate is the largest ratio of consecutive residuals before the loop
+    settled (at the floor they read about 1)."""
     p = native_norm_index(prep.family)
-    x = np.ones(g.n)
     f = _iteration_map(prep)
-    contraction = 0.0
-    prev_residual = None
-    residual = math.inf
-    # a product past float64 ends the solve at its first non-finite residual
-    with np.errstate(over="ignore", invalid="ignore"):
-        for iteration in range(1, SOLVE_MAX_ITERATIONS + 1):
+    x, settled = np.ones(prep.g.n), None  # (x, residual) once within the bound
+    size = vector_norm(x, p)  # at least ||x||: a norm taken, plus the residuals since
+    contraction, previous = 0.0, math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # stopped at a non-finite residual
+        for step in range(1, SOLVE_MAX_ITERATIONS + 1):
             fx = f(x)
             residual = vector_norm(fx - x, p)
             if not math.isfinite(residual):
                 raise NumericalError(
                     "the fixed-point iteration overflows float64; rescale the weights"
                 )
-            if prev_residual is not None and prev_residual > 0.0:
-                contraction = max(contraction, residual / prev_residual)
-            if residual <= SOLVE_TOL:
-                if float(np.min(x)) < -NEGATIVE_RHO_TOL:
-                    raise ParameterError(
-                        "fixed point has negative entries; centralities must be "
-                        "non-negative, apply normalize() to feature_x"
-                    )
-                return CentralityResult(
-                    rho=np.maximum(x, 0.0),
-                    feature_x=x,
-                    iterations=iteration,
-                    residual=residual,
-                    contraction_estimate=contraction,
-                )
-            prev_residual = residual
-            x = fx
-    raise NonConvergenceError(
-        f"no fixed point within {SOLVE_MAX_ITERATIONS} iterations "
-        f"(residual {residual:.3e})",
-        last_iterate=x,
-        residual=residual,
-    )
+            if settled is not None and residual >= settled[1]:
+                return CentralityResult(settled[0], settled[0], step, settled[1], contraction)
+            if settled is None:
+                contraction = max(contraction, residual / previous)
+                if residual <= 1e-12 * size:
+                    size = vector_norm(x, p)
+            if settled is not None or residual <= 1e-12 * size:
+                settled = x, residual
+            x, size, previous = fx, size + residual, residual
+    raise NonConvergenceError(f"no fixed point within {SOLVE_MAX_ITERATIONS} iterations "
+                              f"(residual {residual:.3e})", last_iterate=x, residual=residual)
 
 
 class EigenResult(NamedTuple):

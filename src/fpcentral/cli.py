@@ -12,6 +12,7 @@ non-convergence, 4 I/O or parse error.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -177,15 +178,14 @@ def cmd_graphon_centrality(args):
     if args.family == "eigen":
         rho, lam = graphon_eigencentrality(w)
         extras = {"lambda": float(lam)}
-    elif args.family == "katz":
-        rho = graphon_katz(w, args.alpha)
-        extras = {}
     else:
-        rho = graphon_pagerank(w, args.alpha)
-        extras = {
-            "integral": integral(rho),
-            "non_negative": bool(float(np.min(rho.values)) >= -NEGATIVE_RHO_TOL),
-        }
+        rho = (graphon_katz if args.family == "katz" else graphon_pagerank)(w, args.alpha)
+        extras = {"iterations": rho.iterations, "residual": rho.residual}
+    if args.family == "pagerank":
+        extras.update(
+            integral=integral(rho),
+            non_negative=bool(float(np.min(rho.values)) >= -NEGATIVE_RHO_TOL),
+        )
     payload = {
         "rho": [float(x) for x in rho.values],
         **extras,
@@ -330,7 +330,9 @@ def main(argv=None):
 def run():
     """Process entry of ``fpc`` and ``python -m fpcentral.cli``: run ``main()``, flush
     stdout and stderr, and end by ``os._exit`` with its code, skipping the interpreter's
-    teardown and ``atexit`` hooks.  Another exception, or a failed flush, exits as usual."""
+    teardown and ``atexit`` hooks.  A failed flush (a reader closed the pipe) ends with
+    exit 4 and one ``error:`` line, main's own if its write failed already; ``os._exit``
+    drops the bytes stuck in the buffer.  Another exception exits as usual."""
     try:
         code = main()
     except SystemExit as exc:
@@ -338,8 +340,11 @@ def run():
     try:
         sys.stdout.flush()
         sys.stderr.flush()
-    except OSError:
-        return code
+    except OSError as exc:
+        if code != 4:
+            with contextlib.suppress(OSError):
+                print(f"error: {exc}", file=sys.stderr)
+        code = 4
     os._exit(code)
 
 

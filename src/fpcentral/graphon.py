@@ -6,7 +6,8 @@ cells of the uniform partition; the induced integral operator is
 matrix action (1/k) values @ v.  So a graphon is computed as its scaled
 lift, the finite graph values/k, whose operator norms, spectrum and fixed
 points are the graphon's: Katz densities are the finite Katz centralities
-of that graph and PageRank densities k times its finite PageRank.
+of that graph and PageRank densities k times its finite PageRank, found by
+the loop that solve() runs, to the rounding floor (``_density``).
 Conversely a finite symmetric graph lifts to the k = n step graphon with
 the same weight matrix; under that lift spectra scale by 1/n, cut norms by
 1/n^2, and graphon PageRank is n times the finite PageRank.
@@ -17,15 +18,17 @@ import numbers
 
 import numpy as np
 
-from .centrality import (SOLVE_MAX_ITERATIONS, _iteration_map, _prepare, eigencentrality,
-                         native_norm_index)
-from .errors import NonConvergenceError, NumericalError, ParameterError
+from .centrality import _fixed_point, _prepare, eigencentrality
+from .errors import ParameterError
 from .graphs import Graph, matrix_tol
-from .norms import vector_norm
 
 
 class StepFunction:
-    """A real-valued function on [0, 1] constant on k uniform blocks."""
+    """A real-valued function on [0, 1] constant on k uniform blocks.  A
+    density also carries the ``iterations`` and ``residual`` of the loop on
+    its lift (``_density``); any other step function has None for both."""
+
+    iterations = residual = None
 
     def __init__(self, values):
         values = np.array(values, dtype=float)
@@ -123,33 +126,15 @@ def _check_pagerank_values(w):
 
 
 def _density(prep):
-    """The katz or pagerank density of a graphon as block values, the fixed
-    point of solve()'s map (``centrality._iteration_map``) on the record of
-    its lift, which it uses up.  From the all-ones vector, once the residual
-    ||f(x) - x|| is at most 1e-12 ||x|| in the native norm, the steps go on
-    while it falls, and the last iterate before it rose is kept.  The guards
-    are solve()'s, but a signed katz density is returned as it is."""
-    p = native_norm_index(prep.family)
-    f = _iteration_map(prep)
-    x, settled = np.ones(prep.g.n), None  # (x, residual) once within the bound
-    size = vector_norm(x, p)  # at least ||x||: a norm taken, plus the residuals since
-    with np.errstate(over="ignore", invalid="ignore"):  # stopped at a non-finite residual
-        for _ in range(SOLVE_MAX_ITERATIONS):
-            fx = f(x)
-            residual = vector_norm(fx - x, p)
-            if not math.isfinite(residual):
-                raise NumericalError(
-                    "the fixed-point iteration overflows float64; rescale the weights"
-                )
-            if settled is not None and residual >= settled[1]:
-                return settled[0] if prep.family == "katz" else prep.g.n * settled[0]
-            if settled is None and residual <= 1e-12 * size:
-                size = vector_norm(x, p)
-            if settled is not None or residual <= 1e-12 * size:
-                settled = x, residual
-            x, size = fx, size + residual
-    raise NonConvergenceError(f"no fixed point within {SOLVE_MAX_ITERATIONS} iterations "
-                              f"(residual {residual:.3e})", last_iterate=x, residual=residual)
+    """The katz or pagerank density of a graphon as a step function: the
+    fixed point that solve()'s loop (``centrality._fixed_point``) finds on
+    the record of its lift, which it uses up, times k for pagerank, with
+    the loop's iterations and residual.  A signed katz density is returned
+    as it is."""
+    res = _fixed_point(prep)
+    rho = StepFunction(res.feature_x if prep.family == "katz" else prep.g.n * res.feature_x)
+    rho.iterations, rho.residual = res.iterations, res.residual
+    return rho
 
 
 def graphon_pagerank(w, alpha):
@@ -163,7 +148,7 @@ def graphon_pagerank(w, alpha):
     """
     g = _lift_graph(w)
     _check_pagerank_values(w)
-    return StepFunction(_density(_prepare("pagerank", alpha, g)))
+    return _density(_prepare("pagerank", alpha, g))
 
 
 def graphon_katz(w, alpha):
@@ -171,7 +156,7 @@ def graphon_katz(w, alpha):
     which is the finite Katz centrality of the lift values/k.  It requires
     alpha below the reciprocal of the graphon operator norm; alpha itself
     may exceed 1 when the values are small."""
-    return StepFunction(_density(_prepare("katz", alpha, _lift_graph(w))))
+    return _density(_prepare("katz", alpha, _lift_graph(w)))
 
 
 def graphon_eigencentrality(w):

@@ -213,14 +213,15 @@ def _norm(v, p, weight):
 
 def _enlarged(consts, family, alpha, xa_norm, xb_norm):
     """Grow the feasible ball to contain both fixed points and recompute
-    the radius-dependent L1."""
+    the radius-dependent L1.  The note spells both radii in full (``repr``),
+    so that an enlargement by the last bits shows them."""
     needed = max(consts.feasible_radius, xa_norm + 1.0, xb_norm + 1.0)
     notes = [f"fixed-point feature norms: {xa_norm:.12g}, {xb_norm:.12g}"]
     if needed <= consts.feasible_radius:
         return consts, notes
     notes.append(
-        f"feasible radius enlarged from {consts.feasible_radius:.12g} to "
-        f"{needed:.12g} to contain both fixed points"
+        f"feasible radius enlarged from {consts.feasible_radius!r} to "
+        f"{needed!r} to contain both fixed points"
     )
     return consts._replace(L1=_l1(family, alpha, needed), feasible_radius=needed), notes
 
@@ -363,7 +364,7 @@ def _step_certificate(name, a, b, family, alpha, mode="exact"):
         _check_pagerank_values(b)
     pair = _Pair(
         (prep_a, _prepare(family, alpha, _lift_graph(b))), 1.0 / a.k,
-        lambda prep: (_density(prep),) * 2,
+        lambda prep: (_density(prep).values,) * 2,
         "perturbation measured on effective kernels A o D^-1", "density masses",
     )
     return _certify(name, a, b, pair, mode)
@@ -374,8 +375,8 @@ def theorem1_certificate(a, b, family, alpha):
     ||rho_A - rho_B|| <= L1 Lg / (1 - L0) ||A - B||_op in the family's
     native norm, with the analytic constants of a.
 
-    Both centralities are solved to tolerance; the feasible radius is
-    enlarged if either fixed point escapes it (with L1 recomputed), and
+    Both centralities are solved to the rounding floor; the feasible radius
+    is enlarged if either fixed point escapes it (with L1 recomputed), and
     PageRank perturbations are measured on the effective kernels.
     """
     return _graph_certificate("theorem1", a, b, family, alpha)

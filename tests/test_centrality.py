@@ -26,7 +26,6 @@ from fpcentral import (
     vector_norm,
 )
 from fpcentral import centrality
-from fpcentral import graphon
 from fpcentral import norms
 from fpcentral.centrality import _degrees, _prepare, native_norm_index
 from fpcentral.graphs import _Dense, _Entries, _strongly_connected
@@ -165,16 +164,71 @@ class TestSolve:
         assert exc.value.last_iterate is not None
         assert exc.value.residual > 0.0
 
-    def test_tolerance_and_budget_are_the_module_constants(self, monkeypatch):
+    def test_the_budget_is_the_module_constant(self, monkeypatch):
         res = solve(_c2(), "katz", 0.5)
-        assert res.residual <= centrality.SOLVE_TOL
-        monkeypatch.setattr(centrality, "SOLVE_TOL", 1e-6)
-        coarse = solve(_c2(), "katz", 0.5)
-        assert coarse.residual <= 1e-6 and coarse.iterations < res.iterations
-        assert np.allclose(coarse.rho, [2.0, 2.0], atol=1e-4)
-        monkeypatch.setattr(centrality, "SOLVE_MAX_ITERATIONS", coarse.iterations - 1)
-        with pytest.raises(NonConvergenceError, match=f"within {coarse.iterations - 1} "):
+        assert res.residual <= 1e-12 * vector_norm(res.feature_x, 2)
+        monkeypatch.setattr(centrality, "SOLVE_MAX_ITERATIONS", res.iterations)
+        assert solve(_c2(), "katz", 0.5).feature_x.tolist() == res.feature_x.tolist()
+        monkeypatch.setattr(centrality, "SOLVE_MAX_ITERATIONS", res.iterations - 1)
+        with pytest.raises(NonConvergenceError, match=f"within {res.iterations - 1} "):
             solve(_c2(), "katz", 0.5)
+
+    def test_solves_match_a_numpy_solve_on_seeded_graphs(self):
+        rng = np.random.default_rng(42)
+        for n in (5, 40, 300):
+            m = rng.random((n, n)) * (rng.random((n, n)) < min(1.0, 4.0 / n))
+            rows, cols = np.nonzero(m)
+            forms = (_Entries(rows, cols, m[rows, cols], n), _Dense(m.copy()))
+            alphas = {"katz": 0.5 / np.linalg.norm(m, 2), "pagerank": 0.85}
+            for held in forms:
+                g = Graph._holding(held)
+                for family, alpha in alphas.items():
+                    want = (katz_reference if family == "katz" else pagerank_reference)(g, alpha)
+                    p = native_norm_index(family)
+                    err = vector_norm(solve(g, family, alpha).rho - want, p)
+                    assert err <= 1e-12 * vector_norm(want, p), (n, type(held), family, err)
+
+    def test_a_graph_and_its_lift_reach_the_same_outcome(self):
+        # one loop decides both: settling takes some 2e4 steps at
+        # L0 = 1 - 1e-3, within the budget, and some 2e6 at 1 - 1e-5
+        rng = np.random.default_rng(30)
+        m = np.triu((rng.random((30, 30)) < 0.2).astype(float), 1)
+        m[np.arange(29), np.arange(1, 30)] = 1.0  # a path through every node
+        g = Graph(m + m.T)
+        w = lift(g)
+        norm = np.linalg.norm(g.weights, 2)
+        for gap in (1e-3, 1e-5):
+            l0 = 1.0 - gap
+            calls = (
+                (partial(solve, g, "katz", l0 / norm), partial(graphon_katz, w, 30 * l0 / norm)),
+                (partial(solve, g, "pagerank", l0), partial(graphon_pagerank, w, l0)),
+            )
+            for finite, density in calls:
+                if gap == 1e-5:
+                    for call in (finite, density):
+                        with pytest.raises(NonConvergenceError):
+                            call()
+                    continue
+                res, rho = finite(), density()
+                family = finite.args[1]
+                scale, p = (1.0, 2) if family == "katz" else (30.0, 1)
+                assert np.allclose(scale * res.rho, rho.values, rtol=1e-9, atol=0.0)
+                assert res.residual <= 1e-12 * vector_norm(res.feature_x, p)
+                assert rho.residual <= 1e-12 * vector_norm(rho.values / scale, p)
+
+    def test_one_loop_iterates_the_map(self):
+        import ast
+        from pathlib import Path
+
+        callers = set()  # (called name, calling function) over every module
+        for path in Path(centrality.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef):
+                    callers.update((n.func.id, node.name) for n in ast.walk(node)
+                                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Name))
+        assert {f for name, f in callers if name == "_iteration_map"} == {"_fixed_point"}
+        assert {f for name, f in callers if name == "_fixed_point"} == {"_solve", "_density"}
+        assert not hasattr(centrality, "SOLVE_TOL")
 
     def test_contraction_estimate_is_reported(self):
         res = solve(_c2(), "katz", 0.5)
@@ -213,7 +267,8 @@ class TestSolve:
 
 
 class TestDensityLoop:
-    """The graphon densities, iterated on their lifts (``graphon._density``)."""
+    """The graphon densities, iterated on their lifts by solve()'s loop
+    (``graphon._density``)."""
 
     def test_katz_zero_matrix(self):
         assert np.allclose(_katz(Graph(np.zeros((3, 3))), 0.3), np.ones(3))
@@ -279,7 +334,7 @@ class TestDensityLoop:
 
     def test_a_near_critical_graphon_exhausts_the_budget(self, monkeypatch):
         # L0 = 1 - 1e-4 on both families: some 3e5 steps to settle
-        monkeypatch.setattr(graphon, "SOLVE_MAX_ITERATIONS", 1000)
+        monkeypatch.setattr(centrality, "SOLVE_MAX_ITERATIONS", 1000)
         w = StepGraphon(np.ones((2, 2)))
         for density in (graphon_katz, graphon_pagerank):
             with pytest.raises(NonConvergenceError, match="^no fixed point within 1000 ") as exc:

@@ -323,6 +323,22 @@ class TestGraphonCommands:
         assert code == 0
         assert payload["lambda"] == pytest.approx(0.5, abs=1e-10)
 
+    def test_graphon_katz_and_pagerank_report_their_loop(self, capsys, tmp_path):
+        from fpcentral import StepGraphon, graphon_katz, graphon_pagerank
+
+        values = [[0.0, 1.0, 0.5], [1.0, 0.0, 0.25], [0.5, 0.25, 1.0]]
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"values": values}))
+        for family, density in (("katz", graphon_katz), ("pagerank", graphon_pagerank)):
+            code, payload, _ = run_json(capsys, "graphon", "centrality", str(path),
+                                        "--family", family, "--alpha", "0.5")
+            rho = density(StepGraphon(values), 0.5)
+            assert code == 0 and payload["rho"] == rho.values.tolist()
+            assert (payload["iterations"], payload["residual"]) == (rho.iterations, rho.residual)
+            assert payload["iterations"] > 1 and 0.0 <= payload["residual"] <= 1e-12 * 3
+        _, payload, _ = run_json(capsys, "graphon", "centrality", str(path), "--family", "eigen")
+        assert "iterations" not in payload and "residual" not in payload
+
     def test_compare_theorem2(self, capsys, tmp_path):
         pa = tmp_path / "a.json"
         pb = tmp_path / "b.json"
@@ -1701,17 +1717,13 @@ class TestProcessExit:
     BUFFERED = {"PYTHONIOENCODING": "utf-8", "PYTHONUNBUFFERED": ""}
     UNBUFFERED = {"PYTHONIOENCODING": "utf-8", "PYTHONUNBUFFERED": "1"}
     BROKEN_PIPE = "error: [Errno 32] Broken pipe\n"
-    # the interpreter's teardown reports a final flush that fails, and exits 120
-    FLUSH_REPORT = ("Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
-                    "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n")
 
     @pytest.mark.parametrize("env", [BUFFERED, UNBUFFERED], ids=["buffered", "unbuffered"])
     def test_a_reader_that_closes_early_gives_exit_4(self, tmp_path, env):
         # the JSON of 2000 nodes is larger than a pipe's buffer, so a write
-        # in main fails once the reader is gone.  Whether that write leaves
-        # bytes in a block-buffered stdout, for the final flush to fail on
-        # too, depends on which write meets the closed pipe: a race, with
-        # the same two outcomes under teardown and under run()
+        # in main fails once the reader is gone.  That write may leave bytes
+        # in a block-buffered stdout, for the final flush to fail on too;
+        # either way one error line and exit 4
         n = 2000
         (tmp_path / "ring.txt").write_text("".join(
             f"{i} {(i + 1) % n} 1\n{(i + 1) % n} {i} 1\n{i} {(7 * i + 3) % n} 1\n"
@@ -1724,17 +1736,12 @@ class TestProcessExit:
         proc.stdout.read(10)
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
-        outcomes = {(4, self.BROKEN_PIPE)}
-        if not env["PYTHONUNBUFFERED"]:
-            outcomes.add((120, self.BROKEN_PIPE + self.FLUSH_REPORT))
-        assert (proc.returncode, err) in outcomes
+        assert (proc.returncode, err) == (4, self.BROKEN_PIPE)
 
-    @pytest.mark.parametrize("env, code, err", [
-        (BUFFERED, 120, FLUSH_REPORT), (UNBUFFERED, 4, BROKEN_PIPE),
-    ], ids=["buffered", "unbuffered"])
-    def test_a_pipe_closed_before_the_final_flush(self, work, env, code, err):
+    @pytest.mark.parametrize("env", [BUFFERED, UNBUFFERED], ids=["buffered", "unbuffered"])
+    def test_a_pipe_closed_before_the_final_flush(self, work, env):
         # block-buffered, a small payload reaches the pipe only at the final
-        # flush, which fails in run(); the teardown then fails on it again
+        # flush, which fails in run(); unbuffered, main's write fails
         read, write = os.pipe()
         os.close(read)
         try:
@@ -1742,4 +1749,4 @@ class TestProcessExit:
                               stderr=subprocess.PIPE, text=True)
         finally:
             os.close(write)
-        assert (proc.returncode, proc.stderr) == (code, err)
+        assert (proc.returncode, proc.stderr) == (4, self.BROKEN_PIPE)

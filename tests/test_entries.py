@@ -180,7 +180,10 @@ def test_solve_agrees_on_both_paths(family, directed):
     prep = _prepare(family, alpha, g)
     listed, dense = _solve(prep), _solve(_dense(prep))
     assert np.max(np.abs(listed.feature_x - dense.feature_x)) <= 1e-13 * np.max(dense.feature_x)
-    assert listed.iterations == dense.iterations
+    # the forms add their products in different orders, so near the
+    # rounding floor their residuals, and the step at which each rises,
+    # may differ
+    assert abs(listed.iterations - dense.iterations) <= 10
     assert solve(g, family, alpha).feature_x.tolist() == (
         listed.feature_x.tolist()
     )

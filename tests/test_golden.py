@@ -21,6 +21,19 @@ tolerances hold new values for the fields that rise with them: ``bound``
 where they follow L0 also L1, Lg, R and the feasible-radius and
 normalizer notes.  Their ``observed`` and every other entry keep their
 frozen values.
+
+Since solve() iterates to the rounding floor, by the loop the graphon
+densities run, finite entries were re-frozen under one rule.  The
+reference is the same certificate with each fixed point from a numpy
+solve (``oracles.katz_reference`` and ``pagerank_reference``).  An entry
+takes the new ``observed``, ``bound``, ``slack``, L1, Lg, R and notes only
+where the new payload is no farther from that reference than the frozen
+one in ``observed``, R and Lg, and nearer in at least one.  All 69 finite
+entries that moved (theorem1, prop6 and prop7) met it: their ``observed``
+came from up to 7.9e-10 relative of the reference to within 2.4e-14, and
+the 29 PageRank R values that solver error had raised above 2 read 2 plus
+at most 6 ulps.  L0, every other field and every graphon entry keep their
+frozen values.
 """
 
 import json
