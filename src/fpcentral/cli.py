@@ -318,10 +318,51 @@ def build_parser():
     return parser
 
 
+# the getter and setter of the OpenBLAS thread count, first pair found wins
+_BLAS_THREADS = tuple(
+    (f"{lib}_get_num_threads{suffix}", f"{lib}_set_num_threads{suffix}")
+    for lib in ("scipy_openblas", "openblas") for suffix in ("64_", "")
+)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with the OpenBLAS that numpy's core links set to one
+    thread, then give the caller's count back, so an output does not depend
+    on the thread count.  The count is read and set through ``ctypes`` by
+    the first pair of ``_BLAS_THREADS`` that the core's library or its
+    dependencies export; where none is, as with another BLAS, nothing is set."""
+    import ctypes
+
+    import numpy  # noqa: F401 -- every handler loads it, and it loads the BLAS
+
+    core = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get(
+        "numpy.core._multiarray_umath")
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except (AttributeError, OSError):  # no such module, or its library does not load
+        lib = None
+    pairs = [(getattr(lib, g), getattr(lib, s)) for g, s in _BLAS_THREADS
+             if hasattr(lib, g) and hasattr(lib, s)]
+    if not pairs:
+        yield
+        return
+    get, set_ = pairs[0]
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        with _one_blas_thread():
+            return args.handler(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

@@ -18,9 +18,11 @@ import numbers
 
 import numpy as np
 
-from .centrality import _fixed_point, _prepare, eigencentrality
 from .errors import ParameterError
 from .graphs import Graph, matrix_tol
+
+# The solvers are imported where they run, so a lift or a read compiles
+# no ``centrality`` or ``norms``.
 
 
 class StepFunction:
@@ -131,6 +133,8 @@ def _density(prep):
     the record of its lift, which it uses up, times k for pagerank, with
     the loop's iterations and residual.  A signed katz density is returned
     as it is."""
+    from .centrality import _fixed_point
+
     res = _fixed_point(prep)
     rho = StepFunction(res.feature_x if prep.family == "katz" else prep.g.n * res.feature_x)
     rho.iterations, rho.residual = res.iterations, res.residual
@@ -146,6 +150,8 @@ def graphon_pagerank(w, alpha):
     iterated as solve() iterates it (``_density``); with positive degrees
     everywhere it is a probability density (non-negative, unit integral).
     """
+    from .centrality import _prepare
+
     g = _lift_graph(w)
     _check_pagerank_values(w)
     return _density(_prepare("pagerank", alpha, g))
@@ -156,6 +162,8 @@ def graphon_katz(w, alpha):
     which is the finite Katz centrality of the lift values/k.  It requires
     alpha below the reciprocal of the graphon operator norm; alpha itself
     may exceed 1 when the values are small."""
+    from .centrality import _prepare
+
     return _density(_prepare("katz", alpha, _lift_graph(w)))
 
 
@@ -169,6 +177,8 @@ def graphon_eigencentrality(w):
     connected take its Perron route, which proves lam simple; others take
     its spectrum route, whose gap check applies to that spectrum.
     """
+    from .centrality import eigencentrality
+
     res = eigencentrality(_lift_graph(w))
     rho = StepFunction(res.vector * math.sqrt(w.k))
     return rho, res.value

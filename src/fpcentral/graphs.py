@@ -12,10 +12,13 @@ product with the matrix or its transpose costs O(entries) instead of
 O(n^2): there a product over the list beats a dense BLAS product
 (measured on full-support matrices, break-even about 1/16 at n = 1000 to
 2000, about 1/32 at n = 200).  Any other matrix is its whole array
-(``_Dense``).  Both answer the same methods and hold their values as
-``vals``, whose extremes with 0.0 are the matrix's.  Every row and column
-sum adds its terms left to right in index order, on both forms and in any
-layout; products keep each form's order (BLAS, ``np.bincount``).
+(``_Dense``).  One rule, ``_operand``, picks the form of an array or of the
+difference of two: ``_entries`` counts and lists the non-zero entries a
+tile of rows at a time, and stops at the cut.  Both forms answer the same
+methods and hold their values as ``vals``, whose extremes with 0.0 are
+the matrix's.  Every row and column sum adds its terms left to right in
+index order, on both forms and in any layout; products keep each form's
+order (BLAS, ``np.bincount``).
 """
 
 import math
@@ -230,8 +233,7 @@ class _Dense(NamedTuple):
 
 class _Difference(NamedTuple):
     """``a - b`` of two arrays, kept as the pair for a norm: its absolute
-    sums are tiled over both, and its 2-norm iterates the list of its
-    entries by row tiles below the cut, else the array ``a - b``."""
+    sums are tiled over both, and its 2-norm iterates ``_operand(a, b)``."""
 
     a: np.ndarray
     b: np.ndarray
@@ -240,27 +242,35 @@ class _Difference(NamedTuple):
         return _abs_sums(self.a, self.b, axis)
 
     def iterand(self):
-        listed = _difference_entries(self.a, self.b)
-        return _Dense(self.a - self.b) if listed is None else listed
+        return _operand(self.a, self.b)
 
 
-def _nonzero_entries(m):
-    """The ``_Entries`` of a square matrix's non-zero entries (NaN and inf
-    included), in row-major order, when at most ``ENTRY_SHARE`` of its
-    entries are non-zero, None otherwise: one count of them and, only when
-    that count is below the cut, one list."""
-    nonzero = np.not_equal(m, 0.0, order="C")
-    if np.count_nonzero(nonzero) > ENTRY_SHARE * m.size:
-        return None
-    rows, cols = np.divmod(np.flatnonzero(nonzero), m.shape[1])
-    del nonzero
-    return _Entries(rows, cols, m[rows, cols], m.shape[0])
+def _entries(a, b=None):
+    """The ``_Entries`` of the non-zero entries of a square array ``a``, or
+    of ``a - b``, NaN and inf included, in row-major order; None as soon as
+    they pass the cut.  Each tile of rows is counted before it is listed,
+    and goes before the next is made, so no n x n temporary is formed."""
+    n = a.shape[0]
+    rows, cols, vals = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    count = 0
+    for s in _tiles(n):
+        d = a[s] if b is None else a[s] - b[s]
+        nonzero = d != 0.0
+        count += np.count_nonzero(nonzero)
+        if count > ENTRY_SHARE * n * n:
+            return None
+        r, c = np.divmod(np.flatnonzero(nonzero), n)
+        rows.append(r + s.start)
+        cols.append(c)
+        vals.append(d[r, c])
+        del d, nonzero
+    return _Entries(*map(np.concatenate, (rows, cols, vals)), n)
 
 
-def _operand(m):
-    """A square array as the list of its entries below the cut, else itself
-    (a list, a non-empty tuple, is true)."""
-    return _nonzero_entries(m) or _Dense(m)
+def _operand(a, b=None):
+    """A square array ``a``, or ``a - b``, as the list of its entries below
+    the cut, else as its array (a list, a non-empty tuple, is true)."""
+    return _entries(a, b) or _Dense(a if b is None else a - b)
 
 
 def _abs_sums(a, b, axis):
@@ -285,30 +295,10 @@ def _lines(m, s, axis):
     return np.array(m[:, s] if axis == 0 else m[s].T, order="C")
 
 
-def _difference_entries(a, b):
-    """The ``_Entries`` of ``a - b``, NaN and inf included, listed in
-    row-major order by row tiles, or None as soon as they pass the cut.
-    Each tile goes before the next is made."""
-    n = a.shape[0]
-    rows, cols, vals = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    count = 0
-    for s in _tiles(n):
-        d = a[s] - b[s]
-        r, c = np.divmod(np.flatnonzero(d != 0.0), n)
-        count += r.size
-        if count > ENTRY_SHARE * a.size:
-            return None
-        rows.append(r + s.start)
-        cols.append(c)
-        vals.append(d[r, c])
-        del d
-    return _Entries(*map(np.concatenate, (rows, cols, vals)), n)
-
-
 def _merged_difference(ea, eb):
-    """The list ``_difference_entries`` makes of ``a - b``, bit for bit,
-    merged from the ``_Entries`` of both matrices in any order of entries
-    (a PageRank kernel's list comes column by column): the union of their
+    """The list ``_entries`` makes of ``a - b``, bit for bit, merged from
+    the ``_Entries`` of both matrices in any order of entries (a PageRank
+    kernel's list comes column by column): the union of their
     row-major flat indices, the IEEE difference there, 0.0 taken for an
     index that one list lacks, exact zeros dropped; None when the
     difference passes the cut.  It makes no n x n array: the union is one

@@ -239,10 +239,12 @@ def _decode(data):
 # JSON whitespace, and the bytes of the rows of a listed matrix
 _WHITESPACE = b" \t\n\r"
 _MATRIX_BYTES = b"0123456789.eE+-,[]"
-# bytes per chunk of the rows of a listed matrix; characters per chunk of
-# an edge list's lines, its comment (up to a line break or non-ASCII byte)
-# and the bytes ``_scan_edges`` reads outside comments
-_CHUNK = 1 << 18
+# bytes per chunk of the rows of a listed matrix, whose slice and passes
+# stay under glibc malloc's 128 KiB mmap threshold, so each chunk reuses
+# the heap pages the last one freed; characters per chunk of an edge
+# list's lines, its comment (up to a line break or non-ASCII byte) and the
+# bytes ``_scan_edges`` reads outside comments
+_CHUNK = 1 << 16
 _EDGE_CHUNK = 1 << 14
 _COMMENT = re.compile(rb"#[^\n\r\v\f\x1c-\x1e\x80-\xff]*")
 _EDGE_BYTES = b"0123456789 \t\n.eE+-"

@@ -858,6 +858,12 @@ class TestStartup:
         assert rc == 0
         assert not layers & {"graphon", "perturbation", "transport"}
 
+    def test_graphon_lift_loads_no_solver(self, tmp_path):
+        # the graphon layer imports the solvers where they run
+        rc, _, layers, _ = self.loaded(tmp_path, "graphon", "lift", "k3.txt", "-o", "w.json")
+        assert rc == 0
+        assert layers == {"cli", "errors", "graphon", "graphs", "io"}
+
     def test_graphon_lift_loads_no_hashlib(self, tmp_path):
         # its payload records no digest, so OpenSSL stays out of the process
         (tmp_path / "k3.txt").write_text(K3_EDGES)
@@ -1011,10 +1017,10 @@ class TestWorkCounts:
     def counts(self, monkeypatch):
         """Count the dense PageRank kernels formed (``graphs._Dense.kernel``)
         as kernels; the calls of ``norms._operator_norm``, the one body of
-        every operator norm, as norms; and the calls of
-        ``graphs._nonzero_entries`` that list the entries, i.e. whose matrix
-        is below the count cut, as lists.  Through every fpcentral module
-        that names them."""
+        every operator norm, as norms; and the calls of ``graphs._entries``
+        that list the entries of one array, i.e. whose matrix is below the
+        count cut, as lists.  Through every fpcentral module that names
+        them."""
         import importlib
 
         from fpcentral import graphs, norms
@@ -1029,13 +1035,13 @@ class TestWorkCounts:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def lists(m):
-            return np.count_nonzero(m) <= graphs.ENTRY_SHARE * m.size
+        def lists(a, b=None):
+            return b is None and np.count_nonzero(a) <= graphs.ENTRY_SHARE * a.size
 
         kernel = graphs._Dense.kernel
         monkeypatch.setattr(graphs._Dense, "kernel", counted("kernels", kernel))
         for key, fn, listed in (("norms", norms._operator_norm, None),
-                                ("lists", graphs._nonzero_entries, lists)):
+                                ("lists", graphs._entries, lists)):
             wrapper = counted(key, fn) if listed is None else counted(key, fn, listed)
             for name, module in list(sys.modules.items()):
                 if name.startswith("fpcentral") and vars(module).get(fn.__name__) is fn:
@@ -1129,11 +1135,10 @@ class TestWorkCounts:
         from fpcentral import graphs, perturbation
 
         tiled = []
-        for name in ("_difference_entries", "_abs_sums"):
+        for name in ("_entries", "_abs_sums"):
             fn = getattr(graphs, name)
-            monkeypatch.setattr(
-                graphs, name, lambda a, b, *rest, fn=fn: tiled.append(b is not None) or fn(a, b, *rest)
-            )
+            monkeypatch.setattr(graphs, name, lambda a, b=None, *rest, fn=fn:
+                                tiled.append(b is not None) or fn(a, b, *rest))
         hashed = []
 
         class Counted:
@@ -1582,6 +1587,28 @@ class TestNearCriticalGraphon:
 
 
 class TestThreadCount:
+    @staticmethod
+    def _outputs(tmp_path, calls, threads):
+        """The stdout of each of ``calls`` run by ``main`` in one child process
+        at ``OPENBLAS_NUM_THREADS=threads``, without the timestamp."""
+        code = (
+            "import contextlib, io, json\n"
+            "from fpcentral.cli import main\n"
+            "outs = []\n"
+            f"for argv in {calls!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    outs.append(out.getvalue())\n"
+            "print(json.dumps(outs))\n"
+        )
+        src = str(Path(fpcentral.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return [re.sub(r'"timestamp": "[^"]*"', "", out) for out in json.loads(proc.stdout)]
+
     def test_listed_graphon_outputs_do_not_depend_on_the_blas_threads(self, tmp_path):
         # every density and certificate of a listed lift runs on products
         # over its list, which call no threaded BLAS routine
@@ -1602,28 +1629,50 @@ class TestThreadCount:
             *(["graphon", "compare", "wa.json", "wb.json", "--bound", "theorem2", *family]
               for family in (katz, pagerank)),
         ]
-        code = (
-            "import contextlib, io, json\n"
-            "from fpcentral.cli import main\n"
-            "outs = []\n"
-            f"for argv in {calls!r}:\n"
-            "    out = io.StringIO()\n"
-            "    with contextlib.redirect_stdout(out):\n"
-            "        assert main(argv) == 0, argv\n"
-            "    outs.append(out.getvalue())\n"
-            "print(json.dumps(outs))\n"
-        )
-        src = str(Path(fpcentral.__file__).resolve().parents[1])
-        runs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-            proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                                  capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            runs.append([re.sub(r'"timestamp": "[^"]*"', "", out)
-                         for out in json.loads(proc.stdout)])
+        runs = [self._outputs(tmp_path, calls, threads) for threads in ("1", "2")]
         differ = [argv for argv, one, two in zip(calls, *runs) if one != two]
         assert not differ
+
+    def test_dense_centralities_do_not_depend_on_the_blas_threads(self, tmp_path):
+        # a 30%-dense 1500-node graph is held as its array, so its products
+        # and its spectrum are BLAS and LAPACK calls; run at 2 threads, each
+        # of these outputs differed from 1 thread before cli.main ran its
+        # handler on one
+        n = 1500
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.random((n, n)) < 0.3, 1)
+        rows, cols = np.nonzero(upper | upper.T)
+        (tmp_path / "g.txt").write_text(f"{n - 1}\n" + "".join(
+            f"{i} {j}\n" for i, j in zip(rows.tolist(), cols.tolist())))
+        calls = [["centrality", "g.txt", "--family", *family] for family in (
+            ("katz", "--alpha", "0.002"), ("pagerank", "--alpha", "0.85"), ("eigen",))]
+        runs = [self._outputs(tmp_path, calls, threads) for threads in ("1", "2")]
+        differ = [argv for argv, one, two in zip(calls, *runs) if one != two]
+        assert not differ
+
+    @pytest.mark.parametrize("known", [True, False], ids=["known-symbol", "no-known-symbol"])
+    def test_main_runs_its_handler_on_one_blas_thread_and_gives_the_count_back(
+            self, monkeypatch, known):
+        # library use keeps the caller's count: main sets one thread only
+        # while its handler runs, and none where it finds no known symbol
+        import ctypes
+
+        from fpcentral import cli
+
+        lib = ctypes.CDLL(sys.modules["numpy._core._multiarray_umath"].__file__)
+        get, set_ = next((getattr(lib, g), getattr(lib, s)) for g, s in cli._BLAS_THREADS
+                         if hasattr(lib, g))
+        if not known:
+            monkeypatch.setattr(cli, "_BLAS_THREADS", (("no_get_threads", "no_set_threads"),))
+        seen = []
+        monkeypatch.setattr(cli, "cmd_norms", lambda args: seen.append(get()) or 0)
+        before = get()
+        set_(2)
+        try:
+            assert main(["norms", "k3.txt", "--norm", "1"]) == 0
+            assert seen == [1 if known else 2] and get() == 2
+        finally:
+            set_(before)
 
 
 class TestProcessExit:

@@ -21,8 +21,8 @@ import fpcentral
 from fpcentral import Graph, operator_norm, solve
 from fpcentral.centrality import _operand, _prepare, _solve
 from fpcentral.io import _csv_rows, parse_edge_list
-from fpcentral.graphs import ENTRY_SHARE, _Dense, _Entries, _difference_entries
-from fpcentral.graphs import _merged_difference, _nonzero_entries, degree_vector
+from fpcentral.graphs import ENTRY_SHARE, _Dense, _Entries, _entries
+from fpcentral.graphs import _merged_difference, degree_vector
 from fpcentral.graphs import matrix_tol, max_asymmetry
 from fpcentral.norms import _operator_norm
 from fpcentral.perturbation import _digest
@@ -117,7 +117,7 @@ def test_a_dense_block_in_an_empty_matrix_is_listed(weights, scale):
     rng = np.random.default_rng(1703)
     block = np.ones((20, 20)) if weights == "ones" else rng.random((20, 20))
     m[:20, 100:120] = np.ldexp(block, scale)
-    entries = _nonzero_entries(m)
+    entries = _entries(m)
     assert entries is not None and entries.vals.size == 400
     want = float(np.linalg.norm(m, 2))
     assert abs(operator_norm(m, 2) - want) <= 1e-9 * want
@@ -244,7 +244,7 @@ def test_the_merged_difference_is_the_tiled_one(case):
         ga, gb = Graph(a), Graph(b)
         assert _is_listed(ga) and _is_listed(gb)
         got = _merged_difference(ga._held, gb._held)
-    _same_list(got, _difference_entries(a, b))
+    _same_list(got, _entries(a, b))
     if case == "n=1":
         assert got is None  # its one entry is above the cut
         return
@@ -260,7 +260,7 @@ def test_the_merged_kernel_difference_is_the_tiled_one(case):
     ga, gb = Graph(a), Graph(b)
     got = _merged_difference(*(g._held.kernel(degree_vector(g)) for g in (ga, gb)))
     kernels = (pagerank_kernel_reference(g) for g in (ga, gb))
-    _same_list(got, _difference_entries(*kernels))
+    _same_list(got, _entries(*kernels))
 
 
 def test_a_merged_difference_above_the_cut_is_none():
@@ -269,10 +269,10 @@ def test_a_merged_difference_above_the_cut_is_none():
     a, b = np.zeros((n, n)), np.zeros((n, n))
     a.flat[:128] = 1.0  # at the cut, as is b
     b.flat[rng.choice(np.arange(128, n * n), 128, replace=False)] = 1.0
-    assert _merged_difference(_listed(a), _listed(b)) is None is _difference_entries(a, b)
+    assert _merged_difference(_listed(a), _listed(b)) is None is _entries(a, b)
     b.flat[128:] = 0.0
     b.flat[:127] = 1.0  # a difference of one entry
-    _same_list(_merged_difference(_listed(a), _listed(b)), _difference_entries(a, b))
+    _same_list(_merged_difference(_listed(a), _listed(b)), _entries(a, b))
 
 
 @pytest.mark.parametrize("n", [129, 256, 257, 1000])

@@ -252,6 +252,20 @@ def test_one_and_inf_norms_sum_in_tiles(pair, p):
     assert _peak(lambda: operator_norm(m, p)) <= 0.25
 
 
+@pytest.mark.parametrize("share, bound", [(0.01, 0.1), (0.2, 0.154)], ids=["below", "above"])
+def test_an_array_is_counted_and_listed_by_row_tiles(share, bound):
+    # each tile of 128 rows is counted, then listed, before the next, so no
+    # n x n mask is formed: a graph holds its copy and its list, a 2-norm
+    # its list (measured 1.125 and 0.062) or the array's own count of
+    # entries per line (1.125 and 0.134); a whole-array mask peaked at
+    # 1.156 and 0.156 below the cut
+    rng = np.random.default_rng(1802)
+    m = np.where(rng.random((N, N)) < share, rng.random((N, N)), 0.0)
+    assert isinstance(Graph(m)._held, _Entries) == (share < 1 / 32)
+    assert _peak(lambda: Graph(m)) <= 1.145
+    assert _peak(lambda: operator_norm(m, 2)) <= bound
+
+
 def test_two_norm_with_an_isolated_node_forms_no_submatrix(pair):
     # node 5 has no link: the list of entries copies nothing
     m = pair[0].weights.copy()
@@ -309,8 +323,9 @@ def test_write_graphon_spells_one_row_at_a_time(pair, tmp_path):
 
 def test_read_graphon_of_a_listed_lift_holds_its_bytes_and_a_chunk(pair, tmp_path):
     # the file's 11 MB (1.4 matrices) and the passes over a chunk of rows
-    # at a time (measured 1.66); with the values array 2.5, and nested
-    # lists of floats from json.loads peaked at 5.5
+    # at a time (measured 1.56, and 1.66 with chunks of 256 KiB); with the
+    # values array 2.5, and nested lists of floats from json.loads peaked
+    # at 5.5
     path = tmp_path / "w.json"
     write_graphon(StepGraphon(pair[0].weights), path)
     read = []
