@@ -325,8 +325,8 @@ def eigencentrality(g):
       and no gap below 1e-8 is refused.  A Collatz-Wielandt bracket
       (``_perron_root``) gives the value, its midpoint, and the vector, its
       last power step, which is kept if it passes inverse iteration's
-      residual bound.  If the bracket does not close, the spectrum route
-      runs instead.
+      residual bound.  A bracket still open after 500 steps, symmetric or
+      directed, hands over to the spectrum route.
     * spectrum: the whole spectrum of A.T from LAPACK without eigenvectors,
       ``numpy.linalg.eigvalsh`` for a symmetric graph and
       ``numpy.linalg.eigvals`` otherwise, checked for a real leading
@@ -369,9 +369,8 @@ def eigencentrality(g):
     tol = INVERSE_RESIDUAL_FACTOR * math.sqrt(g.n)
     lam = gap_a = v = w = None
     if vals.min() >= 0.0 and _strongly_connected(op):
-        root = _perron_root(op.rmatvec, np.ones(g.n), tol * ulp, g.symmetric)
-        if root is not None:
-            lo, hi, x = root
+        lo, hi, x, closed = _perron_root(op.rmatvec, np.ones(g.n), tol * ulp)
+        if closed:
             lam = 0.5 * (lo + hi)
             v = x if _residual_ulps(op.rmatvec, x, lam, ulp) <= tol else None
     if lam is None:

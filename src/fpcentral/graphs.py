@@ -182,9 +182,13 @@ class _Dense(NamedTuple):
         return _abs_sums(self.vals, None, axis)
 
     def gram_start(self):
-        nonzero = self.vals != 0.0
-        k = max(np.count_nonzero(nonzero, axis=0).max(), np.count_nonzero(nonzero, axis=1).max())
-        return np.sqrt(np.einsum("ij,ij->j", self.vals, self.vals)), int(k)
+        """As ``_Entries.gram_start``, each tile of rows counted on its own."""
+        m, per_row, per_col = self.vals, 0, 0
+        for s in _tiles(self.n):
+            nonzero = m[s] != 0.0
+            per_row = max(per_row, np.add.reduce(nonzero, 1, dtype=np.intp).max())
+            per_col += np.add.reduce(nonzero, 0, dtype=np.intp)
+        return np.sqrt(np.einsum("ij,ij->j", m, m)), int(max(per_row, per_col.max()))
 
     def submatrix(self, rows, cols):
         """M itself when ``rows`` and ``cols`` are all, else a new array."""

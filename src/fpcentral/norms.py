@@ -24,17 +24,18 @@ of a whole stack of small candidate differences with one GEMM against the
 subset-indicator matrix.
 
 Every operator norm is of one operand (``graphs``), a list of entries or
-an array: a one-signed matrix's 2-norm is the upper end of a Perron
-bracket of ``M.T @ M`` (``_perron_root``, also eigen centrality's loop),
-cheaper than a dense SVD on the large graphs it serves, any other's is
-LAPACK's, and the 1- and inf-norms add each column's or row's absolute
-entries in index order, over the list or tiles of an array.  A difference is
-the operand ``minus`` makes: two lists merge in O(entries), and two arrays
-stay a pair whose 2-norm lists the entries by row tiles below the cut, so
-two graphs that differ in a few edges cost a short list, not an n x n
-matrix.  The exact permutation sweep instead takes the 2-norms of its
-whole stack of small candidate differences from one stacked LAPACK SVD
-(``numpy.linalg.norm(d, 2, axis=(1, 2))``), exact to rounding.
+an array: a one-signed matrix's 2-norm is the rounded-up upper end of a
+Perron bracket of ``M.T @ M`` (``_perron_root``, also eigen centrality's
+loop), closed or not, cheaper than a dense SVD on the large graphs it
+serves, a mixed-sign one's is LAPACK's, and the 1- and inf-norms add each
+column's or row's absolute entries in index order, over the list or tiles
+of an array.  A difference is the operand ``minus`` makes: two lists
+merge in O(entries), and two arrays stay a pair whose 2-norm lists the
+entries by row tiles below the cut, so two graphs that differ in a few
+edges cost a short list, not an n x n matrix.  The exact permutation
+sweep instead takes the 2-norms of its whole stack of small candidate
+differences from one stacked LAPACK SVD (``numpy.linalg.norm(d, 2,
+axis=(1, 2))``), exact to rounding.
 
 The exact permutation sweep skips candidates that provably cannot beat the
 best value found so far, with two kinds of lower bound:
@@ -128,45 +129,29 @@ def vector_norm(v, p):
     return float(np.max(np.abs(v), initial=0.0))
 
 
-def _perron_root(product, x, tol, symmetric=True, gram=False):
+def _perron_root(product, x, tol, gram=False):
     """The Perron root of a non-negative B by power steps of its ``product``
-    x -> B x from ``x``, non-negative like each step: ``(lo, hi, x)`` once
-    the bracket [lo, hi] is at most ``tol`` wide, x scaled to max-abs one,
-    or None.  The upper end is max_i (B x)_i / x_i over x_i > 0
-    (Collatz-Wielandt).  Eigen centrality's B = A.T takes the min as its
-    lower end and steps by B + I, which makes a periodic graph converge.  A
-    ``gram`` B = M^T M takes the Rayleigh quotient x.Bx / x.x, which meets
-    the upper end also when B is reducible, steps by B, and its ``tol`` is
-    relative.
-
-    A ``symmetric`` B's bracket gives up at a power-of-two step k if its
-    width's contraction over steps k/2..k, kept up, would not close it
-    within ``PERRON_MAX_ITERATIONS`` steps (``eigvalsh`` costs about 300
-    dense steps at n = 1000); a directed graph's runs the whole budget
-    (``eigvals`` costs about 1700, and a long cycle's width shrinks slowly
-    for many steps and faster later).
+    x -> B x from ``x``, non-negative like each step: ``(lo, hi, x,
+    closed)``, the last bracket [lo, hi], ``closed`` once it is at most
+    ``tol`` wide with x its vector, else after ``PERRON_MAX_ITERATIONS``
+    steps with x the next, x scaled to max-abs one.  The upper end is max_i
+    (B x)_i / x_i over x_i > 0 (Collatz-Wielandt), at least the root at
+    every step.  Eigen centrality's B = A.T takes the min as its lower end
+    and steps by B + I, which makes a periodic graph converge.  A ``gram``
+    B = M^T M takes the Rayleigh quotient x.Bx / x.x, which meets the upper
+    end also when B is reducible, steps by B, and its ``tol`` is relative.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # an entry of x that is zero
-        for step in range(PERRON_MAX_ITERATIONS):
+        for _ in range(PERRON_MAX_ITERATIONS):
             y = product(x)
             ratios = y / x  # NaN at a zero column's 0 / 0, which fmax skips
             lo = float(x @ y) / float(x @ x) if gram else float(ratios.min())
-            hi, limit = float(np.fmax.reduce(ratios)), tol * lo if gram else tol
-            width = hi - lo
-            if width <= limit:
-                return lo, hi, x
-            if step & (step - 1) == 0:  # step 0, 1, 2, 4, ...; ``before`` is step // 2's
-                # a width that did not shrink, or is NaN, gives up at once
-                if symmetric and step >= 2 and (
-                    not width < before
-                    or step + step // 2 * math.log(width / limit) / math.log(before / width)
-                    > PERRON_MAX_ITERATIONS
-                ):
-                    return None
-                before = width
+            hi = float(np.fmax.reduce(ratios))
+            if hi - lo <= (tol * lo if gram else tol):
+                return lo, hi, x, True
             x = y if gram else x + y
             x /= x.max()
-    return None
+    return lo, hi, x, False
 
 
 def _two_norm(op):
@@ -175,14 +160,14 @@ def _two_norm(op):
     copy, only if its peak's exponent is beyond +-_POW2_EXTREME.
 
     A one-signed M brackets M^T M from its column 2-norms, a label-free
-    start, and the root of the upper end is rounded up by gamma_{k+4},
-    gamma_j = j u / (1 - j u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 3.1): each product adds at most k same-signed terms, k the
-    most entries of a row or column, and the ratio, root and rounding up add
-    a rounding each.  Any other M, or a bracket that does not close, takes
-    LAPACK's SVD of the array of the rows and columns that hold an entry:
-    for [[a, a], [b, -b]], b > a, every start that commutes with relabelings
-    misses the top pair.
+    start, and the root of the bracket's upper end, closed or not, is
+    rounded up by gamma_{k+4}, gamma_j = j u / (1 - j u) (Higham, Accuracy
+    and Stability of Numerical Algorithms, 3.1): each product adds at most
+    k same-signed terms, k the most entries of a row or column, and the
+    ratio, root and rounding up add a rounding each.  Only a mixed-sign M
+    takes LAPACK's SVD of the array of the rows and columns that hold an
+    entry: for [[a, a], [b, -b]], b > a, every start that commutes with
+    relabelings misses the top pair.
     """
     op = op.iterand()
     low, high = float(op.vals.min(initial=0.0)), float(op.vals.max(initial=0.0))
@@ -196,10 +181,9 @@ def _two_norm(op):
     op = op._replace(vals=np.ldexp(op.vals, -e)) if e else op
     if low >= 0.0 or high <= 0.0:
         x, k = op.gram_start()
-        root = _perron_root(lambda x: op.rmatvec(op.matvec(x)), x / x.max(), GRAM_TOL, gram=True)
-        if root is not None:
-            ku = (k + 4) * 2.0**-53
-            return float(np.ldexp(math.sqrt(root[1]) * (1.0 + ku / (1.0 - ku)), e))
+        hi = _perron_root(lambda x: op.rmatvec(op.matvec(x)), x / x.max(), GRAM_TOL, gram=True)[1]
+        ku = (k + 4) * 2.0**-53
+        return float(np.ldexp(math.sqrt(hi) * (1.0 + ku / (1.0 - ku)), e))
     rows, cols = (np.flatnonzero(op.abs_sums(axis)) for axis in (1, 0))
     return float(np.ldexp(np.linalg.norm(op.submatrix(rows, cols), 2), e))
 
@@ -225,7 +209,7 @@ def _operator_norm(op, p):
             value = _two_norm(op)
         else:
             value = float(op.abs_sums(0 if p == 1 else 1).max())
-    if math.isinf(value):
+    if not math.isfinite(value):  # a bracket's upper end is NaN once its products overflow
         raise NumericalError(f"the {p}-norm of this matrix overflows float64")
     return value
 
@@ -237,12 +221,13 @@ def operator_norm(m, p):
     sum, each line added in index order in tiles (``graphs._abs_sums``).
     p=2 is the largest singular value (``_two_norm``), over the list of
     ``m``'s non-zero entries when they are at most 1/32 of all, else over
-    the whole of ``m``: for a one-signed ``m``, a bracket of ``m.T @ m``
-    closed to 1e-12 relative and rounded up, at or above the exact value;
-    for any other, or if the bracket does not close in 500 steps, LAPACK's
-    SVD of the rows and columns that hold an entry, which forms their array.
-    An empty matrix and non-finite entries raise ParameterError; a norm
-    beyond float64 raises NumericalError.
+    the whole of ``m``.  A one-signed ``m`` takes the upper end of a
+    bracket of ``m.T @ m``, rounded up, at or above the exact value and
+    within 1e-12 of it once the bracket closes, else after 500 steps; it
+    forms no array.  Only a mixed-sign ``m`` takes LAPACK's SVD of the rows
+    and columns that hold an entry, which forms their array.  An empty
+    matrix and non-finite entries raise ParameterError; a norm beyond
+    float64 raises NumericalError.
     """
     p = _canon_p(p)
     m = _square_finite(m, "operator_norm", finite=False)

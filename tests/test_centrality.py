@@ -662,7 +662,7 @@ def _two_blocks_near_gap():
 
 
 def _bracket_cannot_close(g):
-    """Whether the Perron bracket of ``g`` may give up: at the rate
+    """Whether the Perron bracket of ``g`` cannot close: at the rate
     |mu_2| / mu_1 of the two largest moduli of A.T + I, for A scaled to a
     peak entry in [1, 2), a unit width stays above the bracket's tolerance
     after ``PERRON_MAX_ITERATIONS`` steps."""
@@ -900,7 +900,8 @@ class TestPerronRoute:
     """A graph with no negative weight that is strongly connected (connected,
     if symmetric) takes its leading eigenvalue and its vector from the
     Collatz-Wielandt bracket: no spectrum and no solve.  Every other graph,
-    and one whose bracket gives up, takes the spectrum route, bit for bit."""
+    and one whose bracket does not close within its budget, takes the
+    spectrum route, bit for bit."""
 
     ROUTED = {
         "listed-ring-with-chords": Graph(_ring_with_chords(200)),
@@ -976,17 +977,17 @@ class TestPerronRoute:
         assert rho is not None and res.rho is not None
         assert len(counts) == 1 and 1 <= counts[0] < norms.PERRON_MAX_ITERATIONS
 
-    def test_two_dense_blocks_give_up_early(self, monkeypatch):
+    def test_two_dense_blocks_run_the_budget(self, monkeypatch):
         # two 30%-dense blocks joined by one edge: their Perron values are
-        # close, so the bracket contracts too slowly to close in the budget,
-        # and it gives up within a few steps rather than after all of them
+        # close, so the bracket contracts too slowly to close in the budget;
+        # it runs every step, as a directed graph's does, before the spectrum
         g = Graph(_two_dense_blocks(200, 2413))
         assert takes_the_perron_route(g) and not isinstance(g._held, _Entries)
-        assert _bracket_cannot_close(g)
+        assert g.symmetric and _bracket_cannot_close(g)
         ref = self._spectrum_route(monkeypatch, g)
         counts = self._count_brackets(monkeypatch)
         res = eigencentrality(g)
-        assert len(counts) == 1 and counts[0] <= norms.PERRON_MAX_ITERATIONS // 16
+        assert counts == [norms.PERRON_MAX_ITERATIONS]
         assert res.gap is not None
         self._assert_same_bits(res, ref)
 
@@ -1041,16 +1042,49 @@ class TestPerronRoute:
         assert takes_the_perron_route(g)
         brackets = []
         perron_root = centrality._perron_root
-        monkeypatch.setattr(centrality, "_perron_root",
-                            lambda *args: brackets.append(perron_root(*args)))
+
+        def recorded(*args):
+            brackets.append(perron_root(*args))
+            return brackets[-1]
+
+        monkeypatch.setattr(centrality, "_perron_root", recorded)
         counts = self._count_brackets(monkeypatch)
         message = r"^leading eigenvalue is not simple \(gap 5\.657e-09 < 1e-08\)$"
         with pytest.raises(SimplicityError, match=message):
             eigencentrality(g)
-        # a directed graph's bracket runs the whole budget before it gives up
-        assert brackets == [None] and counts == [norms.PERRON_MAX_ITERATIONS]
+        # the bracket runs the whole budget and hands over unclosed
+        assert [closed for *_, closed in brackets] == [False] and counts == [norms.PERRON_MAX_ITERATIONS]
         with pytest.raises(SimplicityError, match=message):
             self._spectrum_route(monkeypatch, g)
+
+    def test_a_log_normal_symmetric_graph_closes_its_bracket(self):
+        # weights over many orders of magnitude: the bracket's width shrinks
+        # slowly at first and then closes well within the budget
+        rng = np.random.default_rng([31, 0])
+        w = np.triu(np.exp(3.0 * rng.standard_normal((30, 30))), 1)
+        g = Graph(w + w.T)
+        assert g.symmetric and takes_the_perron_route(g)
+        vec, value, _, _ = eigencentrality_lapack_reference(g)
+        res = eigencentrality(g)
+        assert res.gap is None and res.iterations == 0
+        assert abs(res.value - value) <= 1e-12 * abs(value)
+        assert np.max(np.abs(res.vector - vec)) <= 1e-12
+
+    def test_one_bracket_rule(self):
+        import ast
+        import inspect
+        from pathlib import Path
+
+        assert list(inspect.signature(norms._perron_root).parameters) == [
+            "product", "x", "tol", "gram"]
+        callers = set()  # functions of any module that call _perron_root
+        for path in Path(centrality.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and any(
+                        isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                        and n.func.id == "_perron_root" for n in ast.walk(node)):
+                    callers.add(node.name)
+        assert callers == {"_two_norm", "eigencentrality"}
 
     @staticmethod
     def _both_forms(w):

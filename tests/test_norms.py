@@ -331,14 +331,74 @@ class TestSupportTwoNorm:
             for e in (-1000, -201, -1, 1, 201, 1000):
                 assert operator_norm(np.ldexp(m, e), 2) == np.ldexp(base, e)
 
-    def test_a_bracket_that_does_not_close_takes_lapack(self, monkeypatch):
+    def test_a_bracket_that_does_not_close_returns_its_upper_end(self, monkeypatch):
         rng = np.random.default_rng(45)
         m = _padded(rng, rng.random((4, 4)), 9)
         sigma = np.linalg.svd(m, compute_uv=False)[0]
         assert sigma <= operator_norm(m, 2) <= sigma * (1.0 + 1e-12)
         monkeypatch.setattr(norms, "PERRON_MAX_ITERATIONS", 1)
-        core = m[np.ix_(m.any(axis=1), m.any(axis=0))]
-        assert operator_norm(m, 2) == np.linalg.norm(core, 2)
+        _refuse_lapack(monkeypatch)
+        for sign in (1.0, -1.0):
+            assert sigma < operator_norm(sign * m, 2) <= sigma * 1.1
+
+
+def _refuse_lapack(monkeypatch):
+    """Make a 2-norm's SVD, and the array of a support it would take, fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-signed 2-norm took LAPACK or formed its support")
+
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    for form in (graphs._Entries, graphs._Dense):
+        monkeypatch.setattr(form, "submatrix", refuse)
+
+
+def _swapped_pair(n, seed):
+    """A seeded undirected 0/1 graph of mean degree 8, and a copy in which
+    10% of its edges move to node pairs that had none."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < 8.0 / n, 1)
+    edges, gaps = np.flatnonzero(upper), np.flatnonzero(np.triu(~upper, 1))
+    k = edges.size // 10
+    swapped = upper.copy()
+    swapped.flat[rng.choice(edges, k, replace=False)] = False
+    swapped.flat[rng.choice(gaps, k, replace=False)] = True
+    return [(u | u.T).astype(float) for u in (upper, swapped)]
+
+
+class TestOneSignedTwoNorm:
+    """A one-signed M's 2-norm is the rounded-up upper end of its bracket,
+    closed or not: at or above np.linalg.svd's largest singular value, with
+    no LAPACK call and no array of its support."""
+
+    def test_log_normal_matrices_are_bounded_above(self, monkeypatch):
+        # weights over many orders of magnitude, 10% of them non-zero; some
+        # brackets run their whole budget unclosed
+        cases = []
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 40))
+            m = np.exp(2.0 * rng.standard_normal((n, n))) * (rng.random((n, n)) < 0.1)
+            if m.any():
+                cases.append((-m if seed % 2 else m, np.linalg.svd(m, compute_uv=False)[0]))
+        _refuse_lapack(monkeypatch)
+        for m, sigma in cases:
+            assert sigma <= operator_norm(m, 2) <= sigma * (1.0 + 1e-4)
+
+    def test_a_swapped_pair_is_bounded_without_lapack(self, monkeypatch):
+        # the bracket of |A - B| runs all 500 steps without closing, where
+        # an SVD of its 790-row support would cost n^3
+        a, b = _swapped_pair(1000, 1)
+        m = np.abs(a - b)
+        sigma = np.linalg.svd(m, compute_uv=False)[0]
+        _refuse_lapack(monkeypatch)
+        assert sigma <= operator_norm(m, 2) <= sigma * (1.0 + 1e-5)
+
+    def test_an_upper_end_that_is_not_finite_is_refused(self, monkeypatch):
+        # left unscaled, the products of 1e200 overflow and the bracket
+        # ends on NaN, which must not become the norm
+        monkeypatch.setattr(norms, "_POW2_EXTREME", 2000)
+        with pytest.raises(NumericalError, match="^the 2-norm of this matrix overflows float64$"):
+            operator_norm(np.full((3, 3), 1e200), 2)
 
 
 def difference_norm(a, b, p):
