@@ -13,12 +13,12 @@ O(n^2): there a product over the list beats a dense BLAS product
 (measured on full-support matrices, break-even about 1/16 at n = 1000 to
 2000, about 1/32 at n = 200).  Any other matrix is its whole array
 (``_Dense``).  One rule, ``_operand``, picks the form of an array or of the
-difference of two: ``_entries`` counts and lists the non-zero entries a
-tile of rows at a time, and stops at the cut.  Both forms answer the same
-methods and hold their values as ``vals``, whose extremes with 0.0 are
-the matrix's.  Every row and column sum adds its terms left to right in
-index order, on both forms and in any layout; products keep each form's
-order (BLAS, ``np.bincount``).
+difference of two: ``_entries`` counts the non-zero entries a tile of
+rows at a time, stopping at the cut, and only then lists them.  Both
+forms answer the same methods and hold their values as ``vals``, whose
+extremes with 0.0 are the matrix's.  Every row and column sum adds its
+terms left to right in index order, on both forms and in any layout;
+products keep each form's order (BLAS, ``np.bincount``).
 """
 
 import math
@@ -251,23 +251,25 @@ class _Difference(NamedTuple):
 
 def _entries(a, b=None):
     """The ``_Entries`` of the non-zero entries of a square array ``a``, or
-    of ``a - b``, NaN and inf included, in row-major order; None as soon as
-    they pass the cut.  Each tile of rows is counted before it is listed,
-    and goes before the next is made, so no n x n temporary is formed."""
+    of ``a - b``, NaN and inf included, in row-major order; None when they
+    pass the cut.  Every tile of rows is counted before any is listed, so
+    an array above the cut lists none, and each tile goes before the next
+    is made, so no n x n temporary is formed."""
     n = a.shape[0]
-    rows, cols, vals = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    tiles = _tiles(n)
     count = 0
-    for s in _tiles(n):
-        d = a[s] if b is None else a[s] - b[s]
-        nonzero = d != 0.0
-        count += np.count_nonzero(nonzero)
+    for s in tiles:
+        count += np.count_nonzero((a[s] if b is None else a[s] - b[s]) != 0.0)
         if count > ENTRY_SHARE * n * n:
             return None
-        r, c = np.divmod(np.flatnonzero(nonzero), n)
+    rows, cols, vals = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for s in tiles:
+        d = a[s] if b is None else a[s] - b[s]
+        r, c = np.divmod(np.flatnonzero(d != 0.0), n)
         rows.append(r + s.start)
         cols.append(c)
         vals.append(d[r, c])
-        del d, nonzero
+        del d
     return _Entries(*map(np.concatenate, (rows, cols, vals)), n)
 
 

@@ -16,7 +16,10 @@ decodes it and read by ``json.loads`` or ``parse_edge_list``.  Numpy passes
 over bytes check a listed matrix's rows and tokenize an ASCII edge list, so
 only the other entries, or the weights, are parsed in Python; a file with a
 fault or a spelling they do not read takes ``json.loads`` or the line
-walker, so values and errors do not depend on the path taken.
+walker, so values and errors do not depend on the path taken.  A listed
+matrix's runs of ``0.0`` repeat with the width of one entry, so one shifted
+comparison of a chunk's bytes finds where they break, and only the bytes
+near a break are checked byte by byte (``_without_zeros``).
 
 An edge list declares at most MAX_DENSE_N = 5000 nodes, checked before
 any array is made.  All parse failures raise InputFormatError with a line
@@ -236,15 +239,21 @@ def _decode(data):
         raise InputFormatError(f"byte {exc.start}: not {exc.encoding} text ({exc.reason})") from None
 
 
-# JSON whitespace, and the bytes of the rows of a listed matrix
+# JSON whitespace; a table that turns each byte in the rows of a listed
+# matrix into its class: 1 whitespace, 2 a byte of a number, 3 ",", 4 "["
+# and 5 "]", and 0 any byte that they may not hold
 _WHITESPACE = b" \t\n\r"
-_MATRIX_BYTES = b"0123456789.eE+-,[]"
-# bytes per chunk of the rows of a listed matrix, whose slice and passes
-# stay under glibc malloc's 128 KiB mmap threshold, so each chunk reuses
-# the heap pages the last one freed; characters per chunk of an edge
+_CLASSES = {**dict.fromkeys(_WHITESPACE, 1), **dict.fromkeys(b"0123456789.eE+-", 2), 44: 3, 91: 4, 93: 5}
+_BYTE_CLASS = bytes(_CLASSES.get(b, 0) for b in range(256))
+# a "0.0" token after a comma, with its whitespace and the comma after it,
+# twice in a row: the unit of a run of zeros, whose width is the run's period
+_ZERO_UNIT = re.compile(rb",([ \t\n\r]*0\.0[ \t\n\r]*,)\1")
+# bytes per chunk of the rows of a listed matrix, cut at the end of a row:
+# a chunk costs two passes over its bytes, one bool per byte, and a fixed
+# number of numpy calls over the rest; characters per chunk of an edge
 # list's lines, its comment (up to a line break or non-ASCII byte) and the
 # bytes ``_scan_edges`` reads outside comments
-_CHUNK = 1 << 16
+_CHUNK = 1 << 20
 _EDGE_CHUNK = 1 << 14
 _COMMENT = re.compile(rb"#[^\n\r\v\f\x1c-\x1e\x80-\xff]*")
 _EDGE_BYTES = b"0123456789 \t\n.eE+-"
@@ -258,9 +267,9 @@ def _listed_object(data, key):
     A listed matrix is the object's last member, a square list of rows of
     JSON numbers in an ASCII file, of which at most ``graphs.ENTRY_SHARE``
     are spelled other than ``0.0``.  Its rows are checked in numpy passes
-    over their bytes (``_listed_chunk``), so that only the tokens that are
-    not ``0.0`` are parsed in Python, as ``json.loads`` parses them; the
-    graph adopts the list of them (``Graph._adopt_list``).  The rest of the
+    over their bytes (``_listed_entries``), so that only the tokens that
+    are not ``0.0`` are parsed in Python, by one ``json.loads``; the graph
+    adopts the list of them (``Graph._adopt_list``).  The rest of the
     object is read by ``json.loads`` with a 0 for the matrix.
     """
     quoted = b'"%s"' % key.encode()
@@ -289,9 +298,9 @@ def _listed_object(data, key):
         return None
     n, rows, cols, tokens = listed
     try:
-        # one list of the tokens, each a JSON number, converted as the json
-        # path converts its lists
-        vals = np.array(json.loads(b"[%s]" % b",".join(tokens)), dtype=float)
+        # the tokens, each a JSON number, converted as the json path
+        # converts its lists
+        vals = np.array(json.loads(b"[%s]" % tokens), dtype=float)
     except (ValueError, OverflowError):  # no number, or an integer beyond float64
         return None
     if not np.isfinite(vals).all():
@@ -302,11 +311,17 @@ def _listed_object(data, key):
 
 def _listed_entries(data, pos, close):
     """``(n, rows, cols, tokens)`` of the rows of a listed n x n matrix in
-    ``data[pos:close]``: the row, column and bytes of each token that is
-    not ``0.0``, in row-major order.  None if those bytes spell no square
-    list of rows, or more than ``ENTRY_SHARE`` of its tokens are not
-    ``0.0``, which shows in the chunk where they pass that share."""
-    n, done, rows, cols, tokens = None, 0, [], [], []
+    ``data[pos:close]``: the row and column of each token that is not
+    ``0.0``, in row-major order, and those tokens joined by commas.  None if
+    those bytes spell no square list of rows, or more than ``ENTRY_SHARE``
+    of its tokens are not ``0.0``, which shows in the chunk where they pass
+    that share.
+
+    Each chunk of whole rows loses its runs of zeros (``_without_zeros``),
+    whose unit is the first ``_ZERO_UNIT`` found, and what is left is
+    checked and listed (``_chunk_entries``)."""
+    a = np.frombuffer(data, np.uint8)
+    n, unit, done, listed, rows, cols, tokens = None, None, 0, 0, [], [], []
     gap = b""  # what stands between two rows, whitespace aside
     while True:
         head = data.find(b"[", pos, close)
@@ -317,84 +332,126 @@ def _listed_entries(data, pos, close):
             return None
         pos = data.find(b"]", head + _CHUNK, close)
         pos = close if pos < 0 else pos + 1
-        chunk = _listed_chunk(data[head:pos], n, len(tokens))
+        if unit is None:  # looked for in the chunk's first row
+            found = _ZERO_UNIT.search(data, head, data.find(b"]", head, pos) + 1 or pos)
+            unit = found and found[1]
+        chunk = _chunk_entries(*_without_zeros(a[head:pos], unit), n, listed)
         if chunk is None:
             return None
-        n, m, row, col, found = chunk
+        n, m, row, col, joined = chunk
         rows.append(row + done)
         cols.append(col)
-        tokens += found
+        tokens.append(joined)
+        listed += row.size
         done += m
         if done > n:
             return None
         gap = b","
     if done != n:
         return None
-    return n, np.concatenate(rows), np.concatenate(cols), tokens
+    return n, np.concatenate(rows), np.concatenate(cols), b",".join(t for t in tokens if t)
 
 
-def _listed_chunk(raw, n, listed):
-    """``(n, m, rows, cols, tokens)`` of the bytes ``raw`` of m whole rows
-    ``[...], ..., [...]`` of a listed n x n matrix, with n the length of its
-    first row when None is given, and the row (in ``raw``), column and bytes
-    of each token that is not ``0.0``; ``listed`` such tokens are known
-    already.  None for any other bytes.
+def _without_zeros(c, unit):
+    """``(kept, at, zeros)``: the bytes ``c`` of rows of a matrix less its
+    runs of the bytes ``unit``, a ``0.0`` token with its whitespace and the
+    comma after it, each run past its first unit; ``zeros[i]`` units were
+    taken out just before ``kept[at[i]]``.  ``kept`` is ``c`` when there is
+    no unit or no such run.
 
-    The checks are numpy passes over the bytes without whitespace: the
-    brackets are the first ``[``, the last ``]`` and a ``],[`` between two
-    rows, no token is empty, and each row holds n tokens.  Each ``0.0`` takes 4 bytes with
-    its separator, so the columns follow from the byte offsets and lengths
-    of the other tokens alone; whitespace may stand only beside a
-    separator, which a count of adjacent number bytes before and after its
-    removal shows.
+    A run is where ``c`` repeats with the unit's width p, between two breaks
+    (offsets i with ``c[i] != c[i + p]``, found by one shifted comparison).
+    Its first p bytes past a comma are checked against ``unit`` and kept,
+    and the whole units after them are taken out.  Each unit taken out
+    follows a kept one, so the tokens and separators around every kept
+    byte are as they were, and the chunk reads as it would whole, less
+    those zeros.
     """
-    s = raw.translate(None, _WHITESPACE)
-    if s.translate(None, _MATRIX_BYTES):
+    none = np.empty(0, np.intp)
+    p = len(unit or b"")
+    if not p or c.size < 3 * p:
+        return c, none, none
+    # c[i] == c[i + p] for start <= i < stop: c[start : stop + p] has period p
+    stop = np.append(np.flatnonzero(c[p:] != c[:-p]), c.size - p)
+    start = np.append(0, stop[:-1] + 1)
+    long = stop - start >= 2 * p  # room for a kept unit and one to take out
+    start, stop = start[long], stop[long]
+    units = np.ndarray((c.size - p + 1, p), np.uint8, c, 0, (1, 1))  # units[i] is c[i : i + p]
+    first = start + np.argmax(units[start] == 44, axis=1) + 1 + p  # past the kept unit
+    count = (stop + p - first) // p
+    ok = (count > 0) & (units[first].view(f"S{p}")[:, 0] == unit)
+    if not ok.any():
+        return c, none, none
+    first, count = first[ok], count[ok]
+    removed = np.cumsum(count * p)
+    at = first - removed + count * p
+    size = c.size - removed[-1]
+    kept = c.take(np.arange(size) + np.repeat(np.append(0, removed), np.diff(at, prepend=0, append=size)))
+    return kept, at, count
+
+
+def _chunk_entries(kept, at, zeros, n, listed):
+    """``(n, m, rows, cols, tokens)`` of the bytes ``kept`` of m whole rows
+    ``[...], ..., [...]`` of a listed n x n matrix, with ``zeros[i]``
+    ``0.0`` tokens taken out just before ``kept[at[i]]``, and n the length
+    of its first row when None is given: the row (in ``kept``) and column of
+    each token that is not ``0.0``, and those tokens joined by commas;
+    ``listed`` such tokens are known already.  None for any other bytes.
+
+    A token is a run of number bytes.  The checks are passes over the
+    events, the separators and the first byte of each token: the brackets
+    are the first ``[``, the last ``]`` and a ``],[`` between two rows, and
+    tokens and separators take turns everywhere else, so no token is empty
+    and no whitespace splits one; each row holds n tokens.
+    """
+    spelled = kept.tobytes()
+    cls = np.frombuffer(spelled.translate(_BYTE_CLASS), np.uint8)
+    num = cls == 2
+    if not cls.all() or num[-1]:  # a byte that no row holds, or a token last
         return None
-    a = np.frombuffer(s, np.uint8)
-    sep = a == 44  # ","
-    sep |= np.subtract(a, 91, dtype=np.uint8) < 3  # "[" or "]"; "\" is no matrix byte
-    opens = np.flatnonzero(a == 91)
-    closes = np.flatnonzero(a == 93)
+    # kept[0] is "[": a token starts past each even edge and ends at each odd one
+    edges = np.flatnonzero(num[1:] != num[:-1])
+    starts, ends = edges[::2] + 1, edges[1::2]
+    three = np.flatnonzero(ends - starts == 2)
+    z = starts[three]
+    zero = np.zeros(starts.size, bool)
+    zero[three] = (kept[z] == 48) & (kept[z + 1] == 46) & (kept[z + 2] == 48)  # "0.0"
+    tok = np.flatnonzero(~zero)
+    taken = np.append(0, np.cumsum(zeros))  # zeros taken out before each offset
+    if n is None:  # the tokens before the first "]"
+        end = spelled.find(b"]")
+        n = int(np.searchsorted(starts, end) + taken[np.searchsorted(at, end, "right")])
+    if listed + tok.size > ENTRY_SHARE * n * n:
+        return None
+    event = cls > 2
+    event[starts] = True
+    event = np.flatnonzero(event)
+    kind = cls[event]
+    opens = np.flatnonzero(kind == 4)
+    closes = np.flatnonzero(kind == 5)
+    sep = kind > 2
     m = opens.size
     if (
-        not m or closes.size != m or opens[0] or closes[-1] != a.size - 1
-        or not np.array_equal(opens[1:], closes[:-1] + 2) or (a[closes[:-1] + 1] != 44).any()
-        # past the "]," and ",[" of each join, two adjacent separators
-        # would bound an empty token
-        or np.count_nonzero(sep[1:] & sep[:-1]) != 2 * (m - 1)
+        not m or closes.size != m or opens[0] or closes[-1] != kind.size - 1
+        or not np.array_equal(opens[1:], closes[:-1] + 2) or (kind[closes[:-1] + 1] != 3).any()
+        # past the "]," and ",[" of each join, two events alike are two
+        # separators with no token between them, or two parts of a token
+        or np.count_nonzero(sep[1:] == sep[:-1]) != 2 * (m - 1)
     ):
         return None
-    if n is None:
-        n = int(np.count_nonzero(a[: closes[0]] == 44)) + 1
-    num = ~sep
-    # zero[j]: the token at j + 1 is "0.0"
-    zero = sep[:-4] & sep[4:]
-    zero &= a[1:-3] == 48
-    zero &= a[2:-2] == 46
-    zero &= a[3:-1] == 48
-    first = sep[:-1] & num[1:]  # a token starts at j + 1
-    first[:-3] &= ~zero
-    last = num[:-1] & sep[1:]  # a token ends at j
-    last[3:] &= ~zero
-    starts = np.flatnonzero(first) + 1
-    if listed + starts.size > ENTRY_SHARE * n * n:
+    before = taken[np.searchsorted(at, event[opens], "right")]
+    if ((closes - opens) // 2 + taken[np.searchsorted(at, event[closes], "right")] - before != n).any():
         return None
-    ends = np.flatnonzero(last)
-    lead = np.zeros(starts.size + 1, np.int64)  # bytes of the tokens before, with separators
-    np.cumsum(ends - starts + 2, out=lead[1:])
-    row = np.searchsorted(opens, starts) - 1
-    bounds = np.searchsorted(row, np.arange(m + 1))
-    if ((closes - opens - np.diff(lead[bounds])) // 4 + np.diff(bounds) != n).any():
-        return None
-    if len(raw) != a.size:
-        inner = np.frombuffer(raw, np.uint8)
-        inner = (inner > 32) & (inner != 44) & (np.subtract(inner, 91, dtype=np.uint8) > 2)
-        if np.count_nonzero(inner[1:] & inner[:-1]) != np.count_nonzero(num) - m * n:
-            return None
-    before = bounds[row]
-    col = (starts - opens[row] - 1 - lead[:-1] + lead[before]) // 4 + np.arange(starts.size) - before
-    return n, m, row, col, [s[i : j + 1] for i, j in zip(starts.tolist(), ends.tolist())]
+    starts, ends = starts[tok], ends[tok]
+    tok = np.flatnonzero(~sep)[tok]  # the event of each listed token
+    row = np.searchsorted(opens, tok) - 1
+    col = (tok - opens[row]) // 2 + taken[np.searchsorted(at, starts, "right")] - before[row]
+    # the listed tokens, each with the byte after it made a comma
+    width = ends - starts + 2
+    lead = np.cumsum(width) - width
+    joined = kept[np.arange(width.sum()) + np.repeat(starts - lead, width)]
+    joined[lead + width - 1] = 44
+    return n, m, row, col, joined[:-1].tobytes()
 
 
 def _sha256(data):

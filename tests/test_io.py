@@ -507,13 +507,15 @@ _TOKEN_BAD = st.sampled_from([
     "1" + "0" * 400, "NaN", "Infinity", "-Infinity", "true", "null", '"1"', "1 2", "0 .0",
     "1e 5", "- 1", "", "[0.0]", "{}", "000", "0-0", "010",
 ])
-_PADS = st.lists(st.sampled_from(["", " ", "\t", "\n", "\r\n", "  \n\t ", "\r"]), min_size=1, max_size=5)
+_GAPS = ["", " ", "\t", "\n", "\r\n", "  \n\t ", "\r"]
+_PADS = st.lists(st.sampled_from(_GAPS), min_size=1, max_size=5)
 
 
 def _spell(rows, layout, pads):
     """The JSON text of a list of rows of tokens: as the package's writer
-    lays it out, compact, as json.dumps spaces it, or with the whitespace
-    ``pads`` in turn around every bracket and comma."""
+    lays it out, compact, as json.dumps spaces it, with the whitespace
+    ``pads`` in turn around every bracket and comma ("padded"), or with the
+    whitespace the endless iterator ``pads`` gives next ("scattered")."""
     if layout == "writer":
         return "[" + ",".join(
             "\n    [\n      " + ",\n      ".join(row) + "\n    ]" for row in rows
@@ -521,7 +523,7 @@ def _spell(rows, layout, pads):
     if layout in ("compact", "dumps"):
         sep = "," if layout == "compact" else ", "
         return "[" + sep.join("[" + sep.join(row) + "]" for row in rows) + "]"
-    pad = itertools.cycle(pads)
+    pad = itertools.cycle(pads) if layout == "padded" else pads
     out = ["["]
     for i, row in enumerate(rows):
         out += [next(pad), "," if i else "", next(pad), "[", next(pad)]
@@ -548,6 +550,13 @@ def _matrix_documents(draw, faults):
         rows[i][j] = draw(token)
         if draw(st.integers(0, 5)):
             rows[j][i] = rows[i][j]
+    if draw(st.integers(0, 3)) == 0:
+        # a block of one token, whose rows repeat as a run of zeros would
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        same = draw(st.sampled_from(["1.0", "0.5", "-1.0", "0.00"]) | _TOKEN_OK)
+        height, width = draw(st.integers(1, 4)), draw(st.integers(1, n))
+        for row in rows[i : i + height]:
+            row[j : j + width] = [same] * len(row[j : j + width])
     if fault == "rows":
         i = draw(st.integers(0, n - 1))
         change = draw(st.sampled_from(["ragged", "extra", "short", "long", "empty", "nested", "gap"]))
@@ -565,7 +574,13 @@ def _matrix_documents(draw, faults):
             rows[i][-1] = "[0.0]"
         else:  # an empty token besides the row's n
             rows[i].insert(draw(st.integers(0, n)), "")
-    matrix = _spell(rows, draw(st.sampled_from(["writer", "compact", "dumps", "padded"])), draw(_PADS))
+    layout = draw(st.sampled_from(["writer", "compact", "dumps", "padded", "scattered"]))
+    if layout == "scattered":  # a pad drawn for each gap, so no stretch of zeros repeats
+        rnd = draw(st.randoms(use_true_random=False))
+        pads = iter(lambda: rnd.choice(_GAPS), None)
+    else:
+        pads = draw(_PADS)
+    matrix = _spell(rows, layout, pads)
     members = []
     c = draw(st.sampled_from([None, "1.0", "null", "0.5", "2", "1e-300"]
                              + (['"x"', "true", "1e400"] if fault == "member" else [])))
@@ -663,6 +678,7 @@ class TestMatrixJsonAgainstReference:
         "escaped-duplicate": (_one_entry_document("0.5", members='"\\u0076alues": [[1.0]], '), False),
         "escaped-last-key": ('{"\\u0076alues": 1, "\\"values": [[0.0]]}', False),
         "zero-like": (_one_entry_document("000"), False),
+        "zeros-between-rows": ('{"values": [[0.0, 0.0], 0.0, 0.0, 0.0, 0.0, 0.0, [0.0, 0.0]]}', False),
         "not-last": ('{"values": [[0.0]], "k": 1}', False),
         "nested": ('{"values": [[[0.0]]]}', False),
         "empty-row": ('{"values": [[]]}', False),
@@ -701,30 +717,71 @@ class TestMatrixJsonAgainstReference:
         from fpcentral import io as fio
 
         seen = []
-        chunk = fio._listed_chunk
+        chunk = fio._chunk_entries
         monkeypatch.setattr(fio, "_CHUNK", 1 << 12)
-        monkeypatch.setattr(fio, "_listed_chunk", lambda *args: seen.append(1) or chunk(*args))
+        monkeypatch.setattr(fio, "_chunk_entries", lambda *args: seen.append(1) or chunk(*args))
         data = json.dumps({"values": np.full((100, 100), 0.5).tolist()}).encode()
         assert fio._listed_object(data, "values") is None
         assert len(seen) == 1
 
-    def test_rows_are_read_across_chunks(self, folder, monkeypatch):
-        # chunks of a few rows each, cut at whichever row ends after 1 KiB
+    @pytest.mark.parametrize("mark", ["unit", "join"])
+    def test_rows_are_read_across_chunks(self, folder, monkeypatch, mark):
+        # chunks of a few rows each, each cut at the first row end past its
+        # mark, _CHUNK bytes in; the first mark falls inside a "0.0" unit of
+        # a run of zeros in the second row, or on the comma of the "],["
+        # join after that row
         from fpcentral import io as fio
 
-        monkeypatch.setattr(fio, "_CHUNK", 1 << 10)
+        seen = []
+        chunk = fio._chunk_entries
+        monkeypatch.setattr(fio, "_chunk_entries", lambda *args: seen.append(1) or chunk(*args))
         rng = np.random.default_rng(2100)
         for layout in ("writer", "compact", "dumps"):
             rows = [["0.0"] * 90 for _ in range(90)]
             for i, j in rng.integers(90, size=(60, 2)):
                 rows[i][j] = rows[j][i] = repr(float(rng.normal()))
+            for j in range(30, 60):
+                rows[1][j] = rows[j][1] = "0.0"
             data = ('{"values": %s}' % _spell(rows, layout, [" ", "\n"])).encode()
+            first = data.index(b"[", data.index(b"[") + 1)
+            second = data.index(b"[", first + 1)
+            if mark == "unit":  # the "." of column 45
+                at = second
+                for _ in range(45):
+                    at = data.index(b",", at + 1)
+                at = data.index(b".", at)
+            else:
+                at = data.index(b",", data.index(b"]", second))
+            monkeypatch.setattr(fio, "_CHUNK", at - first)
+            seen.clear()
             assert fio._listed_object(data, "values") is not None
+            assert len(seen) > 3
             assert self._check(folder, "graphon", data)[3] is not None
             # no comma between two rows, within a chunk or between two
             broken = data.replace(b"],", b"]")
             assert broken != data and fio._listed_object(broken, "values") is None
             self._check(folder, "graphon", broken)
+
+    def test_each_byte_of_two_rows_and_their_join(self, folder):
+        # every byte of rows 19 and 20 of a listed 40 x 40 matrix in the
+        # writer's layout, and of the join between them, set in turn to each
+        # byte that a row holds; a run of "1.0" in row 20 repeats as its
+        # zeros do
+        rows = [["0.0"] * 40 for _ in range(40)]
+        for i, j, token in [(19, 2, "0.5"), (19, 39, "2.5e-3"), (20, 0, "-1"), (7, 30, "1.0")]:
+            rows[i][j] = rows[j][i] = token
+        for j in range(20, 24):
+            rows[20][j] = rows[j][20] = "1.0"
+        data = ('{"values": %s}\n' % _spell(rows, "writer", None)).encode()
+        assert _listed_object(data, "values") is not None
+        head = data.index(b"[")
+        for _ in range(20):
+            head = data.index(b"[", head + 1)
+        end = data.index(b"]", data.index(b"]", head) + 1) + 1
+        for offset in range(head, end):
+            for byte in b" \n01.,]-":
+                if data[offset] != byte:
+                    self._check(folder, "graphon", data[:offset] + bytes([byte]) + data[offset + 1 :])
 
 
 def _written(payload):
