@@ -23,6 +23,16 @@ bit.  The permutation sweep computes the column sums of every row subset
 of a whole stack of small candidate differences with one GEMM against the
 subset-indicator matrix.
 
+``cut_norm_heuristic`` starts from the matrix.  It alternates between the
+sign-optimal columns and rows of the matrix scaled by a power of two while
+the sum strictly rises, from 3 + 4k starts, k = CUT_HEURISTIC_RESTARTS: the
+full row set, the rows of positive and of negative sum, and for each of the
+k strongest rows (then columns) the lines of positive, and of negative,
+inner product with it (a column set starts from its sign-optimal rows).  A
+side keeps its zero-sum lines; the witness does not.  Relabeling relabels
+each start and scaling by 2^k scales each sum, so only ties and rounding
+move the witness.
+
 Every operator norm is of one operand (``graphs``), a list of entries or
 an array: a one-signed matrix's 2-norm is the rounded-up upper end of a
 Perron bracket of ``M.T @ M`` (``_perron_root``, also eigen centrality's
@@ -82,9 +92,8 @@ PERRON_MAX_ITERATIONS = 500
 GRAM_TOL = 1e-12
 # a 2-norm's peak exponent beyond which its products could overflow
 _POW2_EXTREME = 256
-# the starts of cut_norm_heuristic and the seed of its random ones
-CUT_HEURISTIC_RESTARTS = 16
-CUT_HEURISTIC_SEED = 0
+# the strongest rows, and columns, whose alignments start cut_norm_heuristic
+CUT_HEURISTIC_RESTARTS = 7
 _TINY = np.finfo(float).tiny
 # bytes of one block of row-subset values in cut_norm_exact (256 KiB)
 _CUT_BLOCK = 1 << 18
@@ -269,25 +278,6 @@ def _lex_first(masks):
         rest = rest[keep] ^ low[keep]
 
 
-def _mask_to_tuple(mask, n):
-    return tuple(i for i in range(n) if (mask >> i) & 1)
-
-
-def _split_by_sign(c):
-    """Best column subset for fixed row subset: take the positive-sum or the
-    negative-sum columns, whichever is larger in absolute value (ties go to
-    the lexicographically smaller set)."""
-    vp = float(np.where(c > 0, c, 0.0).sum())
-    vm = float(-np.where(c < 0, c, 0.0).sum())
-    tp = tuple(np.flatnonzero(c > 0).tolist())
-    tm = tuple(np.flatnonzero(c < 0).tolist())
-    if vp > vm:
-        return vp, tp
-    if vm > vp:
-        return vm, tm
-    return vp, min(tp, tm)
-
-
 def _check_cut_sums(m):
     """The absolute sum of ``m``, a bound on every cut sum; ``m`` is refused
     when it overflows."""
@@ -361,56 +351,65 @@ def cut_norm_exact(m):
         if top > best_val:
             best_val, ties = top, []
         ties.append(np.flatnonzero(vals == top) + s0 * width)
-    s_tuple = _mask_to_tuple(_lex_first(np.concatenate(ties)), n)
-    if s_tuple:
-        c = m[list(s_tuple), :].sum(axis=0)
-    else:
-        c = np.zeros(n)
-    _, t_tuple = _split_by_sign(c)
-    value = abs(float(m[np.ix_(s_tuple, t_tuple)].sum())) if s_tuple and t_tuple else 0.0
-    return CutNormWitness(value=value, S=s_tuple, T=t_tuple)
+    mask = _lex_first(np.concatenate(ties))
+    s_tuple = tuple(i for i in range(n) if (mask >> i) & 1)
+    # the side of S's column sums with more mass, the lexicographically
+    # smaller on a tie
+    c = m[list(s_tuple)].sum(axis=0)
+    sides = [(-abs(float(np.where(side, c, 0.0).sum())), tuple(np.flatnonzero(side).tolist()))
+             for side in (c > 0, c < 0)]
+    t_tuple = min(sides)[1]
+    return CutNormWitness(abs(float(m[np.ix_(s_tuple, t_tuple)].sum())), s_tuple, t_tuple)
+
+
+def _sign_side(c):
+    """``(mass, side)``: the 0/1 indicator of the line sums ``c`` at or above
+    zero, or at or below it when the negative ones carry more mass.  A zero
+    sum adds no mass, but it moves the next step off a plateau of ties."""
+    vp, vm = float(c[c > 0].sum()), -float(c[c < 0].sum())
+    return (vp, (c >= 0) * 1.0) if vp >= vm else (vm, (c <= 0) * 1.0)
+
+
+def _alternate(w, s):
+    """``(mass, s, t)``: the columns best for the rows ``s``, then the rows
+    best for those columns, while the mass strictly rises.  The mass is a
+    function of the columns, so none come back; 1000 steps cap the climb."""
+    best = (-1.0, s, s)
+    for _ in range(1000):
+        t = _sign_side(s @ w)[1]
+        mass, s = _sign_side(w @ t)
+        if mass <= best[0]:
+            break
+        best = (mass, s, t)
+    return best
 
 
 def cut_norm_heuristic(m):
-    """Alternating-maximization lower bound on the cut norm.
-
-    Fix S and pick the sign-optimal T, then fix T and pick the sign-optimal
-    S; repeat until the value stops improving, over CUT_HEURISTIC_RESTARTS
-    starts (the first start is the full row set, the rest random, drawn
-    from a generator seeded with CUT_HEURISTIC_SEED).  Any witness is
-    feasible, so the result never exceeds the exact cut norm.  Non-finite
-    entries raise ParameterError, an overflowing absolute sum
-    NumericalError.
-    """
+    """Alternating-maximization lower bound on the cut norm from starts that
+    the matrix gives (module docstring).  Its value is the witness's box
+    sum, as in ``cut_norm_exact``, so never above the exact cut norm.  Ties
+    in the ranking of the strongest lines, or of equal sums, are the only
+    label dependence left.  Non-finite entries raise ParameterError, an
+    overflowing absolute sum NumericalError."""
     m = _square_finite(m, "cut_norm_heuristic")
     _check_cut_sums(m)
-    n = m.shape[0]
-    rng = np.random.default_rng(CUT_HEURISTIC_SEED)
-    best = CutNormWitness(value=-1.0, S=(), T=())
-    for r in range(CUT_HEURISTIC_RESTARTS):
-        if r == 0:
-            s = np.ones(n, dtype=bool)
-        else:
-            s = rng.random(n) < 0.5
-            if not s.any():
-                s[int(rng.integers(n))] = True
-        value = -1.0
-        s_idx = tuple(np.flatnonzero(s).tolist())
-        t_idx = ()
-        for _ in range(1000):
-            c = m[list(s_idx), :].sum(axis=0) if s_idx else np.zeros(n)
-            v1, t_idx = _split_by_sign(c)
-            rsum = m[:, list(t_idx)].sum(axis=1) if t_idx else np.zeros(n)
-            v2, s_idx = _split_by_sign(rsum)
-            if v2 <= value + 1e-15:
-                break
-            value = v2
-        attained = (
-            abs(float(m[np.ix_(s_idx, t_idx)].sum())) if s_idx and t_idx else 0.0
-        )
-        if attained > best.value:
-            best = CutNormWitness(value=attained, S=s_idx, T=t_idx)
-    return best
+    w, k = _pow2_normalize(m)[0], CUT_HEURISTIC_RESTARTS
+
+    def strongest(axis):  # by |line sum|, then line 1-norm, descending, then index
+        return np.lexsort((-np.abs(w).sum(axis=axis), -np.abs(w.sum(axis=axis))))[:k]
+
+    rows = w.sum(axis=1)
+    by_row = w @ w[strongest(1)].T  # each row's inner product with a strong row
+    by_col = w.T @ w[:, strongest(0)]
+    starts = [np.ones(m.shape[0]), rows > 0, rows < 0]
+    starts += [side for a in by_row.T for side in (a > 0, a < 0)]
+    starts += [_sign_side(w @ side)[1] for a in by_col.T for side in (a > 0, a < 0)]
+    t = max((_alternate(w, s * 1.0) for s in starts), key=lambda r: r[0])[2]
+    # without zero-sum lines: the rows best for t, then the columns best for them
+    r = w @ t
+    c = (_sign_side(r)[1] * (r != 0)) @ w
+    S, T = (tuple(np.flatnonzero(_sign_side(x)[1] * (x != 0)).tolist()) for x in (r, c))
+    return CutNormWitness(abs(float(m[np.ix_(S, T)].sum())), S, T)
 
 
 class PermutedDistanceResult(NamedTuple):

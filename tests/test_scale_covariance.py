@@ -33,6 +33,9 @@ DIRECTED_B[2, 3] += 0.5
 # a directed 0/1 graph far below the weight 1e-12
 TINY = np.ldexp(np.array([[0, 1, 0, 0, 0], [0, 0, 1, 1, 0], [1, 0, 0, 0, 1],
                           [0, 0, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=float), -50)
+# signed weights: a cut heuristic that stopped on an absolute margin would
+# stop early at 2^-60 and 2^-1000 and report another witness
+SIGNED = np.random.default_rng(8).uniform(-1.0, 1.0, (12, 12))
 # small weights, so finite katz takes alpha > 1
 SMALL = 0.1 * SYM
 SMALL_B = 0.1 * SYM_B
@@ -149,6 +152,8 @@ CASES = {
     "norm-cut": (_norms(DIRECTED, "--norm", "cut"), SCALES, ("witness",), ("value",)),
     "norm-cut-heuristic": (_norms(DIRECTED, "--norm", "cut", "--mode", "heuristic"),
                            SCALES, ("witness",), ("value",)),
+    "norm-cut-heuristic-signed": (_norms(SIGNED, "--norm", "cut", "--mode", "heuristic"),
+                                  SCALES, ("witness",), ("value",)),
     "sparse-katz": (_centrality("katz", SPARSE_DIRECTED, SPARSE_DIRECTED_ALPHA),
                     SCALES, CENTRALITY, ()),
     "sparse-pagerank": (_centrality("pagerank", SPARSE_DIRECTED, 0.85), SCALES, CENTRALITY, ()),
